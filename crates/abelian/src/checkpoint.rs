@@ -25,6 +25,7 @@
 //! memory — would detect corruption instead of silently restoring garbage.
 //! Activity is counted under `engine.ckpt.*` in `lci-trace`.
 
+use lci_fabric::frame::Crc32;
 use lci_trace::Counter;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -33,32 +34,11 @@ use std::sync::Arc;
 /// Magic prefix of a sealed snapshot (`"ABCK"` little-endian).
 pub const MAGIC: u32 = 0x4B43_4241;
 
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table built at compile time.
-// Independent of the fabric's frame checksum on purpose: a checkpoint must
-// not share failure modes with the transport it protects against.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 of `data` (IEEE polynomial, as used by the sealed format).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+/// CRC-32 of `data` (IEEE polynomial — the fabric's frame checksum, reused).
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
 }
 
 /// One host's engine state at a round boundary, as opaque sections.

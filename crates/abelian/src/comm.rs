@@ -131,10 +131,39 @@ pub trait CommLayer: Send + Sync {
     fn quiesce(&self) {}
 }
 
+/// Complete the receive half of a round on `channel`: poll until `p-1`
+/// peers are done, handing `on_msg` each arrival as `(src, data)`; it
+/// returns whether that message completed its peer's traffic for the round.
+///
+/// This is the only place a round waits, so it is also where aborts are
+/// bounded: a failed layer can never deliver the missing messages, so an
+/// empty poll checks [`CommLayer::failure`] and returns its message as `Err`
+/// rather than spin forever on an unfinishable round.
+pub fn recv_round(
+    layer: &dyn CommLayer,
+    channel: usize,
+    mut on_msg: impl FnMut(u16, Vec<u8>) -> bool,
+) -> Result<(), String> {
+    let p = layer.num_hosts();
+    let mut done = 0usize;
+    while done + 1 < p {
+        match layer.try_recv(channel) {
+            Some((src, data)) => done += on_msg(src, data) as usize,
+            None => {
+                if let Some(f) = layer.failure() {
+                    return Err(f);
+                }
+                std::thread::yield_now();
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Drive a full round synchronously: send `outgoing[p]` to every peer
 /// (skipping self) and collect one message from every peer. Convenience for
 /// tests and simple phases; the engine proper interleaves sends and
-/// receives.
+/// receives. Panics if the layer fails mid-exchange.
 pub fn exchange_all(
     layer: &dyn CommLayer,
     channel: usize,
@@ -151,21 +180,16 @@ pub fn exchange_all(
     }
     layer.finish_sends(channel);
     let mut got = Vec::with_capacity(p.saturating_sub(1));
-    while got.len() + 1 < p {
-        if let Some(msg) = layer.try_recv(channel) {
-            got.push(msg);
-        } else {
-            // A failed layer can never deliver the missing messages; abort
-            // loudly rather than spin forever on an unfinishable round.
-            if let Some(f) = layer.failure() {
-                panic!(
-                    "communication layer '{}' (rank {}) failed mid-exchange: {f}",
-                    layer.name(),
-                    layer.rank()
-                );
-            }
-            std::thread::yield_now();
-        }
+    let received = recv_round(layer, channel, |src, data| {
+        got.push((src, data));
+        true
+    });
+    if let Err(f) = received {
+        panic!(
+            "communication layer '{}' (rank {}) failed mid-exchange: {f}",
+            layer.name(),
+            layer.rank()
+        );
     }
     got
 }

@@ -48,30 +48,8 @@ pub fn build_layers(
     mpi_cfg: mini_mpi::MpiConfig,
     lci_cfg: lci::LciConfig,
 ) -> (Vec<Arc<dyn CommLayer>>, LayerWorld) {
-    let n = fabric_cfg.num_hosts;
-    match kind {
-        LayerKind::Lci => {
-            let world = lci::LciWorld::without_servers(fabric_cfg, lci_cfg);
-            let layers: Vec<Arc<dyn CommLayer>> = (0..n)
-                .map(|h| Arc::new(LciLayer::new(world.device(h))) as Arc<dyn CommLayer>)
-                .collect();
-            (layers, LayerWorld::Lci(world))
-        }
-        LayerKind::MpiProbe => {
-            let world = mini_mpi::MpiWorld::new(fabric_cfg, mpi_cfg);
-            let layers: Vec<Arc<dyn CommLayer>> = (0..n)
-                .map(|h| Arc::new(MpiProbeLayer::new(world.comm(h))) as Arc<dyn CommLayer>)
-                .collect();
-            (layers, LayerWorld::Mpi(world))
-        }
-        LayerKind::MpiRma => {
-            let world = mini_mpi::MpiWorld::new(fabric_cfg, mpi_cfg);
-            let layers: Vec<Arc<dyn CommLayer>> = (0..n)
-                .map(|h| Arc::new(MpiRmaLayer::new(world.comm(h))) as Arc<dyn CommLayer>)
-                .collect();
-            (layers, LayerWorld::Mpi(world))
-        }
-    }
+    let world = LayerWorld::new(kind, fabric_cfg, mpi_cfg, lci_cfg);
+    (world.layers(kind), world)
 }
 
 /// Keep-alive guard for the world behind a set of layers.
@@ -80,4 +58,44 @@ pub enum LayerWorld {
     Lci(lci::LciWorld),
     /// mini-mpi world (fabric + communicators).
     Mpi(mini_mpi::MpiWorld),
+}
+
+impl LayerWorld {
+    /// The world `kind`'s layers run on, over a fresh fabric.
+    pub(crate) fn new(
+        kind: LayerKind,
+        fabric_cfg: lci_fabric::FabricConfig,
+        mpi_cfg: mini_mpi::MpiConfig,
+        lci_cfg: lci::LciConfig,
+    ) -> LayerWorld {
+        match kind {
+            LayerKind::Lci => LayerWorld::Lci(lci::LciWorld::without_servers(fabric_cfg, lci_cfg)),
+            LayerKind::MpiProbe | LayerKind::MpiRma => {
+                LayerWorld::Mpi(mini_mpi::MpiWorld::new(fabric_cfg, mpi_cfg))
+            }
+        }
+    }
+
+    /// Mint fresh layers of `kind` (rank order) over this world's transport
+    /// endpoints. `kind` must be the one the world was built for.
+    pub(crate) fn layers(&self, kind: LayerKind) -> Vec<Arc<dyn CommLayer>> {
+        use {LayerKind as K, LayerWorld as W};
+        let mint = |h: usize| -> Arc<dyn CommLayer> {
+            match (kind, self) {
+                (K::Lci, W::Lci(w)) => Arc::new(LciLayer::new(w.device(h))),
+                (K::MpiProbe, W::Mpi(w)) => Arc::new(MpiProbeLayer::new(w.comm(h))),
+                (K::MpiRma, W::Mpi(w)) => Arc::new(MpiRmaLayer::new(w.comm(h))),
+                _ => unreachable!("world kind fixed at construction"),
+            }
+        };
+        (0..self.fabric().num_hosts()).map(mint).collect()
+    }
+
+    /// The underlying fabric (fault plans, crash inspection, counters).
+    pub fn fabric(&self) -> &lci_fabric::Fabric {
+        match self {
+            LayerWorld::Lci(w) => w.fabric(),
+            LayerWorld::Mpi(w) => w.fabric(),
+        }
+    }
 }

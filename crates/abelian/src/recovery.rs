@@ -22,12 +22,13 @@
 //!
 //! [`RecoveryWorld`] owns the long-lived transport (fabric + devices or
 //! communicators) across attempts and mints fresh [`CommLayer`]s per
-//! attempt; [`run_app_recoverable`] is the abelian-engine driver loop.
+//! attempt, and runs the retry loop ([`RecoveryWorld::run_recoverable`]) that
+//! both engines' `*_recoverable` entry points wrap.
 
 use crate::checkpoint::{CheckpointStore, CkptPlan};
 use crate::comm::CommLayer;
 use crate::engine::{run_app_with_ckpt, EngineConfig, RunResult};
-use crate::layers::{LayerKind, LayerWorld, LciLayer, MpiProbeLayer, MpiRmaLayer};
+use crate::layers::{LayerKind, LayerWorld};
 use crate::apps::App;
 use lci_fabric::{Fabric, FabricConfig};
 use mini_mpi::MpiConfig;
@@ -69,27 +70,16 @@ impl RecoveryWorld {
         mpi_cfg: MpiConfig,
         lci_cfg: lci::LciConfig,
     ) -> RecoveryWorld {
-        let world = match kind {
-            LayerKind::Lci => {
-                LayerWorld::Lci(lci::LciWorld::without_servers(fabric_cfg, lci_cfg))
-            }
-            LayerKind::MpiProbe | LayerKind::MpiRma => {
-                LayerWorld::Mpi(mini_mpi::MpiWorld::new(fabric_cfg, mpi_cfg.clone()))
-            }
-        };
         RecoveryWorld {
             kind,
-            world,
+            world: LayerWorld::new(kind, fabric_cfg, mpi_cfg.clone(), lci_cfg),
             mpi_cfg,
         }
     }
 
     /// The underlying fabric (fault plans, crash inspection, counters).
     pub fn fabric(&self) -> &Fabric {
-        match &self.world {
-            LayerWorld::Lci(w) => w.fabric(),
-            LayerWorld::Mpi(w) => w.fabric(),
-        }
+        self.world.fabric()
     }
 
     /// Mint fresh communication layers (rank order) for one run attempt.
@@ -99,18 +89,7 @@ impl RecoveryWorld {
     /// tag their frames identically after a rollback; the transport
     /// underneath persists.
     pub fn layers(&self) -> Vec<Arc<dyn CommLayer>> {
-        match (&self.kind, &self.world) {
-            (LayerKind::Lci, LayerWorld::Lci(w)) => (0..w.num_hosts())
-                .map(|h| Arc::new(LciLayer::new(w.device(h))) as Arc<dyn CommLayer>)
-                .collect(),
-            (LayerKind::MpiProbe, LayerWorld::Mpi(w)) => (0..w.num_hosts())
-                .map(|h| Arc::new(MpiProbeLayer::new(w.comm(h))) as Arc<dyn CommLayer>)
-                .collect(),
-            (LayerKind::MpiRma, LayerWorld::Mpi(w)) => (0..w.num_hosts())
-                .map(|h| Arc::new(MpiRmaLayer::new(w.comm(h))) as Arc<dyn CommLayer>)
-                .collect(),
-            _ => unreachable!("world kind fixed at construction"),
-        }
+        self.world.layers(self.kind)
     }
 
     /// Steps 2–4 of the recovery protocol: probe the dying epoch, respawn
@@ -123,20 +102,10 @@ impl RecoveryWorld {
         // at the wire; survivor→survivor probes surface post-respawn as
         // stale-epoch drops — deterministic evidence the old incarnation
         // was discarded rather than replayed.
-        match &self.world {
-            LayerWorld::Lci(w) => {
-                for h in 0..w.num_hosts() {
-                    if !crashed.contains(&(h as u16)) {
-                        w.device(h).flush_epoch_probe();
-                    }
-                }
-            }
-            LayerWorld::Mpi(w) => {
-                for h in 0..w.num_hosts() {
-                    if !crashed.contains(&(h as u16)) {
-                        w.comm(h).flush_epoch_probe();
-                    }
-                }
+        for h in (0..self.fabric().num_hosts()).filter(|&h| !crashed.contains(&(h as u16))) {
+            match &self.world {
+                LayerWorld::Lci(w) => w.device(h).flush_epoch_probe(),
+                LayerWorld::Mpi(w) => w.comm(h).flush_epoch_probe(),
             }
         }
         for &h in &crashed {
@@ -151,13 +120,42 @@ impl RecoveryWorld {
             LayerWorld::Mpi(w) => w.rejoin(self.mpi_cfg.clone()),
         }
     }
+
+    /// The crash-recovery driver loop, shared by every engine: run `attempt`
+    /// on fresh layers with a plan checkpointing into `store` every
+    /// `rec.ckpt_every` rounds; on an abort with crashed hosts present,
+    /// recover the world, roll every host back to the newest common
+    /// checkpoint, and retry — up to `rec.max_attempts` attempts. An abort
+    /// with *no* crashed host (a genuine transport failure) is returned
+    /// as-is: recovery never masks errors it cannot explain.
+    pub fn run_recoverable<R>(
+        &mut self,
+        rec: &RecoveryConfig,
+        store: &Arc<CheckpointStore>,
+        mut attempt: impl FnMut(&[Arc<dyn CommLayer>], &CkptPlan) -> Result<R, String>,
+    ) -> Result<R, String> {
+        let mut plan = CkptPlan::saving(Arc::clone(store), rec.ckpt_every);
+        let mut last_err = String::new();
+        for _attempt in 0..rec.max_attempts.max(1) {
+            let layers = self.layers();
+            match attempt(&layers, &plan) {
+                Ok(r) => return Ok(r),
+                // Not a crash: the bounded-abort contract of plain runs.
+                Err(e) if self.fabric().crashed_hosts().is_empty() => return Err(e),
+                Err(e) => last_err = e,
+            }
+            self.recover();
+            plan.resume_from = store.latest_common();
+        }
+        Err(format!(
+            "recovery abandoned after {} attempts; last error: {last_err}",
+            rec.max_attempts.max(1)
+        ))
+    }
 }
 
-/// Run an abelian app with crash recovery: on an abort with crashed hosts
-/// present, recover the world, roll every host back to the newest common
-/// checkpoint, and re-run — up to `rec.max_attempts` attempts. An abort
-/// with *no* crashed host (a genuine transport failure) is returned as-is:
-/// recovery never masks errors it cannot explain.
+/// Run an abelian app with crash recovery (see
+/// [`RecoveryWorld::run_recoverable`]).
 ///
 /// The caller owns `store` so it can inspect saved rounds afterwards; pass
 /// a fresh [`CheckpointStore::new`] sized to the partition count.
@@ -169,30 +167,7 @@ pub fn run_app_recoverable<A: App>(
     rec: &RecoveryConfig,
     store: &Arc<CheckpointStore>,
 ) -> Result<RunResult<A::Acc>, String> {
-    let mut resume_from = None;
-    let mut last_err = String::new();
-    for _attempt in 0..rec.max_attempts.max(1) {
-        let layers = rw.layers();
-        let plan = CkptPlan {
-            store: Arc::clone(store),
-            every: rec.ckpt_every,
-            resume_from,
-        };
-        match run_app_with_ckpt(parts, Arc::clone(&app), &layers, cfg, Some(&plan)) {
-            Ok(r) => return Ok(r),
-            Err(e) => {
-                if rw.fabric().crashed_hosts().is_empty() {
-                    // Not a crash: the bounded-abort contract of plain runs.
-                    return Err(e);
-                }
-                last_err = e;
-                rw.recover();
-                resume_from = store.latest_common();
-            }
-        }
-    }
-    Err(format!(
-        "recovery abandoned after {} attempts; last error: {last_err}",
-        rec.max_attempts.max(1)
-    ))
+    rw.run_recoverable(rec, store, |layers, plan| {
+        run_app_with_ckpt(parts, Arc::clone(&app), layers, cfg, Some(plan))
+    })
 }

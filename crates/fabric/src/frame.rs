@@ -53,20 +53,26 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// Incremental CRC-32/IEEE over multiple byte slices.
+/// Incremental CRC-32/IEEE (reflected 0xEDB88320) over multiple byte
+/// slices — the checksum of the frame prefix, exported so other sealed
+/// formats (checkpoints) share the one implementation.
 #[derive(Clone, Copy)]
-struct Crc32(u32);
+pub struct Crc32(u32);
 
 impl Crc32 {
-    fn new() -> Self {
+    /// A checksum over no bytes yet.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
         Crc32(0xFFFF_FFFF)
     }
-    fn update(&mut self, bytes: &[u8]) {
+    /// Fold `bytes` into the checksum.
+    pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 = CRC_TABLE[((self.0 ^ b as u32) & 0xFF) as usize] ^ (self.0 >> 8);
         }
     }
-    fn finish(self) -> u32 {
+    /// The CRC-32 of everything folded in so far.
+    pub fn finish(self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
 }

@@ -1,4 +1,5 @@
-//! The Gemini round loop: fire → dual-mode sync → control.
+//! The Gemini engine: the shared BSP round skeleton
+//! ([`abelian::engine::run_rounds`]) with a dual-mode exchange.
 //!
 //! Compared with the Abelian engine, Gemini (i) supports only the blocked
 //! edge-cut (mirrors never have out-edges, so no broadcast phase exists) and
@@ -8,17 +9,15 @@
 //! volume exactly as Gemini's dense/sparse `signal/slot` machinery does.
 
 use abelian::apps::App;
-use abelian::checkpoint::{CheckpointStore, CkptPlan, Snapshot};
-use abelian::comm::{channels, ChannelSpec, CommLayer};
-use abelian::label::{Label, LabelVec};
-use abelian::metrics::{HostMetrics, RoundMetrics};
+use abelian::checkpoint::{CheckpointStore, CkptPlan};
+use abelian::comm::{channels, recv_round, CommLayer};
+use abelian::engine::{run_rounds, Exchange, HostState};
+use abelian::label::Label;
 use abelian::recovery::{RecoveryConfig, RecoveryWorld};
-use abelian::{HostResult, RunResult};
-use lci_graph::{DistGraph, Partitioning, Policy, Vid};
-use lci_trace::{record, Counter, EventKind, Span};
-use std::sync::atomic::{AtomicBool, Ordering};
+use abelian::RunResult;
+use lci_graph::{Partitioning, Policy, Vid};
+use lci_trace::{Counter, Span};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Gemini engine knobs.
 #[derive(Debug, Clone)]
@@ -33,8 +32,6 @@ pub struct GeminiConfig {
     /// (paper §IV-B1). `usize::MAX` disables chunking (required when
     /// running over the MPI-RMA layer, which has one slot per peer).
     pub chunk_bytes: usize,
-    /// Safety cap on rounds.
-    pub round_cap: usize,
 }
 
 impl Default for GeminiConfig {
@@ -42,7 +39,6 @@ impl Default for GeminiConfig {
         GeminiConfig {
             dense_threshold: 0.25,
             chunk_bytes: 4 << 10,
-            round_cap: 100_000,
         }
     }
 }
@@ -59,14 +55,12 @@ pub fn run_gemini<A: App>(
     layers: &[Arc<dyn CommLayer>],
     cfg: &GeminiConfig,
 ) -> RunResult<A::Acc> {
-    run_gemini_checked(parts, app, layers, cfg)
-        .unwrap_or_else(|e| panic!("engine aborted: {e}"))
+    run_gemini_checked(parts, app, layers, cfg).unwrap_or_else(|e| panic!("engine aborted: {e}"))
 }
 
 /// Like [`run_gemini`], but a fatal communication-layer failure surfaces as
-/// `Err` with the first failing host's message instead of panicking. The
-/// abort is bounded: every host's receive loops poll [`CommLayer::failure`]
-/// while spinning, so no thread wedges on a round that can never complete.
+/// `Err` with the first failing host's message instead of panicking; see
+/// [`run_rounds`] for why the abort is bounded.
 pub fn run_gemini_checked<A: App>(
     parts: &Partitioning,
     app: Arc<A>,
@@ -76,12 +70,9 @@ pub fn run_gemini_checked<A: App>(
     run_gemini_with_ckpt(parts, app, layers, cfg, None)
 }
 
-/// Like [`run_gemini_checked`], with optional coordinated checkpointing:
-/// when `ckpt` is given, every host snapshots its vertex state into the
-/// plan's store every `every` rounds (at the round boundary, after the
-/// control barrier) and restores the plan's `resume_from` round before its
-/// first round. The crash-recovery driver [`run_gemini_recoverable`] loops
-/// over this primitive.
+/// Like [`run_gemini_checked`], with optional coordinated checkpointing
+/// (see [`run_rounds`]). The crash-recovery driver
+/// [`run_gemini_recoverable`] loops over this primitive.
 pub fn run_gemini_with_ckpt<A: App>(
     parts: &Partitioning,
     app: Arc<A>,
@@ -94,76 +85,11 @@ pub fn run_gemini_with_ckpt<A: App>(
         Policy::EdgeCutBlocked,
         "Gemini supports only the blocked edge-cut (paper §II)"
     );
-    let p = parts.parts.len();
-    assert_eq!(layers.len(), p);
-    let entry = 4 + A::Acc::WIRE_BYTES;
-
-    // Reduce-direction sizing: dense frames need plan_len * value bytes;
-    // sparse need count * entry. Worst case is the larger, plus per-chunk
-    // overhead (7-byte chunk header + 4-byte layer sub-frame length each).
-    let max_of = |o: usize, t: usize| {
-        let plan = parts.parts[o].mirror_send[t].len();
-        let base = (plan * entry).max(plan * A::Acc::WIRE_BYTES);
-        let per_chunk = ((cfg.chunk_bytes.saturating_sub(7)) / A::Acc::WIRE_BYTES.min(entry))
-            .max(1);
-        let nchunks = plan.div_ceil(per_chunk).max(1);
-        base + nchunks * 16 + 32
-    };
-    let mut offsets = vec![vec![0usize; p]; p];
-    for (t, row) in offsets.iter_mut().enumerate() {
-        let mut acc = 0;
-        for (o, slot) in row.iter_mut().enumerate() {
-            *slot = acc;
-            acc += 8 + max_of(o, t);
-        }
-    }
-    let specs: Vec<ChannelSpec> = (0..p)
-        .map(|h| ChannelSpec {
-            max_recv: (0..p).map(|o| max_of(o, h)).collect(),
-            max_send: (0..p).map(|t| max_of(h, t)).collect(),
-            slot_at_peer: (0..p).map(|t| offsets[t][h]).collect(),
-        })
-        .collect();
-
-    let results: Vec<Result<HostResult<A::Acc>, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..p)
-            .map(|h| {
-                let part = &parts.parts[h];
-                let app = Arc::clone(&app);
-                let layer = Arc::clone(&layers[h]);
-                let spec = specs[h].clone();
-                let cfg = cfg.clone();
-                scope.spawn(move || host_main(part, &*app, &*layer, &cfg, spec, ckpt))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("host")).collect()
-    });
-
-    let mut hosts = Vec::with_capacity(p);
-    for r in results {
-        hosts.push(r?);
-    }
-
-    let mut values = vec![app.identity(); parts.parts[0].global_n];
-    let mut rounds = 0;
-    for hr in &hosts {
-        rounds = rounds.max(hr.metrics.num_rounds());
-        for &(gid, v) in &hr.masters {
-            values[gid as usize] = v;
-        }
-    }
-    Ok(RunResult {
-        hosts,
-        values,
-        rounds,
-    })
+    run_rounds(parts, &*app, layers, cfg, 1, ckpt)
 }
 
-/// Run a Gemini app with crash recovery: on an abort with crashed hosts
-/// present, recover the world (epoch probe, respawn, rejoin), roll every
-/// host back to the newest common checkpoint, and re-run — up to
-/// `rec.max_attempts` attempts. An abort with no crashed host is returned
-/// as-is. The Gemini twin of [`abelian::recovery::run_app_recoverable`].
+/// Run a Gemini app with crash recovery (see
+/// [`RecoveryWorld::run_recoverable`]).
 pub fn run_gemini_recoverable<A: App>(
     parts: &Partitioning,
     app: Arc<A>,
@@ -172,201 +98,74 @@ pub fn run_gemini_recoverable<A: App>(
     rec: &RecoveryConfig,
     store: &Arc<CheckpointStore>,
 ) -> Result<RunResult<A::Acc>, String> {
-    let mut resume_from = None;
-    let mut last_err = String::new();
-    for _attempt in 0..rec.max_attempts.max(1) {
-        let layers = rw.layers();
-        let plan = CkptPlan {
-            store: Arc::clone(store),
-            every: rec.ckpt_every,
-            resume_from,
-        };
-        match run_gemini_with_ckpt(parts, Arc::clone(&app), &layers, cfg, Some(&plan)) {
-            Ok(r) => return Ok(r),
-            Err(e) => {
-                if rw.fabric().crashed_hosts().is_empty() {
-                    return Err(e);
-                }
-                last_err = e;
-                rw.recover();
-                resume_from = store.latest_common();
-            }
-        }
-    }
-    Err(format!(
-        "recovery abandoned after {} attempts; last error: {last_err}",
-        rec.max_attempts.max(1)
-    ))
+    rw.run_recoverable(rec, store, |layers, plan| {
+        run_gemini_with_ckpt(parts, Arc::clone(&app), layers, cfg, Some(plan))
+    })
 }
 
-fn host_main<A: App>(
-    part: &DistGraph,
-    app: &A,
-    layer: &dyn CommLayer,
-    cfg: &GeminiConfig,
-    spec: ChannelSpec,
-    ckpt: Option<&CkptPlan>,
-) -> Result<HostResult<A::Acc>, String> {
-    let p = part.num_hosts;
-    let me = part.host;
-    let nl = part.num_local();
-    let nm = part.num_masters as usize;
-    let identity = app.identity();
-
-    let labels = LabelVec::new(nl, identity);
-    for l in 0..nm {
-        labels.set(l, app.init(part.l2g[l]));
-    }
-    let consumed = app.output_consumed().then(|| LabelVec::new(nm, identity));
-    let changed: Vec<AtomicBool> = (0..nl).map(|_| AtomicBool::new(false)).collect();
-    for (l, flag) in changed.iter().enumerate().take(nm) {
-        if app.active_initially(part.l2g[l]) {
-            flag.store(true, Ordering::Relaxed);
-        }
+/// The dual-mode sync (reduce only): each peer's traffic goes out as a
+/// stream of self-contained dense or sparse chunks — Gemini's
+/// stream-of-batches behaviour (it is what makes its MPI path pay
+/// per-message costs) — and a peer is complete once its announced chunk
+/// count has arrived.
+impl Exchange for GeminiConfig {
+    fn broadcasts(&self) -> bool {
+        false
     }
 
-    // ---- checkpoint restore: same protocol as the abelian engine ---------
-    let mut round = 0usize;
-    if let Some(plan) = ckpt {
-        if let Some(r0) = plan.resume_from {
-            let snap = plan
-                .store
-                .load(me, r0)
-                .map_err(|e| format!("host {me}: checkpoint restore of round {r0}: {e}"))?;
-            let [lab, cons, chg] = snap.sections.as_slice() else {
-                return Err(format!(
-                    "host {me}: checkpoint of round {r0} has {} sections, want 3",
-                    snap.sections.len()
-                ));
-            };
-            if !labels.restore_bits(lab) {
-                return Err(format!("host {me}: checkpoint label section size mismatch"));
-            }
-            match &consumed {
-                Some(c) => {
-                    if !c.restore_bits(cons) {
-                        return Err(format!(
-                            "host {me}: checkpoint consumed section size mismatch"
-                        ));
-                    }
-                }
-                None => {
-                    if !cons.is_empty() {
-                        return Err(format!(
-                            "host {me}: checkpoint has consumed section but app has none"
-                        ));
-                    }
-                }
-            }
-            if chg.len() != nl {
-                return Err(format!("host {me}: checkpoint changed section size mismatch"));
-            }
-            for (flag, &b) in changed.iter().zip(chg.iter()) {
-                flag.store(b != 0, Ordering::Relaxed);
-            }
-            round = snap.round as usize;
-            lci_trace::incr(Counter::EngineCkptRestores);
-        }
+    fn max_message<L: Label>(
+        &self,
+        parts: &Partitioning,
+        _channel: usize,
+        origin: usize,
+        target: usize,
+    ) -> usize {
+        // Payload: an all-changed sparse stream bounds it (an entry is a
+        // value plus its 4-byte position, a dense slot the value alone).
+        // Plus per-chunk overhead (7-byte chunk header + 4-byte layer
+        // sub-frame length each), chunks counted at the dense rate. Only the
+        // RMA layer sizes from this, and it runs unchunked.
+        let entry = 4 + L::WIRE_BYTES;
+        let plan = parts.parts[origin].mirror_send[target].len();
+        let per_chunk = (self.chunk_bytes.saturating_sub(7) / L::WIRE_BYTES).max(1);
+        let nchunks = plan.div_ceil(per_chunk).max(1);
+        plan * entry + nchunks * 16 + 32
     }
 
-    layer.register_channel(channels::REDUCE, spec);
-    layer.register_channel(channels::CONTROL, ChannelSpec::uniform(p, me, 16));
-
-    let max_rounds = app.max_rounds().unwrap_or(usize::MAX).min(cfg.round_cap);
-    let deliver = |lid: usize, v: A::Acc| {
-        if labels.reduce_with(lid, v, |a, b| app.reduce(a, b)) {
-            changed[lid].store(true, Ordering::Release);
-        }
-    };
-
-    let mut metrics = HostMetrics::default();
-
-    loop {
-        let round_start = Instant::now();
-        record(EventKind::RoundBegin, me as u32, round as u64);
-
-        // ---- fire (sparse signal) ---------------------------------------
-        let fire_span = Span::enter(Counter::PhaseComputeNs);
-        let fire_list: Vec<u32> = (0..nm as u32)
-            .filter(|&l| changed[l as usize].swap(false, Ordering::AcqRel))
-            .collect();
-        for &u in &fire_list {
-            let ul = u as usize;
-            let v0: A::Acc = labels.get(ul);
-            let deg = part.out_degree_global[ul];
-            if app.emit(v0, deg).is_none() {
-                continue;
-            }
-            let v = if app.consuming() {
-                labels.swap(ul, identity)
-            } else {
-                v0
-            };
-            if let Some(c) = &consumed {
-                c.reduce_with(ul, v, |a, b| app.reduce(a, b));
-            }
-            let Some(e) = app.emit(v, deg) else { continue };
-            for (nbr, w) in part.local.neighbors_weighted(u) {
-                deliver(nbr as usize, app.push(e, w));
-            }
-        }
-        let compute = round_start.elapsed();
-        fire_span.finish();
-        let comm_span = Span::enter(Counter::PhaseCommNs);
-
-        // ---- dual-mode sync (reduce) --------------------------------------
-        // Each peer's traffic is split into self-contained chunks; this is
-        // Gemini's stream-of-batches behaviour (it is what makes its MPI
-        // path pay per-message costs).
+    fn exchange<A: App>(
+        &self,
+        host: &HostState<'_, A>,
+        layer: &dyn CommLayer,
+    ) -> Result<(u64, u64), String> {
+        let _span = Span::enter(Counter::PhaseReduceNs);
+        let (p, me) = (layer.num_hosts(), layer.rank());
+        let identity = host.app.identity();
         let mut sent_entries = 0u64;
         let mut sent_bytes = 0u64;
         layer.begin(channels::REDUCE);
-        for t in 0..p as u16 {
-            if t == me {
-                continue;
-            }
-            let plan = &part.mirror_send[t as usize];
-            let n_changed = plan
-                .iter()
-                .filter(|&&l| changed[l as usize].load(Ordering::Acquire))
-                .count();
-            let dense = !plan.is_empty()
-                && (n_changed as f64) >= cfg.dense_threshold * plan.len() as f64;
+        for t in (0..p as u16).filter(|&t| t != me) {
+            let plan = &host.part.mirror_send[t as usize];
+            let n_changed = plan.iter().filter(|&&l| host.is_changed(l as usize)).count();
+            let dense =
+                !plan.is_empty() && (n_changed as f64) >= self.dense_threshold * plan.len() as f64;
             let chunks = if dense {
                 // Dense: one value per plan slot, identity where unchanged,
                 // split into [start, values...] segments.
                 let values: Vec<A::Acc> = plan
                     .iter()
-                    .map(|&lid| {
-                        let l = lid as usize;
-                        if changed[l].swap(false, Ordering::AcqRel) {
-                            if app.consuming() {
-                                labels.swap(l, identity)
-                            } else {
-                                labels.get(l)
-                            }
-                        } else {
-                            identity
-                        }
-                    })
+                    .map(|&lid| host.take_changed(lid as usize).unwrap_or(identity))
                     .collect();
                 sent_entries += plan.len() as u64;
-                encode_dense_chunks(&values, cfg.chunk_bytes)
+                encode_dense_chunks(&values, self.chunk_bytes)
             } else {
                 let mut entries: Vec<(u32, A::Acc)> = Vec::with_capacity(n_changed);
                 for (pos, &lid) in plan.iter().enumerate() {
-                    let l = lid as usize;
-                    if changed[l].swap(false, Ordering::AcqRel) {
-                        let v = if app.consuming() {
-                            labels.swap(l, identity)
-                        } else {
-                            labels.get(l)
-                        };
+                    if let Some(v) = host.take_changed(lid as usize) {
                         entries.push((pos as u32, v));
                     }
                 }
                 sent_entries += entries.len() as u64;
-                encode_sparse_chunks(&entries, cfg.chunk_bytes)
+                encode_sparse_chunks(&entries, self.chunk_bytes)
             };
             for chunk in chunks {
                 sent_bytes += chunk.len() as u64;
@@ -374,150 +173,28 @@ fn host_main<A: App>(
             }
         }
         layer.finish_sends(channels::REDUCE);
-        // Receive until every peer's announced chunk count has arrived.
-        let mut progress_per_src: Vec<(u16, u16)> = vec![(0, 0); p]; // (got, total)
-        let mut completed = 0usize;
-        while completed + 1 < p {
-            match layer.try_recv(channels::REDUCE) {
-                Some((src, data)) => {
-                    let plan = &part.master_recv[src as usize];
-                    // A chunk that fails validation is dropped whole without
-                    // touching the per-peer progress tracking (the framed
-                    // transports below guarantee the genuine chunk still
-                    // arrives, so the barrier cannot wedge).
-                    match decode_chunk::<A::Acc>(&data, plan, identity, &deliver) {
-                        Some(total) => {
-                            let e = &mut progress_per_src[src as usize];
-                            e.0 += 1;
-                            e.1 = total;
-                            if e.0 == e.1 {
-                                completed += 1;
-                            }
-                        }
-                        None => lci_trace::incr(Counter::EngineMalformedDropped),
-                    }
+
+        let mut chunks_got = vec![0u16; p];
+        let deliver = |lid: usize, v: A::Acc| host.deliver(lid, v);
+        recv_round(layer, channels::REDUCE, |src, data| {
+            let plan = &host.part.master_recv[src as usize];
+            // A chunk that fails validation is dropped whole without
+            // touching the per-peer progress tracking (the framed
+            // transports below guarantee the genuine chunk still arrives,
+            // so the barrier cannot wedge).
+            match decode_chunk::<A::Acc>(&data, plan, identity, &deliver) {
+                Some(total) => {
+                    chunks_got[src as usize] += 1;
+                    chunks_got[src as usize] == total
                 }
                 None => {
-                    if let Some(f) = layer.failure() {
-                        return Err(format!("host {me} aborted in round {round}: {f}"));
-                    }
-                    std::thread::yield_now();
+                    lci_trace::incr(Counter::EngineMalformedDropped);
+                    false
                 }
             }
-        }
-
-        // ---- control -----------------------------------------------------
-        let local_active: u64 = (0..nl)
-            .filter(|&l| {
-                changed[l].load(Ordering::Acquire)
-                    && app
-                        .emit(labels.get(l), part.out_degree_global[l])
-                        .is_some()
-            })
-            .count() as u64;
-        layer.begin(channels::CONTROL);
-        for t in 0..p as u16 {
-            if t != me {
-                layer.send(channels::CONTROL, t, local_active.to_le_bytes().to_vec());
-            }
-        }
-        layer.finish_sends(channels::CONTROL);
-        let mut total = local_active;
-        let mut got = 0usize;
-        while got + 1 < p {
-            match layer.try_recv(channels::CONTROL) {
-                Some((_, data)) => {
-                    got += 1;
-                    // Count the peer even when its frame is short, else the
-                    // barrier would hang; drop the unreadable value.
-                    if data.len() >= 8 {
-                        total += u64::from_le_bytes(data[..8].try_into().expect("len checked"));
-                    } else {
-                        lci_trace::incr(Counter::EngineMalformedDropped);
-                    }
-                }
-                None => {
-                    if let Some(f) = layer.failure() {
-                        return Err(format!("host {me} aborted in round {round}: {f}"));
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
-
-        comm_span.finish();
-        let wall = round_start.elapsed();
-        lci_trace::incr(Counter::EngineRounds);
-        lci_trace::add(Counter::EngineSentEntries, sent_entries);
-        lci_trace::add(Counter::EngineSentBytes, sent_bytes);
-        record(EventKind::RoundEnd, me as u32, round as u64);
-        metrics.rounds.push(RoundMetrics {
-            compute,
-            comm: wall.saturating_sub(compute),
-            sent_entries,
-            sent_bytes,
-        });
-        round += 1;
-        let done = total == 0 || round >= max_rounds;
-
-        // ---- coordinated checkpoint save: the control barrier above
-        // synchronized every host at this round boundary, so saving here
-        // yields a globally consistent cut without extra messages.
-        if let Some(plan) = ckpt {
-            if !done && plan.every > 0 && (round as u64) % plan.every == 0 {
-                let chg: Vec<u8> =
-                    changed.iter().map(|f| f.load(Ordering::Acquire) as u8).collect();
-                let snap = Snapshot {
-                    round: round as u64,
-                    sections: vec![
-                        labels.save_bits(),
-                        consumed.as_ref().map(|c| c.save_bits()).unwrap_or_default(),
-                        chg,
-                    ],
-                };
-                plan.store.save(me, &snap);
-            }
-        }
-
-        if done {
-            break;
-        }
+        })?;
+        Ok((sent_entries, sent_bytes))
     }
-
-    // Flush before retiring: on a lossy wire this host may still hold the
-    // only surviving copy of a frame a peer needs, and the retransmission
-    // timers only fire while someone drives progress. A failure here is
-    // ignored — the fixpoint is already reached and the values final.
-    layer.quiesce();
-
-    let book = layer.membook();
-    metrics.mem_peak = book.peak();
-    metrics.mem_total_allocated = book.total_allocated();
-    metrics.degradation = layer.degradation();
-    lci_trace::add(
-        Counter::EngineCommSendRetries,
-        metrics.degradation.send_retries,
-    );
-    lci_trace::add(
-        Counter::EngineCommRecvStalls,
-        metrics.degradation.recv_stalls,
-    );
-
-    let masters = (0..nm)
-        .map(|l| {
-            let v = match &consumed {
-                Some(c) => c.get(l),
-                None => labels.get(l),
-            };
-            (part.l2g[l], v)
-        })
-        .collect();
-
-    Ok(HostResult {
-        host: me,
-        masters,
-        metrics,
-    })
 }
 
 /// Chunk wire format: `[kind u8][nchunks u16]` header, then:

@@ -41,6 +41,15 @@ if [[ "${1:-}" == "bench-smoke" ]]; then
     exit 0
 fi
 
+# A suite under tests/ that crates/integration does not list as a [[test]]
+# is never compiled, and `cargo test --test <suite>` names nothing.
+for f in tests/*.rs; do
+    if ! grep -qF "path = \"../../$f\"" crates/integration/Cargo.toml; then
+        echo "UNREGISTERED SUITE: $f has no [[test]] entry in crates/integration/Cargo.toml" >&2
+        exit 1
+    fi
+done
+
 echo "=== tier 1: build ==="
 cargo build --workspace --release
 echo "=== tier 1: test ==="

@@ -17,13 +17,16 @@
 //! * With recovery *disabled*, a crash still yields the bounded clean
 //!   abort of the loss-chaos suite: a descriptive `Err`, no wedge, even
 //!   when the host dies owing unflushed acknowledgements.
+//! * Both engines share one snapshot layout and one restore protocol: a
+//!   checkpoint saved under either resumes under the other, crash or no
+//!   crash.
 
 use abelian::apps::{reference, Bfs};
 use abelian::{
-    build_layers, run_app_checked, run_app_recoverable, CheckpointStore, EngineConfig,
-    LayerKind, RecoveryConfig, RecoveryWorld,
+    build_layers, run_app_checked, run_app_recoverable, run_app_with_ckpt, CheckpointStore,
+    CkptPlan, EngineConfig, LayerKind, RecoveryConfig, RecoveryWorld, RunResult,
 };
-use gemini::{run_gemini_recoverable, GeminiConfig};
+use gemini::{run_gemini_recoverable, run_gemini_with_ckpt, GeminiConfig};
 use lci_fabric::{FabricConfig, Fault, FaultPlan};
 use lci_graph::{gen, partition, Policy};
 use lci_trace::Counter;
@@ -380,4 +383,63 @@ fn recovery_checkpoint_schedule_replays_from_seed() {
     let (v2, c2) = run();
     assert_eq!(v1, v2, "same seed must yield bit-identical recovered values");
     assert_eq!(c1, c2, "same seed must yield the same final common checkpoint");
+}
+
+// ---- the shared restore path, without a crash ------------------------------
+
+/// Both engines run the one round skeleton, so a checkpoint saved by either
+/// must resume under the other: same snapshot layout, same restore
+/// protocol. The resumed run lands on the reference result having executed
+/// only the rounds after the restored boundary.
+#[test]
+fn checkpoint_saved_by_one_engine_resumes_on_the_other() {
+    let g = descending_path(PATH_N);
+    let parts = partition(&g, HOSTS, Policy::EdgeCutBlocked);
+    let src = (PATH_N - 1) as lci_graph::Vid;
+    let expect = reference::bfs(&g, src);
+    // Every run gets fresh layers over a fresh fabric.
+    let fresh_layers = || {
+        build_layers(
+            LayerKind::Lci,
+            fabric_cfg(HOSTS, fabric_seed(0x2E5), FaultPlan::none()),
+            mpi_cfg(),
+            lci::LciConfig::for_hosts(HOSTS),
+        )
+    };
+    type Run<'a> = &'a dyn Fn(&CkptPlan) -> Result<RunResult<u32>, String>;
+    let abelian: Run = &|plan| {
+        let (layers, _world) = fresh_layers();
+        let app = Arc::new(Bfs { source: src });
+        run_app_with_ckpt(&parts, app, &layers, &EngineConfig::default(), Some(plan))
+    };
+    let gemini: Run = &|plan| {
+        let (layers, _world) = fresh_layers();
+        let app = Arc::new(Bfs { source: src });
+        run_gemini_with_ckpt(&parts, app, &layers, &GeminiConfig::default(), Some(plan))
+    };
+    for (saver, resumer, name) in
+        [(abelian, gemini, "abelian -> gemini"), (gemini, abelian, "gemini -> abelian")]
+    {
+        let store = CheckpointStore::new(HOSTS);
+        let full = saver(&CkptPlan::saving(Arc::clone(&store), 2))
+            .unwrap_or_else(|e| panic!("{name}: saving run failed: {e}"));
+        assert_eq!(full.values, expect, "{name}: saving run");
+        let r0 = store.latest_common().expect("a ~48-round run saves checkpoints");
+        assert!(r0 > 0, "{name}: saved boundary {r0}");
+
+        let before = lci_trace::global().snapshot();
+        let plan = CkptPlan { store: Arc::clone(&store), every: 0, resume_from: Some(r0) };
+        let resumed = resumer(&plan).unwrap_or_else(|e| panic!("{name}: resume failed: {e}"));
+        let delta = lci_trace::global().snapshot().delta(&before);
+        let restores = delta.get(Counter::EngineCkptRestores);
+        assert_eq!(resumed.values, expect, "{name}: resumed run");
+        assert_eq!(
+            resumed.rounds as u64 + r0,
+            full.rounds as u64,
+            "{name}: resuming at round {r0} must execute only the rounds after it"
+        );
+        // Every host restores exactly once; concurrent tests of this binary
+        // restore too, so the global counter can only be bounded from below.
+        assert!(restores >= HOSTS as u64, "{name}: {restores} restores, want one per host");
+    }
 }
