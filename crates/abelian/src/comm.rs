@@ -48,35 +48,6 @@ impl ChannelSpec {
     }
 }
 
-/// Cumulative degradation counters for a communication layer.
-///
-/// Under fault injection (latency spikes, RNR storms, injection brownouts —
-/// see `lci_fabric::FaultPlan`) a run that still produces correct results
-/// may have absorbed substantial pressure. These counters make that
-/// absorbed pressure visible: `send_retries` counts initiation attempts
-/// that had to be repeated (LCI retryable initiation, MPI back-pressure
-/// spins), `recv_stalls` counts receive polls that came back empty while a
-/// round was still open.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Degradation {
-    /// Send initiations retried after a benign failure.
-    pub send_retries: u64,
-    /// Receive polls that found nothing while a round was in progress.
-    pub recv_stalls: u64,
-}
-
-impl Degradation {
-    /// Total degradation events.
-    pub fn total(&self) -> u64 {
-        self.send_retries + self.recv_stalls
-    }
-
-    /// True when the layer never had to absorb pressure.
-    pub fn is_clean(&self) -> bool {
-        self.total() == 0
-    }
-}
-
 /// A host's communication layer (one of LCI / MPI-Probe / MPI-RMA).
 pub trait CommLayer: Send + Sync {
     /// This host's rank.
@@ -104,12 +75,6 @@ pub trait CommLayer: Send + Sync {
 
     /// Poll for the next arrived message of the current round.
     fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)>;
-
-    /// Cumulative degradation counters (retries absorbed, empty polls).
-    /// Layers that do not track degradation report a clean state.
-    fn degradation(&self) -> Degradation {
-        Degradation::default()
-    }
 
     /// A fatal, unrecoverable failure recorded by the layer — e.g. the
     /// transport's retransmission budget was exhausted and a peer declared

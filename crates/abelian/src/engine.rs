@@ -532,15 +532,6 @@ fn host_main<A: App, X: Exchange>(
     let book = layer.membook();
     metrics.mem_peak = book.peak();
     metrics.mem_total_allocated = book.total_allocated();
-    metrics.degradation = layer.degradation();
-    lci_trace::add(
-        Counter::EngineCommSendRetries,
-        metrics.degradation.send_retries,
-    );
-    lci_trace::add(
-        Counter::EngineCommRecvStalls,
-        metrics.degradation.recv_stalls,
-    );
 
     Ok(HostResult {
         host: me,

@@ -9,13 +9,13 @@
 //! and is stashed until its round opens — exactly the per-source ordering
 //! responsibility the paper leaves to the upper layer.
 
-use crate::comm::{ChannelSpec, CommLayer, Degradation};
+use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
 use bytes::Bytes;
 use lci::{Backoff, Device, RecvRequest, SendRequest};
+use lci_trace::{Counter, Registry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Tag encoding: channel in the high bits, round (mod 2^20) in the low.
@@ -40,8 +40,6 @@ pub struct LciLayer {
     dev: Device,
     book: Arc<MemBook>,
     inner: Mutex<Inner>,
-    send_retries: AtomicU64,
-    recv_stalls: AtomicU64,
     /// First fatal error observed; once set the layer stops initiating work
     /// and surfaces the message through [`CommLayer::failure`].
     failed: Mutex<Option<String>>,
@@ -59,8 +57,6 @@ impl LciLayer {
                 pending_recvs: Vec::new(),
                 pending_sends: Vec::new(),
             }),
-            send_retries: AtomicU64::new(0),
-            recv_stalls: AtomicU64::new(0),
             failed: Mutex::new(None),
         }
     }
@@ -68,6 +64,11 @@ impl LciLayer {
     /// The wrapped device (diagnostics).
     pub fn device(&self) -> &Device {
         &self.dev
+    }
+
+    /// The host's counter table (`engine.comm_*` rows are this layer's).
+    fn counters(&self) -> &Registry {
+        self.dev.endpoint().counters()
     }
 
     fn record_failure(&self, msg: String) {
@@ -176,7 +177,7 @@ impl CommLayer for LciLayer {
                 Err(e) if e.is_retryable() => {
                     // The defining LCI behaviour: initiation failed benignly;
                     // make progress and retry.
-                    self.send_retries.fetch_add(1, Ordering::Relaxed);
+                    self.counters().incr(Counter::EngineCommSendRetries);
                     let mut inner = self.inner.lock();
                     self.pump(&mut inner);
                     drop(inner);
@@ -206,17 +207,9 @@ impl CommLayer for LciLayer {
         if let Some((_, data)) = &msg {
             self.book.free(data.len());
         } else {
-            self.recv_stalls.fetch_add(1, Ordering::Relaxed);
+            self.counters().incr(Counter::EngineCommRecvStalls);
         }
         msg
-    }
-
-    fn degradation(&self) -> Degradation {
-        Degradation {
-            send_retries: self.send_retries.load(Ordering::Relaxed)
-                + self.dev.stats().retries,
-            recv_stalls: self.recv_stalls.load(Ordering::Relaxed),
-        }
     }
 
     fn failure(&self) -> Option<String> {
@@ -242,10 +235,9 @@ impl CommLayer for LciLayer {
                 inner.pending_sends.is_empty()
             };
             // Rendezvous sends complete on `PutDone`, so an empty pending
-            // list plus an empty retransmission window means every peer
-            // holds everything we sent; flushed ack debt means no peer is
-            // still retransmitting to us.
-            if sends_done && self.dev.unacked_frames() == 0 && !self.dev.acks_owed() {
+            // list plus a quiescent reliable layer means every peer holds
+            // everything we sent and none is still retransmitting to us.
+            if sends_done && self.dev.quiescent() {
                 return;
             }
             std::thread::yield_now();

@@ -18,14 +18,13 @@
 //! they exceed the eager limit or at the end of the send phase (the bounded-
 //! latency analogue of the paper's timeout).
 
-use crate::comm::{ChannelSpec, CommLayer, Degradation};
+use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
 use bytes::Bytes;
 use lci_trace::Counter;
 use mini_mpi::{MpiComm, RecvReq, SendReq};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Tag encoding: channel in the high bits, round (mod 2^24) in the low
@@ -58,7 +57,6 @@ pub struct MpiProbeLayer {
     comm: MpiComm,
     book: Arc<MemBook>,
     inner: Mutex<Inner>,
-    recv_stalls: AtomicU64,
     /// First fatal MPI error observed; once set the layer stops initiating
     /// work and surfaces the message through [`CommLayer::failure`].
     failed: Mutex<Option<String>>,
@@ -77,7 +75,6 @@ impl MpiProbeLayer {
                 pending_sends: Vec::new(),
                 agg: HashMap::new(),
             }),
-            recv_stalls: AtomicU64::new(0),
             failed: Mutex::new(None),
         }
     }
@@ -314,18 +311,12 @@ impl CommLayer for MpiProbeLayer {
         if let Some((_, data)) = &msg {
             self.book.free(data.len());
         } else {
-            self.recv_stalls.fetch_add(1, Ordering::Relaxed);
+            self.comm
+                .endpoint()
+                .counters()
+                .incr(Counter::EngineCommRecvStalls);
         }
         msg
-    }
-
-    fn degradation(&self) -> Degradation {
-        Degradation {
-            // MPI has no retryable initiation; what it absorbs instead is
-            // internal spinning on NIC back-pressure (§III-B).
-            send_retries: self.comm.backpressure_spins(),
-            recv_stalls: self.recv_stalls.load(Ordering::Relaxed),
-        }
     }
 
     fn failure(&self) -> Option<String> {

@@ -8,13 +8,12 @@
 //! and per-origin `wait_any` on the receive side so incoming slots are
 //! scattered in arrival order.
 
-use crate::comm::{ChannelSpec, CommLayer, Degradation};
+use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
 use lci_trace::Counter;
 use mini_mpi::{MpiComm, Window};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct Chan {
@@ -41,7 +40,6 @@ pub struct MpiRmaLayer {
     comm: MpiComm,
     book: Arc<MemBook>,
     chans: Mutex<HashMap<usize, Chan>>,
-    recv_stalls: AtomicU64,
     /// First fatal MPI/window error observed; once set the layer stops
     /// initiating work and surfaces the message through
     /// [`CommLayer::failure`].
@@ -55,7 +53,6 @@ impl MpiRmaLayer {
             comm,
             book: MemBook::new(),
             chans: Mutex::new(HashMap::new()),
-            recv_stalls: AtomicU64::new(0),
             failed: Mutex::new(None),
         }
     }
@@ -63,6 +60,15 @@ impl MpiRmaLayer {
     /// The wrapped communicator (diagnostics).
     pub fn comm(&self) -> &MpiComm {
         &self.comm
+    }
+
+    /// An empty poll while a round is open: count it on the host's table.
+    fn stall(&self) -> Option<(u16, Vec<u8>)> {
+        self.comm
+            .endpoint()
+            .counters()
+            .incr(Counter::EngineCommRecvStalls);
+        None
     }
 
     fn record_failure(&self, msg: String) {
@@ -221,8 +227,7 @@ impl CommLayer for MpiRmaLayer {
                 // the slot-capacity bound anyway rather than read past it.
                 if total > c.max_recv[src as usize] {
                     lci_trace::incr(Counter::EngineMalformedDropped);
-                    self.recv_stalls.fetch_add(1, Ordering::Relaxed);
-                    return None;
+                    return self.stall();
                 }
                 let mut blob = vec![0u8; total];
                 c.win.read_local(off + 8, &mut blob);
@@ -251,23 +256,10 @@ impl CommLayer for MpiRmaLayer {
                         self.book.free(msg.1.len());
                         Some(msg)
                     }
-                    None => {
-                        self.recv_stalls.fetch_add(1, Ordering::Relaxed);
-                        None
-                    }
+                    None => self.stall(),
                 }
             }
-            None => {
-                self.recv_stalls.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn degradation(&self) -> Degradation {
-        Degradation {
-            send_retries: self.comm.backpressure_spins(),
-            recv_stalls: self.recv_stalls.load(Ordering::Relaxed),
+            None => self.stall(),
         }
     }
 

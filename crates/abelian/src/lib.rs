@@ -25,7 +25,7 @@ pub mod metrics;
 pub mod recovery;
 
 pub use checkpoint::{CheckpointStore, CkptPlan, Snapshot};
-pub use comm::{ChannelSpec, CommLayer, Degradation};
+pub use comm::{ChannelSpec, CommLayer};
 pub use engine::{
     run_app, run_app_checked, run_app_with_ckpt, EngineConfig, HostResult, RunResult,
 };

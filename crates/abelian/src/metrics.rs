@@ -1,7 +1,6 @@
 //! Per-round timing instrumentation (the data behind Fig. 6 and the total
 //! execution times of Figs. 3–4 and Tables II/IV).
 
-use crate::comm::Degradation;
 use std::time::Duration;
 
 /// Timing of one BSP round on one host.
@@ -30,9 +29,6 @@ pub struct HostMetrics {
     pub mem_peak: u64,
     /// Cumulative communication-buffer allocation churn.
     pub mem_total_allocated: u64,
-    /// Pressure the communication layer absorbed without failing (send
-    /// retries and stalled receive polls) — nonzero under fault injection.
-    pub degradation: Degradation,
 }
 
 impl HostMetrics {

@@ -53,10 +53,10 @@ use crate::request::{FilledRanges, RecvRequest, ReqInner, ReqState, SendRequest}
 use bytes::Bytes;
 use lci_fabric::reliable::{RelRecv, ReliableSession, REL_DATA_OFFSET};
 use lci_fabric::{Endpoint, Event, MrKey, PacketBuf, SendError};
-use lci_trace::{Counter, EventKind};
+use lci_trace::{Counter, EventKind, Registry};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Why an operation could not be *initiated*. `NoPacket` and `Backpressure`
@@ -159,7 +159,8 @@ struct PendingFrags {
     send_req: Arc<ReqInner>,
 }
 
-/// Counters describing a device's activity (diagnostics and benches).
+/// Counters describing a device's activity (diagnostics and benches): a
+/// named-field view of the `lci.*` rows of the host's counter table.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DeviceStats {
     /// Eager messages sent.
@@ -176,14 +177,17 @@ pub struct DeviceStats {
     pub retries_exhausted: u64,
 }
 
-#[derive(Default)]
-struct StatsInner {
-    egr_sent: AtomicU64,
-    rdv_opened: AtomicU64,
-    received: AtomicU64,
-    enq_rejected: AtomicU64,
-    retries: AtomicU64,
-    retries_exhausted: AtomicU64,
+impl From<&Registry> for DeviceStats {
+    fn from(r: &Registry) -> Self {
+        DeviceStats {
+            egr_sent: r.get(Counter::LciEgrSent),
+            rdv_opened: r.get(Counter::LciRdvOpened),
+            received: r.get(Counter::LciReceived),
+            enq_rejected: r.get(Counter::LciEnqRejected),
+            retries: r.get(Counter::LciRetries),
+            retries_exhausted: r.get(Counter::LciRetriesExhausted),
+        }
+    }
 }
 
 struct DeviceInner {
@@ -202,7 +206,6 @@ struct DeviceInner {
     progress_lock: Mutex<()>,
     failed: AtomicBool,
     cfg: LciConfig,
-    stats: StatsInner,
 }
 
 /// One host's LCI runtime instance. Cheap to clone; all clones share state.
@@ -243,7 +246,6 @@ impl Device {
                 progress_lock: Mutex::new(()),
                 failed: AtomicBool::new(false),
                 cfg,
-                stats: StatsInner::default(),
                 ep,
             }),
         }
@@ -264,25 +266,12 @@ impl Device {
         self.inner.failed.load(Ordering::Acquire)
     }
 
-    /// Total reliable-layer frames sent but not yet acknowledged, across
-    /// all destinations. Zero means every peer has admitted everything this
-    /// device sent — the condition a host must reach before it may stop
-    /// driving [`Device::progress`]: a host that retires with frames still
-    /// windowed strands any peer whose only copy of one was dropped, since
-    /// the retransmission timers only fire from the progress loop.
-    pub fn unacked_frames(&self) -> usize {
-        (0..self.inner.ep.num_hosts())
-            .map(|h| self.inner.rel.unacked(h as u16))
-            .sum()
-    }
-
-    /// True while any peer is owed an acknowledgement this device has not
-    /// yet flushed. Part of the quiesce condition, alongside
-    /// [`Device::unacked_frames`]: retiring with debt outstanding leaves
-    /// the sender retransmitting into silence until its retry budget
-    /// falsely declares this host dead.
-    pub fn acks_owed(&self) -> bool {
-        self.inner.rel.acks_owed()
+    /// True when the reliable layer holds no unacknowledged frame toward
+    /// any peer and owes no ack ([`ReliableSession::quiescent`]) — the
+    /// condition a host must reach before it may stop driving
+    /// [`Device::progress`].
+    pub fn quiescent(&self) -> bool {
+        self.inner.rel.quiescent()
     }
 
     /// The configuration in use.
@@ -292,15 +281,12 @@ impl Device {
 
     /// Activity counters.
     pub fn stats(&self) -> DeviceStats {
-        let s = &self.inner.stats;
-        DeviceStats {
-            egr_sent: s.egr_sent.load(Ordering::Relaxed),
-            rdv_opened: s.rdv_opened.load(Ordering::Relaxed),
-            received: s.received.load(Ordering::Relaxed),
-            enq_rejected: s.enq_rejected.load(Ordering::Relaxed),
-            retries: s.retries.load(Ordering::Relaxed),
-            retries_exhausted: s.retries_exhausted.load(Ordering::Relaxed),
-        }
+        DeviceStats::from(self.counters())
+    }
+
+    /// The host's counter table, where every `lci.*` event is counted.
+    fn counters(&self) -> &Registry {
+        self.inner.ep.counters()
     }
 
     /// The underlying fabric endpoint (diagnostics).
@@ -308,28 +294,6 @@ impl Device {
         &self.inner.ep
     }
 
-    /// Number of packets currently leased from the pool (diagnostics).
-    pub fn packets_outstanding(&self) -> usize {
-        self.inner.pool.outstanding()
-    }
-
-    /// Reset this device for a new fabric incarnation, after the fabric's
-    /// [`respawn`](lci_fabric::Fabric::respawn) of a crashed host (every
-    /// host rejoins, survivors included — the reliable layer's sequence
-    /// spaces restart fabric-wide).
-    ///
-    /// The completion queue is drained once: `SendDone`/`PutDone`/`Error`
-    /// cookies are consumed so pooled packets return to the pool (lease
-    /// continuity across the crash), parked `PutArrived` receiver cookies
-    /// are reclaimed as errors, and queued `Recv` payloads are dropped
-    /// (their buffers return the fabric rx credits on drop). All queued
-    /// protocol state of the dead incarnation — first-packets, deferred
-    /// RTS, pending puts and fragment streams — is discarded: the engine
-    /// re-executes every round past its last checkpoint, regenerating the
-    /// traffic. Sender-side rendezvous cookies parked inside discarded RTS
-    /// payloads leak their `Arc` by design (the bytes are opaque here); a
-    /// crash leaks at most one small allocation per abandoned rendezvous.
-    ///
     /// Seal one empty reliable frame to every peer under the *current*
     /// fabric epoch. The recovery driver calls this on each surviving
     /// device immediately before [`respawn`](lci_fabric::Fabric::respawn)
@@ -349,6 +313,23 @@ impl Device {
         }
     }
 
+    /// Reset this device for a new fabric incarnation, after the fabric's
+    /// [`respawn`](lci_fabric::Fabric::respawn) of a crashed host (every
+    /// host rejoins, survivors included — the reliable layer's sequence
+    /// spaces restart fabric-wide).
+    ///
+    /// The completion queue is drained once: `SendDone`/`PutDone`/`Error`
+    /// cookies are consumed so pooled packets return to the pool (lease
+    /// continuity across the crash), parked `PutArrived` receiver cookies
+    /// are reclaimed as errors, and queued `Recv` payloads are dropped
+    /// (their buffers return the fabric rx credits on drop). All queued
+    /// protocol state of the dead incarnation — first-packets, deferred
+    /// RTS, pending puts and fragment streams — is discarded: the engine
+    /// re-executes every round past its last checkpoint, regenerating the
+    /// traffic. Sender-side rendezvous cookies parked inside discarded RTS
+    /// payloads leak their `Arc` by design (the bytes are opaque here); a
+    /// crash leaks at most one small allocation per abandoned rendezvous.
+    ///
     /// The failed flag is cleared last: a device that observed `PeerDead`
     /// or its own endpoint failure becomes usable again.
     pub fn rejoin(&self) {
@@ -470,9 +451,8 @@ impl Device {
         }
         let inner = &self.inner;
         let Some(mut packet) = inner.pool.alloc() else {
-            inner.stats.enq_rejected.fetch_add(1, Ordering::Relaxed);
-            lci_trace::incr(Counter::LciEnqRejected);
-            lci_trace::incr(Counter::LciPoolExhausted);
+            self.counters().incr(Counter::LciEnqRejected);
+            self.counters().incr(Counter::LciPoolExhausted);
             lci_trace::record(EventKind::PoolExhausted, dst as u32, 0);
             return Err(EnqError::NoPacket);
         };
@@ -483,16 +463,14 @@ impl Device {
             let header = protocol::pack(PacketType::Egr, tag, len as u64);
             self.send_packet(dst, header, packet, len).inspect_err(|e| {
                 if e.is_retryable() {
-                    inner.stats.enq_rejected.fetch_add(1, Ordering::Relaxed);
-                    lci_trace::incr(Counter::LciEnqRejected);
+                    self.counters().incr(Counter::LciEnqRejected);
                 }
             })?;
             // Eager sends complete at initiation: the data has been copied
             // out of the user's buffer (Algorithm 1, line 10).
             let req = ReqInner::new(dst, tag, len, ReqState::Empty);
             req.mark_done();
-            inner.stats.egr_sent.fetch_add(1, Ordering::Relaxed);
-            lci_trace::incr(Counter::LciEgrSent);
+            self.counters().incr(Counter::LciEgrSent);
             Ok(SendRequest { inner: req })
         } else {
             let len = data.len();
@@ -502,16 +480,14 @@ impl Device {
             let header = protocol::pack(PacketType::Rts, tag, len as u64);
             match self.send_packet(dst, header, packet, 8) {
                 Ok(()) => {
-                    inner.stats.rdv_opened.fetch_add(1, Ordering::Relaxed);
-                    lci_trace::incr(Counter::LciRdvOpened);
+                    self.counters().incr(Counter::LciRdvOpened);
                     Ok(SendRequest { inner: req })
                 }
                 Err(e) => {
                     // SAFETY: the RTS never left, so the cookie is still ours.
                     let _ = unsafe { take_req(cookie) };
                     if e.is_retryable() {
-                        inner.stats.enq_rejected.fetch_add(1, Ordering::Relaxed);
-                        lci_trace::incr(Counter::LciEnqRejected);
+                        self.counters().incr(Counter::LciEnqRejected);
                     }
                     Err(e)
                 }
@@ -538,16 +514,11 @@ impl Device {
             match self.send_enq(data.clone(), dst, tag) {
                 Ok(req) => return Ok(req),
                 Err(e) if e.is_retryable() => {
-                    self.inner.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    lci_trace::incr(Counter::LciRetries);
+                    self.counters().incr(Counter::LciRetries);
                     lci_trace::record(EventKind::EnqRetry, dst as u32, backoff.attempt() as u64);
                     self.progress();
                     if !backoff.snooze() {
-                        self.inner
-                            .stats
-                            .retries_exhausted
-                            .fetch_add(1, Ordering::Relaxed);
-                        lci_trace::incr(Counter::LciRetriesExhausted);
+                        self.counters().incr(Counter::LciRetriesExhausted);
                         return Err(EnqError::RetriesExhausted);
                     }
                 }
@@ -580,20 +551,19 @@ impl Device {
                 if data.len() as u64 != item.size {
                     // A header/payload length disagreement that slipped past
                     // the checksum: drop rather than surface a lying packet.
-                    lci_trace::incr(Counter::LciMalformedDropped);
+                    self.counters().incr(Counter::LciMalformedDropped);
                     return None;
                 }
                 let req =
                     ReqInner::new(item.src, item.tag, data.len(), ReqState::RecvReady(data));
                 req.mark_done();
-                inner.stats.received.fetch_add(1, Ordering::Relaxed);
-                lci_trace::incr(Counter::LciReceived);
+                self.counters().incr(Counter::LciReceived);
                 Some(RecvRequest { inner: req })
             }
             PacketType::Rts => {
                 let Some(send_cookie) = protocol::decode_rts(&item.data[REL_DATA_OFFSET..])
                 else {
-                    lci_trace::incr(Counter::LciMalformedDropped);
+                    self.counters().incr(Counter::LciMalformedDropped);
                     return None; // malformed control packet: drop
                 };
                 let Some(mut packet) = inner.pool.alloc() else {
@@ -626,8 +596,7 @@ impl Device {
                 let header = protocol::pack(PacketType::Rtr, item.tag, item.size);
                 match self.send_packet(item.src, header, packet, 24) {
                     Ok(()) => {
-                        inner.stats.received.fetch_add(1, Ordering::Relaxed);
-                        lci_trace::incr(Counter::LciReceived);
+                        self.counters().incr(Counter::LciReceived);
                         Some(RecvRequest { inner: req })
                     }
                     Err(_) => {
@@ -661,7 +630,7 @@ impl Device {
         let Some(_guard) = inner.progress_lock.try_lock() else {
             return 0;
         };
-        lci_trace::incr(Counter::LciProgressPolls);
+        self.counters().incr(Counter::LciProgressPolls);
         let mut handled = 0;
 
         // Fire reliable-layer timers: retransmissions of unacked frames and
@@ -728,7 +697,7 @@ impl Device {
                         // after this device rejoined: the request belongs to
                         // the dead incarnation. Reclaim the parked reference
                         // without completing it.
-                        lci_trace::incr(Counter::FabricEpochStaleDropped);
+                        self.counters().incr(Counter::FabricEpochStaleDropped);
                         req.mark_error();
                         continue;
                     }
@@ -757,7 +726,8 @@ impl Device {
             }
         }
         if handled > 0 {
-            lci_trace::add(Counter::LciProgressEvents, handled as u64);
+            self.counters()
+                .add(Counter::LciProgressEvents, handled as u64);
         }
         handled
     }
@@ -773,11 +743,11 @@ impl Device {
         match inner.rel.on_recv(&inner.ep, src, header, &data) {
             RelRecv::Data => {}
             RelRecv::Duplicate => {
-                lci_trace::incr(Counter::LciDuplicateDropped);
+                self.counters().incr(Counter::LciDuplicateDropped);
                 return;
             }
             RelRecv::Malformed => {
-                lci_trace::incr(Counter::LciMalformedDropped);
+                self.counters().incr(Counter::LciMalformedDropped);
                 return;
             }
             RelRecv::Ack => return,
@@ -787,7 +757,7 @@ impl Device {
             RelRecv::Stale => return,
         }
         let Some((ty, tag, size)) = protocol::unpack(header) else {
-            lci_trace::incr(Counter::LciMalformedDropped);
+            self.counters().incr(Counter::LciMalformedDropped);
             return; // malformed
         };
         const RXO: usize = REL_DATA_OFFSET;
@@ -804,7 +774,7 @@ impl Device {
             PacketType::Rtr => {
                 let Some((send_cookie, key, recv_cookie)) = protocol::decode_rtr(&data[RXO..])
                 else {
-                    lci_trace::incr(Counter::LciMalformedDropped);
+                    self.counters().incr(Counter::LciMalformedDropped);
                     return;
                 };
                 drop(data); // release the rx credit before the (long) put
@@ -849,7 +819,7 @@ impl Device {
             PacketType::Frag => {
                 let body_full = &data[RXO..];
                 let Some((cookie, offset)) = protocol::decode_frag_header(body_full) else {
-                    lci_trace::incr(Counter::LciMalformedDropped);
+                    self.counters().incr(Counter::LciMalformedDropped);
                     return;
                 };
                 let body = &body_full[16..];
@@ -873,12 +843,12 @@ impl Device {
                                     buf[off..end].copy_from_slice(body);
                                     filled.covered() == buf.len()
                                 } else {
-                                    lci_trace::incr(Counter::LciDuplicateDropped);
+                                    self.counters().incr(Counter::LciDuplicateDropped);
                                     false
                                 }
                             }
                             _ => {
-                                lci_trace::incr(Counter::LciMalformedDropped);
+                                self.counters().incr(Counter::LciMalformedDropped);
                                 false
                             }
                         }

@@ -22,14 +22,6 @@ pub fn spin_for_ns(ns: u64) {
     }
 }
 
-/// Spin until the given wall-clock deadline.
-#[inline]
-pub fn spin_until(deadline: Instant) {
-    while Instant::now() < deadline {
-        std::hint::spin_loop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

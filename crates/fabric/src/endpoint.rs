@@ -2,10 +2,11 @@
 
 use crate::error::SendError;
 use crate::mr::{MemRegion, MrInner, MrKey};
-use crate::stats::{EndpointStats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 use crate::wire::{FabricShared, WireOp};
 use crate::HostId;
 use crossbeam::queue::SegQueue;
+use lci_trace::{Counter, EventKind, Registry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -147,7 +148,10 @@ pub(crate) struct EndpointShared {
     pub(crate) mrs: Mutex<HashMap<u64, Arc<MrInner>>>,
     pub(crate) next_mr: AtomicU64,
     pub(crate) failed: AtomicBool,
-    pub(crate) stats: EndpointStats,
+    /// This host's counter table: the one store for everything counted on
+    /// behalf of the host, by the wire and by every layer above that holds
+    /// the [`Endpoint`].
+    pub(crate) counters: Arc<Registry>,
 }
 
 impl EndpointShared {
@@ -160,7 +164,7 @@ impl EndpointShared {
             mrs: Mutex::new(HashMap::new()),
             next_mr: AtomicU64::new(1),
             failed: AtomicBool::new(false),
-            stats: EndpointStats::default(),
+            counters: Registry::for_host(),
         }
     }
 }
@@ -217,7 +221,13 @@ impl Endpoint {
         let mut cur = self.shared.inflight.load(Ordering::Relaxed);
         loop {
             if cur >= depth {
-                self.shared.stats.record_backpressure(dst, depth < configured);
+                self.shared.counters.incr(Counter::FabricBackpressure);
+                lci_trace::record(EventKind::Backpressure, dst as u32, 0);
+                if depth < configured {
+                    self.shared
+                        .counters
+                        .incr(Counter::FabricFaultBrownoutRejects);
+                }
                 return Err(SendError::Backpressure);
             }
             match self.shared.inflight.compare_exchange_weak(
@@ -266,7 +276,10 @@ impl Endpoint {
             self.release_token();
             return Err(SendError::Closed);
         }
-        self.shared.stats.record_send(dst, data.len() as u64);
+        let bytes = data.len() as u64;
+        self.shared.counters.incr(Counter::FabricSends);
+        self.shared.counters.add(Counter::FabricSendBytes, bytes);
+        lci_trace::record(EventKind::Send, dst as u32, bytes);
         Ok(())
     }
 
@@ -301,7 +314,10 @@ impl Endpoint {
             self.release_token();
             return Err(SendError::Closed);
         }
-        self.shared.stats.record_put(dst, data.len() as u64);
+        let bytes = data.len() as u64;
+        self.shared.counters.incr(Counter::FabricPuts);
+        self.shared.counters.add(Counter::FabricPutBytes, bytes);
+        lci_trace::record(EventKind::Put, dst as u32, bytes);
         Ok(())
     }
 
@@ -334,7 +350,15 @@ impl Endpoint {
 
     /// Snapshot of this endpoint's traffic counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        StatsSnapshot::from(self.counters())
+    }
+
+    /// This host's counter table. Everything that holds the endpoint — the
+    /// wire, the reliable session, the runtimes and communication layers
+    /// above — counts through it and nowhere else; reads of
+    /// [`lci_trace::global`] include it.
+    pub fn counters(&self) -> &Registry {
+        &self.shared.counters
     }
 
     /// Current number of in-flight injected operations.

@@ -45,9 +45,10 @@
 //! RDMA puts bypass this module entirely: they are hardware-reliable in the
 //! fabric model, exactly as the paper's transports assume.
 //!
-//! All activity is counted under `fabric.reliable.*` in `lci-trace`, and
-//! every timer draws jitter from a splitmix64 stream seeded by
-//! `(fabric seed, host)`, so manual-mode runs replay bit-for-bit.
+//! All activity is counted under `fabric.reliable.*` in the host's counter
+//! table ([`Endpoint::counters`]), and every timer draws jitter from a
+//! splitmix64 stream seeded by `(fabric seed, host)`, so manual-mode runs
+//! replay bit-for-bit.
 
 use crate::config::ReliableConfig;
 use crate::endpoint::Endpoint;
@@ -272,7 +273,7 @@ impl ReliableSession {
             return Err(SendError::PeerDead(dst));
         }
         if p.tx.window.len() >= self.cfg.window {
-            lci_trace::incr(Counter::FabricReliableWindowStalls);
+            ep.counters().incr(Counter::FabricReliableWindowStalls);
             return Err(SendError::Backpressure);
         }
         let seq = p.tx.next_seq;
@@ -329,7 +330,7 @@ impl ReliableSession {
         // its seq) from the dead incarnation aliases live numbers and would
         // silently cancel or duplicate fresh frames.
         if epoch != ep.fabric_epoch() {
-            lci_trace::incr(Counter::FabricEpochStaleDropped);
+            ep.counters().incr(Counter::FabricEpochStaleDropped);
             return RelRecv::Stale;
         }
         let now = ep.now_ns();
@@ -360,13 +361,13 @@ impl ReliableSession {
             });
         }
         if acked > 0 {
-            lci_trace::add(Counter::FabricReliableAcked, acked);
+            ep.counters().add(Counter::FabricReliableAcked, acked);
         }
         if !rtt_samples.is_empty() {
             for rtt in rtt_samples {
                 p.tx.observe_rtt(rtt);
             }
-            lci_trace::set(
+            ep.counters().set(
                 Counter::FabricReliableRtoUs,
                 p.tx.initial_rto(&self.cfg) / 1_000,
             );
@@ -418,7 +419,7 @@ impl ReliableSession {
                         // and surface the failure.
                         p.tx.dead = true;
                         p.tx.window.clear();
-                        lci_trace::incr(Counter::FabricReliablePeerDead);
+                        ep.counters().incr(Counter::FabricReliablePeerDead);
                         let mut dead = self.dead.lock();
                         if dead.is_none() {
                             *dead = Some(dst);
@@ -432,7 +433,7 @@ impl ReliableSession {
                     match ep.try_send(dst, header, &framed, 0) {
                         Ok(()) => {
                             injected += 1;
-                            lci_trace::incr(Counter::FabricReliableRetransmits);
+                            ep.counters().incr(Counter::FabricReliableRetransmits);
                             let jitter = self.jitter_ns();
                             let u = &mut p.tx.window[i];
                             u.retries += 1;
@@ -470,7 +471,7 @@ impl ReliableSession {
                 let framed = frame::seal(ACK_HEADER, p.tx.next_seq, &rel);
                 if ep.try_send(dst, ACK_HEADER, &framed, 0).is_ok() {
                     injected += 1;
-                    lci_trace::incr(Counter::FabricReliableAcksSent);
+                    ep.counters().incr(Counter::FabricReliableAcksSent);
                     p.rx.ack_owed = false;
                     p.rx.owed_count = 0;
                 }
@@ -505,6 +506,21 @@ impl ReliableSession {
     /// host dead.
     pub fn acks_owed(&self) -> bool {
         self.peers.iter().any(|p| p.lock().rx.ack_owed)
+    }
+
+    /// True when no frame toward any peer is still unacknowledged and no
+    /// peer is owed an ack: every peer has admitted everything this host
+    /// sent, and none is still retransmitting to it. This is the condition
+    /// a host must reach before it may stop driving [`pump`](Self::pump) —
+    /// retransmission and ack timers fire only from there, so retiring
+    /// earlier strands a peer whose only copy of a frame was dropped, or
+    /// leaves one retransmitting into silence until its budget falsely
+    /// declares this host dead.
+    pub fn quiescent(&self) -> bool {
+        self.peers.iter().all(|p| {
+            let p = p.lock();
+            p.tx.window.is_empty() && !p.rx.ack_owed
+        })
     }
 }
 

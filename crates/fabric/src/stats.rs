@@ -1,173 +1,11 @@
 //! Per-endpoint traffic statistics, including fault-injection counters.
 //!
-//! Every increment goes through a `record_*` method that bumps both the
-//! per-endpoint atomic (feeding [`StatsSnapshot`], which replay tests
-//! compare bit-for-bit) and the process-wide `lci-trace` counter registry,
-//! so one registry sees all fabric traffic regardless of endpoint.
+//! The numbers live in the host's counter table
+//! ([`Endpoint::counters`](crate::Endpoint::counters)); [`StatsSnapshot`] is
+//! a named-field view of that table's `fabric.*` traffic and fault rows,
+//! which replay tests compare bit-for-bit.
 
-use lci_trace::{Counter, EventKind};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-#[derive(Default)]
-pub(crate) struct EndpointStats {
-    pub sends: AtomicU64,
-    pub send_bytes: AtomicU64,
-    pub puts: AtomicU64,
-    pub put_bytes: AtomicU64,
-    pub recvs: AtomicU64,
-    pub rnr_retries: AtomicU64,
-    pub backpressure: AtomicU64,
-    pub errors: AtomicU64,
-    pub fault_delayed: AtomicU64,
-    pub fault_reordered: AtomicU64,
-    pub fault_forced_rnr: AtomicU64,
-    pub fault_brownout_rejects: AtomicU64,
-    pub fault_corrupted: AtomicU64,
-    pub fault_duplicated: AtomicU64,
-    pub fault_truncated: AtomicU64,
-    pub fault_dropped: AtomicU64,
-    pub fault_blackholed: AtomicU64,
-    pub fault_crashed: AtomicU64,
-}
-
-impl EndpointStats {
-    /// Eager message injected: `bytes` of payload towards `dst`.
-    pub fn record_send(&self, dst: u16, bytes: u64) {
-        self.sends.fetch_add(1, Ordering::Relaxed);
-        self.send_bytes.fetch_add(bytes, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricSends, 1);
-        lci_trace::add(Counter::FabricSendBytes, bytes);
-        lci_trace::record(EventKind::Send, dst as u32, bytes);
-    }
-
-    /// RDMA put injected: `bytes` of payload towards `dst`.
-    pub fn record_put(&self, dst: u16, bytes: u64) {
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.put_bytes.fetch_add(bytes, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricPuts, 1);
-        lci_trace::add(Counter::FabricPutBytes, bytes);
-        lci_trace::record(EventKind::Put, dst as u32, bytes);
-    }
-
-    /// Eager message from `src` delivered into this endpoint.
-    pub fn record_recv(&self, src: u16, bytes: u64) {
-        self.recvs.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricRecvs, 1);
-        lci_trace::record(EventKind::Recv, src as u32, bytes);
-    }
-
-    /// A send by this endpoint bounced receiver-not-ready.
-    pub fn record_rnr_retry(&self, dst: u16) {
-        self.rnr_retries.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricRnrRetries, 1);
-        lci_trace::record(EventKind::RnrBounce, dst as u32, 0);
-    }
-
-    /// Injection rejected at admission; `brownout` marks rejections caused
-    /// specifically by a fault-shrunk injection depth.
-    pub fn record_backpressure(&self, dst: u16, brownout: bool) {
-        self.backpressure.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricBackpressure, 1);
-        lci_trace::record(EventKind::Backpressure, dst as u32, 0);
-        if brownout {
-            self.fault_brownout_rejects.fetch_add(1, Ordering::Relaxed);
-            lci_trace::add(Counter::FabricFaultBrownoutRejects, 1);
-        }
-    }
-
-    /// Fatal delivery error attributed to this endpoint.
-    pub fn record_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricErrors, 1);
-    }
-
-    /// A delivery sent by this endpoint hit a latency-spike fault.
-    pub fn record_fault_delayed(&self) {
-        self.fault_delayed.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricFaultDelayed, 1);
-        lci_trace::record(EventKind::Fault, 0, 0);
-    }
-
-    /// A delivery to this endpoint was held back by a reorder fault.
-    pub fn record_fault_reordered(&self) {
-        self.fault_reordered.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricFaultReordered, 1);
-        lci_trace::record(EventKind::Fault, 1, 0);
-    }
-
-    /// A delivery to this endpoint was bounced by an RNR-storm fault.
-    pub fn record_fault_forced_rnr(&self) {
-        self.fault_forced_rnr.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricFaultForcedRnr, 1);
-        lci_trace::record(EventKind::Fault, 2, 0);
-    }
-
-    /// A corrupted ghost copy was delivered to this endpoint.
-    pub fn record_fault_corrupted(&self) {
-        self.fault_corrupted.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricFaultCorrupted, 1);
-        lci_trace::record(EventKind::Fault, 3, 0);
-    }
-
-    /// A duplicate ghost copy was delivered to this endpoint.
-    pub fn record_fault_duplicated(&self) {
-        self.fault_duplicated.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricFaultDuplicated, 1);
-        lci_trace::record(EventKind::Fault, 4, 0);
-    }
-
-    /// A truncated ghost copy was delivered to this endpoint.
-    pub fn record_fault_truncated(&self) {
-        self.fault_truncated.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricFaultTruncated, 1);
-        lci_trace::record(EventKind::Fault, 5, 0);
-    }
-
-    /// A delivery sent by this endpoint was eaten by a lossy-wire fault.
-    pub fn record_fault_dropped(&self) {
-        self.fault_dropped.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricFaultDropped, 1);
-        lci_trace::record(EventKind::Fault, 6, 0);
-    }
-
-    /// A delivery sent by this endpoint vanished into a blackhole fault.
-    pub fn record_fault_blackholed(&self) {
-        self.fault_blackholed.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricFaultBlackholed, 1);
-        lci_trace::record(EventKind::Fault, 7, 0);
-    }
-
-    /// On the crashed host: its crash-stop trigger fired (once per crash).
-    /// On a survivor: a delivery it sent was eaten by a peer's crash.
-    pub fn record_fault_crashed(&self) {
-        self.fault_crashed.fetch_add(1, Ordering::Relaxed);
-        lci_trace::add(Counter::FabricFaultCrashed, 1);
-        lci_trace::record(EventKind::Fault, 8, 0);
-    }
-
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            sends: self.sends.load(Ordering::Relaxed),
-            send_bytes: self.send_bytes.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            put_bytes: self.put_bytes.load(Ordering::Relaxed),
-            recvs: self.recvs.load(Ordering::Relaxed),
-            rnr_retries: self.rnr_retries.load(Ordering::Relaxed),
-            backpressure: self.backpressure.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            fault_delayed: self.fault_delayed.load(Ordering::Relaxed),
-            fault_reordered: self.fault_reordered.load(Ordering::Relaxed),
-            fault_forced_rnr: self.fault_forced_rnr.load(Ordering::Relaxed),
-            fault_brownout_rejects: self.fault_brownout_rejects.load(Ordering::Relaxed),
-            fault_corrupted: self.fault_corrupted.load(Ordering::Relaxed),
-            fault_duplicated: self.fault_duplicated.load(Ordering::Relaxed),
-            fault_truncated: self.fault_truncated.load(Ordering::Relaxed),
-            fault_dropped: self.fault_dropped.load(Ordering::Relaxed),
-            fault_blackholed: self.fault_blackholed.load(Ordering::Relaxed),
-            fault_crashed: self.fault_crashed.load(Ordering::Relaxed),
-        }
-    }
-}
+use lci_trace::{Counter, Registry};
 
 /// A point-in-time copy of an endpoint's traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -213,6 +51,31 @@ pub struct StatsSnapshot {
     pub fault_crashed: u64,
 }
 
+impl From<&Registry> for StatsSnapshot {
+    fn from(r: &Registry) -> Self {
+        StatsSnapshot {
+            sends: r.get(Counter::FabricSends),
+            send_bytes: r.get(Counter::FabricSendBytes),
+            puts: r.get(Counter::FabricPuts),
+            put_bytes: r.get(Counter::FabricPutBytes),
+            recvs: r.get(Counter::FabricRecvs),
+            rnr_retries: r.get(Counter::FabricRnrRetries),
+            backpressure: r.get(Counter::FabricBackpressure),
+            errors: r.get(Counter::FabricErrors),
+            fault_delayed: r.get(Counter::FabricFaultDelayed),
+            fault_reordered: r.get(Counter::FabricFaultReordered),
+            fault_forced_rnr: r.get(Counter::FabricFaultForcedRnr),
+            fault_brownout_rejects: r.get(Counter::FabricFaultBrownoutRejects),
+            fault_corrupted: r.get(Counter::FabricFaultCorrupted),
+            fault_duplicated: r.get(Counter::FabricFaultDuplicated),
+            fault_truncated: r.get(Counter::FabricFaultTruncated),
+            fault_dropped: r.get(Counter::FabricFaultDropped),
+            fault_blackholed: r.get(Counter::FabricFaultBlackholed),
+            fault_crashed: r.get(Counter::FabricFaultCrashed),
+        }
+    }
+}
+
 impl StatsSnapshot {
     /// Total messages injected (sends + puts).
     pub fn messages(&self) -> u64 {
@@ -236,38 +99,5 @@ impl StatsSnapshot {
             + self.fault_dropped
             + self.fault_blackholed
             + self.fault_crashed
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_reflects_counters() {
-        let s = EndpointStats::default();
-        s.sends.store(3, Ordering::Relaxed);
-        s.send_bytes.store(300, Ordering::Relaxed);
-        s.puts.store(2, Ordering::Relaxed);
-        s.put_bytes.store(2000, Ordering::Relaxed);
-        let snap = s.snapshot();
-        assert_eq!(snap.messages(), 5);
-        assert_eq!(snap.bytes(), 2300);
-        assert_eq!(snap.fault_events(), 0);
-    }
-
-    #[test]
-    fn fault_counters_roll_up() {
-        let s = EndpointStats::default();
-        s.fault_delayed.store(1, Ordering::Relaxed);
-        s.fault_reordered.store(2, Ordering::Relaxed);
-        s.fault_forced_rnr.store(3, Ordering::Relaxed);
-        s.fault_brownout_rejects.store(4, Ordering::Relaxed);
-        s.fault_corrupted.store(5, Ordering::Relaxed);
-        s.fault_duplicated.store(6, Ordering::Relaxed);
-        s.fault_truncated.store(7, Ordering::Relaxed);
-        s.fault_dropped.store(8, Ordering::Relaxed);
-        s.fault_blackholed.store(9, Ordering::Relaxed);
-        assert_eq!(s.snapshot().fault_events(), 45);
     }
 }

@@ -17,6 +17,7 @@ use crate::endpoint::{CreditGuard, Endpoint, EndpointShared, Event, FatalKind, P
 use crate::mr::MrKey;
 use crate::HostId;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use lci_trace::{Counter, EventKind};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -296,7 +297,7 @@ impl Fabric {
         let ep = &self.shared.endpoints[host as usize];
         ep.failed.store(false, Ordering::Release);
         ep.mrs.lock().clear();
-        lci_trace::incr(lci_trace::Counter::FabricEpochRespawns);
+        ep.counters.incr(Counter::FabricEpochRespawns);
     }
 
     /// Manual mode only: advance the virtual clock by up to `ns`, but never
@@ -359,6 +360,15 @@ enum Clock {
     Wall(Instant),
     /// Simulated time advances only when the caller steps the wire.
     Virtual(u64),
+}
+
+/// Count one fault-injection event against `ep`'s host and log it to the
+/// event ring; `kind` is the ring payload naming the fault (0 delayed,
+/// 1 reordered, 2 forced RNR, 3 corrupted, 4 duplicated, 5 truncated,
+/// 6 dropped, 7 blackholed, 8 crashed).
+fn fault(ep: &EndpointShared, c: Counter, kind: u32) {
+    ep.counters.incr(c);
+    lci_trace::record(EventKind::Fault, kind, 0);
 }
 
 /// The wire state machine, shared by the threaded and manual modes.
@@ -430,7 +440,7 @@ impl WireCore {
             self.shared.crashed[h].store(true, Ordering::Release);
             let ep = &self.shared.endpoints[h];
             ep.failed.store(true, Ordering::Release);
-            ep.stats.record_fault_crashed();
+            fault(ep, Counter::FabricFaultCrashed, 8);
         }
     }
 
@@ -509,7 +519,7 @@ impl WireCore {
         // instant (time_scale 0) test wires.
         let spike = match self.shared.config.fault_plan.spike_at(now) {
             Some((extra_ns, jitter_ns)) => {
-                self.shared.endpoints[src].stats.record_fault_delayed();
+                fault(&self.shared.endpoints[src], Counter::FabricFaultDelayed, 0);
                 let j = if jitter_ns > 0 {
                     self.rng.gen_range(0..jitter_ns)
                 } else {
@@ -556,7 +566,11 @@ impl WireCore {
         match self.shared.config.fault_plan.reorder_at(now) {
             Some(window) => {
                 if let Some(dst) = op.dst() {
-                    self.shared.endpoints[dst].stats.record_fault_reordered();
+                    fault(
+                        &self.shared.endpoints[dst],
+                        Counter::FabricFaultReordered,
+                        1,
+                    );
                 }
                 self.reorder_buf.push(op);
                 if self.reorder_buf.len() >= window.max(2) {
@@ -606,10 +620,9 @@ impl WireCore {
         }
         let now = self.now_ns();
         let mut ghosts: Vec<(u64, Vec<u8>)> = Vec::new();
+        let d = &self.shared.endpoints[dst as usize];
         if self.shared.config.fault_plan.duplicate_at(now) {
-            self.shared.endpoints[dst as usize]
-                .stats
-                .record_fault_duplicated();
+            fault(d, Counter::FabricFaultDuplicated, 4);
             ghosts.push((header, data.to_vec()));
         }
         if let Some(flips) = self.shared.config.fault_plan.corrupt_at(now) {
@@ -626,16 +639,12 @@ impl WireCore {
                     body[(bit - 64) / 8] ^= 1 << (bit % 8);
                 }
             }
-            self.shared.endpoints[dst as usize]
-                .stats
-                .record_fault_corrupted();
+            fault(d, Counter::FabricFaultCorrupted, 3);
             ghosts.push((h, body));
         }
         if self.shared.config.fault_plan.truncate_at(now) && !data.is_empty() {
             let cut = self.rng.gen_range(0..data.len());
-            self.shared.endpoints[dst as usize]
-                .stats
-                .record_fault_truncated();
+            fault(d, Counter::FabricFaultTruncated, 5);
             ghosts.push((header, data[..cut].to_vec()));
         }
         for (h, body) in ghosts {
@@ -777,7 +786,7 @@ impl WireCore {
                 }
                 if self.involves_crashed(src, dst) {
                     if !ghost {
-                        s.stats.record_fault_crashed();
+                        fault(&s, Counter::FabricFaultCrashed, 8);
                         s.cq.push(Event::SendDone { ctx });
                         s.inflight.fetch_sub(1, Ordering::AcqRel);
                     }
@@ -794,7 +803,7 @@ impl WireCore {
                     || self.shared.config.fault_plan.blackhole_at(now, dst);
                 if blackholed {
                     if !ghost {
-                        s.stats.record_fault_blackholed();
+                        fault(&s, Counter::FabricFaultBlackholed, 7);
                         s.cq.push(Event::SendDone { ctx });
                         s.inflight.fetch_sub(1, Ordering::AcqRel);
                     }
@@ -804,7 +813,7 @@ impl WireCore {
                     // Only real sends roll the dice, keeping the RNG stream
                     // (and thus replay) independent of ghost scheduling.
                     if !ghost && self.rng.gen_range(0..1_000_000u64) < ppm as u64 {
-                        s.stats.record_fault_dropped();
+                        fault(&s, Counter::FabricFaultDropped, 6);
                         s.cq.push(Event::SendDone { ctx });
                         s.inflight.fetch_sub(1, Ordering::AcqRel);
                         return;
@@ -819,14 +828,15 @@ impl WireCore {
                     .fault_plan
                     .rnr_storm_at(self.now_ns(), dst);
                 if stormed && !ghost {
-                    d.stats.record_fault_forced_rnr();
+                    fault(&d, Counter::FabricFaultForcedRnr, 2);
                 }
                 // Consume a receive credit; only this thread decrements, so a
                 // check-then-sub is race-free against concurrent returns.
                 if !stormed && d.rx_credits.load(Ordering::Acquire) > 0 {
                     d.rx_credits.fetch_sub(1, Ordering::AcqRel);
                     let guard = CreditGuard::new(Arc::clone(&d));
-                    d.stats.record_recv(src, data.len() as u64);
+                    d.counters.incr(Counter::FabricRecvs);
+                    lci_trace::record(EventKind::Recv, src as u32, data.len() as u64);
                     if !ghost {
                         self.spawn_ghosts(src, dst, header, &data);
                     }
@@ -845,10 +855,11 @@ impl WireCore {
                     // and nothing fails.
                 } else {
                     // Receiver not ready.
-                    s.stats.record_rnr_retry(dst);
+                    s.counters.incr(Counter::FabricRnrRetries);
+                    lci_trace::record(EventKind::RnrBounce, dst as u32, 0);
                     if retries >= self.shared.config.rnr_retry_limit {
                         s.failed.store(true, Ordering::Release);
-                        s.stats.record_error();
+                        s.counters.incr(Counter::FabricErrors);
                         s.cq.push(Event::Error {
                             kind: FatalKind::RnrExceeded,
                             ctx,
@@ -898,9 +909,9 @@ impl WireCore {
                     // *survivor*. Complete the sender's put (the packet left
                     // its NIC) and swallow everything else.
                     if epoch != cur {
-                        lci_trace::incr(lci_trace::Counter::FabricEpochStaleDropped);
+                        s.counters.incr(Counter::FabricEpochStaleDropped);
                     } else {
-                        s.stats.record_fault_crashed();
+                        fault(&s, Counter::FabricFaultCrashed, 8);
                     }
                     s.cq.push(Event::PutDone { ctx, epoch });
                     s.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -930,7 +941,7 @@ impl WireCore {
                         });
                     }
                 } else {
-                    s.stats.record_error();
+                    s.counters.incr(Counter::FabricErrors);
                     s.cq.push(Event::Error {
                         kind: FatalKind::BadMr,
                         ctx,

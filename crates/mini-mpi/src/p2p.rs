@@ -273,7 +273,6 @@ struct CommInner {
     registry: Arc<WinRegistry>,
     outstanding_rma_puts: AtomicU64,
     win_counter: AtomicU64,
-    backpressure_spins: AtomicU64,
 }
 
 /// One host's MPI communicator (think `MPI_COMM_WORLD`). Cheap to clone.
@@ -300,7 +299,6 @@ impl MpiComm {
                 registry,
                 outstanding_rma_puts: AtomicU64::new(0),
                 win_counter: AtomicU64::new(0),
-                backpressure_spins: AtomicU64::new(0),
                 rank,
                 nranks,
                 cfg,
@@ -394,12 +392,6 @@ impl MpiComm {
         }
     }
 
-    /// Total times an MPI call spun on NIC back-pressure (degradation
-    /// diagnostics — the MPI-side analogue of LCI's measured retries).
-    pub fn backpressure_spins(&self) -> u64 {
-        self.inner.backpressure_spins.load(Ordering::Relaxed)
-    }
-
     /// The recorded fatal failure, if this communicator has died — e.g. the
     /// reliable sublayer exhausted its retransmission budget and declared a
     /// peer unreachable. Once set it never clears, and every subsequent MPI
@@ -411,16 +403,12 @@ impl MpiComm {
     }
 
     /// True when nothing this communicator sent is still in flight at the
-    /// wire level — every reliable frame acknowledged, no rendezvous put
-    /// awaiting injection — and no peer is owed an acknowledgement (a rank
-    /// that retires with ack debt leaves the sender retransmitting into
-    /// silence until its budget falsely declares this rank dead). Inspects
-    /// state only — pair with a progress call (or use [`MpiComm::quiesce`]).
+    /// wire level: no rendezvous put awaits injection and the reliable
+    /// layer is quiescent ([`ReliableSession::quiescent`]). Inspects state
+    /// only — pair with a progress call (or use [`MpiComm::quiesce`]).
     pub fn quiescent(&self) -> bool {
         let st = self.inner.state.lock();
-        st.pending_puts.is_empty()
-            && !self.inner.rel.acks_owed()
-            && (0..self.inner.nranks).all(|p| self.inner.rel.unacked(p as u16) == 0)
+        st.pending_puts.is_empty() && self.inner.rel.quiescent()
     }
 
     /// Drive progress until [`MpiComm::quiescent`] holds or the
@@ -473,8 +461,9 @@ impl MpiComm {
                 Ok(()) => return Ok(()),
                 Err(SendError::Backpressure) => {
                     // Drain our own completions while waiting, or we can
-                    // deadlock with a peer doing the same.
-                    self.inner.backpressure_spins.fetch_add(1, Ordering::Relaxed);
+                    // deadlock with a peer doing the same. The spin count is
+                    // the MPI-side analogue of LCI's measured retries.
+                    self.inner.ep.counters().incr(Counter::MpiBackpressureSpins);
                     self.progress_locked(st);
                     std::thread::yield_now();
                 }
@@ -522,11 +511,11 @@ impl MpiComm {
                     match inner.rel.on_recv(&inner.ep, src, header, &data) {
                         RelRecv::Data => {}
                         RelRecv::Duplicate => {
-                            lci_trace::incr(Counter::MpiDuplicateDropped);
+                            inner.ep.counters().incr(Counter::MpiDuplicateDropped);
                             continue;
                         }
                         RelRecv::Malformed => {
-                            lci_trace::incr(Counter::MpiMalformedDropped);
+                            inner.ep.counters().incr(Counter::MpiMalformedDropped);
                             continue;
                         }
                         RelRecv::Ack => continue,
@@ -555,7 +544,7 @@ impl MpiComm {
                                 if msg.seq < r.next
                                     || r.held.iter().any(|Reverse(m)| m.seq == msg.seq)
                                 {
-                                    lci_trace::incr(Counter::MpiDuplicateDropped);
+                                    inner.ep.counters().incr(Counter::MpiDuplicateDropped);
                                     continue;
                                 }
                                 r.held.push(Reverse(msg));
@@ -580,7 +569,7 @@ impl MpiComm {
                             let Some((send_cookie, key, recv_cookie)) =
                                 decode_rtr_envelope(&data[REL_DATA_OFFSET..])
                             else {
-                                lci_trace::incr(Counter::MpiMalformedDropped);
+                                inner.ep.counters().incr(Counter::MpiMalformedDropped);
                                 continue;
                             };
                             drop(data);
@@ -609,7 +598,7 @@ impl MpiComm {
                         KIND_RMA_POST => st.rma.on_post(tag as u64),
                         KIND_RMA_COMPLETE => st.rma.on_complete(tag as u64, src),
                         KIND_RMA_FENCE => st.rma.on_fence(tag as u64),
-                        _ => lci_trace::incr(Counter::MpiMalformedDropped),
+                        _ => inner.ep.counters().incr(Counter::MpiMalformedDropped),
                     }
                 }
                 Event::SendDone { ctx } => {
@@ -641,7 +630,7 @@ impl MpiComm {
                         // Straggler queued before a respawn but consumed
                         // after this rank rejoined: reclaim the parked
                         // reference without completing it.
-                        lci_trace::incr(Counter::FabricEpochStaleDropped);
+                        inner.ep.counters().incr(Counter::FabricEpochStaleDropped);
                         req.mark_error();
                         continue;
                     }
@@ -718,7 +707,7 @@ impl MpiComm {
             }
             KIND_RTS => {
                 let Some((size, send_cookie)) = decode_rts_envelope(&m.data) else {
-                    lci_trace::incr(Counter::MpiMalformedDropped);
+                    self.inner.ep.counters().incr(Counter::MpiMalformedDropped);
                     return;
                 };
                 if let Some(posted) = st.matching.take_posted(src, m.tag) {

@@ -154,11 +154,6 @@ impl Window {
         self.local.read_at(offset, buf);
     }
 
-    /// Write into the local region directly.
-    pub fn write_local(&self, offset: usize, data: &[u8]) {
-        self.local.write_at(offset, data);
-    }
-
     /// `MPI_Put`: RDMA-write `data` into `target`'s region at `offset`.
     /// Must be called inside an access epoch (`start` .. `complete`) or
     /// between fences.

@@ -1,12 +1,15 @@
 //! Typed counter registry.
 //!
-//! Every counter the runtime exposes lives in one fixed-size global table,
-//! indexed by the [`Counter`] enum. The hot path is a single relaxed
-//! `fetch_add` on a cache-line-padded `AtomicU64` — no allocation, no
-//! locking, no hashing. Readers take [`CounterSnapshot`]s and diff them,
-//! which is how the bench harness turns a run into counter deltas.
+//! Every counter the runtime exposes lives in a fixed-size table indexed by
+//! the [`Counter`] enum: one per simulated host, and the process-wide one
+//! whose reads sum the host tables in. The hot path is one relaxed
+//! `fetch_add` on a cache-line-padded `AtomicU64` that only the host's own
+//! threads write — no allocation, no locking, no hashing, no line shared
+//! between hosts. Readers take [`CounterSnapshot`]s and diff them, which is
+//! how the bench harness turns a run into counter deltas.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Measurement unit of a counter, carried into reports so tooling can
 /// label axes without a side table.
@@ -126,6 +129,7 @@ counters! {
     // -- mini-mpi: wire-frame hardening -----------------------------------
     (MpiMalformedDropped, "mpi.malformed_dropped", Count),
     (MpiDuplicateDropped, "mpi.duplicate_dropped", Count),
+    (MpiBackpressureSpins, "mpi.backpressure_spins", Count),
     // -- engines: abelian / gemini ----------------------------------------
     (EngineRounds, "engine.rounds", Count),
     (EngineSentEntries, "engine.sent_entries", Count),
@@ -151,18 +155,62 @@ struct Slot(AtomicU64);
 
 /// Fixed-size table of all counters.
 ///
-/// Usually accessed through [`global()`], but independently constructible
-/// for tests that need isolation.
+/// There is one process-wide table ([`global()`]) and one table per
+/// simulated host ([`Registry::for_host`], owned by the host's fabric
+/// endpoint). Counting on a host table touches that table only; reads of
+/// the global table add every host table in, so a call site counts an event
+/// once and both views move. A table built with [`Registry::new`] is
+/// isolated.
 pub struct Registry {
     slots: [Slot; NUM_COUNTERS],
+    /// Host tables that reads of this table include. Only [`global()`] has
+    /// any; a table whose host is gone is folded into `slots` and dropped
+    /// from the list by the next [`Registry::for_host`].
+    hosts: Mutex<Vec<Arc<Registry>>>,
+    /// Set on a host table: a gauge cannot be summed, so [`Registry::set`]
+    /// writes it through to the global table.
+    host: bool,
 }
 
 impl Registry {
-    /// A registry with every counter at zero.
+    /// An isolated registry with every counter at zero.
     pub const fn new() -> Self {
         Registry {
             slots: [const { Slot(AtomicU64::new(0)) }; NUM_COUNTERS],
+            hosts: Mutex::new(Vec::new()),
+            host: false,
         }
+    }
+
+    /// One simulated host's table, included in every read of [`global()`]
+    /// from now on (and after the host is gone).
+    pub fn for_host() -> Arc<Registry> {
+        let table = Arc::new(Registry {
+            host: true,
+            ..Registry::new()
+        });
+        let mut hosts = GLOBAL.hosts();
+        // The list holds the last reference to a table whose host is gone,
+        // so nothing writes it any more: keep its counts, free the table.
+        hosts.retain(|gone| {
+            if Arc::strong_count(gone) > 1 {
+                return true;
+            }
+            for c in ALL_COUNTERS {
+                let v = gone.load(c);
+                if v != 0 && !c.unit().is_gauge() {
+                    GLOBAL.add(c, v);
+                }
+            }
+            false
+        });
+        hosts.push(Arc::clone(&table));
+        table
+    }
+
+    fn hosts(&self) -> MutexGuard<'_, Vec<Arc<Registry>>> {
+        // Nothing that holds the lock can panic part-way through an update.
+        self.hosts.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Add `delta` to `c`. Relaxed; safe from any thread.
@@ -183,21 +231,33 @@ impl Registry {
     #[inline]
     pub fn set(&self, c: Counter, value: u64) {
         self.slots[c as usize].0.store(value, Ordering::Relaxed);
+        if self.host {
+            GLOBAL.slots[c as usize].0.store(value, Ordering::Relaxed);
+        }
+    }
+
+    /// `c` in this table alone.
+    fn load(&self, c: Counter) -> u64 {
+        self.slots[c as usize].0.load(Ordering::Relaxed)
+    }
+
+    /// `c` in this table plus, unless it is a gauge, in each of `hosts`.
+    fn read(&self, c: Counter, hosts: &[Arc<Registry>]) -> u64 {
+        let hosts = if c.unit().is_gauge() { &[] } else { hosts };
+        hosts.iter().fold(self.load(c), |sum, h| sum + h.load(c))
     }
 
     /// Current value of `c`.
-    #[inline]
     pub fn get(&self, c: Counter) -> u64 {
-        self.slots[c as usize].0.load(Ordering::Relaxed)
+        self.read(c, &self.hosts())
     }
 
     /// Point-in-time copy of every counter.
     pub fn snapshot(&self) -> CounterSnapshot {
-        let mut values = [0u64; NUM_COUNTERS];
-        for (i, slot) in self.slots.iter().enumerate() {
-            values[i] = slot.0.load(Ordering::Relaxed);
+        let hosts = self.hosts();
+        CounterSnapshot {
+            values: ALL_COUNTERS.map(|c| self.read(c, &hosts)),
         }
-        CounterSnapshot { values }
     }
 }
 
@@ -209,7 +269,8 @@ impl Default for Registry {
 
 static GLOBAL: Registry = Registry::new();
 
-/// The process-wide registry all runtime crates write into.
+/// The process-wide registry: call sites with no host at hand write into it,
+/// and its reads include every host's table.
 #[inline]
 pub fn global() -> &'static Registry {
     &GLOBAL
@@ -313,6 +374,31 @@ mod tests {
         add(Counter::LciProgressPolls, 4);
         let after = global().snapshot();
         assert_eq!(after.delta(&before).get(Counter::LciProgressPolls), 5);
+    }
+
+    #[test]
+    fn global_reads_include_host_tables_alive_or_gone_but_not_isolated_ones() {
+        // Nothing else in this crate's tests writes these two rows.
+        let spins = || global().get(Counter::MpiBackpressureSpins);
+        let before = spins();
+        let host = Registry::for_host();
+        let isolated = Registry::new();
+        host.add(Counter::MpiBackpressureSpins, 3);
+        host.set(Counter::FabricReliableRtoUs, 7_777);
+        isolated.add(Counter::MpiBackpressureSpins, 100);
+        assert_eq!(host.get(Counter::MpiBackpressureSpins), 3);
+        assert_eq!(spins() - before, 3);
+        assert_eq!(global().get(Counter::FabricReliableRtoUs), 7_777);
+        // The host goes; registering the next one folds its table away.
+        drop(host);
+        assert_eq!(spins() - before, 3);
+        let next = Registry::for_host();
+        next.incr(Counter::MpiBackpressureSpins);
+        assert_eq!(spins() - before, 4);
+        // A gauge is the last value any host wrote.
+        assert_eq!(global().get(Counter::FabricReliableRtoUs), 7_777);
+        next.set(Counter::FabricReliableRtoUs, 400);
+        assert_eq!(global().get(Counter::FabricReliableRtoUs), 400);
     }
 
     #[test]

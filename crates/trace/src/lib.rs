@@ -2,8 +2,9 @@
 //!
 //! Always-compiled, low-overhead observability for the LCI reproduction:
 //!
-//! * [`counters`] — a typed global counter registry. Hot path is one
-//!   relaxed `fetch_add` on a cache-line-padded atomic; readers diff
+//! * [`counters`] — a typed counter table per simulated host, summed into
+//!   reads of the process-wide one. Hot path is one relaxed `fetch_add` on
+//!   a cache-line-padded atomic of the host's own; readers diff
 //!   [`CounterSnapshot`]s.
 //! * [`ring`] — per-thread fixed-capacity event rings. No allocation or
 //!   locking on the hot path; overflow drops oldest and counts the drops.

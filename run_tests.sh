@@ -2,8 +2,8 @@
 # Tier-1 test suite + chaos profile + bench-smoke perf gate.
 #
 # Tier 1 (always): release build + the full workspace test suite, clippy on
-# the trace crate, and the bench-smoke regression gate. This is the bar
-# every change must clear.
+# the trace crate, the bench-smoke regression gate, and the repo benchmark's
+# `--quick` self-check. This is the bar every change must clear.
 #
 # Chaos profile: re-run the seeded chaos suites across a fixed matrix of
 # fabric seeds. Fault schedules are a pure function of the seed, so each
@@ -57,6 +57,11 @@ cargo test --workspace --release -q
 echo "=== tier 1: clippy (lci-trace) ==="
 cargo clippy -p lci-trace --release -- -D warnings
 bench_smoke
+# The repo benchmark builds its own offline workspace against crates/* and
+# checks every metric name in BENCHMARK.json, so a product change that breaks
+# a call benchmark/ pins fails here, not only in the external pipeline.
+echo "=== tier 1: benchmark --quick (offline build + metric names) ==="
+bash benchmark/run.sh --quick
 
 if [[ "${1:-}" == "--tier1" ]]; then
     echo "TIER 1 OK"
