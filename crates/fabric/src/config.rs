@@ -228,7 +228,7 @@ impl FaultPlan {
                 Fault::Reorder { window } if window < 2 => {
                     return Err(format!("phase {i}: reorder window must be >= 2"));
                 }
-                Fault::Brownout { max_inflight } if max_inflight == 0 => {
+                Fault::Brownout { max_inflight: 0 } => {
                     return Err(format!("phase {i}: brownout max_inflight must be >= 1"));
                 }
                 Fault::RnrStorm { target } if target as usize >= num_hosts => {
@@ -236,7 +236,7 @@ impl FaultPlan {
                         "phase {i}: rnr storm target {target} out of range (num_hosts={num_hosts})"
                     ));
                 }
-                Fault::Corrupt { flips } if flips == 0 => {
+                Fault::Corrupt { flips: 0 } => {
                     return Err(format!("phase {i}: corrupt flips must be >= 1"));
                 }
                 Fault::Drop { prob_ppm } if prob_ppm == 0 || prob_ppm > 1_000_000 => {

@@ -119,6 +119,13 @@ struct PeerTx {
     next_seq: u64,
     window: VecDeque<Unacked>,
     dead: bool,
+    rtt: RttEstimator,
+}
+
+/// Ack round-trip estimator of one destination (RFC 6298 shape). A field of
+/// its own so that ack harvesting can feed it while it walks the window.
+#[derive(Default)]
+struct RttEstimator {
     /// Smoothed ack round-trip (EWMA, gain 1/8). Zero until the first
     /// sample.
     srtt_ns: u64,
@@ -127,9 +134,9 @@ struct PeerTx {
     has_rtt: bool,
 }
 
-impl PeerTx {
-    /// Feed one unambiguous RTT sample into the estimator (RFC 6298 shape).
-    fn observe_rtt(&mut self, rtt_ns: u64) {
+impl RttEstimator {
+    /// Feed one unambiguous RTT sample into the estimator.
+    fn observe(&mut self, rtt_ns: u64) {
         if self.has_rtt {
             self.rttvar_ns = (3 * self.rttvar_ns + self.srtt_ns.abs_diff(rtt_ns)) / 4;
             self.srtt_ns = (7 * self.srtt_ns + rtt_ns) / 8;
@@ -156,6 +163,19 @@ struct PeerRx {
     ack_owed: bool,
     ack_deadline: u64,
     owed_count: u32,
+}
+
+impl PeerRx {
+    /// The reliable header every frame toward this peer carries: our
+    /// receiver state for it, the incarnation epoch, and `flags`.
+    fn rel_header(&self, epoch: u32, flags: u8) -> [u8; REL_OVERHEAD] {
+        let mut rel = [0u8; REL_OVERHEAD];
+        rel[..8].copy_from_slice(&self.gate.watermark().to_le_bytes());
+        rel[8..12].copy_from_slice(&self.gate.mask_above().to_le_bytes());
+        rel[12..16].copy_from_slice(&epoch.to_le_bytes());
+        rel[16] = flags;
+        rel
+    }
 }
 
 struct PeerState {
@@ -214,9 +234,7 @@ impl ReliableSession {
                 next_seq: 0,
                 window: VecDeque::new(),
                 dead: false,
-                srtt_ns: 0,
-                rttvar_ns: 0,
-                has_rtt: false,
+                rtt: RttEstimator::default(),
             },
             rx: PeerRx {
                 gate: frame::SeqGate::new().with_window(cfg.gate_window),
@@ -277,17 +295,17 @@ impl ReliableSession {
             return Err(SendError::Backpressure);
         }
         let seq = p.tx.next_seq;
-        let mut rel = Vec::with_capacity(REL_OVERHEAD + body.len());
-        rel.extend_from_slice(&p.rx.gate.watermark().to_le_bytes());
-        rel.extend_from_slice(&p.rx.gate.mask_above().to_le_bytes());
-        rel.extend_from_slice(&ep.fabric_epoch().to_le_bytes());
-        rel.push(FLAG_DATA);
-        rel.extend_from_slice(body);
-        let framed = frame::seal(header, seq, &rel);
+        // The one buffer this frame ever lives in: each byte is written
+        // once, the prefix is stamped in place, and the window keeps it.
+        let mut framed = Vec::with_capacity(REL_DATA_OFFSET + body.len());
+        framed.extend_from_slice(&[0u8; frame::FRAME_OVERHEAD]);
+        framed.extend_from_slice(&p.rx.rel_header(ep.fabric_epoch(), FLAG_DATA));
+        framed.extend_from_slice(body);
+        frame::stamp(header, seq, &mut framed);
         ep.try_send(dst, header, &framed, ctx)?;
         p.tx.next_seq += 1;
         let now = ep.now_ns();
-        let rto = p.tx.initial_rto(&self.cfg);
+        let rto = p.tx.rtt.initial_rto(&self.cfg);
         p.tx.window.push_back(Unacked {
             seq,
             header,
@@ -339,23 +357,24 @@ impl ReliableSession {
         // their first transmission yield unambiguous RTT samples (Karn's
         // rule) feeding the adaptive timeout.
         let mut acked = 0u64;
-        let mut rtt_samples: Vec<u64> = Vec::new();
-        while p.tx.window.front().is_some_and(|u| u.seq < ack) {
-            let u = p.tx.window.pop_front().expect("front checked");
-            if u.retries == 0 {
-                rtt_samples.push(now.saturating_sub(u.sent_at));
-            }
+        let mut sampled = false;
+        let PeerTx { window, rtt, .. } = &mut p.tx;
+        let mut harvest = |u: &Unacked| {
             acked += 1;
+            if u.retries == 0 {
+                rtt.observe(now.saturating_sub(u.sent_at));
+                sampled = true;
+            }
+        };
+        while window.front().is_some_and(|u| u.seq < ack) {
+            harvest(&window.pop_front().expect("front checked"));
         }
         if sack != 0 {
-            p.tx.window.retain(|u| {
+            window.retain(|u| {
                 let hit =
                     u.seq > ack && u.seq <= ack + 32 && (sack >> (u.seq - ack - 1)) & 1 == 1;
                 if hit {
-                    acked += 1;
-                    if u.retries == 0 {
-                        rtt_samples.push(now.saturating_sub(u.sent_at));
-                    }
+                    harvest(u);
                 }
                 !hit
             });
@@ -363,36 +382,30 @@ impl ReliableSession {
         if acked > 0 {
             ep.counters().add(Counter::FabricReliableAcked, acked);
         }
-        if !rtt_samples.is_empty() {
-            for rtt in rtt_samples {
-                p.tx.observe_rtt(rtt);
-            }
+        if sampled {
             ep.counters().set(
                 Counter::FabricReliableRtoUs,
-                p.tx.initial_rto(&self.cfg) / 1_000,
+                p.tx.rtt.initial_rto(&self.cfg) / 1_000,
             );
         }
         if flags == FLAG_ACK {
             return RelRecv::Ack;
         }
-        if !p.rx.gate.admit(seq) {
-            // A retransmission of something we already admitted means our
-            // ack was lost (or arrived after the peer's timer fired):
-            // re-arm the debt so a fresh ack goes out even with no reverse
-            // data traffic.
-            if !p.rx.ack_owed {
-                p.rx.ack_deadline = ep.now_ns() + self.cfg.ack_delay_ns;
-            }
-            p.rx.ack_owed = true;
-            p.rx.owed_count += 1;
-            return RelRecv::Duplicate;
-        }
+        let fresh = p.rx.gate.admit(seq);
+        // Either way an ack is owed: a retransmission of something already
+        // admitted means our ack was lost (or arrived after the peer's
+        // timer fired), so the debt is re-armed and a fresh ack goes out
+        // even with no reverse data traffic.
         if !p.rx.ack_owed {
-            p.rx.ack_deadline = ep.now_ns() + self.cfg.ack_delay_ns;
+            p.rx.ack_deadline = now + self.cfg.ack_delay_ns;
         }
         p.rx.ack_owed = true;
         p.rx.owed_count += 1;
-        RelRecv::Data
+        if fresh {
+            RelRecv::Data
+        } else {
+            RelRecv::Duplicate
+        }
     }
 
     /// Fire due timers: retransmit overdue unacked frames (declaring the
@@ -426,11 +439,8 @@ impl ReliableSession {
                         }
                         break;
                     }
-                    let (header, framed) = {
-                        let u = &p.tx.window[i];
-                        (u.header, u.frame.clone())
-                    };
-                    match ep.try_send(dst, header, &framed, 0) {
+                    let u = &p.tx.window[i];
+                    match ep.try_send(dst, u.header, &u.frame, 0) {
                         Ok(()) => {
                             injected += 1;
                             ep.counters().incr(Counter::FabricReliableRetransmits);
@@ -460,15 +470,13 @@ impl ReliableSession {
             // virtual clock cannot leave a peer's window stuffed forever.
             if p.rx.ack_owed && (now >= p.rx.ack_deadline || p.rx.owed_count >= self.cfg.ack_every)
             {
-                let mut rel = [0u8; REL_OVERHEAD];
-                rel[..8].copy_from_slice(&p.rx.gate.watermark().to_le_bytes());
-                rel[8..12].copy_from_slice(&p.rx.gate.mask_above().to_le_bytes());
-                rel[12..16].copy_from_slice(&ep.fabric_epoch().to_le_bytes());
-                rel[16] = FLAG_ACK;
                 // Acks are not sequenced (the receiver never gates them)
                 // and never retransmitted — data retransmission re-arms the
                 // debt if one is lost.
-                let framed = frame::seal(ACK_HEADER, p.tx.next_seq, &rel);
+                let mut framed = [0u8; REL_DATA_OFFSET];
+                framed[frame::FRAME_OVERHEAD..]
+                    .copy_from_slice(&p.rx.rel_header(ep.fabric_epoch(), FLAG_ACK));
+                frame::stamp(ACK_HEADER, p.tx.next_seq, &mut framed);
                 if ep.try_send(dst, ACK_HEADER, &framed, 0).is_ok() {
                     injected += 1;
                     ep.counters().incr(Counter::FabricReliableAcksSent);
@@ -496,7 +504,8 @@ impl ReliableSession {
     /// (diagnostics). Equals the configured base until the first RTT sample
     /// arrives.
     pub fn current_rto_ns(&self, peer: HostId) -> u64 {
-        self.peers[peer as usize].lock().tx.initial_rto(&self.cfg)
+        let p = self.peers[peer as usize].lock();
+        p.tx.rtt.initial_rto(&self.cfg)
     }
 
     /// True while any peer is owed an acknowledgement not yet on the wire.

@@ -2,8 +2,8 @@
 # Tier-1 test suite + chaos profile + bench-smoke perf gate.
 #
 # Tier 1 (always): release build + the full workspace test suite, clippy on
-# the trace crate, the bench-smoke regression gate, and the repo benchmark's
-# `--quick` self-check. This is the bar every change must clear.
+# the trace and fabric crates, the bench-smoke regression gate, and the repo
+# benchmark's `--quick` self-check. This is the bar every change must clear.
 #
 # Chaos profile: re-run the seeded chaos suites across a fixed matrix of
 # fabric seeds. Fault schedules are a pure function of the seed, so each
@@ -14,8 +14,8 @@
 # aborts), the wire-hardening suite (frame/decoder proptests +
 # corrupt/duplicate/truncate chaos runs), the crash-recovery suite (seeded
 # mid-run crash-stop of one host per engine per comm layer, recovered via
-# coordinated checkpoint/restart), and clippy over the fault-bearing
-# crates (fabric frame/wire/reliable, lci protocol, mini-mpi).
+# coordinated checkpoint/restart), and clippy over the other fault-bearing
+# crates (lci protocol, mini-mpi; the fabric is linted in tier 1).
 #
 # Bench-smoke: a seconds-scale benchmark (tiny deterministic graph, 2
 # simulated hosts) that writes `results/BENCH_smoke.json` and diffs its
@@ -54,8 +54,8 @@ echo "=== tier 1: build ==="
 cargo build --workspace --release
 echo "=== tier 1: test ==="
 cargo test --workspace --release -q
-echo "=== tier 1: clippy (lci-trace) ==="
-cargo clippy -p lci-trace --release -- -D warnings
+echo "=== tier 1: clippy (lci-trace, lci-fabric) ==="
+cargo clippy -p lci-trace -p lci-fabric --release -- -D warnings
 bench_smoke
 # The repo benchmark builds its own offline workspace against crates/* and
 # checks every metric name in BENCHMARK.json, so a product change that breaks
@@ -99,5 +99,5 @@ for seed in 1 7 42 1337; do
     chaos_run "$seed" crash_recovery
 done
 echo "=== chaos: clippy (fault-bearing crates, -D warnings) ==="
-cargo clippy --release -p lci-fabric -p lci -p mini-mpi -- -D warnings
+cargo clippy --release -p lci -p mini-mpi -- -D warnings
 echo "ALL TESTS OK"

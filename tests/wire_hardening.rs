@@ -115,6 +115,32 @@ proptest! {
     }
 
     #[test]
+    fn crc_equals_bitwise_reference_however_the_input_is_split(
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        cuts in proptest::collection::vec(any::<u16>(), 0..4),
+    ) {
+        // Bit-at-a-time CRC-32/IEEE, the oracle for the table-sliced fold.
+        let mut want = 0xFFFF_FFFFu32;
+        for &b in &bytes {
+            want ^= b as u32;
+            for _ in 0..8 {
+                want = if want & 1 != 0 { 0xEDB8_8320 ^ (want >> 1) } else { want >> 1 };
+            }
+        }
+        let mut cuts: Vec<usize> =
+            cuts.iter().map(|&c| c as usize % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut crc = frame::Crc32::new();
+        let mut from = 0;
+        for cut in cuts {
+            crc.update(&bytes[from..cut]);
+            from = cut;
+        }
+        crc.update(&bytes[from..]);
+        prop_assert_eq!(crc.finish(), !want);
+    }
+
+    #[test]
     fn seq_gate_admits_each_seq_exactly_once(
         seqs in proptest::collection::vec(0u64..128, 1..256),
     ) {
@@ -169,6 +195,24 @@ proptest! {
             prop_assert_eq!(s, size);
         }
     }
+}
+
+#[test]
+fn sealed_checkpoint_bytes_are_the_parent_commits() {
+    // Length and CRC trailer recorded from `checkpoint::seal` before the
+    // shared `Crc32` was table-sliced: the checkpoint format did not move.
+    let snap = abelian::checkpoint::Snapshot {
+        round: 0x1122_3344_5566_7788,
+        sections: vec![
+            (0..61u32).map(|i| (i * 37 + 11) as u8).collect(),
+            vec![],
+            b"123456789".to_vec(),
+        ],
+    };
+    let sealed = abelian::checkpoint::seal(&snap);
+    assert_eq!(sealed.len(), 102);
+    assert_eq!(sealed[sealed.len() - 4..], 0x7841_74bfu32.to_le_bytes());
+    assert_eq!(abelian::checkpoint::open(&sealed), Ok(snap));
 }
 
 // ---- 3. end-to-end chaos ---------------------------------------------------
