@@ -272,11 +272,19 @@ impl<'a, A: App> HostState<'a, A> {
         self.changed[lid].load(Ordering::Acquire)
     }
 
+    /// Clear `lid`'s changed mark, returning whether it was set. Tested
+    /// before it is swapped: in a sparse round almost every flag is clear,
+    /// and a plain load costs a fraction of a locked exchange. Only the host
+    /// thread clears flags, so one it saw set is still set at the swap.
+    fn clear_changed(&self, lid: usize) -> bool {
+        self.changed[lid].load(Ordering::Relaxed) && self.changed[lid].swap(false, Ordering::AcqRel)
+    }
+
     /// Take mirror `lid`'s pending update for shipping to its master: `None`
     /// if it did not change, else its value (reset to the identity when the
     /// app consumes) with the changed mark cleared.
     pub fn take_changed(&self, lid: usize) -> Option<A::Acc> {
-        self.changed[lid].swap(false, Ordering::AcqRel).then(|| {
+        self.clear_changed(lid).then(|| {
             if self.app.consuming() {
                 self.labels.swap(lid, self.app.identity())
             } else {
@@ -466,9 +474,7 @@ fn host_main<A: App, X: Exchange>(
 
         // ---- fire phase (computation) -----------------------------------
         let fire_span = Span::enter(Counter::PhaseComputeNs);
-        let fire_list: Vec<u32> = (0..nm)
-            .filter(|&l| st.changed[l as usize].swap(false, Ordering::AcqRel))
-            .collect();
+        let fire_list: Vec<u32> = (0..nm).filter(|&l| st.clear_changed(l as usize)).collect();
         if compute_threads > 1 && fire_list.len() > 64 {
             let chunk = fire_list.len().div_ceil(compute_threads);
             std::thread::scope(|scope| {

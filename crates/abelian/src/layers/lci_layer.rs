@@ -15,6 +15,7 @@ use bytes::Bytes;
 use lci::{Backoff, Device, RecvRequest, SendRequest};
 use lci_trace::{Counter, Registry};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -145,8 +146,7 @@ impl CommLayer for LciLayer {
 
     fn begin(&self, channel: usize) {
         let mut inner = self.inner.lock();
-        *inner.round.entry(channel).or_insert(0) += 0; // ensure present
-        let e = inner.round.get_mut(&channel).expect("present");
+        let e = inner.round.entry(channel).or_insert(0);
         *e = e.wrapping_add(1);
     }
 
@@ -203,7 +203,18 @@ impl CommLayer for LciLayer {
         self.pump(&mut inner);
         let round = *inner.round.get(&channel).expect("begin before recv") - 1;
         let tag = tag_for(channel, round);
-        let msg = inner.stash.get_mut(&tag).and_then(|q| q.pop_front());
+        let msg = match inner.stash.entry(tag) {
+            Entry::Occupied(mut q) => {
+                let msg = q.get_mut().pop_front();
+                // A round's queue is dropped with its last message, so the
+                // stash holds live rounds only.
+                if q.get().is_empty() {
+                    q.remove();
+                }
+                msg
+            }
+            Entry::Vacant(_) => None,
+        };
         if let Some((_, data)) = &msg {
             self.book.free(data.len());
         } else {
@@ -241,6 +252,46 @@ impl CommLayer for LciLayer {
                 return;
             }
             std::thread::yield_now();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::comm::{channels, exchange_all};
+
+    #[test]
+    fn stash_keeps_no_queue_for_a_finished_round() {
+        let world = lci::LciWorld::without_servers(
+            lci_fabric::FabricConfig::test(2),
+            lci::LciConfig::for_hosts(2),
+        );
+        let layers = [
+            LciLayer::new(world.device(0)),
+            LciLayer::new(world.device(1)),
+        ];
+        std::thread::scope(|s| {
+            for l in &layers {
+                s.spawn(move || {
+                    for round in 0..1_000u16 {
+                        for ch in [channels::REDUCE, channels::CONTROL] {
+                            let msg = [round.to_le_bytes().as_slice(), &[ch as u8]].concat();
+                            let got = exchange_all(l, ch, vec![msg.clone(); 2]);
+                            assert_eq!(got, vec![(1 - l.rank(), msg)]);
+                        }
+                    }
+                });
+            }
+        });
+        for l in &layers {
+            let stash = &l.inner.lock().stash;
+            assert!(
+                stash.is_empty(),
+                "rank {}: {} dead queues left in the stash",
+                l.rank(),
+                stash.len()
+            );
         }
     }
 }

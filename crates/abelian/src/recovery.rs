@@ -63,7 +63,8 @@ pub struct RecoveryWorld {
 }
 
 impl RecoveryWorld {
-    /// Build the world for `kind` over a fresh threaded fabric.
+    /// Build the world for `kind` over a fresh wall-clock (poll-driven)
+    /// fabric.
     pub fn new(
         kind: LayerKind,
         fabric_cfg: FabricConfig,

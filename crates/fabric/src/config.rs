@@ -43,8 +43,8 @@ impl WireModel {
         }
     }
 
-    /// Zero-delay wire for functional tests: messages are delivered as fast
-    /// as the wire thread can move them.
+    /// Zero-delay wire for functional tests: a message is due the moment it
+    /// is injected, and delivered by the next drive of the wire.
     pub fn instant() -> Self {
         WireModel {
             base_latency_ns: 0,
@@ -508,7 +508,7 @@ pub struct FabricConfig {
     pub time_scale: f64,
     /// Seed for delivery jitter and fault-plan randomness.
     pub seed: u64,
-    /// Timed chaos phases executed by the wire thread ([`FaultPlan::none`]
+    /// Timed chaos phases executed by the wire ([`FaultPlan::none`]
     /// disables fault injection entirely).
     pub fault_plan: FaultPlan,
     /// Ack/retransmit sublayer tuning (consumed by

@@ -214,6 +214,28 @@ impl Endpoint {
         if (dst as usize) >= self.fabric.endpoints.len() {
             return Err(SendError::BadRank);
         }
+        // Slots come back when the wire delivers, and a wall-clock wire runs
+        // only when driven: a full queue drives it once before it is
+        // believed, so an injector that never polls still drains.
+        if self.take_slot().is_ok() {
+            return Ok(());
+        }
+        self.fabric.drive();
+        let Err(full_at) = self.take_slot() else {
+            return Ok(());
+        };
+        self.shared.counters.incr(Counter::FabricBackpressure);
+        lci_trace::record(EventKind::Backpressure, dst as u32, 0);
+        if full_at < self.fabric.config.injection_depth {
+            self.shared
+                .counters
+                .incr(Counter::FabricFaultBrownoutRejects);
+        }
+        Err(SendError::Backpressure)
+    }
+
+    /// Claim one injection slot, or report the depth the queue is full at.
+    fn take_slot(&self) -> Result<(), usize> {
         // A brownout fault phase shrinks the effective injection depth
         // below the configured one for its duration.
         let configured = self.fabric.config.injection_depth;
@@ -221,14 +243,7 @@ impl Endpoint {
         let mut cur = self.shared.inflight.load(Ordering::Relaxed);
         loop {
             if cur >= depth {
-                self.shared.counters.incr(Counter::FabricBackpressure);
-                lci_trace::record(EventKind::Backpressure, dst as u32, 0);
-                if depth < configured {
-                    self.shared
-                        .counters
-                        .incr(Counter::FabricFaultBrownoutRejects);
-                }
-                return Err(SendError::Backpressure);
+                return Err(depth);
             }
             match self.shared.inflight.compare_exchange_weak(
                 cur,
@@ -240,10 +255,6 @@ impl Endpoint {
                 Err(c) => cur = c,
             }
         }
-    }
-
-    fn release_token(&self) {
-        self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Inject an eager two-sided message (the `lc_send` substrate).
@@ -272,10 +283,7 @@ impl Endpoint {
             retries: 0,
             ghost: false,
         };
-        if self.fabric.inj_tx.send(op).is_err() {
-            self.release_token();
-            return Err(SendError::Closed);
-        }
+        self.fabric.injected.push(op);
         let bytes = data.len() as u64;
         self.shared.counters.incr(Counter::FabricSends);
         self.shared.counters.add(Counter::FabricSendBytes, bytes);
@@ -310,10 +318,7 @@ impl Endpoint {
             imm,
             epoch: self.fabric_epoch(),
         };
-        if self.fabric.inj_tx.send(op).is_err() {
-            self.release_token();
-            return Err(SendError::Closed);
-        }
+        self.fabric.injected.push(op);
         let bytes = data.len() as u64;
         self.shared.counters.incr(Counter::FabricPuts);
         self.shared.counters.add(Counter::FabricPutBytes, bytes);
@@ -322,7 +327,17 @@ impl Endpoint {
     }
 
     /// Pop one completion event, if any (the `lc_progress` substrate).
+    ///
+    /// On a wall-clock fabric this is also what moves the wire: a poll that
+    /// finds the queue empty executes every delivery that is due (for all
+    /// hosts, unless another thread is already doing so) and looks again.
+    /// A manual fabric moves only under [`crate::Fabric::step`].
     pub fn poll(&self) -> Option<Event> {
+        let ev = self.shared.cq.pop();
+        if ev.is_some() || self.fabric.manual {
+            return ev;
+        }
+        self.fabric.drive();
         self.shared.cq.pop()
     }
 
@@ -348,8 +363,12 @@ impl Endpoint {
         self.shared.mrs.lock().len()
     }
 
-    /// Snapshot of this endpoint's traffic counters.
+    /// Snapshot of this endpoint's traffic counters. On a wall-clock fabric
+    /// the wire is brought up to date first, as by [`Endpoint::poll`], so
+    /// the snapshot counts every delivery due by now — a caller may wait on
+    /// a count without consuming events.
     pub fn stats(&self) -> StatsSnapshot {
+        self.fabric.drive();
         StatsSnapshot::from(self.counters())
     }
 
@@ -380,7 +399,7 @@ impl Endpoint {
     }
 
     /// Current simulated time in nanoseconds: wall-clock since fabric
-    /// construction in threaded mode, the virtual clock in manual mode.
+    /// construction in wall-clock mode, the virtual clock in manual mode.
     /// This is the clock every [`crate::reliable::ReliableSession`] timeout
     /// is judged against, so timers replay bit-for-bit in manual mode.
     pub fn now_ns(&self) -> u64 {

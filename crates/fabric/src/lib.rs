@@ -3,11 +3,14 @@
 //! This crate stands in for the RDMA-capable NICs (Intel Omni-Path / psm2,
 //! Mellanox InfiniBand / ibverbs) used in the LCI paper's evaluation. It
 //! simulates a cluster of *hosts* inside a single process: each host gets an
-//! [`Endpoint`] through which threads inject messages, and a dedicated *wire*
-//! thread models transmission latency, sender-side bandwidth serialization,
-//! bounded injection queues (back-pressure), a finite pool of pre-posted
-//! receive buffers (receiver-not-ready retries), and RDMA writes into
-//! registered memory regions.
+//! [`Endpoint`] through which threads inject messages, and the *wire* models
+//! transmission latency, sender-side bandwidth serialization, bounded
+//! injection queues (back-pressure), a finite pool of pre-posted receive
+//! buffers (receiver-not-ready retries), and RDMA writes into registered
+//! memory regions. The wire has no thread of its own: on a wall-clock
+//! (poll-driven) fabric it is run by whichever host thread polls its endpoint
+//! or injects into a full queue, on a manual fabric by the caller's
+//! [`Fabric::step`].
 //!
 //! The primitives exposed here are exactly the ones the paper's runtimes
 //! consume:
@@ -20,7 +23,8 @@
 //!   peer's registered [`MemRegion`], optionally delivering an immediate
 //!   value to the peer's completion queue (like `IBV_WR_RDMA_WRITE_WITH_IMM`).
 //! * [`Endpoint::poll`] — drain the completion queue, the substrate for
-//!   `lc_progress`.
+//!   `lc_progress` (and, on a wall-clock fabric, what makes the wire
+//!   progress).
 //!
 //! ## What is modelled, and why
 //!
@@ -40,7 +44,7 @@
 //! probabilistic packet loss ([`Fault::Drop`]), and single-host partitions
 //! ([`Fault::Blackhole`]) — executed by the wire from the same seeded RNG as
 //! delivery jitter. Combined with the caller-stepped [`Fabric::new_manual`]
-//! mode (a virtual clock instead of a wire thread), any failing chaos
+//! mode (a virtual clock instead of the wall clock), any failing chaos
 //! schedule replays bit-for-bit from `(seed, plan)`; per-endpoint fault
 //! counters are surfaced in [`StatsSnapshot`].
 //!

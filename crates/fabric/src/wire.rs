@@ -1,11 +1,20 @@
 //! The wire: schedules and delivers injected operations, executing the
 //! configured [`crate::FaultPlan`] along the way.
 //!
-//! The wire runs in one of two modes:
+//! There is no wire thread. One [`WireCore`] sits behind one mutex and is
+//! run by whoever needs it, in one of two modes that differ only in the
+//! clock and in who drives:
 //!
-//! * **Threaded** ([`Fabric::new`]): a dedicated wire thread maps simulated
-//!   time onto wall-clock time, like a real NIC pipeline.
-//! * **Manual** ([`Fabric::new_manual`]): no thread; the caller pumps
+//! * **Wall-clock (poll-driven)** ([`Fabric::new`]): simulated time is
+//!   wall-clock time since construction, and whoever touches an endpoint
+//!   drives — [`Endpoint::poll`] on finding its completion queue empty,
+//!   injection on hitting back-pressure, and [`Endpoint::stats`] `try_lock`
+//!   the core and execute everything that is due. Everything the wire owns
+//!   (events, injection slots, receive credits, crash flags, put bytes,
+//!   counts) is acted on through those calls, so a delivery that waits for
+//!   the next poll is the same NIC with the scheduler hop removed; the wire
+//!   model's latencies stay lower bounds on delivery time.
+//! * **Manual** ([`Fabric::new_manual`]): the caller pumps
 //!   [`Fabric::step`]/[`Fabric::drain`] and time is a *virtual* clock that
 //!   jumps to each scheduled delivery. Because nothing depends on the OS
 //!   scheduler, the entire delivery order — including every fault decision —
@@ -16,7 +25,7 @@ use crate::config::FabricConfig;
 use crate::endpoint::{CreditGuard, Endpoint, EndpointShared, Event, FatalKind, PacketBuf};
 use crate::mr::MrKey;
 use crate::HostId;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::queue::SegQueue;
 use lci_trace::{Counter, EventKind};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -25,7 +34,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// A wall-clock wire that finds nothing scheduled, nothing injected and
+/// deliveries still held by a reorder phase releases one of them once it has
+/// been idle this long.
+const IDLE_RELEASE_NS: u64 = 1_000_000;
 
 pub(crate) enum WireOp {
     Send {
@@ -55,14 +69,12 @@ pub(crate) enum WireOp {
         /// the respawned host's re-registered memory.
         epoch: u32,
     },
-    Shutdown,
 }
 
 impl WireOp {
-    fn dst(&self) -> Option<usize> {
+    fn dst(&self) -> usize {
         match self {
-            WireOp::Send { dst, .. } | WireOp::Put { dst, .. } => Some(*dst as usize),
-            WireOp::Shutdown => None,
+            WireOp::Send { dst, .. } | WireOp::Put { dst, .. } => *dst as usize,
         }
     }
 }
@@ -70,13 +82,17 @@ impl WireOp {
 pub(crate) struct FabricShared {
     pub(crate) config: FabricConfig,
     pub(crate) endpoints: Vec<Arc<EndpointShared>>,
-    pub(crate) inj_tx: Sender<WireOp>,
+    /// Operations injected by endpoints and not yet scheduled by the wire.
+    pub(crate) injected: SegQueue<WireOp>,
+    /// The wire itself. Manual mode: locked by [`Fabric::step`] and friends.
+    /// Wall-clock mode: `try_lock`ed by [`FabricShared::drive`].
+    core: Mutex<WireCore>,
     pub(crate) closed: AtomicBool,
     /// Effective injection depth imposed by an active brownout phase;
     /// `usize::MAX` when no brownout is active. Written by the wire,
     /// read by [`Endpoint`] admission.
     pub(crate) brownout_depth: AtomicUsize,
-    /// Wall-clock construction time: the threaded mode's simulated-time
+    /// Wall-clock construction time: the wall-clock mode's simulated-time
     /// origin, read by [`Endpoint::now_ns`].
     pub(crate) epoch: Instant,
     /// Mirror of the manual-mode virtual clock, advanced by the wire core
@@ -97,20 +113,46 @@ pub(crate) struct FabricShared {
     pub(crate) crashed: Vec<AtomicBool>,
 }
 
+impl FabricShared {
+    /// Wall-clock mode: execute everything the wire has due, unless another
+    /// thread is already doing so — the loser returns at once, and what the
+    /// winner delivers shows up in the loser's completion queue all the same.
+    /// Does nothing on a manual fabric, which only its caller's
+    /// [`Fabric::step`] moves.
+    pub(crate) fn drive(&self) {
+        if self.manual {
+            return;
+        }
+        if let Some(mut core) = self.core.try_lock() {
+            core.run_due(self);
+        }
+    }
+
+    /// Manual mode: the wire, for the caller to pump.
+    fn manual_core(&self, caller: &str) -> parking_lot::MutexGuard<'_, WireCore> {
+        assert!(
+            self.manual,
+            "Fabric::{caller} requires a fabric built with Fabric::new_manual"
+        );
+        self.core.lock()
+    }
+}
+
 /// A simulated cluster interconnect.
 ///
-/// Construct one with [`Fabric::new`] (threaded) or [`Fabric::new_manual`]
-/// (deterministic, caller-stepped), hand an [`Endpoint`] to each simulated
-/// host, and drop the `Fabric` to stop the wire. Endpoints may outlive the
-/// fabric; their operations then fail with `SendError::Closed`.
+/// Construct one with [`Fabric::new`] (wall-clock, poll-driven) or
+/// [`Fabric::new_manual`] (deterministic, caller-stepped), hand an
+/// [`Endpoint`] to each simulated host, and drop the `Fabric` to close it.
+/// Endpoints may outlive the fabric; their operations then fail with
+/// `SendError::Closed`.
 pub struct Fabric {
     shared: Arc<FabricShared>,
-    wire: Option<std::thread::JoinHandle<()>>,
-    manual: Option<Mutex<WireCore>>,
 }
 
 impl Fabric {
-    /// Spin up a fabric with `config.num_hosts` endpoints and a wire thread.
+    /// Build a wall-clock fabric with `config.num_hosts` endpoints. No
+    /// thread is started: the hosts' own [`Endpoint::poll`] calls and
+    /// back-pressured injections run the wire (see the module docs).
     ///
     /// # Panics
     /// Panics if the configuration's fault plan fails
@@ -119,8 +161,8 @@ impl Fabric {
         Fabric::build(config, false)
     }
 
-    /// Build a fabric with no wire thread: the caller advances simulated
-    /// time explicitly with [`Fabric::step`] / [`Fabric::drain`].
+    /// Build a fabric whose caller advances simulated time explicitly with
+    /// [`Fabric::step`] / [`Fabric::drain`]; polling never moves it.
     ///
     /// In this mode the wire runs on a virtual clock, so delivery order,
     /// fault decisions and [`crate::StatsSnapshot`]s are bit-for-bit
@@ -145,7 +187,6 @@ impl Fabric {
         if let Err(e) = config.fault_plan.validate(config.num_hosts) {
             panic!("invalid fault plan: {e}");
         }
-        let (inj_tx, inj_rx) = unbounded();
         let endpoints: Vec<Arc<EndpointShared>> = (0..config.num_hosts)
             .map(|h| Arc::new(EndpointShared::new(h as HostId, config.rx_buffers)))
             .collect();
@@ -153,37 +194,27 @@ impl Fabric {
         // the wire has executed a single event.
         let depth0 = config.fault_plan.brownout_at(0).unwrap_or(usize::MAX);
         let crashed = (0..config.num_hosts).map(|_| AtomicBool::new(false)).collect();
+        let epoch = Instant::now();
+        let clock = if manual {
+            Clock::Virtual(0)
+        } else {
+            Clock::Wall(epoch)
+        };
+        let core = WireCore::new(config.num_hosts, config.seed, clock);
         let shared = Arc::new(FabricShared {
             config,
             endpoints,
-            inj_tx,
+            injected: SegQueue::new(),
+            core: Mutex::new(core),
             closed: AtomicBool::new(false),
             brownout_depth: AtomicUsize::new(depth0),
-            epoch: Instant::now(),
+            epoch,
             virtual_now: AtomicU64::new(0),
             manual,
             recovery_epoch: AtomicU32::new(0),
             crashed,
         });
-        if manual {
-            let core = WireCore::new(Arc::clone(&shared), inj_rx, Clock::Virtual(0));
-            Fabric {
-                shared,
-                wire: None,
-                manual: Some(Mutex::new(core)),
-            }
-        } else {
-            let core = WireCore::new(Arc::clone(&shared), inj_rx, Clock::Wall(shared.epoch));
-            let wire = std::thread::Builder::new()
-                .name("lci-fabric-wire".into())
-                .spawn(move || core.run())
-                .expect("spawn wire thread");
-            Fabric {
-                shared,
-                wire: Some(wire),
-                manual: None,
-            }
-        }
+        Fabric { shared }
     }
 
     /// The endpoint for rank `host`.
@@ -214,7 +245,7 @@ impl Fabric {
 
     /// Is this a manual (caller-stepped, deterministic) fabric?
     pub fn is_manual(&self) -> bool {
-        self.manual.is_some()
+        self.shared.manual
     }
 
     /// Manual mode only: execute the next wire event (one delivery, one
@@ -224,11 +255,7 @@ impl Fabric {
     /// # Panics
     /// Panics on a fabric built with [`Fabric::new`].
     pub fn step(&self) -> bool {
-        self.manual
-            .as_ref()
-            .expect("Fabric::step requires a fabric built with Fabric::new_manual")
-            .lock()
-            .step()
+        self.shared.manual_core("step").step(&self.shared)
     }
 
     /// Manual mode only: [`Fabric::step`] until the wire is idle, returning
@@ -239,22 +266,18 @@ impl Fabric {
     /// # Panics
     /// Panics on a fabric built with [`Fabric::new`].
     pub fn drain(&self) -> usize {
-        let mut core = self
-            .manual
-            .as_ref()
-            .expect("Fabric::drain requires a fabric built with Fabric::new_manual")
-            .lock();
+        let mut core = self.shared.manual_core("drain");
         let mut n = 0;
-        while core.step() {
+        while core.step(&self.shared) {
             n += 1;
         }
         n
     }
 
     /// Current simulated time: `Some(virtual_ns)` in manual mode, `None`
-    /// in threaded mode (where simulated time tracks the wall clock).
+    /// in wall-clock mode (where simulated time is the wall clock).
     pub fn sim_time_ns(&self) -> Option<u64> {
-        self.manual.as_ref().map(|m| m.lock().now_ns())
+        self.shared.manual.then(|| self.shared.core.lock().now_ns())
     }
 
     /// Hosts currently dead from a [`crate::Fault::Crash`] trigger, in rank
@@ -313,21 +336,15 @@ impl Fabric {
     /// # Panics
     /// Panics on a fabric built with [`Fabric::new`].
     pub fn advance_virtual(&self, ns: u64) -> u64 {
-        self.manual
-            .as_ref()
-            .expect("Fabric::advance_virtual requires a fabric built with Fabric::new_manual")
-            .lock()
-            .advance_virtual(ns)
+        self.shared
+            .manual_core("advance_virtual")
+            .advance_virtual(&self.shared, ns)
     }
 }
 
 impl Drop for Fabric {
     fn drop(&mut self) {
         self.shared.closed.store(true, Ordering::Release);
-        let _ = self.shared.inj_tx.send(WireOp::Shutdown);
-        if let Some(h) = self.wire.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -371,10 +388,10 @@ fn fault(ep: &EndpointShared, c: Counter, kind: u32) {
     lci_trace::record(EventKind::Fault, kind, 0);
 }
 
-/// The wire state machine, shared by the threaded and manual modes.
+/// The wire state machine, shared by both modes. It holds no reference to
+/// the [`FabricShared`] that owns it; every method that needs the fabric
+/// takes it as `sh`.
 struct WireCore {
-    shared: Arc<FabricShared>,
-    rx: Receiver<WireOp>,
     heap: BinaryHeap<Reverse<Scheduled>>,
     link_free: Vec<u64>,
     clock: Clock,
@@ -382,6 +399,9 @@ struct WireCore {
     rng: SmallRng,
     /// Deliveries held back by an active reorder phase.
     reorder_buf: Vec<WireOp>,
+    /// Wall-clock mode: when the wire last scheduled, delivered or released
+    /// anything (see [`IDLE_RELEASE_NS`]).
+    last_event_ns: u64,
     /// Per-host count of real deliveries involving the host, driving
     /// [`crate::Fault::Crash`] triggers. Packet counts — not timestamps —
     /// make the crash point schedule-deterministic in both wire modes.
@@ -393,20 +413,17 @@ struct WireCore {
 }
 
 impl WireCore {
-    fn new(shared: Arc<FabricShared>, rx: Receiver<WireOp>, clock: Clock) -> Self {
-        let n = shared.endpoints.len();
-        let seed = shared.config.seed;
+    fn new(num_hosts: usize, seed: u64, clock: Clock) -> Self {
         WireCore {
-            shared,
-            rx,
             heap: BinaryHeap::new(),
-            link_free: vec![0; n],
+            link_free: vec![0; num_hosts],
             clock,
             seq: 0,
             rng: SmallRng::seed_from_u64(seed),
             reorder_buf: Vec::new(),
-            crash_pkts: vec![0; n],
-            crash_fired: vec![false; n],
+            last_event_ns: 0,
+            crash_pkts: vec![0; num_hosts],
+            crash_fired: vec![false; num_hosts],
         }
     }
 
@@ -416,38 +433,38 @@ impl WireCore {
     /// traffic involving it — including the triggering delivery itself) and
     /// its endpoint is failed so the host's own threads abort instead of
     /// spinning on a dead NIC.
-    fn note_crash_progress(&mut self, src: HostId, dst: HostId) {
-        if self.shared.config.fault_plan.is_empty() {
+    fn note_crash_progress(&mut self, sh: &FabricShared, src: HostId, dst: HostId) {
+        if sh.config.fault_plan.is_empty() {
             return;
         }
-        self.bump_crash_trigger(src);
+        self.bump_crash_trigger(sh, src);
         if dst != src {
-            self.bump_crash_trigger(dst);
+            self.bump_crash_trigger(sh, dst);
         }
     }
 
-    fn bump_crash_trigger(&mut self, host: HostId) {
+    fn bump_crash_trigger(&mut self, sh: &FabricShared, host: HostId) {
         let h = host as usize;
         if self.crash_fired[h] {
             return;
         }
-        let Some(after) = self.shared.config.fault_plan.crash_for(host) else {
+        let Some(after) = sh.config.fault_plan.crash_for(host) else {
             return;
         };
         self.crash_pkts[h] += 1;
         if self.crash_pkts[h] >= after {
             self.crash_fired[h] = true;
-            self.shared.crashed[h].store(true, Ordering::Release);
-            let ep = &self.shared.endpoints[h];
+            sh.crashed[h].store(true, Ordering::Release);
+            let ep = &sh.endpoints[h];
             ep.failed.store(true, Ordering::Release);
             fault(ep, Counter::FabricFaultCrashed, 8);
         }
     }
 
     /// Is either side of a delivery currently crashed?
-    fn involves_crashed(&self, src: HostId, dst: HostId) -> bool {
-        self.shared.crashed[src as usize].load(Ordering::Acquire)
-            || self.shared.crashed[dst as usize].load(Ordering::Acquire)
+    fn involves_crashed(&self, sh: &FabricShared, src: HostId, dst: HostId) -> bool {
+        sh.crashed[src as usize].load(Ordering::Acquire)
+            || sh.crashed[dst as usize].load(Ordering::Acquire)
     }
 
     fn now_ns(&self) -> u64 {
@@ -460,54 +477,53 @@ impl WireCore {
     /// Jump the virtual clock forward to `at` (no-op on a wall clock, which
     /// advances on its own). Mirrors the new value into the shared atomic
     /// endpoints read for timestamps.
-    fn advance_to(&mut self, at: u64) {
+    fn advance_to(&mut self, sh: &FabricShared, at: u64) {
         if let Clock::Virtual(t) = &mut self.clock {
             *t = (*t).max(at);
-            self.shared.virtual_now.store(*t, Ordering::Relaxed);
+            sh.virtual_now.store(*t, Ordering::Relaxed);
         }
     }
 
     /// Manual mode: advance the virtual clock by up to `ns`, clamped to the
     /// next scheduled delivery so event order is preserved.
-    fn advance_virtual(&mut self, ns: u64) -> u64 {
-        self.drain_injected();
+    fn advance_virtual(&mut self, sh: &FabricShared, ns: u64) -> u64 {
+        self.drain_injected(sh);
         let target = match self.heap.peek() {
             Some(Reverse(head)) => (self.now_ns() + ns).min(head.at),
             None => self.now_ns() + ns,
         };
-        self.advance_to(target);
-        self.sync_brownout();
+        self.advance_to(sh, target);
+        self.sync_brownout(sh);
         self.now_ns()
     }
 
-    fn scaled(&self, ns: f64) -> u64 {
-        (ns * self.shared.config.time_scale) as u64
+    fn scaled(&self, sh: &FabricShared, ns: f64) -> u64 {
+        (ns * sh.config.time_scale) as u64
     }
 
     /// Publish the currently effective brownout depth so endpoint admission
     /// sees phase transitions without the wire touching every injector.
-    fn sync_brownout(&self) {
-        let plan = &self.shared.config.fault_plan;
+    fn sync_brownout(&self, sh: &FabricShared) {
+        let plan = &sh.config.fault_plan;
         if plan.is_empty() {
             return;
         }
         let depth = plan.brownout_at(self.now_ns()).unwrap_or(usize::MAX);
-        self.shared.brownout_depth.store(depth, Ordering::Relaxed);
+        sh.brownout_depth.store(depth, Ordering::Relaxed);
     }
 
     /// Compute the delivery time of a freshly injected operation, charging
     /// the sender's NIC serialization (which bounds injection rate) plus any
     /// active latency-spike fault.
-    fn schedule(&mut self, op: WireOp) {
+    fn schedule(&mut self, sh: &FabricShared, op: WireOp) {
         let (src, len, is_put) = match &op {
             WireOp::Send { src, data, .. } => (*src as usize, data.len(), false),
             WireOp::Put { src, data, .. } => (*src as usize, data.len(), true),
-            WireOp::Shutdown => unreachable!("shutdown handled by caller"),
         };
-        let wire = &self.shared.config.wire;
+        let wire = &sh.config.wire;
         let now = self.now_ns();
         let start = now.max(self.link_free[src]);
-        let tx_cost = self.scaled(len as f64 * wire.ns_per_byte);
+        let tx_cost = self.scaled(sh, len as f64 * wire.ns_per_byte);
         self.link_free[src] = start + tx_cost;
         let jitter = if wire.jitter_ns > 0 {
             self.rng.gen_range(0..wire.jitter_ns)
@@ -517,9 +533,9 @@ impl WireCore {
         let extra = if is_put { wire.put_extra_ns } else { 0 };
         // Latency-spike fault: applied unscaled so spikes bite even on
         // instant (time_scale 0) test wires.
-        let spike = match self.shared.config.fault_plan.spike_at(now) {
+        let spike = match sh.config.fault_plan.spike_at(now) {
             Some((extra_ns, jitter_ns)) => {
-                fault(&self.shared.endpoints[src], Counter::FabricFaultDelayed, 0);
+                fault(&sh.endpoints[src], Counter::FabricFaultDelayed, 0);
                 let j = if jitter_ns > 0 {
                     self.rng.gen_range(0..jitter_ns)
                 } else {
@@ -531,7 +547,7 @@ impl WireCore {
         };
         let at = start
             + tx_cost
-            + self.scaled((wire.base_latency_ns + jitter + extra) as f64)
+            + self.scaled(sh, (wire.base_latency_ns + jitter + extra) as f64)
             + spike;
         self.push(at, op);
     }
@@ -542,53 +558,41 @@ impl WireCore {
         self.heap.push(Reverse(Scheduled { at, seq, op }));
     }
 
-    /// Move everything already injected into the schedule. Returns `true`
-    /// if a shutdown request was seen.
-    fn drain_injected(&mut self) -> bool {
-        let mut shutdown = false;
-        loop {
-            match self.rx.try_recv() {
-                Ok(WireOp::Shutdown) => shutdown = true,
-                Ok(op) => self.schedule(op),
-                Err(_) => break,
-            }
+    /// Move everything already injected into the schedule. Returns whether
+    /// there was anything.
+    fn drain_injected(&mut self, sh: &FabricShared) -> bool {
+        let mut any = false;
+        while let Some(op) = sh.injected.pop() {
+            self.schedule(sh, op);
+            any = true;
         }
-        shutdown
+        any
     }
 
     /// An operation has reached its delivery slot: hand it to the
     /// destination, or hold it back if a reorder phase is active.
-    fn arrive(&mut self, op: WireOp) {
-        if matches!(op, WireOp::Shutdown) {
-            return;
-        }
+    fn arrive(&mut self, sh: &FabricShared, op: WireOp) {
         let now = self.now_ns();
-        match self.shared.config.fault_plan.reorder_at(now) {
+        match sh.config.fault_plan.reorder_at(now) {
             Some(window) => {
-                if let Some(dst) = op.dst() {
-                    fault(
-                        &self.shared.endpoints[dst],
-                        Counter::FabricFaultReordered,
-                        1,
-                    );
-                }
+                fault(&sh.endpoints[op.dst()], Counter::FabricFaultReordered, 1);
                 self.reorder_buf.push(op);
                 if self.reorder_buf.len() >= window.max(2) {
-                    self.release_one_held();
+                    self.release_one_held(sh);
                 }
             }
             None => {
                 // The phase this buffer belonged to is over: release held
                 // deliveries before anything newer.
-                self.release_all_held();
-                self.deliver(op);
+                self.release_all_held(sh);
+                self.deliver(sh, op);
             }
         }
     }
 
     /// Deliver one reorder-held operation, picked uniformly at random from
     /// the seeded RNG. Returns `false` when nothing is held.
-    fn release_one_held(&mut self) -> bool {
+    fn release_one_held(&mut self, sh: &FabricShared) -> bool {
         if self.reorder_buf.is_empty() {
             return false;
         }
@@ -598,12 +602,12 @@ impl WireCore {
             self.rng.gen_range(0..self.reorder_buf.len())
         };
         let op = self.reorder_buf.swap_remove(i);
-        self.deliver(op);
+        self.deliver(sh, op);
         true
     }
 
-    fn release_all_held(&mut self) {
-        while self.release_one_held() {}
+    fn release_all_held(&mut self, sh: &FabricShared) {
+        while self.release_one_held(sh) {}
     }
 
     /// Adversarial-fault execution: when a corruption, duplication, or
@@ -614,18 +618,25 @@ impl WireCore {
     /// which is exactly what checksum + dedup framing above the fabric must
     /// absorb. RDMA puts are exempt: their payload integrity is the NIC's
     /// hardware CRC and there is no software consumer of put bytes to harden.
-    fn spawn_ghosts(&mut self, src: HostId, dst: HostId, header: u64, data: &[u8]) {
-        if self.shared.config.fault_plan.is_empty() {
+    fn spawn_ghosts(
+        &mut self,
+        sh: &FabricShared,
+        src: HostId,
+        dst: HostId,
+        header: u64,
+        data: &[u8],
+    ) {
+        if sh.config.fault_plan.is_empty() {
             return;
         }
         let now = self.now_ns();
         let mut ghosts: Vec<(u64, Vec<u8>)> = Vec::new();
-        let d = &self.shared.endpoints[dst as usize];
-        if self.shared.config.fault_plan.duplicate_at(now) {
+        let d = &sh.endpoints[dst as usize];
+        if sh.config.fault_plan.duplicate_at(now) {
             fault(d, Counter::FabricFaultDuplicated, 4);
             ghosts.push((header, data.to_vec()));
         }
-        if let Some(flips) = self.shared.config.fault_plan.corrupt_at(now) {
+        if let Some(flips) = sh.config.fault_plan.corrupt_at(now) {
             let mut h = header;
             let mut body = data.to_vec();
             // Flip seeded bits across the whole frame: bits 0..64 land in
@@ -642,7 +653,7 @@ impl WireCore {
             fault(d, Counter::FabricFaultCorrupted, 3);
             ghosts.push((h, body));
         }
-        if self.shared.config.fault_plan.truncate_at(now) && !data.is_empty() {
+        if sh.config.fault_plan.truncate_at(now) && !data.is_empty() {
             let cut = self.rng.gen_range(0..data.len());
             fault(d, Counter::FabricFaultTruncated, 5);
             ghosts.push((header, data[..cut].to_vec()));
@@ -665,102 +676,67 @@ impl WireCore {
     }
 
     /// Manual mode: execute one wire event. Returns `false` when idle.
-    fn step(&mut self) -> bool {
-        self.drain_injected();
-        self.sync_brownout();
+    fn step(&mut self, sh: &FabricShared) -> bool {
+        self.drain_injected(sh);
+        self.sync_brownout(sh);
         // A closed reorder window releases its held deliveries before any
         // newer traffic runs.
-        if !self.reorder_buf.is_empty()
-            && self.shared.config.fault_plan.reorder_at(self.now_ns()).is_none()
+        if !self.reorder_buf.is_empty() && sh.config.fault_plan.reorder_at(self.now_ns()).is_none()
         {
-            let released = self.release_one_held();
-            self.sync_brownout();
+            let released = self.release_one_held(sh);
+            self.sync_brownout(sh);
             return released;
         }
         match self.heap.pop() {
             Some(Reverse(s)) => {
-                self.advance_to(s.at);
-                self.sync_brownout();
-                self.arrive(s.op);
+                self.advance_to(sh, s.at);
+                self.sync_brownout(sh);
+                self.arrive(sh, s.op);
                 true
             }
             None => {
                 // Idle wire with deliveries still held mid-phase: release
                 // one so a frozen virtual clock cannot starve receivers.
-                let released = self.release_one_held();
-                self.sync_brownout();
+                let released = self.release_one_held(sh);
+                self.sync_brownout(sh);
                 released
             }
         }
     }
 
-    /// Threaded mode: the wire-thread main loop.
-    fn run(mut self) {
-        loop {
-            if self.drain_injected() {
-                self.release_all_held();
-                return;
-            }
-            self.sync_brownout();
-            if !self.reorder_buf.is_empty()
-                && self.shared.config.fault_plan.reorder_at(self.now_ns()).is_none()
-            {
-                self.release_all_held();
-            }
-
-            match self.heap.peek() {
-                Some(Reverse(head)) => {
-                    let now = self.now_ns();
-                    if head.at <= now {
-                        let Reverse(s) = self.heap.pop().expect("peeked");
-                        self.arrive(s.op);
-                    } else {
-                        let wait = head.at - now;
-                        if wait > 200_000 {
-                            // Far enough out: block on the channel so new
-                            // injections wake us immediately.
-                            let d = Duration::from_nanos(wait.min(1_000_000));
-                            match self.rx.recv_timeout(d) {
-                                Ok(WireOp::Shutdown) => {
-                                    self.release_all_held();
-                                    return;
-                                }
-                                Ok(op) => self.schedule(op),
-                                Err(RecvTimeoutError::Timeout) => {}
-                                Err(RecvTimeoutError::Disconnected) => return,
-                            }
-                        } else {
-                            // Sub-200µs waits: spin in short slices so we keep
-                            // microsecond delivery precision while still
-                            // noticing new injections.
-                            let slice_end = now + wait.min(5_000);
-                            while self.now_ns() < slice_end {
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
-                }
-                None => match self.rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(WireOp::Shutdown) => {
-                        self.release_all_held();
-                        return;
-                    }
-                    Ok(op) => self.schedule(op),
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Idle wire with deliveries still held mid-phase:
-                        // release one so a reorder window that never fills
-                        // (e.g. the tail of a run under a long-lived phase)
-                        // cannot strand its last few messages. Mirrors the
-                        // manual-mode idle rule in `step`.
-                        self.release_one_held();
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return,
-                },
+    /// Wall-clock mode: execute everything that is due — schedule what was
+    /// injected, let a closed reorder window go, deliver every scheduled
+    /// entry whose time has come. `now` is read once, so a drive is bounded
+    /// by what was due when it started: whatever a delivery schedules in
+    /// turn (RNR retries, ghosts) lands strictly later and waits for the
+    /// next drive.
+    fn run_due(&mut self, sh: &FabricShared) {
+        let mut busy = self.drain_injected(sh);
+        self.sync_brownout(sh);
+        let now = self.now_ns();
+        if !self.reorder_buf.is_empty() && sh.config.fault_plan.reorder_at(now).is_none() {
+            self.release_all_held(sh);
+            busy = true;
+        }
+        while self.heap.peek().is_some_and(|Reverse(head)| head.at <= now) {
+            let Reverse(s) = self.heap.pop().expect("peeked");
+            self.arrive(sh, s.op);
+            busy = true;
+        }
+        if busy {
+            self.last_event_ns = now;
+        } else if self.heap.is_empty() && now - self.last_event_ns >= IDLE_RELEASE_NS {
+            // Idle wire with deliveries still held mid-phase: release one
+            // so a reorder window that never fills (e.g. the tail of a run
+            // under a long-lived phase) cannot strand its last few
+            // messages. Mirrors the manual-mode idle rule in `step`.
+            if self.release_one_held(sh) {
+                self.last_event_ns = now;
             }
         }
     }
 
-    fn deliver(&mut self, op: WireOp) {
+    fn deliver(&mut self, sh: &FabricShared, op: WireOp) {
         match op {
             WireOp::Send {
                 src,
@@ -771,8 +747,8 @@ impl WireCore {
                 retries,
                 ghost,
             } => {
-                let d = Arc::clone(&self.shared.endpoints[dst as usize]);
-                let s = Arc::clone(&self.shared.endpoints[src as usize]);
+                let d = Arc::clone(&sh.endpoints[dst as usize]);
+                let s = Arc::clone(&sh.endpoints[src as usize]);
                 let now = self.now_ns();
                 // Crash-stop: count this delivery against any armed crash
                 // triggers, then eat it if either side is dead. Like a
@@ -782,9 +758,9 @@ impl WireCore {
                 // — survives a peer's death and the crashed host's own
                 // in-flight sends still release their leases for rejoin.
                 if !ghost {
-                    self.note_crash_progress(src, dst);
+                    self.note_crash_progress(sh, src, dst);
                 }
-                if self.involves_crashed(src, dst) {
+                if self.involves_crashed(sh, src, dst) {
                     if !ghost {
                         fault(&s, Counter::FabricFaultCrashed, 8);
                         s.cq.push(Event::SendDone { ctx });
@@ -799,8 +775,8 @@ impl WireCore {
                 // only a retransmitting layer notices the loss. Ghosts that
                 // hit a lossy phase simply vanish: they were never
                 // initiated, so they complete nothing.
-                let blackholed = self.shared.config.fault_plan.blackhole_at(now, src)
-                    || self.shared.config.fault_plan.blackhole_at(now, dst);
+                let blackholed = sh.config.fault_plan.blackhole_at(now, src)
+                    || sh.config.fault_plan.blackhole_at(now, dst);
                 if blackholed {
                     if !ghost {
                         fault(&s, Counter::FabricFaultBlackholed, 7);
@@ -809,7 +785,7 @@ impl WireCore {
                     }
                     return;
                 }
-                if let Some(ppm) = self.shared.config.fault_plan.drop_at(now) {
+                if let Some(ppm) = sh.config.fault_plan.drop_at(now) {
                     // Only real sends roll the dice, keeping the RNG stream
                     // (and thus replay) independent of ghost scheduling.
                     if !ghost && self.rng.gen_range(0..1_000_000u64) < ppm as u64 {
@@ -822,23 +798,20 @@ impl WireCore {
                 // An active RNR storm against `dst` bounces the delivery as
                 // if its receive buffers were exhausted, regardless of the
                 // actual credit count.
-                let stormed = self
-                    .shared
-                    .config
-                    .fault_plan
-                    .rnr_storm_at(self.now_ns(), dst);
+                let stormed = sh.config.fault_plan.rnr_storm_at(self.now_ns(), dst);
                 if stormed && !ghost {
                     fault(&d, Counter::FabricFaultForcedRnr, 2);
                 }
-                // Consume a receive credit; only this thread decrements, so a
-                // check-then-sub is race-free against concurrent returns.
+                // Consume a receive credit; only the holder of the wire lock
+                // decrements, so a check-then-sub is race-free against
+                // concurrent returns.
                 if !stormed && d.rx_credits.load(Ordering::Acquire) > 0 {
                     d.rx_credits.fetch_sub(1, Ordering::AcqRel);
                     let guard = CreditGuard::new(Arc::clone(&d));
                     d.counters.incr(Counter::FabricRecvs);
                     lci_trace::record(EventKind::Recv, src as u32, data.len() as u64);
                     if !ghost {
-                        self.spawn_ghosts(src, dst, header, &data);
+                        self.spawn_ghosts(sh, src, dst, header, &data);
                     }
                     d.cq.push(Event::Recv {
                         src,
@@ -857,7 +830,7 @@ impl WireCore {
                     // Receiver not ready.
                     s.counters.incr(Counter::FabricRnrRetries);
                     lci_trace::record(EventKind::RnrBounce, dst as u32, 0);
-                    if retries >= self.shared.config.rnr_retry_limit {
+                    if retries >= sh.config.rnr_retry_limit {
                         s.failed.store(true, Ordering::Release);
                         s.counters.incr(Counter::FabricErrors);
                         s.cq.push(Event::Error {
@@ -866,9 +839,7 @@ impl WireCore {
                         });
                         s.inflight.fetch_sub(1, Ordering::AcqRel);
                     } else {
-                        let delay = self
-                            .scaled(self.shared.config.rnr_delay_ns as f64)
-                            .max(1_000);
+                        let delay = self.scaled(sh, sh.config.rnr_delay_ns as f64).max(1_000);
                         let at = self.now_ns() + delay;
                         self.push(
                             at,
@@ -895,11 +866,11 @@ impl WireCore {
                 imm,
                 epoch,
             } => {
-                let d = Arc::clone(&self.shared.endpoints[dst as usize]);
-                let s = Arc::clone(&self.shared.endpoints[src as usize]);
-                self.note_crash_progress(src, dst);
-                let cur = self.shared.recovery_epoch.load(Ordering::Acquire);
-                if epoch != cur || self.involves_crashed(src, dst) {
+                let d = Arc::clone(&sh.endpoints[dst as usize]);
+                let s = Arc::clone(&sh.endpoints[src as usize]);
+                self.note_crash_progress(sh, src, dst);
+                let cur = sh.recovery_epoch.load(Ordering::Acquire);
+                if epoch != cur || self.involves_crashed(sh, src, dst) {
                     // A put from a dead incarnation, or one racing a crash.
                     // Its write must not land (the respawned host's memory
                     // map belongs to the new incarnation), and crucially it
@@ -949,7 +920,6 @@ impl WireCore {
                 }
                 s.inflight.fetch_sub(1, Ordering::AcqRel);
             }
-            WireOp::Shutdown => {}
         }
     }
 }
@@ -958,24 +928,24 @@ impl WireCore {
 mod tests {
     use super::*;
     use crate::config::{Fault, FaultPlan, WireModel};
+    use std::time::Duration;
 
     #[test]
     fn scheduled_orders_by_time_then_seq() {
-        let a = Scheduled {
-            at: 5,
-            seq: 0,
-            op: WireOp::Shutdown,
+        let at = |at, seq| Scheduled {
+            at,
+            seq,
+            op: WireOp::Send {
+                src: 0,
+                dst: 0,
+                header: 0,
+                data: Vec::new(),
+                ctx: 0,
+                retries: 0,
+                ghost: false,
+            },
         };
-        let b = Scheduled {
-            at: 5,
-            seq: 1,
-            op: WireOp::Shutdown,
-        };
-        let c = Scheduled {
-            at: 3,
-            seq: 2,
-            op: WireOp::Shutdown,
-        };
+        let (a, b, c) = (at(5, 0), at(5, 1), at(3, 2));
         assert!(c < a && a < b);
     }
 

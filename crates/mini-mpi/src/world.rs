@@ -22,7 +22,7 @@ impl MpiWorld {
     }
 
     /// Like [`MpiWorld::new`] but over a manual (virtual-clock) fabric:
-    /// no wire thread runs, and the caller advances simulated time with
+    /// polling moves nothing, and the caller advances simulated time with
     /// [`Fabric::step`]/[`Fabric::drain`] via [`MpiWorld::fabric`]. This is
     /// how deterministic tests drive mini-mpi without wall-clock timing.
     pub fn new_manual(fabric_cfg: FabricConfig, mpi_cfg: MpiConfig) -> MpiWorld {

@@ -50,6 +50,16 @@ for f in tests/*.rs; do
     fi
 done
 
+# The fabric has no thread of its own: a wall-clock wire is run by whoever
+# polls (DESIGN.md, "Who drives the wire"). A "helper" thread would put the
+# scheduler hop back on every message, so none may be spawned outside tests.
+for f in crates/fabric/src/*.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } /thread::(spawn|Builder)/ { hit = 1 } END { exit !hit }' "$f"; then
+        echo "WIRE THREAD: $f spawns a thread outside #[cfg(test)]; the fabric is poll-driven" >&2
+        exit 1
+    fi
+done
+
 echo "=== tier 1: build ==="
 cargo build --workspace --release
 echo "=== tier 1: test ==="
