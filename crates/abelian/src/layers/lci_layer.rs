@@ -15,8 +15,7 @@ use bytes::Bytes;
 use lci::{Backoff, Device, RecvRequest, SendRequest};
 use lci_trace::{Counter, Registry};
 use parking_lot::Mutex;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tag encoding: channel in the high bits, round (mod 2^20) in the low.
@@ -28,8 +27,7 @@ fn tag_for(channel: usize, round: u64) -> u32 {
 struct Inner {
     /// Current round per channel.
     round: HashMap<usize, u64>,
-    /// Messages that arrived for a (channel, tag) not yet being consumed.
-    stash: HashMap<u32, VecDeque<(u16, Vec<u8>)>>,
+    stash: super::Stash,
     /// Rendezvous receives still in flight.
     pending_recvs: Vec<RecvRequest>,
     /// Rendezvous sends still holding payload (for memory accounting).
@@ -203,18 +201,7 @@ impl CommLayer for LciLayer {
         self.pump(&mut inner);
         let round = *inner.round.get(&channel).expect("begin before recv") - 1;
         let tag = tag_for(channel, round);
-        let msg = match inner.stash.entry(tag) {
-            Entry::Occupied(mut q) => {
-                let msg = q.get_mut().pop_front();
-                // A round's queue is dropped with its last message, so the
-                // stash holds live rounds only.
-                if q.get().is_empty() {
-                    q.remove();
-                }
-                msg
-            }
-            Entry::Vacant(_) => None,
-        };
+        let msg = super::stash_pop(&mut inner.stash, tag);
         if let Some((_, data)) = &msg {
             self.book.free(data.len());
         } else {
@@ -259,7 +246,6 @@ impl CommLayer for LciLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{channels, exchange_all};
 
     #[test]
     fn stash_keeps_no_queue_for_a_finished_round() {
@@ -267,31 +253,9 @@ mod tests {
             lci_fabric::FabricConfig::test(2),
             lci::LciConfig::for_hosts(2),
         );
-        let layers = [
-            LciLayer::new(world.device(0)),
-            LciLayer::new(world.device(1)),
-        ];
-        std::thread::scope(|s| {
-            for l in &layers {
-                s.spawn(move || {
-                    for round in 0..1_000u16 {
-                        for ch in [channels::REDUCE, channels::CONTROL] {
-                            let msg = [round.to_le_bytes().as_slice(), &[ch as u8]].concat();
-                            let got = exchange_all(l, ch, vec![msg.clone(); 2]);
-                            assert_eq!(got, vec![(1 - l.rank(), msg)]);
-                        }
-                    }
-                });
-            }
-        });
-        for l in &layers {
-            let stash = &l.inner.lock().stash;
-            assert!(
-                stash.is_empty(),
-                "rank {}: {} dead queues left in the stash",
-                l.rank(),
-                stash.len()
-            );
-        }
+        super::super::tests::stash_keeps_no_queue_for_a_finished_round(
+            [0, 1].map(|h| LciLayer::new(world.device(h))),
+            |l| l.inner.lock().stash.len(),
+        );
     }
 }

@@ -9,7 +9,26 @@ pub use probe_layer::MpiProbeLayer;
 pub use rma_layer::MpiRmaLayer;
 
 use crate::comm::CommLayer;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+
+/// Messages that arrived for a (channel, round) tag not yet being consumed,
+/// as `(source, payload)` in arrival order (the two tagged layers).
+type Stash = HashMap<u32, VecDeque<(u16, Vec<u8>)>>;
+
+/// Take the oldest message stashed under `tag`. A round's queue is dropped
+/// with its last message, so a stash holds live rounds only.
+fn stash_pop(stash: &mut Stash, tag: u32) -> Option<(u16, Vec<u8>)> {
+    let Entry::Occupied(mut q) = stash.entry(tag) else {
+        return None;
+    };
+    let msg = q.get_mut().pop_front();
+    if q.get().is_empty() {
+        q.remove();
+    }
+    msg
+}
 
 /// Which communication layer to use (sweep axis in the benchmarks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +115,36 @@ impl LayerWorld {
         match self {
             LayerWorld::Lci(w) => w.fabric(),
             LayerWorld::Mpi(w) => w.fabric(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::comm::{channels, exchange_all, CommLayer};
+
+    /// 1 000 rounds on two channels between two ranks (5-byte payloads, so
+    /// the probe layer's aggregate path carries them); afterwards
+    /// `stash_len` must be 0 on both: no queue outlives its round.
+    pub(super) fn stash_keeps_no_queue_for_a_finished_round<L: CommLayer>(
+        layers: [L; 2],
+        stash_len: impl Fn(&L) -> usize,
+    ) {
+        std::thread::scope(|s| {
+            for l in &layers {
+                s.spawn(move || {
+                    for round in 0..1_000u16 {
+                        for ch in [channels::REDUCE, channels::CONTROL] {
+                            let msg = [round.to_le_bytes().as_slice(), &[ch as u8]].concat();
+                            let got = exchange_all(l, ch, vec![msg.clone(); 2]);
+                            assert_eq!(got, vec![(1 - l.rank(), msg)]);
+                        }
+                    }
+                });
+            }
+        });
+        for l in &layers {
+            assert_eq!(stash_len(l), 0, "rank {}: dead queues left in the stash", l.rank());
         }
     }
 }

@@ -24,7 +24,7 @@ use bytes::Bytes;
 use lci_trace::Counter;
 use mini_mpi::{MpiComm, RecvReq, SendReq};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tag encoding: channel in the high bits, round (mod 2^24) in the low
@@ -42,7 +42,7 @@ const AGG_THRESHOLD: usize = 1 << 10;
 
 struct Inner {
     round: HashMap<usize, u64>,
-    stash: HashMap<u32, VecDeque<(u16, Vec<u8>)>>,
+    stash: super::Stash,
     /// Rendezvous receives posted after a probe, still in flight.
     pending_recvs: Vec<RecvReq>,
     /// Sends not yet complete (rendezvous), with accounted bytes.
@@ -307,7 +307,7 @@ impl CommLayer for MpiProbeLayer {
         self.pump(&mut inner);
         let round = *inner.round.get(&channel).expect("begin before recv") - 1;
         let tag = tag_for(channel, round);
-        let msg = inner.stash.get_mut(&tag).and_then(|q| q.pop_front());
+        let msg = super::stash_pop(&mut inner.stash, tag);
         if let Some((_, data)) = &msg {
             self.book.free(data.len());
         } else {
@@ -342,5 +342,22 @@ impl CommLayer for MpiProbeLayer {
             }
             std::thread::yield_now();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stash_keeps_no_queue_for_a_finished_round() {
+        let world = mini_mpi::MpiWorld::new(
+            lci_fabric::FabricConfig::test(2),
+            mini_mpi::MpiConfig::default(),
+        );
+        super::super::tests::stash_keeps_no_queue_for_a_finished_round(
+            [0, 1].map(|h| MpiProbeLayer::new(world.comm(h))),
+            |l| l.inner.lock().stash.len(),
+        );
     }
 }

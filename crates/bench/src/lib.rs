@@ -275,12 +275,11 @@ pub fn median_timing(trials: usize, mut f: impl FnMut() -> Timing) -> Timing {
 /// Machine-readable bench output: every binary in this crate funnels its
 /// headline numbers through here so CI (and humans) get one stable
 /// `BENCH_<name>.json` per run next to the pretty tables. See
-/// EXPERIMENTS.md for the schema and the regression-gate workflow.
+/// EXPERIMENTS.md for the schema.
 pub mod emit {
     use lci_trace::counters::ALL_COUNTERS;
-    use lci_trace::{BenchReport, CounterSnapshot, Direction, Metric, PhaseNs, Unit};
+    use lci_trace::{BenchReport, CounterSnapshot, Metric, PhaseNs, Unit};
     use std::path::PathBuf;
-    use std::time::Duration;
 
     /// Where `BENCH_*.json` files land: `BENCH_JSON_DIR`, default `results`.
     pub fn out_dir() -> PathBuf {
@@ -308,54 +307,12 @@ pub mod emit {
         }
     }
 
-    /// Add a time metric in milliseconds (lower is better).
-    pub fn push_time_ms(r: &mut BenchReport, name: &str, d: Duration, tolerance: f64) {
-        r.metrics.push(Metric {
-            name: name.to_string(),
-            unit: "ms".into(),
-            value: d.as_secs_f64() * 1e3,
-            direction: Direction::Lower,
-            tolerance,
-        });
-    }
-
-    /// Add a rate metric in events/second (higher is better).
-    pub fn push_rate(r: &mut BenchReport, name: &str, per_sec: f64, tolerance: f64) {
-        r.metrics.push(Metric {
-            name: name.to_string(),
-            unit: "per_s".into(),
-            value: per_sec,
-            direction: Direction::Higher,
-            tolerance,
-        });
-    }
-
-    /// Add a count metric gated as a band (deterministic quantities) or any
-    /// other direction the caller picks.
-    pub fn push_count(
-        r: &mut BenchReport,
-        name: &str,
-        value: u64,
-        direction: Direction,
-        tolerance: f64,
-    ) {
-        r.metrics.push(Metric {
-            name: name.to_string(),
-            unit: "count".into(),
-            value: value as f64,
-            direction,
-            tolerance,
-        });
-    }
-
-    /// Add an ungated informational metric.
+    /// Add a metric.
     pub fn push_info(r: &mut BenchReport, name: &str, unit: &str, value: f64) {
         r.metrics.push(Metric {
             name: name.to_string(),
             unit: unit.to_string(),
             value,
-            direction: Direction::Info,
-            tolerance: 0.0,
         });
     }
 
@@ -447,10 +404,7 @@ mod tests {
         let mut r = lci_trace::BenchReport::new("emit_test");
         r.config.push(("graph".into(), "rmat7".into()));
         let section = emit::TraceSection::begin();
-        emit::push_time_ms(&mut r, "t_ms", Duration::from_millis(3), 1.0);
-        emit::push_rate(&mut r, "rate_per_s", 1e6, 0.5);
-        emit::push_count(&mut r, "rounds", 7, lci_trace::Direction::Band, 0.1);
-        emit::push_info(&mut r, "note", "x", 1.5);
+        emit::push_info(&mut r, "t_ms", "ms", 3.0);
         lci_trace::incr(lci_trace::Counter::EngineRounds);
         emit::attach_trace(&mut r, &section.end());
         // The phases array always carries every phase.* counter…

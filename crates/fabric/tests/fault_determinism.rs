@@ -198,7 +198,16 @@ fn chaos_plan_generator_is_deterministic_and_valid() {
     let p2 = FaultPlan::chaos(123, 4, 10_000_000);
     assert_eq!(p1, p2);
     assert!(p1.validate(4).is_ok());
-    assert_eq!(p1.phases.len(), 4);
+    // One phase of each fault kind a run rides out without recovery machinery:
+    // every kind but Blackhole and Crash, 8 since the lossy faults joined.
+    let kinds: std::collections::HashSet<_> =
+        p1.phases.iter().map(|p| std::mem::discriminant(&p.fault)).collect();
+    assert_eq!(kinds.len(), p1.phases.len(), "one phase per fault kind");
+    assert!(!p1
+        .phases
+        .iter()
+        .any(|p| matches!(p.fault, Fault::Blackhole { .. } | Fault::Crash { .. })));
+    assert_eq!(p1.phases.len(), 8);
     let p3 = FaultPlan::chaos(124, 4, 10_000_000);
     assert_ne!(p1, p3, "seed must steer the generated plan");
 }

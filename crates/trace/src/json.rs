@@ -5,7 +5,7 @@
 //! subset we emit: objects with ordered keys, arrays, strings, numbers
 //! (integers print without a fraction), booleans and null. The parser is
 //! a straightforward recursive-descent over the full JSON grammar so
-//! baselines written by other tools still load.
+//! files written by other tools (the benchmark's result lines) still load.
 
 use std::fmt::Write as _;
 

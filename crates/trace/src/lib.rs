@@ -11,9 +11,9 @@
 //! * [`span`] — RAII phase timers that feed the `phase.*_ns` counters,
 //!   giving trace-derived compute/comm breakdowns (Fig 6) instead of
 //!   wall-clock subtraction.
-//! * [`report`] / [`regress`] — the `BENCH_<name>.json` schema and the
-//!   tolerance-band regression gate `run_tests.sh` uses.
-//! * [`json`] — the dependency-free JSON reader/writer underneath.
+//! * [`report`] — the `BENCH_<name>.json` schema the `fig*` binaries write.
+//! * [`json`] — the dependency-free JSON reader/writer underneath (also what
+//!   the repo benchmark and the `bench_pins` gate read results with).
 //!
 //! The crate is std-only by design: it sits below every other crate in
 //! the workspace and must never drag a dependency into the hot path.
@@ -22,13 +22,11 @@
 
 pub mod counters;
 pub mod json;
-pub mod regress;
 pub mod report;
 pub mod ring;
 pub mod span;
 
 pub use counters::{add, global, incr, set, Counter, CounterSnapshot, Registry, Unit};
-pub use regress::{compare, Violation};
-pub use report::{BenchReport, Direction, Metric, PhaseNs, SCHEMA_VERSION};
+pub use report::{BenchReport, Metric, PhaseNs, SCHEMA_VERSION};
 pub use ring::{record, with_ring, EventKind, Ring, TraceEvent};
 pub use span::Span;

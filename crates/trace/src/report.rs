@@ -1,71 +1,30 @@
 //! `BENCH_<name>.json`: the machine-readable bench report format.
 //!
-//! Schema v1 (all fields required unless noted):
+//! Schema v2 (all fields required):
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
-//!   "name": "smoke",
+//!   "schema_version": 2,
+//!   "name": "fig3",
 //!   "trials": 3,
 //!   "config": {"graph": "rmat8", "hosts": "2"},
-//!   "metrics": [
-//!     {"name": "bfs_median_ms", "unit": "ms", "value": 12.5,
-//!      "direction": "lower", "tolerance": 0.25}
-//!   ],
+//!   "metrics": [{"name": "bfs_median_ms", "unit": "ms", "value": 12.5}],
 //!   "phases": [{"name": "phase.compute_ns", "ns": 123456}],
 //!   "counters": [["fabric.sends", 4096]]
 //! }
 //! ```
 //!
-//! `direction` tells the regression gate which way is bad: `"lower"`
-//! (time-like: higher than baseline fails), `"higher"` (rate-like: lower
-//! fails), `"band"` (deterministic quantities: any drift beyond tolerance
-//! fails either way) or `"info"` (never gated). `tolerance` is a relative
-//! fraction applied to the *baseline* value.
+//! A report records; it gates nothing. What `run_tests.sh` gates is the repo
+//! benchmark's seed-pure rows against `results/BENCH_pr<N>.json`
+//! (`bench_pins`), a different and simpler document.
 
 use crate::json::Json;
 use std::path::{Path, PathBuf};
 
 /// Version stamped into every report; bump on breaking format changes.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
-/// Which direction of drift from baseline constitutes a regression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Lower is better (latency, elapsed time).
-    Lower,
-    /// Higher is better (message rate, bandwidth).
-    Higher,
-    /// Must stay within the tolerance band both ways (deterministic counts).
-    Band,
-    /// Recorded but never gated.
-    Info,
-}
-
-impl Direction {
-    /// Stable JSON spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Direction::Lower => "lower",
-            Direction::Higher => "higher",
-            Direction::Band => "band",
-            Direction::Info => "info",
-        }
-    }
-
-    /// Parse the JSON spelling.
-    pub fn from_name(s: &str) -> Option<Direction> {
-        match s {
-            "lower" => Some(Direction::Lower),
-            "higher" => Some(Direction::Higher),
-            "band" => Some(Direction::Band),
-            "info" => Some(Direction::Info),
-            _ => None,
-        }
-    }
-}
-
-/// One gated (or informational) measurement.
+/// One measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
     /// Stable metric name, e.g. `bfs_median_ms`.
@@ -74,10 +33,6 @@ pub struct Metric {
     pub unit: String,
     /// Measured value (median over trials for time-like metrics).
     pub value: f64,
-    /// Which drift direction fails the gate.
-    pub direction: Direction,
-    /// Relative tolerance applied to the baseline value.
-    pub tolerance: f64,
 }
 
 /// One entry of the per-phase time breakdown (trace-derived, not
@@ -90,7 +45,7 @@ pub struct PhaseNs {
     pub ns: u64,
 }
 
-/// A full bench report: what one `fig*` binary or smoke profile measured.
+/// A full bench report: what one `fig*` binary measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// Report name; the file is written as `BENCH_<name>.json`.
@@ -99,7 +54,7 @@ pub struct BenchReport {
     pub trials: u64,
     /// Free-form config echo (graph, hosts, sizes...), for provenance.
     pub config: Vec<(String, String)>,
-    /// Gated and informational measurements.
+    /// The measurements.
     pub metrics: Vec<Metric>,
     /// Trace-derived per-phase breakdown.
     pub phases: Vec<PhaseNs>,
@@ -125,7 +80,7 @@ impl BenchReport {
         self.metrics.iter().find(|m| m.name == name)
     }
 
-    /// Serialize to the schema-v1 JSON document.
+    /// Serialize to the schema-v2 JSON document.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("schema_version".into(), Json::Num(SCHEMA_VERSION as f64)),
@@ -150,8 +105,6 @@ impl BenchReport {
                                 ("name".into(), Json::Str(m.name.clone())),
                                 ("unit".into(), Json::Str(m.unit.clone())),
                                 ("value".into(), Json::Num(m.value)),
-                                ("direction".into(), Json::Str(m.direction.name().into())),
-                                ("tolerance".into(), Json::Num(m.tolerance)),
                             ])
                         })
                         .collect(),
@@ -185,7 +138,7 @@ impl BenchReport {
         ])
     }
 
-    /// Parse and validate a schema-v1 document.
+    /// Parse and validate a schema-v2 document.
     pub fn from_json(doc: &Json) -> Result<BenchReport, String> {
         let version = doc
             .get("schema_version")
@@ -236,19 +189,7 @@ impl BenchReport {
                     .get("value")
                     .and_then(Json::as_f64)
                     .ok_or_else(|| format!("metric {name} missing value"))?;
-                let direction = m
-                    .get("direction")
-                    .and_then(Json::as_str)
-                    .and_then(Direction::from_name)
-                    .ok_or_else(|| format!("metric {name} has bad direction"))?;
-                let tolerance = m
-                    .get("tolerance")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("metric {name} missing tolerance"))?;
-                if tolerance.is_nan() || tolerance < 0.0 {
-                    return Err(format!("metric {name} tolerance must be >= 0"));
-                }
-                Ok(Metric { name, unit, value, direction, tolerance })
+                Ok(Metric { name, unit, value })
             })
             .collect::<Result<Vec<_>, String>>()?;
         let phases = doc
@@ -308,14 +249,6 @@ impl BenchReport {
         std::fs::write(&path, self.to_json().pretty())?;
         Ok(path)
     }
-
-    /// Load and validate a report from a file.
-    pub fn load(path: &Path) -> Result<BenchReport, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
-        BenchReport::parse_str(&text)
-            .map_err(|e| format!("parse {}: {e}", path.display()))
-    }
 }
 
 #[cfg(test)]
@@ -324,24 +257,12 @@ mod tests {
 
     fn sample() -> BenchReport {
         BenchReport {
-            name: "smoke".into(),
+            name: "fig3".into(),
             trials: 3,
             config: vec![("graph".into(), "rmat8".into()), ("hosts".into(), "2".into())],
             metrics: vec![
-                Metric {
-                    name: "bfs_median_ms".into(),
-                    unit: "ms".into(),
-                    value: 12.5,
-                    direction: Direction::Lower,
-                    tolerance: 0.25,
-                },
-                Metric {
-                    name: "fabric_sends".into(),
-                    unit: "count".into(),
-                    value: 4096.0,
-                    direction: Direction::Band,
-                    tolerance: 0.1,
-                },
+                Metric { name: "bfs_median_ms".into(), unit: "ms".into(), value: 12.5 },
+                Metric { name: "fabric_sends".into(), unit: "count".into(), value: 4096.0 },
             ],
             phases: vec![
                 PhaseNs { name: "phase.compute_ns".into(), ns: 1_000_000 },
@@ -388,22 +309,11 @@ mod tests {
     #[test]
     fn bad_schema_version_rejected() {
         let text = sample().to_json().pretty().replace(
-            "\"schema_version\": 1",
+            "\"schema_version\": 2",
             "\"schema_version\": 99",
         );
         let err = BenchReport::parse_str(&text).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
-    }
-
-    #[test]
-    fn bad_direction_and_tolerance_rejected() {
-        let text = sample().to_json().pretty().replace("\"lower\"", "\"sideways\"");
-        assert!(BenchReport::parse_str(&text).is_err());
-        let text = sample().to_json().pretty().replace(
-            "\"tolerance\": 0.25",
-            "\"tolerance\": -1",
-        );
-        assert!(BenchReport::parse_str(&text).is_err());
     }
 
     #[test]
@@ -415,8 +325,8 @@ mod tests {
         ));
         let r = sample();
         let path = r.write_to_dir(&dir).unwrap();
-        assert_eq!(path.file_name().unwrap().to_str().unwrap(), "BENCH_smoke.json");
-        let back = BenchReport::load(&path).unwrap();
+        assert_eq!(path.file_name().unwrap().to_str().unwrap(), "BENCH_fig3.json");
+        let back = BenchReport::parse_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back, r);
         let _ = std::fs::remove_dir_all(&dir);
     }
