@@ -38,6 +38,16 @@ pub trait App: Send + Sync + 'static {
     /// The value a firing vertex emits, given its accumulator and *global*
     /// out-degree. `None` suppresses the firing (e.g. residual below
     /// tolerance).
+    ///
+    /// Contract: `None` stops a value from *firing*, not from *moving*. A
+    /// changed mirror's accumulator is reduced into its master whether or
+    /// not it would fire there, and the half-round that ends a run (the
+    /// termination probe, see `engine::host_main`) ships whatever such
+    /// residue is pending — so the reported output must not depend on which
+    /// proxy a non-viable value rests on. The apps here comply by
+    /// construction: for the min/max/or apps a changed value is always
+    /// viable, and PageRank reports `output_consumed`, which only viable
+    /// firings add to.
     fn emit(&self, v: Self::Acc, out_degree: u32) -> Option<Self::Acc>;
 
     /// Contribution delivered along one out-edge with weight `w`.

@@ -2,10 +2,12 @@
 //!
 //! Every `k` rounds each host snapshots its vertex state (label bits,
 //! consumed-output bits, changed flags) and the round counter into a shared
-//! [`CheckpointStore`]. The saves are *coordinated by construction*: they
-//! happen at the end of a round, after the control barrier summed the
-//! global active count, so every host that saves round `r` saved exactly
-//! the state a crash-free run would have at that boundary. When a host
+//! [`CheckpointStore`]. The saves are *coordinated by construction*: a host
+//! saves when the last receive of a round has returned — every peer's
+//! traffic of that round is folded in, and none of the next can be (the
+//! layers hold it until this host opens that round) — so every host that
+//! saves round `r` saved exactly the state a crash-free run would have at
+//! that boundary, without a barrier. When a host
 //! crashes, survivors and the respawned host all roll back to the **last
 //! common checkpoint** ([`CheckpointStore::latest_common`]) and re-execute;
 //! because the engines' reductions are confluent, the re-executed run

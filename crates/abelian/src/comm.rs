@@ -18,6 +18,15 @@
 //! order on every host) before first use; each round on a channel is
 //! `begin → send×(p-1) → finish_sends → try_recv until p-1 messages`;
 //! rounds on a channel never overlap on one host.
+//!
+//! What a layer must tolerate in return: nothing synchronises hosts between
+//! rounds except the rounds themselves, so with three or more hosts a fast
+//! peer's round *r + 1* traffic on a channel can arrive while this host is
+//! still receiving round *r* of the **same** channel (it is waiting on a
+//! slower third host). A layer hands `try_recv` the open round's messages
+//! only — the tagged layers stash the early ones by `(channel, round)`, the
+//! RMA layer's `start` does not return until the target has `post`ed that
+//! round, i.e. has read the previous one out of its window.
 
 use crate::membook::MemBook;
 use std::sync::Arc;
@@ -161,10 +170,10 @@ pub fn exchange_all(
 
 /// Channel ids used by the engine.
 pub mod channels {
-    /// Mirror→master reduction payloads.
+    /// Mirror→master reduction payloads, each opened by the sender's
+    /// termination vote (`engine::put_vote`): the first phase of every
+    /// round, and its only one on an edge-cut.
     pub const REDUCE: usize = 0;
     /// Master→mirror broadcast payloads.
     pub const BROADCAST: usize = 1;
-    /// Per-round control (active counts for termination detection).
-    pub const CONTROL: usize = 2;
 }

@@ -1,13 +1,17 @@
 //! The BSP gather-communicate-scatter engine (the paper's Fig. 2 runtime).
 //!
 //! One round skeleton serves every engine built on this runtime. Each
-//! simulated host runs [`host_main`] on its own OS thread: rounds of
-//! **fire** (apply operators to active masters, pushing contributions along
-//! local out-edges), a data **exchange** supplied by an [`Exchange`]
-//! strategy, and a **control** all-reduce that sums the global active count
-//! for termination — with state init, checkpoint restore/save, abort
-//! detection, metrics and retirement owned by the skeleton. What differs
-//! between engines is only the exchange:
+//! simulated host runs [`host_main`] on its own OS thread: rounds of a
+//! **boundary pass** (which masters changed, and how many local vertices
+//! would fire — this host's termination vote), **fire** (apply operators to
+//! those masters, pushing contributions along local out-edges) and a data
+//! **exchange** supplied by an [`Exchange`] strategy, whose first phase also
+//! carries every host's vote — with state init, checkpoint restore/save,
+//! abort detection, metrics and retirement owned by the skeleton. A round is
+//! the only synchronisation: there is no separate control exchange, so the
+//! global active count of boundary *r* is learnt inside round *r + 1*, and
+//! the run ends with one half-round that fires nothing (the *probe*). What
+//! differs between engines is only the exchange:
 //!
 //! * Abelian ([`ProxySync`], this module): **reduce** changed mirror values
 //!   to their masters as compact `(plan-index, value)` pairs, then — exactly
@@ -28,7 +32,8 @@ use crate::comm::{channels, recv_round, ChannelSpec, CommLayer};
 use crate::label::{Label, LabelVec};
 use crate::metrics::{HostMetrics, RoundMetrics};
 use lci_graph::{DistGraph, Partitioning, Policy, Vid};
-use lci_trace::{record, Counter, EventKind, Span};
+use lci_trace::ring::now_ns;
+use lci_trace::{record, with_ring, Counter, EventKind, Span, TraceEvent};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -151,14 +156,49 @@ pub trait Exchange: Sync {
 
     /// Perform one round's data exchange for `host` over `layer`: ship what
     /// changed, and fold every peer's traffic in through
-    /// [`HostState::deliver`] inside [`recv_round`]. Returns
-    /// `(sent_entries, sent_bytes)`, or the layer failure that aborted it.
+    /// [`HostState::deliver`] inside [`recv_round`]. Every message of the
+    /// first phase ([`channels::REDUCE`]) also carries `vote`
+    /// ([`put_vote`] / [`take_vote`]), this host's active count at the
+    /// boundary the round started from; the sum over all hosts comes back in
+    /// [`Exchanged::active`]. `Err` is the layer failure that aborted it.
     fn exchange<A: App>(
         &self,
         host: &HostState<'_, A>,
         layer: &dyn CommLayer,
-    ) -> Result<(u64, u64), String>;
+        vote: u64,
+    ) -> Result<Exchanged, String>;
 }
+
+/// What one [`Exchange::exchange`] did.
+pub struct Exchanged {
+    /// Label updates this host sent.
+    pub sent_entries: u64,
+    /// Payload bytes this host sent, all channels.
+    pub sent_bytes: u64,
+    /// Every host's vote, summed: the global active count at the boundary
+    /// the round started from. The same number on every host.
+    pub active: u64,
+}
+
+/// Bytes the termination vote adds to a message.
+pub const VOTE_BYTES: usize = 8;
+
+/// Open a message with `vote`; the strategy's own format follows it.
+pub fn put_vote(vote: u64, out: &mut Vec<u8>) {
+    out.extend_from_slice(&vote.to_le_bytes());
+}
+
+/// Split a message opened by [`put_vote`] into the vote and the rest; `None`
+/// if it is too short to carry one.
+pub fn take_vote(data: &[u8]) -> Option<(u64, &[u8])> {
+    let (vote, rest) = data.split_first_chunk::<VOTE_BYTES>()?;
+    Some((u64::from_le_bytes(*vote), rest))
+}
+
+/// Local vertices per block of [`HostState`]'s dirty summary: small enough
+/// that one changed vertex costs a scan of one or two cache lines of flags,
+/// large enough that the summary of a few thousand vertices is itself one.
+const BLOCK: usize = 64;
 
 /// One host's vertex state, shared between the round skeleton (which owns
 /// its lifecycle) and the [`Exchange`] strategy (which reads and folds
@@ -170,6 +210,10 @@ pub struct HostState<'a, A: App> {
     pub app: &'a A,
     labels: LabelVec,
     changed: Vec<AtomicBool>,
+    /// One flag per [`BLOCK`] local vertices, kept so that `changed[l]` set
+    /// implies `dirty[l / BLOCK]` set: the boundary pass reads the blocks
+    /// that are dirty and no others.
+    dirty: Vec<AtomicBool>,
     consumed: Option<LabelVec>,
     /// Which masters fired this round, and their emissions — maintained only
     /// for strategies that broadcast.
@@ -199,6 +243,7 @@ impl<'a, A: App> HostState<'a, A> {
             app,
             labels,
             changed,
+            dirty: (0..nl.div_ceil(BLOCK)).map(|_| AtomicBool::new(true)).collect(),
             consumed: app.output_consumed().then(|| LabelVec::new(nm, identity)),
             track_fired,
             fired: (0..nf).map(|_| AtomicBool::new(false)).collect(),
@@ -242,6 +287,9 @@ impl<'a, A: App> HostState<'a, A> {
         for (flag, &b) in self.changed.iter().zip(chg.iter()) {
             flag.store(b != 0, Ordering::Relaxed);
         }
+        for block in &self.dirty {
+            block.store(true, Ordering::Relaxed);
+        }
         lci_trace::incr(Counter::EngineCkptRestores);
         Ok(snap.round as usize)
     }
@@ -260,9 +308,13 @@ impl<'a, A: App> HostState<'a, A> {
     }
 
     /// Fold contribution `v` into local vertex `lid`, marking it changed if
-    /// its value moved.
+    /// its value moved. The block is marked first, so no instant has a
+    /// changed vertex in a clean block. Two plain stores: this is PageRank's
+    /// hot loop. It runs on the host thread, or on compute threads the host
+    /// thread joins before its next boundary pass.
     pub fn deliver(&self, lid: usize, v: A::Acc) {
         if self.labels.reduce_with(lid, v, |a, b| self.app.reduce(a, b)) {
+            self.dirty[lid / BLOCK].store(true, Ordering::Release);
             self.changed[lid].store(true, Ordering::Release);
         }
     }
@@ -280,9 +332,52 @@ impl<'a, A: App> HostState<'a, A> {
         self.changed[lid].load(Ordering::Relaxed) && self.changed[lid].swap(false, Ordering::AcqRel)
     }
 
+    /// Whether local vertex `lid` would fire on its current value.
+    fn viable(&self, lid: usize) -> bool {
+        let deg = self.part.out_degree_global[lid];
+        self.app.emit(self.labels.get(lid), deg).is_some()
+    }
+
+    /// The top-of-round pass over the dirty blocks, in ascending lid order:
+    /// move every changed master into `fire_list` (cleared first; its mark is
+    /// cleared too) and return this host's vote — how many local vertices,
+    /// masters and mirrors, are changed and [viable](Self::viable), counted
+    /// before anything is cleared. A block goes clean unless a mirror in it
+    /// is still changed (mirrors are cleared by [`Self::take_changed`]).
+    /// Host thread only, between rounds: nothing delivers concurrently.
+    fn boundary_pass(&self, fire_list: &mut Vec<u32>) -> u64 {
+        fire_list.clear();
+        let nm = self.part.num_masters as usize;
+        let mut vote = 0u64;
+        for (b, block) in self.dirty.iter().enumerate() {
+            if !block.load(Ordering::Acquire) {
+                continue;
+            }
+            let mut mirror_pending = false;
+            for lid in b * BLOCK..((b + 1) * BLOCK).min(self.changed.len()) {
+                if !self.is_changed(lid) {
+                    continue;
+                }
+                vote += self.viable(lid) as u64;
+                if lid < nm {
+                    self.clear_changed(lid);
+                    fire_list.push(lid as u32);
+                } else {
+                    mirror_pending = true;
+                }
+            }
+            if !mirror_pending {
+                block.store(false, Ordering::Release);
+            }
+        }
+        vote
+    }
+
     /// Take mirror `lid`'s pending update for shipping to its master: `None`
     /// if it did not change, else its value (reset to the identity when the
-    /// app consumes) with the changed mark cleared.
+    /// app consumes) with the changed mark cleared. The value goes out
+    /// whether or not it is [viable](Self::viable) — see the contract on
+    /// [`App::emit`].
     pub fn take_changed(&self, lid: usize) -> Option<A::Acc> {
         self.clear_changed(lid).then(|| {
             if self.app.consuming() {
@@ -326,19 +421,6 @@ impl<'a, A: App> HostState<'a, A> {
         self.scatter(u, e);
     }
 
-    /// Local vertices that are changed and would fire.
-    fn active_count(&self) -> u64 {
-        (0..self.changed.len())
-            .filter(|&l| {
-                self.is_changed(l)
-                    && self
-                        .app
-                        .emit(self.labels.get(l), self.part.out_degree_global[l])
-                        .is_some()
-            })
-            .count() as u64
-    }
-
     /// Final `(gid, value)` of every master.
     fn masters(&self) -> Vec<(Vid, A::Acc)> {
         let out = self.consumed.as_ref().unwrap_or(&self.labels);
@@ -366,9 +448,10 @@ fn channel_spec(p: usize, h: usize, max: impl Fn(usize, usize) -> usize) -> Chan
 /// points ([`run_app`] and friends, `gemini::run_gemini` and friends).
 ///
 /// `ckpt` makes every host snapshot its vertex state into the plan's
-/// [`CheckpointStore`] every `every` rounds (at the round boundary, after the
-/// control barrier — so the saved rounds form globally consistent cuts), and
-/// restore the plan's `resume_from` round before its first round. A fatal communication-layer failure surfaces as `Err` with
+/// [`CheckpointStore`] every `every` rounds (at the round boundary, once the
+/// round's last receive has returned — so the saved rounds form globally
+/// consistent cuts), and restore the plan's `resume_from` round before its
+/// first round. A fatal communication-layer failure surfaces as `Err` with
 /// the first failing host's message; the abort is bounded, because every
 /// receive loop polls [`CommLayer::failure`] while spinning.
 pub fn run_rounds<A: App, X: Exchange>(
@@ -410,29 +493,15 @@ pub fn run_rounds<A: App, X: Exchange>(
     })
 }
 
-/// Sum `local` over all hosts on the control channel. A peer whose frame is
-/// short still counts toward the barrier (else it would hang); its
-/// unreadable value is dropped.
-fn all_reduce_sum(layer: &dyn CommLayer, local: u64) -> Result<u64, String> {
-    let me = layer.rank();
-    layer.begin(channels::CONTROL);
-    for t in (0..layer.num_hosts() as u16).filter(|&t| t != me) {
-        layer.send(channels::CONTROL, t, local.to_le_bytes().to_vec());
-    }
-    layer.finish_sends(channels::CONTROL);
-    let mut total = local;
-    recv_round(layer, channels::CONTROL, |_, data| {
-        match data.get(..8) {
-            Some(v) => total += u64::from_le_bytes(v.try_into().expect("len checked")),
-            None => lci_trace::incr(Counter::EngineMalformedDropped),
-        }
-        true
-    })?;
-    Ok(total)
-}
-
-/// One host's run: init → restore → [fire → exchange → control → save]* →
-/// quiesce → results.
+/// One host's run: init → restore → [boundary pass → fire → exchange →
+/// save]* → quiesce → results.
+///
+/// The vote a round carries is the active count of the boundary it started
+/// from, so a run learns that boundary *r* was its fixpoint inside round
+/// *r + 1*: that half-round fired nothing on any host (a vertex that fires is
+/// counted in its host's vote), is a speculative **probe**, and is not a
+/// round — no [`RoundMetrics`], no `engine.rounds`, no round events. Round 0
+/// of a fresh run is always a round, whatever it finds.
 fn host_main<A: App, X: Exchange>(
     parts: &Partitioning,
     h: usize,
@@ -444,7 +513,6 @@ fn host_main<A: App, X: Exchange>(
 ) -> Result<HostResult<A::Acc>, String> {
     let (p, part) = (parts.parts.len(), &parts.parts[h]);
     let me = part.host;
-    let nm = part.num_masters;
     let broadcasts = exchange.broadcasts();
     let st = HostState::new(part, app, broadcasts);
     let mut round = match ckpt {
@@ -462,19 +530,22 @@ fn host_main<A: App, X: Exchange>(
         let max = |o, t| exchange.max_message::<A::Acc>(parts, c, o, t);
         layer.register_channel(c, channel_spec(p, h, max));
     }
-    layer.register_channel(channels::CONTROL, ChannelSpec::uniform(p, me, 16));
 
     let max_rounds = app.max_rounds().unwrap_or(usize::MAX).min(ROUND_CAP);
     let mut metrics = HostMetrics::default();
+    let mut fire_list = Vec::new();
 
     loop {
-        let round_start = Instant::now();
-        record(EventKind::RoundBegin, me as u32, round as u64);
+        let (round_start, begin_ns) = (Instant::now(), now_ns());
         let abort = |f: String| format!("host {me} aborted in round {round}: {f}");
+
+        // ---- boundary pass: the fire list and this host's vote -----------
+        let boundary_span = Span::enter(Counter::PhaseControlNs);
+        let vote = st.boundary_pass(&mut fire_list);
+        boundary_span.finish();
 
         // ---- fire phase (computation) -----------------------------------
         let fire_span = Span::enter(Counter::PhaseComputeNs);
-        let fire_list: Vec<u32> = (0..nm).filter(|&l| st.clear_changed(l as usize)).collect();
         if compute_threads > 1 && fire_list.len() > 64 {
             let chunk = fire_list.len().div_ceil(compute_threads);
             std::thread::scope(|scope| {
@@ -488,23 +559,32 @@ fn host_main<A: App, X: Exchange>(
         let compute = round_start.elapsed();
         fire_span.finish();
 
-        // ---- communication: the strategy's exchange, then control ---------
+        // ---- communication: the strategy's exchange, votes aboard --------
         let comm_span = Span::enter(Counter::PhaseCommNs);
-        let (sent_entries, sent_bytes) = exchange.exchange(&st, layer).map_err(abort)?;
+        let Exchanged { sent_entries, sent_bytes, active } =
+            exchange.exchange(&st, layer, vote).map_err(abort)?;
         if st.track_fired {
             for &u in &fire_list {
                 st.fired[u as usize].store(false, Ordering::Relaxed);
             }
         }
-        let control_span = Span::enter(Counter::PhaseControlNs);
-        let total = all_reduce_sum(layer, st.active_count()).map_err(abort)?;
-        control_span.finish();
         comm_span.finish();
+        lci_trace::add(Counter::EngineSentEntries, sent_entries);
+        lci_trace::add(Counter::EngineSentBytes, sent_bytes);
+        if active == 0 && round > 0 {
+            break;
+        }
 
         let wall = round_start.elapsed();
         lci_trace::incr(Counter::EngineRounds);
-        lci_trace::add(Counter::EngineSentEntries, sent_entries);
-        lci_trace::add(Counter::EngineSentBytes, sent_bytes);
+        // Only now is this known to be a round; its begin keeps its time.
+        let begin = TraceEvent {
+            t_ns: begin_ns,
+            kind: EventKind::RoundBegin,
+            a: me as u32,
+            b: round as u64,
+        };
+        with_ring(|ring| ring.push(begin));
         record(EventKind::RoundEnd, me as u32, round as u64);
         metrics.rounds.push(RoundMetrics {
             compute,
@@ -513,17 +593,21 @@ fn host_main<A: App, X: Exchange>(
             sent_bytes,
         });
         round += 1;
-        if total == 0 || round >= max_rounds {
+        if round >= max_rounds {
             break;
         }
 
         // ---- coordinated checkpoint save ---------------------------------
-        // The control barrier above already synchronized every host at this
-        // round boundary, so saving here (same `round`, same `every` on all
-        // hosts) yields a globally consistent cut without extra messages.
-        // A finished run never saves: there is nothing left to recover to.
+        // This host's state at boundary `round` is complete: the exchange's
+        // last `recv_round` has returned, and a peer already in the next
+        // round cannot touch it (its traffic waits in the layer until this
+        // host opens that round). Every host saves the same multiples of
+        // `every`, so the newest round all of them hold is a globally
+        // consistent cut without a barrier. The run does not yet know
+        // whether this boundary is its last; resuming from a final one ends
+        // at the probe, having run zero rounds.
         if let Some(plan) = ckpt {
-            if plan.every > 0 && (round as u64) % plan.every == 0 {
+            if plan.every > 0 && (round as u64).is_multiple_of(plan.every) {
                 plan.store.save(me, &st.snapshot(round));
             }
         }
@@ -554,19 +638,26 @@ struct ProxySync {
 
 impl ProxySync {
     /// Send every peer `t` one frame of the `(plan position, value)` pairs
-    /// `entry` yields over `plans[t]`; returns `(entries, bytes)` sent.
+    /// `entry` yields over `plans[t]`, opened by `vote` if there is one;
+    /// returns `(entries, bytes)` sent.
     fn send_frames<L: Label>(
         layer: &dyn CommLayer,
         channel: usize,
         plans: &[Vec<Vid>],
+        vote: Option<u64>,
         entry: impl Fn(usize) -> Option<L>,
     ) -> (u64, u64) {
         let me = layer.rank();
         let (mut entries, mut bytes) = (0u64, 0u64);
         layer.begin(channel);
         for t in (0..layer.num_hosts() as u16).filter(|&t| t != me) {
-            // Frame: `[count u32][(plan_index u32, value) * count]`.
-            let mut buf = vec![0u8; 4];
+            // Frame: `[vote u64]? [count u32][(plan_index u32, value) * count]`.
+            let mut buf = Vec::new();
+            if let Some(vote) = vote {
+                put_vote(vote, &mut buf);
+            }
+            let count_at = buf.len();
+            buf.extend_from_slice(&[0; 4]);
             let mut count = 0u32;
             for (pos, &lid) in plans[t as usize].iter().enumerate() {
                 if let Some(v) = entry(lid as usize) {
@@ -575,7 +666,7 @@ impl ProxySync {
                     count += 1;
                 }
             }
-            buf[..4].copy_from_slice(&count.to_le_bytes());
+            buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
             entries += count as u64;
             bytes += buf.len() as u64;
             layer.send(channel, t, buf);
@@ -585,23 +676,27 @@ impl ProxySync {
     }
 
     /// Receive one frame from every peer, handing `apply` each entry's local
-    /// vertex as resolved through `plans[src]`. A position outside the plan
-    /// means a mangled frame slipped past framing; drop the entry, not the
-    /// host.
+    /// vertex as resolved through `plans[src]`; returns the sum of the votes
+    /// the frames carried (`voted` says whether they carry one). A position
+    /// outside the plan means a mangled frame slipped past framing; drop the
+    /// entry, not the host.
     fn recv_frames<L: Label>(
         layer: &dyn CommLayer,
         channel: usize,
         plans: &[Vec<Vid>],
+        voted: bool,
         apply: impl Fn(usize, L),
-    ) -> Result<(), String> {
+    ) -> Result<u64, String> {
+        let mut votes = 0;
         recv_round(layer, channel, |src, data| {
             let plan = &plans[src as usize];
-            decode_frame::<L>(&data, |pos, v| match plan.get(pos as usize) {
+            votes += decode_frame::<L>(&data, voted, |pos, v| match plan.get(pos as usize) {
                 Some(&lid) => apply(lid as usize, v),
                 None => lci_trace::incr(Counter::EngineMalformedDropped),
             });
             true
-        })
+        })?;
+        Ok(votes)
     }
 }
 
@@ -618,7 +713,8 @@ impl Exchange for ProxySync {
         target: usize,
     ) -> usize {
         // reduce: o sends t up to |o.mirror_send[t]| entries; broadcast: up
-        // to |o.master_recv[t]| (+ slack for layer-level sub-frame headers).
+        // to |o.master_recv[t]|. Plus the vote, the count and the RMA
+        // layer's sub-frame length (16 of the 20).
         let part = &parts.parts[origin];
         let plan = match channel {
             channels::REDUCE => &part.mirror_send[target],
@@ -631,27 +727,33 @@ impl Exchange for ProxySync {
         &self,
         host: &HostState<'_, A>,
         layer: &dyn CommLayer,
-    ) -> Result<(u64, u64), String> {
+        vote: u64,
+    ) -> Result<Exchanged, String> {
         let (mirrors, masters) = (&host.part.mirror_send, &host.part.master_recv);
 
-        // ---- reduce phase: changed mirrors → masters ---------------------
+        // ---- reduce phase: votes and changed mirrors → masters -----------
         let reduce_span = Span::enter(Counter::PhaseReduceNs);
-        let (mut entries, mut bytes) =
-            Self::send_frames(layer, channels::REDUCE, mirrors, |l| host.take_changed(l));
-        Self::recv_frames(layer, channels::REDUCE, masters, |l, v| host.deliver(l, v))?;
+        let (mut sent_entries, mut sent_bytes) =
+            Self::send_frames(layer, channels::REDUCE, mirrors, Some(vote), |l| {
+                host.take_changed(l)
+            });
+        let active = vote
+            + Self::recv_frames(layer, channels::REDUCE, masters, true, |l, v| {
+                host.deliver(l, v)
+            })?;
         reduce_span.finish();
 
         // ---- broadcast phase: firing masters' emissions → mirrors --------
         if self.broadcast {
             let bcast_span = Span::enter(Counter::PhaseBroadcastNs);
-            let (e, b) = Self::send_frames(layer, channels::BROADCAST, masters, |l| {
+            let (e, b) = Self::send_frames(layer, channels::BROADCAST, masters, None, |l| {
                 host.fired[l]
                     .load(Ordering::Acquire)
                     .then(|| host.emits.get::<A::Acc>(l))
             });
-            entries += e;
-            bytes += b;
-            Self::recv_frames(layer, channels::BROADCAST, mirrors, |l, e: A::Acc| {
+            sent_entries += e;
+            sent_bytes += b;
+            Self::recv_frames(layer, channels::BROADCAST, mirrors, false, |l, e: A::Acc| {
                 // Canonical sync of the mirror cache (min-apps only:
                 // emissions equal canonical values there).
                 if !host.app.consuming() {
@@ -662,33 +764,189 @@ impl Exchange for ProxySync {
             })?;
             bcast_span.finish();
         }
-        Ok((entries, bytes))
+        Ok(Exchanged { sent_entries, sent_bytes, active })
     }
 }
 
-/// Decode a frame (`[count u32][(plan_index u32, value) * count]`, as
-/// [`ProxySync::send_frames`] writes it), handing `f` each entry.
-fn decode_frame<L: Label>(data: &[u8], mut f: impl FnMut(u32, L)) {
-    if data.len() < 4 {
-        lci_trace::incr(Counter::EngineMalformedDropped);
-        return;
-    }
-    let count = u32::from_le_bytes(data[..4].try_into().expect("len checked")) as usize;
+/// Decode a frame (`[vote u64]? [count u32][(plan_index u32, value) * count]`,
+/// as [`ProxySync::send_frames`] writes it), handing `f` each entry; returns
+/// the vote of a `voted` frame. A malformed frame — too short for its vote or
+/// its count, or claiming more entries than it carries — is dropped whole:
+/// no entries, vote 0, counted on `engine.malformed_dropped`. Its peer is
+/// still complete for the round (one frame per peer), so nothing wedges.
+fn decode_frame<L: Label>(data: &[u8], voted: bool, mut f: impl FnMut(u32, L)) -> u64 {
     let entry = 4 + L::WIRE_BYTES;
-    // A frame whose count claims more entries than its bytes carry is
-    // mangled; drop it whole rather than read out of bounds.
-    match count.checked_mul(entry).and_then(|n| n.checked_add(4)) {
-        Some(n) if n <= data.len() => {}
-        _ => {
-            lci_trace::incr(Counter::EngineMalformedDropped);
-            return;
+    let frame = if voted { take_vote(data) } else { Some((0, data)) };
+    let checked = frame.and_then(|(vote, body)| {
+        let (count, entries) = body.split_first_chunk::<4>()?;
+        let count = u32::from_le_bytes(*count) as usize;
+        // A count claiming more entries than the bytes carry is mangled;
+        // never read out of bounds.
+        (count.checked_mul(entry)? <= entries.len()).then_some((vote, count, entries))
+    });
+    let Some((vote, count, entries)) = checked else {
+        lci_trace::incr(Counter::EngineMalformedDropped);
+        return 0;
+    };
+    for e in entries.chunks_exact(entry).take(count) {
+        let pos = u32::from_le_bytes(e[..4].try_into().expect("entry holds a position"));
+        f(pos, L::read(&e[4..]));
+    }
+    vote
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::apps::PageRank;
+    use lci_graph::{gen, partition};
+    use proptest::prelude::*;
+
+    /// What `HostState`'s flags and labels must read after any sequence of
+    /// steps, kept the plain way: no summary, every pass a scan of all of it.
+    struct Plain<'a> {
+        app: &'a PageRank,
+        part: &'a DistGraph,
+        labels: Vec<f32>,
+        changed: Vec<bool>,
+    }
+
+    impl Plain<'_> {
+        fn deliver(&mut self, lid: usize, v: f32) {
+            let new = self.app.reduce(self.labels[lid], v);
+            if new.to_bits() != self.labels[lid].to_bits() {
+                self.labels[lid] = new;
+                self.changed[lid] = true;
+            }
+        }
+
+        fn take_changed(&mut self, lid: usize) -> Option<f32> {
+            std::mem::take(&mut self.changed[lid])
+                .then(|| std::mem::replace(&mut self.labels[lid], self.app.identity()))
+        }
+
+        fn boundary_pass(&mut self) -> (Vec<u32>, u64) {
+            let changed = |l: &usize| self.changed[*l];
+            let degree = &self.part.out_degree_global;
+            let viable = |l: &usize| self.app.emit(self.labels[*l], degree[*l]).is_some();
+            let vote = (0..self.changed.len()).filter(changed).filter(viable).count() as u64;
+            let nm = self.part.num_masters as usize;
+            let fire: Vec<u32> = (0..nm).filter(changed).map(|l| l as u32).collect();
+            self.changed[..nm].fill(false);
+            (fire, vote)
         }
     }
-    for i in 0..count {
-        let off = 4 + i * entry;
-        let pos = u32::from_le_bytes(data[off..off + 4].try_into().expect("frame"));
-        let v = L::read(&data[off + 4..]);
-        f(pos, v);
+
+    /// Flags equal the plain model's, and no set flag sits in a clean block.
+    fn check(st: &HostState<'_, PageRank>, plain: &Plain<'_>) -> Result<(), TestCaseError> {
+        for lid in 0..plain.changed.len() {
+            prop_assert_eq!(st.is_changed(lid), plain.changed[lid], "changed[{}]", lid);
+            prop_assert!(
+                !plain.changed[lid] || st.dirty[lid / BLOCK].load(Ordering::Acquire),
+                "lid {lid} is changed in a clean block"
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The dirty-block summary against the plain model, over random
+        /// interleavings of everything that touches a flag: `deliver` (values
+        /// from far below PageRank's tolerance to far above it, so changed
+        /// and viable come apart), `take_changed`, boundary passes, and a
+        /// `snapshot` → `restore` into a fresh state.
+        #[test]
+        fn dirty_summary_agrees_with_a_linear_scan(
+            steps in prop::collection::vec((0u8..8, any::<u16>(), 0u8..4), 1..400),
+        ) {
+            let g = gen::rmat(9, 4, 0xD127);
+            let parts = partition(&g, 2, Policy::VertexCutCartesian);
+            let (part, app) = (&parts.parts[0], PageRank::default());
+            let nl = part.num_local();
+            prop_assert!(nl > 4 * BLOCK && (part.num_masters as usize) < nl, "{nl} local");
+            let mut st = HostState::new(part, &app, false);
+            let mut plain = Plain {
+                app: &app,
+                part,
+                labels: (0..nl).map(|l| st.labels.get(l)).collect(),
+                changed: (0..nl).map(|l| st.is_changed(l)).collect(),
+            };
+            let store = CheckpointStore::new(1);
+            let mut fire = Vec::new();
+            for (i, (op, lid, size)) in steps.into_iter().enumerate() {
+                let lid = lid as usize % nl;
+                match op {
+                    0..=3 => {
+                        let v = [1e-7f32, 1e-5, 1e-3, 0.5][size as usize];
+                        st.deliver(lid, v);
+                        plain.deliver(lid, v);
+                    }
+                    4 | 5 => prop_assert_eq!(st.take_changed(lid), plain.take_changed(lid)),
+                    6 => {
+                        let vote = st.boundary_pass(&mut fire);
+                        prop_assert_eq!((fire.clone(), vote), plain.boundary_pass(), "step {}", i);
+                    }
+                    _ => {
+                        store.save(0, &st.snapshot(i));
+                        st = HostState::new(part, &app, false);
+                        prop_assert_eq!(st.restore(&store, i as u64), Ok(i));
+                    }
+                }
+                check(&st, &plain)?;
+            }
+            // Two passes with nothing in between: the second finds only what
+            // the first had to leave (mirrors), and fires nothing.
+            st.boundary_pass(&mut fire);
+            plain.boundary_pass();
+            let vote = st.boundary_pass(&mut fire);
+            prop_assert_eq!((fire.clone(), vote), plain.boundary_pass());
+            prop_assert!(fire.is_empty());
+            check(&st, &plain)?;
+        }
+    }
+
+    /// A reduce frame of three entries opened by vote 5, as `send_frames`
+    /// lays it out.
+    fn voted_frame() -> Vec<u8> {
+        let mut frame = Vec::new();
+        put_vote(5, &mut frame);
+        frame.extend_from_slice(&3u32.to_le_bytes());
+        for (pos, v) in [(0u32, 10u32), (2, 12), (7, 17)] {
+            frame.extend_from_slice(&pos.to_le_bytes());
+            v.write(&mut frame);
+        }
+        frame
+    }
+
+    #[test]
+    fn frames_roundtrip_with_and_without_a_vote() {
+        let frame = voted_frame();
+        let mut got = Vec::new();
+        assert_eq!(decode_frame::<u32>(&frame, true, |pos, v| got.push((pos, v))), 5);
+        assert_eq!(got, [(0, 10), (2, 12), (7, 17)]);
+        // The same entries behind no vote: a broadcast frame.
+        let (mut got, bare) = (Vec::new(), &frame[VOTE_BYTES..]);
+        assert_eq!(decode_frame::<u32>(bare, false, |pos, v| got.push((pos, v))), 0);
+        assert_eq!(got, [(0, 10), (2, 12), (7, 17)]);
+    }
+
+    /// Every strict prefix of a vote-carrying frame — cut inside the vote,
+    /// the count or the entries — is dropped whole: it delivers nothing and
+    /// votes 0, each counted once. (Its peer still completes the round: a
+    /// frame is one message, and `recv_frames` answers `true` to every one.)
+    #[test]
+    fn truncated_vote_carrying_frames_vote_zero() {
+        let frame = voted_frame();
+        let before = lci_trace::global().snapshot();
+        for cut in 0..frame.len() {
+            let vote = decode_frame::<u32>(&frame[..cut], true, |pos, _| {
+                panic!("cut {cut} delivered position {pos}")
+            });
+            assert_eq!(vote, 0, "cut {cut}");
+        }
+        let dropped = lci_trace::global().snapshot().delta(&before);
+        assert!(dropped.get(Counter::EngineMalformedDropped) >= frame.len() as u64);
     }
 }
-

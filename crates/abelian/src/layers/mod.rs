@@ -134,7 +134,7 @@ mod tests {
             for l in &layers {
                 s.spawn(move || {
                     for round in 0..1_000u16 {
-                        for ch in [channels::REDUCE, channels::CONTROL] {
+                        for ch in [channels::REDUCE, channels::BROADCAST] {
                             let msg = [round.to_le_bytes().as_slice(), &[ch as u8]].concat();
                             let got = exchange_all(l, ch, vec![msg.clone(); 2]);
                             assert_eq!(got, vec![(1 - l.rank(), msg)]);

@@ -269,3 +269,143 @@ fn multithreaded_compute_matches_single() {
         assert_eq!(r.values, expect, "threads={threads}");
     }
 }
+
+// ---- same answers, same rounds: pinned at the last commit that ended every
+// ---- round with a control all-reduce (PR 16) ---------------------------------
+
+/// FNV-1a over the values' wire bytes: moves if any bit of any answer does.
+fn values_hash<L: abelian::Label>(values: &[L]) -> u64 {
+    let mut bytes = Vec::new();
+    values.iter().for_each(|v| v.write(&mut bytes));
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `(rounds, Σ sent_entries over hosts and rounds, values_hash)` as recorded;
+/// no hash where the bits are not a function of the code.
+type Pin = (usize, u64, Option<u64>);
+
+/// `(rounds, Σ sent_entries over hosts and rounds, values_hash)` of `app` on
+/// three hosts over LCI.
+fn observe<A: App>(g: &CsrGraph, policy: Policy, app: A) -> (usize, u64, u64) {
+    let parts = partition(g, 3, policy);
+    let (layers, _world) = build_layers(
+        LayerKind::Lci,
+        FabricConfig::test(3),
+        mini_mpi::MpiConfig::default(),
+        lci::LciConfig::for_hosts(3),
+    );
+    let r = run_app(&parts, Arc::new(app), &layers, &EngineConfig::default());
+    let entries = r.hosts.iter().flat_map(|h| &h.metrics.rounds).map(|m| m.sent_entries).sum();
+    (r.rounds, entries, values_hash(&r.values))
+}
+
+/// The graphs the pins were recorded on, with the source the sourced apps
+/// use: a small weighted rmat, and a *descending* path (the frontier travels
+/// against the ascending fire order, so it takes one round per hop).
+fn golden_graphs() -> [(CsrGraph, u32); 2] {
+    let n = 40u32;
+    let hops: Vec<(u32, u32)> = (1..n).map(|i| (i, i - 1)).collect();
+    [
+        (gen::randomize_weights(&gen::rmat(7, 4, 0x601D), 10, 0x55), 0),
+        (CsrGraph::from_edges(n as usize, &hops), n - 1),
+    ]
+}
+
+/// Moving the termination vote into the next round's reduce changed when a
+/// run learns it is over, not what it computes: every app runs the rounds,
+/// sends the entries and reports the bits it did when each round ended with a
+/// control all-reduce. The one hash not pinned is PageRank's on the rmat —
+/// with three hosts its float sums fold in arrival order, so the bits differ
+/// from run to run (at the parent too; `pagerank_close_to_reference_all_layers`
+/// bounds them) while rounds and entries do not.
+#[test]
+fn rounds_entries_and_values_are_the_control_exchange_engines() {
+    use abelian::apps::MultiSourceReach;
+    // Per graph, per policy, apps in the order run below.
+    let pinned: [[[Pin; 6]; 2]; 2] = [
+        [
+            [
+                (4, 85, Some(1486777556585046100)),
+                (4, 103, Some(186102878921650271)),
+                (3, 172, Some(14600793250840921602)),
+                (23, 1363, None),
+                (5, 126, Some(7257646108541269479)),
+                (4, 177, Some(3108423098834151621)),
+            ],
+            [
+                (4, 151, Some(1486777556585046100)),
+                (4, 184, Some(186102878921650271)),
+                (3, 233, Some(14600793250840921602)),
+                (20, 2714, None),
+                (5, 190, Some(7257646108541269479)),
+                (5, 341, Some(3108423098834151621)),
+            ],
+        ],
+        // A blocked path has two host boundaries however it is cut.
+        [[
+            (40, 2, Some(3839218244705206053)),
+            (40, 2, Some(3839218244705206053)),
+            (1, 2, Some(17730087810143058725)),
+            (39, 38, Some(5708566918114248096)),
+            (40, 2, Some(13902953559477976880)),
+            (40, 3, Some(7623125984557940133)),
+        ]; 2],
+    ];
+    for ((g, src), per_policy) in golden_graphs().iter().zip(pinned) {
+        let policies = [Policy::VertexCutCartesian, Policy::EdgeCutBlocked];
+        for (policy, want) in policies.into_iter().zip(per_policy) {
+            let got = [
+                observe(g, policy, Bfs { source: *src }),
+                observe(g, policy, Sssp { source: *src }),
+                observe(g, policy, Cc),
+                observe(g, policy, PageRank::default()),
+                observe(g, policy, WidestPath { source: *src }),
+                observe(g, policy, MultiSourceReach { sources: vec![*src, 3, 17] }),
+            ];
+            for (app, (got, want)) in got.into_iter().zip(want).enumerate() {
+                let (n, policy) = (g.num_vertices(), policy.name());
+                let what = format!("app #{app} on {n} vertices, {policy}");
+                assert_eq!((got.0, got.1), (want.0, want.1), "rounds, entries: {what}");
+                assert_eq!(want.2.unwrap_or(got.2), got.2, "value bits: {what}");
+            }
+        }
+    }
+}
+
+/// `(rounds, messages the engine handed LCI)` for `app` on an edge cut of a
+/// small rmat, two hosts: every exchange there is one message each way.
+fn rounds_and_messages<A: App>(app: A) -> (usize, u64) {
+    let g = gen::rmat(6, 4, 0xCA9);
+    let parts = partition(&g, 2, Policy::EdgeCutBlocked);
+    let (layers, world) = build_layers(
+        LayerKind::Lci,
+        FabricConfig::test(2),
+        mini_mpi::MpiConfig::default(),
+        lci::LciConfig::for_hosts(2),
+    );
+    let r = run_app(&parts, Arc::new(app), &layers, &EngineConfig::default());
+    let abelian::LayerWorld::Lci(world) = world else { unreachable!("built for LCI") };
+    let stats = world.devices().into_iter().map(|d| d.stats());
+    (r.rounds, stats.map(|s| s.egr_sent + s.rdv_opened).sum())
+}
+
+/// The two corners the lagged vote adds. A run that reaches its fixpoint
+/// learns so from one exchange more than it has rounds (the probe); a fresh
+/// run with nothing to do still reports round 0, as it always has; and a run
+/// that stops at its app's round cap decides that locally — no probe.
+#[test]
+fn probe_follows_a_fixpoint_and_never_a_round_cap() {
+    let (rounds, messages) = rounds_and_messages(Bfs { source: 0 });
+    assert!(rounds > 1, "bfs from 0 must take a few rounds, took {rounds}");
+    assert_eq!(messages, 2 * (rounds as u64 + 1), "fixpoint: rounds + the probe");
+
+    // No source in the graph: nothing is active initially.
+    let (rounds, messages) = rounds_and_messages(Bfs { source: u32::MAX });
+    assert_eq!((rounds, messages), (1, 4), "round 0 always runs, then the probe");
+
+    let capped = PageRank { max_iters: 3, ..PageRank::default() };
+    let (rounds, messages) = rounds_and_messages(capped);
+    assert_eq!((rounds, messages), (3, 6), "a capped run exchanges once per round");
+}

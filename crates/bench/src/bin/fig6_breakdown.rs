@@ -59,7 +59,10 @@ fn main() {
                 ("compute", Counter::PhaseComputeNs),
                 ("reduce", Counter::PhaseReduceNs),
                 ("broadcast", Counter::PhaseBroadcastNs),
-                ("control", Counter::PhaseControlNs),
+                // `phase.control_ns` kept its name when the control exchange
+                // went: it times the top-of-round boundary pass (fire list +
+                // termination vote), local work outside the comm span.
+                ("boundary", Counter::PhaseControlNs),
             ] {
                 emit::push_info(
                     &mut report,

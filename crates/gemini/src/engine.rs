@@ -7,11 +7,15 @@
 //! (`[0u8][count][(idx,val)…]`) and a **dense** frame (`[1u8][val…]` — one
 //! value for *every* plan entry, no indices). Dense mode trades metadata for
 //! volume exactly as Gemini's dense/sparse `signal/slot` machinery does.
+//! Every chunk opens with the host's termination vote (the skeleton's
+//! [`put_vote`]), so the one exchange a round has is also its all-reduce.
 
 use abelian::apps::App;
 use abelian::checkpoint::{CheckpointStore, CkptPlan};
 use abelian::comm::{channels, recv_round, CommLayer};
-use abelian::engine::{run_rounds, Exchange, HostState};
+use abelian::engine::{
+    put_vote, run_rounds, take_vote, Exchange, Exchanged, HostState, VOTE_BYTES,
+};
 use abelian::label::Label;
 use abelian::recovery::{RecoveryConfig, RecoveryWorld};
 use abelian::RunResult;
@@ -120,23 +124,24 @@ impl Exchange for GeminiConfig {
         origin: usize,
         target: usize,
     ) -> usize {
-        // Payload: an all-changed sparse stream bounds it (an entry is a
-        // value plus its 4-byte position, a dense slot the value alone).
-        // Plus per-chunk overhead (7-byte chunk header + 4-byte layer
-        // sub-frame length each), chunks counted at the dense rate. Only the
-        // RMA layer sizes from this, and it runs unchunked.
+        // An all-changed sparse stream bounds it: an entry is a value plus
+        // its 4-byte position (a dense slot is the value alone, and fits
+        // more per chunk), and every chunk adds its header and the RMA
+        // layer's 4-byte sub-frame length. Only the RMA layer sizes from
+        // this.
         let entry = 4 + L::WIRE_BYTES;
         let plan = parts.parts[origin].mirror_send[target].len();
-        let per_chunk = (self.chunk_bytes.saturating_sub(7) / L::WIRE_BYTES).max(1);
+        let per_chunk = (self.chunk_bytes.saturating_sub(CHUNK_HEADER) / entry).max(1);
         let nchunks = plan.div_ceil(per_chunk).max(1);
-        plan * entry + nchunks * 16 + 32
+        plan * entry + nchunks * (CHUNK_HEADER + 4)
     }
 
     fn exchange<A: App>(
         &self,
         host: &HostState<'_, A>,
         layer: &dyn CommLayer,
-    ) -> Result<(u64, u64), String> {
+        vote: u64,
+    ) -> Result<Exchanged, String> {
         let _span = Span::enter(Counter::PhaseReduceNs);
         let (p, me) = (layer.num_hosts(), layer.rank());
         let identity = host.app.identity();
@@ -156,7 +161,7 @@ impl Exchange for GeminiConfig {
                     .map(|&lid| host.take_changed(lid as usize).unwrap_or(identity))
                     .collect();
                 sent_entries += plan.len() as u64;
-                encode_dense_chunks(&values, self.chunk_bytes)
+                encode_dense_chunks(vote, &values, self.chunk_bytes)
             } else {
                 let mut entries: Vec<(u32, A::Acc)> = Vec::with_capacity(n_changed);
                 for (pos, &lid) in plan.iter().enumerate() {
@@ -165,7 +170,7 @@ impl Exchange for GeminiConfig {
                     }
                 }
                 sent_entries += entries.len() as u64;
-                encode_sparse_chunks(&entries, self.chunk_bytes)
+                encode_sparse_chunks(vote, &entries, self.chunk_bytes)
             };
             for chunk in chunks {
                 sent_bytes += chunk.len() as u64;
@@ -175,6 +180,7 @@ impl Exchange for GeminiConfig {
         layer.finish_sends(channels::REDUCE);
 
         let mut chunks_got = vec![0u16; p];
+        let mut active = vote;
         let deliver = |lid: usize, v: A::Acc| host.deliver(lid, v);
         recv_round(layer, channels::REDUCE, |src, data| {
             let plan = &host.part.master_recv[src as usize];
@@ -182,50 +188,64 @@ impl Exchange for GeminiConfig {
             // touching the per-peer progress tracking (the framed
             // transports below guarantee the genuine chunk still arrives,
             // so the barrier cannot wedge).
-            match decode_chunk::<A::Acc>(&data, plan, identity, &deliver) {
-                Some(total) => {
-                    chunks_got[src as usize] += 1;
-                    chunks_got[src as usize] == total
-                }
-                None => {
-                    lci_trace::incr(Counter::EngineMalformedDropped);
-                    false
-                }
+            let Some((total, peer_vote)) = decode_chunk::<A::Acc>(&data, plan, identity, &deliver)
+            else {
+                lci_trace::incr(Counter::EngineMalformedDropped);
+                return false;
+            };
+            chunks_got[src as usize] += 1;
+            // Every chunk of a peer carries the same vote; its last counts.
+            let done = chunks_got[src as usize] == total;
+            if done {
+                active += peer_vote;
             }
+            done
         })?;
-        Ok((sent_entries, sent_bytes))
+        Ok(Exchanged { sent_entries, sent_bytes, active })
     }
 }
 
-/// Chunk wire format: `[kind u8][nchunks u16]` header, then:
+/// Chunk wire format: `[vote u64][kind u8][nchunks u16]`, then:
 /// * kind 0 (sparse): `[count u32][(pos u32, value)…]`
 /// * kind 1 (dense segment): `[start u32][value…]`
+///
+/// The vote rides every chunk rather than one marked chunk: chunks arrive in
+/// any order and a mangled one is dropped, so any one of them must do.
 const KIND_SPARSE: u8 = 0;
 const KIND_DENSE: u8 = 1;
 
-fn chunk_header(out: &mut Vec<u8>, kind: u8, nchunks: usize) {
+/// Bytes of a chunk that are not values or positions: the vote, the kind,
+/// the chunk total and the count/start word.
+const CHUNK_HEADER: usize = VOTE_BYTES + 7;
+
+fn chunk_header(out: &mut Vec<u8>, vote: u64, kind: u8, nchunks: usize) {
+    put_vote(vote, out);
     out.push(kind);
     out.extend_from_slice(&(nchunks as u16).to_le_bytes());
 }
 
 /// Split sparse entries into self-contained chunks of ≤ `chunk_bytes`.
 /// Always emits at least one (possibly empty) chunk.
-fn encode_sparse_chunks<L: Label>(entries: &[(u32, L)], chunk_bytes: usize) -> Vec<Vec<u8>> {
+fn encode_sparse_chunks<L: Label>(
+    vote: u64,
+    entries: &[(u32, L)],
+    chunk_bytes: usize,
+) -> Vec<Vec<u8>> {
     let entry = 4 + L::WIRE_BYTES;
-    let cap = ((chunk_bytes.saturating_sub(7)) / entry).max(1);
+    let cap = (chunk_bytes.saturating_sub(CHUNK_HEADER) / entry).max(1);
     let nchunks = entries.len().div_ceil(cap).max(1);
     assert!(nchunks <= u16::MAX as usize, "too many chunks for header");
     let mut out = Vec::with_capacity(nchunks);
     if entries.is_empty() {
-        let mut buf = Vec::with_capacity(7);
-        chunk_header(&mut buf, KIND_SPARSE, 1);
+        let mut buf = Vec::with_capacity(CHUNK_HEADER);
+        chunk_header(&mut buf, vote, KIND_SPARSE, 1);
         buf.extend_from_slice(&0u32.to_le_bytes());
         out.push(buf);
         return out;
     }
     for group in entries.chunks(cap) {
-        let mut buf = Vec::with_capacity(7 + group.len() * entry);
-        chunk_header(&mut buf, KIND_SPARSE, nchunks);
+        let mut buf = Vec::with_capacity(CHUNK_HEADER + group.len() * entry);
+        chunk_header(&mut buf, vote, KIND_SPARSE, nchunks);
         buf.extend_from_slice(&(group.len() as u32).to_le_bytes());
         for &(pos, v) in group {
             buf.extend_from_slice(&pos.to_le_bytes());
@@ -237,21 +257,21 @@ fn encode_sparse_chunks<L: Label>(entries: &[(u32, L)], chunk_bytes: usize) -> V
 }
 
 /// Split a dense value array into `[start, values…]` segments.
-fn encode_dense_chunks<L: Label>(values: &[L], chunk_bytes: usize) -> Vec<Vec<u8>> {
-    let cap = ((chunk_bytes.saturating_sub(7)) / L::WIRE_BYTES).max(1);
+fn encode_dense_chunks<L: Label>(vote: u64, values: &[L], chunk_bytes: usize) -> Vec<Vec<u8>> {
+    let cap = (chunk_bytes.saturating_sub(CHUNK_HEADER) / L::WIRE_BYTES).max(1);
     let nchunks = values.len().div_ceil(cap).max(1);
     assert!(nchunks <= u16::MAX as usize, "too many chunks for header");
     let mut out = Vec::with_capacity(nchunks);
     if values.is_empty() {
-        let mut buf = Vec::with_capacity(7);
-        chunk_header(&mut buf, KIND_DENSE, 1);
+        let mut buf = Vec::with_capacity(CHUNK_HEADER);
+        chunk_header(&mut buf, vote, KIND_DENSE, 1);
         buf.extend_from_slice(&0u32.to_le_bytes());
         out.push(buf);
         return out;
     }
     for (i, group) in values.chunks(cap).enumerate() {
-        let mut buf = Vec::with_capacity(7 + group.len() * L::WIRE_BYTES);
-        chunk_header(&mut buf, KIND_DENSE, nchunks);
+        let mut buf = Vec::with_capacity(CHUNK_HEADER + group.len() * L::WIRE_BYTES);
+        chunk_header(&mut buf, vote, KIND_DENSE, nchunks);
         buf.extend_from_slice(&((i * cap) as u32).to_le_bytes());
         for v in group {
             v.write(&mut buf);
@@ -262,16 +282,18 @@ fn encode_dense_chunks<L: Label>(values: &[L], chunk_bytes: usize) -> Vec<Vec<u8
 }
 
 /// Decode one chunk, delivering its non-identity entries; returns the
-/// sender's announced chunk total for this peer/round, or `None` when the
-/// chunk fails validation (short header, zero chunk total, lying counts,
-/// plan positions out of range, unknown kind). Total and panic-free on
-/// arbitrary bytes: mangled chunks are dropped, never indexed out of bounds.
+/// sender's announced chunk total for this peer/round and its vote, or
+/// `None` when the chunk fails validation (too short for the vote or the
+/// header, zero chunk total, lying counts, plan positions out of range,
+/// unknown kind). Total and panic-free on arbitrary bytes: mangled chunks
+/// are dropped, never indexed out of bounds.
 fn decode_chunk<L: Label>(
     data: &[u8],
     plan: &[Vid],
     identity: L,
     deliver: &impl Fn(usize, L),
-) -> Option<u16> {
+) -> Option<(u16, u64)> {
+    let (vote, data) = take_vote(data)?;
     if data.len() < 7 {
         return None;
     }
@@ -288,7 +310,9 @@ fn decode_chunk<L: Label>(
                 u32::from_le_bytes(data[3..7].try_into().expect("len checked")) as usize;
             let body = &data[7..];
             let n = body.len() / L::WIRE_BYTES;
-            if start.checked_add(n).is_none_or(|end| end > plan.len()) {
+            if !body.len().is_multiple_of(L::WIRE_BYTES)
+                || start.checked_add(n).is_none_or(|end| end > plan.len())
+            {
                 return None;
             }
             for (i, chunk) in body.chunks_exact(L::WIRE_BYTES).enumerate() {
@@ -311,15 +335,12 @@ fn decode_chunk<L: Label>(
                 let pos =
                     u32::from_le_bytes(data[off..off + 4].try_into().expect("entry")) as usize;
                 let v = L::read(&data[off + 4..]);
-                let Some(&lid) = plan.get(pos) else {
-                    return None;
-                };
-                deliver(lid as usize, v);
+                deliver(*plan.get(pos)? as usize, v);
             }
         }
         _ => return None,
     }
-    Some(nchunks)
+    Some((nchunks, vote))
 }
 
 #[cfg(test)]
@@ -329,16 +350,17 @@ mod tests {
     #[test]
     fn sparse_chunking_roundtrip() {
         let entries: Vec<(u32, u32)> = (0..100).map(|i| (i, i * 7)).collect();
-        let chunks = encode_sparse_chunks(&entries, 64);
+        let chunks = encode_sparse_chunks(9, &entries, 64);
         assert!(chunks.len() > 1);
         let plan: Vec<Vid> = (0..100).collect();
         let got = std::sync::Mutex::new(vec![0u32; 100]);
         for c in &chunks {
-            let total = decode_chunk::<u32>(c, &plan, u32::MAX, &|lid, v| {
+            assert!(c.len() <= 64, "a chunk stays within chunk_bytes, vote included");
+            let (total, vote) = decode_chunk::<u32>(c, &plan, u32::MAX, &|lid, v| {
                 got.lock().unwrap()[lid] = v;
             })
             .expect("valid chunk");
-            assert_eq!(total as usize, chunks.len());
+            assert_eq!((total as usize, vote), (chunks.len(), 9));
         }
         let got = got.into_inner().unwrap();
         for i in 0..100u32 {
@@ -349,7 +371,7 @@ mod tests {
     #[test]
     fn dense_chunking_roundtrip() {
         let values: Vec<u32> = (0..50).map(|i| i + 1).collect();
-        let chunks = encode_dense_chunks(&values, 32);
+        let chunks = encode_dense_chunks(0, &values, 32);
         assert!(chunks.len() > 1);
         let plan: Vec<Vid> = (0..50).collect();
         let got = std::sync::Mutex::new(vec![0u32; 50]);
@@ -367,22 +389,22 @@ mod tests {
 
     #[test]
     fn empty_payloads_still_announce_one_chunk() {
-        let chunks = encode_sparse_chunks::<u32>(&[], 1024);
+        let chunks = encode_sparse_chunks::<u32>(3, &[], 1024);
         assert_eq!(chunks.len(), 1);
         let plan: Vec<Vid> = vec![];
         let total = decode_chunk::<u32>(&chunks[0], &plan, u32::MAX, &|_, _| {
             panic!("no entries expected")
         })
         .expect("valid chunk");
-        assert_eq!(total, 1);
-        let chunks = encode_dense_chunks::<u32>(&[], 1024);
+        assert_eq!(total, (1, 3), "an empty chunk still announces itself and votes");
+        let chunks = encode_dense_chunks::<u32>(3, &[], 1024);
         assert_eq!(chunks.len(), 1);
     }
 
     #[test]
     fn identity_values_skipped_in_dense() {
         let values = vec![5u32, u32::MAX, 9];
-        let chunks = encode_dense_chunks(&values, 1 << 20);
+        let chunks = encode_dense_chunks(0, &values, 1 << 20);
         let plan: Vec<Vid> = vec![0, 1, 2];
         let seen = std::sync::Mutex::new(Vec::new());
         decode_chunk::<u32>(&chunks[0], &plan, u32::MAX, &|lid, v| {
@@ -397,34 +419,61 @@ mod tests {
         let plan: Vec<Vid> = (0..4).collect();
         let no_deliver = |_: usize, _: u32| panic!("malformed chunk must not deliver");
 
-        // Short header.
-        for cut in 0..7 {
+        // A well-formed vote ahead of every body below.
+        let voted = |body: &[u8]| [&7u64.to_le_bytes()[..], body].concat();
+        // Too short for the vote, then for the header behind it.
+        for cut in 0..CHUNK_HEADER {
             let data = vec![0u8; cut];
             assert_eq!(decode_chunk::<u32>(&data, &plan, 0, &no_deliver), None);
         }
         // Zero announced chunk total (would wedge the barrier).
         let mut zero = vec![KIND_SPARSE, 0, 0];
         zero.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(decode_chunk::<u32>(&zero, &plan, 0, &no_deliver), None);
+        assert_eq!(decode_chunk::<u32>(&voted(&zero), &plan, 0, &no_deliver), None);
         // Sparse count claiming more entries than the bytes carry.
         let mut lying = vec![KIND_SPARSE, 1, 0];
         lying.extend_from_slice(&1000u32.to_le_bytes());
-        assert_eq!(decode_chunk::<u32>(&lying, &plan, 0, &no_deliver), None);
+        assert_eq!(decode_chunk::<u32>(&voted(&lying), &plan, 0, &no_deliver), None);
         // Sparse position outside the plan.
         let mut oob = vec![KIND_SPARSE, 1, 0];
         oob.extend_from_slice(&1u32.to_le_bytes());
         oob.extend_from_slice(&99u32.to_le_bytes());
         oob.extend_from_slice(&7u32.to_le_bytes());
-        assert_eq!(decode_chunk::<u32>(&oob, &plan, 0, &no_deliver), None);
+        assert_eq!(decode_chunk::<u32>(&voted(&oob), &plan, 0, &no_deliver), None);
         // Dense segment overrunning the plan.
         let mut dense = vec![KIND_DENSE, 1, 0];
         dense.extend_from_slice(&3u32.to_le_bytes());
         dense.extend_from_slice(&5u32.to_le_bytes());
         dense.extend_from_slice(&6u32.to_le_bytes());
-        assert_eq!(decode_chunk::<u32>(&dense, &plan, 0, &no_deliver), None);
+        assert_eq!(decode_chunk::<u32>(&voted(&dense), &plan, 0, &no_deliver), None);
         // Unknown kind byte.
         let mut unk = vec![7u8, 1, 0];
         unk.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(decode_chunk::<u32>(&unk, &plan, 0, &no_deliver), None);
+        assert_eq!(decode_chunk::<u32>(&voted(&unk), &plan, 0, &no_deliver), None);
+    }
+
+    /// Every strict prefix of a vote-carrying chunk, sparse or dense, is
+    /// rejected whole — no vote, no chunk total, nothing that could complete
+    /// a peer early or end a run on a number nobody sent — except a dense
+    /// cut on a value boundary, which is a shorter valid segment with the
+    /// true vote (and cannot occur behind the layers' length framing).
+    #[test]
+    fn truncated_vote_carrying_chunks_are_rejected() {
+        let plan: Vec<Vid> = (0..6).collect();
+        let quiet = |_: usize, _: u32| {};
+        let entries: Vec<(u32, u32)> = (0..6).map(|i| (i, i + 10)).collect();
+        let sparse = encode_sparse_chunks(41, &entries, 1 << 20).remove(0);
+        assert_eq!(decode_chunk::<u32>(&sparse, &plan, 0, &quiet), Some((1, 41)));
+        for cut in 0..sparse.len() {
+            assert_eq!(decode_chunk::<u32>(&sparse[..cut], &plan, 0, &quiet), None, "cut {cut}");
+        }
+        let values: Vec<u32> = (1..=6).collect();
+        let dense = encode_dense_chunks(41, &values, 1 << 20).remove(0);
+        assert_eq!(decode_chunk::<u32>(&dense, &plan, 0, &quiet), Some((1, 41)));
+        for cut in 0..dense.len() {
+            let got = decode_chunk::<u32>(&dense[..cut], &plan, 0, &quiet);
+            let whole_values = cut >= CHUNK_HEADER && (cut - CHUNK_HEADER).is_multiple_of(4);
+            assert_eq!(got, whole_values.then_some((1, 41)), "cut {cut}");
+        }
     }
 }

@@ -131,3 +131,78 @@ fn gemini_over_rma_with_chunking() {
     let expect = reference::cc(&g);
     assert_eq!(run(&g, 3, LayerKind::MpiRma, Cc), expect);
 }
+
+/// FNV-1a over the values' wire bytes: moves if any bit of any answer does.
+fn values_hash<L: abelian::Label>(values: &[L]) -> u64 {
+    let mut bytes = Vec::new();
+    values.iter().for_each(|v| v.write(&mut bytes));
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `(rounds, Σ sent_entries over hosts and rounds, values_hash)` of `app` on
+/// three hosts over LCI.
+fn observe<A: App>(g: &CsrGraph, app: A) -> (usize, u64, u64) {
+    let parts = partition(g, 3, Policy::EdgeCutBlocked);
+    let (layers, _world) = build_layers(
+        LayerKind::Lci,
+        FabricConfig::test(3),
+        MpiConfig::default(),
+        lci::LciConfig::for_hosts(3),
+    );
+    let r = run_gemini(&parts, Arc::new(app), &layers, &GeminiConfig::default());
+    let entries = r.hosts.iter().flat_map(|h| &h.metrics.rounds).map(|m| m.sent_entries).sum();
+    (r.rounds, entries, values_hash(&r.values))
+}
+
+/// Same answers, same rounds: pinned at the last commit that ended every
+/// round with a control all-reduce (PR 16), on the graphs of the Abelian
+/// suite's twin (`engine_correctness.rs`) — a small weighted rmat and a
+/// descending 40-vertex path. PageRank's hash on the rmat is not pinned: with
+/// three hosts its float sums fold in arrival order, at the parent too.
+#[test]
+fn rounds_entries_and_values_are_the_control_exchange_engines() {
+    use abelian::apps::{MultiSourceReach, WidestPath};
+    let n = 40u32;
+    let hops: Vec<(u32, u32)> = (1..n).map(|i| (i, i - 1)).collect();
+    let graphs = [
+        (gen::randomize_weights(&gen::rmat(7, 4, 0x601D), 10, 0x55), 0),
+        (CsrGraph::from_edges(n as usize, &hops), n - 1),
+    ];
+    // Per graph, apps in the order run below.
+    // `None`: not pinned, see above.
+    let pinned: [[(usize, u64, Option<u64>); 6]; 2] = [
+        [
+            (4, 216, Some(1486777556585046100)),
+            (4, 305, Some(186102878921650271)),
+            (3, 235, Some(14600793250840921602)),
+            (20, 2947, None),
+            (5, 303, Some(7257646108541269479)),
+            (5, 417, Some(3108423098834151621)),
+        ],
+        [
+            (40, 2, Some(3839218244705206053)),
+            (40, 2, Some(3839218244705206053)),
+            (1, 2, Some(17730087810143058725)),
+            (39, 38, Some(5708566918114248096)),
+            (40, 2, Some(13902953559477976880)),
+            (40, 3, Some(7623125984557940133)),
+        ],
+    ];
+    for ((g, src), want) in graphs.iter().zip(pinned) {
+        let got = [
+            observe(g, Bfs { source: *src }),
+            observe(g, Sssp { source: *src }),
+            observe(g, Cc),
+            observe(g, PageRank::default()),
+            observe(g, WidestPath { source: *src }),
+            observe(g, MultiSourceReach { sources: vec![*src, 3, 17] }),
+        ];
+        for (app, (got, want)) in got.into_iter().zip(want).enumerate() {
+            let what = format!("app #{app} on {} vertices", g.num_vertices());
+            assert_eq!((got.0, got.1), (want.0, want.1), "rounds, entries: {what}");
+            assert_eq!(want.2.unwrap_or(got.2), got.2, "value bits: {what}");
+        }
+    }
+}

@@ -144,6 +144,7 @@ counters! {
     (PhaseComputeNs, "phase.compute_ns", Nanos),
     (PhaseReduceNs, "phase.reduce_ns", Nanos),
     (PhaseBroadcastNs, "phase.broadcast_ns", Nanos),
+    // The engines' top-of-round boundary pass: fire list + termination vote.
     (PhaseControlNs, "phase.control_ns", Nanos),
     (PhaseCommNs, "phase.comm_ns", Nanos),
 }

@@ -2,10 +2,10 @@
 # Tier-1 test suite + chaos profile.
 #
 # Tier 1 (always): release build + the full workspace test suite, clippy on
-# the trace and fabric crates, the repo benchmark's `--quick` self-check, and
-# the pin leg — all `--offline`: the workspace fetches nothing (the registry
-# names are patched onto in-tree stand-ins, see the root Cargo.toml). This is
-# the bar every change must clear.
+# the trace, fabric and engine crates, the repo benchmark's `--quick`
+# self-check, and the pin leg — all `--offline`: the workspace fetches nothing
+# (the registry names are patched onto in-tree stand-ins, see the root
+# Cargo.toml). This is the bar every change must clear.
 #
 # Pin leg: one traced run of the repo benchmark; the ten rows that are pure
 # functions of the seed (wire bytes, packets, virtual-clock time, retransmits,
@@ -23,7 +23,8 @@
 # corrupt/duplicate/truncate chaos runs), the crash-recovery suite (seeded
 # mid-run crash-stop of one host per engine per comm layer, recovered via
 # coordinated checkpoint/restart), and clippy over the other fault-bearing
-# crates (lci protocol, mini-mpi; the fabric is linted in tier 1).
+# crates (lci protocol, mini-mpi; the fabric and the engines are linted in
+# tier 1).
 #
 # Usage:
 #   ./run_tests.sh               # tier 1 + chaos profile
@@ -69,8 +70,8 @@ echo "=== tier 1: test ==="
 # Bounded: the one known wedge (ROADMAP item 1(b), a survivor spinning after
 # its peer's abort) hangs instead of failing, and CI must say so.
 timeout 1800 cargo test --offline --workspace --release -q
-echo "=== tier 1: clippy (lci-trace, lci-fabric) ==="
-cargo clippy --offline -p lci-trace -p lci-fabric --release -- -D warnings
+echo "=== tier 1: clippy (lci-trace, lci-fabric, abelian, gemini) ==="
+cargo clippy --offline -p lci-trace -p lci-fabric -p abelian -p gemini --release -- -D warnings
 # The repo benchmark builds its own offline workspace against crates/* and
 # checks every metric name in BENCHMARK.json, so a product change that breaks
 # a call benchmark/ pins fails here, not only in the external pipeline.

@@ -87,7 +87,14 @@ fn descending_path(n: usize) -> lci_graph::CsrGraph {
 }
 const HOSTS: usize = 4;
 const CRASH_HOST: u16 = 1;
-const CRASH_AFTER: u64 = 400;
+/// Packets involving the crash host before it dies. A round is one exchange
+/// on an edge cut and two on a vertex cut (there is no control exchange), so
+/// the window this must fall in is set by the lightest and the heaviest run
+/// below: Gemini over LCI or MPI-Probe finishes within 250–300 such packets
+/// (the crash must still fire), and Abelian over MPI-RMA needs 100–150 of
+/// them before every host holds its first checkpoint (recovery must have one
+/// to roll back to). Measured with the default seed; 200 sits in the middle.
+const CRASH_AFTER: u64 = 200;
 
 // ---- tentpole: crash + recovery completes bit-identical ------------------
 
