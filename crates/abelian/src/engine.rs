@@ -203,6 +203,12 @@ const BLOCK: usize = 64;
 /// One host's vertex state, shared between the round skeleton (which owns
 /// its lifecycle) and the [`Exchange`] strategy (which reads and folds
 /// labels through the methods below).
+///
+/// Who writes it: the host thread, always; compute threads only while the
+/// fire phase's `thread::scope` is open, and only when the run was given more
+/// than one. [`host_main`] tells the label vectors which of the two it is
+/// (`shared`), so a single-threaded host pays for no atomic read-modify-write
+/// anywhere in a round; every read-modify-write goes through [`LabelVec`].
 pub struct HostState<'a, A: App> {
     /// This host's partition.
     pub part: &'a DistGraph,
@@ -225,12 +231,13 @@ pub struct HostState<'a, A: App> {
 impl<'a, A: App> HostState<'a, A> {
     /// Masters hold the canonical initial value; mirrors start at the reduce
     /// identity (an add-app mirror that started at `init` would double-count
-    /// it into the master at the first reduce).
-    fn new(part: &'a DistGraph, app: &'a A, track_fired: bool) -> Self {
+    /// it into the master at the first reduce). `shared`: whether compute
+    /// threads will fire next to each other (see [`LabelVec::new`]).
+    fn new(part: &'a DistGraph, app: &'a A, track_fired: bool, shared: bool) -> Self {
         let nl = part.num_local();
         let nm = part.num_masters as usize;
         let identity = app.identity();
-        let labels = LabelVec::new(nl, identity);
+        let labels = LabelVec::new(nl, identity, shared);
         for l in 0..nm {
             labels.set(l, app.init(part.l2g[l]));
         }
@@ -244,10 +251,10 @@ impl<'a, A: App> HostState<'a, A> {
             labels,
             changed,
             dirty: (0..nl.div_ceil(BLOCK)).map(|_| AtomicBool::new(true)).collect(),
-            consumed: app.output_consumed().then(|| LabelVec::new(nm, identity)),
+            consumed: app.output_consumed().then(|| LabelVec::new(nm, identity, shared)),
             track_fired,
             fired: (0..nf).map(|_| AtomicBool::new(false)).collect(),
-            emits: LabelVec::new(nf, identity),
+            emits: LabelVec::new(nf, identity, shared),
         }
     }
 
@@ -309,9 +316,12 @@ impl<'a, A: App> HostState<'a, A> {
 
     /// Fold contribution `v` into local vertex `lid`, marking it changed if
     /// its value moved. The block is marked first, so no instant has a
-    /// changed vertex in a clean block. Two plain stores: this is PageRank's
-    /// hot loop. It runs on the host thread, or on compute threads the host
-    /// thread joins before its next boundary pass.
+    /// changed vertex in a clean block. This is PageRank's hot loop, once per
+    /// edge: the fold is a compare-and-swap only on a host whose compute
+    /// threads share the labels (a load and a store otherwise — the choice is
+    /// [`LabelVec`]'s, made once per run), and the marks are two plain stores.
+    /// It runs on the host thread, or on compute threads the host thread
+    /// joins before its next boundary pass.
     pub fn deliver(&self, lid: usize, v: A::Acc) {
         if self.labels.reduce_with(lid, v, |a, b| self.app.reduce(a, b)) {
             self.dirty[lid / BLOCK].store(true, Ordering::Release);
@@ -324,12 +334,17 @@ impl<'a, A: App> HostState<'a, A> {
         self.changed[lid].load(Ordering::Acquire)
     }
 
-    /// Clear `lid`'s changed mark, returning whether it was set. Tested
-    /// before it is swapped: in a sparse round almost every flag is clear,
-    /// and a plain load costs a fraction of a locked exchange. Only the host
-    /// thread clears flags, so one it saw set is still set at the swap.
+    /// Clear `lid`'s changed mark, returning whether it was set: a test and
+    /// a plain store, no exchange. Only the host thread clears flags, and
+    /// only while no compute thread runs (it has joined them, which is also
+    /// what orders their marks before this load), so nothing can set the flag
+    /// between the two.
     fn clear_changed(&self, lid: usize) -> bool {
-        self.changed[lid].load(Ordering::Relaxed) && self.changed[lid].swap(false, Ordering::AcqRel)
+        let was = self.changed[lid].load(Ordering::Relaxed);
+        if was {
+            self.changed[lid].store(false, Ordering::Relaxed);
+        }
+        was
     }
 
     /// Whether local vertex `lid` would fire on its current value.
@@ -514,7 +529,9 @@ fn host_main<A: App, X: Exchange>(
     let (p, part) = (parts.parts.len(), &parts.parts[h]);
     let me = part.host;
     let broadcasts = exchange.broadcasts();
-    let st = HostState::new(part, app, broadcasts);
+    // The one decision on who writes vertex state: compute threads exist
+    // exactly when there is more than one of them to fan the fire list over.
+    let st = HostState::new(part, app, broadcasts, compute_threads > 1);
     let mut round = match ckpt {
         Some(CkptPlan { store, resume_from: Some(r0), .. }) => st.restore(store, *r0)?,
         _ => 0,
@@ -547,6 +564,7 @@ fn host_main<A: App, X: Exchange>(
         // ---- fire phase (computation) -----------------------------------
         let fire_span = Span::enter(Counter::PhaseComputeNs);
         if compute_threads > 1 && fire_list.len() > 64 {
+            assert!(st.labels.is_shared(), "compute threads need shared vertex state");
             let chunk = fire_list.len().div_ceil(compute_threads);
             std::thread::scope(|scope| {
                 for ch in fire_list.chunks(chunk) {
@@ -866,7 +884,7 @@ mod tests {
             let (part, app) = (&parts.parts[0], PageRank::default());
             let nl = part.num_local();
             prop_assert!(nl > 4 * BLOCK && (part.num_masters as usize) < nl, "{nl} local");
-            let mut st = HostState::new(part, &app, false);
+            let mut st = HostState::new(part, &app, false, false);
             let mut plain = Plain {
                 app: &app,
                 part,
@@ -890,7 +908,7 @@ mod tests {
                     }
                     _ => {
                         store.save(0, &st.snapshot(i));
-                        st = HostState::new(part, &app, false);
+                        st = HostState::new(part, &app, false, false);
                         prop_assert_eq!(st.restore(&store, i as u64), Ok(i));
                     }
                 }

@@ -8,11 +8,12 @@ use std::time::Duration;
 pub struct RoundMetrics {
     /// Time spent applying operators (the computation phase).
     pub compute: Duration,
-    /// Wall time of the round minus computation — the non-overlapped
-    /// communication time of Fig. 6 (gather/scatter work that overlaps with
-    /// communication counts as communication here, matching the paper's
-    /// methodology of attributing everything outside pure compute to the
-    /// communication component).
+    /// Wall time of the round minus computation: everything this host did
+    /// outside pure compute (gather/scatter work that overlaps with
+    /// communication counts here, as in the paper's methodology) — which
+    /// includes *waiting for a slower host's compute*. It is this host's
+    /// view, not Fig. 6's non-overlapped communication; that is a property
+    /// of the round across hosts, see [`aggregate_breakdown`].
     pub comm: Duration,
     /// Number of label updates sent this round (reduce payload entries).
     pub sent_entries: u64,
@@ -53,25 +54,22 @@ impl HostMetrics {
     }
 }
 
-/// Aggregate per-round maxima across hosts, as the paper does for Fig. 6:
-/// "the maximum across hosts for each iteration, summed".
+/// Aggregate `(compute, comm)` across hosts by the paper's Fig. 6 rule: a
+/// round's computation is the maximum across hosts, and *everything else* of
+/// the round — the longest host's `compute + comm` minus that maximum — is
+/// non-overlapped communication; both summed over rounds. So the two add up
+/// to the run, and a fast host's wait for a slow host's compute is counted as
+/// the compute it is, not as communication.
 pub fn aggregate_breakdown(hosts: &[HostMetrics]) -> (Duration, Duration) {
     let rounds = hosts.iter().map(|h| h.rounds.len()).max().unwrap_or(0);
     let mut compute = Duration::ZERO;
     let mut comm = Duration::ZERO;
     for r in 0..rounds {
-        compute += hosts
-            .iter()
-            .filter_map(|h| h.rounds.get(r))
-            .map(|m| m.compute)
-            .max()
-            .unwrap_or_default();
-        comm += hosts
-            .iter()
-            .filter_map(|h| h.rounds.get(r))
-            .map(|m| m.comm)
-            .max()
-            .unwrap_or_default();
+        let round = || hosts.iter().filter_map(|h| h.rounds.get(r));
+        let slowest_compute = round().map(|m| m.compute).max().unwrap_or_default();
+        let longest = round().map(|m| m.compute + m.comm).max().unwrap_or_default();
+        compute += slowest_compute;
+        comm += longest - slowest_compute;
     }
     (compute, comm)
 }
@@ -120,6 +118,8 @@ mod tests {
         };
         let (compute, comm) = aggregate_breakdown(&[a, b]);
         assert_eq!(compute, Duration::from_millis(13)); // 5 + 8
-        assert_eq!(comm, Duration::from_millis(16)); // 10 + 6
+        // Everything else of each round: (11 - 5) + (9 - 8). For 4 of host
+        // a's 10 ms in round 0, host b was still computing.
+        assert_eq!(comm, Duration::from_millis(7));
     }
 }

@@ -137,6 +137,9 @@ fn membook_returns_to_zero_when_idle() {
                     let outgoing: Vec<Vec<u8>> =
                         (0..hosts).map(|_| vec![1u8; 20_000]).collect();
                     let _ = exchange_all(&*l, CH, outgoing);
+                    // The peer's rendezvous may still need this host's
+                    // progress (as above): leaving now can strand it.
+                    l.quiesce();
                 });
             }
         });

@@ -3,7 +3,8 @@
 //!
 //! Methodology matches the paper: per-round computation time is the maximum
 //! across hosts, summed over rounds; everything else is non-overlapped
-//! communication. Reproduction target: the compute component is roughly
+//! communication. Under each row, one line per host says whose compute that
+//! maximum was. Reproduction target: the compute component is roughly
 //! equal across layers; the differences concentrate in communication, where
 //! LCI is best or tied with MPI-RMA.
 //!
@@ -11,7 +12,10 @@
 //! `FIG6_FABRIC` (default stampede2).
 
 use abelian::LayerKind;
-use lci_bench::{emit, env_str, env_usize, fabric_by_name, fmt_dur, graph_by_name, partition_for, AppKind, Scenario};
+use lci_bench::{
+    emit, env_str, env_usize, fabric_by_name, fmt_dur, graph_by_name, host_totals, partition_for,
+    AppKind, Scenario,
+};
 use lci_trace::Counter;
 
 fn main() {
@@ -54,6 +58,7 @@ fn main() {
                 fmt_dur(t.comm),
                 100.0 * t.comm.as_secs_f64() / total.as_secs_f64().max(1e-12)
             );
+            print!("{}", host_totals(&t.hosts));
             let prefix = format!("{}_{}", app.name(), kind.name());
             for (phase, counter) in [
                 ("compute", Counter::PhaseComputeNs),

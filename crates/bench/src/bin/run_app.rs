@@ -14,7 +14,7 @@
 use abelian::apps::{reference, App, Bfs, Cc, PageRank, Sssp, WidestPath};
 use abelian::{build_layers, run_app, EngineConfig, LayerKind};
 use gemini::{run_gemini, GeminiConfig};
-use lci_bench::{fabric_by_name, fmt_bytes, fmt_dur, graph_by_name};
+use lci_bench::{fabric_by_name, fmt_bytes, fmt_dur, graph_by_name, host_totals};
 use lci_graph::{partition, CsrGraph, GraphStats, Policy, Vid};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -129,9 +129,10 @@ fn main() {
         (r, t0.elapsed())
     }
 
+    // `$verdict`: `Some((ok, how it was compared))` when asked to verify.
     macro_rules! report {
-        ($r:expr, $dt:expr, $expect:expr) => {{
-            let (r, dt) = ($r, $dt);
+        ($r:expr, $dt:expr, $verdict:expr) => {{
+            let (r, dt) = (&$r, $dt);
             println!(
                 "{} on {} via {}: {} rounds in {}",
                 app,
@@ -140,18 +141,18 @@ fn main() {
                 r.rounds,
                 fmt_dur(dt)
             );
-            let (compute, comm) = abelian::metrics::aggregate_breakdown(
-                &r.hosts.iter().map(|h| h.metrics.clone()).collect::<Vec<_>>(),
-            );
+            let hosts: Vec<_> = r.hosts.iter().map(|h| h.metrics.clone()).collect();
+            let (compute, comm) = abelian::metrics::aggregate_breakdown(&hosts);
             println!(
                 "  compute {} | non-overlapped comm {} | mem peak max {}",
                 fmt_dur(compute),
                 fmt_dur(comm),
                 fmt_bytes(r.mem_peak_max())
             );
-            if let Some(expect) = $expect {
-                if r.values == expect {
-                    println!("  verify: OK (matches sequential reference)");
+            print!("{}", host_totals(&hosts));
+            if let Some((ok, how)) = $verdict {
+                if ok {
+                    println!("  verify: OK ({how})");
                 } else {
                     println!("  verify: MISMATCH");
                     std::process::exit(1);
@@ -159,44 +160,34 @@ fn main() {
             }
         }};
     }
+    const EXACT: &str = "matches sequential reference";
 
     match app.as_str() {
         "bfs" => {
             let (r, dt) = drive(&engine, &parts, Bfs { source }, &layers, threads);
-            report!(r, dt, verify.then(|| reference::bfs(&g, source)));
+            report!(r, dt, verify.then(|| (r.values == reference::bfs(&g, source), EXACT)));
         }
         "cc" => {
             let (r, dt) = drive(&engine, &parts, Cc, &layers, threads);
-            report!(r, dt, verify.then(|| reference::cc(&g)));
+            report!(r, dt, verify.then(|| (r.values == reference::cc(&g), EXACT)));
         }
         "sssp" => {
             let (r, dt) = drive(&engine, &parts, Sssp { source }, &layers, threads);
-            report!(r, dt, verify.then(|| reference::sssp(&g, source)));
+            report!(r, dt, verify.then(|| (r.values == reference::sssp(&g, source), EXACT)));
         }
         "widest" => {
             let (r, dt) = drive(&engine, &parts, WidestPath { source }, &layers, threads);
-            report!(r, dt, verify.then(|| reference::widest_path(&g, source)));
+            report!(r, dt, verify.then(|| (r.values == reference::widest_path(&g, source), EXACT)));
         }
         "pagerank" => {
             let (r, dt) = drive(&engine, &parts, PageRank::default(), &layers, threads);
             // Float drift: verify within tolerance instead of equality.
-            println!(
-                "pagerank on {engine} via {layer}: {} rounds in {}",
-                r.rounds,
-                fmt_dur(dt)
-            );
-            if verify {
+            let close = || {
                 let expect = reference::pagerank(&g, 0.85, 1e-4, 100);
-                let ok = r
-                    .values
-                    .iter()
-                    .zip(&expect)
-                    .all(|(a, b)| (a - b).abs() <= 0.05 * b.max(1.0));
-                println!("  verify: {}", if ok { "OK (within 5%)" } else { "MISMATCH" });
-                if !ok {
-                    std::process::exit(1);
-                }
-            }
+                let near = |(a, b): (&f32, &f32)| (a - b).abs() <= 0.05 * b.max(1.0);
+                (r.values.iter().zip(&expect).all(near), "within 5%")
+            };
+            report!(r, dt, verify.then(close));
         }
         other => {
             eprintln!("unknown app {other}");

@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 use abelian::apps::{Bfs, Cc, PageRank, Sssp};
+use abelian::metrics::HostMetrics;
 use abelian::{build_layers, run_app, EngineConfig, LayerKind, RunResult};
 use gemini::{run_gemini, GeminiConfig};
 use lci_fabric::FabricConfig;
@@ -86,8 +87,12 @@ pub struct Timing {
     pub total: Duration,
     /// Summed per-round max-across-hosts compute time.
     pub compute: Duration,
-    /// Summed per-round max-across-hosts non-overlapped communication time.
+    /// Summed per-round non-overlapped communication time: what is left of
+    /// each round beside its slowest host's compute
+    /// ([`abelian::metrics::aggregate_breakdown`]).
     pub comm: Duration,
+    /// Every host's own metrics, rank order (for [`host_totals`]).
+    pub hosts: Vec<HostMetrics>,
     /// Rounds executed.
     pub rounds: usize,
     /// Peak communication-buffer bytes, max across hosts.
@@ -97,13 +102,13 @@ pub struct Timing {
 }
 
 fn timing_of<L: abelian::Label>(total: Duration, r: &RunResult<L>) -> Timing {
-    let (compute, comm) = abelian::metrics::aggregate_breakdown(
-        &r.hosts.iter().map(|h| h.metrics.clone()).collect::<Vec<_>>(),
-    );
+    let hosts: Vec<HostMetrics> = r.hosts.iter().map(|h| h.metrics.clone()).collect();
+    let (compute, comm) = abelian::metrics::aggregate_breakdown(&hosts);
     Timing {
         total,
         compute,
         comm,
+        hosts,
         rounds: r.rounds,
         mem_max: r.mem_peak_max(),
         mem_min: r.mem_peak_min(),
@@ -239,6 +244,18 @@ pub fn fmt_bytes(b: u64) -> String {
     } else {
         format!("{b}B")
     }
+}
+
+/// One line per host, rank order: its own compute and everything else it did
+/// or waited for, summed over rounds. The aggregate rows take per-round
+/// maxima, which hides *whose* compute a run is; an imbalance between hosts
+/// shows here.
+pub fn host_totals(hosts: &[HostMetrics]) -> String {
+    let line = |(h, m): (usize, &HostMetrics)| {
+        let (compute, rest) = (fmt_dur(m.total_compute()), fmt_dur(m.total_comm()));
+        format!("  host {h}: compute {compute} | comm + wait {rest}\n")
+    };
+    hosts.iter().enumerate().map(line).collect()
 }
 
 /// Dump per-round, per-host engine metrics as CSV (one row per host-round):

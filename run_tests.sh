@@ -51,6 +51,17 @@ for f in crates/fabric/src/*.rs; do
     fi
 done
 
+# Every read-modify-write on vertex state goes through `LabelVec`, the one
+# place that knows whether more than one thread writes it (DESIGN.md, "Who
+# writes vertex state"). An atomic RMW spelled out in an engine would put a
+# locked instruction back on the per-edge path of every single-threaded host.
+for f in crates/abelian/src/engine.rs crates/gemini/src/engine.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } /compare_exchange|fetch_[a-z]|\]\.swap\(/ { hit = 1 } END { exit !hit }' "$f"; then
+        echo "ENGINE RMW: $f has an atomic read-modify-write outside #[cfg(test)]; use LabelVec" >&2
+        exit 1
+    fi
+done
+
 # Nothing is fetched: every package of the resolved graph is a path in this
 # checkout. A dependency that needs the registry would make tier 1 something
 # only a networked machine can run.
