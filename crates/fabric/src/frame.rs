@@ -23,6 +23,13 @@
 //! generator polynomial has Hamming distance ≥ 2 at any frame length, so
 //! *every* single-bit flip is detected — a property the hardening proptests
 //! assert exhaustively on small frames.
+//!
+//! Two routines compute it and [`Crc32::update`] alone picks one: `sliced`
+//! (table lookups, 16 bytes a round) runs anywhere; `clmul::fold` (carry-less
+//! multiplication, 64 bytes a step) takes inputs of 64 bytes or more on an
+//! x86-64 CPU that reports `pclmulqdq`. Both leave the same register after
+//! the same bytes — the unit tests hold each to a bit-at-a-time oracle — so
+//! which one ran never shows on the wire or in a checkpoint.
 
 use std::collections::BTreeSet;
 
@@ -32,13 +39,13 @@ pub const FRAME_OVERHEAD: usize = 16;
 /// Default cap on a [`SeqGate`]'s above-watermark admissions.
 pub const DEFAULT_GATE_WINDOW: u64 = 4096;
 
-/// Input bytes [`Crc32::update`] folds per table-sliced step.
+/// Input bytes [`sliced`] folds per full table round.
 const CRC_STRIDE: usize = 16;
 
 /// CRC-32/IEEE slicing tables, generated at compile time. `CRC_TABLES[0]` is
 /// the classic one-byte table; `CRC_TABLES[k][b]` is the CRC of byte `b`
-/// followed by `k` zero bytes, which is what lets [`Crc32::update`] fold
-/// [`CRC_STRIDE`] input bytes per step with independent lookups.
+/// followed by `k` zero bytes, which is what lets [`sliced`] fold
+/// [`CRC_STRIDE`] input bytes per round with independent lookups.
 const CRC_TABLES: [[u32; 256]; CRC_STRIDE] = {
     let mut t = [[0u32; 256]; CRC_STRIDE];
     let mut i = 0;
@@ -71,20 +78,48 @@ const CRC_TABLES: [[u32; 256]; CRC_STRIDE] = {
 
 /// Incremental CRC-32/IEEE (reflected 0xEDB88320) over multiple byte
 /// slices — the checksum of the frame prefix, exported so other sealed
-/// formats (checkpoints) share the one implementation.
+/// formats (checkpoints) share the one implementation. Holds the raw
+/// register: a function of the bytes folded in, not of how `update` got them.
 #[derive(Clone, Copy)]
 pub struct Crc32(u32);
 
-impl Crc32 {
-    /// A checksum over no bytes yet.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
+impl Default for Crc32 {
+    fn default() -> Self {
         Crc32(0xFFFF_FFFF)
     }
-    /// Fold `bytes` into the checksum.
+}
+
+impl Crc32 {
+    /// A checksum over no bytes yet.
+    pub fn new() -> Self {
+        Crc32::default()
+    }
+    /// Fold `bytes` into the checksum: by carry-less multiplication where the
+    /// CPU has it and 64 bytes or more are on hand (what the four lanes of
+    /// `clmul::fold` hold before its first step; it is already the faster
+    /// routine there), otherwise, and for the tail it leaves, by table.
     pub fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.0;
-        let mut chunks = bytes.chunks_exact(CRC_STRIDE);
+        #[cfg(target_arch = "x86_64")]
+        if bytes.len() >= clmul::MIN_LEN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+            // SAFETY: all `clmul::fold` requires is a CPU that executes
+            // `pclmulqdq`, which the detection macro has just confirmed.
+            let (crc, tail) = unsafe { clmul::fold(self.0, bytes) };
+            self.0 = sliced(crc, tail);
+            return;
+        }
+        self.0 = sliced(self.0, bytes);
+    }
+    /// The CRC-32 of everything folded in so far.
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+/// The portable routine: table rounds of 16 bytes, then of 4 (a frame's
+/// 20-byte prefix block is one of each), then byte steps.
+fn sliced(mut crc: u32, mut bytes: &[u8]) -> u32 {
+    for stride in [CRC_STRIDE, 4] {
+        let mut chunks = bytes.chunks_exact(stride);
         for c in &mut chunks {
             // The running CRC only mixes into the first four bytes; every
             // byte then indexes the table for its distance from the end of
@@ -93,25 +128,88 @@ impl Crc32 {
             crc = 0;
             for (i, &b) in c.iter().enumerate() {
                 let b = if i < 4 { b ^ head[i] } else { b };
-                crc ^= CRC_TABLES[CRC_STRIDE - 1 - i][b as usize];
+                crc ^= CRC_TABLES[stride - 1 - i][b as usize];
             }
         }
-        for &b in chunks.remainder() {
-            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        self.0 = crc;
+        bytes = chunks.remainder();
     }
-    /// The CRC-32 of everything folded in so far.
-    pub fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
+    for &b in bytes {
+        crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
+}
+
+/// The carry-less-multiply routine (Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009): a 16-byte
+/// lane times x^d mod P is the same lane `d` bits further up the message, so
+/// lanes fold onto later input with two multiplies each and no table.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// Least input [`fold`] takes: its four 16-byte lanes.
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// `a` moved `d` bits up the message, plus `b`; `k` is x^(d+32) for `a`'s
+    /// low half (the earlier bytes) and x^(d-32) for its high half.
+    #[target_feature(enable = "pclmulqdq")]
+    fn shift_onto(a: __m128i, k: __m128i, b: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, k, 0x00);
+        let hi = _mm_clmulepi64_si128(a, k, 0x11);
+        _mm_xor_si128(b, _mm_xor_si128(lo, hi))
+    }
+
+    /// Fold every whole 16-byte block of `bytes`, [`MIN_LEN`] or more, into
+    /// `crc`: the register and the tail left over. All safe code — lanes are
+    /// built with `from_le_bytes`, never loaded through a pointer.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn fold(crc: u32, bytes: &[u8]) -> (u32, &[u8]) {
+        let lane = |b: &[u8]| {
+            let v = u128::from_le_bytes(b.try_into().expect("16 bytes"));
+            _mm_set_epi64x((v >> 64) as i64, v as i64)
+        };
+        // x^n mod P (and, for Barrett, x^64 / P and P), bit-reflected like the
+        // register and shifted up one: the product of two reflected operands
+        // comes out one bit low.
+        let by_512 = _mm_set_epi64x(0x1_C6E4_1596, 0x1_5444_2BD4); // n = 480, 544
+        let by_128 = _mm_set_epi64x(0x0_CCAA_009E, 0x1_7519_97D0); // n = 96, 160
+        let by_64 = _mm_set_epi64x(0, 0x1_63CD_6124);
+        let mu_p = _mm_set_epi64x(0x1_F701_1641, 0x1_DB71_0641);
+        let mut x = [0, 16, 32, 48].map(|at| lane(&bytes[at..at + 16]));
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(crc as i32));
+        let mut steps = bytes[MIN_LEN..].chunks_exact(MIN_LEN);
+        for s in &mut steps {
+            for (x, b) in x.iter_mut().zip(s.chunks_exact(16)) {
+                *x = shift_onto(*x, by_512, lane(b));
+            }
+        }
+        let mut blocks = steps.remainder().chunks_exact(16);
+        let mut acc = x[0];
+        for b in x[1..].iter().copied().chain((&mut blocks).map(lane)) {
+            acc = shift_onto(acc, by_128, b);
+        }
+        // 128 bits -> 96 -> 64, then Barrett: the 32 left are the register.
+        let low32 = _mm_set_epi64x(0, 0xFFFF_FFFF);
+        let hi = _mm_srli_si128(acc, 8);
+        let acc = _mm_xor_si128(_mm_clmulepi64_si128(acc, by_128, 0x10), hi);
+        let (lo, hi) = (_mm_and_si128(acc, low32), _mm_srli_si128(acc, 4));
+        let acc = _mm_xor_si128(_mm_clmulepi64_si128(lo, by_64, 0x00), hi);
+        let t = _mm_clmulepi64_si128(_mm_and_si128(acc, low32), mu_p, 0x10);
+        let t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), mu_p, 0x00);
+        let crc = _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(acc, t), 4)) as u32;
+        (crc, blocks.remainder())
     }
 }
 
 fn frame_crc(header: u64, seq: u64, len: u32, body: &[u8]) -> u32 {
+    // Header, sequence number and length go in as one block: a 16-byte and a
+    // 4-byte table round, not twenty byte steps each waiting on the last.
+    let mut prefix = [0u8; 20];
+    prefix[..8].copy_from_slice(&header.to_le_bytes());
+    prefix[8..16].copy_from_slice(&seq.to_le_bytes());
+    prefix[16..].copy_from_slice(&len.to_le_bytes());
     let mut crc = Crc32::new();
-    crc.update(&header.to_le_bytes());
-    crc.update(&seq.to_le_bytes());
-    crc.update(&len.to_le_bytes());
+    crc.update(&prefix);
     crc.update(body);
     crc.finish()
 }
@@ -284,6 +382,7 @@ impl SeqGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_in_place_and_sealed() {
@@ -300,10 +399,9 @@ mod tests {
         assert_eq!(open(header, &empty), Ok((7, &[][..])));
     }
 
-    /// Bit-at-a-time CRC-32/IEEE: the oracle for the table-sliced
-    /// [`Crc32::update`].
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut crc = 0xFFFF_FFFFu32;
+    /// Bit-at-a-time CRC-32/IEEE, register to register: the oracle for both
+    /// routines behind [`Crc32::update`].
+    fn bitwise(mut crc: u32, bytes: &[u8]) -> u32 {
         for &b in bytes {
             crc ^= b as u32;
             for _ in 0..8 {
@@ -314,7 +412,11 @@ mod tests {
                 };
             }
         }
-        !crc
+        crc
+    }
+
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        !bitwise(!0, bytes)
     }
 
     fn crc32(bytes: &[u8]) -> u32 {
@@ -332,13 +434,48 @@ mod tests {
     #[test]
     fn sliced_crc_equals_the_bitwise_reference_at_every_length_and_offset() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "CRC-32/IEEE check value");
-        // Every length through five sliced steps plus every tail, at every
-        // start offset within a word of the backing buffer.
-        let backing = noise(88);
-        for off in 0..8 {
-            for len in 0..=80 {
-                let s = &backing[off..off + len];
-                assert_eq!(crc32(s), crc32_bitwise(s), "offset {off}, length {len}");
+        // Every length through five 64-byte steps, so every combination of
+        // lane steps, single-lane blocks and table tail (and everything under
+        // the threshold), at every start offset within a block of the backing
+        // buffer; then the lengths the wire and the checkpoints really carry.
+        let backing = noise((1 << 20) + 16);
+        let short = (0..16).flat_map(|off| (0..=400).map(move |len| (off, len)));
+        let long = [(0, 4096), (3, 4129), (5, 65_536 + 33), (1, 1 << 20)];
+        for (off, len) in short.chain(long) {
+            let s = &backing[off..off + len];
+            assert_eq!(crc32(s), crc32_bitwise(s), "offset {off}, length {len}");
+        }
+    }
+
+    /// `update` reaches only one routine for a given length on a given CPU;
+    /// this calls both directly, so a machine without the instruction still
+    /// tests the tables and one with it still tests their main loop on long
+    /// inputs. Registers are compared, from several starting registers.
+    #[test]
+    fn portable_and_folded_routines_leave_the_register_the_oracle_does() {
+        let backing = noise(65_536 + 33 + 16);
+        let lens = (64..=400)
+            .step_by(16)
+            .chain([77, 127, 4096, 4129, 65_536 + 33]);
+        for (len, off) in lens.flat_map(|len| (0..16).map(move |off| (len, off))) {
+            let s = &backing[off..off + len];
+            for start in [!0, 0, 0xDEAD_BEEF, (len as u32).wrapping_mul(0x9E37_79B1)] {
+                assert_eq!(
+                    sliced(start, s),
+                    bitwise(start, s),
+                    "sliced: offset {off}, length {len}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("pclmulqdq") {
+                    let (blocks, tail) = s.split_at(len & !15);
+                    // SAFETY: the instruction was detected on the line above.
+                    let got = unsafe { clmul::fold(start, s) };
+                    assert_eq!(
+                        got,
+                        (bitwise(start, blocks), tail),
+                        "folded: offset {off}, length {len}"
+                    );
+                }
             }
         }
     }
@@ -352,6 +489,24 @@ mod tests {
             crc.update(&input[..cut]);
             crc.update(&input[cut..]);
             assert_eq!(crc.finish(), whole, "split at {cut}");
+        }
+    }
+
+    proptest! {
+        /// The same across pieces long enough to change routine mid-stream:
+        /// a buffer of up to 8 KiB cut at two random points.
+        #[test]
+        fn crc_of_three_pieces_equals_one_pass(
+            input in prop::collection::vec(any::<u8>(), 0..8193),
+            cuts in (any::<u16>(), any::<u16>()),
+        ) {
+            let (a, b) = (cuts.0 as usize % (input.len() + 1), cuts.1 as usize % (input.len() + 1));
+            let (a, b) = (a.min(b), a.max(b));
+            let mut crc = Crc32::new();
+            for piece in [&input[..a], &input[a..b], &input[b..]] {
+                crc.update(piece);
+            }
+            prop_assert_eq!(crc.finish(), crc32_bitwise(&input), "cuts at {} and {}", a, b);
         }
     }
 
@@ -370,6 +525,22 @@ mod tests {
             ]
         );
         assert_eq!(framed[FRAME_OVERHEAD..], body[..]);
+    }
+
+    #[test]
+    fn long_frame_and_bulk_crc_are_the_parent_commits() {
+        // Recorded while inputs of these lengths still went through the
+        // tables: the carry-less-multiply routine moved no bit either.
+        let framed = seal(0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210, &noise(4096));
+        assert_eq!(
+            framed[..FRAME_OVERHEAD],
+            [
+                0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, // seq
+                0x00, 0x10, 0x00, 0x00, // len
+                0x44, 0x7c, 0xdd, 0x8d, // crc32
+            ]
+        );
+        assert_eq!(crc32(&noise(1 << 20)), 0x5EC9_51A2);
     }
 
     #[test]

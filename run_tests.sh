@@ -51,6 +51,22 @@ for f in crates/fabric/src/*.rs; do
     fi
 done
 
+# The fabric has one `unsafe`: the feature-detected call from `Crc32::update`
+# (frame.rs) into the carry-less-multiply CRC, which itself is safe code on
+# register values (DESIGN.md, "Eager wire path"). A second block, a pointer
+# load or a transmute would be unchecked memory access where today there is
+# none, so outside tests and comments none may appear.
+for f in crates/fabric/src/*.rs; do
+    allowed=0
+    [ "$f" = crates/fabric/src/frame.rs ] && allowed=1
+    if ! awk -v allowed="$allowed" '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+            /_mm_loadu|_mm_load_|transmute/ { bad = 1 } /unsafe/ { n++ }
+            END { exit bad || n > allowed }' "$f"; then
+        echo "FABRIC UNSAFE: $f has an unsafe, pointer load or transmute outside #[cfg(test)] beyond the one detected call in frame.rs" >&2
+        exit 1
+    fi
+done
+
 # Every read-modify-write on vertex state goes through `LabelVec`, the one
 # place that knows whether more than one thread writes it (DESIGN.md, "Who
 # writes vertex state"). An atomic RMW spelled out in an engine would put a
