@@ -110,7 +110,8 @@ impl LciLayer {
     }
 
     fn route(&self, inner: &mut Inner, r: &RecvRequest) {
-        let data = r.take_data().expect("done request yields data");
+        // The stash hands `Vec`s across the `CommLayer` boundary.
+        let data = r.take_data().expect("done request yields data").into_vec();
         self.book.alloc(data.len());
         inner
             .stash

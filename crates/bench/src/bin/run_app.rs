@@ -121,7 +121,6 @@ fn main() {
                 layers,
                 &EngineConfig {
                     compute_threads: threads,
-                    ..Default::default()
                 },
             ),
             _ => run_gemini(parts, Arc::new(app), layers, &GeminiConfig::default()),

@@ -21,13 +21,28 @@
 //! arrived, whatever the source. Upper layers that need ordering impose it
 //! themselves (Section III-D of the paper).
 //!
+//! # One buffer per message
+//!
+//! An eager or control message has one sender-side home: the pooled packet
+//! `SEND-ENQ` copied it into. The packet carries [`REL_DATA_OFFSET`] bytes
+//! of headroom, the reliable session stamps its headers there, the NIC
+//! reads the packet, and the session's retransmit window keeps *that
+//! packet* — the pool is the session's buffer source — until the frame is
+//! acknowledged, its destination is declared dead, or the device
+//! [`rejoin`](Device::rejoin)s. A lease therefore lasts from `send_enq` to
+//! the ack, retransmit memory is pool memory and bounded by it, and an
+//! eager send needs no completion of its own: its `SendDone` carries no
+//! context. On the receive side an eager message is handed out in the
+//! buffer the fabric delivered it in ([`crate::RecvData`]).
+//!
 //! # Request cookies
 //!
-//! Control packets carry request identities as 64-bit cookies that are raw
-//! `Arc`/`Box` pointers, mirroring how RDMA software passes work-request
-//! cookies to the NIC. Soundness rests on two invariants that hold by
-//! construction: cookies never leave the process, and each cookie is
-//! reconstructed exactly once (by the single progress call that observes the
+//! Rendezvous identities travel as 64-bit cookies that are raw `Arc`
+//! pointers — in the `RTS`/`RTR` control packets and as the context of the
+//! put — mirroring how RDMA software passes work-request cookies to the
+//! NIC. Soundness rests on two invariants that hold by construction:
+//! cookies never leave the process, and each cookie is reconstructed
+//! exactly once (by the single progress call that observes the
 //! corresponding event).
 //!
 //! # Wire hardening and reliable delivery
@@ -49,14 +64,14 @@ use crate::config::LciConfig;
 use crate::faa_queue::MpmcQueue;
 use crate::pool::{Packet, PacketPool};
 use crate::protocol::{self, PacketType};
-use crate::request::{FilledRanges, RecvRequest, ReqInner, ReqState, SendRequest};
+use crate::request::{FilledRanges, RecvData, RecvRequest, ReqInner, ReqState, SendRequest};
 use bytes::Bytes;
 use lci_fabric::reliable::{RelRecv, ReliableSession, REL_DATA_OFFSET};
 use lci_fabric::{Endpoint, Event, MrKey, PacketBuf, SendError};
 use lci_trace::{Counter, EventKind, Registry};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Why an operation could not be *initiated*. `NoPacket` and `Backpressure`
@@ -113,23 +128,9 @@ struct RxItem {
     data: PacketBuf,
 }
 
-/// Completion action attached to an injected fabric operation.
-enum Completion {
-    /// Return an eager/control packet to the pool once it has left the NIC.
-    FreePacket(Packet),
-    /// A rendezvous put finished: complete the sender's request.
-    PutSent(Arc<ReqInner>),
-}
-
-fn completion_cookie(c: Completion) -> u64 {
-    Box::into_raw(Box::new(c)) as u64
-}
-
-/// # Safety
-/// `cookie` must come from [`completion_cookie`] and be consumed exactly once.
-unsafe fn take_completion(cookie: u64) -> Completion {
-    *Box::from_raw(cookie as *mut Completion)
-}
+/// Where a protocol body starts, in a pooled packet and in a delivered
+/// payload alike: behind the transport-frame and reliable-layer headers.
+const BODY: usize = REL_DATA_OFFSET;
 
 fn req_cookie(req: Arc<ReqInner>) -> u64 {
     Arc::into_raw(req) as u64
@@ -190,20 +191,31 @@ impl From<&Registry> for DeviceStats {
     }
 }
 
+/// What only the one thread inside [`Device::progress`] touches.
+#[derive(Default)]
+struct Progress {
+    /// Rendezvous puts deferred by back-pressure.
+    pending_puts: VecDeque<PendingPut>,
+    pending_frags: VecDeque<PendingFrags>,
+}
+
 struct DeviceInner {
     ep: Endpoint,
-    pool: PacketPool,
+    /// Shared with `rel`, which builds and keeps its frames in these packets.
+    pool: Arc<PacketPool>,
     rxq: MpmcQueue<RxItem>,
     /// RTS packets whose RTR answer was deferred for lack of resources.
     /// Drained ahead of `rxq` so the first-packet order is preserved
     /// (requeueing into the MPMC ring would move them behind later arrivals).
     deferred_rts: Mutex<VecDeque<RxItem>>,
+    /// Length of `deferred_rts`, so that `recv_deq` takes the lock only
+    /// when there is something behind it.
+    deferred_len: AtomicUsize,
     /// The reliable sublayer: framing, sequencing, dedup, ack/retransmit,
     /// and peer-failure detection, shared by every send and receive path.
     rel: ReliableSession,
-    pending_puts: Mutex<VecDeque<PendingPut>>,
-    pending_frags: Mutex<VecDeque<PendingFrags>>,
-    progress_lock: Mutex<()>,
+    /// Held by the caller that is making progress.
+    progress: Mutex<Progress>,
     failed: AtomicBool,
     cfg: LciConfig,
 }
@@ -232,18 +244,19 @@ impl Device {
             "packet_payload + frame/reliable overhead exceeds fabric max_payload"
         );
         let rx_capacity = ep.config().rx_buffers.max(cfg.packet_count);
+        let pool = Arc::new(PacketPool::new(
+            cfg.packet_count,
+            cfg.packet_payload,
+            cfg.pool_shards,
+        ));
         Device {
             inner: Arc::new(DeviceInner {
-                // Pool packets carry the protocol payload only; the reliable
-                // session prepends the transport frame and ack header at
-                // injection time.
-                pool: PacketPool::new(cfg.packet_count, cfg.packet_payload, cfg.pool_shards),
                 rxq: MpmcQueue::new(rx_capacity),
                 deferred_rts: Mutex::new(VecDeque::new()),
-                rel: ReliableSession::new(&ep),
-                pending_puts: Mutex::new(VecDeque::new()),
-                pending_frags: Mutex::new(VecDeque::new()),
-                progress_lock: Mutex::new(()),
+                deferred_len: AtomicUsize::new(0),
+                rel: ReliableSession::with_bufs(&ep, Arc::clone(&pool) as _),
+                pool,
+                progress: Mutex::new(Progress::default()),
                 failed: AtomicBool::new(false),
                 cfg,
                 ep,
@@ -272,6 +285,13 @@ impl Device {
     /// [`Device::progress`].
     pub fn quiescent(&self) -> bool {
         self.inner.rel.quiescent()
+    }
+
+    /// Packets currently out of the pool (diagnostics): being filled, or
+    /// windowed as unacknowledged frames. Zero once the device is
+    /// [`quiescent`](Device::quiescent).
+    pub fn packets_leased(&self) -> usize {
+        self.inner.pool.outstanding()
     }
 
     /// The configuration in use.
@@ -318,35 +338,33 @@ impl Device {
     /// host rejoins, survivors included — the reliable layer's sequence
     /// spaces restart fabric-wide).
     ///
-    /// The completion queue is drained once: `SendDone`/`PutDone`/`Error`
-    /// cookies are consumed so pooled packets return to the pool (lease
-    /// continuity across the crash), parked `PutArrived` receiver cookies
+    /// The completion queue is drained once: the put cookies of
+    /// `PutDone`/`Error` and the parked receiver cookies of `PutArrived`
     /// are reclaimed as errors, and queued `Recv` payloads are dropped
     /// (their buffers return the fabric rx credits on drop). All queued
     /// protocol state of the dead incarnation — first-packets, deferred
     /// RTS, pending puts and fragment streams — is discarded: the engine
     /// re-executes every round past its last checkpoint, regenerating the
-    /// traffic. Sender-side rendezvous cookies parked inside discarded RTS
-    /// payloads leak their `Arc` by design (the bytes are opaque here); a
-    /// crash leaks at most one small allocation per abandoned rendezvous.
+    /// traffic. The reliable session's reset ends every lease at once — the
+    /// packets of unacknowledged frames go back to the pool, which is full
+    /// again when this returns. Sender-side rendezvous cookies parked
+    /// inside discarded RTS payloads leak their `Arc` by design (the bytes
+    /// are opaque here); a crash leaks at most one small allocation per
+    /// abandoned rendezvous.
     ///
     /// The failed flag is cleared last: a device that observed `PeerDead`
     /// or its own endpoint failure becomes usable again.
     pub fn rejoin(&self) {
         let inner = &self.inner;
-        let _guard = inner.progress_lock.lock();
+        let mut prog = inner.progress.lock();
         while let Some(ev) = inner.ep.poll() {
             match ev {
-                Event::SendDone { ctx }
-                | Event::PutDone { ctx, .. }
-                | Event::Error { ctx, .. } => {
+                Event::SendDone { .. } => {}
+                Event::PutDone { ctx, .. } | Event::Error { ctx, .. } => {
                     if ctx != 0 {
-                        // SAFETY: unique completion of a cookie this device
-                        // created; consumed exactly once here.
-                        match unsafe { take_completion(ctx) } {
-                            Completion::FreePacket(p) => inner.pool.free(p),
-                            Completion::PutSent(req) => req.mark_error(),
-                        }
+                        // SAFETY: only puts carry a context, the cookie of
+                        // their send request, and this is its one completion.
+                        unsafe { take_req(ctx) }.mark_error();
                     }
                 }
                 Event::PutArrived { imm, .. } => {
@@ -367,27 +385,29 @@ impl Device {
             }
         }
         while inner.rxq.try_pop().is_some() {}
-        inner.deferred_rts.lock().clear();
-        for p in inner.pending_puts.lock().drain(..) {
+        {
+            let mut deferred = inner.deferred_rts.lock();
+            deferred.clear();
+            inner.deferred_len.store(0, Ordering::Release);
+        }
+        for p in prog.pending_puts.drain(..) {
             p.send_req.mark_error();
         }
-        for f in inner.pending_frags.lock().drain(..) {
+        for f in prog.pending_frags.drain(..) {
             f.send_req.mark_error();
         }
         inner.rel.rejoin();
         inner.failed.store(false, Ordering::Release);
     }
 
-    /// Inject a packet whose first `len` bytes are the protocol body,
-    /// handing ownership to a `FreePacket` completion on success and
-    /// returning the packet to the pool on failure.
+    /// Send the protocol body the caller wrote to `packet[BODY..BODY + len]`.
     ///
-    /// The reliable session frames the body (sequence number, CRC, ack
-    /// state) and holds a copy for retransmission; the pooled packet itself
-    /// stays leased until the *first* transmission's `SendDone` arrives —
-    /// which the fabric delivers even for dropped or blackholed packets, so
-    /// leases cannot leak under loss. Retransmissions complete with a zero
-    /// context and never touch the pool.
+    /// The packet is the reliable session's from here on: it is sealed in
+    /// place, transmitted, kept in the window as the retransmit copy, and
+    /// given back to the pool by the session — when the frame is acked, when
+    /// `dst` is declared dead, at [`Device::rejoin`], or at once if the send
+    /// is refused. Nothing completes toward the device: the `SendDone` of an
+    /// eager or control packet carries no context.
     fn send_packet(
         &self,
         dst: u16,
@@ -400,35 +420,18 @@ impl Device {
             inner.pool.free(packet);
             return Err(EnqError::Closed);
         }
-        let raw = Box::into_raw(Box::new(Completion::FreePacket(packet)));
-        // SAFETY: `raw` is valid and uniquely ours until the fabric accepts
-        // the cookie; the borrow of the packet ends before any hand-off.
-        let buf: &[u8] = unsafe {
-            match &*raw {
-                Completion::FreePacket(p) => &p[..len],
-                Completion::PutSent(_) => unreachable!(),
-            }
-        };
-        match inner.rel.send(&inner.ep, dst, header, buf, raw as u64) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // SAFETY: the send was rejected synchronously, so the cookie
-                // was never handed off; reclaim it here.
-                let comp = unsafe { Box::from_raw(raw) };
-                if let Completion::FreePacket(p) = *comp {
-                    inner.pool.free(p);
+        inner
+            .rel
+            .send_frame(&inner.ep, dst, header, packet, BODY + len, 0)
+            .map_err(|e| match e {
+                SendError::Backpressure => EnqError::Backpressure,
+                SendError::TooLarge => EnqError::TooLarge,
+                SendError::PeerDead(_) => {
+                    inner.failed.store(true, Ordering::Release);
+                    EnqError::PeerDead
                 }
-                Err(match e {
-                    SendError::Backpressure => EnqError::Backpressure,
-                    SendError::TooLarge => EnqError::TooLarge,
-                    SendError::PeerDead(_) => {
-                        inner.failed.store(true, Ordering::Release);
-                        EnqError::PeerDead
-                    }
-                    _ => EnqError::Closed,
-                })
-            }
-        }
+                _ => EnqError::Closed,
+            })
     }
 
     /// **`SEND-ENQ`** — initiate a send of `data` to `dst` with `tag`.
@@ -439,9 +442,11 @@ impl Device {
     /// is LCI's answer to the resource-exhaustion crashes the paper observed
     /// with MPI's eager protocol.
     ///
-    /// Messages at or below the eager limit are copied into a pooled packet
-    /// and the returned request is already complete. Larger messages keep
-    /// `data` alive inside the request until the rendezvous put finishes.
+    /// Messages at or below the eager limit are copied — once — into a pooled
+    /// packet and the returned request is already complete; the packet stays
+    /// out of the pool until the peer has acknowledged it. Larger messages
+    /// keep `data` alive inside the request until the rendezvous put
+    /// finishes.
     pub fn send_enq(&self, data: Bytes, dst: u16, tag: u32) -> Result<SendRequest, EnqError> {
         if self.is_failed() {
             return Err(EnqError::Closed);
@@ -459,7 +464,7 @@ impl Device {
 
         if data.len() <= inner.cfg.eager_limit {
             let len = data.len();
-            packet[..len].copy_from_slice(&data);
+            packet[BODY..BODY + len].copy_from_slice(&data);
             let header = protocol::pack(PacketType::Egr, tag, len as u64);
             self.send_packet(dst, header, packet, len).inspect_err(|e| {
                 if e.is_retryable() {
@@ -476,7 +481,7 @@ impl Device {
             let len = data.len();
             let req = ReqInner::new(dst, tag, len, ReqState::SendPayload(data));
             let cookie = req_cookie(Arc::clone(&req));
-            packet[..8].copy_from_slice(&protocol::encode_rts(cookie));
+            packet[BODY..BODY + 8].copy_from_slice(&protocol::encode_rts(cookie));
             let header = protocol::pack(PacketType::Rts, tag, len as u64);
             match self.send_packet(dst, header, packet, 8) {
                 Ok(()) => {
@@ -538,36 +543,36 @@ impl Device {
         // First-packet policy: an RTS whose RTR was deferred for lack of
         // resources must surface before anything that arrived after it, so
         // the side list drains ahead of the ring.
-        let item = match inner.deferred_rts.lock().pop_front() {
+        let item = match self.pop_deferred() {
             Some(item) => item,
             None => inner.rxq.try_pop()?,
         };
         match item.ty {
             PacketType::Egr => {
-                let mut data = item.data.into_vec();
                 // The frame and reliable prefixes were verified in progress;
-                // strip them here.
-                data.drain(..REL_DATA_OFFSET);
-                if data.len() as u64 != item.size {
+                // the request keeps the delivered buffer and skips them. The
+                // rx credit goes back here, not when the data is taken.
+                let buf = item.data.into_vec();
+                let len = buf.len() - BODY;
+                if len as u64 != item.size {
                     // A header/payload length disagreement that slipped past
                     // the checksum: drop rather than surface a lying packet.
                     self.counters().incr(Counter::LciMalformedDropped);
                     return None;
                 }
-                let req =
-                    ReqInner::new(item.src, item.tag, data.len(), ReqState::RecvReady(data));
+                let data = RecvData::new(buf, BODY);
+                let req = ReqInner::new(item.src, item.tag, len, ReqState::RecvReady(data));
                 req.mark_done();
                 self.counters().incr(Counter::LciReceived);
                 Some(RecvRequest { inner: req })
             }
             PacketType::Rts => {
-                let Some(send_cookie) = protocol::decode_rts(&item.data[REL_DATA_OFFSET..])
-                else {
+                let Some(send_cookie) = protocol::decode_rts(&item.data[BODY..]) else {
                     self.counters().incr(Counter::LciMalformedDropped);
                     return None; // malformed control packet: drop
                 };
                 let Some(mut packet) = inner.pool.alloc() else {
-                    inner.deferred_rts.lock().push_front(item);
+                    self.defer(item);
                     return None;
                 };
                 // Landing buffer: a registered region for native RDMA, a
@@ -588,7 +593,7 @@ impl Device {
                 };
                 let req = ReqInner::new(item.src, item.tag, item.size as usize, state);
                 let recv_cookie = req_cookie(Arc::clone(&req));
-                packet[..24].copy_from_slice(&protocol::encode_rtr(
+                packet[BODY..BODY + 24].copy_from_slice(&protocol::encode_rtr(
                     send_cookie,
                     key.0,
                     recv_cookie,
@@ -606,7 +611,7 @@ impl Device {
                         if key.0 != 0 {
                             inner.ep.deregister_mr(key);
                         }
-                        inner.deferred_rts.lock().push_front(item);
+                        self.defer(item);
                         None
                     }
                 }
@@ -615,6 +620,25 @@ impl Device {
                 unreachable!("control/fragment packets are handled by progress")
             }
         }
+    }
+
+    /// Put an RTS that cannot be answered yet at the head of the side list.
+    fn defer(&self, item: RxItem) {
+        let inner = &self.inner;
+        let mut deferred = inner.deferred_rts.lock();
+        deferred.push_front(item);
+        inner.deferred_len.store(deferred.len(), Ordering::Release);
+    }
+
+    fn pop_deferred(&self) -> Option<RxItem> {
+        let inner = &self.inner;
+        if inner.deferred_len.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut deferred = inner.deferred_rts.lock();
+        let item = deferred.pop_front();
+        inner.deferred_len.store(deferred.len(), Ordering::Release);
+        item
     }
 
     /// **`NETWORK-PROGRESS`** — drive the protocol: drain completions,
@@ -627,9 +651,10 @@ impl Device {
     /// request status flags).
     pub fn progress(&self) -> usize {
         let inner = &self.inner;
-        let Some(_guard) = inner.progress_lock.try_lock() else {
+        let Some(mut prog) = inner.progress.try_lock() else {
             return 0;
         };
+        let prog = &mut *prog;
         self.counters().incr(Counter::LciProgressPolls);
         let mut handled = 0;
 
@@ -649,41 +674,35 @@ impl Device {
         }
 
         // Retry puts deferred by back-pressure.
-        {
-            let mut puts = inner.pending_puts.lock();
-            let n = puts.len();
-            for _ in 0..n {
-                let p = puts.pop_front().expect("len checked");
-                if self.issue_put(&p) {
-                    handled += 1;
-                } else {
-                    puts.push_back(p);
-                    break; // still pressured; try again next call
-                }
+        for _ in 0..prog.pending_puts.len() {
+            let p = prog.pending_puts.pop_front().expect("len checked");
+            if self.issue_put(&p) {
+                handled += 1;
+            } else {
+                prog.pending_puts.push_back(p);
+                break; // still pressured; try again next call
             }
         }
 
         // Advance emulated-put fragment streams.
-        handled += self.issue_frags();
+        handled += self.issue_frags(prog);
 
         while let Some(ev) = inner.ep.poll() {
             handled += 1;
             match ev {
-                Event::Recv { src, header, data } => self.on_recv(src, header, data),
-                Event::SendDone { ctx } | Event::PutDone { ctx, .. } => {
-                    // Retransmissions and standalone acks complete with a
-                    // zero context: only first transmissions carry a cookie.
-                    // PutDone is consumed regardless of its epoch — the
-                    // cookie's Box must be reclaimed exactly once whether or
-                    // not the put's memory write was suppressed.
+                Event::Recv { src, header, data } => self.on_recv(prog, src, header, data),
+                // Every packet send — first transmission, retransmission,
+                // standalone ack — completes without a context: its packet
+                // is the reliable session's until the ack.
+                Event::SendDone { .. } => {}
+                Event::PutDone { ctx, .. } => {
+                    // Consumed regardless of its epoch — the cookie must be
+                    // reclaimed exactly once whether or not the put's memory
+                    // write was suppressed.
                     if ctx != 0 {
-                        // SAFETY: ctx was created by completion_cookie for
-                        // this operation and this is its unique completion
-                        // event.
-                        match unsafe { take_completion(ctx) } {
-                            Completion::FreePacket(p) => inner.pool.free(p),
-                            Completion::PutSent(req) => req.mark_done(),
-                        }
+                        // SAFETY: ctx is the cookie `issue_put` made of the
+                        // send request, and this is the put's one completion.
+                        unsafe { take_req(ctx) }.mark_done();
                     }
                 }
                 Event::PutArrived { imm, epoch, .. } => {
@@ -708,7 +727,7 @@ impl Device {
                         let key = mr.key();
                         let data = mr.take();
                         inner.ep.deregister_mr(key);
-                        *st = ReqState::RecvReady(data);
+                        *st = ReqState::RecvReady(RecvData::new(data, 0));
                     }
                     drop(st);
                     req.mark_done();
@@ -716,11 +735,9 @@ impl Device {
                 Event::Error { ctx, .. } => {
                     inner.failed.store(true, Ordering::Release);
                     if ctx != 0 {
-                        // SAFETY: the failed operation's cookie completes here.
-                        match unsafe { take_completion(ctx) } {
-                            Completion::FreePacket(p) => inner.pool.free(p),
-                            Completion::PutSent(req) => req.mark_error(),
-                        }
+                        // SAFETY: only a put carries a context; the failed
+                        // put's cookie completes here.
+                        unsafe { take_req(ctx) }.mark_error();
                     }
                 }
             }
@@ -732,7 +749,7 @@ impl Device {
         handled
     }
 
-    fn on_recv(&self, src: u16, header: u64, data: PacketBuf) {
+    fn on_recv(&self, prog: &mut Progress, src: u16, header: u64, data: PacketBuf) {
         let inner = &self.inner;
         // Run the reliable layer before any protocol decoding. This is the
         // device's sole defense for the cookie-carrying control packets
@@ -760,7 +777,6 @@ impl Device {
             self.counters().incr(Counter::LciMalformedDropped);
             return; // malformed
         };
-        const RXO: usize = REL_DATA_OFFSET;
         match ty {
             PacketType::Egr | PacketType::Rts => {
                 inner.rxq.push(RxItem {
@@ -772,7 +788,7 @@ impl Device {
                 });
             }
             PacketType::Rtr => {
-                let Some((send_cookie, key, recv_cookie)) = protocol::decode_rtr(&data[RXO..])
+                let Some((send_cookie, key, recv_cookie)) = protocol::decode_rtr(&data[BODY..])
                 else {
                     self.counters().incr(Counter::LciMalformedDropped);
                     return;
@@ -800,11 +816,11 @@ impl Device {
                             imm: recv_cookie,
                         };
                         if !self.issue_put(&p) {
-                            inner.pending_puts.lock().push_back(p);
+                            prog.pending_puts.push_back(p);
                         }
                     }
                     crate::config::PutMode::Emulated => {
-                        inner.pending_frags.lock().push_back(PendingFrags {
+                        prog.pending_frags.push_back(PendingFrags {
                             dst: src,
                             tag,
                             payload,
@@ -812,12 +828,12 @@ impl Device {
                             recv_cookie,
                             send_req,
                         });
-                        self.issue_frags();
+                        self.issue_frags(prog);
                     }
                 }
             }
             PacketType::Frag => {
-                let body_full = &data[RXO..];
+                let body_full = &data[BODY..];
                 let Some((cookie, offset)) = protocol::decode_frag_header(body_full) else {
                     self.counters().incr(Counter::LciMalformedDropped);
                     return;
@@ -862,7 +878,7 @@ impl Device {
                         if let ReqState::RecvAssembly { buf, .. } =
                             std::mem::replace(&mut *st, ReqState::Empty)
                         {
-                            *st = ReqState::RecvReady(buf);
+                            *st = ReqState::RecvReady(RecvData::new(buf, 0));
                         }
                     }
                     // SAFETY: final fragment — consume the parked reference.
@@ -875,9 +891,9 @@ impl Device {
 
     /// Push fragments of pending emulated-put streams into the NIC until
     /// resources run out. Returns the number of fragments injected.
-    fn issue_frags(&self) -> usize {
+    fn issue_frags(&self, prog: &mut Progress) -> usize {
         let inner = &self.inner;
-        let mut q = inner.pending_frags.lock();
+        let q = &mut prog.pending_frags;
         let chunk = inner.cfg.packet_payload - 16;
         let mut issued = 0;
         while let Some(f) = q.front_mut() {
@@ -888,11 +904,12 @@ impl Device {
                 };
                 let end = (f.next_offset + chunk).min(total);
                 let len = end - f.next_offset;
-                packet[..16].copy_from_slice(&protocol::encode_frag_header(
+                let body = &mut packet[BODY..BODY + 16 + len];
+                body[..16].copy_from_slice(&protocol::encode_frag_header(
                     f.recv_cookie,
                     f.next_offset as u64,
                 ));
-                packet[16..16 + len].copy_from_slice(&f.payload[f.next_offset..end]);
+                body[16..].copy_from_slice(&f.payload[f.next_offset..end]);
                 let header = protocol::pack(PacketType::Frag, f.tag, total as u64);
                 match self.send_packet(f.dst, header, packet, 16 + len) {
                     Ok(()) => {
@@ -919,7 +936,8 @@ impl Device {
     /// Try to inject a rendezvous put. Returns false on back-pressure (the
     /// caller keeps the `PendingPut` for retry).
     fn issue_put(&self, p: &PendingPut) -> bool {
-        let ctx = completion_cookie(Completion::PutSent(Arc::clone(&p.send_req)));
+        // The put's context is its send request: `PutDone` completes it.
+        let ctx = req_cookie(Arc::clone(&p.send_req));
         match self
             .inner
             .ep
@@ -928,14 +946,12 @@ impl Device {
             Ok(()) => true,
             Err(SendError::Backpressure) => {
                 // SAFETY: rejected synchronously; cookie never handed off.
-                let _ = unsafe { take_completion(ctx) };
+                let _ = unsafe { take_req(ctx) };
                 false
             }
             Err(_) => {
                 // SAFETY: as above.
-                if let Completion::PutSent(req) = unsafe { take_completion(ctx) } {
-                    req.mark_error();
-                }
+                unsafe { take_req(ctx) }.mark_error();
                 self.inner.failed.store(true, Ordering::Release);
                 true // fatal: don't retry
             }

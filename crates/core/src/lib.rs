@@ -70,8 +70,8 @@ pub use backoff::Backoff;
 pub use config::{LciConfig, PutMode};
 pub use device::{Device, DeviceStats, EnqError};
 pub use faa_queue::MpmcQueue;
-pub use pool::{Packet, PacketPool};
+pub use pool::{Packet, PacketPool, PACKET_HEADROOM};
 pub use protocol::{MAX_SIZE, MAX_TAG};
-pub use request::{RecvRequest, SendRequest};
+pub use request::{RecvData, RecvRequest, SendRequest};
 pub use server::CommServer;
 pub use world::LciWorld;

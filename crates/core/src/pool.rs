@@ -11,12 +11,26 @@
 //! packet's buffer tends to stay in the cache of the core that last touched
 //! it. Allocation first tries the local shard and then steals round-robin
 //! from the others.
+//!
+//! A packet is the frame the wire carries, not only its body: the payload
+//! sits behind [`PACKET_HEADROOM`] bytes that the reliable session stamps its
+//! headers into, so a message is copied into a packet once and that packet is
+//! what is sent, what the retransmit window keeps, and what comes back here
+//! when the frame is acked (the pool is the device session's
+//! [`FrameBufs`]).
 
 use crossbeam::utils::CachePadded;
+use lci_fabric::reliable::REL_DATA_OFFSET;
+use lci_fabric::FrameBufs;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A fixed-capacity packet buffer leased from a [`PacketPool`].
+/// Bytes in front of a packet's payload, left for the transport frame and
+/// reliable-layer headers.
+pub const PACKET_HEADROOM: usize = REL_DATA_OFFSET;
+
+/// A fixed-capacity packet buffer leased from a [`PacketPool`]:
+/// [`PACKET_HEADROOM`] bytes of headroom, then the payload.
 pub type Packet = Box<[u8]>;
 
 /// Concurrent pool of fixed-size packet buffers.
@@ -63,7 +77,7 @@ impl PacketPool {
         assert!(count > 0 && payload > 0 && shards > 0);
         let mut pools: Vec<Vec<Packet>> = (0..shards).map(|_| Vec::new()).collect();
         for i in 0..count {
-            pools[i % shards].push(vec![0u8; payload].into_boxed_slice());
+            pools[i % shards].push(vec![0u8; PACKET_HEADROOM + payload].into_boxed_slice());
         }
         PacketPool {
             shards: pools
@@ -127,12 +141,32 @@ impl PacketPool {
     pub fn free(&self, packet: Packet) {
         assert_eq!(
             packet.len(),
-            self.payload,
+            PACKET_HEADROOM + self.payload,
             "packet returned to wrong pool"
         );
         let home = shard_hint(self.shards.len());
         self.shards[home].lock().push(packet);
         self.outstanding.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The pool as a reliable session's buffer source: a frame is built in a
+/// packet and the packet comes back when the frame's lease ends.
+impl FrameBufs for PacketPool {
+    fn take(&self, len: usize) -> Option<Box<[u8]>> {
+        assert!(
+            len <= PACKET_HEADROOM + self.payload,
+            "frame larger than a packet"
+        );
+        self.alloc()
+    }
+
+    fn give(&self, buf: Box<[u8]>) {
+        self.free(buf);
+    }
+
+    fn exhausted(&self) -> bool {
+        self.outstanding() >= self.capacity
     }
 }
 
@@ -157,7 +191,7 @@ mod tests {
         assert_eq!(pool.capacity(), 4);
         assert_eq!(pool.payload_size(), 128);
         let a = pool.alloc().unwrap();
-        assert_eq!(a.len(), 128);
+        assert_eq!(a.len(), PACKET_HEADROOM + 128);
         assert_eq!(pool.outstanding(), 1);
         pool.free(a);
         assert_eq!(pool.outstanding(), 0);

@@ -83,7 +83,54 @@ pub(crate) enum ReqState {
         filled: FilledRanges,
     },
     /// Completed receive: data ready for the user.
-    RecvReady(Vec<u8>),
+    RecvReady(RecvData),
+}
+
+/// A received payload, claimed with [`RecvRequest::take_data`]. Derefs to
+/// the message's bytes.
+///
+/// An eager message is handed out in the buffer the fabric delivered it in —
+/// the bytes sit behind the transport headers, which are skipped, not
+/// stripped — so receiving copies nothing; [`RecvData::into_vec`] is for a
+/// caller that needs an owned `Vec` of exactly the payload.
+pub struct RecvData {
+    buf: Vec<u8>,
+    /// Where the payload starts in `buf`.
+    start: usize,
+}
+
+impl RecvData {
+    /// The payload is `buf[start..]`.
+    pub(crate) fn new(buf: Vec<u8>, start: usize) -> Self {
+        assert!(start <= buf.len(), "payload starts inside its buffer");
+        RecvData { buf, start }
+    }
+
+    /// The payload as an owned vector (moves it to the front of the buffer
+    /// when it arrived behind headers).
+    pub fn into_vec(mut self) -> Vec<u8> {
+        self.buf.drain(..self.start);
+        self.buf
+    }
+}
+
+impl std::ops::Deref for RecvData {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+}
+
+impl<T: AsRef<[u8]> + ?Sized> PartialEq<T> for RecvData {
+    fn eq(&self, other: &T) -> bool {
+        **self == *other.as_ref()
+    }
+}
+
+impl std::fmt::Debug for RecvData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 pub(crate) struct ReqInner {
@@ -215,7 +262,7 @@ impl RecvRequest {
 
     /// Claim the payload. Returns `None` if the request is not yet done or
     /// the data was already taken.
-    pub fn take_data(&self) -> Option<Vec<u8>> {
+    pub fn take_data(&self) -> Option<RecvData> {
         if !self.is_done() {
             return None;
         }
@@ -256,13 +303,17 @@ mod tests {
 
     #[test]
     fn take_data_only_when_done() {
-        let inner = ReqInner::new(1, 2, 3, ReqState::RecvReady(vec![1, 2, 3]));
+        // As an eager message arrives: two bytes of header, then the payload.
+        let data = RecvData::new(vec![9, 9, 1, 2, 3], 2);
+        let inner = ReqInner::new(1, 2, 3, ReqState::RecvReady(data));
         let req = RecvRequest {
             inner: Arc::clone(&inner),
         };
         assert!(req.take_data().is_none(), "pending request yields no data");
         inner.mark_done();
-        assert_eq!(req.take_data(), Some(vec![1, 2, 3]));
+        let data = req.take_data().expect("done request yields its data");
+        assert_eq!(data, [1, 2, 3]);
+        assert_eq!(data.into_vec(), vec![1, 2, 3]);
         assert!(req.take_data().is_none(), "data can only be taken once");
     }
 

@@ -75,7 +75,7 @@ pub use config::{FabricConfig, Fault, FaultPhase, FaultPlan, ReliableConfig, Wir
 pub use endpoint::{Endpoint, Event, FatalKind, PacketBuf};
 pub use error::SendError;
 pub use mr::{MemRegion, MrKey};
-pub use reliable::{RelRecv, ReliableSession, REL_DATA_OFFSET, REL_OVERHEAD};
+pub use reliable::{FrameBufs, RelRecv, ReliableSession, REL_DATA_OFFSET, REL_OVERHEAD};
 pub use stats::StatsSnapshot;
 pub use wire::Fabric;
 

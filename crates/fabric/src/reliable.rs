@@ -20,9 +20,13 @@
 //!   sequence numbers restart at zero, so a stale cumulative ack or seq
 //!   would otherwise corrupt the fresh window ([`RelRecv::Stale`], counted
 //!   as `fabric.epoch.stale_dropped`);
-//! * a bounded per-destination send window holds sealed unacked frames;
-//!   a full window surfaces [`SendError::Backpressure`] (bounded buffering,
-//!   the same retryable condition as NIC back-pressure);
+//! * a bounded per-destination send window holds sealed unacked frames —
+//!   each in the one buffer it was built in, which the session owns from
+//!   the send until the frame is acked, its peer is declared dead or the
+//!   session [`rejoin`](ReliableSession::rejoin)s, and then gives back to
+//!   where it came from ([`FrameBufs`]); a full window surfaces
+//!   [`SendError::Backpressure`] (bounded buffering, the same retryable
+//!   condition as NIC back-pressure);
 //! * `ack` is the destination gate's low watermark (cumulative: everything
 //!   below it arrived), `sack` a bitmap of the 32 sequence numbers above it
 //!   (selective: lets one lost frame not hold back acknowledgment of its
@@ -31,7 +35,12 @@
 //!   debt by piggybacking, by a standalone ack frame once a virtual-clock
 //!   delay expires, or — crucially for the caller-stepped fabric mode,
 //!   where an idle wire freezes the clock — after
-//!   [`ReliableConfig::ack_every`] admitted frames regardless of time;
+//!   [`ReliableConfig::ack_every`] admitted frames regardless of time; a
+//!   sender whose buffer source has nothing left for another frame says so
+//!   in the frame that took the last buffer (`flags` = 2, InfiniBand's
+//!   AckReq), and the receiver's debt for it is due at once — a pool
+//!   smaller than `ack_every` would otherwise wait out the delay, or wait
+//!   forever on a frozen clock, for buffers only an ack can return;
 //! * unacked frames retransmit on a seeded exponential-backoff timer with
 //!   jitter; exhausting [`ReliableConfig::retry_budget`] declares the
 //!   destination dead and surfaces [`SendError::PeerDead`], which runtimes
@@ -58,6 +67,8 @@ use crate::HostId;
 use lci_trace::Counter;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Bytes of reliable-layer header inside every framed body:
 /// `[ack: u64][sack: u32][epoch: u32][flags: u8]`.
@@ -77,6 +88,9 @@ pub const ACK_HEADER: u64 = u64::MAX;
 
 const FLAG_DATA: u8 = 0;
 const FLAG_ACK: u8 = 1;
+/// A data frame whose sender has no buffer left to build another in: the
+/// ack it is owed is due now.
+const FLAG_DATA_ACK_NOW: u8 = 2;
 
 /// What [`ReliableSession::on_recv`] decided about a delivered payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,13 +113,45 @@ pub enum RelRecv {
     Stale,
 }
 
+/// Where a session's frame buffers come from and where they go when their
+/// lease ends. A runtime with a packet pool hands its pool in
+/// ([`ReliableSession::with_bufs`]), so the memory its retransmit windows
+/// hold is the pool's and bounded by it; the default is the heap.
+pub trait FrameBufs: Send + Sync {
+    /// A buffer of at least `len` bytes, or `None` when none is to be had
+    /// right now (the send is refused with [`SendError::Backpressure`]).
+    fn take(&self, len: usize) -> Option<Box<[u8]>>;
+    /// Take back a buffer this source handed out, or one its owner passed
+    /// to [`ReliableSession::send_frame`].
+    fn give(&self, buf: Box<[u8]>);
+    /// Is nothing left, so that only a returned buffer lets another frame
+    /// be built? A bounded source says so; the session then asks the peer
+    /// to acknowledge at once.
+    fn exhausted(&self) -> bool {
+        false
+    }
+}
+
+struct Heap;
+
+impl FrameBufs for Heap {
+    fn take(&self, len: usize) -> Option<Box<[u8]>> {
+        Some(vec![0u8; len].into_boxed_slice())
+    }
+    fn give(&self, _buf: Box<[u8]>) {}
+}
+
 struct Unacked {
     seq: u64,
     header: u64,
-    /// The sealed frame, byte-for-byte as first transmitted (retransmits
-    /// must be bit-identical so the receiver's gate and checksum treat
-    /// them as the same frame — including its epoch stamp).
-    frame: Vec<u8>,
+    /// The buffer the frame was sealed in. `frame[..len]` is the frame,
+    /// byte-for-byte as first transmitted (retransmits must be
+    /// bit-identical so the receiver's gate and checksum treat them as the
+    /// same frame — including its epoch stamp); nothing writes to it while
+    /// it sits here, and leaving the window is what returns it to the
+    /// session's [`FrameBufs`].
+    frame: Box<[u8]>,
+    len: usize,
     retries: u32,
     rto_at: u64,
     rto_ns: u64,
@@ -181,6 +227,11 @@ impl PeerRx {
 struct PeerState {
     tx: PeerTx,
     rx: PeerRx,
+    /// splitmix64 state for timer jitter toward this peer: every peer starts
+    /// from the host's seed (fabric seed + host, independent of the `rand`
+    /// crate so replay needs no RNG coupling) and is drawn from under the
+    /// peer lock its timers are armed under.
+    rng: u64,
 }
 
 /// One host's reliable-delivery state, layered over its [`Endpoint`].
@@ -192,12 +243,14 @@ struct PeerState {
 pub struct ReliableSession {
     cfg: ReliableConfig,
     peers: Vec<Mutex<PeerState>>,
-    /// splitmix64 state for timer jitter (seeded from fabric seed + host,
-    /// independent of the `rand` crate so replay needs no RNG coupling).
-    rng: Mutex<u64>,
-    /// First peer declared dead, surfaced to the runtime's failure path.
-    dead: Mutex<Option<HostId>>,
+    bufs: Arc<dyn FrameBufs>,
+    /// First peer declared dead ([`NO_HOST`] while there is none), surfaced
+    /// to the runtime's failure path.
+    dead: AtomicU32,
 }
+
+/// `dead` while every peer is alive: one past the largest [`HostId`].
+const NO_HOST: u32 = HostId::MAX as u32 + 1;
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -209,8 +262,15 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 impl ReliableSession {
     /// A session for `ep`'s host, tuned by the fabric's
-    /// [`ReliableConfig`].
+    /// [`ReliableConfig`], whose frames live on the heap.
     pub fn new(ep: &Endpoint) -> Self {
+        Self::with_bufs(ep, Arc::new(Heap))
+    }
+
+    /// A session whose frame buffers are `bufs`': what
+    /// [`send`](Self::send) builds its frames in, and where every buffer
+    /// goes when its frame leaves the window.
+    pub fn with_bufs(ep: &Endpoint, bufs: Arc<dyn FrameBufs>) -> Self {
         let cfg = ep.config().reliable;
         assert!(cfg.window >= 1, "reliable window must be >= 1");
         assert!(cfg.ack_every >= 1, "ack_every must be >= 1");
@@ -220,15 +280,24 @@ impl ReliableSession {
         assert!(cfg.gate_window >= 1, "gate_window must be >= 1");
         ReliableSession {
             peers: (0..ep.num_hosts())
-                .map(|_| Mutex::new(Self::fresh_peer(&cfg)))
+                .map(|_| Mutex::new(Self::fresh_peer(&cfg, seed)))
                 .collect(),
             cfg,
-            rng: Mutex::new(seed),
-            dead: Mutex::new(None),
+            bufs,
+            dead: AtomicU32::new(NO_HOST),
         }
     }
 
-    fn fresh_peer(cfg: &ReliableConfig) -> PeerState {
+    /// Override the per-destination send window the fabric configures
+    /// ([`ReliableConfig::window`]), for a runtime whose bound on
+    /// unacknowledged frames is not the transport's to choose.
+    pub fn with_window(mut self, window: usize) -> Self {
+        assert!(window >= 1, "reliable window must be >= 1");
+        self.cfg.window = window;
+        self
+    }
+
+    fn fresh_peer(cfg: &ReliableConfig, rng: u64) -> PeerState {
         PeerState {
             tx: PeerTx {
                 next_seq: 0,
@@ -242,33 +311,45 @@ impl ReliableSession {
                 ack_deadline: 0,
                 owed_count: 0,
             },
+            rng,
         }
     }
 
     /// Reset the session for a new fabric incarnation (after a
     /// [`crate::Fabric::respawn`]): every peer's send window, sequence
     /// counter, receive gate, ack debt, RTT estimator, and dead flag start
-    /// over. Old in-flight frames are not re-driven — they carry the dead
-    /// incarnation's epoch and will be dropped as [`RelRecv::Stale`] wherever
-    /// they land. Called on *every* host during recovery, survivors
-    /// included: both sides of every reliable link must restart their
-    /// sequence spaces together.
+    /// over (the jitter streams run on), and the buffers the windows held go
+    /// back to the session's [`FrameBufs`]. Old in-flight frames are not
+    /// re-driven — they carry the dead incarnation's epoch and will be
+    /// dropped as [`RelRecv::Stale`] wherever they land. Called on *every*
+    /// host during recovery, survivors included: both sides of every
+    /// reliable link must restart their sequence spaces together.
     pub fn rejoin(&self) {
         for peer in &self.peers {
-            *peer.lock() = Self::fresh_peer(&self.cfg);
+            let mut p = peer.lock();
+            self.release_window(&mut p.tx.window);
+            *p = Self::fresh_peer(&self.cfg, p.rng);
         }
-        *self.dead.lock() = None;
+        self.dead.store(NO_HOST, Ordering::Release);
     }
 
-    fn jitter_ns(&self) -> u64 {
+    /// End the lease of every frame still in `window`.
+    fn release_window(&self, window: &mut VecDeque<Unacked>) {
+        for u in window.drain(..) {
+            self.bufs.give(u.frame);
+        }
+    }
+
+    fn jitter_ns(&self, rng: &mut u64) -> u64 {
         if self.cfg.rto_jitter_ns == 0 {
             return 0;
         }
-        splitmix64(&mut self.rng.lock()) % self.cfg.rto_jitter_ns
+        splitmix64(rng) % self.cfg.rto_jitter_ns
     }
 
-    /// Reliably send `body` to `dst`: seal it behind a frame + reliable
-    /// header, transmit, and hold it in the window until acked.
+    /// Reliably send `body` to `dst`: copy it into a buffer taken from the
+    /// session's [`FrameBufs`] and send that with
+    /// [`send_frame`](Self::send_frame).
     ///
     /// `ctx` is returned in the `SendDone` of the *first* transmission only
     /// (retransmissions complete with ctx 0), so completion-cookie callers
@@ -276,8 +357,9 @@ impl ReliableSession {
     ///
     /// Errors: [`SendError::PeerDead`] once the destination's retry budget
     /// was exhausted; [`SendError::Backpressure`] when the send window is
-    /// full (retry after pumping progress); fabric admission errors pass
-    /// through. On any error the sequence number is *not* consumed.
+    /// full (retry after pumping progress) or no buffer is to be had; fabric
+    /// admission errors pass through. On any error the sequence number is
+    /// *not* consumed.
     pub fn send(
         &self,
         ep: &Endpoint,
@@ -286,32 +368,72 @@ impl ReliableSession {
         body: &[u8],
         ctx: u64,
     ) -> Result<(), SendError> {
-        let mut p = self.peers[dst as usize].lock();
-        if p.tx.dead {
-            return Err(SendError::PeerDead(dst));
-        }
-        if p.tx.window.len() >= self.cfg.window {
-            ep.counters().incr(Counter::FabricReliableWindowStalls);
+        let len = REL_DATA_OFFSET + body.len();
+        let Some(mut frame) = self.bufs.take(len) else {
             return Err(SendError::Backpressure);
-        }
+        };
+        frame[REL_DATA_OFFSET..len].copy_from_slice(body);
+        self.send_frame(ep, dst, header, frame, len, ctx)
+    }
+
+    /// Reliably send the body the caller has already written to
+    /// `frame[REL_DATA_OFFSET..len]`: seal it in place — frame prefix and
+    /// reliable header are stamped into the [`REL_DATA_OFFSET`] bytes of
+    /// headroom in front of it — transmit `frame[..len]`, and keep `frame`
+    /// itself in the window as the retransmit copy.
+    ///
+    /// The session owns `frame` from this call on and gives it to its
+    /// [`FrameBufs`] exactly once: when the frame is acked, when `dst` is
+    /// declared dead, at [`rejoin`](Self::rejoin) — or before returning, if
+    /// the send is refused. `ctx` and the errors are [`send`](Self::send)'s.
+    ///
+    /// # Panics
+    /// Panics if `len < REL_DATA_OFFSET` or `len > frame.len()`.
+    pub fn send_frame(
+        &self,
+        ep: &Endpoint,
+        dst: HostId,
+        header: u64,
+        mut frame: Box<[u8]>,
+        len: usize,
+        ctx: u64,
+    ) -> Result<(), SendError> {
+        let mut p = self.peers[dst as usize].lock();
         let seq = p.tx.next_seq;
-        // The one buffer this frame ever lives in: each byte is written
-        // once, the prefix is stamped in place, and the window keeps it.
-        let mut framed = Vec::with_capacity(REL_DATA_OFFSET + body.len());
-        framed.extend_from_slice(&[0u8; frame::FRAME_OVERHEAD]);
-        framed.extend_from_slice(&p.rx.rel_header(ep.fabric_epoch(), FLAG_DATA));
-        framed.extend_from_slice(body);
-        frame::stamp(header, seq, &mut framed);
-        ep.try_send(dst, header, &framed, ctx)?;
+        let refused = if p.tx.dead {
+            Some(SendError::PeerDead(dst))
+        } else if p.tx.window.len() >= self.cfg.window {
+            ep.counters().incr(Counter::FabricReliableWindowStalls);
+            Some(SendError::Backpressure)
+        } else {
+            let flags = if self.bufs.exhausted() {
+                FLAG_DATA_ACK_NOW
+            } else {
+                FLAG_DATA
+            };
+            // The one buffer this frame ever lives in: the body is already
+            // there, the headers are written in front of it, and the window
+            // keeps it. What the NIC reads out of it is `try_send`'s copy.
+            frame[frame::FRAME_OVERHEAD..REL_DATA_OFFSET]
+                .copy_from_slice(&p.rx.rel_header(ep.fabric_epoch(), flags));
+            frame::stamp(header, seq, &mut frame[..len]);
+            ep.try_send(dst, header, &frame[..len], ctx).err()
+        };
+        if let Some(e) = refused {
+            self.bufs.give(frame);
+            return Err(e);
+        }
         p.tx.next_seq += 1;
         let now = ep.now_ns();
         let rto = p.tx.rtt.initial_rto(&self.cfg);
+        let jitter = self.jitter_ns(&mut p.rng);
         p.tx.window.push_back(Unacked {
             seq,
             header,
-            frame: framed,
+            frame,
+            len,
             retries: 0,
-            rto_at: now + rto + self.jitter_ns(),
+            rto_at: now + rto + jitter,
             rto_ns: rto,
             sent_at: now,
         });
@@ -340,7 +462,7 @@ impl ReliableSession {
         let sack = u32::from_le_bytes(rel[8..12].try_into().expect("4 bytes"));
         let epoch = u32::from_le_bytes(rel[12..16].try_into().expect("4 bytes"));
         let flags = rel[16];
-        if flags > FLAG_ACK {
+        if flags > FLAG_DATA_ACK_NOW {
             return RelRecv::Malformed;
         }
         // Epoch gate BEFORE any ack or sequence processing: after a rejoin
@@ -359,18 +481,20 @@ impl ReliableSession {
         let mut acked = 0u64;
         let mut sampled = false;
         let PeerTx { window, rtt, .. } = &mut p.tx;
-        let mut harvest = |u: &Unacked| {
+        // An acked frame's lease ends here: its buffer goes back.
+        let mut harvest = |u: &mut Unacked| {
             acked += 1;
             if u.retries == 0 {
                 rtt.observe(now.saturating_sub(u.sent_at));
                 sampled = true;
             }
+            self.bufs.give(std::mem::take(&mut u.frame));
         };
         while window.front().is_some_and(|u| u.seq < ack) {
-            harvest(&window.pop_front().expect("front checked"));
+            harvest(&mut window.pop_front().expect("front checked"));
         }
         if sack != 0 {
-            window.retain(|u| {
+            window.retain_mut(|u| {
                 let hit =
                     u.seq > ack && u.seq <= ack + 32 && (sack >> (u.seq - ack - 1)) & 1 == 1;
                 if hit {
@@ -396,7 +520,9 @@ impl ReliableSession {
         // admitted means our ack was lost (or arrived after the peer's
         // timer fired), so the debt is re-armed and a fresh ack goes out
         // even with no reverse data traffic.
-        if !p.rx.ack_owed {
+        if flags == FLAG_DATA_ACK_NOW {
+            p.rx.ack_deadline = now;
+        } else if !p.rx.ack_owed {
             p.rx.ack_deadline = now + self.cfg.ack_delay_ns;
         }
         p.rx.ack_owed = true;
@@ -427,24 +553,27 @@ impl ReliableSession {
                         continue;
                     }
                     if p.tx.window[i].retries >= self.cfg.retry_budget {
-                        // Budget exhausted: the peer is unreachable. Drop
-                        // the whole window — nothing will ever be acked —
+                        // Budget exhausted: the peer is unreachable. Give
+                        // up the whole window — nothing will ever be acked —
                         // and surface the failure.
                         p.tx.dead = true;
-                        p.tx.window.clear();
+                        self.release_window(&mut p.tx.window);
                         ep.counters().incr(Counter::FabricReliablePeerDead);
-                        let mut dead = self.dead.lock();
-                        if dead.is_none() {
-                            *dead = Some(dst);
-                        }
+                        // Only the first death is kept.
+                        let _ = self.dead.compare_exchange(
+                            NO_HOST,
+                            dst as u32,
+                            Ordering::AcqRel,
+                            Ordering::Relaxed,
+                        );
                         break;
                     }
                     let u = &p.tx.window[i];
-                    match ep.try_send(dst, u.header, &u.frame, 0) {
+                    match ep.try_send(dst, u.header, &u.frame[..u.len], 0) {
                         Ok(()) => {
                             injected += 1;
                             ep.counters().incr(Counter::FabricReliableRetransmits);
-                            let jitter = self.jitter_ns();
+                            let jitter = self.jitter_ns(&mut p.rng);
                             let u = &mut p.tx.window[i];
                             u.retries += 1;
                             u.rto_ns = (u.rto_ns * 2).min(self.cfg.rto_cap_ns);
@@ -492,7 +621,7 @@ impl ReliableSession {
     /// Runtimes poll this from their progress loop and convert it into
     /// their own fatal-abort path.
     pub fn dead_peer(&self) -> Option<HostId> {
-        *self.dead.lock()
+        HostId::try_from(self.dead.load(Ordering::Acquire)).ok()
     }
 
     /// Unacked frames currently windowed toward `peer` (diagnostics).
@@ -733,7 +862,7 @@ mod tests {
         assert_eq!(s.on_recv(&eps[1], 0, 1, &tiny), RelRecv::Malformed);
         // Valid frame, undefined flags value.
         let mut rel = [0u8; REL_OVERHEAD];
-        rel[16] = 2;
+        rel[16] = FLAG_DATA_ACK_NOW + 1;
         let bad_flags = frame::seal(1, 0, &rel);
         assert_eq!(s.on_recv(&eps[1], 0, 1, &bad_flags), RelRecv::Malformed);
     }

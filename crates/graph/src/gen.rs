@@ -42,25 +42,23 @@ pub fn rmat_with(
 ) -> CsrGraph {
     assert!(scale <= 30, "scale too large for an in-process graph");
     assert!(a + b + c <= 1.0 + 1e-9);
+    assert!(b >= 0.0 && c >= 0.0, "quadrant thresholds must ascend");
     let n = 1usize << scale;
     let m = edge_factor * n;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(m);
+    let (ab, abc) = (a + b, a + b + c);
     for _ in 0..m {
         let (mut u, mut v) = (0usize, 0usize);
         for _ in 0..scale {
             let r: f64 = rng.gen();
-            let (du, dv) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | du;
-            v = (v << 1) | dv;
+            // The quadrant is the number of thresholds `r` has reached, its
+            // two bits the next bit of `u` and of `v`. Counting instead of
+            // branching: `r` is uniform, so a branch on it is a coin flip to
+            // the predictor, once per bit per edge.
+            let q = (r >= a) as usize + (r >= ab) as usize + (r >= abc) as usize;
+            u = (u << 1) | (q >> 1);
+            v = (v << 1) | (q & 1);
         }
         edges.push((u as Vid, v as Vid));
     }
@@ -140,6 +138,53 @@ pub fn randomize_weights(g: &CsrGraph, max_w: u32, seed: u64) -> CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `rmat_with` as a ladder of branches on `r`, one quadrant per arm:
+    /// the definition the branch-free count must reproduce edge for edge.
+    fn rmat_ladder(scale: u32, edge_factor: usize, a: f64, b: f64, c: f64, seed: u64) -> CsrGraph {
+        let n = 1usize << scale;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = Vec::with_capacity(edge_factor * n);
+        for _ in 0..edge_factor * n {
+            let (mut u, mut v) = (0usize, 0usize);
+            for _ in 0..scale {
+                let r: f64 = rng.gen();
+                let (du, dv) = if r < a {
+                    (0, 0)
+                } else if r < a + b {
+                    (0, 1)
+                } else if r < a + b + c {
+                    (1, 0)
+                } else {
+                    (1, 1)
+                };
+                u = (u << 1) | du;
+                v = (v << 1) | dv;
+            }
+            edges.push((u as Vid, v as Vid));
+        }
+        CsrGraph::from_edges(n, &edges)
+    }
+
+    #[test]
+    fn branch_free_quadrants_equal_the_ladder() {
+        for scale in 4..=12 {
+            for edge_factor in [1, 8, 16] {
+                for seed in 1..=5 {
+                    assert_eq!(
+                        rmat(scale, edge_factor, seed),
+                        rmat_ladder(scale, edge_factor, 0.55, 0.25, 0.1, seed),
+                        "rmat({scale}, {edge_factor}, {seed})"
+                    );
+                    assert_eq!(
+                        kron(scale, edge_factor, seed),
+                        rmat_ladder(scale, edge_factor, 0.45, 0.25, 0.25, seed),
+                        "kron({scale}, {edge_factor}, {seed})"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn rmat_sizes() {

@@ -285,6 +285,18 @@ impl MpiComm {
     pub(crate) fn new(ep: Endpoint, cfg: MpiConfig, registry: Arc<WinRegistry>) -> MpiComm {
         let nranks = ep.num_hosts();
         let rank = ep.host();
+        // MPI promises an eager send local completion: the message is
+        // buffered, the call returns, and delivery asks nothing more of the
+        // caller — a rank may send a burst and not enter the library again
+        // until its peer has received all of it. What bounds the burst is
+        // therefore not the transport's retransmit window, which opens only
+        // when the *peer* polls, but what deployed MPIs hand out as eager
+        // credits: the receiver's pre-posted buffers, shared among its
+        // senders (and no deeper than the receiver's gate tracks).
+        let rcfg = &ep.config().reliable;
+        let eager_credits = (ep.config().rx_buffers / nranks)
+            .min(rcfg.gate_window as usize)
+            .max(rcfg.window);
         MpiComm {
             inner: Arc::new(CommInner {
                 state: Mutex::new(State {
@@ -294,7 +306,7 @@ impl MpiComm {
                     rma: RmaState::default(),
                     failed: None,
                 }),
-                rel: ReliableSession::new(&ep),
+                rel: ReliableSession::new(&ep).with_window(eager_credits),
                 send_seq: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
                 registry,
                 outstanding_rma_puts: AtomicU64::new(0),

@@ -55,14 +55,22 @@ done
 # (frame.rs) into the carry-less-multiply CRC, which itself is safe code on
 # register values (DESIGN.md, "Eager wire path"). A second block, a pointer
 # load or a transmute would be unchecked memory access where today there is
-# none, so outside tests and comments none may appear.
-for f in crates/fabric/src/*.rs; do
-    allowed=0
-    [ "$f" = crates/fabric/src/frame.rs ] && allowed=1
+# none, so outside tests and comments none may appear. The LCI runtime has the
+# request cookies of the rendezvous protocol in device.rs (13 lines since
+# PR 23, which deleted the boxed completion cookie of every eager send) and
+# the slot array of faa_queue.rs (4); the ceilings are today's counts, so the
+# unchecked core can shrink (ROADMAP item 7(a)) but not grow unnoticed.
+for f in crates/fabric/src/*.rs crates/core/src/*.rs; do
+    case "$f" in
+        crates/fabric/src/frame.rs) allowed=1 ;;
+        crates/core/src/device.rs) allowed=13 ;;
+        crates/core/src/faa_queue.rs) allowed=4 ;;
+        *) allowed=0 ;;
+    esac
     if ! awk -v allowed="$allowed" '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
             /_mm_loadu|_mm_load_|transmute/ { bad = 1 } /unsafe/ { n++ }
             END { exit bad || n > allowed }' "$f"; then
-        echo "FABRIC UNSAFE: $f has an unsafe, pointer load or transmute outside #[cfg(test)] beyond the one detected call in frame.rs" >&2
+        echo "UNSAFE CEILING: $f has more than $allowed unsafe line(s), a pointer load or a transmute outside #[cfg(test)]" >&2
         exit 1
     fi
 done

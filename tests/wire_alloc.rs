@@ -3,12 +3,17 @@
 //! A counting `#[global_allocator]` (per-thread tallies, so the suite's
 //! tests can run side by side) pins down what DESIGN.md's "eager wire path"
 //! ledger claims on the caller-stepped fabric, where everything runs on the
-//! calling thread: after warm-up a `ReliableSession::send` costs exactly one
-//! payload-sized allocation on top of the `Endpoint::try_send` underneath it
-//! (the frame the retransmit window keeps; `try_send`'s own copy is the
-//! model's NIC DMA read), and the receive side, the ack paths and the
-//! in-order `SeqGate` allocate nothing of their own.
+//! calling thread: after warm-up a `ReliableSession::send` of a borrowed
+//! slice costs exactly one payload-sized allocation on top of the
+//! `Endpoint::try_send` underneath it (the frame the retransmit window keeps;
+//! `try_send`'s own copy is the model's NIC DMA read), an eager message
+//! through `lci::Device` — whose frames are built and kept in pooled packets
+//! — costs only that NIC copy from `send_enq` to `take_data`, and the receive
+//! side, the ack paths and the in-order `SeqGate` allocate nothing of their
+//! own.
 
+use bytes::Bytes;
+use lci::{Device, LciConfig};
 use lci_fabric::frame::SeqGate;
 use lci_fabric::{
     Endpoint, Event, Fabric, FabricConfig, HostId, PacketBuf, RelRecv, ReliableSession,
@@ -115,6 +120,61 @@ fn reliable_send_costs_one_payload_allocation_beyond_the_nic_copy() {
         reliable,
         bare + 1,
         "a reliable send builds its frame once, in the buffer the window keeps"
+    );
+}
+
+#[test]
+fn an_eager_device_message_costs_the_nic_copy_and_no_completion_cookie() {
+    let fabric = Fabric::new_manual(FabricConfig::deterministic(2, 3));
+    let a = Device::new(fabric.endpoint(0), LciConfig::for_hosts(2));
+    let b = Device::new(fabric.endpoint(1), LciConfig::for_hosts(2));
+    let payload = Bytes::from(vec![0xC3u8; PAYLOAD]);
+    // One message end to end; returns the allocations of `send_enq` alone,
+    // all of them and the payload-sized ones, and the payload-sized ones of
+    // the whole trip.
+    let message = |tag: u32| {
+        let (sent_all, sent_big, req) = allocations(|| a.send_enq(payload.clone(), 1, tag));
+        assert!(req.expect("window has room").is_done());
+        let (_, rest_big, ()) = allocations(|| {
+            fabric.drain();
+            a.progress();
+            b.progress();
+            let req = b.recv_deq().expect("the message arrived");
+            let data = req.take_data().expect("eager receives are complete");
+            assert_eq!(data.len(), PAYLOAD);
+            // Let the ack out and in, so the packet is back in the pool.
+            fabric.advance_virtual(fabric.config().reliable.ack_delay_ns + 1);
+            b.progress();
+            fabric.drain();
+            a.progress();
+        });
+        assert_eq!(a.packets_leased(), 0);
+        (sent_all, sent_big, sent_big + rest_big)
+    };
+    // Warm-up: queues, windows and event rings reach their steady capacity.
+    for tag in 0..8 {
+        message(tag);
+    }
+    let wire_len = vec![0u8; REL_DATA_OFFSET + PAYLOAD];
+    let (bare_all, bare_big, sent) = allocations(|| a.endpoint().try_send(1, 7, &wire_len, 0));
+    sent.expect("bare send admitted");
+    let (sent_all, sent_big, trip_big) = message(8);
+    assert_eq!(
+        bare_big, 1,
+        "try_send copies the payload once (the NIC's read)"
+    );
+    assert_eq!(
+        sent_big, bare_big,
+        "send_enq builds the frame in a pooled packet"
+    );
+    assert_eq!(
+        sent_all,
+        bare_all + 1,
+        "beyond the injection, send_enq allocates the request handle and nothing else"
+    );
+    assert_eq!(
+        trip_big, bare_big,
+        "progress, recv_deq and take_data hand on the buffer the fabric delivered"
     );
 }
 
