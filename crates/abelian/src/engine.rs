@@ -29,7 +29,7 @@
 use crate::apps::App;
 use crate::checkpoint::{CheckpointStore, CkptPlan, Snapshot};
 use crate::comm::{channels, recv_round, ChannelSpec, CommLayer};
-use crate::label::{Label, LabelVec};
+use crate::label::{BitSet, Label, LabelVec};
 use crate::metrics::{HostMetrics, RoundMetrics};
 use lci_graph::{DistGraph, Partitioning, Policy, Vid};
 use lci_trace::ring::now_ns;
@@ -195,11 +195,6 @@ pub fn take_vote(data: &[u8]) -> Option<(u64, &[u8])> {
     Some((u64::from_le_bytes(*vote), rest))
 }
 
-/// Local vertices per block of [`HostState`]'s dirty summary: small enough
-/// that one changed vertex costs a scan of one or two cache lines of flags,
-/// large enough that the summary of a few thousand vertices is itself one.
-const BLOCK: usize = 64;
-
 /// One host's vertex state, shared between the round skeleton (which owns
 /// its lifecycle) and the [`Exchange`] strategy (which reads and folds
 /// labels through the methods below).
@@ -208,18 +203,17 @@ const BLOCK: usize = 64;
 /// fire phase's `thread::scope` is open, and only when the run was given more
 /// than one. [`host_main`] tells the label vectors which of the two it is
 /// (`shared`), so a single-threaded host pays for no atomic read-modify-write
-/// anywhere in a round; every read-modify-write goes through [`LabelVec`].
+/// anywhere in a round; every read-modify-write goes through [`LabelVec`] or
+/// [`BitSet`].
 pub struct HostState<'a, A: App> {
     /// This host's partition.
     pub part: &'a DistGraph,
     /// The vertex program.
     pub app: &'a A,
     labels: LabelVec,
-    changed: Vec<AtomicBool>,
-    /// One flag per [`BLOCK`] local vertices, kept so that `changed[l]` set
-    /// implies `dirty[l / BLOCK]` set: the boundary pass reads the blocks
-    /// that are dirty and no others.
-    dirty: Vec<AtomicBool>,
+    /// Local vertices whose value moved since they were last taken: masters
+    /// by [`Self::boundary_pass`], mirrors by [`Self::take_changed_mirrors`].
+    changed: BitSet,
     consumed: Option<LabelVec>,
     /// Which masters fired this round, and their emissions — maintained only
     /// for strategies that broadcast.
@@ -233,7 +227,7 @@ impl<'a, A: App> HostState<'a, A> {
     /// identity (an add-app mirror that started at `init` would double-count
     /// it into the master at the first reduce). `shared`: whether compute
     /// threads will fire next to each other (see [`LabelVec::new`]).
-    fn new(part: &'a DistGraph, app: &'a A, track_fired: bool, shared: bool) -> Self {
+    pub fn new(part: &'a DistGraph, app: &'a A, track_fired: bool, shared: bool) -> Self {
         let nl = part.num_local();
         let nm = part.num_masters as usize;
         let identity = app.identity();
@@ -241,16 +235,14 @@ impl<'a, A: App> HostState<'a, A> {
         for l in 0..nm {
             labels.set(l, app.init(part.l2g[l]));
         }
-        let changed = (0..nl)
-            .map(|l| AtomicBool::new(l < nm && app.active_initially(part.l2g[l])))
-            .collect();
+        let changed = BitSet::new(nl, shared);
+        (0..nm).filter(|&l| app.active_initially(part.l2g[l])).for_each(|l| changed.insert(l));
         let nf = if track_fired { nm } else { 0 };
         HostState {
             part,
             app,
             labels,
             changed,
-            dirty: (0..nl.div_ceil(BLOCK)).map(|_| AtomicBool::new(true)).collect(),
             consumed: app.output_consumed().then(|| LabelVec::new(nm, identity, shared)),
             track_fired,
             fired: (0..nf).map(|_| AtomicBool::new(false)).collect(),
@@ -288,14 +280,8 @@ impl<'a, A: App> HostState<'a, A> {
             }
             _ => {}
         }
-        if chg.len() != self.changed.len() {
+        if !self.changed.restore_bytes(chg) {
             return Err(format!("host {me}: checkpoint changed section size mismatch"));
-        }
-        for (flag, &b) in self.changed.iter().zip(chg.iter()) {
-            flag.store(b != 0, Ordering::Relaxed);
-        }
-        for block in &self.dirty {
-            block.store(true, Ordering::Relaxed);
         }
         lci_trace::incr(Counter::EngineCkptRestores);
         Ok(snap.round as usize)
@@ -309,42 +295,22 @@ impl<'a, A: App> HostState<'a, A> {
             sections: vec![
                 self.labels.save_bits(),
                 self.consumed.as_ref().map(|c| c.save_bits()).unwrap_or_default(),
-                self.changed.iter().map(|f| f.load(Ordering::Acquire) as u8).collect(),
+                self.changed.save_bytes(),
             ],
         }
     }
 
     /// Fold contribution `v` into local vertex `lid`, marking it changed if
-    /// its value moved. The block is marked first, so no instant has a
-    /// changed vertex in a clean block. This is PageRank's hot loop, once per
-    /// edge: the fold is a compare-and-swap only on a host whose compute
-    /// threads share the labels (a load and a store otherwise — the choice is
-    /// [`LabelVec`]'s, made once per run), and the marks are two plain stores.
-    /// It runs on the host thread, or on compute threads the host thread
+    /// its value moved. This is PageRank's hot loop, once per edge: the fold
+    /// is a compare-and-swap only on a host whose compute threads share the
+    /// labels (a load and a store otherwise — the choice is [`LabelVec`]'s,
+    /// made once per run), and the mark is one bit of a word that stays in
+    /// L1. It runs on the host thread, or on compute threads the host thread
     /// joins before its next boundary pass.
     pub fn deliver(&self, lid: usize, v: A::Acc) {
         if self.labels.reduce_with(lid, v, |a, b| self.app.reduce(a, b)) {
-            self.dirty[lid / BLOCK].store(true, Ordering::Release);
-            self.changed[lid].store(true, Ordering::Release);
+            self.changed.insert(lid);
         }
-    }
-
-    /// Whether local vertex `lid` changed since it was last taken.
-    pub fn is_changed(&self, lid: usize) -> bool {
-        self.changed[lid].load(Ordering::Acquire)
-    }
-
-    /// Clear `lid`'s changed mark, returning whether it was set: a test and
-    /// a plain store, no exchange. Only the host thread clears flags, and
-    /// only while no compute thread runs (it has joined them, which is also
-    /// what orders their marks before this load), so nothing can set the flag
-    /// between the two.
-    fn clear_changed(&self, lid: usize) -> bool {
-        let was = self.changed[lid].load(Ordering::Relaxed);
-        if was {
-            self.changed[lid].store(false, Ordering::Relaxed);
-        }
-        was
     }
 
     /// Whether local vertex `lid` would fire on its current value.
@@ -353,54 +319,43 @@ impl<'a, A: App> HostState<'a, A> {
         self.app.emit(self.labels.get(lid), deg).is_some()
     }
 
-    /// The top-of-round pass over the dirty blocks, in ascending lid order:
-    /// move every changed master into `fire_list` (cleared first; its mark is
-    /// cleared too) and return this host's vote — how many local vertices,
-    /// masters and mirrors, are changed and [viable](Self::viable), counted
-    /// before anything is cleared. A block goes clean unless a mirror in it
-    /// is still changed (mirrors are cleared by [`Self::take_changed`]).
-    /// Host thread only, between rounds: nothing delivers concurrently.
+    /// The top-of-round pass over the changed set, in ascending lid order:
+    /// take every changed master into `fire_list` (cleared first) and return
+    /// this host's vote — how many local vertices, masters and mirrors, are
+    /// changed and [viable](Self::viable). Mirrors keep their marks for
+    /// [`Self::take_changed_mirrors`]. Host thread only, between rounds:
+    /// nothing delivers concurrently.
     fn boundary_pass(&self, fire_list: &mut Vec<u32>) -> u64 {
         fire_list.clear();
         let nm = self.part.num_masters as usize;
         let mut vote = 0u64;
-        for (b, block) in self.dirty.iter().enumerate() {
-            if !block.load(Ordering::Acquire) {
-                continue;
-            }
-            let mut mirror_pending = false;
-            for lid in b * BLOCK..((b + 1) * BLOCK).min(self.changed.len()) {
-                if !self.is_changed(lid) {
-                    continue;
-                }
-                vote += self.viable(lid) as u64;
-                if lid < nm {
-                    self.clear_changed(lid);
-                    fire_list.push(lid as u32);
-                } else {
-                    mirror_pending = true;
-                }
-            }
-            if !mirror_pending {
-                block.store(false, Ordering::Release);
-            }
-        }
+        self.changed.walk(0..nm, true, |lid| {
+            vote += self.viable(lid) as u64;
+            fire_list.push(lid as u32);
+        });
+        self.changed.walk(nm..self.part.num_local(), false, |lid| vote += self.viable(lid) as u64);
         vote
     }
 
-    /// Take mirror `lid`'s pending update for shipping to its master: `None`
-    /// if it did not change, else its value (reset to the identity when the
-    /// app consumes) with the changed mark cleared. The value goes out
-    /// whether or not it is [viable](Self::viable) — see the contract on
-    /// [`App::emit`].
-    pub fn take_changed(&self, lid: usize) -> Option<A::Acc> {
-        self.clear_changed(lid).then(|| {
-            if self.app.consuming() {
+    /// Take every changed mirror's pending update for shipping to its master:
+    /// per owner `t`, the `(position, value)` pairs of the changed entries of
+    /// `mirror_send[t]`, in ascending position (the walk is in ascending lid),
+    /// each value the mirror's (reset to the identity when the app consumes).
+    /// It goes out whether or not it is [viable](Self::viable) — see the
+    /// contract on [`App::emit`]. Host thread only.
+    pub fn take_changed_mirrors(&self) -> Vec<Vec<(u32, A::Acc)>> {
+        let nm = self.part.num_masters as usize;
+        let mut taken = vec![Vec::new(); self.part.num_hosts];
+        self.changed.walk(nm..self.part.num_local(), true, |lid| {
+            let (owner, pos) = self.part.mirror_slot[lid - nm];
+            let v = if self.app.consuming() {
                 self.labels.swap(lid, self.app.identity())
             } else {
                 self.labels.get(lid)
-            }
-        })
+            };
+            taken[owner as usize].push((pos, v));
+        });
+        taken
     }
 
     /// Push emission `e` along every local out-edge of `lid`.
@@ -656,41 +611,34 @@ struct ProxySync {
 
 impl ProxySync {
     /// Send every peer `t` one frame of the `(plan position, value)` pairs
-    /// `entry` yields over `plans[t]`, opened by `vote` if there is one;
-    /// returns `(entries, bytes)` sent.
+    /// `entries[t]`, opened by `vote` if there is one; returns
+    /// `(entries, bytes)` sent.
     fn send_frames<L: Label>(
         layer: &dyn CommLayer,
         channel: usize,
-        plans: &[Vec<Vid>],
         vote: Option<u64>,
-        entry: impl Fn(usize) -> Option<L>,
+        entries: &[Vec<(u32, L)>],
     ) -> (u64, u64) {
         let me = layer.rank();
-        let (mut entries, mut bytes) = (0u64, 0u64);
+        let (mut sent, mut bytes) = (0u64, 0u64);
         layer.begin(channel);
-        for t in (0..layer.num_hosts() as u16).filter(|&t| t != me) {
+        for (t, list) in (0u16..).zip(entries).filter(|(t, _)| *t != me) {
             // Frame: `[vote u64]? [count u32][(plan_index u32, value) * count]`.
-            let mut buf = Vec::new();
+            let mut buf = Vec::with_capacity(VOTE_BYTES + 4 + list.len() * (4 + L::WIRE_BYTES));
             if let Some(vote) = vote {
                 put_vote(vote, &mut buf);
             }
-            let count_at = buf.len();
-            buf.extend_from_slice(&[0; 4]);
-            let mut count = 0u32;
-            for (pos, &lid) in plans[t as usize].iter().enumerate() {
-                if let Some(v) = entry(lid as usize) {
-                    buf.extend_from_slice(&(pos as u32).to_le_bytes());
-                    v.write(&mut buf);
-                    count += 1;
-                }
+            buf.extend_from_slice(&(list.len() as u32).to_le_bytes());
+            for &(pos, v) in list {
+                buf.extend_from_slice(&pos.to_le_bytes());
+                v.write(&mut buf);
             }
-            buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
-            entries += count as u64;
+            sent += list.len() as u64;
             bytes += buf.len() as u64;
             layer.send(channel, t, buf);
         }
         layer.finish_sends(channel);
-        (entries, bytes)
+        (sent, bytes)
     }
 
     /// Receive one frame from every peer, handing `apply` each entry's local
@@ -751,10 +699,9 @@ impl Exchange for ProxySync {
 
         // ---- reduce phase: votes and changed mirrors → masters -----------
         let reduce_span = Span::enter(Counter::PhaseReduceNs);
+        let changed = host.take_changed_mirrors();
         let (mut sent_entries, mut sent_bytes) =
-            Self::send_frames(layer, channels::REDUCE, mirrors, Some(vote), |l| {
-                host.take_changed(l)
-            });
+            Self::send_frames(layer, channels::REDUCE, Some(vote), &changed);
         let active = vote
             + Self::recv_frames(layer, channels::REDUCE, masters, true, |l, v| {
                 host.deliver(l, v)
@@ -764,11 +711,17 @@ impl Exchange for ProxySync {
         // ---- broadcast phase: firing masters' emissions → mirrors --------
         if self.broadcast {
             let bcast_span = Span::enter(Counter::PhaseBroadcastNs);
-            let (e, b) = Self::send_frames(layer, channels::BROADCAST, masters, None, |l| {
-                host.fired[l]
-                    .load(Ordering::Acquire)
-                    .then(|| host.emits.get::<A::Acc>(l))
-            });
+            // The plans are walked here, not the fire list: in a dense round
+            // they are the shorter of the two.
+            let entry = |(pos, &l): (u32, &Vid)| {
+                let fired = host.fired[l as usize].load(Ordering::Acquire);
+                fired.then(|| (pos, host.emits.get::<A::Acc>(l as usize)))
+            };
+            let emitted: Vec<Vec<_>> = masters
+                .iter()
+                .map(|plan| (0u32..).zip(plan).filter_map(entry).collect())
+                .collect();
+            let (e, b) = Self::send_frames(layer, channels::BROADCAST, None, &emitted);
             sent_entries += e;
             sent_bytes += b;
             Self::recv_frames(layer, channels::BROADCAST, mirrors, false, |l, e: A::Acc| {
@@ -817,11 +770,15 @@ fn decode_frame<L: Label>(data: &[u8], voted: bool, mut f: impl FnMut(u32, L)) -
 mod tests {
     use super::*;
     use crate::apps::PageRank;
+    use crate::comm::ChannelSpec;
+    use crate::membook::MemBook;
     use lci_graph::{gen, partition};
     use proptest::prelude::*;
+    use std::sync::Mutex;
 
-    /// What `HostState`'s flags and labels must read after any sequence of
-    /// steps, kept the plain way: no summary, every pass a scan of all of it.
+    /// What `HostState`'s marks and labels must read after any sequence of
+    /// steps, kept the plain way: a flag per vertex, every pass a scan of all
+    /// of them, a mirror's place in the plans found by searching the plans.
     struct Plain<'a> {
         app: &'a PageRank,
         part: &'a DistGraph,
@@ -829,7 +786,13 @@ mod tests {
         changed: Vec<bool>,
     }
 
-    impl Plain<'_> {
+    impl<'a> Plain<'a> {
+        fn of(st: &HostState<'a, PageRank>) -> Self {
+            let labels = (0..st.part.num_local()).map(|l| st.labels.get(l)).collect();
+            let changed = st.changed.save_bytes().iter().map(|&b| b != 0).collect();
+            Plain { app: st.app, part: st.part, labels, changed }
+        }
+
         fn deliver(&mut self, lid: usize, v: f32) {
             let new = self.app.reduce(self.labels[lid], v);
             if new.to_bits() != self.labels[lid].to_bits() {
@@ -841,6 +804,16 @@ mod tests {
         fn take_changed(&mut self, lid: usize) -> Option<f32> {
             std::mem::take(&mut self.changed[lid])
                 .then(|| std::mem::replace(&mut self.labels[lid], self.app.identity()))
+        }
+
+        /// Every plan walked whole, as the encoders used to.
+        fn take_changed_mirrors(&mut self) -> Vec<Vec<(u32, f32)>> {
+            let part = self.part;
+            let taken = |plan: &Vec<Vid>| {
+                let entry = |(pos, &l)| Some((pos, self.take_changed(l as usize)?));
+                (0u32..).zip(plan).filter_map(entry).collect()
+            };
+            part.mirror_send.iter().map(taken).collect()
         }
 
         fn boundary_pass(&mut self) -> (Vec<u32>, u64) {
@@ -855,43 +828,59 @@ mod tests {
         }
     }
 
-    /// Flags equal the plain model's, and no set flag sits in a clean block.
+    /// Marks and labels equal the plain model's.
     fn check(st: &HostState<'_, PageRank>, plain: &Plain<'_>) -> Result<(), TestCaseError> {
-        for lid in 0..plain.changed.len() {
-            prop_assert_eq!(st.is_changed(lid), plain.changed[lid], "changed[{}]", lid);
-            prop_assert!(
-                !plain.changed[lid] || st.dirty[lid / BLOCK].load(Ordering::Acquire),
-                "lid {lid} is changed in a clean block"
-            );
+        let marks: Vec<bool> = st.changed.save_bytes().iter().map(|&b| b != 0).collect();
+        prop_assert_eq!(&marks, &plain.changed);
+        for (lid, want) in plain.labels.iter().enumerate() {
+            prop_assert_eq!(st.labels.get::<f32>(lid).to_bits(), want.to_bits(), "label {}", lid);
         }
         Ok(())
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    /// The partitions a word walk can get wrong, and the host to look at.
+    /// Vertex cuts block owners by count: of `n` vertices over two hosts,
+    /// host 0 masters `n / 2 + 1`.
+    fn shape(i: usize) -> (Partitioning, usize) {
+        let cut = Policy::VertexCutCartesian;
+        let (parts, h) = match i {
+            0 => (partition(&gen::rmat(9, 4, 0xD127), 2, cut), 0),
+            1 => (partition(&gen::uniform(254, 1500, 1), 2, cut), 0),
+            2 => (partition(&gen::uniform(124, 700, 2), 2, cut), 0),
+            3 => (partition(&gen::path(300), 2, Policy::EdgeCutBlocked), 1),
+            _ => (partition(&gen::rmat(7, 4, 3), 1, cut), 0),
+        };
+        let (nm, nl) = (parts.parts[h].num_masters as usize, parts.parts[h].num_local());
+        match i {
+            0 => assert!(nl > 256 && nm < nl && nl % 64 != 0, "{nm} of {nl}"),
+            1 => assert!(nm % 64 == 0 && nm < nl, "{nm} of {nl}"),
+            2 => assert!(nm % 64 == 63 && nm < nl, "{nm} of {nl}"),
+            3 => assert!(nm == nl && nl % 64 != 0, "a host without mirrors: {nm} of {nl}"),
+            _ => assert!(parts.parts.len() == 1 && nm == nl, "one host"),
+        }
+        (parts, h)
+    }
 
-        /// The dirty-block summary against the plain model, over random
-        /// interleavings of everything that touches a flag: `deliver` (values
-        /// from far below PageRank's tolerance to far above it, so changed
-        /// and viable come apart), `take_changed`, boundary passes, and a
-        /// `snapshot` → `restore` into a fresh state.
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The changed set against the plain model, single-writer and shared,
+        /// over random interleavings of everything that touches a mark:
+        /// `deliver` (values from far below PageRank's tolerance to far above
+        /// it, so changed and viable come apart), `take_changed_mirrors`,
+        /// boundary passes, and a `snapshot` → `restore` into a fresh state.
         #[test]
         fn dirty_summary_agrees_with_a_linear_scan(
+            which in 0usize..5,
+            shared in any::<bool>(),
             steps in prop::collection::vec((0u8..8, any::<u16>(), 0u8..4), 1..400),
         ) {
-            let g = gen::rmat(9, 4, 0xD127);
-            let parts = partition(&g, 2, Policy::VertexCutCartesian);
-            let (part, app) = (&parts.parts[0], PageRank::default());
+            let (parts, h) = shape(which);
+            let (part, app) = (&parts.parts[h], PageRank::default());
             let nl = part.num_local();
-            prop_assert!(nl > 4 * BLOCK && (part.num_masters as usize) < nl, "{nl} local");
-            let mut st = HostState::new(part, &app, false, false);
-            let mut plain = Plain {
-                app: &app,
-                part,
-                labels: (0..nl).map(|l| st.labels.get(l)).collect(),
-                changed: (0..nl).map(|l| st.is_changed(l)).collect(),
-            };
-            let store = CheckpointStore::new(1);
+            let mut st = HostState::new(part, &app, false, shared);
+            let mut plain = Plain::of(&st);
+            let store = CheckpointStore::new(parts.parts.len());
             let mut fire = Vec::new();
             for (i, (op, lid, size)) in steps.into_iter().enumerate() {
                 let lid = lid as usize % nl;
@@ -901,14 +890,17 @@ mod tests {
                         st.deliver(lid, v);
                         plain.deliver(lid, v);
                     }
-                    4 | 5 => prop_assert_eq!(st.take_changed(lid), plain.take_changed(lid)),
+                    4 | 5 => {
+                        let taken = st.take_changed_mirrors();
+                        prop_assert_eq!(taken, plain.take_changed_mirrors(), "step {}", i);
+                    }
                     6 => {
                         let vote = st.boundary_pass(&mut fire);
                         prop_assert_eq!((fire.clone(), vote), plain.boundary_pass(), "step {}", i);
                     }
                     _ => {
-                        store.save(0, &st.snapshot(i));
-                        st = HostState::new(part, &app, false, false);
+                        store.save(h as u16, &st.snapshot(i));
+                        st = HostState::new(part, &app, false, shared);
                         prop_assert_eq!(st.restore(&store, i as u64), Ok(i));
                     }
                 }
@@ -921,6 +913,130 @@ mod tests {
             let vote = st.boundary_pass(&mut fire);
             prop_assert_eq!((fire.clone(), vote), plain.boundary_pass());
             prop_assert!(fire.is_empty());
+            check(&st, &plain)?;
+        }
+    }
+
+    /// A layer that keeps what it is handed and answers every round with one
+    /// entry-less frame from each peer.
+    struct Recorder {
+        rank: u16,
+        hosts: usize,
+        sent: Mutex<Vec<(usize, u16, Vec<u8>)>>,
+        due: Mutex<Vec<u16>>,
+    }
+
+    impl Recorder {
+        fn new(rank: u16, hosts: usize) -> Self {
+            Recorder { rank, hosts, sent: Mutex::default(), due: Mutex::default() }
+        }
+    }
+
+    impl CommLayer for Recorder {
+        fn rank(&self) -> u16 {
+            self.rank
+        }
+        fn num_hosts(&self) -> usize {
+            self.hosts
+        }
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn membook(&self) -> Arc<MemBook> {
+            MemBook::new()
+        }
+        fn register_channel(&self, _channel: usize, _spec: ChannelSpec) {}
+        fn begin(&self, _channel: usize) {
+            let peers = (0..self.hosts as u16).filter(|&t| t != self.rank);
+            *self.due.lock().unwrap() = peers.collect();
+        }
+        fn send(&self, channel: usize, dst: u16, data: Vec<u8>) {
+            self.sent.lock().unwrap().push((channel, dst, data));
+        }
+        fn finish_sends(&self, _channel: usize) {}
+        fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)> {
+            let voted = if channel == channels::REDUCE { VOTE_BYTES } else { 0 };
+            self.due.lock().unwrap().pop().map(|src| (src, vec![0; voted + 4]))
+        }
+    }
+
+    /// The encoder this one replaced, kept as the reference: walk all of every
+    /// peer's plan, asking `entry` for each local id in it.
+    fn plan_walk_frames<L: Label>(
+        channel: usize,
+        me: u16,
+        plans: &[Vec<Vid>],
+        vote: Option<u64>,
+        mut entry: impl FnMut(usize) -> Option<L>,
+    ) -> Vec<(usize, u16, Vec<u8>)> {
+        let peers = (0..plans.len() as u16).filter(|&t| t != me);
+        peers
+            .map(|t| {
+                let mut buf = Vec::new();
+                if let Some(vote) = vote {
+                    put_vote(vote, &mut buf);
+                }
+                let count_at = buf.len();
+                buf.extend_from_slice(&[0; 4]);
+                let mut count = 0u32;
+                for (pos, &lid) in plans[t as usize].iter().enumerate() {
+                    if let Some(v) = entry(lid as usize) {
+                        buf.extend_from_slice(&(pos as u32).to_le_bytes());
+                        v.write(&mut buf);
+                        count += 1;
+                    }
+                }
+                buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+                (channel, t, buf)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The wire did not move: for random changed and fired sets on two to
+        /// four hosts, the frames `ProxySync` hands the layer, reduce and
+        /// broadcast, are byte for byte the plan walk's.
+        #[test]
+        fn frames_are_the_plan_walks_bytes(
+            hosts in 2usize..5,
+            h in any::<u16>(),
+            vote in any::<u64>(),
+            delivered in prop::collection::vec((any::<u16>(), 0u8..4), 0..300),
+            fired in prop::collection::vec(any::<u16>(), 0..100),
+        ) {
+            let parts = partition(&gen::rmat(9, 4, 0xD127), hosts, Policy::VertexCutCartesian);
+            let (part, app) = (&parts.parts[h as usize % hosts], PageRank::default());
+            let (nl, nm) = (part.num_local(), part.num_masters as usize);
+            let st = HostState::new(part, &app, true, false);
+            for (lid, size) in delivered {
+                st.deliver(lid as usize % nl, [1e-7f32, 1e-5, 1e-3, 0.5][size as usize]);
+            }
+            for u in fired {
+                let u = u as usize % nm;
+                st.emits.set(u, u as f32);
+                st.fired[u].store(true, Ordering::Release);
+            }
+            let mut plain = Plain::of(&st);
+            let (me, reduce, bcast) = (part.host, channels::REDUCE, channels::BROADCAST);
+            let changed = |l| plain.take_changed(l);
+            let mut want = plan_walk_frames(reduce, me, &part.mirror_send, Some(vote), changed);
+            let emitted = |l: usize| {
+                st.fired[l].load(Ordering::Acquire).then(|| st.emits.get::<f32>(l))
+            };
+            want.extend(plan_walk_frames(bcast, me, &part.master_recv, None, emitted));
+            let (entries, bytes) = want.iter().fold((0, 0), |(e, b), (c, _, frame)| {
+                let voted = if *c == reduce { VOTE_BYTES } else { 0 };
+                (e + (frame.len() - voted - 4) as u64 / 8, b + frame.len() as u64)
+            });
+
+            let layer = Recorder::new(me, hosts);
+            let sync = ProxySync { broadcast: true };
+            let done = sync.exchange(&st, &layer, vote).expect("no failure");
+            prop_assert_eq!(layer.sent.into_inner().unwrap(), want);
+            let sent = (done.sent_entries, done.sent_bytes, done.active);
+            prop_assert_eq!(sent, (entries, bytes, vote));
             check(&st, &plain)?;
         }
     }

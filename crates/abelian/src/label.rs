@@ -8,8 +8,10 @@
 //! [`LabelVec::swap`]) are a compare-and-swap loop and an atomic exchange; a
 //! single-writer vector's are a load, the operation and a store, with no
 //! locked instruction — the same values in the same order either way. Labels
-//! serialize to fixed widths for the wire.
+//! serialize to fixed widths for the wire. [`BitSet`], the marks that say
+//! which labels moved, follows the same rule.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A value that can live in a vertex label slot and travel on the wire.
@@ -193,6 +195,88 @@ impl LabelVec {
                 Err(c) => cur = c,
             }
         }
+    }
+}
+
+/// A set of slot indices, 64 to a word. A word that reads zero says none of
+/// its 64 is in, so the words are their own summary: a walk costs a load per
+/// word and a step per member, and the marks of a hundred thousand labels fit
+/// L1 beside the per-edge loop that sets them.
+pub struct BitSet {
+    words: Vec<AtomicU64>,
+    len: usize,
+    /// Whether more than one thread may insert at the same time.
+    shared: bool,
+}
+
+/// The bits of a word below position `i` (all of them from 64 up).
+fn below(i: usize) -> u64 {
+    if i < 64 { (1 << i) - 1 } else { !0 }
+}
+
+impl BitSet {
+    /// The empty set over `0..len`; `shared` as for [`LabelVec::new`], for
+    /// [`Self::insert`].
+    pub fn new(len: usize, shared: bool) -> BitSet {
+        let words = (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        BitSet { words, len, shared }
+    }
+
+    /// Put `i` in: a load and a store with a single writer; when shared, a
+    /// test and then a locked `fetch_or` only if `i` was out — once per member
+    /// between two takes, not once per call. Inlined into the engines' per-edge
+    /// loops, which are instantiated in other crates.
+    #[inline]
+    pub fn insert(&self, i: usize) {
+        let (word, bit) = (&self.words[i / 64], 1 << (i % 64));
+        let cur = word.load(Ordering::Relaxed);
+        if !self.shared {
+            word.store(cur | bit, Ordering::Relaxed);
+        } else if cur & bit == 0 {
+            // Release: pairs with the walk's Acquire load.
+            word.fetch_or(bit, Ordering::Release);
+        }
+    }
+
+    /// Hand `f` every member inside `range`, ascending; with `take` they
+    /// leave the set, a word at a time, before `f` sees them. Taking is a
+    /// plain store: only for the thread that owns the set while nobody
+    /// inserts.
+    pub fn walk(&self, range: Range<usize>, take: bool, mut f: impl FnMut(usize)) {
+        for w in range.start / 64..range.end.div_ceil(64) {
+            let (word, base) = (&self.words[w], w * 64);
+            let all = word.load(Ordering::Acquire);
+            let mut bits =
+                all & below(range.end - base) & !below(range.start.saturating_sub(base));
+            if take && bits != 0 {
+                word.store(all & !bits, Ordering::Relaxed);
+            }
+            while bits != 0 {
+                f(base + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// One byte per index, 1 for a member: the checkpoint layout, which
+    /// predates the bits and outlives them.
+    pub fn save_bytes(&self) -> Vec<u8> {
+        let mut out = vec![0; self.len];
+        self.walk(0..self.len, false, |i| out[i] = 1);
+        out
+    }
+
+    /// Become the set [`Self::save_bytes`] wrote. Returns `false` (nothing
+    /// touched) unless `bytes` has one byte per index.
+    pub fn restore_bytes(&self, bytes: &[u8]) -> bool {
+        if bytes.len() != self.len {
+            return false;
+        }
+        for (word, chunk) in self.words.iter().zip(bytes.chunks(64)) {
+            let bits = chunk.iter().rev().fold(0, |acc, &b| acc << 1 | (b != 0) as u64);
+            word.store(bits, Ordering::Release);
+        }
+        true
     }
 }
 

@@ -147,30 +147,24 @@ impl Exchange for GeminiConfig {
         let identity = host.app.identity();
         let mut sent_entries = 0u64;
         let mut sent_bytes = 0u64;
+        let changed = host.take_changed_mirrors();
         layer.begin(channels::REDUCE);
         for t in (0..p as u16).filter(|&t| t != me) {
-            let plan = &host.part.mirror_send[t as usize];
-            let n_changed = plan.iter().filter(|&&l| host.is_changed(l as usize)).count();
-            let dense =
-                !plan.is_empty() && (n_changed as f64) >= self.dense_threshold * plan.len() as f64;
+            let plan = host.part.mirror_send[t as usize].len();
+            let entries = &changed[t as usize];
+            let dense = plan > 0 && (entries.len() as f64) >= self.dense_threshold * plan as f64;
             let chunks = if dense {
                 // Dense: one value per plan slot, identity where unchanged,
                 // split into [start, values...] segments.
-                let values: Vec<A::Acc> = plan
-                    .iter()
-                    .map(|&lid| host.take_changed(lid as usize).unwrap_or(identity))
-                    .collect();
-                sent_entries += plan.len() as u64;
+                let mut values = vec![identity; plan];
+                for &(pos, v) in entries {
+                    values[pos as usize] = v;
+                }
+                sent_entries += plan as u64;
                 encode_dense_chunks(vote, &values, self.chunk_bytes)
             } else {
-                let mut entries: Vec<(u32, A::Acc)> = Vec::with_capacity(n_changed);
-                for (pos, &lid) in plan.iter().enumerate() {
-                    if let Some(v) = host.take_changed(lid as usize) {
-                        entries.push((pos as u32, v));
-                    }
-                }
                 sent_entries += entries.len() as u64;
-                encode_sparse_chunks(vote, &entries, self.chunk_bytes)
+                encode_sparse_chunks(vote, entries, self.chunk_bytes)
             };
             for chunk in chunks {
                 sent_bytes += chunk.len() as u64;
@@ -346,6 +340,141 @@ fn decode_chunk<L: Label>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abelian::apps::Bfs;
+    use abelian::{ChannelSpec, MemBook};
+    use lci_graph::{gen, partition, DistGraph};
+    use std::collections::HashMap;
+    use std::sync::Mutex;
+
+    /// A layer that keeps what it is handed and answers every round with one
+    /// entry-less chunk from each peer.
+    struct Recorder {
+        rank: u16,
+        hosts: usize,
+        sent: Mutex<Vec<(u16, Vec<u8>)>>,
+        due: Mutex<Vec<u16>>,
+    }
+
+    impl Recorder {
+        fn new(rank: u16, hosts: usize) -> Self {
+            Recorder { rank, hosts, sent: Mutex::default(), due: Mutex::default() }
+        }
+    }
+
+    impl CommLayer for Recorder {
+        fn rank(&self) -> u16 {
+            self.rank
+        }
+        fn num_hosts(&self) -> usize {
+            self.hosts
+        }
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn membook(&self) -> Arc<MemBook> {
+            MemBook::new()
+        }
+        fn register_channel(&self, _channel: usize, _spec: ChannelSpec) {}
+        fn begin(&self, _channel: usize) {
+            let peers = (0..self.hosts as u16).filter(|&t| t != self.rank);
+            *self.due.lock().unwrap() = peers.collect();
+        }
+        fn send(&self, _channel: usize, dst: u16, data: Vec<u8>) {
+            self.sent.lock().unwrap().push((dst, data));
+        }
+        fn finish_sends(&self, _channel: usize) {}
+        fn try_recv(&self, _channel: usize) -> Option<(u16, Vec<u8>)> {
+            let empty = || encode_sparse_chunks::<u32>(0, &[], usize::MAX).remove(0);
+            self.due.lock().unwrap().pop().map(|src| (src, empty()))
+        }
+    }
+
+    /// The encoder this one replaced, kept as the reference: per peer, count
+    /// the changed entries of its plan, then walk the plan again taking them.
+    fn plan_walk_chunks(
+        cfg: &GeminiConfig,
+        part: &DistGraph,
+        vote: u64,
+        changed: &mut HashMap<Vid, u32>,
+    ) -> Vec<(u16, Vec<u8>)> {
+        let mut sent = Vec::new();
+        for t in (0..part.num_hosts as u16).filter(|&t| t != part.host) {
+            let plan = &part.mirror_send[t as usize];
+            let n_changed = plan.iter().filter(|&l| changed.contains_key(l)).count();
+            let dense =
+                !plan.is_empty() && (n_changed as f64) >= cfg.dense_threshold * plan.len() as f64;
+            let chunks = if dense {
+                let values: Vec<u32> =
+                    plan.iter().map(|lid| changed.remove(lid).unwrap_or(u32::MAX)).collect();
+                encode_dense_chunks(vote, &values, cfg.chunk_bytes)
+            } else {
+                let mut entries: Vec<(u32, u32)> = Vec::with_capacity(n_changed);
+                for (pos, lid) in plan.iter().enumerate() {
+                    if let Some(v) = changed.remove(lid) {
+                        entries.push((pos as u32, v));
+                    }
+                }
+                encode_sparse_chunks(vote, &entries, cfg.chunk_bytes)
+            };
+            sent.extend(chunks.into_iter().map(|c| (t, c)));
+        }
+        sent
+    }
+
+    /// The wire did not move: for seeded random changed sets on two to four
+    /// hosts — none changed, one short of `dense_threshold`, exactly on it,
+    /// all of a plan — the chunks handed to the layer are byte for byte the
+    /// plan walk's, with chunks small enough that both kinds split.
+    #[test]
+    fn chunks_are_the_plan_walks_bytes() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let (mut kinds, mut split) = ([0usize; 2], 0);
+        let g = gen::rmat(9, 4, 0xD127);
+        let app = Bfs { source: 0 };
+        for (hosts, chunk_bytes) in [(2, 64), (3, 64), (4, 64), (3, 4 << 10)] {
+            let cfg = GeminiConfig { dense_threshold: 0.25, chunk_bytes };
+            let parts = partition(&g, hosts, Policy::EdgeCutBlocked);
+            for (part, case) in parts.parts.iter().flat_map(|p| (0..4).map(move |c| (p, c))) {
+                let host = HostState::new(part, &app, false, false);
+                let mut changed = HashMap::new();
+                for plan in &part.mirror_send {
+                    let on = (cfg.dense_threshold * plan.len() as f64).ceil() as usize;
+                    let k = [0, on.saturating_sub(1), on, plan.len()][case];
+                    let mut pick = plan.clone();
+                    for i in 0..k {
+                        let j = i + random() % (pick.len() - i);
+                        pick.swap(i, j);
+                        let level = 1 + (random() % 1000) as u32;
+                        host.deliver(pick[i] as usize, level);
+                        changed.insert(pick[i], level);
+                    }
+                }
+                let vote = random() as u64;
+                let want = plan_walk_chunks(&cfg, part, vote, &mut changed);
+                let layer = Recorder::new(part.host, hosts);
+                let done = cfg.exchange(&host, &layer, vote).expect("no failure");
+                assert_eq!(layer.sent.into_inner().unwrap(), want, "{hosts} hosts, case {case}");
+                let bytes: usize = want.iter().map(|(_, c)| c.len()).sum();
+                assert_eq!((done.sent_bytes, done.active), (bytes as u64, vote));
+                for (_, chunk) in &want {
+                    // `[vote][kind u8][nchunks u16]…`
+                    let header = &chunk[VOTE_BYTES..];
+                    kinds[header[0] as usize] += 1;
+                    split += (u16::from_le_bytes([header[1], header[2]]) > 1) as usize;
+                }
+                // Everything changed was taken: a second exchange sends nothing.
+                let again = Recorder::new(part.host, hosts);
+                cfg.exchange(&host, &again, 0).expect("no failure");
+                let sent = again.sent.into_inner().unwrap();
+                assert!(sent.iter().all(|(_, c)| c.len() == CHUNK_HEADER), "{hosts} hosts");
+            }
+        }
+        assert!(kinds[0] > 0 && kinds[1] > 0 && split > 0, "{kinds:?}, {split} split");
+    }
 
     #[test]
     fn sparse_chunking_roundtrip() {

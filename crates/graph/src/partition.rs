@@ -19,7 +19,6 @@
 //! metadata minimization Abelian performs.
 
 use crate::{CsrGraph, Vid};
-use std::collections::HashMap;
 
 /// Edge/vertex assignment policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,14 +82,20 @@ pub struct DistGraph {
     /// operators like PageRank divide by the *global* degree, which a
     /// vertex-cut host cannot derive from its local edges alone).
     pub out_degree_global: Vec<u32>,
-    g2l: HashMap<Vid, Vid>,
+    /// The plans inverted: mirror `num_masters + i` sits at position
+    /// `mirror_slot[i].1` of `mirror_send[mirror_slot[i].0]` and in no other
+    /// plan. Mirrors and plans are both ordered by global id, so walking
+    /// mirrors in ascending local id visits each plan in ascending position.
+    pub mirror_slot: Vec<(u16, u32)>,
+    /// Global id → local id, `Vid::MAX` where the vertex has no proxy here.
+    g2l: Vec<Vid>,
 }
 
 impl DistGraph {
     /// Map a global id to this host's local id, if the vertex has a proxy
     /// here.
     pub fn g2l(&self, gid: Vid) -> Option<Vid> {
-        self.g2l.get(&gid).copied()
+        self.g2l.get(gid as usize).copied().filter(|&l| l != Vid::MAX)
     }
 
     /// Is this local id a master proxy?
@@ -250,14 +255,13 @@ pub fn partition(g: &CsrGraph, num_hosts: usize, policy: Policy) -> Partitioning
         }
         let num_masters = masters.len() as u32;
         let l2g: Vec<Vid> = masters.into_iter().chain(mirrors).collect();
-        let g2l: HashMap<Vid, Vid> = l2g
-            .iter()
-            .enumerate()
-            .map(|(l, &gid)| (gid, l as Vid))
-            .collect();
+        let mut g2l = vec![Vid::MAX; n];
+        for (l, &gid) in l2g.iter().enumerate() {
+            g2l[gid as usize] = l as Vid;
+        }
         let local_edges: Vec<(Vid, Vid, u32)> = host_edges[h]
             .iter()
-            .map(|&(u, v, w)| (g2l[&u], g2l[&v], w))
+            .map(|&(u, v, w)| (g2l[u as usize], g2l[v as usize], w))
             .collect();
         let local = if g.is_weighted() {
             CsrGraph::from_edges_weighted(l2g.len(), &local_edges)
@@ -278,6 +282,7 @@ pub fn partition(g: &CsrGraph, num_hosts: usize, policy: Policy) -> Partitioning
             mirror_send: vec![Vec::new(); num_hosts],
             master_recv: vec![Vec::new(); num_hosts],
             out_degree_global,
+            mirror_slot: Vec::new(),
             g2l,
         });
     }
@@ -287,8 +292,10 @@ pub fn partition(g: &CsrGraph, num_hosts: usize, policy: Policy) -> Partitioning
         let o = owner[v] as usize;
         for h in 0..num_hosts {
             if h != o && has_proxy[h][v] {
-                let lid_h = parts[h].g2l[&(v as Vid)];
-                let lid_o = parts[o].g2l[&(v as Vid)];
+                let lid_h = parts[h].g2l[v];
+                let lid_o = parts[o].g2l[v];
+                let pos = parts[h].mirror_send[o].len() as u32;
+                parts[h].mirror_slot.push((o as u16, pos));
                 parts[h].mirror_send[o].push(lid_h);
                 parts[o].master_recv[h].push(lid_o);
             }
@@ -338,6 +345,16 @@ impl Partitioning {
                 // Mirrors are never masters and vice versa.
                 assert!(send.iter().all(|&l| !self.parts[a].is_master(l)));
                 assert!(recv.iter().all(|&l| self.parts[b].is_master(l)));
+            }
+        }
+        // Every mirror is in exactly one plan, where `mirror_slot` says.
+        for d in &self.parts {
+            let planned: usize = d.mirror_send.iter().map(Vec::len).sum();
+            let mirrors = d.num_mirrors();
+            assert_eq!((d.mirror_slot.len(), planned), (mirrors, mirrors), "host {}", d.host);
+            for (lid, &(peer, pos)) in (d.num_masters..).zip(&d.mirror_slot) {
+                let at = d.mirror_send[peer as usize].get(pos as usize);
+                assert_eq!(at, Some(&lid), "host {}: mirror {lid} not at its slot", d.host);
             }
         }
     }
