@@ -33,10 +33,9 @@ use crate::label::{BitSet, Label, LabelVec};
 use crate::metrics::{HostMetrics, RoundMetrics};
 use lci_graph::{DistGraph, Partitioning, Policy, Vid};
 use lci_trace::ring::now_ns;
-use lci_trace::{record, with_ring, Counter, EventKind, Span, TraceEvent};
-use std::sync::atomic::{AtomicBool, Ordering};
+use lci_trace::{record_at, Counter, EventKind, Span};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Safety cap on rounds for every engine, regardless of the app (apps bound
 /// themselves through [`App::max_rounds`]).
@@ -216,9 +215,9 @@ pub struct HostState<'a, A: App> {
     changed: BitSet,
     consumed: Option<LabelVec>,
     /// Which masters fired this round, and their emissions — maintained only
-    /// for strategies that broadcast.
+    /// for strategies that broadcast; taken by [`Self::take_fired`].
     track_fired: bool,
-    fired: Vec<AtomicBool>,
+    fired: BitSet,
     emits: LabelVec,
 }
 
@@ -245,7 +244,7 @@ impl<'a, A: App> HostState<'a, A> {
             changed,
             consumed: app.output_consumed().then(|| LabelVec::new(nm, identity, shared)),
             track_fired,
-            fired: (0..nf).map(|_| AtomicBool::new(false)).collect(),
+            fired: BitSet::new(nf, shared),
             emits: LabelVec::new(nf, identity, shared),
         }
     }
@@ -358,6 +357,37 @@ impl<'a, A: App> HostState<'a, A> {
         taken
     }
 
+    /// Take this round's fire set for the broadcast: per peer `t`, the
+    /// `(position, emission)` pairs of the fired entries of `master_recv[t]`,
+    /// in ascending position. Walks whichever is shorter — the fired masters,
+    /// through [`DistGraph::master_slots`] (a chain round fires one master
+    /// against a plan of a thousand), or the plans, testing each entry (a
+    /// dense PageRank round fires more masters than the plans hold) — and
+    /// both give the same lists. Host thread only.
+    fn take_fired(&self) -> Vec<Vec<(u32, A::Acc)>> {
+        let (part, nm) = (self.part, self.part.num_masters as usize);
+        let mut taken = vec![Vec::new(); part.num_hosts];
+        if self.fired.count() < part.master_recv.iter().map(Vec::len).sum() {
+            // Ascending lid visits every plan in ascending position.
+            self.fired.walk(0..nm, true, |lid| {
+                let e = self.emits.get(lid);
+                for &(peer, pos) in part.master_slots(lid) {
+                    taken[peer as usize].push((pos, e));
+                }
+            });
+        } else {
+            let entry = |(pos, &l): (u32, &Vid)| {
+                let l = l as usize;
+                self.fired.contains(l).then(|| (pos, self.emits.get(l)))
+            };
+            for (list, plan) in taken.iter_mut().zip(&part.master_recv) {
+                list.extend((0u32..).zip(plan).filter_map(entry));
+            }
+            self.fired.walk(0..nm, true, |_| {});
+        }
+        taken
+    }
+
     /// Push emission `e` along every local out-edge of `lid`.
     fn scatter(&self, lid: Vid, e: A::Acc) {
         for (nbr, w) in self.part.local.neighbors_weighted(lid) {
@@ -386,7 +416,7 @@ impl<'a, A: App> HostState<'a, A> {
         let Some(e) = self.app.emit(v, deg) else { return };
         if self.track_fired {
             self.emits.set(ul, e);
-            self.fired[ul].store(true, Ordering::Release);
+            self.fired.insert(ul);
         }
         self.scatter(u, e);
     }
@@ -508,16 +538,19 @@ fn host_main<A: App, X: Exchange>(
     let mut fire_list = Vec::new();
 
     loop {
-        let (round_start, begin_ns) = (Instant::now(), now_ns());
+        // The round's clock: its phases hand one reading across each
+        // boundary (`Span::end` → `Span::enter_at`), and the round's begin,
+        // compute, wall and end are those same readings.
+        let begin_ns = now_ns();
         let abort = |f: String| format!("host {me} aborted in round {round}: {f}");
 
         // ---- boundary pass: the fire list and this host's vote -----------
-        let boundary_span = Span::enter(Counter::PhaseControlNs);
+        let boundary_span = Span::enter_at(begin_ns, Counter::PhaseControlNs);
         let vote = st.boundary_pass(&mut fire_list);
-        boundary_span.finish();
+        let fire_ns = boundary_span.end();
 
         // ---- fire phase (computation) -----------------------------------
-        let fire_span = Span::enter(Counter::PhaseComputeNs);
+        let fire_span = Span::enter_at(fire_ns, Counter::PhaseComputeNs);
         if compute_threads > 1 && fire_list.len() > 64 {
             assert!(st.labels.is_shared(), "compute threads need shared vertex state");
             let chunk = fire_list.len().div_ceil(compute_threads);
@@ -529,39 +562,26 @@ fn host_main<A: App, X: Exchange>(
         } else {
             fire_list.iter().for_each(|&u| st.fire(u));
         }
-        let compute = round_start.elapsed();
-        fire_span.finish();
+        let comm_ns = fire_span.end();
 
         // ---- communication: the strategy's exchange, votes aboard --------
-        let comm_span = Span::enter(Counter::PhaseCommNs);
+        let comm_span = Span::enter_at(comm_ns, Counter::PhaseCommNs);
         let Exchanged { sent_entries, sent_bytes, active } =
             exchange.exchange(&st, layer, vote).map_err(abort)?;
-        if st.track_fired {
-            for &u in &fire_list {
-                st.fired[u as usize].store(false, Ordering::Relaxed);
-            }
-        }
-        comm_span.finish();
+        let end_ns = comm_span.end();
         lci_trace::add(Counter::EngineSentEntries, sent_entries);
         lci_trace::add(Counter::EngineSentBytes, sent_bytes);
         if active == 0 && round > 0 {
             break;
         }
 
-        let wall = round_start.elapsed();
         lci_trace::incr(Counter::EngineRounds);
         // Only now is this known to be a round; its begin keeps its time.
-        let begin = TraceEvent {
-            t_ns: begin_ns,
-            kind: EventKind::RoundBegin,
-            a: me as u32,
-            b: round as u64,
-        };
-        with_ring(|ring| ring.push(begin));
-        record(EventKind::RoundEnd, me as u32, round as u64);
+        record_at(begin_ns, EventKind::RoundBegin, me as u32, round as u64);
+        record_at(end_ns, EventKind::RoundEnd, me as u32, round as u64);
         metrics.rounds.push(RoundMetrics {
-            compute,
-            comm: wall.saturating_sub(compute),
+            compute: Duration::from_nanos(comm_ns - begin_ns),
+            comm: Duration::from_nanos(end_ns - comm_ns),
             sent_entries,
             sent_bytes,
         });
@@ -706,21 +726,12 @@ impl Exchange for ProxySync {
             + Self::recv_frames(layer, channels::REDUCE, masters, true, |l, v| {
                 host.deliver(l, v)
             })?;
-        reduce_span.finish();
+        let reduce_end = reduce_span.end();
 
         // ---- broadcast phase: firing masters' emissions → mirrors --------
         if self.broadcast {
-            let bcast_span = Span::enter(Counter::PhaseBroadcastNs);
-            // The plans are walked here, not the fire list: in a dense round
-            // they are the shorter of the two.
-            let entry = |(pos, &l): (u32, &Vid)| {
-                let fired = host.fired[l as usize].load(Ordering::Acquire);
-                fired.then(|| (pos, host.emits.get::<A::Acc>(l as usize)))
-            };
-            let emitted: Vec<Vec<_>> = masters
-                .iter()
-                .map(|plan| (0u32..).zip(plan).filter_map(entry).collect())
-                .collect();
+            let bcast_span = Span::enter_at(reduce_end, Counter::PhaseBroadcastNs);
+            let emitted = host.take_fired();
             let (e, b) = Self::send_frames(layer, channels::BROADCAST, None, &emitted);
             sent_entries += e;
             sent_bytes += b;
@@ -997,7 +1008,10 @@ mod tests {
 
         /// The wire did not move: for random changed and fired sets on two to
         /// four hosts, the frames `ProxySync` hands the layer, reduce and
-        /// broadcast, are byte for byte the plan walk's.
+        /// broadcast, are byte for byte the plan walk's. A few fired masters
+        /// make the broadcast walk the fire set; all of them (on these
+        /// partitions most hosts have fewer plan entries than masters) make it
+        /// walk the plans. Either way the fire set is empty afterwards.
         #[test]
         fn frames_are_the_plan_walks_bytes(
             hosts in 2usize..5,
@@ -1005,6 +1019,7 @@ mod tests {
             vote in any::<u64>(),
             delivered in prop::collection::vec((any::<u16>(), 0u8..4), 0..300),
             fired in prop::collection::vec(any::<u16>(), 0..100),
+            all_fired in any::<bool>(),
         ) {
             let parts = partition(&gen::rmat(9, 4, 0xD127), hosts, Policy::VertexCutCartesian);
             let (part, app) = (&parts.parts[h as usize % hosts], PageRank::default());
@@ -1013,18 +1028,19 @@ mod tests {
             for (lid, size) in delivered {
                 st.deliver(lid as usize % nl, [1e-7f32, 1e-5, 1e-3, 0.5][size as usize]);
             }
+            let fired: Vec<usize> = match all_fired {
+                true => (0..nm).collect(),
+                false => fired.into_iter().map(|u| u as usize % nm).collect(),
+            };
             for u in fired {
-                let u = u as usize % nm;
                 st.emits.set(u, u as f32);
-                st.fired[u].store(true, Ordering::Release);
+                st.fired.insert(u);
             }
             let mut plain = Plain::of(&st);
             let (me, reduce, bcast) = (part.host, channels::REDUCE, channels::BROADCAST);
             let changed = |l| plain.take_changed(l);
             let mut want = plan_walk_frames(reduce, me, &part.mirror_send, Some(vote), changed);
-            let emitted = |l: usize| {
-                st.fired[l].load(Ordering::Acquire).then(|| st.emits.get::<f32>(l))
-            };
+            let emitted = |l: usize| st.fired.contains(l).then(|| st.emits.get::<f32>(l));
             want.extend(plan_walk_frames(bcast, me, &part.master_recv, None, emitted));
             let (entries, bytes) = want.iter().fold((0, 0), |(e, b), (c, _, frame)| {
                 let voted = if *c == reduce { VOTE_BYTES } else { 0 };
@@ -1037,7 +1053,54 @@ mod tests {
             prop_assert_eq!(layer.sent.into_inner().unwrap(), want);
             let sent = (done.sent_entries, done.sent_bytes, done.active);
             prop_assert_eq!(sent, (entries, bytes, vote));
+            prop_assert_eq!(st.fired.count(), 0);
             check(&st, &plain)?;
+        }
+    }
+
+    /// A round's times are its phases' clock readings: on each host of a
+    /// real run (Bfs on a vertex cut over LCI, so a round has both
+    /// exchanges), every round's `compute + comm` is exactly the distance
+    /// from its `RoundBegin` to its `RoundEnd` in the host's own ring.
+    #[test]
+    fn round_metrics_are_the_rings_round_stamps() {
+        use crate::apps::Bfs;
+        use crate::layers::{build_layers, LayerKind};
+        use lci_trace::{with_ring, TraceEvent};
+        let parts = partition(&gen::rmat(8, 4, 3), 2, Policy::VertexCutCartesian);
+        let (fabric, mpi, lci) = (
+            lci_fabric::FabricConfig::test(2),
+            mini_mpi::MpiConfig::default(),
+            lci::LciConfig::for_hosts(2),
+        );
+        let (layers, _world) = build_layers(LayerKind::Lci, fabric, mpi, lci);
+        let (app, sync) = (Bfs { source: 0 }, ProxySync { broadcast: true });
+        let hosts: Vec<_> = std::thread::scope(|s| {
+            let run = |h: usize| {
+                let (parts, app, sync, layer) = (&parts, &app, &sync, &*layers[h]);
+                s.spawn(move || {
+                    with_ring(|r| r.drain());
+                    let done = host_main(parts, h, app, layer, sync, 1, None).expect("run");
+                    (done.metrics, with_ring(|r| r.drain()).expect("ring"))
+                })
+            };
+            let handles: Vec<_> = (0..2).map(run).collect();
+            handles.into_iter().map(|t| t.join().expect("host thread")).collect()
+        });
+        for (h, (metrics, events)) in hosts.iter().enumerate() {
+            let stamps = |kind| -> Vec<(u64, u64)> {
+                let round = |e: &&TraceEvent| e.kind == kind && e.a == h as u32;
+                events.iter().filter(round).map(|e| (e.b, e.t_ns)).collect()
+            };
+            let (begins, ends) = (stamps(EventKind::RoundBegin), stamps(EventKind::RoundEnd));
+            assert!(metrics.rounds.len() > 2, "host {h}: {} rounds", metrics.rounds.len());
+            assert_eq!((begins.len(), ends.len()), (metrics.rounds.len(), metrics.rounds.len()));
+            for (r, m) in metrics.rounds.iter().enumerate() {
+                let ((rb, t0), (re, t1)) = (begins[r], ends[r]);
+                assert_eq!((rb, re), (r as u64, r as u64), "host {h}");
+                let wall = Duration::from_nanos(t1 - t0);
+                assert_eq!(m.compute + m.comm, wall, "host {h}, round {r}");
+            }
         }
     }
 

@@ -238,6 +238,17 @@ impl BitSet {
         }
     }
 
+    /// Is `i` in? Inlined for the same reason as [`Self::insert`].
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        self.words[i / 64].load(Ordering::Acquire) & 1 << (i % 64) != 0
+    }
+
+    /// How many are in: a population count per word.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.load(Ordering::Acquire).count_ones() as usize).sum()
+    }
+
     /// Hand `f` every member inside `range`, ascending; with `take` they
     /// leave the set, a word at a time, before `f` sees them. Taking is a
     /// plain store: only for the thread that owns the set while nobody

@@ -31,8 +31,8 @@
 //! acknowledged, its destination is declared dead, or the device
 //! [`rejoin`](Device::rejoin)s. A lease therefore lasts from `send_enq` to
 //! the ack, retransmit memory is pool memory and bounded by it, and an
-//! eager send needs no completion of its own: its `SendDone` carries no
-//! context. On the receive side an eager message is handed out in the
+//! eager send needs no completion of its own: it goes out unsignaled
+//! (context 0), so the fabric posts none. On the receive side an eager message is handed out in the
 //! buffer the fabric delivered it in ([`crate::RecvData`]).
 //!
 //! # Request cookies
@@ -406,8 +406,8 @@ impl Device {
     /// place, transmitted, kept in the window as the retransmit copy, and
     /// given back to the pool by the session — when the frame is acked, when
     /// `dst` is declared dead, at [`Device::rejoin`], or at once if the send
-    /// is refused. Nothing completes toward the device: the `SendDone` of an
-    /// eager or control packet carries no context.
+    /// is refused. Nothing completes toward the device: an eager or control
+    /// packet goes out unsignaled (context 0) and posts no `SendDone`.
     fn send_packet(
         &self,
         dst: u16,
@@ -691,8 +691,8 @@ impl Device {
             handled += 1;
             match ev {
                 Event::Recv { src, header, data } => self.on_recv(prog, src, header, data),
-                // Every packet send — first transmission, retransmission,
-                // standalone ack — completes without a context: its packet
+                // Never posted: every packet send — first transmission,
+                // retransmission, standalone ack — is unsignaled; its packet
                 // is the reliable session's until the ack.
                 Event::SendDone { .. } => {}
                 Event::PutDone { ctx, .. } => {

@@ -74,9 +74,10 @@ fn rejoin_with_a_full_window_returns_every_packet() {
     let cfg = LciConfig::for_hosts(2);
     let a = Device::new(f.endpoint(0), cfg.clone());
     let b = Device::new(f.endpoint(1), cfg);
-    // Fill the window toward host 1 and let the wire deliver: host 0's
-    // completion queue now holds the unconsumed SendDones, and nothing has
-    // been acknowledged because host 1 has not polled.
+    // Fill the window toward host 1 and let the wire deliver: the sends are
+    // complete — unsignaled, context 0, so host 0's completion queue holds
+    // nothing for them — and nothing has been acknowledged because host 1
+    // has not polled.
     let mut sent = 0;
     while a.send_enq(Bytes::from(vec![7u8; 64]), 1, sent).is_ok() {
         sent += 1;

@@ -117,9 +117,9 @@ pub enum Fault {
     Truncate,
     /// Lossy wire: each eager delivery in the phase is dropped with
     /// probability `prob_ppm` parts-per-million (seeded per-packet roll).
-    /// Unlike the ghost faults above, the *original* vanishes — the sender
-    /// still observes `SendDone` (the packet left the NIC; the wire ate it),
-    /// so only a retransmitting layer such as
+    /// Unlike the ghost faults above, the *original* vanishes — the send
+    /// still completes (the packet left the NIC; the wire ate it), so only a
+    /// retransmitting layer such as
     /// [`crate::reliable::ReliableSession`] recovers the payload. RDMA puts
     /// are exempt (hardware-reliable in the model). `prob_ppm` must be in
     /// `1..=1_000_000`.
@@ -128,7 +128,7 @@ pub enum Fault {
         prob_ppm: u32,
     },
     /// Partition one host: every eager delivery to *or from* `peer` silently
-    /// vanishes while the phase is active (senders still observe `SendDone`).
+    /// vanishes while the phase is active (the sends still complete).
     /// Models a died/unreachable node; surviving hosts detect it only via
     /// retransmission-budget exhaustion (`PeerDead`). RDMA puts are exempt.
     Blackhole {

@@ -36,9 +36,11 @@ pub enum Event {
         /// Payload. Dropping it returns the receive buffer credit.
         data: PacketBuf,
     },
-    /// A previously injected `try_send` has left the NIC and been delivered.
+    /// A previously injected signaled `try_send` (context ≠ 0) is done with:
+    /// the wire delivered it, or ate it (a lossy fault, a crash). A send
+    /// injected with context 0 is unsignaled and never posts one.
     SendDone {
-        /// The user context supplied at injection.
+        /// The user context supplied at injection, never 0.
         ctx: u64,
     },
     /// A previously injected `try_put` has left the NIC. The write landed
@@ -260,9 +262,13 @@ impl Endpoint {
     /// Inject an eager two-sided message (the `lc_send` substrate).
     ///
     /// Non-blocking: the payload is copied out at injection time (as an eager
-    /// protocol does) and `ctx` comes back in a [`Event::SendDone`] once the
-    /// message has been delivered. Fails with [`SendError::Backpressure`]
-    /// when the injection queue is full.
+    /// protocol does) and `ctx` comes back in one [`Event::SendDone`] once
+    /// the wire is done with the message — delivered, or eaten by a fault.
+    /// `ctx` 0 makes the send *unsignaled*, like an InfiniBand send posted
+    /// without a completion request: it posts no `SendDone` in any outcome,
+    /// and its injection slot comes back all the same. An RNR-exhausted send
+    /// still posts its [`Event::Error`]. Fails with
+    /// [`SendError::Backpressure`] when the injection queue is full.
     pub fn try_send(
         &self,
         dst: HostId,

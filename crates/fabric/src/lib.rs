@@ -50,8 +50,8 @@
 //!
 //! ## Reliable delivery
 //!
-//! The lossy faults genuinely eat packets (senders still observe
-//! `SendDone`), so the crate also ships the recovery layer the runtimes
+//! The lossy faults genuinely eat packets (the sends still complete), so
+//! the crate also ships the recovery layer the runtimes
 //! stack on top: [`reliable::ReliableSession`] adds per-destination sliding
 //! send windows, cumulative + selective acks piggybacked on reverse
 //! traffic, seeded exponential-backoff retransmission, and bounded-time

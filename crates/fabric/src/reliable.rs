@@ -4,8 +4,8 @@
 //!
 //! The fabric's lossy faults ([`Fault::Drop`](crate::Fault),
 //! [`Fault::Blackhole`](crate::Fault)) eat eager deliveries outright — the
-//! sender still sees `SendDone` (the packet left its NIC), so only a layer
-//! that *retransmits* recovers the payload. [`ReliableSession`] is that
+//! send still completes (the packet left its NIC), so only a layer that
+//! *retransmits* recovers the payload. [`ReliableSession`] is that
 //! layer, shared by `lci::Device` and `mini-mpi`:
 //!
 //! * every data frame carries a 17-byte header inside the
@@ -352,8 +352,10 @@ impl ReliableSession {
     /// [`send_frame`](Self::send_frame).
     ///
     /// `ctx` is returned in the `SendDone` of the *first* transmission only
-    /// (retransmissions complete with ctx 0), so completion-cookie callers
-    /// see exactly one completion per send.
+    /// — retransmissions and standalone acks go out unsignaled (ctx 0) — so
+    /// completion-cookie callers see exactly one completion per send, and a
+    /// caller passing 0 sees none: the window, not a completion, is what
+    /// holds the frame.
     ///
     /// Errors: [`SendError::PeerDead`] once the destination's retry budget
     /// was exhausted; [`SendError::Backpressure`] when the send window is
@@ -385,7 +387,9 @@ impl ReliableSession {
     /// The session owns `frame` from this call on and gives it to its
     /// [`FrameBufs`] exactly once: when the frame is acked, when `dst` is
     /// declared dead, at [`rejoin`](Self::rejoin) — or before returning, if
-    /// the send is refused. `ctx` and the errors are [`send`](Self::send)'s.
+    /// the send is refused. `ctx` and the errors are [`send`](Self::send)'s:
+    /// a caller whose buffers come back through the window, not through a
+    /// completion, passes 0 and its frames post no `SendDone` at all.
     ///
     /// # Panics
     /// Panics if `len < REL_DATA_OFFSET` or `len > frame.len()`.
@@ -536,14 +540,15 @@ impl ReliableSession {
 
     /// Fire due timers: retransmit overdue unacked frames (declaring the
     /// peer dead when one exhausts its budget) and send standalone acks for
-    /// overdue or over-count ack debt. Returns the number of wire
+    /// overdue or over-count ack debt, every peer's timers judged against
+    /// one clock reading taken on entry. Returns the number of wire
     /// operations injected. Call from every progress loop.
     pub fn pump(&self, ep: &Endpoint) -> usize {
         let mut injected = 0;
+        let now = ep.now_ns();
         for (dst, peer) in self.peers.iter().enumerate() {
             let dst = dst as HostId;
             let mut p = peer.lock();
-            let now = ep.now_ns();
             // Retransmissions, oldest first.
             if !p.tx.dead {
                 let mut i = 0;

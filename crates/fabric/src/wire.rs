@@ -198,7 +198,7 @@ impl Fabric {
         let clock = if manual {
             Clock::Virtual(0)
         } else {
-            Clock::Wall(epoch)
+            Clock::Wall { start: epoch, now: 0 }
         };
         let core = WireCore::new(config.num_hosts, config.seed, clock);
         let shared = Arc::new(FabricShared {
@@ -373,10 +373,23 @@ impl Ord for Scheduled {
 
 /// How the wire observes simulated time.
 enum Clock {
-    /// Simulated time is wall-clock time since fabric construction.
-    Wall(Instant),
+    /// Simulated time is wall-clock time since fabric construction, `start`.
+    /// The wire runs only inside [`WireCore::run_due`], which reads the clock
+    /// once into `now`: everything one drive schedules, delivers and decides
+    /// about faults is judged at that one reading.
+    Wall { start: Instant, now: u64 },
     /// Simulated time advances only when the caller steps the wire.
     Virtual(u64),
+}
+
+/// The end of a send's life on the wire, whatever became of it: the sender
+/// hears of it only if it asked to (`ctx != 0`; a context-0 send is
+/// unsignaled), and its injection slot comes back either way.
+fn complete_send(s: &EndpointShared, ctx: u64) {
+    if ctx != 0 {
+        s.cq.push(Event::SendDone { ctx });
+    }
+    s.inflight.fetch_sub(1, Ordering::AcqRel);
 }
 
 /// Count one fault-injection event against `ep`'s host and log it to the
@@ -468,9 +481,9 @@ impl WireCore {
     }
 
     fn now_ns(&self) -> u64 {
-        match &self.clock {
-            Clock::Wall(start) => start.elapsed().as_nanos() as u64,
-            Clock::Virtual(t) => *t,
+        match self.clock {
+            Clock::Wall { now, .. } => now,
+            Clock::Virtual(t) => t,
         }
     }
 
@@ -706,14 +719,18 @@ impl WireCore {
 
     /// Wall-clock mode: execute everything that is due — schedule what was
     /// injected, let a closed reorder window go, deliver every scheduled
-    /// entry whose time has come. `now` is read once, so a drive is bounded
-    /// by what was due when it started: whatever a delivery schedules in
-    /// turn (RNR retries, ghosts) lands strictly later and waits for the
-    /// next drive.
+    /// entry whose time has come. The clock is read once, at the start, so a
+    /// drive is bounded by what was due when it started: whatever a delivery
+    /// schedules in turn (RNR retries, ghosts) lands strictly later and waits
+    /// for the next drive.
     fn run_due(&mut self, sh: &FabricShared) {
+        let Clock::Wall { start, now } = &mut self.clock else {
+            unreachable!("only a wall-clock wire is driven");
+        };
+        *now = start.elapsed().as_nanos() as u64;
+        let now = *now;
         let mut busy = self.drain_injected(sh);
         self.sync_brownout(sh);
-        let now = self.now_ns();
         if !self.reorder_buf.is_empty() && sh.config.fault_plan.reorder_at(now).is_none() {
             self.release_all_held(sh);
             busy = true;
@@ -747,41 +764,38 @@ impl WireCore {
                 retries,
                 ghost,
             } => {
-                let d = Arc::clone(&sh.endpoints[dst as usize]);
-                let s = Arc::clone(&sh.endpoints[src as usize]);
+                let d = &sh.endpoints[dst as usize];
+                let s = &sh.endpoints[src as usize];
                 let now = self.now_ns();
                 // Crash-stop: count this delivery against any armed crash
                 // triggers, then eat it if either side is dead. Like a
-                // blackhole, the sender still observes SendDone (the packet
-                // left its NIC; the host died on the far side of the wire),
-                // so completion bookkeeping — pool cookies, inflight windows
-                // — survives a peer's death and the crashed host's own
-                // in-flight sends still release their leases for rejoin.
+                // blackhole, the send still completes (the packet left its
+                // NIC; the host died on the far side of the wire), so
+                // completion bookkeeping — inflight windows, a signaled
+                // sender's context — survives a peer's death and the crashed
+                // host's own in-flight sends still release their slots.
                 if !ghost {
                     self.note_crash_progress(sh, src, dst);
                 }
                 if self.involves_crashed(sh, src, dst) {
                     if !ghost {
-                        fault(&s, Counter::FabricFaultCrashed, 8);
-                        s.cq.push(Event::SendDone { ctx });
-                        s.inflight.fetch_sub(1, Ordering::AcqRel);
+                        fault(s, Counter::FabricFaultCrashed, 8);
+                        complete_send(s, ctx);
                     }
                     return;
                 }
-                // Lossy faults eat the delivery outright. The sender still
-                // observes SendDone — the packet left its NIC and the wire
-                // swallowed it — so completion bookkeeping above the fabric
-                // (packet-pool cookies, inflight windows) stays intact and
-                // only a retransmitting layer notices the loss. Ghosts that
-                // hit a lossy phase simply vanish: they were never
-                // initiated, so they complete nothing.
+                // Lossy faults eat the delivery outright. The send still
+                // completes — the packet left its NIC and the wire swallowed
+                // it — so completion bookkeeping above the fabric stays
+                // intact and only a retransmitting layer notices the loss.
+                // Ghosts that hit a lossy phase simply vanish: they were
+                // never initiated, so they complete nothing.
                 let blackholed = sh.config.fault_plan.blackhole_at(now, src)
                     || sh.config.fault_plan.blackhole_at(now, dst);
                 if blackholed {
                     if !ghost {
-                        fault(&s, Counter::FabricFaultBlackholed, 7);
-                        s.cq.push(Event::SendDone { ctx });
-                        s.inflight.fetch_sub(1, Ordering::AcqRel);
+                        fault(s, Counter::FabricFaultBlackholed, 7);
+                        complete_send(s, ctx);
                     }
                     return;
                 }
@@ -789,25 +803,24 @@ impl WireCore {
                     // Only real sends roll the dice, keeping the RNG stream
                     // (and thus replay) independent of ghost scheduling.
                     if !ghost && self.rng.gen_range(0..1_000_000u64) < ppm as u64 {
-                        fault(&s, Counter::FabricFaultDropped, 6);
-                        s.cq.push(Event::SendDone { ctx });
-                        s.inflight.fetch_sub(1, Ordering::AcqRel);
+                        fault(s, Counter::FabricFaultDropped, 6);
+                        complete_send(s, ctx);
                         return;
                     }
                 }
                 // An active RNR storm against `dst` bounces the delivery as
                 // if its receive buffers were exhausted, regardless of the
                 // actual credit count.
-                let stormed = sh.config.fault_plan.rnr_storm_at(self.now_ns(), dst);
+                let stormed = sh.config.fault_plan.rnr_storm_at(now, dst);
                 if stormed && !ghost {
-                    fault(&d, Counter::FabricFaultForcedRnr, 2);
+                    fault(d, Counter::FabricFaultForcedRnr, 2);
                 }
                 // Consume a receive credit; only the holder of the wire lock
                 // decrements, so a check-then-sub is race-free against
                 // concurrent returns.
                 if !stormed && d.rx_credits.load(Ordering::Acquire) > 0 {
                     d.rx_credits.fetch_sub(1, Ordering::AcqRel);
-                    let guard = CreditGuard::new(Arc::clone(&d));
+                    let guard = CreditGuard::new(Arc::clone(d));
                     d.counters.incr(Counter::FabricRecvs);
                     lci_trace::record(EventKind::Recv, src as u32, data.len() as u64);
                     if !ghost {
@@ -819,8 +832,7 @@ impl WireCore {
                         data: PacketBuf::new(data, guard),
                     });
                     if !ghost {
-                        s.cq.push(Event::SendDone { ctx });
-                        s.inflight.fetch_sub(1, Ordering::AcqRel);
+                        complete_send(s, ctx);
                     }
                 } else if ghost {
                     // A ghost that finds the receiver not ready vanishes: it
@@ -840,7 +852,7 @@ impl WireCore {
                         s.inflight.fetch_sub(1, Ordering::AcqRel);
                     } else {
                         let delay = self.scaled(sh, sh.config.rnr_delay_ns as f64).max(1_000);
-                        let at = self.now_ns() + delay;
+                        let at = now + delay;
                         self.push(
                             at,
                             WireOp::Send {
@@ -866,8 +878,8 @@ impl WireCore {
                 imm,
                 epoch,
             } => {
-                let d = Arc::clone(&sh.endpoints[dst as usize]);
-                let s = Arc::clone(&sh.endpoints[src as usize]);
+                let d = &sh.endpoints[dst as usize];
+                let s = &sh.endpoints[src as usize];
                 self.note_crash_progress(sh, src, dst);
                 let cur = sh.recovery_epoch.load(Ordering::Acquire);
                 if epoch != cur || self.involves_crashed(sh, src, dst) {
@@ -882,7 +894,7 @@ impl WireCore {
                     if epoch != cur {
                         s.counters.incr(Counter::FabricEpochStaleDropped);
                     } else {
-                        fault(&s, Counter::FabricFaultCrashed, 8);
+                        fault(s, Counter::FabricFaultCrashed, 8);
                     }
                     s.cq.push(Event::PutDone { ctx, epoch });
                     s.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -1181,19 +1193,19 @@ mod tests {
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 5).with_fault_plan(plan));
         let a = f.endpoint(0);
         let b = f.endpoint(1);
-        a.try_send(1, 1, b"one", 0).unwrap();
+        a.try_send(1, 1, b"one", 1).unwrap();
         f.drain();
         assert!(
             matches!(b.poll(), Some(Event::Recv { .. })),
             "packets below the threshold are delivered"
         );
         assert!(f.crashed_hosts().is_empty());
-        a.try_send(1, 2, b"two", 1).unwrap();
+        a.try_send(1, 2, b"two", 2).unwrap();
         f.drain();
         assert!(b.poll().is_none(), "the triggering packet is itself lost");
         assert_eq!(f.crashed_hosts(), vec![1]);
         assert!(b.is_failed(), "the crashed host's own endpoint is failed");
-        a.try_send(1, 3, b"three", 2).unwrap();
+        a.try_send(1, 3, b"three", 3).unwrap();
         f.drain();
         assert!(b.poll().is_none(), "post-crash traffic vanishes");
         let mut done = 0;

@@ -403,3 +403,56 @@ fn threaded_reorder_phase_never_strands_the_tail() {
     );
     assert!(b.stats().fault_reordered > 0, "phase never engaged");
 }
+
+/// A context-0 send is unsignaled: whatever becomes of it — delivered,
+/// dropped, blackholed, eaten by a crash, or retried after receiver-not-ready
+/// bounces — it posts no `SendDone`, while a send with a context posts
+/// exactly one, and both give their injection slot back.
+#[test]
+fn unsignaled_sends_post_no_completion_in_any_outcome() {
+    use lci_fabric::{Fault, FaultPlan};
+    let forever = u64::MAX / 2;
+    let outcomes = [
+        ("delivered", FaultPlan::none()),
+        ("dropped", FaultPlan::none().with_phase(0, forever, Fault::Drop { prob_ppm: 1_000_000 })),
+        ("blackholed", FaultPlan::none().with_phase(0, forever, Fault::Blackhole { peer: 1 })),
+        (
+            "crashed",
+            FaultPlan::none().with_phase(0, forever, Fault::Crash { host: 1, after_packets: 1 }),
+        ),
+        // The storm outlasts the first deliveries and ends long before
+        // an unbounded retry limit could matter.
+        ("rnr-retried", FaultPlan::none().with_phase(0, 20_000, Fault::RnrStorm { target: 1 })),
+    ];
+    for (outcome, plan) in outcomes {
+        let f = Fabric::new_manual(FabricConfig::deterministic(2, 3).with_fault_plan(plan));
+        let (a, b) = (f.endpoint(0), f.endpoint(1));
+        a.try_send(1, 1, b"unsignaled", 0).unwrap();
+        a.try_send(1, 2, b"signaled", 7).unwrap();
+        f.drain();
+        let mut events = Vec::new();
+        while let Some(ev) = a.poll() {
+            events.push(ev);
+        }
+        let done: Vec<u64> = events
+            .iter()
+            .filter_map(|ev| match ev {
+                Event::SendDone { ctx } => Some(*ctx),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(done, [7], "{outcome}: completions {events:?}");
+        assert_eq!(a.inflight(), 0, "{outcome}: injection slots");
+        let recvs = std::iter::from_fn(|| b.poll())
+            .filter(|ev| matches!(ev, Event::Recv { .. }))
+            .count();
+        let s = a.stats();
+        let eaten = s.fault_dropped + s.fault_blackholed + s.fault_crashed;
+        let bounced = s.rnr_retries;
+        match outcome {
+            "delivered" => assert_eq!((recvs, eaten, bounced), (2, 0, 0)),
+            "rnr-retried" => assert!(recvs == 2 && eaten == 0 && bounced >= 2, "{s:?}"),
+            _ => assert!(recvs == 0 && eaten >= 2, "{outcome}: {recvs} arrived, {s:?}"),
+        }
+    }
+}

@@ -32,7 +32,8 @@ fn run_transcript(
         if sent < n {
             // Keep a few messages in flight; back off on pressure and let
             // the wire make progress.
-            match a.try_send(1, sent << 8, &sent.to_le_bytes(), sent) {
+            // Context 0 would be unsignaled: no completion to count.
+            match a.try_send(1, sent << 8, &sent.to_le_bytes(), sent + 1) {
                 Ok(()) => sent += 1,
                 Err(e) if e.is_retryable() => {}
                 Err(e) => panic!("unexpected send error: {e}"),

@@ -169,7 +169,8 @@ fn concurrent_drivers_lose_nothing_and_keep_per_source_order() {
         s.spawn(|| {
             start.wait();
             for i in 0..N {
-                while let Err(e) = a.try_send(1, i, &i.to_le_bytes(), i) {
+                // Signaled (context ≠ 0): the pollers count completions.
+                while let Err(e) = a.try_send(1, i, &i.to_le_bytes(), i + 1) {
                     assert_eq!(e, SendError::Backpressure);
                     assert!(Instant::now() < deadline, "injection wedged");
                     std::thread::yield_now();

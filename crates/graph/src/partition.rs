@@ -87,6 +87,11 @@ pub struct DistGraph {
     /// plan. Mirrors and plans are both ordered by global id, so walking
     /// mirrors in ascending local id visits each plan in ascending position.
     pub mirror_slot: Vec<(u16, u32)>,
+    /// The plans inverted on the master side, as a CSR over master lids:
+    /// master `l`'s entries are `master_slots[master_slot_start[l]..
+    /// master_slot_start[l + 1]]`, see [`Self::master_slots`].
+    master_slots: Vec<(u16, u32)>,
+    master_slot_start: Vec<u32>,
     /// Global id → local id, `Vid::MAX` where the vertex has no proxy here.
     g2l: Vec<Vid>,
 }
@@ -111,6 +116,16 @@ impl DistGraph {
     /// Number of mirror proxies.
     pub fn num_mirrors(&self) -> usize {
         self.num_local() - self.num_masters as usize
+    }
+
+    /// Where master `lid` sits in the plans: it is at position `pos` of
+    /// `master_recv[peer]` for each `(peer, pos)` here, ascending by peer,
+    /// and in no other plan. Masters and plans are both ordered by global
+    /// id, so walking masters in ascending local id visits each plan in
+    /// ascending position.
+    pub fn master_slots(&self, lid: usize) -> &[(u16, u32)] {
+        let (from, to) = (self.master_slot_start[lid], self.master_slot_start[lid + 1]);
+        &self.master_slots[from as usize..to as usize]
     }
 }
 
@@ -283,23 +298,32 @@ pub fn partition(g: &CsrGraph, num_hosts: usize, policy: Policy) -> Partitioning
             master_recv: vec![Vec::new(); num_hosts],
             out_degree_global,
             mirror_slot: Vec::new(),
+            master_slots: Vec::new(),
+            master_slot_start: vec![0; num_masters as usize + 1],
             g2l,
         });
     }
 
     // ---- 4. exchange plans (matched ordering by global id) --------------
+    // Every vertex is visited once, as a master of its owner, in ascending
+    // global id — ascending master lid — so each master's slots are
+    // appended as one run and closed by its `master_slot_start`.
     for v in 0..n {
         let o = owner[v] as usize;
+        let lid_o = parts[o].g2l[v];
         for h in 0..num_hosts {
             if h != o && has_proxy[h][v] {
                 let lid_h = parts[h].g2l[v];
-                let lid_o = parts[o].g2l[v];
                 let pos = parts[h].mirror_send[o].len() as u32;
                 parts[h].mirror_slot.push((o as u16, pos));
                 parts[h].mirror_send[o].push(lid_h);
+                let pos = parts[o].master_recv[h].len() as u32;
+                parts[o].master_slots.push((h as u16, pos));
                 parts[o].master_recv[h].push(lid_o);
             }
         }
+        let d = &mut parts[o];
+        d.master_slot_start[lid_o as usize + 1] = d.master_slots.len() as u32;
     }
 
     Partitioning {
@@ -355,6 +379,24 @@ impl Partitioning {
             for (lid, &(peer, pos)) in (d.num_masters..).zip(&d.mirror_slot) {
                 let at = d.mirror_send[peer as usize].get(pos as usize);
                 assert_eq!(at, Some(&lid), "host {}: mirror {lid} not at its slot", d.host);
+            }
+        }
+        // Every master plan entry is named by exactly one of its master's
+        // slots: as many slots as entries, each pointing back at its master,
+        // positions strictly ascending per peer in master order.
+        for d in &self.parts {
+            let planned: usize = d.master_recv.iter().map(Vec::len).sum();
+            let nm = d.num_masters as usize;
+            assert_eq!(d.master_slot_start.len(), nm + 1, "host {}", d.host);
+            assert_eq!(d.master_slots.len(), planned, "host {}: master slots", d.host);
+            let mut next = vec![0u32; p];
+            for lid in 0..nm {
+                for &(peer, pos) in d.master_slots(lid) {
+                    let at = d.master_recv[peer as usize].get(pos as usize);
+                    assert_eq!(at, Some(&(lid as Vid)), "host {}: master {lid}", d.host);
+                    assert!(pos >= next[peer as usize], "host {}: master {lid}", d.host);
+                    next[peer as usize] = pos + 1;
+                }
             }
         }
     }

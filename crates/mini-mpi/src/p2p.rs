@@ -613,9 +613,9 @@ impl MpiComm {
                         _ => inner.ep.counters().incr(Counter::MpiMalformedDropped),
                     }
                 }
-                Event::SendDone { ctx } => {
-                    debug_assert_eq!(ctx, CTX_IGNORE);
-                }
+                // Never posted: every wire send here is unsignaled
+                // (`CTX_IGNORE`); the reliable window holds the frame.
+                Event::SendDone { .. } => {}
                 // PutDone is consumed regardless of its epoch: the cookie
                 // must be reclaimed exactly once whether or not the put's
                 // memory write was suppressed as stale.

@@ -28,5 +28,5 @@ pub mod span;
 
 pub use counters::{add, global, incr, set, Counter, CounterSnapshot, Registry, Unit};
 pub use report::{BenchReport, Metric, PhaseNs, SCHEMA_VERSION};
-pub use ring::{record, with_ring, EventKind, Ring, TraceEvent};
+pub use ring::{record, record_at, with_ring, EventKind, Ring, TraceEvent};
 pub use span::Span;

@@ -150,7 +150,14 @@ pub fn now_ns() -> u64 {
 /// teardown (silently a no-op once the TLS ring is destroyed).
 #[inline]
 pub fn record(kind: EventKind, a: u32, b: u64) {
-    let ev = TraceEvent { t_ns: now_ns(), kind, a, b };
+    record_at(now_ns(), kind, a, b);
+}
+
+/// [`record`] stamped `t_ns`, a [`now_ns`] reading the caller already holds
+/// — so one clock read can both time something and date its event.
+#[inline]
+pub fn record_at(t_ns: u64, kind: EventKind, a: u32, b: u64) {
+    let ev = TraceEvent { t_ns, kind, a, b };
     let _ = RING.try_with(|r| r.borrow_mut().push(ev));
 }
 

@@ -4,47 +4,68 @@
 //! This is how Fig 6's compute/comm breakdown is produced from traces
 //! instead of wall-clock subtraction: each engine phase opens a span, and
 //! the per-phase `*_ns` counters sum exactly what was spent inside them.
+//!
+//! A span reads the clock ([`now_ns`]) once at each end, and that one
+//! reading is both its ring event's timestamp and its share of the elapsed
+//! time. Back-to-back phases hand the boundary over — the reading that
+//! closed one ([`Span::end`]) opens the next ([`Span::enter_at`]) — so a
+//! chain of *n* spans costs *n + 1* clock reads and leaves no gap.
 
 use crate::counters::{self, Counter};
-use crate::ring::{record, EventKind};
-use std::time::Instant;
+use crate::ring::{now_ns, record_at, EventKind};
 
-/// RAII phase timer. On drop (or [`Span::finish`]) the elapsed
-/// nanoseconds are added to the span's counter in the global registry.
+/// RAII phase timer. On drop (or [`Span::finish`] / [`Span::end`]) the
+/// elapsed nanoseconds are added to the span's counter in the global
+/// registry.
 #[must_use = "a span measures the scope it lives in; binding it to _ drops it immediately"]
 pub struct Span {
     counter: Counter,
-    start: Instant,
+    /// The [`now_ns`] reading the span opened at.
+    start: u64,
     done: bool,
 }
 
 impl Span {
     /// Open a span accumulating into `counter` (a `*_ns` phase counter).
     pub fn enter(counter: Counter) -> Self {
-        record(EventKind::PhaseBegin, counter as u32, 0);
-        Span { counter, start: Instant::now(), done: false }
+        Self::enter_at(now_ns(), counter)
+    }
+
+    /// Open a span at `t`, a [`now_ns`] reading the caller already holds —
+    /// typically what the previous phase's [`Span::end`] returned.
+    pub fn enter_at(t: u64, counter: Counter) -> Self {
+        record_at(t, EventKind::PhaseBegin, counter as u32, 0);
+        Span { counter, start: t, done: false }
     }
 
     /// Close early and return the elapsed nanoseconds this span recorded.
     pub fn finish(mut self) -> u64 {
+        self.close().saturating_sub(self.start)
+    }
+
+    /// Close early and return the [`now_ns`] reading it closed at, for the
+    /// next phase's [`Span::enter_at`].
+    pub fn end(mut self) -> u64 {
         self.close()
     }
 
+    /// Record the end, once: `finish` and `end` consume the span, and `drop`
+    /// skips a span they closed.
     fn close(&mut self) -> u64 {
-        if self.done {
-            return 0;
-        }
+        let t = now_ns();
         self.done = true;
-        let ns = self.start.elapsed().as_nanos() as u64;
+        let ns = t.saturating_sub(self.start);
         counters::add(self.counter, ns);
-        record(EventKind::PhaseEnd, self.counter as u32, ns);
-        ns
+        record_at(t, EventKind::PhaseEnd, self.counter as u32, ns);
+        t
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.close();
+        if !self.done {
+            self.close();
+        }
     }
 }
 
@@ -52,7 +73,7 @@ impl Drop for Span {
 mod tests {
     use super::*;
     use crate::counters::global;
-    use crate::ring::with_ring;
+    use crate::ring::{with_ring, TraceEvent};
 
     #[test]
     fn span_accumulates_into_counter_and_ring() {
@@ -88,5 +109,43 @@ mod tests {
         let ns = s.finish();
         let after = global().snapshot();
         assert!(after.delta(&mid).get(Counter::PhaseControlNs) >= ns);
+    }
+
+    /// One reading per boundary: a span's end stamp minus its begin stamp
+    /// is exactly the elapsed time its end event carries and its counter
+    /// gained, and two chained spans share the stamp between them. Each span
+    /// has a counter no other test of this binary touches, so the deltas
+    /// are its own.
+    #[test]
+    fn one_reading_per_boundary() {
+        with_ring(|r| {
+            r.drain();
+        });
+        let (first, second) = (Counter::PhaseReduceNs, Counter::PhaseBroadcastNs);
+        let before = global().snapshot();
+        let s = Span::enter(first);
+        std::hint::black_box((0..100).sum::<u64>());
+        let boundary = s.end();
+        let s = Span::enter_at(boundary, second);
+        std::hint::black_box((0..100).sum::<u64>());
+        let last = s.end();
+        let delta = global().snapshot().delta(&before);
+
+        let events = with_ring(|r| r.drain()).unwrap();
+        let phase = |kind, c: Counter| -> TraceEvent {
+            let mut hits = events.iter().filter(|e| e.kind == kind && e.a == c as u32);
+            let hit = *hits.next().expect("event recorded");
+            assert!(hits.next().is_none(), "one {kind:?} per span");
+            hit
+        };
+        for c in [first, second] {
+            let (begin, end) = (phase(EventKind::PhaseBegin, c), phase(EventKind::PhaseEnd, c));
+            assert_eq!(end.t_ns - begin.t_ns, end.b, "{c:?}: stamps vs elapsed");
+            assert_eq!(delta.get(c), end.b, "{c:?}: counter vs elapsed");
+        }
+        let end_first = phase(EventKind::PhaseEnd, first);
+        assert_eq!(end_first.t_ns, boundary);
+        assert_eq!(phase(EventKind::PhaseBegin, second).t_ns, boundary);
+        assert_eq!(phase(EventKind::PhaseEnd, second).t_ns, last);
     }
 }

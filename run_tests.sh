@@ -88,6 +88,17 @@ for f in crates/abelian/src/engine.rs crates/gemini/src/engine.rs; do
     fi
 done
 
+# A round reads the clock once per phase boundary: its spans hand each
+# reading on (`Span::end` -> `Span::enter_at`), and the round's compute, wall
+# and begin/end events are those readings (DESIGN.md, "Round skeleton
+# timing"). A clock of the engine's own would put the reads back.
+for f in crates/abelian/src/engine.rs crates/gemini/src/engine.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } /Instant::now|\.elapsed\(\)/ { hit = 1 } END { exit !hit }' "$f"; then
+        echo "ROUND CLOCK: $f reads a clock of its own outside #[cfg(test)]; time the round from its span readings" >&2
+        exit 1
+    fi
+done
+
 # Nothing is fetched: every package of the resolved graph is a path in this
 # checkout. A dependency that needs the registry would make tier 1 something
 # only a networked machine can run.
