@@ -29,6 +29,7 @@
 //! round, i.e. has read the previous one out of its window.
 
 use crate::membook::MemBook;
+use lci_trace::Registry;
 use std::sync::Arc;
 
 /// Sizing information for a recurring exchange pattern.
@@ -67,6 +68,12 @@ pub trait CommLayer: Send + Sync {
     fn name(&self) -> &'static str;
     /// The communication-buffer ledger (Fig. 5 instrumentation).
     fn membook(&self) -> Arc<MemBook>;
+    /// The counter table of this layer's host — its transport endpoint's —
+    /// where the engine counts the host's rounds and closes its phase spans.
+    /// A layer with no host table counts on the global one.
+    fn counters(&self) -> &Registry {
+        lci_trace::global()
+    }
 
     /// Collective channel registration; must precede the first `begin` on
     /// `channel` and be called in the same order on every host.

@@ -536,6 +536,9 @@ fn host_main<A: App, X: Exchange>(
     let max_rounds = app.max_rounds().unwrap_or(usize::MAX).min(ROUND_CAP);
     let mut metrics = HostMetrics::default();
     let mut fire_list = Vec::new();
+    // This host's counter table: rounds and phase spans count there, on a
+    // line no other host writes.
+    let table = layer.counters();
 
     loop {
         // The round's clock: its phases hand one reading across each
@@ -545,12 +548,12 @@ fn host_main<A: App, X: Exchange>(
         let abort = |f: String| format!("host {me} aborted in round {round}: {f}");
 
         // ---- boundary pass: the fire list and this host's vote -----------
-        let boundary_span = Span::enter_at(begin_ns, Counter::PhaseControlNs);
+        let boundary_span = Span::enter_at(table, begin_ns, Counter::PhaseControlNs);
         let vote = st.boundary_pass(&mut fire_list);
         let fire_ns = boundary_span.end();
 
         // ---- fire phase (computation) -----------------------------------
-        let fire_span = Span::enter_at(fire_ns, Counter::PhaseComputeNs);
+        let fire_span = Span::enter_at(table, fire_ns, Counter::PhaseComputeNs);
         if compute_threads > 1 && fire_list.len() > 64 {
             assert!(st.labels.is_shared(), "compute threads need shared vertex state");
             let chunk = fire_list.len().div_ceil(compute_threads);
@@ -565,17 +568,17 @@ fn host_main<A: App, X: Exchange>(
         let comm_ns = fire_span.end();
 
         // ---- communication: the strategy's exchange, votes aboard --------
-        let comm_span = Span::enter_at(comm_ns, Counter::PhaseCommNs);
+        let comm_span = Span::enter_at(table, comm_ns, Counter::PhaseCommNs);
         let Exchanged { sent_entries, sent_bytes, active } =
             exchange.exchange(&st, layer, vote).map_err(abort)?;
         let end_ns = comm_span.end();
-        lci_trace::add(Counter::EngineSentEntries, sent_entries);
-        lci_trace::add(Counter::EngineSentBytes, sent_bytes);
+        table.add(Counter::EngineSentEntries, sent_entries);
+        table.add(Counter::EngineSentBytes, sent_bytes);
         if active == 0 && round > 0 {
             break;
         }
 
-        lci_trace::incr(Counter::EngineRounds);
+        table.incr(Counter::EngineRounds);
         // Only now is this known to be a round; its begin keeps its time.
         record_at(begin_ns, EventKind::RoundBegin, me as u32, round as u64);
         record_at(end_ns, EventKind::RoundEnd, me as u32, round as u64);
@@ -716,9 +719,10 @@ impl Exchange for ProxySync {
         vote: u64,
     ) -> Result<Exchanged, String> {
         let (mirrors, masters) = (&host.part.mirror_send, &host.part.master_recv);
+        let table = layer.counters();
 
         // ---- reduce phase: votes and changed mirrors → masters -----------
-        let reduce_span = Span::enter(Counter::PhaseReduceNs);
+        let reduce_span = Span::enter_in(table, Counter::PhaseReduceNs);
         let changed = host.take_changed_mirrors();
         let (mut sent_entries, mut sent_bytes) =
             Self::send_frames(layer, channels::REDUCE, Some(vote), &changed);
@@ -730,7 +734,7 @@ impl Exchange for ProxySync {
 
         // ---- broadcast phase: firing masters' emissions → mirrors --------
         if self.broadcast {
-            let bcast_span = Span::enter_at(reduce_end, Counter::PhaseBroadcastNs);
+            let bcast_span = Span::enter_at(table, reduce_end, Counter::PhaseBroadcastNs);
             let emitted = host.take_fired();
             let (e, b) = Self::send_frames(layer, channels::BROADCAST, None, &emitted);
             sent_entries += e;

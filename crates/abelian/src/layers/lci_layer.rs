@@ -16,7 +16,7 @@ use lci::{Backoff, Device, RecvRequest, SendRequest};
 use lci_trace::{Counter, Registry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Tag encoding: channel in the high bits, round (mod 2^20) in the low.
 fn tag_for(channel: usize, round: u64) -> u32 {
@@ -40,8 +40,9 @@ pub struct LciLayer {
     book: Arc<MemBook>,
     inner: Mutex<Inner>,
     /// First fatal error observed; once set the layer stops initiating work
-    /// and surfaces the message through [`CommLayer::failure`].
-    failed: Mutex<Option<String>>,
+    /// and surfaces the message through [`CommLayer::failure`]. A read is
+    /// one load, which the empty polls of `recv_round` make often.
+    failed: OnceLock<String>,
 }
 
 impl LciLayer {
@@ -56,7 +57,7 @@ impl LciLayer {
                 pending_recvs: Vec::new(),
                 pending_sends: Vec::new(),
             }),
-            failed: Mutex::new(None),
+            failed: OnceLock::new(),
         }
     }
 
@@ -65,16 +66,9 @@ impl LciLayer {
         &self.dev
     }
 
-    /// The host's counter table (`engine.comm_*` rows are this layer's).
-    fn counters(&self) -> &Registry {
-        self.dev.endpoint().counters()
-    }
-
+    /// Keep the first fatal error; later ones are its consequences.
     fn record_failure(&self, msg: String) {
-        let mut f = self.failed.lock();
-        if f.is_none() {
-            *f = Some(msg);
-        }
+        let _ = self.failed.set(msg);
     }
 
     fn pump(&self, inner: &mut Inner) {
@@ -136,6 +130,10 @@ impl CommLayer for LciLayer {
 
     fn membook(&self) -> Arc<MemBook> {
         Arc::clone(&self.book)
+    }
+
+    fn counters(&self) -> &Registry {
+        self.dev.endpoint().counters()
     }
 
     fn register_channel(&self, _channel: usize, _spec: ChannelSpec) {
@@ -212,8 +210,8 @@ impl CommLayer for LciLayer {
     }
 
     fn failure(&self) -> Option<String> {
-        if let Some(msg) = self.failed.lock().clone() {
-            return Some(msg);
+        if let Some(msg) = self.failed.get() {
+            return Some(msg.clone());
         }
         self.dev.is_failed().then(|| {
             format!(

@@ -21,11 +21,11 @@
 use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
 use bytes::Bytes;
-use lci_trace::Counter;
+use lci_trace::{Counter, Registry};
 use mini_mpi::{MpiComm, RecvReq, SendReq};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Tag encoding: channel in the high bits, round (mod 2^24) in the low
 /// (mini-mpi tags are 28 bits). Channel 15 is reserved for aggregates.
@@ -59,7 +59,7 @@ pub struct MpiProbeLayer {
     inner: Mutex<Inner>,
     /// First fatal MPI error observed; once set the layer stops initiating
     /// work and surfaces the message through [`CommLayer::failure`].
-    failed: Mutex<Option<String>>,
+    failed: OnceLock<String>,
 }
 
 impl MpiProbeLayer {
@@ -75,7 +75,7 @@ impl MpiProbeLayer {
                 pending_sends: Vec::new(),
                 agg: HashMap::new(),
             }),
-            failed: Mutex::new(None),
+            failed: OnceLock::new(),
         }
     }
 
@@ -84,11 +84,9 @@ impl MpiProbeLayer {
         &self.comm
     }
 
+    /// Keep the first fatal error; later ones are its consequences.
     fn record_failure(&self, msg: String) {
-        let mut f = self.failed.lock();
-        if f.is_none() {
-            *f = Some(msg);
-        }
+        let _ = self.failed.set(msg);
     }
 
     fn pump(&self, inner: &mut Inner) {
@@ -256,6 +254,10 @@ impl CommLayer for MpiProbeLayer {
         Arc::clone(&self.book)
     }
 
+    fn counters(&self) -> &Registry {
+        self.comm.endpoint().counters()
+    }
+
     fn register_channel(&self, _channel: usize, _spec: ChannelSpec) {
         // Two-sided MPI allocates per message.
     }
@@ -311,16 +313,13 @@ impl CommLayer for MpiProbeLayer {
         if let Some((_, data)) = &msg {
             self.book.free(data.len());
         } else {
-            self.comm
-                .endpoint()
-                .counters()
-                .incr(Counter::EngineCommRecvStalls);
+            self.counters().incr(Counter::EngineCommRecvStalls);
         }
         msg
     }
 
     fn failure(&self) -> Option<String> {
-        self.failed.lock().clone().or_else(|| self.comm.failure())
+        self.failed.get().cloned().or_else(|| self.comm.failure())
     }
 
     fn quiesce(&self) {

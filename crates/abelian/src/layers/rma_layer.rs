@@ -10,11 +10,11 @@
 
 use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
-use lci_trace::Counter;
+use lci_trace::{Counter, Registry};
 use mini_mpi::{MpiComm, Window};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 struct Chan {
     win: Window,
@@ -43,7 +43,7 @@ pub struct MpiRmaLayer {
     /// First fatal MPI/window error observed; once set the layer stops
     /// initiating work and surfaces the message through
     /// [`CommLayer::failure`].
-    failed: Mutex<Option<String>>,
+    failed: OnceLock<String>,
 }
 
 impl MpiRmaLayer {
@@ -53,7 +53,7 @@ impl MpiRmaLayer {
             comm,
             book: MemBook::new(),
             chans: Mutex::new(HashMap::new()),
-            failed: Mutex::new(None),
+            failed: OnceLock::new(),
         }
     }
 
@@ -64,22 +64,17 @@ impl MpiRmaLayer {
 
     /// An empty poll while a round is open: count it on the host's table.
     fn stall(&self) -> Option<(u16, Vec<u8>)> {
-        self.comm
-            .endpoint()
-            .counters()
-            .incr(Counter::EngineCommRecvStalls);
+        self.counters().incr(Counter::EngineCommRecvStalls);
         None
     }
 
+    /// Keep the first fatal error; later ones are its consequences.
     fn record_failure(&self, msg: String) {
-        let mut f = self.failed.lock();
-        if f.is_none() {
-            *f = Some(msg);
-        }
+        let _ = self.failed.set(msg);
     }
 
     fn is_failed(&self) -> bool {
-        self.failed.lock().is_some()
+        self.failed.get().is_some()
     }
 }
 
@@ -98,6 +93,10 @@ impl CommLayer for MpiRmaLayer {
 
     fn membook(&self) -> Arc<MemBook> {
         Arc::clone(&self.book)
+    }
+
+    fn counters(&self) -> &Registry {
+        self.comm.endpoint().counters()
     }
 
     fn register_channel(&self, channel: usize, spec: ChannelSpec) {
@@ -264,7 +263,7 @@ impl CommLayer for MpiRmaLayer {
     }
 
     fn failure(&self) -> Option<String> {
-        self.failed.lock().clone().or_else(|| self.comm.failure())
+        self.failed.get().cloned().or_else(|| self.comm.failure())
     }
 
     fn quiesce(&self) {

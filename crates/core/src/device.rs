@@ -197,6 +197,9 @@ struct Progress {
     /// Rendezvous puts deferred by back-pressure.
     pending_puts: VecDeque<PendingPut>,
     pending_frags: VecDeque<PendingFrags>,
+    /// The endpoint's completions, taken a batch at a time
+    /// ([`Endpoint::drain_into`]); kept so its capacity is reused.
+    events: VecDeque<Event>,
 }
 
 struct DeviceInner {
@@ -357,30 +360,33 @@ impl Device {
     pub fn rejoin(&self) {
         let inner = &self.inner;
         let mut prog = inner.progress.lock();
-        while let Some(ev) = inner.ep.poll() {
-            match ev {
-                Event::SendDone { .. } => {}
-                Event::PutDone { ctx, .. } | Event::Error { ctx, .. } => {
-                    if ctx != 0 {
-                        // SAFETY: only puts carry a context, the cookie of
-                        // their send request, and this is its one completion.
-                        unsafe { take_req(ctx) }.mark_error();
+        let prog = &mut *prog;
+        while inner.ep.drain_into(&mut prog.events) > 0 {
+            for ev in prog.events.drain(..) {
+                match ev {
+                    Event::SendDone { .. } => {}
+                    Event::PutDone { ctx, .. } | Event::Error { ctx, .. } => {
+                        if ctx != 0 {
+                            // SAFETY: only puts carry a context, the cookie of
+                            // their send request, and this is its one completion.
+                            unsafe { take_req(ctx) }.mark_error();
+                        }
                     }
-                }
-                Event::PutArrived { imm, .. } => {
-                    // SAFETY: the fabric emits at most one PutArrived per
-                    // put, so this parked receiver cookie is unconsumed.
-                    let req = unsafe { take_req(imm) };
-                    req.mark_error();
-                }
-                Event::Recv { src, header, data } => {
-                    // Classify stragglers instead of silently dropping them:
-                    // the fabric epoch was already bumped, so frames of the
-                    // dead incarnation count under fabric.epoch.stale_dropped
-                    // here exactly as they would in the progress loop. Any
-                    // session state a (theoretical) fresh-epoch frame leaves
-                    // behind is wiped by the rel.rejoin() below.
-                    let _ = inner.rel.on_recv(&inner.ep, src, header, &data);
+                    Event::PutArrived { imm, .. } => {
+                        // SAFETY: the fabric emits at most one PutArrived per
+                        // put, so this parked receiver cookie is unconsumed.
+                        let req = unsafe { take_req(imm) };
+                        req.mark_error();
+                    }
+                    Event::Recv { src, header, data } => {
+                        // Classify stragglers instead of silently dropping them:
+                        // the fabric epoch was already bumped, so frames of the
+                        // dead incarnation count under fabric.epoch.stale_dropped
+                        // here exactly as they would in the progress loop. Any
+                        // session state a (theoretical) fresh-epoch frame leaves
+                        // behind is wiped by the rel.rejoin() below.
+                        let _ = inner.rel.on_recv(&inner.ep, src, header, &data);
+                    }
                 }
             }
         }
@@ -687,7 +693,15 @@ impl Device {
         // Advance emulated-put fragment streams.
         handled += self.issue_frags(prog);
 
-        while let Some(ev) = inner.ep.poll() {
+        // Completions come a batch at a time, in queue order; the loop ends
+        // when a drain (which drives a wall-clock wire first) finds none.
+        loop {
+            let Some(ev) = prog.events.pop_front() else {
+                if inner.ep.drain_into(&mut prog.events) == 0 {
+                    break;
+                }
+                continue;
+            };
             handled += 1;
             match ev {
                 Event::Recv { src, header, data } => self.on_recv(prog, src, header, data),

@@ -17,10 +17,22 @@
 //! pool packet or a fabric receive credit, and the queue is sized to the sum
 //! of both budgets.
 
-use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A value aligned, and so padded, to 128 bytes: two of them never share a
+/// cache line, nor the adjacent line x86-64 prefetches with it.
+#[repr(align(128))]
+pub(crate) struct CachePadded<T>(pub(crate) T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 struct Slot<T> {
     /// Sequence stamp: `index` when the slot is writable by the producer who
@@ -68,8 +80,8 @@ impl<T> MpmcQueue<T> {
         MpmcQueue {
             slots,
             mask: cap - 1,
-            tail: CachePadded::new(AtomicUsize::new(0)),
-            head: CachePadded::new(AtomicUsize::new(0)),
+            tail: CachePadded(AtomicUsize::new(0)),
+            head: CachePadded(AtomicUsize::new(0)),
         }
     }
 

@@ -19,7 +19,7 @@
 //! when the frame is acked (the pool is the device session's
 //! [`FrameBufs`]).
 
-use crossbeam::utils::CachePadded;
+use crate::faa_queue::CachePadded;
 use lci_fabric::reliable::REL_DATA_OFFSET;
 use lci_fabric::FrameBufs;
 use parking_lot::Mutex;
@@ -82,7 +82,7 @@ impl PacketPool {
         PacketPool {
             shards: pools
                 .into_iter()
-                .map(|v| CachePadded::new(Mutex::new(v)))
+                .map(|v| CachePadded(Mutex::new(v)))
                 .collect(),
             capacity: count,
             payload,

@@ -5,10 +5,9 @@ use crate::mr::{MemRegion, MrInner, MrKey};
 use crate::stats::StatsSnapshot;
 use crate::wire::{FabricShared, WireOp};
 use crate::HostId;
-use crossbeam::queue::SegQueue;
 use lci_trace::{Counter, EventKind, Registry};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -24,7 +23,8 @@ pub enum FatalKind {
     BadMr,
 }
 
-/// A completion-queue event, retrieved with [`Endpoint::poll`].
+/// A completion-queue event, retrieved with [`Endpoint::poll`] or, a batch at
+/// a time, [`Endpoint::drain_into`].
 #[derive(Debug)]
 pub enum Event {
     /// An eager message arrived.
@@ -144,7 +144,10 @@ impl std::fmt::Debug for PacketBuf {
 
 pub(crate) struct EndpointShared {
     pub(crate) host: HostId,
-    pub(crate) cq: SegQueue<Event>,
+    /// The completion queue. Only the wire pushes ([`EndpointShared::post`]);
+    /// whoever progresses the host pops, one event or the whole queue at a
+    /// time.
+    cq: Mutex<VecDeque<Event>>,
     pub(crate) inflight: AtomicUsize,
     pub(crate) rx_credits: AtomicI64,
     pub(crate) mrs: Mutex<HashMap<u64, Arc<MrInner>>>,
@@ -160,7 +163,7 @@ impl EndpointShared {
     pub(crate) fn new(host: HostId, rx_buffers: usize) -> Self {
         EndpointShared {
             host,
-            cq: SegQueue::new(),
+            cq: Mutex::new(VecDeque::new()),
             inflight: AtomicUsize::new(0),
             rx_credits: AtomicI64::new(rx_buffers as i64),
             mrs: Mutex::new(HashMap::new()),
@@ -168,6 +171,25 @@ impl EndpointShared {
             failed: AtomicBool::new(false),
             counters: Registry::for_host(),
         }
+    }
+
+    /// Append a completion to this host's queue.
+    pub(crate) fn post(&self, ev: Event) {
+        self.cq.lock().push_back(ev);
+    }
+
+    /// Move every queued completion to the back of `buf` under one lock —
+    /// by swapping the two queues when `buf` is empty, so that neither
+    /// allocates — and return how many there were.
+    fn take_all(&self, buf: &mut VecDeque<Event>) -> usize {
+        let mut cq = self.cq.lock();
+        let n = cq.len();
+        if buf.is_empty() {
+            std::mem::swap(&mut *cq, buf);
+        } else {
+            buf.append(&mut cq);
+        }
+        n
     }
 }
 
@@ -289,7 +311,7 @@ impl Endpoint {
             retries: 0,
             ghost: false,
         };
-        self.fabric.injected.push(op);
+        self.fabric.inject(op);
         let bytes = data.len() as u64;
         self.shared.counters.incr(Counter::FabricSends);
         self.shared.counters.add(Counter::FabricSendBytes, bytes);
@@ -324,7 +346,7 @@ impl Endpoint {
             imm,
             epoch: self.fabric_epoch(),
         };
-        self.fabric.injected.push(op);
+        self.fabric.inject(op);
         let bytes = data.len() as u64;
         self.shared.counters.incr(Counter::FabricPuts);
         self.shared.counters.add(Counter::FabricPutBytes, bytes);
@@ -339,12 +361,25 @@ impl Endpoint {
     /// hosts, unless another thread is already doing so) and looks again.
     /// A manual fabric moves only under [`crate::Fabric::step`].
     pub fn poll(&self) -> Option<Event> {
-        let ev = self.shared.cq.pop();
-        if ev.is_some() || self.fabric.manual {
+        let ev = self.shared.cq.lock().pop_front();
+        if ev.is_some() || !self.fabric.drive() {
             return ev;
         }
-        self.fabric.drive();
-        self.shared.cq.pop()
+        self.shared.cq.lock().pop_front()
+    }
+
+    /// Take every queued completion at once, appending them to `buf` in the
+    /// order [`Endpoint::poll`] would have returned them, and return how many
+    /// there were. The queue is taken under one lock — swapped with `buf`
+    /// when `buf` is empty, so a caller that keeps its buffer allocates
+    /// nothing in steady state. On a wall-clock fabric an empty queue drives
+    /// the wire and is looked at again, exactly as by [`Endpoint::poll`].
+    pub fn drain_into(&self, buf: &mut VecDeque<Event>) -> usize {
+        let n = self.shared.take_all(buf);
+        if n > 0 || !self.fabric.drive() {
+            return n;
+        }
+        self.shared.take_all(buf)
     }
 
     /// Register a zeroed memory region of `len` bytes, making it a valid

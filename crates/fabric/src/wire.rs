@@ -7,13 +7,15 @@
 //!
 //! * **Wall-clock (poll-driven)** ([`Fabric::new`]): simulated time is
 //!   wall-clock time since construction, and whoever touches an endpoint
-//!   drives — [`Endpoint::poll`] on finding its completion queue empty,
-//!   injection on hitting back-pressure, and [`Endpoint::stats`] `try_lock`
-//!   the core and execute everything that is due. Everything the wire owns
-//!   (events, injection slots, receive credits, crash flags, put bytes,
-//!   counts) is acted on through those calls, so a delivery that waits for
-//!   the next poll is the same NIC with the scheduler hop removed; the wire
-//!   model's latencies stay lower bounds on delivery time.
+//!   drives — [`Endpoint::poll`] and [`Endpoint::drain_into`] on finding
+//!   their completion queue empty, injection on hitting back-pressure, and
+//!   [`Endpoint::stats`] `try_lock` the core and execute everything that is
+//!   due (a wire holding nothing, under no fault plan, is left alone:
+//!   [`FabricShared::drive`]). Everything the wire owns (events, injection
+//!   slots, receive credits, crash flags, put bytes, counts) is acted on
+//!   through those calls, so a delivery that waits for the next poll is the
+//!   same NIC with the scheduler hop removed; the wire model's latencies stay
+//!   lower bounds on delivery time.
 //! * **Manual** ([`Fabric::new_manual`]): the caller pumps
 //!   [`Fabric::step`]/[`Fabric::drain`] and time is a *virtual* clock that
 //!   jumps to each scheduled delivery. Because nothing depends on the OS
@@ -25,7 +27,6 @@ use crate::config::FabricConfig;
 use crate::endpoint::{CreditGuard, Endpoint, EndpointShared, Event, FatalKind, PacketBuf};
 use crate::mr::MrKey;
 use crate::HostId;
-use crossbeam::queue::SegQueue;
 use lci_trace::{Counter, EventKind};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -82,8 +83,22 @@ impl WireOp {
 pub(crate) struct FabricShared {
     pub(crate) config: FabricConfig,
     pub(crate) endpoints: Vec<Arc<EndpointShared>>,
-    /// Operations injected by endpoints and not yet scheduled by the wire.
-    pub(crate) injected: SegQueue<WireOp>,
+    /// Operations injected by endpoints and not yet scheduled by the wire,
+    /// in injection order. The wire takes the whole batch under one lock
+    /// ([`WireCore::drain_injected`]).
+    injected: Mutex<Vec<WireOp>>,
+    /// Whether `injected` holds anything: set by an injector after its push
+    /// and cleared by the wire when it takes the batch, both under that lock,
+    /// so that a wire with nothing injected does not take it. The vector
+    /// itself is only read under the lock; a reader that loads a stale
+    /// `false` (Acquire, against the injector's Release) merely leaves the
+    /// batch to the next drive.
+    injected_any: AtomicBool,
+    /// Operations the wire has scheduled or holds for a reorder phase, as
+    /// the last wall-clock drive left them ([`WireCore::run_due`] stores it
+    /// with Release on exit, [`FabricShared::drive`] loads it with Acquire).
+    /// It publishes nothing else: the heap is only read under the core lock.
+    scheduled: AtomicUsize,
     /// The wire itself. Manual mode: locked by [`Fabric::step`] and friends.
     /// Wall-clock mode: `try_lock`ed by [`FabricShared::drive`].
     core: Mutex<WireCore>,
@@ -114,18 +129,39 @@ pub(crate) struct FabricShared {
 }
 
 impl FabricShared {
+    /// Hand an operation to the wire.
+    pub(crate) fn inject(&self, op: WireOp) {
+        let mut injected = self.injected.lock();
+        injected.push(op);
+        self.injected_any.store(true, Ordering::Release);
+    }
+
     /// Wall-clock mode: execute everything the wire has due, unless another
     /// thread is already doing so — the loser returns at once, and what the
     /// winner delivers shows up in the loser's completion queue all the same.
     /// Does nothing on a manual fabric, which only its caller's
     /// [`Fabric::step`] moves.
-    pub(crate) fn drive(&self) {
+    ///
+    /// A wire with nothing injected, nothing scheduled and nothing held has
+    /// nothing to deliver: without a fault plan it is not driven at all — no
+    /// lock, no clock. A fault plan has timed effects that move while the
+    /// wire is idle (the brownout depth, the reorder idle-release), so under
+    /// one every drive runs. Returns whether the wire may have delivered
+    /// something, i.e. whether a caller looking for events should look again.
+    pub(crate) fn drive(&self) -> bool {
         if self.manual {
-            return;
+            return false;
+        }
+        if self.config.fault_plan.is_empty()
+            && !self.injected_any.load(Ordering::Acquire)
+            && self.scheduled.load(Ordering::Acquire) == 0
+        {
+            return false;
         }
         if let Some(mut core) = self.core.try_lock() {
             core.run_due(self);
         }
+        true
     }
 
     /// Manual mode: the wire, for the caller to pump.
@@ -204,7 +240,9 @@ impl Fabric {
         let shared = Arc::new(FabricShared {
             config,
             endpoints,
-            injected: SegQueue::new(),
+            injected: Mutex::new(Vec::new()),
+            injected_any: AtomicBool::new(false),
+            scheduled: AtomicUsize::new(0),
             core: Mutex::new(core),
             closed: AtomicBool::new(false),
             brownout_depth: AtomicUsize::new(depth0),
@@ -387,7 +425,7 @@ enum Clock {
 /// unsignaled), and its injection slot comes back either way.
 fn complete_send(s: &EndpointShared, ctx: u64) {
     if ctx != 0 {
-        s.cq.push(Event::SendDone { ctx });
+        s.post(Event::SendDone { ctx });
     }
     s.inflight.fetch_sub(1, Ordering::AcqRel);
 }
@@ -412,6 +450,11 @@ struct WireCore {
     rng: SmallRng,
     /// Deliveries held back by an active reorder phase.
     reorder_buf: Vec<WireOp>,
+    /// The injection batch being scheduled: swapped with
+    /// [`FabricShared::injected`] by [`WireCore::drain_injected`], so the two
+    /// vectors' capacity is reused and the queue allocates nothing in steady
+    /// state.
+    spare: Vec<WireOp>,
     /// Wall-clock mode: when the wire last scheduled, delivered or released
     /// anything (see [`IDLE_RELEASE_NS`]).
     last_event_ns: u64,
@@ -434,6 +477,7 @@ impl WireCore {
             seq: 0,
             rng: SmallRng::seed_from_u64(seed),
             reorder_buf: Vec::new(),
+            spare: Vec::new(),
             last_event_ns: 0,
             crash_pkts: vec![0; num_hosts],
             crash_fired: vec![false; num_hosts],
@@ -571,14 +615,24 @@ impl WireCore {
         self.heap.push(Reverse(Scheduled { at, seq, op }));
     }
 
-    /// Move everything already injected into the schedule. Returns whether
-    /// there was anything.
+    /// Move everything already injected into the schedule, in injection
+    /// order: the whole batch is taken under one lock, and not even that
+    /// when nothing was injected. Returns whether there was anything.
     fn drain_injected(&mut self, sh: &FabricShared) -> bool {
-        let mut any = false;
-        while let Some(op) = sh.injected.pop() {
-            self.schedule(sh, op);
-            any = true;
+        if !sh.injected_any.load(Ordering::Acquire) {
+            return false;
         }
+        let mut batch = std::mem::take(&mut self.spare);
+        {
+            let mut injected = sh.injected.lock();
+            std::mem::swap(&mut *injected, &mut batch);
+            sh.injected_any.store(false, Ordering::Relaxed);
+        }
+        let any = !batch.is_empty();
+        for op in batch.drain(..) {
+            self.schedule(sh, op);
+        }
+        self.spare = batch;
         any
     }
 
@@ -722,7 +776,9 @@ impl WireCore {
     /// entry whose time has come. The clock is read once, at the start, so a
     /// drive is bounded by what was due when it started: whatever a delivery
     /// schedules in turn (RNR retries, ghosts) lands strictly later and waits
-    /// for the next drive.
+    /// for the next drive. On exit it publishes how much the wire still holds
+    /// ([`FabricShared::scheduled`]), which is how the next drive knows
+    /// whether it has anything to do.
     fn run_due(&mut self, sh: &FabricShared) {
         let Clock::Wall { start, now } = &mut self.clock else {
             unreachable!("only a wall-clock wire is driven");
@@ -751,6 +807,8 @@ impl WireCore {
                 self.last_event_ns = now;
             }
         }
+        let held = self.heap.len() + self.reorder_buf.len();
+        sh.scheduled.store(held, Ordering::Release);
     }
 
     fn deliver(&mut self, sh: &FabricShared, op: WireOp) {
@@ -826,7 +884,7 @@ impl WireCore {
                     if !ghost {
                         self.spawn_ghosts(sh, src, dst, header, &data);
                     }
-                    d.cq.push(Event::Recv {
+                    d.post(Event::Recv {
                         src,
                         header,
                         data: PacketBuf::new(data, guard),
@@ -845,7 +903,7 @@ impl WireCore {
                     if retries >= sh.config.rnr_retry_limit {
                         s.failed.store(true, Ordering::Release);
                         s.counters.incr(Counter::FabricErrors);
-                        s.cq.push(Event::Error {
+                        s.post(Event::Error {
                             kind: FatalKind::RnrExceeded,
                             ctx,
                         });
@@ -896,7 +954,7 @@ impl WireCore {
                     } else {
                         fault(s, Counter::FabricFaultCrashed, 8);
                     }
-                    s.cq.push(Event::PutDone { ctx, epoch });
+                    s.post(Event::PutDone { ctx, epoch });
                     s.inflight.fetch_sub(1, Ordering::AcqRel);
                     return;
                 }
@@ -914,9 +972,9 @@ impl WireCore {
                     None => false,
                 };
                 if ok {
-                    s.cq.push(Event::PutDone { ctx, epoch });
+                    s.post(Event::PutDone { ctx, epoch });
                     if let Some(imm) = imm {
-                        d.cq.push(Event::PutArrived {
+                        d.post(Event::PutArrived {
                             src,
                             imm,
                             len: data.len() as u32,
@@ -925,7 +983,7 @@ impl WireCore {
                     }
                 } else {
                     s.counters.incr(Counter::FabricErrors);
-                    s.cq.push(Event::Error {
+                    s.post(Event::Error {
                         kind: FatalKind::BadMr,
                         ctx,
                     });

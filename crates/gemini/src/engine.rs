@@ -142,7 +142,7 @@ impl Exchange for GeminiConfig {
         layer: &dyn CommLayer,
         vote: u64,
     ) -> Result<Exchanged, String> {
-        let _span = Span::enter(Counter::PhaseReduceNs);
+        let _span = Span::enter_in(layer.counters(), Counter::PhaseReduceNs);
         let (p, me) = (layer.num_hosts(), layer.rank());
         let identity = host.app.identity();
         let mut sent_entries = 0u64;

@@ -25,7 +25,7 @@ use lci_fabric::{Endpoint, Event, MemRegion, SendError};
 use lci_trace::Counter;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -256,6 +256,11 @@ pub(crate) struct State {
     pending_puts: Vec<PendingPut>,
     pub rma: RmaState,
     pub failed: Option<String>,
+    /// The endpoint's completions, taken a batch at a time
+    /// ([`Endpoint::drain_into`]) and handled in queue order. What a batch
+    /// still holds when progress re-enters (a send that meets back-pressure
+    /// progresses) is handled first, so the order stays the queue's.
+    events: VecDeque<Event>,
 }
 
 struct CommInner {
@@ -305,6 +310,7 @@ impl MpiComm {
                     pending_puts: Vec::new(),
                     rma: RmaState::default(),
                     failed: None,
+                    events: VecDeque::new(),
                 }),
                 rel: ReliableSession::new(&ep).with_window(eager_credits),
                 send_seq: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
@@ -511,7 +517,13 @@ impl MpiComm {
             // letting them spin against a dead NIC.
             st.failed = Some("fabric endpoint failed (host crashed)".to_string());
         }
-        while let Some(ev) = inner.ep.poll() {
+        loop {
+            let Some(ev) = st.events.pop_front() else {
+                if inner.ep.drain_into(&mut st.events) == 0 {
+                    break;
+                }
+                continue;
+            };
             match ev {
                 Event::Recv { src, header, data } => {
                     // Run the reliable layer before decoding anything — in

@@ -10,32 +10,52 @@
 //! time. Back-to-back phases hand the boundary over — the reading that
 //! closed one ([`Span::end`]) opens the next ([`Span::enter_at`]) — so a
 //! chain of *n* spans costs *n + 1* clock reads and leaves no gap.
+//!
+//! A span closes into one counter table: the table of the host it runs on
+//! ([`Span::enter_in`], [`Span::enter_at`]) — which only that host's threads
+//! write, and which reads of [`global()`] include — or, with no host at hand,
+//! the global table itself ([`Span::enter`]).
 
-use crate::counters::{self, Counter};
+use crate::counters::{global, Counter, Registry};
 use crate::ring::{now_ns, record_at, EventKind};
 
 /// RAII phase timer. On drop (or [`Span::finish`] / [`Span::end`]) the
-/// elapsed nanoseconds are added to the span's counter in the global
-/// registry.
+/// elapsed nanoseconds are added to the span's counter in the table it was
+/// opened on.
 #[must_use = "a span measures the scope it lives in; binding it to _ drops it immediately"]
-pub struct Span {
+pub struct Span<'r> {
+    table: &'r Registry,
     counter: Counter,
     /// The [`now_ns`] reading the span opened at.
     start: u64,
     done: bool,
 }
 
-impl Span {
-    /// Open a span accumulating into `counter` (a `*_ns` phase counter).
+impl Span<'static> {
+    /// Open a span accumulating into `counter` (a `*_ns` phase counter) of
+    /// the global table.
     pub fn enter(counter: Counter) -> Self {
-        Self::enter_at(now_ns(), counter)
+        Self::enter_in(global(), counter)
+    }
+}
+
+impl<'r> Span<'r> {
+    /// Open a span accumulating into `counter` of `table`, typically the
+    /// table of the host the calling thread works for.
+    pub fn enter_in(table: &'r Registry, counter: Counter) -> Self {
+        Self::enter_at(table, now_ns(), counter)
     }
 
-    /// Open a span at `t`, a [`now_ns`] reading the caller already holds —
-    /// typically what the previous phase's [`Span::end`] returned.
-    pub fn enter_at(t: u64, counter: Counter) -> Self {
+    /// Open a span on `table` at `t`, a [`now_ns`] reading the caller already
+    /// holds — typically what the previous phase's [`Span::end`] returned.
+    pub fn enter_at(table: &'r Registry, t: u64, counter: Counter) -> Self {
         record_at(t, EventKind::PhaseBegin, counter as u32, 0);
-        Span { counter, start: t, done: false }
+        Span {
+            table,
+            counter,
+            start: t,
+            done: false,
+        }
     }
 
     /// Close early and return the elapsed nanoseconds this span recorded.
@@ -55,13 +75,13 @@ impl Span {
         let t = now_ns();
         self.done = true;
         let ns = t.saturating_sub(self.start);
-        counters::add(self.counter, ns);
+        self.table.add(self.counter, ns);
         record_at(t, EventKind::PhaseEnd, self.counter as u32, ns);
         t
     }
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
         if !self.done {
             self.close();
@@ -72,7 +92,6 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::global;
     use crate::ring::{with_ring, TraceEvent};
 
     #[test]
@@ -126,7 +145,7 @@ mod tests {
         let s = Span::enter(first);
         std::hint::black_box((0..100).sum::<u64>());
         let boundary = s.end();
-        let s = Span::enter_at(boundary, second);
+        let s = Span::enter_at(global(), boundary, second);
         std::hint::black_box((0..100).sum::<u64>());
         let last = s.end();
         let delta = global().snapshot().delta(&before);
@@ -147,5 +166,21 @@ mod tests {
         assert_eq!(end_first.t_ns, boundary);
         assert_eq!(phase(EventKind::PhaseBegin, second).t_ns, boundary);
         assert_eq!(phase(EventKind::PhaseEnd, second).t_ns, last);
+    }
+
+    /// A span opened on a host's table counts there and nowhere else, and
+    /// reads of the global table include it (no other test of this binary
+    /// touches `phase.comm_ns`).
+    #[test]
+    fn a_span_closes_into_the_table_it_was_opened_on() {
+        let c = Counter::PhaseCommNs;
+        let (host, isolated) = (Registry::for_host(), Registry::new());
+        let before = global().get(c);
+        let ns = Span::enter_in(&host, c).finish();
+        let t = Span::enter_in(&isolated, c).end();
+        Span::enter_at(&isolated, t, c).finish();
+        assert_eq!(host.get(c), ns);
+        let summed = global().get(c) - before;
+        assert_eq!(summed, ns, "only the host table is summed");
     }
 }

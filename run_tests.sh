@@ -99,6 +99,17 @@ for f in crates/abelian/src/engine.rs crates/gemini/src/engine.rs; do
     fi
 done
 
+# The product owns its queues: completions and injections are drained in
+# batches from `Mutex`-guarded vectors the fabric defines (DESIGN.md,
+# "Completion and injection queues"), and the one padding wrapper is
+# `lci`'s own. The `crossbeam` stand-in (a mutex per push and per pop) stays
+# only because the benchmark's lockfile still lists it.
+if hits="$(grep -rnE 'crossbeam::|SegQueue' crates/*/src)"; then
+    echo "STAND-INS: product source names a crossbeam stand-in:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # Nothing is fetched: every package of the resolved graph is a path in this
 # checkout. A dependency that needs the registry would make tier 1 something
 # only a networked machine can run.

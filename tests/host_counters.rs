@@ -6,11 +6,15 @@
 //! `lci_trace::global()` is shared with every other test in this binary and
 //! is only ever asserted to have moved *at least* as far.
 
+use abelian::apps::{reference, Bfs};
+use abelian::{build_layers, run_app, EngineConfig, LayerKind};
 use bytes::Bytes;
 use lci::{Device, DeviceStats, LciConfig};
 use lci_fabric::{Fabric, FabricConfig, Fault, FaultPlan, StatsSnapshot};
+use lci_graph::{gen, partition, Policy};
 use lci_trace::counters::ALL_COUNTERS;
 use lci_trace::{Counter, Registry};
+use std::sync::Arc;
 
 /// Light each counter alone on an isolated table and check that `fields`
 /// (a view, flattened) reads every field from exactly one counter and no
@@ -229,4 +233,56 @@ fn retransmissions_are_counted_on_the_sending_host_only() {
     // Host 1 only ever sent standalone acks, which are never retransmitted.
     assert_eq!(rx.counters().get(Counter::FabricReliableRetransmits), 0);
     assert_eq!(rx.counters().get(Counter::LciReceived), 64);
+}
+
+/// An engine's rounds and phase spans count on the table of the host that
+/// ran them: after a 2-host Abelian Bfs over LCI each host's table has its
+/// own compute and communication time and its own round count, and the
+/// global `phase.*` rows moved by exactly the sum over the two tables (no
+/// other test of this binary runs an engine or opens a span).
+#[test]
+fn phase_rows_are_counted_on_the_host_that_ran_them() {
+    let phases = [
+        Counter::PhaseComputeNs,
+        Counter::PhaseReduceNs,
+        Counter::PhaseBroadcastNs,
+        Counter::PhaseControlNs,
+        Counter::PhaseCommNs,
+    ];
+    let g = gen::rmat(9, 8, 26);
+    let parts = partition(&g, 2, Policy::VertexCutCartesian);
+    let before = lci_trace::global().snapshot();
+    let (layers, world) = build_layers(
+        LayerKind::Lci,
+        FabricConfig::test(2),
+        mini_mpi::MpiConfig::default(),
+        LciConfig::for_hosts(2),
+    );
+    let r = run_app(
+        &parts,
+        Arc::new(Bfs { source: 0 }),
+        &layers,
+        &EngineConfig::default(),
+    );
+    assert_eq!(r.values, reference::bfs(&g, 0));
+    let moved = lci_trace::global().snapshot().delta(&before);
+    let fabric = world.fabric();
+    for (h, host) in r.hosts.iter().enumerate() {
+        let table = layers[h].counters();
+        assert!(
+            std::ptr::eq(table, fabric.endpoint(h).counters()),
+            "host {h}: not its endpoint's table"
+        );
+        for c in [Counter::PhaseComputeNs, Counter::PhaseCommNs] {
+            assert!(table.get(c) > 0, "host {h}: no {}", c.name());
+        }
+        assert_eq!(
+            table.get(Counter::EngineRounds),
+            host.metrics.num_rounds() as u64,
+            "host {h}"
+        );
+    }
+    for c in phases {
+        assert_eq!(moved.get(c), sum_over_hosts(fabric, c), "{}", c.name());
+    }
 }
