@@ -33,7 +33,7 @@ use crate::label::{BitSet, Label, LabelVec};
 use crate::metrics::{HostMetrics, RoundMetrics};
 use lci_graph::{DistGraph, Partitioning, Policy, Vid};
 use lci_trace::ring::now_ns;
-use lci_trace::{record_at, Counter, EventKind, Span};
+use lci_trace::{record_at, Counter, EventKind, Registry, Span};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -668,7 +668,7 @@ impl ProxySync {
     /// vertex as resolved through `plans[src]`; returns the sum of the votes
     /// the frames carried (`voted` says whether they carry one). A position
     /// outside the plan means a mangled frame slipped past framing; drop the
-    /// entry, not the host.
+    /// entry, not the host, and count it on the host's table.
     fn recv_frames<L: Label>(
         layer: &dyn CommLayer,
         channel: usize,
@@ -676,12 +676,12 @@ impl ProxySync {
         voted: bool,
         apply: impl Fn(usize, L),
     ) -> Result<u64, String> {
-        let mut votes = 0;
+        let (mut votes, table) = (0, layer.counters());
         recv_round(layer, channel, |src, data| {
             let plan = &plans[src as usize];
-            votes += decode_frame::<L>(&data, voted, |pos, v| match plan.get(pos as usize) {
+            votes += decode_frame::<L>(table, &data, voted, |pos, v| match plan.get(pos as usize) {
                 Some(&lid) => apply(lid as usize, v),
-                None => lci_trace::incr(Counter::EngineMalformedDropped),
+                None => table.incr(Counter::EngineMalformedDropped),
             });
             true
         })?;
@@ -758,9 +758,15 @@ impl Exchange for ProxySync {
 /// as [`ProxySync::send_frames`] writes it), handing `f` each entry; returns
 /// the vote of a `voted` frame. A malformed frame — too short for its vote or
 /// its count, or claiming more entries than it carries — is dropped whole:
-/// no entries, vote 0, counted on `engine.malformed_dropped`. Its peer is
-/// still complete for the round (one frame per peer), so nothing wedges.
-fn decode_frame<L: Label>(data: &[u8], voted: bool, mut f: impl FnMut(u32, L)) -> u64 {
+/// no entries, vote 0, counted on `engine.malformed_dropped` in `table`. Its
+/// peer is still complete for the round (one frame per peer), so nothing
+/// wedges.
+fn decode_frame<L: Label>(
+    table: &Registry,
+    data: &[u8],
+    voted: bool,
+    mut f: impl FnMut(u32, L),
+) -> u64 {
     let entry = 4 + L::WIRE_BYTES;
     let frame = if voted { take_vote(data) } else { Some((0, data)) };
     let checked = frame.and_then(|(vote, body)| {
@@ -771,7 +777,7 @@ fn decode_frame<L: Label>(data: &[u8], voted: bool, mut f: impl FnMut(u32, L)) -
         (count.checked_mul(entry)? <= entries.len()).then_some((vote, count, entries))
     });
     let Some((vote, count, entries)) = checked else {
-        lci_trace::incr(Counter::EngineMalformedDropped);
+        table.incr(Counter::EngineMalformedDropped);
         return 0;
     };
     for e in entries.chunks_exact(entry).take(count) {
@@ -1123,14 +1129,15 @@ mod tests {
 
     #[test]
     fn frames_roundtrip_with_and_without_a_vote() {
-        let frame = voted_frame();
+        let (frame, table) = (voted_frame(), Registry::new());
         let mut got = Vec::new();
-        assert_eq!(decode_frame::<u32>(&frame, true, |pos, v| got.push((pos, v))), 5);
+        assert_eq!(decode_frame::<u32>(&table, &frame, true, |pos, v| got.push((pos, v))), 5);
         assert_eq!(got, [(0, 10), (2, 12), (7, 17)]);
         // The same entries behind no vote: a broadcast frame.
         let (mut got, bare) = (Vec::new(), &frame[VOTE_BYTES..]);
-        assert_eq!(decode_frame::<u32>(bare, false, |pos, v| got.push((pos, v))), 0);
+        assert_eq!(decode_frame::<u32>(&table, bare, false, |pos, v| got.push((pos, v))), 0);
         assert_eq!(got, [(0, 10), (2, 12), (7, 17)]);
+        assert_eq!(table.get(Counter::EngineMalformedDropped), 0);
     }
 
     /// Every strict prefix of a vote-carrying frame — cut inside the vote,
@@ -1139,15 +1146,13 @@ mod tests {
     /// frame is one message, and `recv_frames` answers `true` to every one.)
     #[test]
     fn truncated_vote_carrying_frames_vote_zero() {
-        let frame = voted_frame();
-        let before = lci_trace::global().snapshot();
+        let (frame, table) = (voted_frame(), Registry::new());
         for cut in 0..frame.len() {
-            let vote = decode_frame::<u32>(&frame[..cut], true, |pos, _| {
+            let vote = decode_frame::<u32>(&table, &frame[..cut], true, |pos, _| {
                 panic!("cut {cut} delivered position {pos}")
             });
             assert_eq!(vote, 0, "cut {cut}");
         }
-        let dropped = lci_trace::global().snapshot().delta(&before);
-        assert!(dropped.get(Counter::EngineMalformedDropped) >= frame.len() as u64);
+        assert_eq!(table.get(Counter::EngineMalformedDropped), frame.len() as u64);
     }
 }

@@ -165,7 +165,7 @@ impl MpiProbeLayer {
                 let end = match (off + 8).checked_add(len) {
                     Some(end) if end <= data.len() => end,
                     _ => {
-                        lci_trace::incr(Counter::EngineMalformedDropped);
+                        self.counters().incr(Counter::EngineMalformedDropped);
                         return;
                     }
                 };
@@ -180,7 +180,7 @@ impl MpiProbeLayer {
             }
             if off != data.len() {
                 // Trailing bytes too short for a sub-frame header.
-                lci_trace::incr(Counter::EngineMalformedDropped);
+                self.counters().incr(Counter::EngineMalformedDropped);
             }
             return;
         }

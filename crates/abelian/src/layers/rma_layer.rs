@@ -225,7 +225,7 @@ impl CommLayer for MpiRmaLayer {
                 // model, so a lying length prefix should be impossible; keep
                 // the slot-capacity bound anyway rather than read past it.
                 if total > c.max_recv[src as usize] {
-                    lci_trace::incr(Counter::EngineMalformedDropped);
+                    self.counters().incr(Counter::EngineMalformedDropped);
                     return self.stall();
                 }
                 let mut blob = vec![0u8; total];
@@ -241,7 +241,7 @@ impl CommLayer for MpiRmaLayer {
                     let end = match (cursor + 4).checked_add(len) {
                         Some(end) if end <= total => end,
                         _ => {
-                            lci_trace::incr(Counter::EngineMalformedDropped);
+                            self.counters().incr(Counter::EngineMalformedDropped);
                             break;
                         }
                     };

@@ -62,26 +62,6 @@ impl MemBook {
     }
 }
 
-/// RAII guard: frees its byte count on drop.
-pub struct Tracked {
-    book: Arc<MemBook>,
-    bytes: usize,
-}
-
-impl Tracked {
-    /// Record `bytes` as held until this guard drops.
-    pub fn new(book: Arc<MemBook>, bytes: usize) -> Tracked {
-        book.alloc(bytes);
-        Tracked { book, bytes }
-    }
-}
-
-impl Drop for Tracked {
-    fn drop(&mut self) {
-        self.book.free(self.bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,16 +76,5 @@ mod tests {
         assert_eq!(b.current(), 250);
         assert_eq!(b.peak(), 300);
         assert_eq!(b.total_allocated(), 350);
-    }
-
-    #[test]
-    fn tracked_guard_frees() {
-        let b = MemBook::new();
-        {
-            let _t = Tracked::new(Arc::clone(&b), 64);
-            assert_eq!(b.current(), 64);
-        }
-        assert_eq!(b.current(), 0);
-        assert_eq!(b.peak(), 64);
     }
 }

@@ -101,7 +101,11 @@ pub struct Timing {
     pub mem_min: u64,
 }
 
-fn timing_of<L: abelian::Label>(total: Duration, r: &RunResult<L>) -> Timing {
+/// Time one engine run, from its call to its return.
+fn timed<L: abelian::Label>(run: impl FnOnce() -> RunResult<L>) -> Timing {
+    let t0 = Instant::now();
+    let r = run();
+    let total = t0.elapsed();
     let hosts: Vec<HostMetrics> = r.hosts.iter().map(|h| h.metrics.clone()).collect();
     let (compute, comm) = abelian::metrics::aggregate_breakdown(&hosts);
     Timing {
@@ -157,57 +161,27 @@ impl<'a> Scenario<'a> {
 
     /// Run an Abelian app and time it.
     pub fn run_abelian(&self, app: AppKind) -> Timing {
-        let (layers, _world) = self.build();
+        let (p, (layers, _world)) = (self.parts, self.build());
         let cfg = EngineConfig::default();
         match app {
-            AppKind::Bfs => {
-                let t0 = Instant::now();
-                let r = run_app(self.parts, Arc::new(Bfs { source: 0 }), &layers, &cfg);
-                timing_of(t0.elapsed(), &r)
-            }
-            AppKind::Cc => {
-                let t0 = Instant::now();
-                let r = run_app(self.parts, Arc::new(Cc), &layers, &cfg);
-                timing_of(t0.elapsed(), &r)
-            }
-            AppKind::PageRank => {
-                let t0 = Instant::now();
-                let r = run_app(self.parts, Arc::new(PageRank::default()), &layers, &cfg);
-                timing_of(t0.elapsed(), &r)
-            }
-            AppKind::Sssp => {
-                let t0 = Instant::now();
-                let r = run_app(self.parts, Arc::new(Sssp { source: 0 }), &layers, &cfg);
-                timing_of(t0.elapsed(), &r)
-            }
+            AppKind::Bfs => timed(|| run_app(p, Arc::new(Bfs { source: 0 }), &layers, &cfg)),
+            AppKind::Cc => timed(|| run_app(p, Arc::new(Cc), &layers, &cfg)),
+            AppKind::PageRank => timed(|| run_app(p, Arc::new(PageRank::default()), &layers, &cfg)),
+            AppKind::Sssp => timed(|| run_app(p, Arc::new(Sssp { source: 0 }), &layers, &cfg)),
         }
     }
 
     /// Run a Gemini app and time it (edge-cut partitionings only).
     pub fn run_gemini(&self, app: AppKind) -> Timing {
-        let (layers, _world) = self.build();
+        let (p, (layers, _world)) = (self.parts, self.build());
         let cfg = GeminiConfig::default();
         match app {
-            AppKind::Bfs => {
-                let t0 = Instant::now();
-                let r = run_gemini(self.parts, Arc::new(Bfs { source: 0 }), &layers, &cfg);
-                timing_of(t0.elapsed(), &r)
-            }
-            AppKind::Cc => {
-                let t0 = Instant::now();
-                let r = run_gemini(self.parts, Arc::new(Cc), &layers, &cfg);
-                timing_of(t0.elapsed(), &r)
-            }
+            AppKind::Bfs => timed(|| run_gemini(p, Arc::new(Bfs { source: 0 }), &layers, &cfg)),
+            AppKind::Cc => timed(|| run_gemini(p, Arc::new(Cc), &layers, &cfg)),
             AppKind::PageRank => {
-                let t0 = Instant::now();
-                let r = run_gemini(self.parts, Arc::new(PageRank::default()), &layers, &cfg);
-                timing_of(t0.elapsed(), &r)
+                timed(|| run_gemini(p, Arc::new(PageRank::default()), &layers, &cfg))
             }
-            AppKind::Sssp => {
-                let t0 = Instant::now();
-                let r = run_gemini(self.parts, Arc::new(Sssp { source: 0 }), &layers, &cfg);
-                timing_of(t0.elapsed(), &r)
-            }
+            AppKind::Sssp => timed(|| run_gemini(p, Arc::new(Sssp { source: 0 }), &layers, &cfg)),
         }
     }
 }

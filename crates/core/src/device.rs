@@ -35,15 +35,19 @@
 //! (context 0), so the fabric posts none. On the receive side an eager message is handed out in the
 //! buffer the fabric delivered it in ([`crate::RecvData`]).
 //!
-//! # Request cookies
+//! # Rendezvous ids
 //!
-//! Rendezvous identities travel as 64-bit cookies that are raw `Arc`
-//! pointers — in the `RTS`/`RTR` control packets and as the context of the
-//! put — mirroring how RDMA software passes work-request cookies to the
-//! NIC. Soundness rests on two invariants that hold by construction:
-//! cookies never leave the process, and each cookie is reconstructed
-//! exactly once (by the single progress call that observes the
-//! corresponding event).
+//! A rendezvous names its requests by 64-bit ids — in the `RTS`/`RTR`
+//! control packets, in a fragment's prefix, as the put's context and
+//! immediate value — the way RDMA software passes work-request ids to the
+//! NIC. Each request is parked in the device's table ([`Parked`]) from the
+//! packet that first carries its id to its last completion: the sender's
+//! from `RTS` to `PutDone` (or its last fragment), the receiver's from `RTR`
+//! to `PutArrived` (or its last fragment). Whatever names an id is looked
+//! up, never trusted: an id that names nothing — never issued, already
+//! answered, or from an incarnation [`rejoin`](Device::rejoin) discarded —
+//! is dropped and counted, in `fabric.epoch.stale_dropped` when its epoch is
+//! not current and in `lci.malformed_dropped` otherwise.
 //!
 //! # Wire hardening and reliable delivery
 //!
@@ -51,11 +55,10 @@
 //! [`lci_fabric::reliable::ReliableSession`]: a transport frame
 //! (per-destination sequence number + CRC over header, sequence, and body)
 //! plus an ack/retransmit header. On receive, [`Device::progress`] runs the
-//! session's verification **before** any protocol decoding — in particular
-//! before any cookie is turned back into a pointer — so the fabric's
+//! session's verification **before** any protocol decoding, so the fabric's
 //! corrupt/duplicate/truncate ghosts are dropped (and counted in
-//! `lci.malformed_dropped` / `lci.duplicate_dropped`) without ever reaching
-//! an unsafe path, and genuinely lost packets ([`lci_fabric::Fault::Drop`],
+//! `lci.malformed_dropped` / `lci.duplicate_dropped`) before any id in them
+//! is looked up, and genuinely lost packets ([`lci_fabric::Fault::Drop`],
 //! [`lci_fabric::Fault::Blackhole`]) are retransmitted until delivered or
 //! until the destination's retry budget declares it dead, which fails the
 //! device ([`EnqError::PeerDead`]) instead of wedging its callers.
@@ -67,7 +70,7 @@ use crate::protocol::{self, PacketType};
 use crate::request::{FilledRanges, RecvData, RecvRequest, ReqInner, ReqState, SendRequest};
 use bytes::Bytes;
 use lci_fabric::reliable::{RelRecv, ReliableSession, REL_DATA_OFFSET};
-use lci_fabric::{Endpoint, Event, MrKey, PacketBuf, SendError};
+use lci_fabric::{Endpoint, Event, MrKey, PacketBuf, Parked, SendError};
 use lci_trace::{Counter, EventKind, Registry};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -132,21 +135,12 @@ struct RxItem {
 /// payload alike: behind the transport-frame and reliable-layer headers.
 const BODY: usize = REL_DATA_OFFSET;
 
-fn req_cookie(req: Arc<ReqInner>) -> u64 {
-    Arc::into_raw(req) as u64
-}
-
-/// # Safety
-/// `cookie` must come from [`req_cookie`] and be consumed exactly once.
-unsafe fn take_req(cookie: u64) -> Arc<ReqInner> {
-    Arc::from_raw(cookie as *const ReqInner)
-}
-
+/// A rendezvous put: context `id` (its send request, parked until `PutDone`).
 struct PendingPut {
     dst: u16,
     key: MrKey,
     payload: Bytes,
-    send_req: Arc<ReqInner>,
+    id: u64,
     imm: u64,
 }
 
@@ -156,8 +150,8 @@ struct PendingFrags {
     tag: u32,
     payload: Bytes,
     next_offset: usize,
-    recv_cookie: u64,
-    send_req: Arc<ReqInner>,
+    recv_id: u64,
+    send_id: u64,
 }
 
 /// Counters describing a device's activity (diagnostics and benches): a
@@ -219,6 +213,9 @@ struct DeviceInner {
     rel: ReliableSession,
     /// Held by the caller that is making progress.
     progress: Mutex<Progress>,
+    /// Every request a rendezvous id names. A lock of its own: `send_enq`
+    /// and `recv_deq` park requests outside `progress`.
+    parked: Mutex<Parked<Arc<ReqInner>>>,
     failed: AtomicBool,
     cfg: LciConfig,
 }
@@ -260,6 +257,7 @@ impl Device {
                 rel: ReliableSession::with_bufs(&ep, Arc::clone(&pool) as _),
                 pool,
                 progress: Mutex::new(Progress::default()),
+                parked: Mutex::new(Parked::new(&ep)),
                 failed: AtomicBool::new(false),
                 cfg,
                 ep,
@@ -341,19 +339,17 @@ impl Device {
     /// host rejoins, survivors included — the reliable layer's sequence
     /// spaces restart fabric-wide).
     ///
-    /// The completion queue is drained once: the put cookies of
-    /// `PutDone`/`Error` and the parked receiver cookies of `PutArrived`
-    /// are reclaimed as errors, and queued `Recv` payloads are dropped
-    /// (their buffers return the fabric rx credits on drop). All queued
-    /// protocol state of the dead incarnation — first-packets, deferred
-    /// RTS, pending puts and fragment streams — is discarded: the engine
-    /// re-executes every round past its last checkpoint, regenerating the
-    /// traffic. The reliable session's reset ends every lease at once — the
-    /// packets of unacknowledged frames go back to the pool, which is full
-    /// again when this returns. Sender-side rendezvous cookies parked
-    /// inside discarded RTS payloads leak their `Arc` by design (the bytes
-    /// are opaque here); a crash leaks at most one small allocation per
-    /// abandoned rendezvous.
+    /// The completion queue is drained once, and queued `Recv` payloads
+    /// are dropped (their buffers return the fabric rx credits on drop).
+    /// All queued protocol state of the dead incarnation — first-packets,
+    /// deferred RTS, pending puts and fragment streams — is discarded: the
+    /// engine re-executes every round past its last checkpoint, regenerating
+    /// the traffic. Every parked request is unparked and marked an error, so
+    /// a rendezvous open in either direction fails instead of waiting on a
+    /// peer that has forgotten it, and an id of the dead incarnation that
+    /// comes back later names nothing. The reliable session's reset ends
+    /// every lease at once — the packets of unacknowledged frames go back to
+    /// the pool, which is full again when this returns.
     ///
     /// The failed flag is cleared last: a device that observed `PeerDead`
     /// or its own endpoint failure becomes usable again.
@@ -363,30 +359,15 @@ impl Device {
         let prog = &mut *prog;
         while inner.ep.drain_into(&mut prog.events) > 0 {
             for ev in prog.events.drain(..) {
-                match ev {
-                    Event::SendDone { .. } => {}
-                    Event::PutDone { ctx, .. } | Event::Error { ctx, .. } => {
-                        if ctx != 0 {
-                            // SAFETY: only puts carry a context, the cookie of
-                            // their send request, and this is its one completion.
-                            unsafe { take_req(ctx) }.mark_error();
-                        }
-                    }
-                    Event::PutArrived { imm, .. } => {
-                        // SAFETY: the fabric emits at most one PutArrived per
-                        // put, so this parked receiver cookie is unconsumed.
-                        let req = unsafe { take_req(imm) };
-                        req.mark_error();
-                    }
-                    Event::Recv { src, header, data } => {
-                        // Classify stragglers instead of silently dropping them:
-                        // the fabric epoch was already bumped, so frames of the
-                        // dead incarnation count under fabric.epoch.stale_dropped
-                        // here exactly as they would in the progress loop. Any
-                        // session state a (theoretical) fresh-epoch frame leaves
-                        // behind is wiped by the rel.rejoin() below.
-                        let _ = inner.rel.on_recv(&inner.ep, src, header, &data);
-                    }
+                // A put's completions name parked requests, failed below.
+                if let Event::Recv { src, header, data } = ev {
+                    // Classify stragglers instead of silently dropping them:
+                    // the fabric epoch was already bumped, so frames of the
+                    // dead incarnation count under fabric.epoch.stale_dropped
+                    // here exactly as they would in the progress loop. Any
+                    // session state a (theoretical) fresh-epoch frame leaves
+                    // behind is wiped by the rel.rejoin() below.
+                    let _ = inner.rel.on_recv(&inner.ep, src, header, &data);
                 }
             }
         }
@@ -396,11 +377,10 @@ impl Device {
             deferred.clear();
             inner.deferred_len.store(0, Ordering::Release);
         }
-        for p in prog.pending_puts.drain(..) {
-            p.send_req.mark_error();
-        }
-        for f in prog.pending_frags.drain(..) {
-            f.send_req.mark_error();
+        prog.pending_puts.clear();
+        prog.pending_frags.clear();
+        for req in inner.parked.lock().drain() {
+            req.mark_error();
         }
         inner.rel.rejoin();
         inner.failed.store(false, Ordering::Release);
@@ -486,23 +466,18 @@ impl Device {
         } else {
             let len = data.len();
             let req = ReqInner::new(dst, tag, len, ReqState::SendPayload(data));
-            let cookie = req_cookie(Arc::clone(&req));
-            packet[BODY..BODY + 8].copy_from_slice(&protocol::encode_rts(cookie));
+            let id = inner.parked.lock().park(Arc::clone(&req));
+            packet[BODY..BODY + 8].copy_from_slice(&protocol::encode_rts(id));
             let header = protocol::pack(PacketType::Rts, tag, len as u64);
-            match self.send_packet(dst, header, packet, 8) {
-                Ok(()) => {
-                    self.counters().incr(Counter::LciRdvOpened);
-                    Ok(SendRequest { inner: req })
+            self.send_packet(dst, header, packet, 8).inspect_err(|e| {
+                // The RTS never left: nothing can name the id.
+                inner.parked.lock().take(id);
+                if e.is_retryable() {
+                    self.counters().incr(Counter::LciEnqRejected);
                 }
-                Err(e) => {
-                    // SAFETY: the RTS never left, so the cookie is still ours.
-                    let _ = unsafe { take_req(cookie) };
-                    if e.is_retryable() {
-                        self.counters().incr(Counter::LciEnqRejected);
-                    }
-                    Err(e)
-                }
-            }
+            })?;
+            self.counters().incr(Counter::LciRdvOpened);
+            Ok(SendRequest { inner: req })
         }
     }
 
@@ -573,7 +548,7 @@ impl Device {
                 Some(RecvRequest { inner: req })
             }
             PacketType::Rts => {
-                let Some(send_cookie) = protocol::decode_rts(&item.data[BODY..]) else {
+                let Some(send_id) = protocol::decode_rts(&item.data[BODY..]) else {
                     self.counters().incr(Counter::LciMalformedDropped);
                     return None; // malformed control packet: drop
                 };
@@ -598,12 +573,9 @@ impl Device {
                     ),
                 };
                 let req = ReqInner::new(item.src, item.tag, item.size as usize, state);
-                let recv_cookie = req_cookie(Arc::clone(&req));
-                packet[BODY..BODY + 24].copy_from_slice(&protocol::encode_rtr(
-                    send_cookie,
-                    key.0,
-                    recv_cookie,
-                ));
+                let recv_id = inner.parked.lock().park(Arc::clone(&req));
+                packet[BODY..BODY + 24]
+                    .copy_from_slice(&protocol::encode_rtr(send_id, key.0, recv_id));
                 let header = protocol::pack(PacketType::Rtr, item.tag, item.size);
                 match self.send_packet(item.src, header, packet, 24) {
                     Ok(()) => {
@@ -611,9 +583,9 @@ impl Device {
                         Some(RecvRequest { inner: req })
                     }
                     Err(_) => {
-                        // Unwind: reclaim the cookie and MR, defer the RTS.
-                        // SAFETY: the RTR never left.
-                        let _ = unsafe { take_req(recv_cookie) };
+                        // Unwind: the RTR never left. Unpark the request,
+                        // drop the MR, defer the RTS.
+                        inner.parked.lock().take(recv_id);
                         if key.0 != 0 {
                             inner.ep.deregister_mr(key);
                         }
@@ -709,50 +681,35 @@ impl Device {
                 // retransmission, standalone ack — is unsignaled; its packet
                 // is the reliable session's until the ack.
                 Event::SendDone { .. } => {}
-                Event::PutDone { ctx, .. } => {
-                    // Consumed regardless of its epoch — the cookie must be
-                    // reclaimed exactly once whether or not the put's memory
-                    // write was suppressed.
-                    if ctx != 0 {
-                        // SAFETY: ctx is the cookie `issue_put` made of the
-                        // send request, and this is the put's one completion.
-                        unsafe { take_req(ctx) }.mark_done();
+                Event::PutDone { ctx, epoch } => {
+                    if let Some(req) = self.claim(ctx, epoch) {
+                        req.mark_done();
                     }
                 }
                 Event::PutArrived { imm, epoch, .. } => {
-                    // SAFETY: imm is the receiver cookie from our RTR,
-                    // echoed exactly once by the peer's put. The fabric
-                    // emits at most one PutArrived per put (and none for
-                    // stale-epoch puts), so the cookie is unconsumed here.
-                    let req = unsafe { take_req(imm) };
+                    let Some(req) = self.claim(imm, epoch) else {
+                        continue;
+                    };
                     if epoch != inner.ep.fabric_epoch() {
                         // Straggler queued before a respawn but consumed
-                        // after this device rejoined: the request belongs to
-                        // the dead incarnation. Reclaim the parked reference
-                        // without completing it.
+                        // before this device rejoined: the request belongs
+                        // to the dead incarnation. Fail it.
                         self.counters().incr(Counter::FabricEpochStaleDropped);
                         req.mark_error();
                         continue;
                     }
                     let mut st = req.state.lock();
-                    if let ReqState::RecvMr(mr) =
-                        std::mem::replace(&mut *st, ReqState::Empty)
-                    {
-                        let key = mr.key();
-                        let data = mr.take();
-                        inner.ep.deregister_mr(key);
-                        *st = ReqState::RecvReady(RecvData::new(data, 0));
+                    if let ReqState::RecvMr(mr) = std::mem::replace(&mut *st, ReqState::Empty) {
+                        inner.ep.deregister_mr(mr.key());
+                        *st = ReqState::RecvReady(RecvData::new(mr.take(), 0));
                     }
                     drop(st);
                     req.mark_done();
                 }
                 Event::Error { ctx, .. } => {
                     inner.failed.store(true, Ordering::Release);
-                    if ctx != 0 {
-                        // SAFETY: only a put carries a context; the failed
-                        // put's cookie completes here.
-                        unsafe { take_req(ctx) }.mark_error();
-                    }
+                    // Only a put carries a context: its send request fails.
+                    self.finish(ctx, false);
                 }
             }
         }
@@ -763,14 +720,26 @@ impl Device {
         handled
     }
 
+    /// Unpark the request a completion of `epoch` names. An id that names
+    /// nothing is dropped and counted: as stale when `epoch` is not the
+    /// fabric's, as malformed otherwise.
+    fn claim(&self, id: u64, epoch: u32) -> Option<Arc<ReqInner>> {
+        let req = self.inner.parked.lock().take(id);
+        if req.is_none() && epoch == self.inner.ep.fabric_epoch() {
+            self.counters().incr(Counter::LciMalformedDropped);
+        } else if req.is_none() {
+            self.counters().incr(Counter::FabricEpochStaleDropped);
+        }
+        req
+    }
+
     fn on_recv(&self, prog: &mut Progress, src: u16, header: u64, data: PacketBuf) {
         let inner = &self.inner;
-        // Run the reliable layer before any protocol decoding. This is the
-        // device's sole defense for the cookie-carrying control packets
-        // below: a corrupt/truncated ghost fails the checksum, a duplicate
-        // (ghost or retransmission) re-uses an admitted sequence number,
-        // and ack frames are pure control traffic — none of them may reach
-        // an unsafe path.
+        // Run the reliable layer before any protocol decoding: a
+        // corrupt/truncated ghost fails the checksum, a duplicate (ghost or
+        // retransmission) re-uses an admitted sequence number, and ack
+        // frames are pure control traffic — none of them reaches the
+        // id-carrying control packets below.
         match inner.rel.on_recv(&inner.ep, src, header, &data) {
             RelRecv::Data => {}
             RelRecv::Duplicate => {
@@ -783,8 +752,8 @@ impl Device {
             }
             RelRecv::Ack => return,
             // A frame sealed under a dead fabric incarnation (already
-            // counted by the reliable layer). Its cookies, if any, belong
-            // to state torn down at the rejoin: never decode them.
+            // counted by the reliable layer). Its ids, if any, name
+            // requests the rejoin failed: never decode them.
             RelRecv::Stale => return,
         }
         let Some((ty, tag, size)) = protocol::unpack(header) else {
@@ -802,23 +771,28 @@ impl Device {
                 });
             }
             PacketType::Rtr => {
-                let Some((send_cookie, key, recv_cookie)) = protocol::decode_rtr(&data[BODY..])
-                else {
+                let Some((send_id, key, recv_id)) = protocol::decode_rtr(&data[BODY..]) else {
                     self.counters().incr(Counter::LciMalformedDropped);
                     return;
                 };
                 drop(data); // release the rx credit before the (long) put
-                // SAFETY: our RTS carried this cookie; the peer answers once.
-                let send_req = unsafe { take_req(send_cookie) };
-                let payload = {
-                    let mut st = send_req.state.lock();
+                // The send request stays parked until its put completes; an
+                // RTR that names nothing, or one already answered, finds no
+                // payload to send.
+                let req = inner.parked.lock().get(send_id).cloned();
+                let payload = req.and_then(|req| {
+                    let mut st = req.state.lock();
                     match std::mem::replace(&mut *st, ReqState::Empty) {
-                        ReqState::SendPayload(b) => b,
+                        ReqState::SendPayload(b) => Some(b),
                         other => {
                             *st = other;
-                            return;
+                            None
                         }
                     }
+                });
+                let Some(payload) = payload else {
+                    self.counters().incr(Counter::LciMalformedDropped);
+                    return;
                 };
                 match inner.cfg.put_mode {
                     crate::config::PutMode::Rdma => {
@@ -826,8 +800,8 @@ impl Device {
                             dst: src,
                             key: MrKey(key),
                             payload,
-                            send_req,
-                            imm: recv_cookie,
+                            id: send_id,
+                            imm: recv_id,
                         };
                         if !self.issue_put(&p) {
                             prog.pending_puts.push_back(p);
@@ -839,8 +813,8 @@ impl Device {
                             tag,
                             payload,
                             next_offset: 0,
-                            recv_cookie,
-                            send_req,
+                            recv_id,
+                            send_id,
                         });
                         self.issue_frags(prog);
                     }
@@ -848,57 +822,45 @@ impl Device {
             }
             PacketType::Frag => {
                 let body_full = &data[BODY..];
-                let Some((cookie, offset)) = protocol::decode_frag_header(body_full) else {
+                let Some((recv_id, offset)) = protocol::decode_frag_header(body_full) else {
                     self.counters().incr(Counter::LciMalformedDropped);
                     return;
                 };
                 let body = &body_full[16..];
-                // SAFETY: one strong reference is parked in the cookie until
-                // the final fragment; borrowing through it (without taking
-                // ownership) is valid for every non-final fragment. Only
-                // checksummed, dedup-admitted packets reach this point, so
-                // the cookie is one we issued and have not yet consumed.
-                let req = unsafe { &*(cookie as *const ReqInner) };
-                let complete = {
-                    let mut st = req.state.lock();
-                    if let ReqState::RecvAssembly { buf, filled } = &mut *st {
-                        let off = offset as usize;
-                        match off.checked_add(body.len()) {
-                            // Copy only after both bounds and overlap checks
-                            // pass: an out-of-range fragment is dropped
-                            // instead of panicking, and a re-delivered range
-                            // can no longer double-count toward completion.
-                            Some(end) if end <= buf.len() => {
-                                if filled.insert(off, end) {
-                                    buf[off..end].copy_from_slice(body);
-                                    filled.covered() == buf.len()
-                                } else {
-                                    self.counters().incr(Counter::LciDuplicateDropped);
-                                    false
-                                }
-                            }
-                            _ => {
-                                self.counters().incr(Counter::LciMalformedDropped);
-                                false
-                            }
-                        }
-                    } else {
-                        false
-                    }
+                // The receive request stays parked until its last fragment.
+                let Some(req) = inner.parked.lock().get(recv_id).cloned() else {
+                    self.counters().incr(Counter::LciMalformedDropped);
+                    return;
                 };
-                if complete {
-                    {
-                        let mut st = req.state.lock();
-                        if let ReqState::RecvAssembly { buf, .. } =
-                            std::mem::replace(&mut *st, ReqState::Empty)
-                        {
-                            *st = ReqState::RecvReady(RecvData::new(buf, 0));
+                let mut st = req.state.lock();
+                let ReqState::RecvAssembly { buf, filled } = &mut *st else {
+                    return;
+                };
+                let off = offset as usize;
+                match off.checked_add(body.len()) {
+                    // Copy only after both bounds and overlap checks pass:
+                    // an out-of-range fragment is dropped instead of
+                    // panicking, and a re-delivered range can no longer
+                    // double-count toward completion.
+                    Some(end) if end <= buf.len() => {
+                        if !filled.insert(off, end) {
+                            self.counters().incr(Counter::LciDuplicateDropped);
+                            return;
+                        }
+                        buf[off..end].copy_from_slice(body);
+                        if filled.covered() < buf.len() {
+                            return;
                         }
                     }
-                    // SAFETY: final fragment — consume the parked reference.
-                    let req = unsafe { take_req(cookie) };
-                    req.mark_done();
+                    _ => {
+                        self.counters().incr(Counter::LciMalformedDropped);
+                        return;
+                    }
                 }
+                let buf = std::mem::take(buf);
+                *st = ReqState::RecvReady(RecvData::new(buf, 0));
+                drop(st);
+                self.finish(recv_id, true);
             }
         }
     }
@@ -920,7 +882,7 @@ impl Device {
                 let len = end - f.next_offset;
                 let body = &mut packet[BODY..BODY + 16 + len];
                 body[..16].copy_from_slice(&protocol::encode_frag_header(
-                    f.recv_cookie,
+                    f.recv_id,
                     f.next_offset as u64,
                 ));
                 body[16..].copy_from_slice(&f.payload[f.next_offset..end]);
@@ -932,7 +894,7 @@ impl Device {
                     }
                     Err(e) if e.is_retryable() => return issued,
                     Err(_) => {
-                        f.send_req.mark_error();
+                        self.finish(f.send_id, false);
                         inner.failed.store(true, Ordering::Release);
                         q.pop_front();
                         return issued;
@@ -941,33 +903,38 @@ impl Device {
             }
             // Whole payload copied into the fabric: the send is complete
             // from the user's perspective.
-            f.send_req.mark_done();
+            self.finish(f.send_id, true);
             q.pop_front();
         }
         issued
     }
 
     /// Try to inject a rendezvous put. Returns false on back-pressure (the
-    /// caller keeps the `PendingPut` for retry).
+    /// caller keeps the `PendingPut` for retry; its request stays parked).
     fn issue_put(&self, p: &PendingPut) -> bool {
-        // The put's context is its send request: `PutDone` completes it.
-        let ctx = req_cookie(Arc::clone(&p.send_req));
+        // The put's context is its send request's id: `PutDone` completes it.
         match self
             .inner
             .ep
-            .try_put(p.dst, p.key, 0, &p.payload, ctx, Some(p.imm))
+            .try_put(p.dst, p.key, 0, &p.payload, p.id, Some(p.imm))
         {
             Ok(()) => true,
-            Err(SendError::Backpressure) => {
-                // SAFETY: rejected synchronously; cookie never handed off.
-                let _ = unsafe { take_req(ctx) };
-                false
-            }
+            Err(SendError::Backpressure) => false,
             Err(_) => {
-                // SAFETY: as above.
-                unsafe { take_req(ctx) }.mark_error();
+                self.finish(p.id, false);
                 self.inner.failed.store(true, Ordering::Release);
                 true // fatal: don't retry
+            }
+        }
+    }
+
+    /// Unpark the request `id` names and mark it done or failed.
+    fn finish(&self, id: u64, done: bool) {
+        if let Some(req) = self.inner.parked.lock().take(id) {
+            if done {
+                req.mark_done();
+            } else {
+                req.mark_error();
             }
         }
     }

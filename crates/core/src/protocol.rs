@@ -3,11 +3,11 @@
 //! LCI needs only three two-sided packet types (plus the RDMA put itself):
 //!
 //! * `EGR` — eager data packet, used below the rendezvous threshold.
-//! * `RTS` — ready-to-send, opens a rendezvous; carries the sender's request
-//!   cookie.
-//! * `RTR` — ready-to-receive, answers an RTS; carries the sender's cookie
-//!   back, the receiver's registered region key, and the receiver's request
-//!   cookie (which the sender echoes as the put's immediate value).
+//! * `RTS` — ready-to-send, opens a rendezvous; carries the id of the
+//!   sender's request.
+//! * `RTR` — ready-to-receive, answers an RTS; carries the sender's id back,
+//!   the receiver's registered region key, and the id of the receiver's
+//!   request (which the sender echoes as the put's immediate value).
 //!
 //! There is deliberately **no** tag matching or ordering in this layer — the
 //! header's tag field is transported verbatim for the upper layer to use.
@@ -46,15 +46,15 @@ impl PacketType {
     }
 }
 
-/// Fragment payload prefix: receiver request cookie + byte offset.
-pub fn encode_frag_header(recv_cookie: u64, offset: u64) -> [u8; 16] {
+/// Fragment payload prefix: receiver request id + byte offset.
+pub fn encode_frag_header(recv_id: u64, offset: u64) -> [u8; 16] {
     let mut out = [0u8; 16];
-    out[..8].copy_from_slice(&recv_cookie.to_le_bytes());
+    out[..8].copy_from_slice(&recv_id.to_le_bytes());
     out[8..].copy_from_slice(&offset.to_le_bytes());
     out
 }
 
-/// Decode a fragment prefix as `(recv_cookie, offset)`; `None` on short
+/// Decode a fragment prefix as `(recv_id, offset)`; `None` on short
 /// input. Total, panic-free on arbitrary bytes.
 pub fn decode_frag_header(payload: &[u8]) -> Option<(u64, u64)> {
     if payload.len() < 16 {
@@ -81,27 +81,27 @@ pub fn unpack(header: u64) -> Option<(PacketType, u32, u64)> {
     Some((ty, tag, size))
 }
 
-/// RTS payload: 8-byte little-endian sender request cookie.
-pub fn encode_rts(send_cookie: u64) -> [u8; 8] {
-    send_cookie.to_le_bytes()
+/// RTS payload: 8-byte little-endian sender request id.
+pub fn encode_rts(send_id: u64) -> [u8; 8] {
+    send_id.to_le_bytes()
 }
 
-/// Decode an RTS payload as the sender request cookie; `None` on short
+/// Decode an RTS payload as the sender request id; `None` on short
 /// input. Total, panic-free on arbitrary bytes.
 pub fn decode_rts(payload: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(payload.get(..8)?.try_into().ok()?))
 }
 
-/// RTR payload: sender cookie, memory-region key, receiver cookie.
-pub fn encode_rtr(send_cookie: u64, mr_key: u64, recv_cookie: u64) -> [u8; 24] {
+/// RTR payload: sender id, memory-region key, receiver id.
+pub fn encode_rtr(send_id: u64, mr_key: u64, recv_id: u64) -> [u8; 24] {
     let mut out = [0u8; 24];
-    out[..8].copy_from_slice(&send_cookie.to_le_bytes());
+    out[..8].copy_from_slice(&send_id.to_le_bytes());
     out[8..16].copy_from_slice(&mr_key.to_le_bytes());
-    out[16..].copy_from_slice(&recv_cookie.to_le_bytes());
+    out[16..].copy_from_slice(&recv_id.to_le_bytes());
     out
 }
 
-/// Decode an RTR payload as `(send_cookie, mr_key, recv_cookie)`; `None` on
+/// Decode an RTR payload as `(send_id, mr_key, recv_id)`; `None` on
 /// short input. Total, panic-free on arbitrary bytes.
 pub fn decode_rtr(payload: &[u8]) -> Option<(u64, u64, u64)> {
     if payload.len() < 24 {

@@ -152,6 +152,8 @@ pub(crate) struct EndpointShared {
     pub(crate) rx_credits: AtomicI64,
     pub(crate) mrs: Mutex<HashMap<u64, Arc<MrInner>>>,
     pub(crate) next_mr: AtomicU64,
+    /// Where [`crate::Parked`] ids come from: never reset, starts above 1.
+    pub(crate) next_id: AtomicU64,
     pub(crate) failed: AtomicBool,
     /// This host's counter table: the one store for everything counted on
     /// behalf of the host, by the wire and by every layer above that holds
@@ -168,6 +170,7 @@ impl EndpointShared {
             rx_credits: AtomicI64::new(rx_buffers as i64),
             mrs: Mutex::new(HashMap::new()),
             next_mr: AtomicU64::new(1),
+            next_id: AtomicU64::new(2),
             failed: AtomicBool::new(false),
             counters: Registry::for_host(),
         }

@@ -353,7 +353,7 @@ impl ReliableSession {
     ///
     /// `ctx` is returned in the `SendDone` of the *first* transmission only
     /// — retransmissions and standalone acks go out unsignaled (ctx 0) — so
-    /// completion-cookie callers see exactly one completion per send, and a
+    /// callers that wait on contexts see exactly one completion per send, and a
     /// caller passing 0 sees none: the window, not a completion, is what
     /// holds the frame.
     ///

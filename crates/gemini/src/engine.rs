@@ -184,7 +184,7 @@ impl Exchange for GeminiConfig {
             // so the barrier cannot wedge).
             let Some((total, peer_vote)) = decode_chunk::<A::Acc>(&data, plan, identity, &deliver)
             else {
-                lci_trace::incr(Counter::EngineMalformedDropped);
+                layer.counters().incr(Counter::EngineMalformedDropped);
                 return false;
             };
             chunks_got[src as usize] += 1;

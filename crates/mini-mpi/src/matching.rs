@@ -6,7 +6,6 @@
 //! force full traversals. The traversal cost per element is charged from the
 //! active [`Personality`](crate::Personality).
 
-use bytes::Bytes;
 use std::collections::VecDeque;
 
 /// Result of a successful probe: enough information to post the receive,
@@ -35,8 +34,8 @@ pub(crate) struct UnexMsg {
 pub(crate) enum UnexBody {
     /// Eager message: full payload present.
     Eager(Vec<u8>),
-    /// Rendezvous announcement: size and the sender's request cookie.
-    Rts { size: usize, send_cookie: u64 },
+    /// Rendezvous announcement: size and the id of the sender's request.
+    Rts { size: usize, send_id: u64 },
 }
 
 impl UnexMsg {
@@ -48,7 +47,7 @@ impl UnexMsg {
     }
 }
 
-/// Decode an RTS envelope as `(size, send_cookie)`; `None` on short input.
+/// Decode an RTS envelope as `(size, send_id)`; `None` on short input.
 /// Total and panic-free: RTS bodies reach this from the wire, and the
 /// hardened progress path drops short ones instead of unwrapping.
 pub(crate) fn decode_rts_envelope(body: &[u8]) -> Option<(usize, u64)> {
@@ -56,11 +55,21 @@ pub(crate) fn decode_rts_envelope(body: &[u8]) -> Option<(usize, u64)> {
         return None;
     }
     let size = u64::from_le_bytes(body[..8].try_into().ok()?) as usize;
-    let cookie = u64::from_le_bytes(body[8..16].try_into().ok()?);
-    Some((size, cookie))
+    let id = u64::from_le_bytes(body[8..16].try_into().ok()?);
+    Some((size, id))
 }
 
-/// Decode an RTR envelope as `(send_cookie, mr_key, recv_cookie)`; `None` on
+/// An RTR envelope: the sender's request id, the landing region's key, the
+/// receiver's request id.
+pub(crate) fn encode_rtr_envelope(send_id: u64, mr_key: u64, recv_id: u64) -> [u8; 24] {
+    let mut body = [0u8; 24];
+    body[..8].copy_from_slice(&send_id.to_le_bytes());
+    body[8..16].copy_from_slice(&mr_key.to_le_bytes());
+    body[16..].copy_from_slice(&recv_id.to_le_bytes());
+    body
+}
+
+/// Decode an RTR envelope as `(send_id, mr_key, recv_id)`; `None` on
 /// short input. Total and panic-free on arbitrary bytes.
 pub(crate) fn decode_rtr_envelope(body: &[u8]) -> Option<(u64, u64, u64)> {
     if body.len() < 24 {
@@ -146,15 +155,10 @@ impl Matching {
     }
 }
 
-// Bytes is used by p2p for payload ownership; keep the import local to the
-// crate even though this module only names it in signatures elsewhere.
-#[allow(unused)]
-fn _bytes_marker(_: Bytes) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::p2p::ReqInner;
+    use crate::p2p::{ReqInner, ReqPayload};
 
     fn unex(src: u16, tag: u32, seq: u64) -> UnexMsg {
         UnexMsg {
@@ -218,10 +222,7 @@ mod tests {
             assert_eq!(decode_rts_envelope(&rts[..cut]), None);
         }
 
-        let mut rtr = [0u8; 24];
-        rtr[..8].copy_from_slice(&1u64.to_le_bytes());
-        rtr[8..16].copy_from_slice(&2u64.to_le_bytes());
-        rtr[16..24].copy_from_slice(&3u64.to_le_bytes());
+        let rtr = encode_rtr_envelope(1, 2, 3);
         assert_eq!(decode_rtr_envelope(&rtr), Some((1, 2, 3)));
         for cut in 0..24 {
             assert_eq!(decode_rtr_envelope(&rtr[..cut]), None);
@@ -234,12 +235,12 @@ mod tests {
         m.posted.push_back(PostedRecv {
             src: Some(2),
             tag: None,
-            req: ReqInner::new_for_test(),
+            req: ReqInner::new(ReqPayload::Empty),
         });
         m.posted.push_back(PostedRecv {
             src: None,
             tag: Some(7),
-            req: ReqInner::new_for_test(),
+            req: ReqInner::new(ReqPayload::Empty),
         });
         assert!(m.take_posted(3, 9).is_none());
         assert!(m.take_posted(2, 1).is_some());

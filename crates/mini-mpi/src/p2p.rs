@@ -14,14 +14,15 @@
 
 use crate::error::MpiError;
 use crate::matching::{
-    decode_rts_envelope, decode_rtr_envelope, Matching, MpiStatus, PostedRecv, UnexBody, UnexMsg,
+    decode_rtr_envelope, decode_rts_envelope, encode_rtr_envelope, Matching, MpiStatus, PostedRecv,
+    UnexBody, UnexMsg,
 };
 use crate::personality::Personality;
 use crate::rma::{RmaState, WinRegistry};
 use bytes::Bytes;
 use lci_fabric::busy::spin_for_ns;
 use lci_fabric::reliable::{RelRecv, ReliableSession, REL_DATA_OFFSET};
-use lci_fabric::{Endpoint, Event, MemRegion, SendError};
+use lci_fabric::{Endpoint, Event, MemRegion, Parked, SendError};
 use lci_trace::Counter;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
@@ -131,11 +132,6 @@ impl ReqInner {
         })
     }
 
-    #[cfg(test)]
-    pub(crate) fn new_for_test() -> Arc<Self> {
-        Self::new(ReqPayload::Empty)
-    }
-
     pub(crate) fn mark_done(&self) {
         self.status.store(DONE, Ordering::Release);
     }
@@ -188,21 +184,8 @@ impl RecvReq {
     }
 }
 
-// ---- cookies (same soundness argument as in `lci::device`) ---------------
-
-fn req_cookie(req: Arc<ReqInner>) -> u64 {
-    Arc::into_raw(req) as u64
-}
-
-/// # Safety
-/// `cookie` must come from [`req_cookie`] and be consumed exactly once.
-unsafe fn take_req(cookie: u64) -> Arc<ReqInner> {
-    Arc::from_raw(cookie as *const ReqInner)
-}
-
-/// Put contexts: 0 = ignorable control send, 1 = RMA put, otherwise a boxed
-/// request cookie for a rendezvous put. Box pointers are aligned, so they
-/// can never collide with 0 or 1.
+/// Put contexts: 0 = ignorable control send, 1 = RMA put; any other is the
+/// [`Parked`] id of a rendezvous put's send request (never 0 or 1).
 pub(crate) const CTX_IGNORE: u64 = 0;
 pub(crate) const CTX_RMA_PUT: u64 = 1;
 
@@ -240,11 +223,12 @@ struct Reorder {
 
 // ---- pending rendezvous put ----------------------------------------------
 
+/// A rendezvous put: context `id` (its send request, parked until `PutDone`).
 struct PendingPut {
     dst: u16,
     key: lci_fabric::MrKey,
     payload: Bytes,
-    req: Arc<ReqInner>,
+    id: u64,
     imm: u64,
 }
 
@@ -254,6 +238,9 @@ pub(crate) struct State {
     pub matching: Matching,
     reorder: Vec<Reorder>,
     pending_puts: Vec<PendingPut>,
+    /// Every request a rendezvous id names, from its RTS (sender) or RTR
+    /// (receiver) to its put's completion.
+    parked: Parked<Arc<ReqInner>>,
     pub rma: RmaState,
     pub failed: Option<String>,
     /// The endpoint's completions, taken a batch at a time
@@ -308,6 +295,7 @@ impl MpiComm {
                     matching: Matching::default(),
                     reorder: (0..nranks).map(|_| Reorder::default()).collect(),
                     pending_puts: Vec::new(),
+                    parked: Parked::new(&ep),
                     rma: RmaState::default(),
                     failed: None,
                     events: VecDeque::new(),
@@ -365,22 +353,15 @@ impl MpiComm {
         &self.inner.win_counter
     }
 
-    /// Lock the state for RMA synchronization waits (same entry costs as any
-    /// other MPI call).
-    pub(crate) fn state_for_rma(
-        &self,
-    ) -> Result<parking_lot::MutexGuard<'_, State>, MpiError> {
-        self.enter()
-    }
-
     /// Send an empty control message, charging call overhead.
     pub(crate) fn ctrl_send(&self, dst: u16, header: u64) -> Result<(), MpiError> {
         let mut st = self.enter()?;
         self.wire_send(&mut st, dst, header, &[], CTX_IGNORE)
     }
 
-    /// Charge per-call overheads and lock the state.
-    fn enter(&self) -> Result<parking_lot::MutexGuard<'_, State>, MpiError> {
+    /// Charge per-call overheads and lock the state (RMA synchronization
+    /// waits enter the same way).
+    pub(crate) fn enter(&self) -> Result<parking_lot::MutexGuard<'_, State>, MpiError> {
         let p = &self.inner.cfg.personality;
         spin_for_ns(p.call_overhead_ns);
         if matches!(self.inner.cfg.thread_level, ThreadLevel::Multiple) {
@@ -527,8 +508,8 @@ impl MpiComm {
             match ev {
                 Event::Recv { src, header, data } => {
                     // Run the reliable layer before decoding anything — in
-                    // particular before the cookie-carrying RTR below is
-                    // trusted. Ghost copies injected by the fabric's
+                    // particular before the id in an RTR below is looked
+                    // up. Ghost copies injected by the fabric's
                     // corrupt/truncate faults fail the checksum; duplicates
                     // (ghosts or retransmissions) re-use an admitted
                     // sequence number; ack frames carry no payload.
@@ -544,8 +525,8 @@ impl MpiComm {
                         }
                         RelRecv::Ack => continue,
                         // Sealed under a dead fabric incarnation (counted by
-                        // the reliable layer): its cookies belong to state
-                        // torn down at the rejoin — never decode them.
+                        // the reliable layer): its ids name requests of a
+                        // discarded communicator — never decode them.
                         RelRecv::Stale => continue,
                     }
                     let (kind, tag, seq) = unpack(header);
@@ -590,33 +571,36 @@ impl MpiComm {
                             }
                         }
                         KIND_RTR => {
-                            let Some((send_cookie, key, recv_cookie)) =
+                            let Some((send_id, key, recv_id)) =
                                 decode_rtr_envelope(&data[REL_DATA_OFFSET..])
                             else {
                                 inner.ep.counters().incr(Counter::MpiMalformedDropped);
                                 continue;
                             };
                             drop(data);
-                            // SAFETY: our RTS carried the cookie; one answer.
-                            // Only checksummed, dedup-admitted frames reach
-                            // this reconstruction.
-                            let req = unsafe { take_req(send_cookie) };
-                            let payload = {
+                            // The send request stays parked until its put
+                            // completes; an RTR that names nothing, or one
+                            // already answered, finds no payload to send.
+                            let payload = st.parked.get(send_id).and_then(|req| {
                                 let mut p = req.payload.lock();
                                 match std::mem::replace(&mut *p, ReqPayload::Empty) {
-                                    ReqPayload::SendPayload(b) => b,
+                                    ReqPayload::SendPayload(b) => Some(b),
                                     other => {
                                         *p = other;
-                                        continue;
+                                        None
                                     }
                                 }
+                            });
+                            let Some(payload) = payload else {
+                                inner.ep.counters().incr(Counter::MpiMalformedDropped);
+                                continue;
                             };
                             st.pending_puts.push(PendingPut {
                                 dst: src,
                                 key: lci_fabric::MrKey(key),
                                 payload,
-                                req,
-                                imm: recv_cookie,
+                                id: send_id,
+                                imm: recv_id,
                             });
                         }
                         KIND_RMA_POST => st.rma.on_post(tag as u64),
@@ -628,44 +612,33 @@ impl MpiComm {
                 // Never posted: every wire send here is unsignaled
                 // (`CTX_IGNORE`); the reliable window holds the frame.
                 Event::SendDone { .. } => {}
-                // PutDone is consumed regardless of its epoch: the cookie
-                // must be reclaimed exactly once whether or not the put's
-                // memory write was suppressed as stale.
-                Event::PutDone { ctx, .. } => match ctx {
+                Event::PutDone { ctx, epoch } => match ctx {
                     CTX_RMA_PUT => {
                         inner.outstanding_rma_puts.fetch_sub(1, Ordering::AcqRel);
                     }
                     CTX_IGNORE => {}
-                    cookie => {
-                        // SAFETY: rendezvous put cookie, unique completion.
-                        let req = unsafe { take_req(cookie) };
-                        req.mark_done();
+                    id => {
+                        if let Some(req) = self.claim(st, id, epoch) {
+                            req.mark_done();
+                        }
                     }
                 },
                 Event::PutArrived { imm, epoch, .. } => {
-                    if imm == CTX_IGNORE {
+                    let Some(req) = self.claim(st, imm, epoch) else {
                         continue;
-                    }
-                    // SAFETY: our RTR carried this cookie; echoed once, and
-                    // the fabric emits no PutArrived for stale-epoch puts,
-                    // so the cookie is unconsumed here.
-                    let req = unsafe { take_req(imm) };
+                    };
                     if epoch != inner.ep.fabric_epoch() {
                         // Straggler queued before a respawn but consumed
-                        // after this rank rejoined: reclaim the parked
-                        // reference without completing it.
+                        // before the world rejoined: fail the request of
+                        // the dead incarnation without completing it.
                         inner.ep.counters().incr(Counter::FabricEpochStaleDropped);
                         req.mark_error();
                         continue;
                     }
                     let mut p = req.payload.lock();
-                    if let ReqPayload::RecvMr(mr) =
-                        std::mem::replace(&mut *p, ReqPayload::Empty)
-                    {
-                        let key = mr.key();
-                        let v = mr.take();
-                        inner.ep.deregister_mr(key);
-                        *p = ReqPayload::Ready(v);
+                    if let ReqPayload::RecvMr(mr) = std::mem::replace(&mut *p, ReqPayload::Empty) {
+                        inner.ep.deregister_mr(mr.key());
+                        *p = ReqPayload::Ready(mr.take());
                     }
                     drop(p);
                     req.mark_done();
@@ -680,24 +653,19 @@ impl MpiComm {
         let mut i = 0;
         while i < st.pending_puts.len() {
             let p = &st.pending_puts[i];
-            let cookie = req_cookie(Arc::clone(&p.req));
             match inner
                 .ep
-                .try_put(p.dst, p.key, 0, &p.payload, cookie, Some(p.imm))
+                .try_put(p.dst, p.key, 0, &p.payload, p.id, Some(p.imm))
             {
                 Ok(()) => {
                     st.pending_puts.swap_remove(i);
                 }
-                Err(SendError::Backpressure) => {
-                    // SAFETY: rejected synchronously.
-                    let _ = unsafe { take_req(cookie) };
-                    i += 1;
-                }
+                Err(SendError::Backpressure) => i += 1,
                 Err(e) => {
-                    // SAFETY: rejected synchronously.
-                    let req = unsafe { take_req(cookie) };
-                    req.mark_error();
-                    st.pending_puts.swap_remove(i);
+                    let p = st.pending_puts.swap_remove(i);
+                    if let Some(req) = st.parked.take(p.id) {
+                        req.mark_error();
+                    }
                     st.failed = Some(format!("rendezvous put failed: {e}"));
                 }
             }
@@ -708,7 +676,20 @@ impl MpiComm {
         spin_for_ns(traversed * inner.cfg.personality.match_cost_ns);
     }
 
-    /// An in-order two-sided arrival: match a posted receive or park it.
+    /// Unpark the request a completion of `epoch` names. An id that names
+    /// nothing is dropped and counted: as stale when `epoch` is not the
+    /// fabric's, as malformed otherwise.
+    fn claim(&self, st: &mut State, id: u64, epoch: u32) -> Option<Arc<ReqInner>> {
+        let (req, ep) = (st.parked.take(id), &self.inner.ep);
+        if req.is_none() && epoch == ep.fabric_epoch() {
+            ep.counters().incr(Counter::MpiMalformedDropped);
+        } else if req.is_none() {
+            ep.counters().incr(Counter::FabricEpochStaleDropped);
+        }
+        req
+    }
+
+    /// An in-order two-sided arrival: match a posted receive or queue it.
     fn deliver_two_sided(&self, st: &mut State, src: u16, m: SeqMsg) {
         match m.kind {
             KIND_EAGER => {
@@ -730,18 +711,18 @@ impl MpiComm {
                 }
             }
             KIND_RTS => {
-                let Some((size, send_cookie)) = decode_rts_envelope(&m.data) else {
+                let Some((size, send_id)) = decode_rts_envelope(&m.data) else {
                     self.inner.ep.counters().incr(Counter::MpiMalformedDropped);
                     return;
                 };
                 if let Some(posted) = st.matching.take_posted(src, m.tag) {
-                    self.start_rendezvous_recv(st, src, m.tag, size, send_cookie, posted.req);
+                    self.start_rendezvous_recv(st, src, m.tag, size, send_id, posted.req);
                 } else {
                     st.matching.unexpected.push_back(UnexMsg {
                         src,
                         tag: m.tag,
                         seq: m.seq,
-                        body: UnexBody::Rts { size, send_cookie },
+                        body: UnexBody::Rts { size, send_id },
                     });
                 }
             }
@@ -756,18 +737,14 @@ impl MpiComm {
         src: u16,
         tag: u32,
         size: usize,
-        send_cookie: u64,
+        send_id: u64,
         req: Arc<ReqInner>,
     ) {
         let mr = self.inner.ep.register_mr(size);
         let key = mr.key();
         *req.meta.lock() = Some(MpiStatus { src, tag, len: size });
         *req.payload.lock() = ReqPayload::RecvMr(mr);
-        let recv_cookie = req_cookie(req);
-        let mut body = [0u8; 24];
-        body[..8].copy_from_slice(&send_cookie.to_le_bytes());
-        body[8..16].copy_from_slice(&key.0.to_le_bytes());
-        body[16..].copy_from_slice(&recv_cookie.to_le_bytes());
+        let body = encode_rtr_envelope(send_id, key.0, st.parked.park(req));
         let header = pack(KIND_RTR, tag, 0);
         // Control sends must not be dropped; retry until accepted.
         let _ = self.wire_send(st, src, header, &body, CTX_IGNORE);
@@ -792,20 +769,14 @@ impl MpiComm {
             req.mark_done();
             Ok(SendReq { inner: req })
         } else {
-            let req = ReqInner::new(ReqPayload::SendPayload(data.clone()));
-            let cookie = req_cookie(Arc::clone(&req));
             let mut body = [0u8; 16];
             body[..8].copy_from_slice(&(data.len() as u64).to_le_bytes());
-            body[8..16].copy_from_slice(&cookie.to_le_bytes());
+            let req = ReqInner::new(ReqPayload::SendPayload(data));
+            body[8..16].copy_from_slice(&st.parked.park(Arc::clone(&req)).to_le_bytes());
             let header = pack(KIND_RTS, tag, seq);
-            match self.wire_send(&mut st, dst, header, &body, CTX_IGNORE) {
-                Ok(()) => Ok(SendReq { inner: req }),
-                Err(e) => {
-                    // SAFETY: RTS never left; reclaim the cookie.
-                    let _ = unsafe { take_req(cookie) };
-                    Err(e)
-                }
-            }
+            // A refused RTS fails the communicator, its table with it.
+            self.wire_send(&mut st, dst, header, &body, CTX_IGNORE)?;
+            Ok(SendReq { inner: req })
         }
     }
 
@@ -825,13 +796,13 @@ impl MpiComm {
                     *req.payload.lock() = ReqPayload::Ready(data);
                     req.mark_done();
                 }
-                UnexBody::Rts { size, send_cookie } => {
+                UnexBody::Rts { size, send_id } => {
                     self.start_rendezvous_recv(
                         &mut st,
                         unex.src,
                         unex.tag,
                         size,
-                        send_cookie,
+                        send_id,
                         Arc::clone(&req),
                     );
                 }
@@ -927,6 +898,8 @@ impl std::fmt::Debug for MpiComm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MpiWorld;
+    use lci_fabric::FabricConfig;
 
     #[test]
     fn header_roundtrip() {
@@ -934,5 +907,129 @@ mod tests {
         assert_eq!(unpack(h), (KIND_RTS, 12345, 678));
         let h = pack(KIND_RMA_FENCE, MAX_TAG, u32::MAX as u64);
         assert_eq!(unpack(h), (KIND_RMA_FENCE, MAX_TAG, u32::MAX as u64));
+    }
+
+    /// Above the default eager limit: every message this size is a rendezvous.
+    const BIG: usize = 16 << 10;
+
+    /// A two-rank world on the caller-stepped fabric.
+    fn world(seed: u64) -> MpiWorld {
+        MpiWorld::new_manual(FabricConfig::deterministic(2, seed), MpiConfig::default())
+    }
+
+    /// Step the wire (adding virtual time when it is idle) until `done`.
+    fn drive(w: &MpiWorld, mut done: impl FnMut() -> bool) {
+        let f = w.fabric();
+        for _ in 0..100_000 {
+            if done() {
+                return;
+            }
+            if !f.step() {
+                f.advance_virtual(f.config().reliable.ack_delay_ns);
+            }
+        }
+        panic!("the wire never settled");
+    }
+
+    /// Seal an RTR from `from` to rank 0 exactly as `from` would its own.
+    fn forge_rtr(from: &MpiComm, tag: u32, body: [u8; 24]) {
+        let mut st = from.inner.state.lock();
+        let header = pack(KIND_RTR, tag, 0);
+        let sent = from.wire_send(&mut st, 0, header, &body, CTX_IGNORE);
+        sent.expect("sealed");
+    }
+
+    fn counted(c: &MpiComm, counter: Counter) -> u64 {
+        c.endpoint().counters().get(counter)
+    }
+
+    /// Has the RTR for `s` been answered with a put (its payload taken)?
+    fn answered(s: &SendReq) -> bool {
+        matches!(*s.inner.payload.lock(), ReqPayload::Empty)
+    }
+
+    #[test]
+    fn an_rtr_naming_no_send_request_is_dropped_and_counted() {
+        let w = world(0x1D7);
+        let (a, b) = (w.comm(0), w.comm(1));
+        forge_rtr(&b, 4, encode_rtr_envelope(0xBAD, 0, 0xBAD));
+        drive(&w, || {
+            a.poke().unwrap();
+            counted(&a, Counter::MpiMalformedDropped) > 0
+        });
+        assert!(a.failure().is_none());
+        // Later traffic completes, and counts nothing more.
+        let s = a.isend(Bytes::from(vec![3u8; BIG]), 1, 5).unwrap();
+        let r = b.irecv(Some(0), Some(5)).unwrap();
+        drive(&w, || a.test_send(&s).unwrap() & b.test_recv(&r).unwrap());
+        assert_eq!(r.take_data().unwrap(), vec![3u8; BIG]);
+        assert_eq!(counted(&a, Counter::MpiMalformedDropped), 1);
+    }
+
+    #[test]
+    fn a_second_rtr_for_an_answered_send_is_dropped_and_counted() {
+        let w = world(0x1D8);
+        let (a, b) = (w.comm(0), w.comm(1));
+        let s = a.isend(Bytes::from(vec![6u8; BIG]), 1, 7).unwrap();
+        // The RTS reaches rank 1 before it posts a receive: its id waits in
+        // the unexpected queue, where the test reads it.
+        drive(&w, || {
+            b.poke().unwrap();
+            !b.inner.state.lock().matching.unexpected.is_empty()
+        });
+        let send_id = match b.inner.state.lock().matching.unexpected[0].body {
+            UnexBody::Rts { send_id, .. } => send_id,
+            UnexBody::Eager(_) => panic!("a rendezvous announces itself with an RTS"),
+        };
+        let r = b.irecv(Some(0), Some(7)).unwrap();
+        drive(&w, || {
+            a.poke().unwrap();
+            answered(&s)
+        });
+        // Answered, its put in flight: a second RTR finds no payload.
+        forge_rtr(&b, 7, encode_rtr_envelope(send_id, 0, 0xBAD));
+        drive(&w, || a.test_send(&s).unwrap() & b.test_recv(&r).unwrap());
+        assert_eq!(r.take_data().unwrap(), vec![6u8; BIG]);
+        assert_eq!(counted(&a, Counter::MpiMalformedDropped), 1);
+        // Completed: the id names nothing.
+        forge_rtr(&b, 7, encode_rtr_envelope(send_id, 0, 0xBAD));
+        drive(&w, || {
+            a.poke().unwrap();
+            counted(&a, Counter::MpiMalformedDropped) > 1
+        });
+        assert_eq!(counted(&a, Counter::MpiMalformedDropped), 2);
+        assert!(a.failure().is_none());
+    }
+
+    #[test]
+    fn a_stale_put_completion_cannot_complete_a_request_of_the_new_communicator() {
+        let mut w = world(0x1D9);
+        let (a, b) = (w.comm(0), w.comm(1));
+        let old = a.isend(Bytes::from(vec![1u8; BIG]), 1, 1).unwrap();
+        let _r = b.irecv(Some(0), Some(1)).unwrap();
+        // Stop the wire as soon as rank 0 has answered the RTR: its put is
+        // injected, not yet delivered.
+        drive(&w, || {
+            a.poke().unwrap();
+            b.poke().unwrap();
+            answered(&old)
+        });
+        assert!(a.inner.state.lock().pending_puts.is_empty(), "put in flight");
+        w.fabric().respawn(1);
+        w.rejoin(MpiConfig::default());
+        let (a, b) = (w.comm(0), w.comm(1));
+        let new = a.isend(Bytes::from(vec![2u8; BIG]), 1, 1).unwrap();
+        // The old put lands in the new epoch: its write is suppressed, and
+        // its completion names nothing the new communicator parked.
+        w.fabric().drain();
+        let stale = counted(&a, Counter::FabricEpochStaleDropped);
+        assert!(!a.test_send(&new).unwrap());
+        assert_eq!(counted(&a, Counter::FabricEpochStaleDropped), stale + 1);
+        assert_eq!(counted(&a, Counter::MpiMalformedDropped), 0);
+        assert!(!old.inner.is_done(), "nor the old communicator's");
+        // The new rendezvous completes on its own put.
+        let r = b.irecv(Some(0), Some(1)).unwrap();
+        drive(&w, || a.test_send(&new).unwrap() & b.test_recv(&r).unwrap());
+        assert_eq!(r.take_data().unwrap(), vec![2u8; BIG]);
     }
 }

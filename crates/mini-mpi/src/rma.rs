@@ -199,8 +199,7 @@ impl Window {
     /// `MPI_Win_start`: open an access epoch towards the given targets;
     /// blocks until each target has posted.
     pub fn start(&self, targets: &[u16]) -> Result<(), MpiError> {
-        self.comm
-            .wait_rma(self.id, RmaWait::Posts, targets.len() as u64)?;
+        self.comm.wait_rma(self.id, Which::Posts, targets.len() as u64)?;
         *self.epoch_targets.lock() = targets.to_vec();
         Ok(())
     }
@@ -260,7 +259,7 @@ impl Window {
     }
 
     fn poll_complete(&self) -> Result<Option<u16>, MpiError> {
-        let mut st = self.comm.state_for_rma()?;
+        let mut st = self.comm.enter()?;
         self.comm.progress_locked(&mut st);
         Ok(st.rma.pop_complete(self.id))
     }
@@ -275,8 +274,7 @@ impl Window {
                     .ctrl_send(r, pack(KIND_RMA_FENCE, self.id as u32, 0))?;
             }
         }
-        self.comm
-            .wait_rma(self.id, RmaWait::Fences, (n - 1) as u64)
+        self.comm.wait_rma(self.id, Which::Fences, (n - 1) as u64)
     }
 
     /// Deregister the window's region (`MPI_Win_free`). Further remote puts
@@ -286,23 +284,14 @@ impl Window {
     }
 }
 
-pub(crate) enum RmaWait {
-    Posts,
-    Fences,
-}
-
 impl MpiComm {
-    pub(crate) fn wait_rma(&self, win: u64, which: RmaWait, n: u64) -> Result<(), MpiError> {
+    fn wait_rma(&self, win: u64, which: Which, n: u64) -> Result<(), MpiError> {
         if n == 0 {
             return Ok(());
         }
-        let which = match which {
-            RmaWait::Posts => Which::Posts,
-            RmaWait::Fences => Which::Fences,
-        };
         loop {
             {
-                let mut st = self.state_for_rma()?;
+                let mut st = self.enter()?;
                 self.progress_locked(&mut st);
                 if st.rma.try_take(win, which, n) {
                     return Ok(());

@@ -55,18 +55,15 @@ done
 # (frame.rs) into the carry-less-multiply CRC, which itself is safe code on
 # register values (DESIGN.md, "Eager wire path"). A second block, a pointer
 # load or a transmute would be unchecked memory access where today there is
-# none, so outside tests and comments none may appear. The LCI runtime has the
-# request cookies of the rendezvous protocol in device.rs (13 lines since
-# PR 23, which deleted the boxed completion cookie of every eager send) and
-# the slot array of faa_queue.rs (4), mini-mpi the same cookie idiom in p2p.rs
-# (7); the ceilings are today's counts, so the unchecked core can shrink
-# (ROADMAP item 7(a)) but not grow unnoticed.
+# none, so outside tests and comments none may appear. The LCI runtime keeps
+# the slot array of faa_queue.rs (4); every other file of the runtimes has
+# none — a rendezvous names its requests by ids parked in a table
+# (`lci_fabric::Parked`), not by pointers. The ceilings are today's counts,
+# so the unchecked core can shrink (ROADMAP item 9(b)) but not grow unnoticed.
 for f in crates/fabric/src/*.rs crates/core/src/*.rs crates/mini-mpi/src/*.rs; do
     case "$f" in
         crates/fabric/src/frame.rs) allowed=1 ;;
-        crates/core/src/device.rs) allowed=13 ;;
         crates/core/src/faa_queue.rs) allowed=4 ;;
-        crates/mini-mpi/src/p2p.rs) allowed=7 ;;
         *) allowed=0 ;;
     esac
     if ! awk -v allowed="$allowed" '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
@@ -76,6 +73,13 @@ for f in crates/fabric/src/*.rs crates/core/src/*.rs crates/mini-mpi/src/*.rs; d
         exit 1
     fi
 done
+# Nor may an identity travel as a pointer cast to an integer again: no
+# product source turns an `Arc` or `Box` into a raw pointer or back.
+if hits="$(grep -rnE 'into_raw|from_raw' crates/*/src)"; then
+    echo "RAW POINTERS: product source converts a pointer to or from raw; park it and send an id:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
 
 # Every read-modify-write on vertex state goes through `LabelVec`, the one
 # place that knows whether more than one thread writes it (DESIGN.md, "Who

@@ -7,7 +7,9 @@
 //! is only ever asserted to have moved *at least* as far.
 
 use abelian::apps::{reference, Bfs};
-use abelian::{build_layers, run_app, EngineConfig, LayerKind};
+use abelian::comm::exchange_all;
+use abelian::layers::MpiProbeLayer;
+use abelian::{build_layers, run_app, CommLayer, EngineConfig, LayerKind};
 use bytes::Bytes;
 use lci::{Device, DeviceStats, LciConfig};
 use lci_fabric::{Fabric, FabricConfig, Fault, FaultPlan, StatsSnapshot};
@@ -285,4 +287,35 @@ fn phase_rows_are_counted_on_the_host_that_ran_them() {
     for c in phases {
         assert_eq!(moved.get(c), sum_over_hosts(fabric, c), "{}", c.name());
     }
+}
+
+/// A frame that fails de-framing counts on the table of the host that
+/// received it: an aggregate of the probe layer whose bytes cannot hold a
+/// sub-frame header reaches host 1, host 1's table counts it, and the global
+/// row moved by exactly the sum over hosts (no other test of this binary
+/// drops a frame).
+#[test]
+fn a_malformed_frame_counts_on_the_receiving_hosts_table() {
+    let c = Counter::EngineMalformedDropped;
+    let before = lci_trace::global().snapshot();
+    let world = mini_mpi::MpiWorld::new(FabricConfig::test(2), mini_mpi::MpiConfig::default());
+    let layers = [0, 1].map(|h| MpiProbeLayer::new(world.comm(h)));
+    // The tag of the probe layer's aggregates (channel 15); three bytes are
+    // too short for a sub-frame's `[tag u32][len u32]`.
+    let mangled = Bytes::from_static(&[1, 2, 3]);
+    world.comm(0).send_blocking(mangled, 1, 15 << 24).unwrap();
+    std::thread::scope(|s| {
+        for l in &layers {
+            s.spawn(move || {
+                let got = exchange_all(l, 0, vec![vec![7]; 2]);
+                assert_eq!(got, [(1 - l.rank(), vec![7])], "the round still completes");
+                l.quiesce();
+            });
+        }
+    });
+    let fabric = world.fabric();
+    assert_eq!(fabric.endpoint(1).counters().get(c), 1, "receiver");
+    assert_eq!(fabric.endpoint(0).counters().get(c), 0, "sender");
+    let moved = lci_trace::global().snapshot().delta(&before);
+    assert_eq!(moved.get(c), sum_over_hosts(fabric, c));
 }
