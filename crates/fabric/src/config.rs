@@ -44,7 +44,8 @@ impl WireModel {
     }
 
     /// Zero-delay wire for functional tests: a message is due the moment it
-    /// is injected, and delivered by the next drive of the wire.
+    /// is injected. On a wall-clock fabric with no fault plan that is when it
+    /// is delivered, by the injecting call itself (see [`crate::Fabric::new`]).
     pub fn instant() -> Self {
         WireModel {
             base_latency_ns: 0,

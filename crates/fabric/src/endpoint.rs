@@ -3,7 +3,7 @@
 use crate::error::SendError;
 use crate::mr::{MemRegion, MrInner, MrKey};
 use crate::stats::StatsSnapshot;
-use crate::wire::{FabricShared, WireOp};
+use crate::wire::{FabricShared, PutOp, SendOp, WireOp};
 use crate::HostId;
 use lci_trace::{Counter, EventKind, Registry};
 use parking_lot::Mutex;
@@ -77,20 +77,65 @@ pub enum Event {
     },
 }
 
+/// An endpoint's receive credits: its pre-posted receive buffers not holding
+/// a message. The counter is private to this type, so a credit is taken only
+/// by [`CreditGuard::take`] and given back only by dropping the guard.
+///
+/// Taking is one compare-and-swap, never a check and a separate decrement:
+/// on the instant wire an injecting thread and a thread driving the wire may
+/// take one receiver's credits at the same time, and a check-then-decrement
+/// would let both spend the last one.
+struct RxCredits(AtomicI64);
+
+impl RxCredits {
+    fn new(n: usize) -> Self {
+        RxCredits(AtomicI64::new(n as i64))
+    }
+
+    /// Credits left (a snapshot).
+    fn get(&self) -> i64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Take one credit if any is left; returns whether it did.
+    fn take(&self) -> bool {
+        let mut cur = self.0.load(Ordering::Acquire);
+        loop {
+            if cur <= 0 {
+                return false;
+            }
+            match self
+                .0
+                .compare_exchange_weak(cur, cur - 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return true,
+                Err(c) => cur = c,
+            }
+        }
+    }
+
+    fn give(&self) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+}
+
 /// Returns one receive-buffer credit to the owning endpoint when dropped.
 pub(crate) struct CreditGuard {
     ep: Arc<EndpointShared>,
 }
 
 impl CreditGuard {
-    pub(crate) fn new(ep: Arc<EndpointShared>) -> Self {
-        CreditGuard { ep }
+    /// Take one of `ep`'s receive credits, if it has any left.
+    pub(crate) fn take(ep: &Arc<EndpointShared>) -> Option<CreditGuard> {
+        ep.rx_credits
+            .take()
+            .then(|| CreditGuard { ep: Arc::clone(ep) })
     }
 }
 
 impl Drop for CreditGuard {
     fn drop(&mut self) {
-        self.ep.rx_credits.fetch_add(1, Ordering::Release);
+        self.ep.rx_credits.give();
     }
 }
 
@@ -144,12 +189,13 @@ impl std::fmt::Debug for PacketBuf {
 
 pub(crate) struct EndpointShared {
     pub(crate) host: HostId,
-    /// The completion queue. Only the wire pushes ([`EndpointShared::post`]);
-    /// whoever progresses the host pops, one event or the whole queue at a
-    /// time.
+    /// The completion queue. Only delivery pushes ([`EndpointShared::post`]):
+    /// a thread driving the wire, or on the instant wire the injecting
+    /// thread; whoever progresses the host pops, one event or the whole queue
+    /// at a time.
     cq: Mutex<VecDeque<Event>>,
     pub(crate) inflight: AtomicUsize,
-    pub(crate) rx_credits: AtomicI64,
+    rx_credits: RxCredits,
     pub(crate) mrs: Mutex<HashMap<u64, Arc<MrInner>>>,
     pub(crate) next_mr: AtomicU64,
     /// Where [`crate::Parked`] ids come from: never reset, starts above 1.
@@ -167,7 +213,7 @@ impl EndpointShared {
             host,
             cq: Mutex::new(VecDeque::new()),
             inflight: AtomicUsize::new(0),
-            rx_credits: AtomicI64::new(rx_buffers as i64),
+            rx_credits: RxCredits::new(rx_buffers),
             mrs: Mutex::new(HashMap::new()),
             next_mr: AtomicU64::new(1),
             next_id: AtomicU64::new(2),
@@ -294,6 +340,12 @@ impl Endpoint {
     /// and its injection slot comes back all the same. An RNR-exhausted send
     /// still posts its [`Event::Error`]. Fails with
     /// [`SendError::Backpressure`] when the injection queue is full.
+    ///
+    /// On the instant wire (a wall-clock fabric with no latency and no fault
+    /// plan, e.g. [`crate::FabricConfig::test`]) the message is delivered
+    /// before this returns — the receiver's credit taken, its `Recv` queued,
+    /// a signaled send's `SendDone` posted — unless the receiver has no credit left; that
+    /// send waits on the wire for a poll, as on any other wall-clock wire.
     pub fn try_send(
         &self,
         dst: HostId,
@@ -305,7 +357,7 @@ impl Endpoint {
             return Err(SendError::TooLarge);
         }
         self.admit(dst)?;
-        let op = WireOp::Send {
+        let op = WireOp::Send(SendOp {
             src: self.shared.host,
             dst,
             header,
@@ -313,12 +365,14 @@ impl Endpoint {
             ctx,
             retries: 0,
             ghost: false,
-        };
-        self.fabric.inject(op);
+        });
+        // Counted and logged before the wire has it, which on the instant
+        // wire may deliver it at once: the ring reads send, then receive.
         let bytes = data.len() as u64;
         self.shared.counters.incr(Counter::FabricSends);
         self.shared.counters.add(Counter::FabricSendBytes, bytes);
         lci_trace::record(EventKind::Send, dst as u32, bytes);
+        self.fabric.inject(op);
         Ok(())
     }
 
@@ -329,6 +383,9 @@ impl Endpoint {
     /// is `Some`, the peer additionally observes an [`Event::PutArrived`]
     /// carrying the immediate value — the mechanism LCI's rendezvous protocol
     /// uses to complete the receiver's request.
+    ///
+    /// On the instant wire the write lands, and its completions are queued,
+    /// before this returns.
     pub fn try_put(
         &self,
         dst: HostId,
@@ -339,7 +396,7 @@ impl Endpoint {
         imm: Option<u64>,
     ) -> Result<(), SendError> {
         self.admit(dst)?;
-        let op = WireOp::Put {
+        let op = WireOp::Put(PutOp {
             src: self.shared.host,
             dst,
             key,
@@ -348,12 +405,12 @@ impl Endpoint {
             ctx,
             imm,
             epoch: self.fabric_epoch(),
-        };
-        self.fabric.inject(op);
+        });
         let bytes = data.len() as u64;
         self.shared.counters.incr(Counter::FabricPuts);
         self.shared.counters.add(Counter::FabricPutBytes, bytes);
         lci_trace::record(EventKind::Put, dst as u32, bytes);
+        self.fabric.inject(op);
         Ok(())
     }
 
@@ -362,7 +419,9 @@ impl Endpoint {
     /// On a wall-clock fabric this is also what moves the wire: a poll that
     /// finds the queue empty executes every delivery that is due (for all
     /// hosts, unless another thread is already doing so) and looks again.
-    /// A manual fabric moves only under [`crate::Fabric::step`].
+    /// On the instant wire there is rarely anything left to move — injection
+    /// delivered it — and a poll that finds the wire empty does not look
+    /// twice. A manual fabric moves only under [`crate::Fabric::step`].
     pub fn poll(&self) -> Option<Event> {
         let ev = self.shared.cq.lock().pop_front();
         if ev.is_some() || !self.fabric.drive() {
@@ -431,7 +490,7 @@ impl Endpoint {
 
     /// Currently available receive-buffer credits.
     pub fn rx_credits(&self) -> i64 {
-        self.shared.rx_credits.load(Ordering::Relaxed)
+        self.shared.rx_credits.get()
     }
 
     /// The fabric's current incarnation epoch (see

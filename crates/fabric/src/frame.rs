@@ -329,8 +329,15 @@ impl SeqGate {
     /// Admit `seq` if it has never been admitted before and lies within
     /// `window` of the low watermark. Returns `false` for duplicates and
     /// for beyond-window frames (the latter also bump
-    /// `fabric.frame.window_overflow`).
+    /// `fabric.frame.window_overflow` in the process-wide table; a gate that
+    /// belongs to a host counts there, with [`SeqGate::admit_in`]).
     pub fn admit(&mut self, seq: u64) -> bool {
+        self.admit_in(seq, lci_trace::global())
+    }
+
+    /// [`SeqGate::admit`], counting a beyond-window frame in `table`: the
+    /// receiving host's table, for a gate that belongs to one.
+    pub fn admit_in(&mut self, seq: u64, table: &lci_trace::Registry) -> bool {
         // In order with nothing parked above the watermark — every frame of
         // a loss-free run — needs no set at all.
         if seq == self.next && self.pending.is_empty() {
@@ -341,7 +348,7 @@ impl SeqGate {
             return false;
         }
         if seq - self.next >= self.window {
-            lci_trace::incr(lci_trace::Counter::FabricFrameWindowOverflow);
+            table.incr(lci_trace::Counter::FabricFrameWindowOverflow);
             return false;
         }
         if !self.pending.insert(seq) {

@@ -519,7 +519,7 @@ impl ReliableSession {
         if flags == FLAG_ACK {
             return RelRecv::Ack;
         }
-        let fresh = p.rx.gate.admit(seq);
+        let fresh = p.rx.gate.admit_in(seq, ep.counters());
         // Either way an ack is owed: a retransmission of something already
         // admitted means our ack was lost (or arrived after the peer's
         // timer fired), so the debt is re-armed and a fresh ack goes out

@@ -16,6 +16,11 @@
 //!   through those calls, so a delivery that waits for the next poll is the
 //!   same NIC with the scheduler hop removed; the wire model's latencies stay
 //!   lower bounds on delivery time.
+//! * **The instant wire**, a wall-clock fabric with no fault plan whose scaled
+//!   wire costs are all zero (`time_scale` 0, or [`crate::WireModel::instant`]):
+//!   every operation is due when it is injected, so while the wire holds
+//!   nothing else [`FabricShared::inject`] delivers it in the injecting thread,
+//!   and the core is driven only for a send whose receiver had no credit.
 //! * **Manual** ([`Fabric::new_manual`]): the caller pumps
 //!   [`Fabric::step`]/[`Fabric::drain`] and time is a *virtual* clock that
 //!   jumps to each scheduled delivery. Because nothing depends on the OS
@@ -23,7 +28,7 @@
 //!   is a pure function of `(config, seed, injection order)` and replays
 //!   bit-for-bit.
 
-use crate::config::FabricConfig;
+use crate::config::{FabricConfig, WireModel};
 use crate::endpoint::{CreditGuard, Endpoint, EndpointShared, Event, FatalKind, PacketBuf};
 use crate::mr::MrKey;
 use crate::HostId;
@@ -43,40 +48,156 @@ use std::time::Instant;
 const IDLE_RELEASE_NS: u64 = 1_000_000;
 
 pub(crate) enum WireOp {
-    Send {
-        src: HostId,
-        dst: HostId,
-        header: u64,
-        data: Vec<u8>,
-        ctx: u64,
-        retries: u32,
-        /// A fault-injected sibling of a real send (corrupted, duplicated,
-        /// or truncated copy). Ghosts complete no send, consume no inflight
-        /// slot, are dropped silently when the receiver is not ready, and
-        /// never spawn further ghosts.
-        ghost: bool,
-    },
-    Put {
-        src: HostId,
-        dst: HostId,
-        key: MrKey,
-        offset: usize,
-        data: Vec<u8>,
-        ctx: u64,
-        imm: Option<u64>,
-        /// Recovery epoch at injection time. A put that crosses a respawn
-        /// (injected before, delivered after) is stale: its write is
-        /// suppressed instead of landing in — or raising `BadMr` against —
-        /// the respawned host's re-registered memory.
-        epoch: u32,
-    },
+    Send(SendOp),
+    Put(PutOp),
 }
 
 impl WireOp {
     fn dst(&self) -> usize {
         match self {
-            WireOp::Send { dst, .. } | WireOp::Put { dst, .. } => *dst as usize,
+            WireOp::Send(SendOp { dst, .. }) | WireOp::Put(PutOp { dst, .. }) => *dst as usize,
         }
+    }
+}
+
+/// An eager message on the wire.
+pub(crate) struct SendOp {
+    pub(crate) src: HostId,
+    pub(crate) dst: HostId,
+    pub(crate) header: u64,
+    pub(crate) data: Vec<u8>,
+    pub(crate) ctx: u64,
+    pub(crate) retries: u32,
+    /// A fault-injected sibling of a real send (corrupted, duplicated,
+    /// or truncated copy). Ghosts complete no send, consume no inflight
+    /// slot, are dropped silently when the receiver is not ready, and
+    /// never spawn further ghosts.
+    pub(crate) ghost: bool,
+}
+
+/// An RDMA write on the wire.
+pub(crate) struct PutOp {
+    pub(crate) src: HostId,
+    pub(crate) dst: HostId,
+    pub(crate) key: MrKey,
+    pub(crate) offset: usize,
+    pub(crate) data: Vec<u8>,
+    pub(crate) ctx: u64,
+    pub(crate) imm: Option<u64>,
+    /// Recovery epoch at injection time. A put that crosses a respawn
+    /// (injected before, delivered after) is stale: its write is
+    /// suppressed instead of landing in — or raising `BadMr` against —
+    /// the respawned host's re-registered memory.
+    pub(crate) epoch: u32,
+}
+
+impl SendOp {
+    /// The message reaches its receiver: count it there and log it. With
+    /// [`SendOp::land`], the delivery of a send that got its receive credit,
+    /// run by the wire and by the instant wire's injection alike, so it needs
+    /// nothing but the fabric. The wire spawns a fault plan's ghosts between
+    /// the two, so the ring reads receive, then fault.
+    #[inline]
+    fn count_recv(&self, sh: &FabricShared) {
+        let d = &sh.endpoints[self.dst as usize];
+        d.counters.incr(Counter::FabricRecvs);
+        lci_trace::record(EventKind::Recv, self.src as u32, self.data.len() as u64);
+    }
+
+    /// Queue the counted message at its receiver, which has given up
+    /// `credit` for it, and complete the send.
+    #[inline]
+    fn land(self, sh: &FabricShared, credit: CreditGuard) {
+        let SendOp {
+            src,
+            dst,
+            header,
+            data,
+            ctx,
+            ghost,
+            ..
+        } = self;
+        sh.endpoints[dst as usize].post(Event::Recv {
+            src,
+            header,
+            data: PacketBuf::new(data, credit),
+        });
+        if !ghost {
+            complete_send(&sh.endpoints[src as usize], ctx);
+        }
+    }
+}
+
+impl PutOp {
+    /// The write reaches its target: unless it is stale or a side is dead,
+    /// it lands in the region and the sender gets `PutDone` (the target also
+    /// `PutArrived` if it carries an immediate), or `BadMr` when the region
+    /// is missing or too small. The injection slot comes back either way.
+    /// Like [`SendOp::land`], shared by the wire and the instant wire.
+    #[inline]
+    fn land(self, sh: &FabricShared) {
+        let PutOp {
+            src,
+            dst,
+            key,
+            offset,
+            data,
+            ctx,
+            imm,
+            epoch,
+        } = self;
+        let d = &sh.endpoints[dst as usize];
+        let s = &sh.endpoints[src as usize];
+        let cur = sh.recovery_epoch.load(Ordering::Acquire);
+        if epoch != cur || involves_crashed(sh, src, dst) {
+            // A put from a dead incarnation, or one racing a crash.
+            // Its write must not land (the respawned host's memory
+            // map belongs to the new incarnation), and crucially it
+            // must not surface `BadMr` either — respawn clears the
+            // target's registered regions, so a straggler aimed at a
+            // vanished MR would otherwise fatally poison a healthy
+            // *survivor*. Complete the sender's put (the packet left
+            // its NIC) and swallow everything else.
+            if epoch != cur {
+                s.counters.incr(Counter::FabricEpochStaleDropped);
+            } else {
+                fault(s, Counter::FabricFaultCrashed, 8);
+            }
+            s.post(Event::PutDone { ctx, epoch });
+            s.inflight.fetch_sub(1, Ordering::AcqRel);
+            return;
+        }
+        let mr = d.mrs.lock().get(&key.0).cloned();
+        let ok = match mr {
+            Some(mr) => {
+                let mut buf = mr.data.lock();
+                if offset + data.len() <= buf.len() {
+                    buf[offset..offset + data.len()].copy_from_slice(&data);
+                    true
+                } else {
+                    false
+                }
+            }
+            None => false,
+        };
+        if ok {
+            s.post(Event::PutDone { ctx, epoch });
+            if let Some(imm) = imm {
+                d.post(Event::PutArrived {
+                    src,
+                    imm,
+                    len: data.len() as u32,
+                    epoch,
+                });
+            }
+        } else {
+            s.counters.incr(Counter::FabricErrors);
+            s.post(Event::Error {
+                kind: FatalKind::BadMr,
+                ctx,
+            });
+        }
+        s.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -96,8 +217,10 @@ pub(crate) struct FabricShared {
     injected_any: AtomicBool,
     /// Operations the wire has scheduled or holds for a reorder phase, as
     /// the last wall-clock drive left them ([`WireCore::run_due`] stores it
-    /// with Release on exit, [`FabricShared::drive`] loads it with Acquire).
-    /// It publishes nothing else: the heap is only read under the core lock.
+    /// with Release on exit, [`FabricShared::drive`] loads it with Acquire;
+    /// on the instant wire [`WireCore::drain_injected`] also counts a batch
+    /// in before it clears `injected_any`). It publishes nothing else: the
+    /// heap is only read under the core lock.
     scheduled: AtomicUsize,
     /// The wire itself. Manual mode: locked by [`Fabric::step`] and friends.
     /// Wall-clock mode: `try_lock`ed by [`FabricShared::drive`].
@@ -115,6 +238,10 @@ pub(crate) struct FabricShared {
     pub(crate) virtual_now: AtomicU64,
     /// Is this fabric caller-stepped (virtual clock)?
     pub(crate) manual: bool,
+    /// The instant wire: wall-clock, no fault plan, and every scaled wire
+    /// cost zero, so each operation is due the moment it is injected and
+    /// [`FabricShared::inject`] delivers it there and then.
+    instant: bool,
     /// Incarnation epoch, bumped by every [`Fabric::respawn`]. Frames and
     /// puts are stamped with the epoch current at injection; anything that
     /// crosses an epoch boundary in flight is a straggler from a dead
@@ -130,7 +257,30 @@ pub(crate) struct FabricShared {
 
 impl FabricShared {
     /// Hand an operation to the wire.
+    ///
+    /// On the instant wire an operation is due when it is injected, so while
+    /// the wire holds nothing else it is delivered here, in the injecting
+    /// thread, by the same code a drive runs ([`SendOp::land`],
+    /// [`PutOp::land`]): no injection vector, no core lock, no clock, no
+    /// heap. A send whose receiver has no credit takes the ordinary path, so
+    /// its receiver-not-ready bounce and retries are the wire's as ever; and
+    /// while any such send is queued or scheduled, later operations queue
+    /// behind it.
     pub(crate) fn inject(&self, op: WireOp) {
+        let op = if self.instant && self.holds_nothing() {
+            match op {
+                WireOp::Put(put) => return put.land(self),
+                WireOp::Send(send) => match CreditGuard::take(&self.endpoints[send.dst as usize]) {
+                    Some(credit) => {
+                        send.count_recv(self);
+                        return send.land(self, credit);
+                    }
+                    None => WireOp::Send(send),
+                },
+            }
+        } else {
+            op
+        };
         let mut injected = self.injected.lock();
         injected.push(op);
         self.injected_any.store(true, Ordering::Release);
@@ -152,16 +302,20 @@ impl FabricShared {
         if self.manual {
             return false;
         }
-        if self.config.fault_plan.is_empty()
-            && !self.injected_any.load(Ordering::Acquire)
-            && self.scheduled.load(Ordering::Acquire) == 0
-        {
+        if self.config.fault_plan.is_empty() && self.holds_nothing() {
             return false;
         }
         if let Some(mut core) = self.core.try_lock() {
             core.run_due(self);
         }
         true
+    }
+
+    /// Does the wire hold nothing — nothing injected, nothing scheduled or
+    /// held for a reorder phase (see `injected_any` and `scheduled` for what
+    /// a stale reading means)?
+    fn holds_nothing(&self) -> bool {
+        !self.injected_any.load(Ordering::Acquire) && self.scheduled.load(Ordering::Acquire) == 0
     }
 
     /// Manual mode: the wire, for the caller to pump.
@@ -188,7 +342,10 @@ pub struct Fabric {
 impl Fabric {
     /// Build a wall-clock fabric with `config.num_hosts` endpoints. No
     /// thread is started: the hosts' own [`Endpoint::poll`] calls and
-    /// back-pressured injections run the wire (see the module docs).
+    /// back-pressured injections run the wire (see the module docs). With no
+    /// fault plan and no scaled wire cost (`time_scale` 0, or
+    /// [`WireModel::instant`]) an injection delivers its own operation
+    /// whenever the receiver has room.
     ///
     /// # Panics
     /// Panics if the configuration's fault plan fails
@@ -237,6 +394,9 @@ impl Fabric {
             Clock::Wall { start: epoch, now: 0 }
         };
         let core = WireCore::new(config.num_hosts, config.seed, clock);
+        let instant = !manual
+            && config.fault_plan.is_empty()
+            && (config.time_scale == 0.0 || config.wire == WireModel::instant());
         let shared = Arc::new(FabricShared {
             config,
             endpoints,
@@ -249,6 +409,7 @@ impl Fabric {
             epoch,
             virtual_now: AtomicU64::new(0),
             manual,
+            instant,
             recovery_epoch: AtomicU32::new(0),
             crashed,
         });
@@ -430,6 +591,12 @@ fn complete_send(s: &EndpointShared, ctx: u64) {
     s.inflight.fetch_sub(1, Ordering::AcqRel);
 }
 
+/// Is either side of a delivery currently crashed?
+fn involves_crashed(sh: &FabricShared, src: HostId, dst: HostId) -> bool {
+    sh.crashed[src as usize].load(Ordering::Acquire)
+        || sh.crashed[dst as usize].load(Ordering::Acquire)
+}
+
 /// Count one fault-injection event against `ep`'s host and log it to the
 /// event ring; `kind` is the ring payload naming the fault (0 delayed,
 /// 1 reordered, 2 forced RNR, 3 corrupted, 4 duplicated, 5 truncated,
@@ -518,12 +685,6 @@ impl WireCore {
         }
     }
 
-    /// Is either side of a delivery currently crashed?
-    fn involves_crashed(&self, sh: &FabricShared, src: HostId, dst: HostId) -> bool {
-        sh.crashed[src as usize].load(Ordering::Acquire)
-            || sh.crashed[dst as usize].load(Ordering::Acquire)
-    }
-
     fn now_ns(&self) -> u64 {
         match self.clock {
             Clock::Wall { now, .. } => now,
@@ -574,8 +735,8 @@ impl WireCore {
     /// active latency-spike fault.
     fn schedule(&mut self, sh: &FabricShared, op: WireOp) {
         let (src, len, is_put) = match &op {
-            WireOp::Send { src, data, .. } => (*src as usize, data.len(), false),
-            WireOp::Put { src, data, .. } => (*src as usize, data.len(), true),
+            WireOp::Send(SendOp { src, data, .. }) => (*src as usize, data.len(), false),
+            WireOp::Put(PutOp { src, data, .. }) => (*src as usize, data.len(), true),
         };
         let wire = &sh.config.wire;
         let now = self.now_ns();
@@ -626,7 +787,17 @@ impl WireCore {
         {
             let mut injected = sh.injected.lock();
             std::mem::swap(&mut *injected, &mut batch);
-            sh.injected_any.store(false, Ordering::Relaxed);
+            // On the instant wire the batch is counted as held before the
+            // flag says the vector is empty: an injector whose Acquire load
+            // reads this Release clear also reads the count (or a later
+            // one), and queues behind the batch instead of overtaking it
+            // ([`FabricShared::inject`]). No other wire needs the count
+            // before [`WireCore::run_due`] publishes it.
+            if sh.instant {
+                let held = self.heap.len() + self.reorder_buf.len() + batch.len();
+                sh.scheduled.store(held, Ordering::Relaxed);
+            }
+            sh.injected_any.store(false, Ordering::Release);
         }
         let any = !batch.is_empty();
         for op in batch.drain(..) {
@@ -685,17 +856,17 @@ impl WireCore {
     /// which is exactly what checksum + dedup framing above the fabric must
     /// absorb. RDMA puts are exempt: their payload integrity is the NIC's
     /// hardware CRC and there is no software consumer of put bytes to harden.
-    fn spawn_ghosts(
-        &mut self,
-        sh: &FabricShared,
-        src: HostId,
-        dst: HostId,
-        header: u64,
-        data: &[u8],
-    ) {
+    fn spawn_ghosts(&mut self, sh: &FabricShared, original: &SendOp) {
         if sh.config.fault_plan.is_empty() {
             return;
         }
+        let SendOp {
+            src,
+            dst,
+            header,
+            ref data,
+            ..
+        } = *original;
         let now = self.now_ns();
         let mut ghosts: Vec<(u64, Vec<u8>)> = Vec::new();
         let d = &sh.endpoints[dst as usize];
@@ -727,18 +898,16 @@ impl WireCore {
         }
         for (h, body) in ghosts {
             let at = now + 1 + self.rng.gen_range(0..1_000u64);
-            self.push(
-                at,
-                WireOp::Send {
-                    src,
-                    dst,
-                    header: h,
-                    data: body,
-                    ctx: 0,
-                    retries: 0,
-                    ghost: true,
-                },
-            );
+            let ghost = SendOp {
+                src,
+                dst,
+                header: h,
+                data: body,
+                ctx: 0,
+                retries: 0,
+                ghost: true,
+            };
+            self.push(at, WireOp::Send(ghost));
         }
     }
 
@@ -812,183 +981,101 @@ impl WireCore {
     }
 
     fn deliver(&mut self, sh: &FabricShared, op: WireOp) {
-        match op {
-            WireOp::Send {
-                src,
-                dst,
-                header,
-                data,
-                ctx,
-                retries,
-                ghost,
-            } => {
-                let d = &sh.endpoints[dst as usize];
-                let s = &sh.endpoints[src as usize];
-                let now = self.now_ns();
-                // Crash-stop: count this delivery against any armed crash
-                // triggers, then eat it if either side is dead. Like a
-                // blackhole, the send still completes (the packet left its
-                // NIC; the host died on the far side of the wire), so
-                // completion bookkeeping — inflight windows, a signaled
-                // sender's context — survives a peer's death and the crashed
-                // host's own in-flight sends still release their slots.
-                if !ghost {
-                    self.note_crash_progress(sh, src, dst);
-                }
-                if self.involves_crashed(sh, src, dst) {
-                    if !ghost {
-                        fault(s, Counter::FabricFaultCrashed, 8);
-                        complete_send(s, ctx);
-                    }
-                    return;
-                }
-                // Lossy faults eat the delivery outright. The send still
-                // completes — the packet left its NIC and the wire swallowed
-                // it — so completion bookkeeping above the fabric stays
-                // intact and only a retransmitting layer notices the loss.
-                // Ghosts that hit a lossy phase simply vanish: they were
-                // never initiated, so they complete nothing.
-                let blackholed = sh.config.fault_plan.blackhole_at(now, src)
-                    || sh.config.fault_plan.blackhole_at(now, dst);
-                if blackholed {
-                    if !ghost {
-                        fault(s, Counter::FabricFaultBlackholed, 7);
-                        complete_send(s, ctx);
-                    }
-                    return;
-                }
-                if let Some(ppm) = sh.config.fault_plan.drop_at(now) {
-                    // Only real sends roll the dice, keeping the RNG stream
-                    // (and thus replay) independent of ghost scheduling.
-                    if !ghost && self.rng.gen_range(0..1_000_000u64) < ppm as u64 {
-                        fault(s, Counter::FabricFaultDropped, 6);
-                        complete_send(s, ctx);
-                        return;
-                    }
-                }
-                // An active RNR storm against `dst` bounces the delivery as
-                // if its receive buffers were exhausted, regardless of the
-                // actual credit count.
-                let stormed = sh.config.fault_plan.rnr_storm_at(now, dst);
-                if stormed && !ghost {
-                    fault(d, Counter::FabricFaultForcedRnr, 2);
-                }
-                // Consume a receive credit; only the holder of the wire lock
-                // decrements, so a check-then-sub is race-free against
-                // concurrent returns.
-                if !stormed && d.rx_credits.load(Ordering::Acquire) > 0 {
-                    d.rx_credits.fetch_sub(1, Ordering::AcqRel);
-                    let guard = CreditGuard::new(Arc::clone(d));
-                    d.counters.incr(Counter::FabricRecvs);
-                    lci_trace::record(EventKind::Recv, src as u32, data.len() as u64);
-                    if !ghost {
-                        self.spawn_ghosts(sh, src, dst, header, &data);
-                    }
-                    d.post(Event::Recv {
-                        src,
-                        header,
-                        data: PacketBuf::new(data, guard),
-                    });
-                    if !ghost {
-                        complete_send(s, ctx);
-                    }
-                } else if ghost {
-                    // A ghost that finds the receiver not ready vanishes: it
-                    // was never initiated by anyone, so nothing retries it
-                    // and nothing fails.
-                } else {
-                    // Receiver not ready.
-                    s.counters.incr(Counter::FabricRnrRetries);
-                    lci_trace::record(EventKind::RnrBounce, dst as u32, 0);
-                    if retries >= sh.config.rnr_retry_limit {
-                        s.failed.store(true, Ordering::Release);
-                        s.counters.incr(Counter::FabricErrors);
-                        s.post(Event::Error {
-                            kind: FatalKind::RnrExceeded,
-                            ctx,
-                        });
-                        s.inflight.fetch_sub(1, Ordering::AcqRel);
-                    } else {
-                        let delay = self.scaled(sh, sh.config.rnr_delay_ns as f64).max(1_000);
-                        let at = now + delay;
-                        self.push(
-                            at,
-                            WireOp::Send {
-                                src,
-                                dst,
-                                header,
-                                data,
-                                ctx,
-                                retries: retries + 1,
-                                ghost: false,
-                            },
-                        );
-                    }
-                }
+        let op = match op {
+            WireOp::Send(op) => op,
+            WireOp::Put(op) => {
+                self.note_crash_progress(sh, op.src, op.dst);
+                return op.land(sh);
             }
-            WireOp::Put {
-                src,
-                dst,
-                key,
-                offset,
-                data,
-                ctx,
-                imm,
-                epoch,
-            } => {
-                let d = &sh.endpoints[dst as usize];
-                let s = &sh.endpoints[src as usize];
-                self.note_crash_progress(sh, src, dst);
-                let cur = sh.recovery_epoch.load(Ordering::Acquire);
-                if epoch != cur || self.involves_crashed(sh, src, dst) {
-                    // A put from a dead incarnation, or one racing a crash.
-                    // Its write must not land (the respawned host's memory
-                    // map belongs to the new incarnation), and crucially it
-                    // must not surface `BadMr` either — respawn clears the
-                    // target's registered regions, so a straggler aimed at a
-                    // vanished MR would otherwise fatally poison a healthy
-                    // *survivor*. Complete the sender's put (the packet left
-                    // its NIC) and swallow everything else.
-                    if epoch != cur {
-                        s.counters.incr(Counter::FabricEpochStaleDropped);
-                    } else {
-                        fault(s, Counter::FabricFaultCrashed, 8);
-                    }
-                    s.post(Event::PutDone { ctx, epoch });
-                    s.inflight.fetch_sub(1, Ordering::AcqRel);
-                    return;
-                }
-                let mr = d.mrs.lock().get(&key.0).cloned();
-                let ok = match mr {
-                    Some(mr) => {
-                        let mut buf = mr.data.lock();
-                        if offset + data.len() <= buf.len() {
-                            buf[offset..offset + data.len()].copy_from_slice(&data);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    None => false,
-                };
-                if ok {
-                    s.post(Event::PutDone { ctx, epoch });
-                    if let Some(imm) = imm {
-                        d.post(Event::PutArrived {
-                            src,
-                            imm,
-                            len: data.len() as u32,
-                            epoch,
-                        });
-                    }
-                } else {
-                    s.counters.incr(Counter::FabricErrors);
-                    s.post(Event::Error {
-                        kind: FatalKind::BadMr,
-                        ctx,
-                    });
-                }
+        };
+        let SendOp {
+            src,
+            dst,
+            ctx,
+            ghost,
+            ..
+        } = op;
+        let d = &sh.endpoints[dst as usize];
+        let s = &sh.endpoints[src as usize];
+        let now = self.now_ns();
+        // Crash-stop: count this delivery against any armed crash
+        // triggers, then eat it if either side is dead. Like a
+        // blackhole, the send still completes (the packet left its
+        // NIC; the host died on the far side of the wire), so
+        // completion bookkeeping — inflight windows, a signaled
+        // sender's context — survives a peer's death and the crashed
+        // host's own in-flight sends still release their slots.
+        if !ghost {
+            self.note_crash_progress(sh, src, dst);
+        }
+        if involves_crashed(sh, src, dst) {
+            if !ghost {
+                fault(s, Counter::FabricFaultCrashed, 8);
+                complete_send(s, ctx);
+            }
+            return;
+        }
+        // Lossy faults eat the delivery outright. The send still
+        // completes — the packet left its NIC and the wire swallowed
+        // it — so completion bookkeeping above the fabric stays
+        // intact and only a retransmitting layer notices the loss.
+        // Ghosts that hit a lossy phase simply vanish: they were
+        // never initiated, so they complete nothing.
+        let blackholed = sh.config.fault_plan.blackhole_at(now, src)
+            || sh.config.fault_plan.blackhole_at(now, dst);
+        if blackholed {
+            if !ghost {
+                fault(s, Counter::FabricFaultBlackholed, 7);
+                complete_send(s, ctx);
+            }
+            return;
+        }
+        if let Some(ppm) = sh.config.fault_plan.drop_at(now) {
+            // Only real sends roll the dice, keeping the RNG stream
+            // (and thus replay) independent of ghost scheduling.
+            if !ghost && self.rng.gen_range(0..1_000_000u64) < ppm as u64 {
+                fault(s, Counter::FabricFaultDropped, 6);
+                complete_send(s, ctx);
+                return;
+            }
+        }
+        // An active RNR storm against `dst` bounces the delivery as
+        // if its receive buffers were exhausted, regardless of the
+        // actual credit count.
+        let stormed = sh.config.fault_plan.rnr_storm_at(now, dst);
+        if stormed && !ghost {
+            fault(d, Counter::FabricFaultForcedRnr, 2);
+        }
+        let credit = if stormed { None } else { CreditGuard::take(d) };
+        if let Some(credit) = credit {
+            op.count_recv(sh);
+            if !ghost {
+                self.spawn_ghosts(sh, &op);
+            }
+            op.land(sh, credit);
+        } else if ghost {
+            // A ghost that finds the receiver not ready vanishes: it
+            // was never initiated by anyone, so nothing retries it
+            // and nothing fails.
+        } else {
+            // Receiver not ready.
+            s.counters.incr(Counter::FabricRnrRetries);
+            lci_trace::record(EventKind::RnrBounce, dst as u32, 0);
+            if op.retries >= sh.config.rnr_retry_limit {
+                s.failed.store(true, Ordering::Release);
+                s.counters.incr(Counter::FabricErrors);
+                s.post(Event::Error {
+                    kind: FatalKind::RnrExceeded,
+                    ctx,
+                });
                 s.inflight.fetch_sub(1, Ordering::AcqRel);
+            } else {
+                let delay = self.scaled(sh, sh.config.rnr_delay_ns as f64).max(1_000);
+                let retry = SendOp {
+                    retries: op.retries + 1,
+                    ..op
+                };
+                self.push(now + delay, WireOp::Send(retry));
             }
         }
     }
@@ -1005,7 +1092,7 @@ mod tests {
         let at = |at, seq| Scheduled {
             at,
             seq,
-            op: WireOp::Send {
+            op: WireOp::Send(SendOp {
                 src: 0,
                 dst: 0,
                 header: 0,
@@ -1013,7 +1100,7 @@ mod tests {
                 ctx: 0,
                 retries: 0,
                 ghost: false,
-            },
+            }),
         };
         let (a, b, c) = (at(5, 0), at(5, 1), at(3, 2));
         assert!(c < a && a < b);
@@ -1026,6 +1113,56 @@ mod tests {
         assert_eq!(f.endpoints().len(), 4);
         assert!(!f.is_manual());
         drop(f);
+    }
+
+    #[test]
+    fn the_instant_wire_is_wall_clock_without_a_plan_or_a_scaled_cost() {
+        let instant = |cfg: FabricConfig, manual: bool| Fabric::build(cfg, manual).shared.instant;
+        let test = || FabricConfig::test(2);
+        assert!(instant(test(), false));
+        assert!(
+            instant(test().with_wire(WireModel::opa()), false),
+            "time_scale 0"
+        );
+        assert!(instant(test().with_time_scale(1.0), false), "all-zero wire");
+        assert!(!instant(
+            test().with_time_scale(1.0).with_wire(WireModel::opa()),
+            false
+        ));
+        assert!(!instant(test(), true), "manual");
+        let plan = FaultPlan::none().with_phase(0, 1, Fault::Duplicate);
+        assert!(!instant(test().with_fault_plan(plan), false), "fault plan");
+    }
+
+    #[test]
+    fn the_instant_wire_swallows_a_stale_put_at_injection() {
+        let f = Fabric::new(FabricConfig::test(2));
+        let (a, b) = (f.endpoint(0), f.endpoint(1));
+        f.respawn(1);
+        let mr = b.register_mr(4);
+        // A put stamped before the respawn reaches the wire after it, as one
+        // racing the respawn would; its slot is taken as admission takes it.
+        a.shared.inflight.fetch_add(1, Ordering::AcqRel);
+        f.shared.inject(WireOp::Put(PutOp {
+            src: 0,
+            dst: 1,
+            key: mr.key(),
+            offset: 0,
+            data: vec![9; 4],
+            ctx: 7,
+            imm: Some(42),
+            epoch: 0,
+        }));
+        assert_eq!(mr.to_vec(), [0; 4], "a stale put must not write");
+        assert_eq!(a.inflight(), 0);
+        assert!(matches!(
+            a.poll(),
+            Some(Event::PutDone { ctx: 7, epoch: 0 })
+        ));
+        assert!(a.poll().is_none(), "no BadMr");
+        assert!(b.poll().is_none(), "no stale PutArrived");
+        assert_eq!(a.counters().get(Counter::FabricEpochStaleDropped), 1);
+        assert_eq!(a.stats().errors, 0);
     }
 
     #[test]
@@ -1130,6 +1267,31 @@ mod tests {
         assert_eq!(send_done, 1, "ghosts complete nothing");
         assert_eq!(b.stats().fault_duplicated, 1);
         assert_eq!(a.stats().sends, 1, "ghosts are not counted as sends");
+    }
+
+    #[test]
+    fn the_ring_reads_send_then_receive_then_fault() {
+        let logged = |run: &dyn Fn()| {
+            lci_trace::with_ring(|r| r.drain());
+            run();
+            let events = lci_trace::with_ring(|r| r.drain()).unwrap();
+            events.iter().map(|e| e.kind).collect::<Vec<_>>()
+        };
+        use EventKind::{Fault as F, Recv, Send};
+        // The instant wire delivers in the injecting thread, after the send
+        // is logged.
+        let f = Fabric::new(FabricConfig::test(2));
+        let a = f.endpoint(0);
+        assert_eq!(logged(&|| a.try_send(1, 1, b"x", 0).unwrap()), [Send, Recv]);
+        // The wire logs an original's receive before the fault that copies it.
+        let plan = FaultPlan::none().with_phase(0, u64::MAX / 2, Fault::Duplicate);
+        let m = Fabric::new_manual(FabricConfig::deterministic(2, 3).with_fault_plan(plan));
+        let a = m.endpoint(0);
+        let run = || {
+            a.try_send(1, 1, b"x", 0).unwrap();
+            m.drain();
+        };
+        assert_eq!(logged(&run), [Send, Recv, F, Recv]);
     }
 
     #[test]

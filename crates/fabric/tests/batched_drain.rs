@@ -167,14 +167,21 @@ fn drain_into_appends_behind_what_the_buffer_holds() {
 }
 
 /// Four threads inject into one endpoint of a wall-clock fabric while one
-/// poller drains both endpoints a batch at a time. Every message arrives
-/// exactly once and in its thread's order, every signaled send completes
-/// once, and no injection slot is left in use.
+/// poller drains both endpoints a batch at a time. The wire is as instant,
+/// but a fault plan whose one phase never starts keeps every send on the
+/// injection queue, which the wire takes a batch at a time. Every message
+/// arrives exactly once and in its thread's order, every signaled send
+/// completes once, and no injection slot is left in use.
 #[test]
 fn concurrent_injectors_and_a_draining_poller_lose_nothing() {
     const THREADS: u64 = 4;
     const N: u64 = 4_000;
-    let f = Fabric::new(FabricConfig::test(2).with_injection_depth(64));
+    let plan = FaultPlan::none().with_phase(u64::MAX / 2, 1, Fault::Duplicate);
+    let f = Fabric::new(
+        FabricConfig::test(2)
+            .with_fault_plan(plan)
+            .with_injection_depth(64),
+    );
     let (a, b) = (f.endpoint(0), f.endpoint(1));
     let deadline = Instant::now() + Duration::from_secs(60);
     let injecting = AtomicBool::new(true);

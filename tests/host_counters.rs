@@ -12,7 +12,7 @@ use abelian::layers::MpiProbeLayer;
 use abelian::{build_layers, run_app, CommLayer, EngineConfig, LayerKind};
 use bytes::Bytes;
 use lci::{Device, DeviceStats, LciConfig};
-use lci_fabric::{Fabric, FabricConfig, Fault, FaultPlan, StatsSnapshot};
+use lci_fabric::{Fabric, FabricConfig, Fault, FaultPlan, ReliableConfig, StatsSnapshot};
 use lci_graph::{gen, partition, Policy};
 use lci_trace::counters::ALL_COUNTERS;
 use lci_trace::{Counter, Registry};
@@ -318,4 +318,32 @@ fn a_malformed_frame_counts_on_the_receiving_hosts_table() {
     assert_eq!(fabric.endpoint(0).counters().get(c), 0, "sender");
     let moved = lci_trace::global().snapshot().delta(&before);
     assert_eq!(moved.get(c), sum_over_hosts(fabric, c));
+}
+
+/// A frame beyond a receive gate's window counts on the table of the host
+/// whose gate refused it. With gates one frame wide and a lossy wire, every
+/// frame that overtakes a lost one overflows host 1's gate; host 0, which
+/// only ever receives acks, counts none; and the global row moved by exactly
+/// the sum over hosts (no other test of this binary overflows a gate).
+#[test]
+fn a_window_overflow_counts_on_the_receiving_hosts_table() {
+    let c = Counter::FabricFrameWindowOverflow;
+    let before = lci_trace::global().snapshot();
+    let plan = FaultPlan::none().with_phase(0, u64::MAX / 2, Fault::Drop { prob_ppm: 100_000 });
+    // A refused frame is sent again until it arrives in order: a budget
+    // that outlasts the losses in a row, so no peer is declared dead.
+    let gate = ReliableConfig::default()
+        .with_gate_window(1)
+        .with_retry_budget(64);
+    let cfg = FabricConfig::deterministic(2, 0xC0FFEE)
+        .with_fault_plan(plan)
+        .with_reliable(gate);
+    let f = Fabric::new_manual(cfg);
+    stream_to_quiescence(&f, 64);
+    let (tx, rx) = (f.endpoint(0), f.endpoint(1));
+    assert_eq!(rx.counters().get(Counter::LciReceived), 64);
+    assert!(rx.counters().get(c) > 0, "no frame overtook a lost one");
+    assert_eq!(tx.counters().get(c), 0);
+    let moved = lci_trace::global().snapshot().delta(&before);
+    assert_eq!(moved.get(c), sum_over_hosts(&f, c));
 }
