@@ -178,7 +178,7 @@ impl CommLayer for LciLayer {
                     let mut inner = self.inner.lock();
                     self.pump(&mut inner);
                     drop(inner);
-                    backoff.snooze();
+                    backoff.snooze_in(self.counters());
                 }
                 Err(e) => {
                     // Fatal (device closed, peer declared dead): the round

@@ -8,6 +8,7 @@
 //! budget), ramping from busy-spins to real sleeps as the condition persists.
 
 use crate::config::LciConfig;
+use lci_trace::{Counter, Registry};
 use std::time::{Duration, Instant};
 
 /// Waits below this spin instead of sleeping: OS sleep granularity would
@@ -64,16 +65,25 @@ impl Backoff {
     }
 
     /// Wait once (spinning below [`SPIN_THRESHOLD_NS`], sleeping above) and
-    /// charge the budget. Returns `false` — without waiting — once the
-    /// budget is exhausted.
+    /// charge the budget, counting the wait in `lci.backoff_*` of the global
+    /// table. Returns `false` — without waiting — once the budget is
+    /// exhausted.
     pub fn snooze(&mut self) -> bool {
+        self.snooze_in(lci_trace::global())
+    }
+
+    /// [`Backoff::snooze`], counting the wait in `table` — the table of the
+    /// host whose retry or idle loop waits (its endpoint's
+    /// [`counters`](lci_fabric::Endpoint::counters)), which reads of the
+    /// global table include.
+    pub fn snooze_in(&mut self, table: &Registry) -> bool {
         if self.exhausted() {
             return false;
         }
         let wait = self.next_wait_ns();
         self.attempt += 1;
-        lci_trace::incr(lci_trace::Counter::LciBackoffWaits);
-        lci_trace::add(lci_trace::Counter::LciBackoffWaitNs, wait);
+        table.incr(Counter::LciBackoffWaits);
+        table.add(Counter::LciBackoffWaitNs, wait);
         if wait < SPIN_THRESHOLD_NS {
             let t0 = Instant::now();
             while (t0.elapsed().as_nanos() as u64) < wait {

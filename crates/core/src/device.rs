@@ -33,7 +33,8 @@
 //! the ack, retransmit memory is pool memory and bounded by it, and an
 //! eager send needs no completion of its own: it goes out unsignaled
 //! (context 0), so the fabric posts none. On the receive side an eager message is handed out in the
-//! buffer the fabric delivered it in ([`crate::RecvData`]).
+//! buffer the fabric delivered it in ([`crate::RecvData`]). Both eager requests are born complete
+//! and own their state; only a rendezvous request is shared with progress.
 //!
 //! # Rendezvous ids
 //!
@@ -444,7 +445,7 @@ impl Device {
         let Some(mut packet) = inner.pool.alloc() else {
             self.counters().incr(Counter::LciEnqRejected);
             self.counters().incr(Counter::LciPoolExhausted);
-            lci_trace::record(EventKind::PoolExhausted, dst as u32, 0);
+            inner.ep.record(EventKind::PoolExhausted, dst as u32, 0);
             return Err(EnqError::NoPacket);
         };
 
@@ -459,13 +460,11 @@ impl Device {
             })?;
             // Eager sends complete at initiation: the data has been copied
             // out of the user's buffer (Algorithm 1, line 10).
-            let req = ReqInner::new(dst, tag, len, ReqState::Empty);
-            req.mark_done();
             self.counters().incr(Counter::LciEgrSent);
-            Ok(SendRequest { inner: req })
+            Ok(SendRequest::eager(dst, tag, len))
         } else {
             let len = data.len();
-            let req = ReqInner::new(dst, tag, len, ReqState::SendPayload(data));
+            let req = ReqInner::new(ReqState::SendPayload(data));
             let id = inner.parked.lock().park(Arc::clone(&req));
             packet[BODY..BODY + 8].copy_from_slice(&protocol::encode_rts(id));
             let header = protocol::pack(PacketType::Rts, tag, len as u64);
@@ -477,7 +476,7 @@ impl Device {
                 }
             })?;
             self.counters().incr(Counter::LciRdvOpened);
-            Ok(SendRequest { inner: req })
+            Ok(SendRequest::rendezvous(dst, tag, len, req))
         }
     }
 
@@ -501,9 +500,10 @@ impl Device {
                 Ok(req) => return Ok(req),
                 Err(e) if e.is_retryable() => {
                     self.counters().incr(Counter::LciRetries);
-                    lci_trace::record(EventKind::EnqRetry, dst as u32, backoff.attempt() as u64);
+                    let attempt = backoff.attempt() as u64;
+                    self.inner.ep.record(EventKind::EnqRetry, dst as u32, attempt);
                     self.progress();
-                    if !backoff.snooze() {
+                    if !backoff.snooze_in(self.counters()) {
                         self.counters().incr(Counter::LciRetriesExhausted);
                         return Err(EnqError::RetriesExhausted);
                     }
@@ -542,10 +542,8 @@ impl Device {
                     return None;
                 }
                 let data = RecvData::new(buf, BODY);
-                let req = ReqInner::new(item.src, item.tag, len, ReqState::RecvReady(data));
-                req.mark_done();
                 self.counters().incr(Counter::LciReceived);
-                Some(RecvRequest { inner: req })
+                Some(RecvRequest::eager(item.src, item.tag, data))
             }
             PacketType::Rts => {
                 let Some(send_id) = protocol::decode_rts(&item.data[BODY..]) else {
@@ -572,7 +570,7 @@ impl Device {
                         MrKey(0),
                     ),
                 };
-                let req = ReqInner::new(item.src, item.tag, item.size as usize, state);
+                let req = ReqInner::new(state);
                 let recv_id = inner.parked.lock().park(Arc::clone(&req));
                 packet[BODY..BODY + 24]
                     .copy_from_slice(&protocol::encode_rtr(send_id, key.0, recv_id));
@@ -580,7 +578,12 @@ impl Device {
                 match self.send_packet(item.src, header, packet, 24) {
                     Ok(()) => {
                         self.counters().incr(Counter::LciReceived);
-                        Some(RecvRequest { inner: req })
+                        Some(RecvRequest::rendezvous(
+                            item.src,
+                            item.tag,
+                            item.size as usize,
+                            req,
+                        ))
                     }
                     Err(_) => {
                         // Unwind: the RTR never left. Unpark the request,

@@ -4,6 +4,19 @@
 //! operation is initiated, its progress is implicit (driven by the
 //! communication server) and the user merely re-reads a status flag — no
 //! function call, no network poll on the critical path.
+//!
+//! A request takes one of two forms, fixed when the device creates it:
+//!
+//! * **Eager** — born complete (an eager `SEND-ENQ` is done at initiation,
+//!   Algorithm 1 line 10; an eager `RECV-DEQ` surfaces a message that has
+//!   arrived). The handle owns everything — peer, tag, size and, for a
+//!   receive, its [`RecvData`] behind an inline lock so that
+//!   [`RecvRequest::take_data`] hands it out once — and no other thread ever
+//!   sees it: no heap, no shared flag.
+//! * **Rendezvous** — an `Arc<ReqInner>` shared with the device's progress:
+//!   parked under its rendezvous id, marked done or failed by progress, failed
+//!   by [`Device::rejoin`](crate::Device::rejoin). Only this form has a
+//!   status flag to re-read.
 
 use bytes::Bytes;
 use lci_fabric::MemRegion;
@@ -68,8 +81,9 @@ impl FilledRanges {
     }
 }
 
+/// What a rendezvous request holds.
 pub(crate) enum ReqState {
-    /// Nothing held (eager send, or consumed).
+    /// Nothing held (consumed).
     Empty,
     /// Rendezvous send: the payload kept alive until the RDMA put completes.
     SendPayload(Bytes),
@@ -133,22 +147,18 @@ impl std::fmt::Debug for RecvData {
     }
 }
 
+/// The state of a rendezvous request, shared between its handle and the
+/// device's progress: parked under its id, marked done or failed there, or
+/// failed by [`Device::rejoin`](crate::Device::rejoin).
 pub(crate) struct ReqInner {
     status: AtomicU8,
-    /// Peer rank: destination for sends, source for receives.
-    pub(crate) peer: u16,
-    pub(crate) tag: u32,
-    pub(crate) size: usize,
     pub(crate) state: Mutex<ReqState>,
 }
 
 impl ReqInner {
-    pub(crate) fn new(peer: u16, tag: u32, size: usize, state: ReqState) -> Arc<Self> {
+    pub(crate) fn new(state: ReqState) -> Arc<Self> {
         Arc::new(ReqInner {
             status: AtomicU8::new(PENDING),
-            peer,
-            tag,
-            size,
             state: Mutex::new(state),
         })
     }
@@ -170,42 +180,98 @@ impl ReqInner {
     }
 }
 
+/// Where a request's completion lives.
+enum Form<D> {
+    /// Born complete: an eager message, done at initiation. The handle owns
+    /// it alone — `D` is what is left to hand out — and progress never sees it.
+    Eager(D),
+    /// A rendezvous, shared with progress until its last completion.
+    Rendezvous(Arc<ReqInner>),
+}
+
+/// The handle behind both request types: peer, tag and size inline, and the
+/// request's [`Form`].
+struct Handle<D> {
+    /// Peer rank: destination for sends, source for receives.
+    peer: u16,
+    tag: u32,
+    size: usize,
+    form: Form<D>,
+}
+
+impl<D> Handle<D> {
+    fn is_done(&self) -> bool {
+        match &self.form {
+            Form::Eager(_) => true,
+            Form::Rendezvous(req) => req.is_done(),
+        }
+    }
+
+    fn is_error(&self) -> bool {
+        matches!(&self.form, Form::Rendezvous(req) if req.is_error())
+    }
+}
+
 /// Handle to an initiated send. Completion is observed by re-reading
 /// [`SendRequest::is_done`]; there is no completion *call*.
 pub struct SendRequest {
-    pub(crate) inner: Arc<ReqInner>,
+    handle: Handle<()>,
 }
 
 impl SendRequest {
+    /// An eager send: complete at initiation (Algorithm 1, line 10).
+    pub(crate) fn eager(dst: u16, tag: u32, size: usize) -> Self {
+        SendRequest {
+            handle: Handle {
+                peer: dst,
+                tag,
+                size,
+                form: Form::Eager(()),
+            },
+        }
+    }
+
+    /// A rendezvous send, complete when progress marks `req` done.
+    pub(crate) fn rendezvous(dst: u16, tag: u32, size: usize, req: Arc<ReqInner>) -> Self {
+        SendRequest {
+            handle: Handle {
+                peer: dst,
+                tag,
+                size,
+                form: Form::Rendezvous(req),
+            },
+        }
+    }
+
     /// Has the message left the sender safely (eager) or has the rendezvous
     /// put completed?
     pub fn is_done(&self) -> bool {
-        self.inner.is_done()
+        self.handle.is_done()
     }
 
     /// Did the operation fail fatally (endpoint failed)?
     pub fn is_error(&self) -> bool {
-        self.inner.is_error()
+        self.handle.is_error()
     }
 
     /// Destination rank.
     pub fn dst(&self) -> u16 {
-        self.inner.peer
+        self.handle.peer
     }
 
     /// Message tag.
     pub fn tag(&self) -> u32 {
-        self.inner.tag
+        self.handle.tag
     }
 
     /// Payload length in bytes.
     pub fn len(&self) -> usize {
-        self.inner.size
+        self.handle.size
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.size == 0
+        self.handle.size == 0
     }
 }
 
@@ -226,47 +292,74 @@ impl std::fmt::Debug for SendRequest {
 /// when the sender's RDMA put lands. Either way the data is claimed with
 /// [`RecvRequest::take_data`].
 pub struct RecvRequest {
-    pub(crate) inner: Arc<ReqInner>,
+    /// An eager receive holds its data until [`RecvRequest::take_data`].
+    handle: Handle<Mutex<Option<RecvData>>>,
 }
 
 impl RecvRequest {
+    /// An eager receive: complete, holding the message it arrived with.
+    pub(crate) fn eager(src: u16, tag: u32, data: RecvData) -> Self {
+        RecvRequest {
+            handle: Handle {
+                peer: src,
+                tag,
+                size: data.len(),
+                form: Form::Eager(Mutex::new(Some(data))),
+            },
+        }
+    }
+
+    /// A rendezvous receive, complete when its put lands in `req`.
+    pub(crate) fn rendezvous(src: u16, tag: u32, size: usize, req: Arc<ReqInner>) -> Self {
+        RecvRequest {
+            handle: Handle {
+                peer: src,
+                tag,
+                size,
+                form: Form::Rendezvous(req),
+            },
+        }
+    }
+
     /// Is the payload ready to take?
     pub fn is_done(&self) -> bool {
-        self.inner.is_done()
+        self.handle.is_done()
     }
 
     /// Did the operation fail fatally?
     pub fn is_error(&self) -> bool {
-        self.inner.is_error()
+        self.handle.is_error()
     }
 
     /// Source rank.
     pub fn src(&self) -> u16 {
-        self.inner.peer
+        self.handle.peer
     }
 
     /// Message tag.
     pub fn tag(&self) -> u32 {
-        self.inner.tag
+        self.handle.tag
     }
 
     /// Payload length in bytes.
     pub fn len(&self) -> usize {
-        self.inner.size
+        self.handle.size
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.size == 0
+        self.handle.size == 0
     }
 
     /// Claim the payload. Returns `None` if the request is not yet done or
     /// the data was already taken.
     pub fn take_data(&self) -> Option<RecvData> {
-        if !self.is_done() {
-            return None;
-        }
-        let mut st = self.inner.state.lock();
+        let req = match &self.handle.form {
+            Form::Eager(data) => return data.lock().take(),
+            Form::Rendezvous(req) if req.is_done() => req,
+            Form::Rendezvous(_) => return None,
+        };
+        let mut st = req.state.lock();
         match std::mem::replace(&mut *st, ReqState::Empty) {
             ReqState::RecvReady(v) => Some(v),
             other => {
@@ -294,7 +387,7 @@ mod tests {
 
     #[test]
     fn status_transitions() {
-        let r = ReqInner::new(3, 9, 100, ReqState::Empty);
+        let r = ReqInner::new(ReqState::Empty);
         assert!(!r.is_done());
         assert!(!r.is_error());
         r.mark_done();
@@ -305,16 +398,34 @@ mod tests {
     fn take_data_only_when_done() {
         // As an eager message arrives: two bytes of header, then the payload.
         let data = RecvData::new(vec![9, 9, 1, 2, 3], 2);
-        let inner = ReqInner::new(1, 2, 3, ReqState::RecvReady(data));
-        let req = RecvRequest {
-            inner: Arc::clone(&inner),
-        };
+        let inner = ReqInner::new(ReqState::RecvReady(data));
+        let req = RecvRequest::rendezvous(1, 2, 3, Arc::clone(&inner));
         assert!(req.take_data().is_none(), "pending request yields no data");
         inner.mark_done();
         let data = req.take_data().expect("done request yields its data");
         assert_eq!(data, [1, 2, 3]);
         assert_eq!(data.into_vec(), vec![1, 2, 3]);
         assert!(req.take_data().is_none(), "data can only be taken once");
+    }
+
+    #[test]
+    fn eager_requests_are_born_complete() {
+        let data = RecvData::new(vec![9, 9, 1, 2, 3], 2);
+        let req = RecvRequest::eager(4, 5, data);
+        assert!(req.is_done() && !req.is_error());
+        assert_eq!((req.src(), req.tag(), req.len()), (4, 5, 3));
+        assert_eq!(req.take_data().expect("born with its data"), [1, 2, 3]);
+        assert!(req.take_data().is_none(), "data can only be taken once");
+        let send = SendRequest::eager(6, 7, 0);
+        assert!(send.is_done() && !send.is_error() && send.is_empty());
+        assert_eq!((send.dst(), send.tag()), (6, 7));
+    }
+
+    #[test]
+    fn requests_are_send_and_sync() {
+        fn shared<T: Send + Sync>() {}
+        shared::<SendRequest>();
+        shared::<RecvRequest>();
     }
 
     #[test]
@@ -351,11 +462,12 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let inner = ReqInner::new(7, 42, 11, ReqState::Empty);
+        let inner = ReqInner::new(ReqState::Empty);
+        let s = SendRequest::rendezvous(7, 42, 11, Arc::clone(&inner));
+        assert!(!s.is_done());
+        inner.mark_error();
+        assert!(s.is_error());
         inner.mark_done();
-        let s = SendRequest {
-            inner: Arc::clone(&inner),
-        };
         assert_eq!(s.dst(), 7);
         assert_eq!(s.tag(), 42);
         assert_eq!(s.len(), 11);

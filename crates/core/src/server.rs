@@ -30,11 +30,12 @@ impl CommServer {
                 // once genuinely idle — the server stays sub-microsecond
                 // responsive under load without pinning a core forever.
                 let mut idle = Backoff::unbounded(100, 50_000);
+                let table = device.endpoint().counters();
                 while !flag.load(Ordering::Acquire) {
                     if device.progress() > 0 {
                         idle.reset();
                     } else {
-                        idle.snooze();
+                        idle.snooze_in(table);
                     }
                 }
             })

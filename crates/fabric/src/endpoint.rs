@@ -298,7 +298,7 @@ impl Endpoint {
             return Ok(());
         };
         self.shared.counters.incr(Counter::FabricBackpressure);
-        lci_trace::record(EventKind::Backpressure, dst as u32, 0);
+        self.fabric.record(EventKind::Backpressure, dst as u32, 0);
         if full_at < self.fabric.config.injection_depth {
             self.shared
                 .counters
@@ -367,12 +367,14 @@ impl Endpoint {
             ghost: false,
         });
         // Counted and logged before the wire has it, which on the instant
-        // wire may deliver it at once: the ring reads send, then receive.
+        // wire may deliver it at once: the ring reads send, then receive,
+        // both at the one stamp.
         let bytes = data.len() as u64;
         self.shared.counters.incr(Counter::FabricSends);
         self.shared.counters.add(Counter::FabricSendBytes, bytes);
-        lci_trace::record(EventKind::Send, dst as u32, bytes);
-        self.fabric.inject(op);
+        let t = self.fabric.stamp();
+        lci_trace::record_at(t, EventKind::Send, dst as u32, bytes);
+        self.fabric.inject(op, t);
         Ok(())
     }
 
@@ -409,8 +411,9 @@ impl Endpoint {
         let bytes = data.len() as u64;
         self.shared.counters.incr(Counter::FabricPuts);
         self.shared.counters.add(Counter::FabricPutBytes, bytes);
-        lci_trace::record(EventKind::Put, dst as u32, bytes);
-        self.fabric.inject(op);
+        let t = self.fabric.stamp();
+        lci_trace::record_at(t, EventKind::Put, dst as u32, bytes);
+        self.fabric.inject(op, t);
         Ok(())
     }
 
@@ -481,6 +484,14 @@ impl Endpoint {
     /// [`lci_trace::global`] include it.
     pub fn counters(&self) -> &Registry {
         &self.shared.counters
+    }
+
+    /// Log an event to the calling thread's ring, stamped as the fabric
+    /// stamps its own ([`lci_trace::TraceEvent::t_ns`]): for the runtimes
+    /// above, whose wire-side events (`PoolExhausted`, `EnqRetry`) then sit
+    /// on the same clock as the fabric's `Send` and `Recv`.
+    pub fn record(&self, kind: EventKind, a: u32, b: u64) {
+        self.fabric.record(kind, a, b);
     }
 
     /// Current number of in-flight injected operations.

@@ -92,16 +92,22 @@ pub(crate) struct PutOp {
 }
 
 impl SendOp {
-    /// The message reaches its receiver: count it there and log it. With
+    /// The message reaches its receiver at `t_ns` on the fabric's clock
+    /// ([`FabricShared::stamp`]): count it there and log it. With
     /// [`SendOp::land`], the delivery of a send that got its receive credit,
     /// run by the wire and by the instant wire's injection alike, so it needs
     /// nothing but the fabric. The wire spawns a fault plan's ghosts between
     /// the two, so the ring reads receive, then fault.
     #[inline]
-    fn count_recv(&self, sh: &FabricShared) {
+    fn count_recv(&self, sh: &FabricShared, t_ns: u64) {
         let d = &sh.endpoints[self.dst as usize];
         d.counters.incr(Counter::FabricRecvs);
-        lci_trace::record(EventKind::Recv, self.src as u32, self.data.len() as u64);
+        lci_trace::record_at(
+            t_ns,
+            EventKind::Recv,
+            self.src as u32,
+            self.data.len() as u64,
+        );
     }
 
     /// Queue the counted message at its receiver, which has given up
@@ -161,7 +167,7 @@ impl PutOp {
             if epoch != cur {
                 s.counters.incr(Counter::FabricEpochStaleDropped);
             } else {
-                fault(s, Counter::FabricFaultCrashed, 8);
+                sh.fault(s, Counter::FabricFaultCrashed, 8);
             }
             s.post(Event::PutDone { ctx, epoch });
             s.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -256,23 +262,25 @@ pub(crate) struct FabricShared {
 }
 
 impl FabricShared {
-    /// Hand an operation to the wire.
+    /// Hand an operation to the wire; `t_ns` is the [`FabricShared::stamp`]
+    /// its injection was logged at.
     ///
     /// On the instant wire an operation is due when it is injected, so while
     /// the wire holds nothing else it is delivered here, in the injecting
     /// thread, by the same code a drive runs ([`SendOp::land`],
     /// [`PutOp::land`]): no injection vector, no core lock, no clock, no
-    /// heap. A send whose receiver has no credit takes the ordinary path, so
+    /// heap — and its `Recv` carries `t_ns`, the model's instant of both. A
+    /// send whose receiver has no credit takes the ordinary path, so
     /// its receiver-not-ready bounce and retries are the wire's as ever; and
     /// while any such send is queued or scheduled, later operations queue
     /// behind it.
-    pub(crate) fn inject(&self, op: WireOp) {
+    pub(crate) fn inject(&self, op: WireOp, t_ns: u64) {
         let op = if self.instant && self.holds_nothing() {
             match op {
                 WireOp::Put(put) => return put.land(self),
                 WireOp::Send(send) => match CreditGuard::take(&self.endpoints[send.dst as usize]) {
                     Some(credit) => {
-                        send.count_recv(self);
+                        send.count_recv(self, t_ns);
                         return send.land(self, credit);
                     }
                     None => WireOp::Send(send),
@@ -316,6 +324,35 @@ impl FabricShared {
     /// a stale reading means)?
     fn holds_nothing(&self) -> bool {
         !self.injected_any.load(Ordering::Acquire) && self.scheduled.load(Ordering::Acquire) == 0
+    }
+
+    /// The fabric's clock, which stamps every ring event the fabric records:
+    /// on a caller-stepped fabric the virtual clock (one relaxed load, and
+    /// the same stamps on every replay of a seed), on a wall-clock fabric
+    /// the trace clock ([`lci_trace::ring::now_ns`]).
+    #[inline]
+    pub(crate) fn stamp(&self) -> u64 {
+        if self.manual {
+            self.virtual_now.load(Ordering::Relaxed)
+        } else {
+            lci_trace::ring::now_ns()
+        }
+    }
+
+    /// Log an event to the calling thread's ring, stamped now on the
+    /// fabric's clock.
+    #[inline]
+    pub(crate) fn record(&self, kind: EventKind, a: u32, b: u64) {
+        lci_trace::record_at(self.stamp(), kind, a, b);
+    }
+
+    /// Count one fault-injection event against `ep`'s host and log it to the
+    /// event ring; `kind` is the ring payload naming the fault (0 delayed,
+    /// 1 reordered, 2 forced RNR, 3 corrupted, 4 duplicated, 5 truncated,
+    /// 6 dropped, 7 blackholed, 8 crashed).
+    fn fault(&self, ep: &EndpointShared, c: Counter, kind: u32) {
+        ep.counters.incr(c);
+        self.record(EventKind::Fault, kind, 0);
     }
 
     /// Manual mode: the wire, for the caller to pump.
@@ -597,15 +634,6 @@ fn involves_crashed(sh: &FabricShared, src: HostId, dst: HostId) -> bool {
         || sh.crashed[dst as usize].load(Ordering::Acquire)
 }
 
-/// Count one fault-injection event against `ep`'s host and log it to the
-/// event ring; `kind` is the ring payload naming the fault (0 delayed,
-/// 1 reordered, 2 forced RNR, 3 corrupted, 4 duplicated, 5 truncated,
-/// 6 dropped, 7 blackholed, 8 crashed).
-fn fault(ep: &EndpointShared, c: Counter, kind: u32) {
-    ep.counters.incr(c);
-    lci_trace::record(EventKind::Fault, kind, 0);
-}
-
 /// The wire state machine, shared by both modes. It holds no reference to
 /// the [`FabricShared`] that owns it; every method that needs the fabric
 /// takes it as `sh`.
@@ -681,7 +709,7 @@ impl WireCore {
             sh.crashed[h].store(true, Ordering::Release);
             let ep = &sh.endpoints[h];
             ep.failed.store(true, Ordering::Release);
-            fault(ep, Counter::FabricFaultCrashed, 8);
+            sh.fault(ep, Counter::FabricFaultCrashed, 8);
         }
     }
 
@@ -753,7 +781,7 @@ impl WireCore {
         // instant (time_scale 0) test wires.
         let spike = match sh.config.fault_plan.spike_at(now) {
             Some((extra_ns, jitter_ns)) => {
-                fault(&sh.endpoints[src], Counter::FabricFaultDelayed, 0);
+                sh.fault(&sh.endpoints[src], Counter::FabricFaultDelayed, 0);
                 let j = if jitter_ns > 0 {
                     self.rng.gen_range(0..jitter_ns)
                 } else {
@@ -813,7 +841,7 @@ impl WireCore {
         let now = self.now_ns();
         match sh.config.fault_plan.reorder_at(now) {
             Some(window) => {
-                fault(&sh.endpoints[op.dst()], Counter::FabricFaultReordered, 1);
+                sh.fault(&sh.endpoints[op.dst()], Counter::FabricFaultReordered, 1);
                 self.reorder_buf.push(op);
                 if self.reorder_buf.len() >= window.max(2) {
                     self.release_one_held(sh);
@@ -871,7 +899,7 @@ impl WireCore {
         let mut ghosts: Vec<(u64, Vec<u8>)> = Vec::new();
         let d = &sh.endpoints[dst as usize];
         if sh.config.fault_plan.duplicate_at(now) {
-            fault(d, Counter::FabricFaultDuplicated, 4);
+            sh.fault(d, Counter::FabricFaultDuplicated, 4);
             ghosts.push((header, data.to_vec()));
         }
         if let Some(flips) = sh.config.fault_plan.corrupt_at(now) {
@@ -888,12 +916,12 @@ impl WireCore {
                     body[(bit - 64) / 8] ^= 1 << (bit % 8);
                 }
             }
-            fault(d, Counter::FabricFaultCorrupted, 3);
+            sh.fault(d, Counter::FabricFaultCorrupted, 3);
             ghosts.push((h, body));
         }
         if sh.config.fault_plan.truncate_at(now) && !data.is_empty() {
             let cut = self.rng.gen_range(0..data.len());
-            fault(d, Counter::FabricFaultTruncated, 5);
+            sh.fault(d, Counter::FabricFaultTruncated, 5);
             ghosts.push((header, data[..cut].to_vec()));
         }
         for (h, body) in ghosts {
@@ -1010,7 +1038,7 @@ impl WireCore {
         }
         if involves_crashed(sh, src, dst) {
             if !ghost {
-                fault(s, Counter::FabricFaultCrashed, 8);
+                sh.fault(s, Counter::FabricFaultCrashed, 8);
                 complete_send(s, ctx);
             }
             return;
@@ -1025,7 +1053,7 @@ impl WireCore {
             || sh.config.fault_plan.blackhole_at(now, dst);
         if blackholed {
             if !ghost {
-                fault(s, Counter::FabricFaultBlackholed, 7);
+                sh.fault(s, Counter::FabricFaultBlackholed, 7);
                 complete_send(s, ctx);
             }
             return;
@@ -1034,7 +1062,7 @@ impl WireCore {
             // Only real sends roll the dice, keeping the RNG stream
             // (and thus replay) independent of ghost scheduling.
             if !ghost && self.rng.gen_range(0..1_000_000u64) < ppm as u64 {
-                fault(s, Counter::FabricFaultDropped, 6);
+                sh.fault(s, Counter::FabricFaultDropped, 6);
                 complete_send(s, ctx);
                 return;
             }
@@ -1044,11 +1072,11 @@ impl WireCore {
         // actual credit count.
         let stormed = sh.config.fault_plan.rnr_storm_at(now, dst);
         if stormed && !ghost {
-            fault(d, Counter::FabricFaultForcedRnr, 2);
+            sh.fault(d, Counter::FabricFaultForcedRnr, 2);
         }
         let credit = if stormed { None } else { CreditGuard::take(d) };
         if let Some(credit) = credit {
-            op.count_recv(sh);
+            op.count_recv(sh, sh.stamp());
             if !ghost {
                 self.spawn_ghosts(sh, &op);
             }
@@ -1060,7 +1088,7 @@ impl WireCore {
         } else {
             // Receiver not ready.
             s.counters.incr(Counter::FabricRnrRetries);
-            lci_trace::record(EventKind::RnrBounce, dst as u32, 0);
+            sh.record(EventKind::RnrBounce, dst as u32, 0);
             if op.retries >= sh.config.rnr_retry_limit {
                 s.failed.store(true, Ordering::Release);
                 s.counters.incr(Counter::FabricErrors);
@@ -1143,16 +1171,19 @@ mod tests {
         // A put stamped before the respawn reaches the wire after it, as one
         // racing the respawn would; its slot is taken as admission takes it.
         a.shared.inflight.fetch_add(1, Ordering::AcqRel);
-        f.shared.inject(WireOp::Put(PutOp {
-            src: 0,
-            dst: 1,
-            key: mr.key(),
-            offset: 0,
-            data: vec![9; 4],
-            ctx: 7,
-            imm: Some(42),
-            epoch: 0,
-        }));
+        f.shared.inject(
+            WireOp::Put(PutOp {
+                src: 0,
+                dst: 1,
+                key: mr.key(),
+                offset: 0,
+                data: vec![9; 4],
+                ctx: 7,
+                imm: Some(42),
+                epoch: 0,
+            }),
+            0,
+        );
         assert_eq!(mr.to_vec(), [0; 4], "a stale put must not write");
         assert_eq!(a.inflight(), 0);
         assert!(matches!(
@@ -1292,6 +1323,37 @@ mod tests {
             m.drain();
         };
         assert_eq!(logged(&run), [Send, Recv, F, Recv]);
+    }
+
+    #[test]
+    fn ring_events_carry_the_fabrics_clock() {
+        let logged = |run: &dyn Fn()| {
+            lci_trace::with_ring(|r| r.drain());
+            run();
+            let events = lci_trace::with_ring(|r| r.drain()).unwrap();
+            events.iter().map(|e| (e.kind, e.t_ns)).collect::<Vec<_>>()
+        };
+        // The instant wire: a receive delivered at injection is the same
+        // instant as its send.
+        let f = Fabric::new(FabricConfig::test(2));
+        let a = f.endpoint(0);
+        let events = logged(&|| a.try_send(1, 1, b"x", 0).unwrap());
+        let [(EventKind::Send, sent), (EventKind::Recv, got)] = events[..] else {
+            panic!("{events:?}");
+        };
+        assert_eq!(got, sent);
+        // A caller-stepped wire: the send at the virtual time it was
+        // injected, the receive at the virtual time it was delivered.
+        let m = Fabric::new_manual(FabricConfig::deterministic(2, 3));
+        let a = m.endpoint(0);
+        m.advance_virtual(500);
+        let events = logged(&|| {
+            a.try_send(1, 1, b"x", 0).unwrap();
+            m.drain();
+        });
+        let arrived = m.sim_time_ns().unwrap();
+        assert!(arrived > 500, "the deterministic wire has latency");
+        assert_eq!(events, [(EventKind::Send, 500), (EventKind::Recv, arrived)]);
     }
 
     #[test]

@@ -3,7 +3,13 @@
 //! [`record`] pushes a [`TraceEvent`] into a `thread_local` ring buffer:
 //! no allocation after the ring exists, no locking ever, and overflow
 //! drops the *oldest* event while bumping a drop counter — tracing can
-//! never stall the hot path it observes.
+//! never stall the hot path it observes. A full ring — the steady state —
+//! overwrites its oldest slot and wraps its head by a compare, not a
+//! division.
+//!
+//! An event's timestamp ([`TraceEvent::t_ns`]) is the trace clock
+//! ([`now_ns`]) unless whoever records it keeps its own clock: a fabric
+//! stamps its wire events on the fabric's (see [`TraceEvent::t_ns`]).
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -48,7 +54,18 @@ pub enum EventKind {
 /// One fixed-size trace record (24 bytes): timestamp, kind, two payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Nanoseconds since the process trace epoch ([`now_ns`]).
+    /// When it happened, in nanoseconds, on the recorder's clock.
+    ///
+    /// [`record`] and every span stamp the trace clock ([`now_ns`], since
+    /// the process trace epoch). The events a fabric records — `Send`,
+    /// `Put`, `Recv`, `Fault`, `RnrBounce`, `Backpressure`, and the
+    /// `PoolExhausted` / `EnqRetry` a runtime records through its endpoint —
+    /// carry the fabric's clock instead: on a caller-stepped fabric its
+    /// virtual clock, so two replays of one seed stamp their wire events
+    /// alike; on a wall-clock fabric the trace clock, read once per
+    /// injection, and on the instant wire a `Recv` delivered at injection
+    /// carries its `Send`'s stamp. One thread's ring may therefore hold
+    /// stamps of two clocks; compare stamps of one clock only.
     pub t_ns: u64,
     /// Event discriminator.
     pub kind: EventKind,
@@ -59,37 +76,43 @@ pub struct TraceEvent {
 }
 
 /// Fixed-capacity circular event buffer. Drop-oldest on overflow.
+///
+/// The ring fills `buf` from the front; once it holds `cap` events each push
+/// overwrites the oldest, at `head`, and moves `head` on by one, wrapping by
+/// a compare — no division on the hot path.
 pub struct Ring {
     buf: Vec<TraceEvent>,
+    cap: usize,
+    /// The oldest event once the ring is full; 0 until then.
     head: usize,
-    len: usize,
     dropped: u64,
 }
 
 impl Ring {
     /// A ring holding at most `capacity` events (min 1).
     pub fn new(capacity: usize) -> Self {
+        let cap = capacity.max(1);
         Ring {
-            buf: Vec::with_capacity(capacity.max(1)),
+            buf: Vec::with_capacity(cap),
+            cap,
             head: 0,
-            len: 0,
             dropped: 0,
         }
     }
 
     /// Capacity in events.
     pub fn capacity(&self) -> usize {
-        self.buf.capacity()
+        self.cap
     }
 
     /// Events currently held.
     pub fn len(&self) -> usize {
-        self.len
+        self.buf.len()
     }
 
     /// True when no events are held.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.buf.is_empty()
     }
 
     /// Events evicted by overflow since creation (or last [`Ring::drain`]).
@@ -98,30 +121,24 @@ impl Ring {
     }
 
     /// Append an event; if full, the oldest event is evicted and counted.
+    #[inline]
     pub fn push(&mut self, ev: TraceEvent) {
-        let cap = self.buf.capacity();
-        if self.buf.len() < cap {
+        if self.buf.len() < self.cap {
             self.buf.push(ev);
-            self.len += 1;
             return;
         }
-        let idx = (self.head + self.len) % cap;
-        self.buf[idx] = ev;
-        if self.len == cap {
-            // Overwrote the oldest slot: advance head, count the drop.
-            self.head = (self.head + 1) % cap;
-            self.dropped += 1;
-        } else {
-            self.len += 1;
+        self.buf[self.head] = ev;
+        self.head += 1;
+        if self.head == self.cap {
+            self.head = 0;
         }
+        self.dropped += 1;
     }
 
     /// Copy of the held events, oldest first. Does not consume.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let cap = self.buf.capacity().max(1);
-        (0..self.len)
-            .map(|i| self.buf[(self.head + i) % cap])
-            .collect()
+        let (newer, older) = self.buf.split_at(self.head);
+        older.iter().chain(newer).copied().collect()
     }
 
     /// Take all held events (oldest first) and reset, including the
@@ -129,7 +146,6 @@ impl Ring {
     pub fn drain(&mut self) -> Vec<TraceEvent> {
         let out = self.snapshot();
         self.head = 0;
-        self.len = 0;
         self.dropped = 0;
         self.buf.clear();
         out
@@ -200,6 +216,40 @@ mod tests {
         assert_eq!(r.dropped(), 12);
         let held: Vec<u64> = r.snapshot().iter().map(|e| e.b).collect();
         assert_eq!(held, vec![12, 13, 14, 15]);
+    }
+
+    /// `push` against the plain model of a bounded drop-oldest queue, for
+    /// capacities that are not powers of two and every fill level, through
+    /// as many wraps as 40 pushes make.
+    #[test]
+    fn push_matches_a_drop_oldest_queue_model() {
+        use std::collections::VecDeque;
+        for cap in 1..=7usize {
+            for pushes in 0..=40u64 {
+                let mut r = Ring::new(cap);
+                let mut model: VecDeque<u64> = VecDeque::new();
+                let mut dropped = 0u64;
+                for i in 0..pushes {
+                    r.push(ev(i));
+                    if model.len() == cap {
+                        model.pop_front();
+                        dropped += 1;
+                    }
+                    model.push_back(i);
+                    assert_eq!(r.len(), model.len(), "cap {cap}, push {i}");
+                    assert_eq!(r.dropped(), dropped, "cap {cap}, push {i}");
+                }
+                assert_eq!(r.capacity(), cap);
+                let held: Vec<u64> = r.snapshot().iter().map(|e| e.b).collect();
+                assert_eq!(held, Vec::from(model.clone()), "cap {cap}, {pushes} pushes");
+                let drained: Vec<u64> = r.drain().iter().map(|e| e.b).collect();
+                assert_eq!(drained, Vec::from(model), "drain, cap {cap}");
+                assert!(r.is_empty());
+                assert_eq!(r.dropped(), 0);
+                r.push(ev(99));
+                assert_eq!(r.snapshot()[0].b, 99, "refills from the front");
+            }
+        }
     }
 
     #[test]

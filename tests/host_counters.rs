@@ -347,3 +347,39 @@ fn a_window_overflow_counts_on_the_receiving_hosts_table() {
     let moved = lci_trace::global().snapshot().delta(&before);
     assert_eq!(moved.get(c), sum_over_hosts(&f, c));
 }
+
+/// A backoff counts its waits on the table of the host that waits: host 0's
+/// `send_enq_backoff` against an exhausted pool spends its whole budget on
+/// host 0's table, host 1 counts nothing, and the global rows moved by
+/// exactly the sum over hosts (no other test of this binary backs off).
+#[test]
+fn backoff_waits_count_on_the_waiting_hosts_table() {
+    let rows = [Counter::LciBackoffWaits, Counter::LciBackoffWaitNs];
+    let before = lci_trace::global().snapshot();
+    let f = Fabric::new_manual(FabricConfig::deterministic(2, 5));
+    // Two packets, both held until host 1 acknowledges — which it never
+    // does, since nothing here steps the wire.
+    let cfg = LciConfig::for_hosts(2)
+        .with_packet_count(2)
+        .with_retry_budget(3)
+        .with_backoff(1, 1);
+    let a = Device::new(f.endpoint(0), cfg);
+    for tag in 0..2 {
+        a.send_enq(Bytes::from_static(b"held"), 1, tag).unwrap();
+    }
+    assert_eq!(
+        a.send_enq_backoff(Bytes::from_static(b"late"), 1, 2)
+            .unwrap_err(),
+        lci::EnqError::RetriesExhausted
+    );
+    let (tx, rx) = (f.endpoint(0), f.endpoint(1));
+    assert_eq!(tx.counters().get(Counter::LciBackoffWaits), 3);
+    assert_eq!(tx.counters().get(Counter::LciBackoffWaitNs), 3, "1 ns each");
+    for c in rows {
+        assert_eq!(rx.counters().get(c), 0, "{}", c.name());
+    }
+    let moved = lci_trace::global().snapshot().delta(&before);
+    for c in rows {
+        assert_eq!(moved.get(c), sum_over_hosts(&f, c), "{}", c.name());
+    }
+}

@@ -340,3 +340,86 @@ fn ring_sees_the_traffic_the_counters_count() {
     );
     assert!(events.iter().any(|e| e.kind == EventKind::Recv));
 }
+
+/// The events of a ring that a fabric stamps (directly, or for a runtime
+/// through `Endpoint::record`), as `(kind, a, b, t_ns)`.
+fn wire_events(events: &[lci_trace::TraceEvent]) -> Vec<(EventKind, u32, u64, u64)> {
+    use EventKind::*;
+    events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                Send | Recv | Put | RnrBounce | Backpressure | PoolExhausted | EnqRetry | Fault
+            )
+        })
+        .map(|e| (e.kind, e.a, e.b, e.t_ns))
+        .collect()
+}
+
+/// Eager and rendezvous messages between two devices on a caller-stepped
+/// wire that duplicates every frame; returns the fabric's events this
+/// thread's ring saw and the virtual time at the end.
+fn manual_ring_run(seed: u64) -> (Vec<(EventKind, u32, u64, u64)>, u64) {
+    lci_trace::with_ring(|r| {
+        r.drain();
+    });
+    let plan = FaultPlan::none().with_phase(0, u64::MAX / 2, Fault::Duplicate);
+    let f = Fabric::new_manual(FabricConfig::deterministic(2, seed).with_fault_plan(plan));
+    let a = Device::new(f.endpoint(0), LciConfig::default());
+    let b = Device::new(f.endpoint(1), LciConfig::default());
+    const N: u32 = 12;
+    let (mut sent, mut got, mut guard) = (0u32, 0u32, 0u32);
+    let mut pending = Vec::new();
+    while got < N || !a.quiescent() || !b.quiescent() {
+        guard += 1;
+        assert!(guard < 1_000_000, "ring replay wedged at {got}/{N}");
+        if sent < N {
+            // Every third message is above the eager limit: RTS, RTR, put.
+            let len = if sent % 3 == 2 { 16 << 10 } else { 24 };
+            match a.send_enq(Bytes::from(vec![sent as u8; len]), 1, sent) {
+                Ok(_) => sent += 1,
+                Err(e) if e.is_retryable() => {}
+                Err(e) => panic!("{e}"),
+            }
+        }
+        if !f.step() {
+            f.advance_virtual(200_000);
+        }
+        a.progress();
+        b.progress();
+        while let Some(req) = b.recv_deq() {
+            pending.push(req);
+        }
+        pending.retain(|req| {
+            let done = req.take_data().is_some();
+            got += done as u32;
+            !done
+        });
+    }
+    f.drain();
+    let events = lci_trace::with_ring(|r| r.drain()).expect("ring available");
+    let end = f.sim_time_ns().expect("manual fabric");
+    (wire_events(&events), end)
+}
+
+/// A caller-stepped fabric stamps its ring events on its virtual clock, so
+/// two replays of one seed leave the same wire events at the same stamps,
+/// none of them later than the virtual time the run ended at.
+#[test]
+fn wire_event_rings_replay_bit_for_bit() {
+    let _g = TRACE_LOCK.lock().unwrap();
+    let seed = fabric_seed();
+    let (first, end) = manual_ring_run(seed);
+    let (second, end_again) = manual_ring_run(seed);
+    assert_eq!(first, second, "seed {seed}: wire-event rings differ");
+    assert_eq!(end, end_again);
+    use EventKind::{Fault, Put, Recv, Send};
+    for kind in [Send, Recv, Put, Fault] {
+        assert!(first.iter().any(|e| e.0 == kind), "no {kind:?} event");
+    }
+    assert!(
+        first.iter().all(|&(.., t_ns)| t_ns <= end),
+        "a stamp beyond the virtual clock's end ({end} ns)"
+    );
+}

@@ -7,10 +7,12 @@
 //! slice costs exactly one payload-sized allocation on top of the
 //! `Endpoint::try_send` underneath it (the frame the retransmit window keeps;
 //! `try_send`'s own copy is the model's NIC DMA read), an eager message
-//! through `lci::Device` — whose frames are built and kept in pooled packets
-//! — costs only that NIC copy from `send_enq` to `take_data`, and the receive
-//! side, the ack paths and the in-order `SeqGate` allocate nothing of their
-//! own.
+//! through `lci::Device` — whose frames are built and kept in pooled packets,
+//! and whose requests are born complete — costs only that NIC copy from
+//! `send_enq` to `take_data` (and `recv_deq` + `take_data` nothing at all),
+//! a rendezvous `send_enq` allocates the one request it shares with progress,
+//! and the receive side, the ack paths and the in-order `SeqGate` allocate
+//! nothing of their own.
 
 use bytes::Bytes;
 use lci::{Device, LciConfig};
@@ -123,58 +125,152 @@ fn reliable_send_costs_one_payload_allocation_beyond_the_nic_copy() {
     );
 }
 
+/// Two `lci::Device`s on the manual fabric, host 0 sending to host 1.
+struct Devices {
+    fabric: Fabric,
+    a: Device,
+    b: Device,
+}
+
+/// What one eager message costs, in allocations of the calling thread.
+struct Trip {
+    /// `send_enq` alone: all, and payload-sized.
+    sent_all: u64,
+    sent_big: u64,
+    /// `recv_deq` and `take_data` together, of any size.
+    received_all: u64,
+    /// Payload-sized, from `send_enq` to the ack.
+    trip_big: u64,
+}
+
+impl Devices {
+    fn new(seed: u64, cfg: LciConfig) -> Self {
+        let fabric = Fabric::new_manual(FabricConfig::deterministic(2, seed));
+        let a = Device::new(fabric.endpoint(0), cfg.clone());
+        let b = Device::new(fabric.endpoint(1), cfg);
+        Devices { fabric, a, b }
+    }
+
+    /// Deliver what is on the wire and let both devices progress it.
+    fn settle(&self) {
+        self.fabric.drain();
+        self.a.progress();
+        self.b.progress();
+    }
+
+    /// Let the receiver's ack out and in, so that every packet host 0 sent
+    /// is back in its pool.
+    fn ack(&self) {
+        self.fabric
+            .advance_virtual(self.fabric.config().reliable.ack_delay_ns + 1);
+        self.b.progress();
+        self.settle();
+        assert_eq!(self.a.packets_leased(), 0);
+    }
+
+    /// One eager message end to end.
+    fn eager(&self, payload: &Bytes, tag: u32) -> Trip {
+        let (sent_all, sent_big, req) = allocations(|| self.a.send_enq(payload.clone(), 1, tag));
+        assert!(req.expect("window has room").is_done());
+        let (_, settle_big, ()) = allocations(|| self.settle());
+        let (received_all, received_big, data) = allocations(|| {
+            let req = self.b.recv_deq().expect("the message arrived");
+            req.take_data().expect("eager receives are complete")
+        });
+        assert_eq!(data.len(), payload.len());
+        drop(data);
+        let (_, ack_big, ()) = allocations(|| self.ack());
+        Trip {
+            sent_all,
+            sent_big,
+            received_all,
+            trip_big: sent_big + settle_big + received_big + ack_big,
+        }
+    }
+
+    /// One rendezvous message end to end; returns the allocations of its
+    /// `send_enq` alone.
+    fn rendezvous(&self, payload: &Bytes, tag: u32) -> u64 {
+        let (sent_all, _, req) = allocations(|| self.a.send_enq(payload.clone(), 1, tag));
+        let req = req.expect("window has room");
+        assert!(!req.is_done(), "a rendezvous completes on its put");
+        self.settle();
+        let got = self.b.recv_deq().expect("the RTS arrived");
+        for _ in 0..4 {
+            self.settle();
+        }
+        assert!(req.is_done() && got.is_done());
+        let data = got.take_data().expect("the put landed");
+        assert_eq!(data.len(), payload.len());
+        self.ack();
+        sent_all
+    }
+}
+
 #[test]
 fn an_eager_device_message_costs_the_nic_copy_and_no_completion_cookie() {
-    let fabric = Fabric::new_manual(FabricConfig::deterministic(2, 3));
-    let a = Device::new(fabric.endpoint(0), LciConfig::for_hosts(2));
-    let b = Device::new(fabric.endpoint(1), LciConfig::for_hosts(2));
+    let d = Devices::new(3, LciConfig::for_hosts(2));
     let payload = Bytes::from(vec![0xC3u8; PAYLOAD]);
-    // One message end to end; returns the allocations of `send_enq` alone,
-    // all of them and the payload-sized ones, and the payload-sized ones of
-    // the whole trip.
-    let message = |tag: u32| {
-        let (sent_all, sent_big, req) = allocations(|| a.send_enq(payload.clone(), 1, tag));
-        assert!(req.expect("window has room").is_done());
-        let (_, rest_big, ()) = allocations(|| {
-            fabric.drain();
-            a.progress();
-            b.progress();
-            let req = b.recv_deq().expect("the message arrived");
-            let data = req.take_data().expect("eager receives are complete");
-            assert_eq!(data.len(), PAYLOAD);
-            // Let the ack out and in, so the packet is back in the pool.
-            fabric.advance_virtual(fabric.config().reliable.ack_delay_ns + 1);
-            b.progress();
-            fabric.drain();
-            a.progress();
-        });
-        assert_eq!(a.packets_leased(), 0);
-        (sent_all, sent_big, sent_big + rest_big)
-    };
     // Warm-up: queues, windows and event rings reach their steady capacity.
     for tag in 0..8 {
-        message(tag);
+        d.eager(&payload, tag);
     }
     let wire_len = vec![0u8; REL_DATA_OFFSET + PAYLOAD];
-    let (bare_all, bare_big, sent) = allocations(|| a.endpoint().try_send(1, 7, &wire_len, 0));
+    let (bare_all, bare_big, sent) = allocations(|| d.a.endpoint().try_send(1, 7, &wire_len, 0));
     sent.expect("bare send admitted");
-    let (sent_all, sent_big, trip_big) = message(8);
+    d.settle();
+    let trip = d.eager(&payload, 8);
     assert_eq!(
         bare_big, 1,
         "try_send copies the payload once (the NIC's read)"
     );
     assert_eq!(
-        sent_big, bare_big,
+        trip.sent_big, bare_big,
         "send_enq builds the frame in a pooled packet"
     );
     assert_eq!(
-        sent_all,
-        bare_all + 1,
-        "beyond the injection, send_enq allocates the request handle and nothing else"
+        trip.sent_all, bare_all,
+        "beyond the injection, send_enq allocates nothing: its request is born complete"
     );
     assert_eq!(
-        trip_big, bare_big,
+        trip.trip_big, bare_big,
         "progress, recv_deq and take_data hand on the buffer the fabric delivered"
+    );
+}
+
+#[test]
+fn an_eager_receive_allocates_nothing() {
+    let d = Devices::new(4, LciConfig::for_hosts(2));
+    let payload = Bytes::from(vec![0x3Cu8; 64]);
+    for tag in 0..8 {
+        d.eager(&payload, tag);
+    }
+    let trip = d.eager(&payload, 8);
+    assert_eq!(
+        trip.received_all, 0,
+        "recv_deq and take_data of an eager message"
+    );
+}
+
+#[test]
+fn a_rendezvous_send_still_allocates_its_shared_request() {
+    // Above the eager limit: RTS, RTR, put.
+    let d = Devices::new(5, LciConfig::for_hosts(2).with_eager_limit(1024));
+    let payload = Bytes::from(vec![0x5Au8; PAYLOAD]);
+    for tag in 0..8 {
+        d.rendezvous(&payload, tag);
+    }
+    // What injecting the RTS costs by itself: its 8-byte body behind the
+    // transport headers.
+    let rts_len = [0u8; REL_DATA_OFFSET + 8];
+    let (bare_all, _, sent) = allocations(|| d.a.endpoint().try_send(1, 7, &rts_len, 0));
+    sent.expect("bare send admitted");
+    d.settle();
+    let sent_all = d.rendezvous(&payload, 8);
+    assert_eq!(
+        sent_all,
+        bare_all + 1,
+        "beyond the RTS, a rendezvous send_enq allocates the request it shares with progress"
     );
 }
 
