@@ -1,10 +1,12 @@
 //! The pluggable communication-layer interface of the Abelian runtime.
 //!
-//! Each BSP communication phase is an irregular all-to-all: every host sends
-//! exactly one (possibly empty) message to every peer on a *channel* and
-//! consumes exactly one message from every peer, processing arrivals in any
-//! order (the gather-communicate-scatter pattern of §III-A). The trait is
-//! shaped so that all three of the paper's layers implement it naturally:
+//! Each BSP communication phase is an irregular all-to-all on a *channel*:
+//! every host sends one or more (possibly empty) messages to every peer and
+//! receives every peer's, processing arrivals in any order (the
+//! gather-communicate-scatter pattern of §III-A). Each message comes back
+//! from its own `try_recv`; the receiver decides when a peer's traffic for
+//! the round is complete (`recv_round`'s `on_msg`). The trait is shaped so
+//! that all three of the paper's layers implement it naturally:
 //!
 //! * **LCI** ([`crate::layers::LciLayer`]) — `SEND-ENQ`/`RECV-DEQ` with the
 //!   first-packet policy; rounds are distinguished by tags.
@@ -16,8 +18,8 @@
 //!
 //! The engine guarantees: `register_channel` is called collectively (same
 //! order on every host) before first use; each round on a channel is
-//! `begin → send×(p-1) → finish_sends → try_recv until p-1 messages`;
-//! rounds on a channel never overlap on one host.
+//! `begin → send (one or more per peer) → finish_sends → try_recv until
+//! every peer is complete`; rounds on a channel never overlap on one host.
 //!
 //! What a layer must tolerate in return: nothing synchronises hosts between
 //! rounds except the rounds themselves, so with three or more hosts a fast
@@ -82,14 +84,17 @@ pub trait CommLayer: Send + Sync {
     /// Open a round on `channel`.
     fn begin(&self, channel: usize);
 
-    /// Send this round's message for `dst` (exactly once per peer per
-    /// round; empty payloads are real messages).
+    /// Send one of this round's messages for `dst`. A round may send one or
+    /// more per peer (empty payloads are real messages); each comes back
+    /// from its own `try_recv`, and the receiver decides when a peer is
+    /// complete (`recv_round`'s `on_msg`).
     fn send(&self, channel: usize, dst: u16, data: Vec<u8>);
 
     /// Signal that all of this round's sends have been issued.
     fn finish_sends(&self, channel: usize);
 
-    /// Poll for the next arrived message of the current round.
+    /// Poll for the next arrived message of the current round, one message
+    /// per call.
     fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)>;
 
     /// A fatal, unrecoverable failure recorded by the layer — e.g. the

@@ -9,29 +9,23 @@
 //! and is stashed until its round opens — exactly the per-source ordering
 //! responsibility the paper leaves to the upper layer.
 
+use super::{retire, settle, Rounds, Sends, Stash};
 use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
 use bytes::Bytes;
 use lci::{Backoff, Device, RecvRequest, SendRequest};
 use lci_trace::{Counter, Registry};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// Tag encoding: channel in the high bits, round (mod 2^20) in the low.
-fn tag_for(channel: usize, round: u64) -> u32 {
-    assert!(channel < 32, "channel id too large for tag encoding");
-    ((channel as u32) << 20) | ((round as u32) & 0xF_FFFF)
-}
-
+#[derive(Default)]
 struct Inner {
-    /// Current round per channel.
-    round: HashMap<usize, u64>,
-    stash: super::Stash,
+    rounds: Rounds,
+    stash: Stash,
     /// Rendezvous receives still in flight.
-    pending_recvs: Vec<RecvRequest>,
-    /// Rendezvous sends still holding payload (for memory accounting).
-    pending_sends: Vec<(SendRequest, usize)>,
+    recvs: Vec<RecvRequest>,
+    /// Rendezvous sends still holding their payload.
+    sends: Sends<SendRequest>,
 }
 
 /// LCI-backed [`CommLayer`].
@@ -51,12 +45,7 @@ impl LciLayer {
         LciLayer {
             dev,
             book: MemBook::new(),
-            inner: Mutex::new(Inner {
-                round: HashMap::new(),
-                stash: HashMap::new(),
-                pending_recvs: Vec::new(),
-                pending_sends: Vec::new(),
-            }),
+            inner: Mutex::default(),
             failed: OnceLock::new(),
         }
     }
@@ -66,52 +55,27 @@ impl LciLayer {
         &self.dev
     }
 
-    /// Keep the first fatal error; later ones are its consequences.
-    fn record_failure(&self, msg: String) {
-        let _ = self.failed.set(msg);
-    }
-
     fn pump(&self, inner: &mut Inner) {
         self.dev.progress();
-        // Completed rendezvous receives become routable messages.
-        let mut i = 0;
-        while i < inner.pending_recvs.len() {
-            if inner.pending_recvs[i].is_done() {
-                let r = inner.pending_recvs.swap_remove(i);
-                self.route(inner, &r);
-            } else {
-                i += 1;
-            }
-        }
-        // Drain whatever RECV-DEQ surfaces.
+        // Completed rendezvous receives become routable messages, then
+        // whatever RECV-DEQ surfaces.
+        settle(&mut inner.recvs, RecvRequest::is_done, |r| {
+            self.route(&mut inner.stash, r)
+        });
         while let Some(r) = self.dev.recv_deq() {
             if r.is_done() {
-                self.route(inner, &r);
+                self.route(&mut inner.stash, &r);
             } else {
-                inner.pending_recvs.push(r);
+                inner.recvs.push(r);
             }
         }
-        // Retire completed rendezvous sends (free their accounting).
-        let mut i = 0;
-        while i < inner.pending_sends.len() {
-            if inner.pending_sends[i].0.is_done() {
-                let (_, bytes) = inner.pending_sends.swap_remove(i);
-                self.book.free(bytes);
-            } else {
-                i += 1;
-            }
-        }
+        retire(&mut inner.sends, &self.book, SendRequest::is_done);
     }
 
-    fn route(&self, inner: &mut Inner, r: &RecvRequest) {
+    fn route(&self, stash: &mut Stash, r: &RecvRequest) {
         // The stash hands `Vec`s across the `CommLayer` boundary.
         let data = r.take_data().expect("done request yields data").into_vec();
-        self.book.alloc(data.len());
-        inner
-            .stash
-            .entry(r.tag())
-            .or_default()
-            .push_back((r.src(), data));
+        stash.push(&self.book, r.tag(), r.src(), data);
     }
 }
 
@@ -142,17 +106,11 @@ impl CommLayer for LciLayer {
     }
 
     fn begin(&self, channel: usize) {
-        let mut inner = self.inner.lock();
-        let e = inner.round.entry(channel).or_insert(0);
-        *e = e.wrapping_add(1);
+        self.inner.lock().rounds.begin(channel);
     }
 
     fn send(&self, channel: usize, dst: u16, data: Vec<u8>) {
-        let round = {
-            let inner = self.inner.lock();
-            *inner.round.get(&channel).expect("begin before send") - 1
-        };
-        let tag = tag_for(channel, round);
+        let tag = self.inner.lock().rounds.open_tag(channel);
         let len = data.len();
         self.book.alloc(len);
         let bytes = Bytes::from(data);
@@ -162,22 +120,14 @@ impl CommLayer for LciLayer {
         let mut backoff = Backoff::unbounded(500, 20_000);
         loop {
             match self.dev.send_enq(bytes.clone(), dst, tag) {
-                Ok(req) => {
-                    if req.is_done() {
-                        // Eager: payload copied into the pool; buffer free.
-                        self.book.free(len);
-                    } else {
-                        self.inner.lock().pending_sends.push((req, len));
-                    }
-                    return;
-                }
+                // Eager: payload copied into the pool; buffer free.
+                Ok(req) if req.is_done() => return self.book.free(len),
+                Ok(req) => return self.inner.lock().sends.push((req, len)),
                 Err(e) if e.is_retryable() => {
                     // The defining LCI behaviour: initiation failed benignly;
                     // make progress and retry.
                     self.counters().incr(Counter::EngineCommSendRetries);
-                    let mut inner = self.inner.lock();
-                    self.pump(&mut inner);
-                    drop(inner);
+                    self.pump(&mut self.inner.lock());
                     backoff.snooze_in(self.counters());
                 }
                 Err(e) => {
@@ -186,7 +136,7 @@ impl CommLayer for LciLayer {
                     // engine's bounded abort instead of panicking the host
                     // thread mid-lock.
                     self.book.free(len);
-                    self.record_failure(format!("LCI send failed fatally: {e}"));
+                    let _ = self.failed.set(format!("LCI send failed fatally: {e}"));
                     return;
                 }
             }
@@ -198,15 +148,8 @@ impl CommLayer for LciLayer {
     fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)> {
         let mut inner = self.inner.lock();
         self.pump(&mut inner);
-        let round = *inner.round.get(&channel).expect("begin before recv") - 1;
-        let tag = tag_for(channel, round);
-        let msg = super::stash_pop(&mut inner.stash, tag);
-        if let Some((_, data)) = &msg {
-            self.book.free(data.len());
-        } else {
-            self.counters().incr(Counter::EngineCommRecvStalls);
-        }
-        msg
+        let tag = inner.rounds.open_tag(channel);
+        inner.stash.pop(&self.book, self.counters(), tag)
     }
 
     fn failure(&self) -> Option<String> {
@@ -222,23 +165,14 @@ impl CommLayer for LciLayer {
     }
 
     fn quiesce(&self) {
-        loop {
-            if self.failure().is_some() {
-                return;
-            }
-            let sends_done = {
-                let mut inner = self.inner.lock();
-                self.pump(&mut inner);
-                inner.pending_sends.is_empty()
-            };
-            // Rendezvous sends complete on `PutDone`, so an empty pending
-            // list plus a quiescent reliable layer means every peer holds
-            // everything we sent and none is still retransmitting to us.
-            if sends_done && self.dev.quiescent() {
-                return;
-            }
-            std::thread::yield_now();
-        }
+        // Rendezvous sends complete on `PutDone`, so no pending send plus a
+        // quiescent reliable layer means every peer holds everything we sent
+        // and none is still retransmitting to us.
+        super::quiesce(self, || {
+            let mut inner = self.inner.lock();
+            self.pump(&mut inner);
+            inner.sends.is_empty() && self.dev.quiescent()
+        });
     }
 }
 

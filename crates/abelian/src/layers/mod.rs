@@ -1,4 +1,23 @@
-//! The three communication-layer implementations compared in the paper.
+//! The three communication-layer implementations compared in the paper, and
+//! what they share.
+//!
+//! The paper's layers differ in their transport only: LCI's queue, MPI's
+//! probe and matching, MPI's windows. Everything else is written once, here:
+//!
+//! * `tag_for`: the round tag of both tagged layers: the channel (< 15) in
+//!   bits 20..24, the round mod 2^20 below. It never sets bit 24 (`AGG_BIT`),
+//!   so it fits LCI's 25-bit tags and mini-mpi's 28-bit ones.
+//! * `Rounds`: the round each channel has open.
+//! * `Stash`: arrivals by tag, oldest first, handed out for the open tag only.
+//! * `Sends`: the pending-send ledger, each send with the bytes it holds.
+//! * `put_subframe`/`subframes`: the `[len u32][body]` sub-frames of the two
+//!   coalescing layers (MPI-Probe's aggregates, MPI-RMA's slots).
+//! * `latch`: a layer's first error, kept; `quiesce`: the flush loop of the
+//!   two layers that pump.
+//!
+//! The ledger rule: a byte is on the layer's `MemBook` from when the layer
+//! holds it until it leaves: a stashed arrival until `try_recv` hands it out,
+//! a staged sub-frame and a send until the transport is done with it.
 
 mod lci_layer;
 mod probe_layer;
@@ -9,25 +28,139 @@ pub use probe_layer::MpiProbeLayer;
 pub use rma_layer::MpiRmaLayer;
 
 use crate::comm::CommLayer;
-use std::collections::hash_map::Entry;
+use crate::membook::MemBook;
+use lci_trace::{Counter, Registry};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::fmt::Display;
+use std::sync::{Arc, OnceLock};
 
-/// Messages that arrived for a (channel, round) tag not yet being consumed,
-/// as `(source, payload)` in arrival order (the two tagged layers).
-type Stash = HashMap<u32, VecDeque<(u16, Vec<u8>)>>;
+/// Channels a round tag can name.
+const CHANNELS: usize = 15;
 
-/// Take the oldest message stashed under `tag`. A round's queue is dropped
-/// with its last message, so a stash holds live rounds only.
-fn stash_pop(stash: &mut Stash, tag: u32) -> Option<(u16, Vec<u8>)> {
-    let Entry::Occupied(mut q) = stash.entry(tag) else {
-        return None;
-    };
-    let msg = q.get_mut().pop_front();
-    if q.get().is_empty() {
-        q.remove();
+/// Marks an aggregate of the probe layer, sent under its round's tag.
+const AGG_BIT: u32 = 1 << 24;
+
+/// The tag of `round` on `channel`: channel in bits 20..24, round mod 2^20.
+fn tag_for(channel: usize, round: u64) -> u32 {
+    assert!(channel < CHANNELS, "channel id too large for tag encoding");
+    ((channel as u32) << 20) | ((round as u32) & 0xF_FFFF)
+}
+
+/// The round each channel has open: how often `begin` has opened it.
+#[derive(Default)]
+struct Rounds([u64; CHANNELS]);
+
+impl Rounds {
+    fn begin(&mut self, channel: usize) {
+        self.0[channel] += 1;
     }
-    msg
+
+    fn open_tag(&self, channel: usize) -> u32 {
+        let opened = self.0[channel].checked_sub(1);
+        tag_for(channel, opened.expect("begin before send or recv"))
+    }
+}
+
+/// Arrivals not yet handed out, as `(source, payload)` by tag in arrival
+/// order. A queue is dropped with its last message, so it holds live
+/// rounds only.
+#[derive(Default)]
+struct Stash(HashMap<u32, VecDeque<(u16, Vec<u8>)>>);
+
+impl Stash {
+    /// Hold `data` from `src` under `tag`; it is on `book` until popped.
+    fn push(&mut self, book: &MemBook, tag: u32, src: u16, data: Vec<u8>) {
+        book.alloc(data.len());
+        self.0.entry(tag).or_default().push_back((src, data));
+    }
+
+    /// Whether a message waits under `tag`.
+    fn holds(&self, tag: u32) -> bool {
+        self.0.contains_key(&tag)
+    }
+
+    /// Hand out the oldest message under `tag`, or count an empty poll on
+    /// the host's table `counters`.
+    fn pop(&mut self, book: &MemBook, counters: &Registry, tag: u32) -> Option<(u16, Vec<u8>)> {
+        let Some(q) = self.0.get_mut(&tag) else {
+            counters.incr(Counter::EngineCommRecvStalls);
+            return None;
+        };
+        let msg = q
+            .pop_front()
+            .expect("a queue is dropped with its last message");
+        if q.is_empty() {
+            self.0.remove(&tag);
+        }
+        book.free(msg.1.len());
+        Some(msg)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// The pending-send ledger: sends the transport is not done with, each with
+/// the bytes it holds on the book.
+type Sends<R> = Vec<(R, usize)>;
+
+/// Drop from `reqs` each request that `done` reports finished, handing it
+/// to `finish` first.
+fn settle<R>(reqs: &mut Vec<R>, mut done: impl FnMut(&R) -> bool, mut finish: impl FnMut(&R)) {
+    reqs.retain(|r| {
+        let done = done(r);
+        if done {
+            finish(r);
+        }
+        !done
+    });
+}
+
+/// Free the bytes of every send in `sends` that `done` reports finished.
+fn retire<R>(sends: &mut Sends<R>, book: &MemBook, mut done: impl FnMut(&R) -> bool) {
+    settle(sends, |(req, _)| done(req), |(_, bytes)| book.free(*bytes));
+}
+
+/// Append `body` to `buf` as one `[len u32][body]` sub-frame, on `book`.
+fn put_subframe(book: &MemBook, buf: &mut Vec<u8>, body: &[u8]) {
+    book.alloc(4 + body.len());
+    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    buf.extend_from_slice(body);
+}
+
+/// Hand each sub-frame body of `blob` to `each`, in order. A length that
+/// overruns the blob, or trailing bytes too short for a length, drops the
+/// rest and counts `engine.malformed_dropped` once on `counters`.
+fn subframes<'a>(blob: &'a [u8], counters: &Registry, mut each: impl FnMut(&'a [u8])) {
+    let mut rest = blob;
+    while let Some((len, tail)) = rest.split_first_chunk::<4>() {
+        let Some(body) = tail.get(..u32::from_le_bytes(*len) as usize) else {
+            break;
+        };
+        each(body);
+        rest = &tail[body.len()..];
+    }
+    if !rest.is_empty() {
+        counters.incr(Counter::EngineMalformedDropped);
+    }
+}
+
+/// Keep the first error a layer meets in `failed` (later ones are its
+/// consequences): `Some` of an `Ok`, `None` for an error.
+fn latch<T, E: Display>(failed: &OnceLock<String>, what: &str, r: Result<T, E>) -> Option<T> {
+    r.map_err(|e| failed.set(format!("{what} failed: {e}")))
+        .ok()
+}
+
+/// `CommLayer::quiesce` of a layer that pumps: until the layer fails, try
+/// `settled` (pump, then: has everything sent left, and is the transport
+/// quiescent?), yielding between tries.
+fn quiesce(layer: &impl CommLayer, mut settled: impl FnMut() -> bool) {
+    while layer.failure().is_none() && !settled() {
+        std::thread::yield_now();
+    }
 }
 
 /// Which communication layer to use (sweep axis in the benchmarks).
@@ -121,7 +254,82 @@ impl LayerWorld {
 
 #[cfg(test)]
 mod tests {
+    use super::{put_subframe, subframes, tag_for, AGG_BIT, CHANNELS};
     use crate::comm::{channels, exchange_all, CommLayer};
+    use crate::membook::MemBook;
+    use lci_trace::{Counter, Registry};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The bodies `subframes` hands out of `blob`, and what it counts.
+    fn walk(blob: &[u8]) -> (Vec<Vec<u8>>, u64) {
+        let counters = Registry::new();
+        let mut bodies = Vec::new();
+        subframes(blob, &counters, |b| bodies.push(b.to_vec()));
+        (bodies, counters.get(Counter::EngineMalformedDropped))
+    }
+
+    /// Whether the length fields of `blob` tile it exactly.
+    fn tiles(blob: &[u8]) -> bool {
+        match blob.split_first_chunk::<4>() {
+            None => blob.is_empty(),
+            Some((len, rest)) => {
+                let len = u32::from_le_bytes(*len) as usize;
+                len <= rest.len() && tiles(&rest[len..])
+            }
+        }
+    }
+
+    proptest! {
+        /// Sub-frames come back in order, whole, and nothing is counted; the
+        /// book holds each sub-frame's length field and body.
+        #[test]
+        fn subframes_round_trip(
+            bodies in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..301), 0..17),
+        ) {
+            let (book, mut blob) = (MemBook::new(), Vec::new());
+            for b in &bodies {
+                put_subframe(&book, &mut blob, b);
+            }
+            prop_assert_eq!(book.current() as usize, blob.len());
+            prop_assert_eq!(walk(&blob), (bodies, 0));
+        }
+
+        /// Any blob: no panic, and one count exactly when its length fields
+        /// do not tile it (zero-heavy bytes, so short lengths are common).
+        #[test]
+        fn a_blob_that_does_not_tile_counts_once(
+            blob in prop::collection::vec(prop_oneof![Just(0u8), 0u8..8, any::<u8>()], 0..65),
+        ) {
+            let (bodies, counted) = walk(&blob);
+            prop_assert_eq!(counted, !tiles(&blob) as u64);
+            // What was handed out is the blob's prefix, framed as it was.
+            let (book, mut again) = (MemBook::new(), Vec::new());
+            for b in &bodies {
+                put_subframe(&book, &mut again, b);
+            }
+            prop_assert_eq!(&blob[..again.len()], &again[..]);
+        }
+    }
+
+    #[test]
+    fn round_tags_are_distinct_across_the_wrap_and_fit_both_transports() {
+        let mut seen = HashSet::new();
+        for channel in 0..CHANNELS {
+            for round in (1 << 20) - 500..(1 << 20) + 500 {
+                let tag = tag_for(channel, round);
+                assert_eq!(tag & AGG_BIT, 0, "channel {channel} round {round}");
+                assert!(tag <= lci::MAX_TAG, "channel {channel} round {round}");
+                assert!(seen.insert(tag), "channel {channel} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "channel id too large")]
+    fn channel_15_has_no_round_tag() {
+        tag_for(15, 0);
+    }
 
     /// 1 000 rounds on two channels between two ranks (5-byte payloads, so
     /// the probe layer's aggregate path carries them); afterwards

@@ -13,43 +13,34 @@
 //! limit) until either the oldest buffered message times out or the buffer
 //! size exceeds the eager send limit" — added because MPI has no
 //! back-pressure and floods of small messages exhaust its buffers fatally.
-//! This layer implements that aggregation: sub-eager-limit payloads are
-//! coalesced per destination into framed aggregate messages, flushed when
-//! they exceed the eager limit or at the end of the send phase (the bounded-
-//! latency analogue of the paper's timeout).
+//! This layer implements that aggregation: sub-threshold payloads are
+//! coalesced per destination and round into a blob of sub-frames, sent under
+//! the round's tag with `AGG_BIT` set when it reaches the eager limit or at
+//! the end of the send phase (the bounded-latency analogue of the paper's
+//! timeout).
 
+use super::{put_subframe, retire, settle, subframes, Rounds, Sends, Stash, AGG_BIT};
 use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
 use bytes::Bytes;
-use lci_trace::{Counter, Registry};
-use mini_mpi::{MpiComm, RecvReq, SendReq};
+use lci_trace::Registry;
+use mini_mpi::{MpiComm, MpiError, RecvReq, SendReq};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// Tag encoding: channel in the high bits, round (mod 2^24) in the low
-/// (mini-mpi tags are 28 bits). Channel 15 is reserved for aggregates.
-fn tag_for(channel: usize, round: u64) -> u32 {
-    assert!(channel < 15, "channel id too large for tag encoding");
-    ((channel as u32) << 24) | ((round as u32) & 0xFF_FFFF)
-}
-
-/// Tag marking an aggregate frame of the buffered network layer.
-const AGG_TAG: u32 = 15 << 24;
-
 /// Sub-messages smaller than this are buffered rather than sent directly.
 const AGG_THRESHOLD: usize = 1 << 10;
 
+#[derive(Default)]
 struct Inner {
-    round: HashMap<usize, u64>,
-    stash: super::Stash,
-    /// Rendezvous receives posted after a probe, still in flight.
-    pending_recvs: Vec<RecvReq>,
-    /// Sends not yet complete (rendezvous), with accounted bytes.
-    pending_sends: Vec<(SendReq, usize)>,
-    /// Buffered network layer: per-destination aggregates of small messages.
-    /// Frame format: repeated `[tag u32][len u32][payload]`.
-    agg: HashMap<u16, Vec<u8>>,
+    rounds: Rounds,
+    stash: Stash,
+    /// Receives posted after a probe, still in flight.
+    recvs: Vec<RecvReq>,
+    sends: Sends<SendReq>,
+    /// The buffered network layer's aggregates, by destination and tag.
+    agg: HashMap<(u16, u32), Vec<u8>>,
 }
 
 /// MPI-Probe-backed [`CommLayer`].
@@ -68,13 +59,7 @@ impl MpiProbeLayer {
         MpiProbeLayer {
             comm,
             book: MemBook::new(),
-            inner: Mutex::new(Inner {
-                round: HashMap::new(),
-                stash: HashMap::new(),
-                pending_recvs: Vec::new(),
-                pending_sends: Vec::new(),
-                agg: HashMap::new(),
-            }),
+            inner: Mutex::default(),
             failed: OnceLock::new(),
         }
     }
@@ -84,155 +69,47 @@ impl MpiProbeLayer {
         &self.comm
     }
 
-    /// Keep the first fatal error; later ones are its consequences.
-    fn record_failure(&self, msg: String) {
-        let _ = self.failed.set(msg);
+    fn check<T>(&self, r: Result<T, MpiError>) -> Option<T> {
+        super::latch(&self.failed, "MPI call", r)
     }
 
     fn pump(&self, inner: &mut Inner) {
-        // Probe for anything new; receive it wherever it belongs. One probe
-        // per pump mirrors the paper's interleaved send/receive loop.
-        match self.comm.iprobe(None, None) {
-            Ok(Some(status)) => {
-                match self.comm.irecv(Some(status.src), Some(status.tag)) {
-                    Ok(req) => self.track_recv(inner, req),
-                    Err(e) => {
-                        self.record_failure(format!("MPI receive failed: {e}"));
-                        return;
-                    }
-                }
-            }
-            Ok(None) => {}
-            Err(e) => {
-                self.record_failure(format!("MPI probe failed: {e}"));
-                return;
-            }
+        // Probe for anything new and receive it. One probe per pump mirrors
+        // the paper's interleaved send/receive loop.
+        if let Some(Some(st)) = self.check(self.comm.iprobe(None, None)) {
+            let req = self.check(self.comm.irecv(Some(st.src), Some(st.tag)));
+            inner.recvs.extend(req);
         }
         // Test in-flight receives (MPI_Test also progresses the network).
-        let mut i = 0;
-        while i < inner.pending_recvs.len() {
-            match self.comm.test_recv(&inner.pending_recvs[i]) {
-                Ok(true) => {
-                    let req = inner.pending_recvs.swap_remove(i);
-                    self.route(inner, &req);
-                }
-                Ok(false) => i += 1,
-                Err(e) => {
-                    self.record_failure(format!("MPI receive failed: {e}"));
-                    return;
-                }
-            }
-        }
-        // Retire completed sends.
-        let mut i = 0;
-        while i < inner.pending_sends.len() {
-            match self.comm.test_send(&inner.pending_sends[i].0) {
-                Ok(true) => {
-                    let (_, bytes) = inner.pending_sends.swap_remove(i);
-                    self.book.free(bytes);
-                }
-                Ok(false) => i += 1,
-                Err(e) => {
-                    self.record_failure(format!("MPI send failed: {e}"));
-                    return;
-                }
-            }
-        }
+        let recvd = |r: &RecvReq| self.check(self.comm.test_recv(r)) == Some(true);
+        settle(&mut inner.recvs, recvd, |r| self.route(&mut inner.stash, r));
+        // A send that errs is gone: the layer has failed.
+        let sent = |r: &SendReq| self.check(self.comm.test_send(r)) != Some(false);
+        retire(&mut inner.sends, &self.book, sent);
     }
 
-    fn track_recv(&self, inner: &mut Inner, req: RecvReq) {
-        match self.comm.test_recv(&req) {
-            Ok(true) => self.route(inner, &req),
-            Ok(false) => inner.pending_recvs.push(req),
-            Err(e) => self.record_failure(format!("MPI receive failed: {e}")),
-        }
-    }
-
-    fn route(&self, inner: &mut Inner, req: &RecvReq) {
-        let status = req.status().expect("completed recv has status");
+    /// Stash a completed receive, de-framing an aggregate.
+    fn route(&self, stash: &mut Stash, req: &RecvReq) {
+        let st = req.status().expect("completed recv has status");
         let data = req.take_data().expect("completed recv has data");
-        if status.tag == AGG_TAG {
-            // De-frame an aggregate from the buffered network layer. Every
-            // length field is validated before use: a sub-frame claiming
-            // more bytes than remain means the aggregate is mangled, and the
-            // rest is dropped (counted) instead of panicking.
-            let mut off = 0;
-            while off + 8 <= data.len() {
-                let tag = u32::from_le_bytes(data[off..off + 4].try_into().expect("frame"));
-                let len =
-                    u32::from_le_bytes(data[off + 4..off + 8].try_into().expect("frame"))
-                        as usize;
-                let end = match (off + 8).checked_add(len) {
-                    Some(end) if end <= data.len() => end,
-                    _ => {
-                        self.counters().incr(Counter::EngineMalformedDropped);
-                        return;
-                    }
-                };
-                let body = data[off + 8..end].to_vec();
-                off = end;
-                self.book.alloc(body.len());
-                inner
-                    .stash
-                    .entry(tag)
-                    .or_default()
-                    .push_back((status.src, body));
-            }
-            if off != data.len() {
-                // Trailing bytes too short for a sub-frame header.
-                self.counters().incr(Counter::EngineMalformedDropped);
-            }
-            return;
+        if st.tag & AGG_BIT == 0 {
+            return stash.push(&self.book, st.tag, st.src, data);
         }
-        self.book.alloc(data.len());
-        inner
-            .stash
-            .entry(status.tag)
-            .or_default()
-            .push_back((status.src, data));
+        let tag = st.tag & !AGG_BIT;
+        subframes(&data, self.counters(), |b| {
+            stash.push(&self.book, tag, st.src, b.to_vec())
+        });
     }
 
-    /// Queue a small message into the per-destination aggregate, flushing if
-    /// it exceeds the eager limit.
-    fn agg_push(&self, inner: &mut Inner, dst: u16, tag: u32, data: &[u8]) {
-        let buf = inner.agg.entry(dst).or_default();
-        buf.extend_from_slice(&tag.to_le_bytes());
-        buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        buf.extend_from_slice(data);
-        if buf.len() >= self.comm.config().eager_limit {
-            let frame = std::mem::take(buf);
-            self.agg_flush_one(inner, dst, frame);
-        }
-    }
-
-    fn agg_flush_one(&self, inner: &mut Inner, dst: u16, frame: Vec<u8>) {
-        let len = frame.len();
-        self.book.alloc(len);
-        match self.comm.isend(Bytes::from(frame), dst, AGG_TAG) {
-            Ok(req) => match self.comm.test_send(&req) {
-                Ok(true) => self.book.free(len),
-                Ok(false) => inner.pending_sends.push((req, len)),
-                Err(e) => {
-                    self.book.free(len);
-                    self.record_failure(format!("MPI send failed: {e}"));
-                }
-            },
-            Err(e) => {
-                self.book.free(len);
-                self.record_failure(format!("MPI isend failed: {e}"));
-            }
-        }
-    }
-
-    fn agg_flush_all(&self, inner: &mut Inner) {
-        let drained: Vec<(u16, Vec<u8>)> = inner
-            .agg
-            .iter_mut()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(&d, b)| (d, std::mem::take(b)))
-            .collect();
-        for (dst, frame) in drained {
-            self.agg_flush_one(inner, dst, frame);
+    /// Send `data`, already on the book, and keep it there until MPI is done
+    /// with it.
+    fn isend(&self, inner: &mut Inner, data: Vec<u8>, dst: u16, tag: u32) {
+        let len = data.len();
+        let sent = self.comm.isend(Bytes::from(data), dst, tag);
+        let sent = sent.and_then(|req| Ok((self.comm.test_send(&req)?, req)));
+        match self.check(sent) {
+            Some((false, req)) => inner.sends.push((req, len)),
+            _ => self.book.free(len),
         }
     }
 }
@@ -263,59 +140,40 @@ impl CommLayer for MpiProbeLayer {
     }
 
     fn begin(&self, channel: usize) {
-        let mut inner = self.inner.lock();
-        *inner.round.entry(channel).or_insert(0) += 1;
+        self.inner.lock().rounds.begin(channel);
     }
 
     fn send(&self, channel: usize, dst: u16, data: Vec<u8>) {
         let mut inner = self.inner.lock();
-        let round = *inner.round.get(&channel).expect("begin before send") - 1;
-        let tag = tag_for(channel, round);
-        if data.len() < AGG_THRESHOLD {
-            // Buffered network layer: coalesce small items (§III-B).
-            self.agg_push(&mut inner, dst, tag, &data);
-            return;
+        let tag = inner.rounds.open_tag(channel);
+        if data.len() >= AGG_THRESHOLD {
+            self.book.alloc(data.len());
+            return self.isend(&mut inner, data, dst, tag);
         }
-        drop(inner);
-        let len = data.len();
-        self.book.alloc(len);
-        match self.comm.isend(Bytes::from(data), dst, tag) {
-            Ok(req) => {
-                let mut inner = self.inner.lock();
-                match self.comm.test_send(&req) {
-                    Ok(true) => self.book.free(len),
-                    Ok(false) => inner.pending_sends.push((req, len)),
-                    Err(e) => {
-                        self.book.free(len);
-                        self.record_failure(format!("MPI send failed: {e}"));
-                    }
-                }
-            }
-            Err(e) => {
-                self.book.free(len);
-                self.record_failure(format!("MPI isend failed: {e}"));
-            }
+        // Buffered network layer: coalesce small items (§III-B).
+        let buf = inner.agg.entry((dst, tag)).or_default();
+        put_subframe(&self.book, buf, &data);
+        if buf.len() >= self.comm.config().eager_limit {
+            let blob = inner.agg.remove(&(dst, tag)).expect("just filled");
+            self.isend(&mut inner, blob, dst, tag | AGG_BIT);
         }
     }
 
     fn finish_sends(&self, _channel: usize) {
         // The bounded-latency flush of the buffered layer (timeout analogue).
         let mut inner = self.inner.lock();
-        self.agg_flush_all(&mut inner);
+        let mut agg = std::mem::take(&mut inner.agg);
+        for ((dst, tag), blob) in agg.drain() {
+            self.isend(&mut inner, blob, dst, tag | AGG_BIT);
+        }
+        inner.agg = agg;
     }
 
     fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)> {
         let mut inner = self.inner.lock();
         self.pump(&mut inner);
-        let round = *inner.round.get(&channel).expect("begin before recv") - 1;
-        let tag = tag_for(channel, round);
-        let msg = super::stash_pop(&mut inner.stash, tag);
-        if let Some((_, data)) = &msg {
-            self.book.free(data.len());
-        } else {
-            self.counters().incr(Counter::EngineCommRecvStalls);
-        }
-        msg
+        let tag = inner.rounds.open_tag(channel);
+        inner.stash.pop(&self.book, self.counters(), tag)
     }
 
     fn failure(&self) -> Option<String> {
@@ -323,24 +181,14 @@ impl CommLayer for MpiProbeLayer {
     }
 
     fn quiesce(&self) {
-        loop {
-            if self.failure().is_some() {
-                return;
-            }
-            // Rendezvous `isend`s only finish once the payload put lands,
-            // so draining `pending_sends` also covers an RTR that arrives
-            // after our last round — the put it triggers is issued from
-            // this same pump.
-            let sends_done = {
-                let mut inner = self.inner.lock();
-                self.pump(&mut inner);
-                inner.pending_sends.is_empty()
-            };
-            if sends_done && self.comm.quiescent() {
-                return;
-            }
-            std::thread::yield_now();
-        }
+        // Rendezvous `isend`s only finish once the payload put lands, so no
+        // pending send also covers an RTR that arrives after our last round:
+        // the put it triggers is issued from this same pump.
+        super::quiesce(self, || {
+            let mut inner = self.inner.lock();
+            self.pump(&mut inner);
+            inner.sends.is_empty() && self.comm.quiescent()
+        });
     }
 }
 
@@ -358,5 +206,52 @@ mod tests {
             [0, 1].map(|h| MpiProbeLayer::new(world.comm(h))),
             |l| l.inner.lock().stash.len(),
         );
+    }
+
+    /// Rank 0 sends rank 1 twenty 900 B messages in one round: their
+    /// aggregate reaches the eager limit at the fourteenth and is sent
+    /// mid-round, the other six go at `finish_sends`. All twenty arrive in
+    /// that round, and both books return to 0.
+    #[test]
+    fn an_aggregate_sent_at_the_eager_limit_still_delivers_its_round() {
+        let cfg = mini_mpi::MpiConfig {
+            eager_limit: 12 << 10,
+            ..Default::default()
+        };
+        let world = mini_mpi::MpiWorld::new(lci_fabric::FabricConfig::test(2), cfg);
+        let layers = [0, 1].map(|h| MpiProbeLayer::new(world.comm(h)));
+        let sent: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 900]).collect();
+        std::thread::scope(|s| {
+            for l in &layers {
+                let sent = &sent;
+                s.spawn(move || {
+                    l.begin(0);
+                    let expect = if l.rank() == 0 {
+                        for (i, msg) in sent.iter().enumerate() {
+                            l.send(0, 1, msg.clone());
+                            assert_eq!(l.inner.lock().agg.is_empty(), i == 13, "after {i}");
+                        }
+                        vec![vec![]]
+                    } else {
+                        l.send(0, 0, vec![]);
+                        sent.clone()
+                    };
+                    l.finish_sends(0);
+                    let mut got = Vec::new();
+                    crate::comm::recv_round(l, 0, |_, data| {
+                        assert!(expect.contains(&data), "a {} B message", data.len());
+                        got.push(data);
+                        got.len() == expect.len()
+                    })
+                    .unwrap();
+                    got.sort();
+                    assert_eq!(got, expect, "rank {}", l.rank());
+                    l.quiesce();
+                });
+            }
+        });
+        for l in &layers {
+            assert_eq!(l.book.current(), 0, "rank {}", l.rank());
+        }
     }
 }

@@ -6,12 +6,14 @@
 //! LCI's in Fig. 5. Each round is a generalized active-target epoch:
 //! `post`/`start` at `begin`, `put` per peer, `complete` after the sends,
 //! and per-origin `wait_any` on the receive side so incoming slots are
-//! scattered in arrival order.
+//! scattered in arrival order. A slot is `[total u64]` followed by the
+//! round's sub-frames for that target.
 
+use super::{put_subframe, subframes, Stash};
 use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
 use lci_trace::{Counter, Registry};
-use mini_mpi::{MpiComm, Window};
+use mini_mpi::{MpiComm, MpiError, Window};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -27,12 +29,13 @@ struct Chan {
     /// Max payload each origin may land in my window (slot capacity).
     max_recv: Vec<usize>,
     peers: Vec<u16>,
-    /// Outgoing sub-messages of the current round, staged per destination
+    /// Outgoing sub-frames of the current round, staged per destination
     /// and written with a single put at `finish_sends` (so engines may send
     /// several messages per peer per round, e.g. Gemini's chunk streams).
     staged: Vec<Vec<u8>>,
-    /// Incoming sub-messages de-framed from arrived slots.
-    inbox: std::collections::VecDeque<(u16, Vec<u8>)>,
+    /// Incoming sub-messages de-framed from arrived slots, under the
+    /// channel's id.
+    inbox: Stash,
 }
 
 /// MPI-RMA-backed [`CommLayer`].
@@ -62,19 +65,32 @@ impl MpiRmaLayer {
         &self.comm
     }
 
-    /// An empty poll while a round is open: count it on the host's table.
-    fn stall(&self) -> Option<(u16, Vec<u8>)> {
-        self.counters().incr(Counter::EngineCommRecvStalls);
-        None
-    }
-
-    /// Keep the first fatal error; later ones are its consequences.
-    fn record_failure(&self, msg: String) {
-        let _ = self.failed.set(msg);
+    fn check<T>(&self, what: &str, r: Result<T, MpiError>) -> Option<T> {
+        super::latch(&self.failed, what, r)
     }
 
     fn is_failed(&self) -> bool {
         self.failed.get().is_some()
+    }
+
+    /// De-frame the slot `src` filled in my window into the inbox.
+    fn land(&self, c: &mut Chan, channel: usize, src: u16) {
+        let off = c.my_offsets[src as usize];
+        let mut lenb = [0u8; 8];
+        c.win.read_local(off, &mut lenb);
+        let total = u64::from_le_bytes(lenb) as usize;
+        // Puts carry hardware-checksummed RDMA payloads in our fault model,
+        // so a lying length prefix should be impossible; keep the
+        // slot-capacity bound anyway rather than read past it.
+        if total > c.max_recv[src as usize] {
+            return self.counters().incr(Counter::EngineMalformedDropped);
+        }
+        let mut blob = vec![0u8; total];
+        c.win.read_local(off + 8, &mut blob);
+        let (book, inbox) = (&self.book, &mut c.inbox);
+        subframes(&blob, self.counters(), |b| {
+            inbox.push(book, channel as u32, src, b.to_vec())
+        });
     }
 }
 
@@ -109,14 +125,10 @@ impl CommLayer for MpiRmaLayer {
             my_offsets.push(total);
             total += 8 + spec.max_recv[o];
         }
-        let win = match self.comm.win_create(total) {
-            Ok(win) => win,
-            Err(e) => {
-                // Registration failed; every later call on this channel
-                // no-ops behind the failure flag.
-                self.record_failure(format!("RMA window creation failed: {e}"));
-                return;
-            }
+        // A failed registration leaves every later call on this channel a
+        // no-op behind the failure flag.
+        let Some(win) = self.check("RMA window creation", self.comm.win_create(total)) else {
+            return;
         };
         // The defining footprint of MPI-RMA: the whole worst-case window is
         // allocated for the lifetime of the channel.
@@ -133,7 +145,7 @@ impl CommLayer for MpiRmaLayer {
                 max_recv: spec.max_recv,
                 peers,
                 staged: vec![Vec::new(); p],
-                inbox: std::collections::VecDeque::new(),
+                inbox: Stash::default(),
             },
         );
     }
@@ -144,12 +156,8 @@ impl CommLayer for MpiRmaLayer {
         }
         let chans = self.chans.lock();
         let c = chans.get(&channel).expect("register before begin");
-        if let Err(e) = c.win.post(&c.peers) {
-            self.record_failure(format!("RMA post failed: {e}"));
-            return;
-        }
-        if let Err(e) = c.win.start(&c.peers) {
-            self.record_failure(format!("RMA start failed: {e}"));
+        if self.check("RMA post", c.win.post(&c.peers)).is_some() {
+            self.check("RMA start", c.win.start(&c.peers));
         }
     }
 
@@ -159,13 +167,10 @@ impl CommLayer for MpiRmaLayer {
         }
         let mut chans = self.chans.lock();
         let c = chans.get_mut(&channel).expect("register before send");
-        // Stage as a [len u32][payload] sub-frame; the put happens at
-        // finish_sends so several sends per peer per round coalesce into
-        // one slot write.
+        // Staged as a sub-frame; the put happens at finish_sends so several
+        // sends per peer per round coalesce into one slot write.
         let staged = &mut c.staged[dst as usize];
-        staged.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        staged.extend_from_slice(&data);
-        self.book.alloc(4 + data.len());
+        put_subframe(&self.book, staged, &data);
         assert!(
             staged.len() <= c.max_send[dst as usize],
             "staged {} exceeds channel max {} for dst {dst}",
@@ -186,16 +191,13 @@ impl CommLayer for MpiRmaLayer {
             let mut framed = Vec::with_capacity(8 + staged.len());
             framed.extend_from_slice(&(staged.len() as u64).to_le_bytes());
             framed.extend_from_slice(&staged);
-            if let Err(e) = c.win.put(dst, c.slot_at_peer[dst as usize], &framed) {
-                self.book.free(staged.len());
-                self.record_failure(format!("RMA put failed: {e}"));
+            let put = c.win.put(dst, c.slot_at_peer[dst as usize], &framed);
+            self.book.free(staged.len());
+            if self.check("RMA put", put).is_none() {
                 return;
             }
-            self.book.free(staged.len());
         }
-        if let Err(e) = c.win.complete() {
-            self.record_failure(format!("RMA complete failed: {e}"));
-        }
+        self.check("RMA complete", c.win.complete());
     }
 
     fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)> {
@@ -204,62 +206,12 @@ impl CommLayer for MpiRmaLayer {
         }
         let mut chans = self.chans.lock();
         let c = chans.get_mut(&channel).expect("register before recv");
-        if let Some(msg) = c.inbox.pop_front() {
-            self.book.free(msg.1.len());
-            return Some(msg);
-        }
-        let arrived = match c.win.try_wait_any() {
-            Ok(arrived) => arrived,
-            Err(e) => {
-                self.record_failure(format!("RMA wait failed: {e}"));
-                return None;
+        if !c.inbox.holds(channel as u32) {
+            if let Some(src) = self.check("RMA wait", c.win.try_wait_any())? {
+                self.land(c, channel, src);
             }
-        };
-        match arrived {
-            Some(src) => {
-                let off = c.my_offsets[src as usize];
-                let mut lenb = [0u8; 8];
-                c.win.read_local(off, &mut lenb);
-                let total = u64::from_le_bytes(lenb) as usize;
-                // Puts carry hardware-checksummed RDMA payloads in our fault
-                // model, so a lying length prefix should be impossible; keep
-                // the slot-capacity bound anyway rather than read past it.
-                if total > c.max_recv[src as usize] {
-                    self.counters().incr(Counter::EngineMalformedDropped);
-                    return self.stall();
-                }
-                let mut blob = vec![0u8; total];
-                c.win.read_local(off + 8, &mut blob);
-                // De-frame the sub-messages, validating every length field:
-                // a sub-frame claiming more bytes than remain truncates the
-                // de-chunk (counted) instead of panicking.
-                let mut cursor = 0usize;
-                while cursor + 4 <= total {
-                    let len = u32::from_le_bytes(
-                        blob[cursor..cursor + 4].try_into().expect("frame"),
-                    ) as usize;
-                    let end = match (cursor + 4).checked_add(len) {
-                        Some(end) if end <= total => end,
-                        _ => {
-                            self.counters().incr(Counter::EngineMalformedDropped);
-                            break;
-                        }
-                    };
-                    let body = blob[cursor + 4..end].to_vec();
-                    cursor = end;
-                    self.book.alloc(body.len());
-                    c.inbox.push_back((src, body));
-                }
-                match c.inbox.pop_front() {
-                    Some(msg) => {
-                        self.book.free(msg.1.len());
-                        Some(msg)
-                    }
-                    None => self.stall(),
-                }
-            }
-            None => self.stall(),
         }
+        c.inbox.pop(&self.book, self.counters(), channel as u32)
     }
 
     fn failure(&self) -> Option<String> {

@@ -1,6 +1,7 @@
 //! Direct contract tests of the three `CommLayer` implementations, without
 //! an engine in the loop: every layer must satisfy the same round protocol
-//! (`begin → send×(p-1) → finish_sends → try_recv×(p-1)`).
+//! (`begin → send, one or more per peer → finish_sends → one try_recv per
+//! message`, the receiver deciding when each peer is complete).
 
 use abelian::comm::{exchange_all, recv_round, ChannelSpec};
 use abelian::{build_layers, LayerKind};

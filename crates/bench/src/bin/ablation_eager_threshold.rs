@@ -10,9 +10,9 @@
 //! Env knobs: `ABL_ITERS` (default 200), `ABL_FABRIC` (default stampede2).
 
 use bytes::Bytes;
-use lci::{Device, LciConfig, LciWorld};
-use lci_bench::{env_str, env_usize, fabric_by_name};
-use std::time::{Duration, Instant};
+use lci::{LciConfig, LciWorld};
+use lci_bench::{env_str, env_usize, fabric_by_name, lci_pingpong};
+use std::time::Duration;
 
 const PAYLOADS: &[usize] = &[256, 2048, 16384, 49152];
 const THRESHOLDS: &[usize] = &[512, 4096, 16 << 10, 60 << 10];
@@ -46,66 +46,6 @@ fn pingpong(fabric: &str, size: usize, threshold: usize, iters: usize) -> Durati
         packet_payload: threshold.max(64),
         ..Default::default()
     };
-    let fcfg = fabric_by_name(fabric, 2);
-    let world = LciWorld::without_servers(fcfg, cfg);
-    let a = world.device(0);
-    let b = world.device(1);
-    let payload = Bytes::from(vec![1u8; size]);
-    let pb = payload.clone();
-
-    let warmup = (iters / 10).max(2);
-    let echo = std::thread::spawn(move || {
-        for _ in 0..iters + warmup {
-            recv_one(&b);
-            send_one(&b, pb.clone(), 0);
-        }
-    });
-    let mut rtts = Vec::with_capacity(iters);
-    for i in 0..iters + warmup {
-        let t0 = Instant::now();
-        send_one(&a, payload.clone(), 1);
-        recv_one(&a);
-        if i >= warmup {
-            rtts.push(t0.elapsed());
-        }
-    }
-    echo.join().unwrap();
-    rtts.sort();
-    rtts[rtts.len() / 2] / 2
-}
-
-fn send_one(d: &Device, data: Bytes, dst: u16) {
-    loop {
-        match d.send_enq(data.clone(), dst, 1) {
-            Ok(req) => {
-                while !req.is_done() {
-                    if d.progress() == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-                return;
-            }
-            Err(e) if e.is_retryable() => {
-                d.progress();
-                std::thread::yield_now();
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
-fn recv_one(d: &Device) {
-    loop {
-        d.progress();
-        if let Some(r) = d.recv_deq() {
-            while !r.is_done() {
-                if d.progress() == 0 {
-                    std::thread::yield_now();
-                }
-            }
-            let _ = r.take_data();
-            return;
-        }
-        std::thread::yield_now();
-    }
+    let world = LciWorld::without_servers(fabric_by_name(fabric, 2), cfg);
+    lci_pingpong(&world, Bytes::from(vec![1u8; size]), iters, (iters / 10).max(2))
 }

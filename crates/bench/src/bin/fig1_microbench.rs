@@ -17,6 +17,7 @@
 use bytes::Bytes;
 use lci::{LciConfig, LciWorld};
 use lci_bench::{emit, env_str, env_usize, fabric_by_name};
+use lci_bench::{lci_pingpong, lci_recv_one, lci_send_one};
 use mini_mpi::{MpiConfig, MpiWorld, Personality};
 use std::time::{Duration, Instant};
 
@@ -46,7 +47,9 @@ fn main() {
     for &size in SIZES {
         let lat_np = mpi_pingpong(&fabric, size, iters, false);
         let lat_pr = mpi_pingpong(&fabric, size, iters, true);
-        let lat_q = lci_pingpong(&fabric, size, iters);
+        let payload = Bytes::from(vec![0x42u8; size]);
+        // The measuring thread is the communication thread, as in the paper.
+        let lat_q = lci_pingpong(&lci_world(&fabric), payload, iters, (iters / 10).max(4));
         let rate_np = mpi_rate(&fabric, size, iters / 4, window, false);
         let rate_pr = mpi_rate(&fabric, size, iters / 4, window, true);
         let rate_q = lci_rate(&fabric, size, iters / 4, window);
@@ -145,72 +148,6 @@ fn recv_one(c: &mini_mpi::MpiComm, probe: bool) {
     }
 }
 
-/// LCI ping-pong using the Queue interface with manual progress (the
-/// measuring thread is the communication thread, as in the paper's bench).
-fn lci_pingpong(fabric: &str, size: usize, iters: usize) -> Duration {
-    let world = LciWorld::without_servers(fabric_by_name(fabric, 2), LciConfig::default());
-    let a = world.device(0);
-    let b = world.device(1);
-    let payload = Bytes::from(vec![0x42u8; size]);
-    let pb = payload.clone();
-
-    let warmup = (iters / 10).max(4);
-    let echo = std::thread::spawn(move || {
-        for _ in 0..iters + warmup {
-            lci_recv_one(&b);
-            lci_send_one(&b, pb.clone(), 0);
-        }
-    });
-
-    let mut rtts = Vec::with_capacity(iters);
-    for i in 0..iters + warmup {
-        let t0 = Instant::now();
-        lci_send_one(&a, payload.clone(), 1);
-        lci_recv_one(&a);
-        if i >= warmup {
-            rtts.push(t0.elapsed());
-        }
-    }
-    echo.join().unwrap();
-    median(rtts) / 2
-}
-
-fn lci_send_one(d: &lci::Device, data: Bytes, dst: u16) {
-    loop {
-        match d.send_enq(data.clone(), dst, 7) {
-            Ok(req) => {
-                while !req.is_done() {
-                    if d.progress() == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-                return;
-            }
-            Err(e) if e.is_retryable() => {
-                d.progress();
-                std::thread::yield_now();
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
-fn lci_recv_one(d: &lci::Device) {
-    loop {
-        d.progress();
-        if let Some(r) = d.recv_deq() {
-            while !r.is_done() {
-                if d.progress() == 0 {
-                    std::thread::yield_now();
-                }
-            }
-            let _ = r.take_data();
-            return;
-        }
-        std::thread::yield_now();
-    }
-}
-
 /// Windowed message rate: sender streams `window` messages, receiver acks.
 fn mpi_rate(fabric: &str, size: usize, reps: usize, window: usize, probe: bool) -> f64 {
     let world = MpiWorld::new(
@@ -247,8 +184,12 @@ fn mpi_rate(fabric: &str, size: usize, reps: usize, window: usize, probe: bool) 
     (reps * window) as f64 / dt.as_secs_f64()
 }
 
+fn lci_world(fabric: &str) -> LciWorld {
+    LciWorld::without_servers(fabric_by_name(fabric, 2), LciConfig::default())
+}
+
 fn lci_rate(fabric: &str, size: usize, reps: usize, window: usize) -> f64 {
-    let world = LciWorld::without_servers(fabric_by_name(fabric, 2), LciConfig::default());
+    let world = lci_world(fabric);
     let a = world.device(0);
     let b = world.device(1);
     let payload = Bytes::from(vec![1u8; size]);

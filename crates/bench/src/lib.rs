@@ -16,7 +16,9 @@
 use abelian::apps::{Bfs, Cc, PageRank, Sssp};
 use abelian::metrics::HostMetrics;
 use abelian::{build_layers, run_app, EngineConfig, LayerKind, RunResult};
+use bytes::Bytes;
 use gemini::{run_gemini, GeminiConfig};
+use lci::{Device, LciWorld};
 use lci_fabric::FabricConfig;
 use lci_graph::{gen, partition, CsrGraph, Partitioning, Policy};
 use mini_mpi::{MpiConfig, Personality, ThreadLevel};
@@ -332,6 +334,72 @@ pub mod emit {
             .unwrap_or_else(|e| panic!("writing {}: {e}", r.file_name()));
         println!("bench json: {}", path.display());
         path
+    }
+}
+
+/// One-way LCI latency between devices 0 and 1 of `world`: half the median
+/// of `iters` round trips of `payload`, after `warmup` unmeasured ones (the
+/// median is robust against the scheduler outliers of a simulation host).
+pub fn lci_pingpong(world: &LciWorld, payload: Bytes, iters: usize, warmup: usize) -> Duration {
+    let (a, b) = (world.device(0), world.device(1));
+    let pb = payload.clone();
+    let echo = std::thread::spawn(move || {
+        for _ in 0..iters + warmup {
+            lci_recv_one(&b);
+            lci_send_one(&b, pb.clone(), 0);
+        }
+    });
+    let mut rtts = Vec::with_capacity(iters);
+    for i in 0..iters + warmup {
+        let t0 = Instant::now();
+        lci_send_one(&a, payload.clone(), 1);
+        lci_recv_one(&a);
+        if i >= warmup {
+            rtts.push(t0.elapsed());
+        }
+    }
+    echo.join().unwrap();
+    rtts.sort();
+    rtts[rtts.len() / 2] / 2
+}
+
+/// `SEND-ENQ` `data` to `dst`, retrying while the device refuses, and drive
+/// progress until the send completes.
+pub fn lci_send_one(d: &Device, data: Bytes, dst: u16) {
+    loop {
+        match d.send_enq(data.clone(), dst, 7) {
+            Ok(req) => {
+                while !req.is_done() {
+                    if d.progress() == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                return;
+            }
+            Err(e) if e.is_retryable() => {
+                d.progress();
+                std::thread::yield_now();
+            }
+            Err(e) => panic!("{e}"),
+        }
+    }
+}
+
+/// `RECV-DEQ` the next message on `d` and drive progress until its data is
+/// in.
+pub fn lci_recv_one(d: &Device) {
+    loop {
+        d.progress();
+        if let Some(r) = d.recv_deq() {
+            while !r.is_done() {
+                if d.progress() == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            let _ = r.take_data();
+            return;
+        }
+        std::thread::yield_now();
     }
 }
 

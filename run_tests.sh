@@ -1,8 +1,8 @@
 #!/bin/bash
 # Tier-1 test suite + chaos profile.
 #
-# Tier 1 (always): release build + the full workspace test suite, clippy on
-# the trace, fabric and engine crates, the repo benchmark's `--quick`
+# Tier 1 (always): release build + the full workspace test suite, clippy
+# over every target of the workspace, the repo benchmark's `--quick`
 # self-check, and the pin leg — all `--offline`: the workspace fetches nothing
 # (the registry names are patched onto in-tree stand-ins, see the root
 # Cargo.toml). This is the bar every change must clear.
@@ -20,11 +20,9 @@
 # replay line. Legs: the stress suite (timing faults), the loss suite
 # (whole-run Drop{prob_ppm: 50_000} recovery + blackhole peer-death
 # aborts), the wire-hardening suite (frame/decoder proptests +
-# corrupt/duplicate/truncate chaos runs), the crash-recovery suite (seeded
-# mid-run crash-stop of one host per engine per comm layer, recovered via
-# coordinated checkpoint/restart), and clippy over the other fault-bearing
-# crates (lci protocol, mini-mpi; the fabric and the engines are linted in
-# tier 1).
+# corrupt/duplicate/truncate chaos runs), and the crash-recovery suite
+# (seeded mid-run crash-stop of one host per engine per comm layer,
+# recovered via coordinated checkpoint/restart).
 #
 # Usage:
 #   ./run_tests.sh               # tier 1 + chaos profile
@@ -133,8 +131,8 @@ echo "=== tier 1: test ==="
 # Bounded: the one known wedge (ROADMAP item 1(b), a survivor spinning after
 # its peer's abort) hangs instead of failing, and CI must say so.
 timeout 1800 cargo test --offline --workspace --release -q
-echo "=== tier 1: clippy (lci-trace, lci-fabric, abelian, gemini) ==="
-cargo clippy --offline -p lci-trace -p lci-fabric -p abelian -p gemini --release -- -D warnings
+echo "=== tier 1: clippy (workspace, all targets) ==="
+cargo clippy --offline --workspace --all-targets --release -- -D warnings
 # The repo benchmark builds its own offline workspace against crates/* and
 # checks every metric name in BENCHMARK.json, so a product change that breaks
 # a call benchmark/ pins fails here, not only in the external pipeline.
@@ -183,6 +181,4 @@ chaos_run 1337 wire_hardening
 for seed in 1 7 42 1337; do
     chaos_run "$seed" crash_recovery
 done
-echo "=== chaos: clippy (fault-bearing crates, -D warnings) ==="
-cargo clippy --offline --release -p lci -p mini-mpi -- -D warnings
 echo "ALL TESTS OK"

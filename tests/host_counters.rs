@@ -300,8 +300,8 @@ fn a_malformed_frame_counts_on_the_receiving_hosts_table() {
     let before = lci_trace::global().snapshot();
     let world = mini_mpi::MpiWorld::new(FabricConfig::test(2), mini_mpi::MpiConfig::default());
     let layers = [0, 1].map(|h| MpiProbeLayer::new(world.comm(h)));
-    // The tag of the probe layer's aggregates (channel 15); three bytes are
-    // too short for a sub-frame's `[tag u32][len u32]`.
+    // A tag with the probe layer's aggregate bit (bit 24) set; three bytes
+    // are too short for a sub-frame's `[len u32]`.
     let mangled = Bytes::from_static(&[1, 2, 3]);
     world.comm(0).send_blocking(mangled, 1, 15 << 24).unwrap();
     std::thread::scope(|s| {
