@@ -41,14 +41,16 @@
 //! A rendezvous names its requests by 64-bit ids — in the `RTS`/`RTR`
 //! control packets, in a fragment's prefix, as the put's context and
 //! immediate value — the way RDMA software passes work-request ids to the
-//! NIC. Each request is parked in the device's table ([`Parked`]) from the
-//! packet that first carries its id to its last completion: the sender's
-//! from `RTS` to `PutDone` (or its last fragment), the receiver's from `RTR`
-//! to `PutArrived` (or its last fragment). Whatever names an id is looked
-//! up, never trusted: an id that names nothing — never issued, already
-//! answered, or from an incarnation [`rejoin`](Device::rejoin) discarded —
-//! is dropped and counted, in `fabric.epoch.stale_dropped` when its epoch is
-//! not current and in `lci.malformed_dropped` otherwise.
+//! NIC. The mechanism is the fabric's rendezvous core, which mini-mpi uses
+//! too ([`Rendezvous`]: the shared request, the id table and its claim rule,
+//! the RTR, the deferred puts and the put completions). Each request is
+//! parked from the packet that first carries its id to its last completion:
+//! the sender's from `RTS` to `PutDone` (or its last fragment), the
+//! receiver's from `RTR` to `PutArrived` (or its last fragment). An id that
+//! names nothing is dropped and counted, in `fabric.epoch.stale_dropped`
+//! when its epoch is not current and in `lci.malformed_dropped` otherwise.
+//! What is LCI's own is around it: the first-packet queue, the deferred
+//! `RTS`, the 8-byte `RTS` and the emulated (psm2-style) put.
 //!
 //! # Wire hardening and reliable delivery
 //!
@@ -64,17 +66,17 @@
 //! until the destination's retry budget declares it dead, which fails the
 //! device ([`EnqError::PeerDead`]) instead of wedging its callers.
 
-use crate::config::LciConfig;
+use crate::config::{LciConfig, PutMode};
 use crate::faa_queue::MpmcQueue;
 use crate::pool::{Packet, PacketPool};
 use crate::protocol::{self, PacketType};
-use crate::request::{FilledRanges, RecvData, RecvRequest, ReqInner, ReqState, SendRequest};
+use crate::request::{FilledRanges, RdvReq, RecvData, RecvRequest, SendRequest};
 use bytes::Bytes;
 use lci_fabric::reliable::{RelRecv, ReliableSession, REL_DATA_OFFSET};
-use lci_fabric::{Endpoint, Event, MrKey, PacketBuf, Parked, SendError};
+use lci_fabric::{Endpoint, Event, Held, PacketBuf, PendingPuts, Put, Rendezvous, SendError};
 use lci_trace::{Counter, EventKind, Registry};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -136,23 +138,12 @@ struct RxItem {
 /// payload alike: behind the transport-frame and reliable-layer headers.
 const BODY: usize = REL_DATA_OFFSET;
 
-/// A rendezvous put: context `id` (its send request, parked until `PutDone`).
-struct PendingPut {
-    dst: u16,
-    key: MrKey,
-    payload: Bytes,
-    id: u64,
-    imm: u64,
-}
-
-/// An in-progress emulated-put fragment stream (psm2-style rendezvous).
+/// An in-progress emulated-put fragment stream (psm2-style rendezvous):
+/// the put an RTR asked for, sent as fragments from `next_offset` on.
 struct PendingFrags {
-    dst: u16,
+    put: Put<Bytes>,
     tag: u32,
-    payload: Bytes,
     next_offset: usize,
-    recv_id: u64,
-    send_id: u64,
 }
 
 /// Counters describing a device's activity (diagnostics and benches): a
@@ -189,9 +180,11 @@ impl From<&Registry> for DeviceStats {
 /// What only the one thread inside [`Device::progress`] touches.
 #[derive(Default)]
 struct Progress {
-    /// Rendezvous puts deferred by back-pressure.
-    pending_puts: VecDeque<PendingPut>,
+    /// The puts RTRs asked for, until the injection queue takes them.
+    pending_puts: PendingPuts<Bytes>,
     pending_frags: VecDeque<PendingFrags>,
+    /// What each emulated-put receive has assembled so far, by its id.
+    filled: HashMap<u64, FilledRanges>,
     /// The endpoint's completions, taken a batch at a time
     /// ([`Endpoint::drain_into`]); kept so its capacity is reused.
     events: VecDeque<Event>,
@@ -216,7 +209,7 @@ struct DeviceInner {
     progress: Mutex<Progress>,
     /// Every request a rendezvous id names. A lock of its own: `send_enq`
     /// and `recv_deq` park requests outside `progress`.
-    parked: Mutex<Parked<Arc<ReqInner>>>,
+    parked: Mutex<Rendezvous<Bytes>>,
     failed: AtomicBool,
     cfg: LciConfig,
 }
@@ -258,7 +251,7 @@ impl Device {
                 rel: ReliableSession::with_bufs(&ep, Arc::clone(&pool) as _),
                 pool,
                 progress: Mutex::new(Progress::default()),
-                parked: Mutex::new(Parked::new(&ep)),
+                parked: Mutex::new(Rendezvous::new(&ep, Counter::LciMalformedDropped)),
                 failed: AtomicBool::new(false),
                 cfg,
                 ep,
@@ -281,12 +274,14 @@ impl Device {
         self.inner.failed.load(Ordering::Acquire)
     }
 
-    /// True when the reliable layer holds no unacknowledged frame toward
-    /// any peer and owes no ack ([`ReliableSession::quiescent`]) — the
+    /// True when no rendezvous put waits for the injection queue, no
+    /// emulated-put stream is unfinished, and the reliable layer holds no
+    /// unacknowledged frame and owes no ack ([`PendingPuts::settled`]) — the
     /// condition a host must reach before it may stop driving
     /// [`Device::progress`].
     pub fn quiescent(&self) -> bool {
-        self.inner.rel.quiescent()
+        let prog = self.inner.progress.lock();
+        prog.pending_frags.is_empty() && prog.pending_puts.settled(&self.inner.rel)
     }
 
     /// Packets currently out of the pool (diagnostics): being filled, or
@@ -317,22 +312,10 @@ impl Device {
     }
 
     /// Seal one empty reliable frame to every peer under the *current*
-    /// fabric epoch. The recovery driver calls this on each surviving
-    /// device immediately before [`respawn`](lci_fabric::Fabric::respawn)
-    /// bumps the epoch: the probes land after the bump, get classified
-    /// stale by the receivers' epoch gates, and make the
-    /// `fabric.epoch.stale_dropped` evidence of the discarded incarnation
-    /// deterministic (a quiesced survivor may otherwise have nothing left
-    /// in flight). Errors are ignored — a probe that cannot be sent (dead
-    /// peer, full window) proves the same point by its absence.
+    /// fabric epoch ([`ReliableSession::probe_epoch`]), just before a
+    /// respawn bumps it.
     pub fn flush_epoch_probe(&self) {
-        let inner = &self.inner;
-        let me = inner.ep.host();
-        for dst in 0..inner.ep.num_hosts() as u16 {
-            if dst != me {
-                let _ = inner.rel.send(&inner.ep, dst, 0, &[], 0);
-            }
-        }
+        self.inner.rel.probe_epoch(&self.inner.ep);
     }
 
     /// Reset this device for a new fabric incarnation, after the fabric's
@@ -380,9 +363,8 @@ impl Device {
         }
         prog.pending_puts.clear();
         prog.pending_frags.clear();
-        for req in inner.parked.lock().drain() {
-            req.mark_error();
-        }
+        prog.filled.clear();
+        inner.parked.lock().fail_all();
         inner.rel.rejoin();
         inner.failed.store(false, Ordering::Release);
     }
@@ -464,13 +446,13 @@ impl Device {
             Ok(SendRequest::eager(dst, tag, len))
         } else {
             let len = data.len();
-            let req = ReqInner::new(ReqState::SendPayload(data));
-            let id = inner.parked.lock().park(Arc::clone(&req));
+            let req = RdvReq::new(Held::Payload(data), ());
+            let id = inner.parked.lock().park(&req);
             packet[BODY..BODY + 8].copy_from_slice(&protocol::encode_rts(id));
             let header = protocol::pack(PacketType::Rts, tag, len as u64);
             self.send_packet(dst, header, packet, 8).inspect_err(|e| {
                 // The RTS never left: nothing can name the id.
-                inner.parked.lock().take(id);
+                inner.parked.lock().unpark(&inner.ep, id);
                 if e.is_retryable() {
                     self.counters().incr(Counter::LciEnqRejected);
                 }
@@ -556,46 +538,27 @@ impl Device {
                 };
                 // Landing buffer: a registered region for native RDMA, a
                 // plain assembly buffer for the emulated (psm2-style) path.
-                let (state, key) = match inner.cfg.put_mode {
-                    crate::config::PutMode::Rdma => {
-                        let mr = inner.ep.register_mr(item.size as usize);
-                        let key = mr.key();
-                        (ReqState::RecvMr(mr), key)
+                let size = item.size as usize;
+                let req = RdvReq::new(Held::Empty, ());
+                let (recv_id, rtr) = match inner.cfg.put_mode {
+                    PutMode::Rdma => inner.parked.lock().answer(&inner.ep, &req, send_id, size),
+                    PutMode::Emulated => {
+                        *req.held() = Held::Landed(vec![0u8; size]);
+                        let id = inner.parked.lock().park(&req);
+                        (id, protocol::encode_rtr(send_id, 0, id))
                     }
-                    crate::config::PutMode::Emulated => (
-                        ReqState::RecvAssembly {
-                            buf: vec![0u8; item.size as usize],
-                            filled: FilledRanges::new(),
-                        },
-                        MrKey(0),
-                    ),
                 };
-                let req = ReqInner::new(state);
-                let recv_id = inner.parked.lock().park(Arc::clone(&req));
-                packet[BODY..BODY + 24]
-                    .copy_from_slice(&protocol::encode_rtr(send_id, key.0, recv_id));
+                packet[BODY..BODY + 24].copy_from_slice(&rtr);
                 let header = protocol::pack(PacketType::Rtr, item.tag, item.size);
-                match self.send_packet(item.src, header, packet, 24) {
-                    Ok(()) => {
-                        self.counters().incr(Counter::LciReceived);
-                        Some(RecvRequest::rendezvous(
-                            item.src,
-                            item.tag,
-                            item.size as usize,
-                            req,
-                        ))
-                    }
-                    Err(_) => {
-                        // Unwind: the RTR never left. Unpark the request,
-                        // drop the MR, defer the RTS.
-                        inner.parked.lock().take(recv_id);
-                        if key.0 != 0 {
-                            inner.ep.deregister_mr(key);
-                        }
-                        self.defer(item);
-                        None
-                    }
+                if self.send_packet(item.src, header, packet, 24).is_err() {
+                    // Unwind: the RTR never left. Unpark the request (its
+                    // region deregistered) and defer the RTS.
+                    inner.parked.lock().unpark(&inner.ep, recv_id);
+                    self.defer(item);
+                    return None;
                 }
+                self.counters().incr(Counter::LciReceived);
+                Some(RecvRequest::rendezvous(item.src, item.tag, size, req))
             }
             PacketType::Rtr | PacketType::Frag => {
                 unreachable!("control/fragment packets are handled by progress")
@@ -623,8 +586,9 @@ impl Device {
     }
 
     /// **`NETWORK-PROGRESS`** — drive the protocol: drain completions,
-    /// enqueue first-packets, convert `RTR`s into RDMA puts, and retry puts
-    /// deferred by back-pressure. Returns the number of events processed.
+    /// enqueue first-packets, and turn `RTR`s into RDMA puts, injected (with
+    /// any deferred by back-pressure) once the completions are drained.
+    /// Returns the number of events processed.
     ///
     /// Safe to call from any thread, but only one caller makes progress at a
     /// time (the paper dedicates a single communication-server thread; the
@@ -654,17 +618,6 @@ impl Device {
             inner.failed.store(true, Ordering::Release);
         }
 
-        // Retry puts deferred by back-pressure.
-        for _ in 0..prog.pending_puts.len() {
-            let p = prog.pending_puts.pop_front().expect("len checked");
-            if self.issue_put(&p) {
-                handled += 1;
-            } else {
-                prog.pending_puts.push_back(p);
-                break; // still pressured; try again next call
-            }
-        }
-
         // Advance emulated-put fragment streams.
         handled += self.issue_frags(prog);
 
@@ -685,35 +638,23 @@ impl Device {
                 // is the reliable session's until the ack.
                 Event::SendDone { .. } => {}
                 Event::PutDone { ctx, epoch } => {
-                    if let Some(req) = self.claim(ctx, epoch) {
-                        req.mark_done();
-                    }
+                    inner.parked.lock().on_put_done(&inner.ep, ctx, epoch);
                 }
                 Event::PutArrived { imm, epoch, .. } => {
-                    let Some(req) = self.claim(imm, epoch) else {
-                        continue;
-                    };
-                    if epoch != inner.ep.fabric_epoch() {
-                        // Straggler queued before a respawn but consumed
-                        // before this device rejoined: the request belongs
-                        // to the dead incarnation. Fail it.
-                        self.counters().incr(Counter::FabricEpochStaleDropped);
-                        req.mark_error();
-                        continue;
-                    }
-                    let mut st = req.state.lock();
-                    if let ReqState::RecvMr(mr) = std::mem::replace(&mut *st, ReqState::Empty) {
-                        inner.ep.deregister_mr(mr.key());
-                        *st = ReqState::RecvReady(RecvData::new(mr.take(), 0));
-                    }
-                    drop(st);
-                    req.mark_done();
+                    inner.parked.lock().on_put_arrived(&inner.ep, imm, epoch);
                 }
                 Event::Error { ctx, .. } => {
                     inner.failed.store(true, Ordering::Release);
                     // Only a put carries a context: its send request fails.
-                    self.finish(ctx, false);
+                    inner.parked.lock().on_put_error(ctx);
                 }
+            }
+        }
+        // Inject the puts RTRs asked for, and those back-pressure deferred.
+        if !prog.pending_puts.is_empty() {
+            match prog.pending_puts.retry(&inner.ep, &mut inner.parked.lock()) {
+                Ok(issued) => handled += issued,
+                Err(_) => inner.failed.store(true, Ordering::Release),
             }
         }
         if handled > 0 {
@@ -721,19 +662,6 @@ impl Device {
                 .add(Counter::LciProgressEvents, handled as u64);
         }
         handled
-    }
-
-    /// Unpark the request a completion of `epoch` names. An id that names
-    /// nothing is dropped and counted: as stale when `epoch` is not the
-    /// fabric's, as malformed otherwise.
-    fn claim(&self, id: u64, epoch: u32) -> Option<Arc<ReqInner>> {
-        let req = self.inner.parked.lock().take(id);
-        if req.is_none() && epoch == self.inner.ep.fabric_epoch() {
-            self.counters().incr(Counter::LciMalformedDropped);
-        } else if req.is_none() {
-            self.counters().incr(Counter::FabricEpochStaleDropped);
-        }
-        req
     }
 
     fn on_recv(&self, prog: &mut Progress, src: u16, header: u64, data: PacketBuf) {
@@ -774,51 +702,14 @@ impl Device {
                 });
             }
             PacketType::Rtr => {
-                let Some((send_id, key, recv_id)) = protocol::decode_rtr(&data[BODY..]) else {
-                    self.counters().incr(Counter::LciMalformedDropped);
+                let Some(put) = inner.parked.lock().on_rtr(&inner.ep, src, &data[BODY..]) else {
                     return;
                 };
                 drop(data); // release the rx credit before the (long) put
-                // The send request stays parked until its put completes; an
-                // RTR that names nothing, or one already answered, finds no
-                // payload to send.
-                let req = inner.parked.lock().get(send_id).cloned();
-                let payload = req.and_then(|req| {
-                    let mut st = req.state.lock();
-                    match std::mem::replace(&mut *st, ReqState::Empty) {
-                        ReqState::SendPayload(b) => Some(b),
-                        other => {
-                            *st = other;
-                            None
-                        }
-                    }
-                });
-                let Some(payload) = payload else {
-                    self.counters().incr(Counter::LciMalformedDropped);
-                    return;
-                };
                 match inner.cfg.put_mode {
-                    crate::config::PutMode::Rdma => {
-                        let p = PendingPut {
-                            dst: src,
-                            key: MrKey(key),
-                            payload,
-                            id: send_id,
-                            imm: recv_id,
-                        };
-                        if !self.issue_put(&p) {
-                            prog.pending_puts.push_back(p);
-                        }
-                    }
-                    crate::config::PutMode::Emulated => {
-                        prog.pending_frags.push_back(PendingFrags {
-                            dst: src,
-                            tag,
-                            payload,
-                            next_offset: 0,
-                            recv_id,
-                            send_id,
-                        });
+                    PutMode::Rdma => prog.pending_puts.push(put),
+                    PutMode::Emulated => {
+                        prog.pending_frags.push_back(PendingFrags { put, tag, next_offset: 0 });
                         self.issue_frags(prog);
                     }
                 }
@@ -835,8 +726,8 @@ impl Device {
                     self.counters().incr(Counter::LciMalformedDropped);
                     return;
                 };
-                let mut st = req.state.lock();
-                let ReqState::RecvAssembly { buf, filled } = &mut *st else {
+                let mut held = req.held();
+                let Held::Landed(buf) = &mut *held else {
                     return;
                 };
                 let off = offset as usize;
@@ -846,6 +737,7 @@ impl Device {
                     // panicking, and a re-delivered range can no longer
                     // double-count toward completion.
                     Some(end) if end <= buf.len() => {
+                        let filled = prog.filled.entry(recv_id).or_default();
                         if !filled.insert(off, end) {
                             self.counters().incr(Counter::LciDuplicateDropped);
                             return;
@@ -860,10 +752,9 @@ impl Device {
                         return;
                     }
                 }
-                let buf = std::mem::take(buf);
-                *st = ReqState::RecvReady(RecvData::new(buf, 0));
-                drop(st);
-                self.finish(recv_id, true);
+                drop(held);
+                prog.filled.remove(&recv_id);
+                inner.parked.lock().finish(recv_id, true);
             }
         }
     }
@@ -876,7 +767,7 @@ impl Device {
         let chunk = inner.cfg.packet_payload - 16;
         let mut issued = 0;
         while let Some(f) = q.front_mut() {
-            let total = f.payload.len();
+            let total = f.put.payload.len();
             while f.next_offset < total {
                 let Some(mut packet) = inner.pool.alloc() else {
                     return issued;
@@ -885,19 +776,19 @@ impl Device {
                 let len = end - f.next_offset;
                 let body = &mut packet[BODY..BODY + 16 + len];
                 body[..16].copy_from_slice(&protocol::encode_frag_header(
-                    f.recv_id,
+                    f.put.imm,
                     f.next_offset as u64,
                 ));
-                body[16..].copy_from_slice(&f.payload[f.next_offset..end]);
+                body[16..].copy_from_slice(&f.put.payload[f.next_offset..end]);
                 let header = protocol::pack(PacketType::Frag, f.tag, total as u64);
-                match self.send_packet(f.dst, header, packet, 16 + len) {
+                match self.send_packet(f.put.dst, header, packet, 16 + len) {
                     Ok(()) => {
                         f.next_offset = end;
                         issued += 1;
                     }
                     Err(e) if e.is_retryable() => return issued,
                     Err(_) => {
-                        self.finish(f.send_id, false);
+                        inner.parked.lock().finish(f.put.id, false);
                         inner.failed.store(true, Ordering::Release);
                         q.pop_front();
                         return issued;
@@ -906,40 +797,10 @@ impl Device {
             }
             // Whole payload copied into the fabric: the send is complete
             // from the user's perspective.
-            self.finish(f.send_id, true);
+            inner.parked.lock().finish(f.put.id, true);
             q.pop_front();
         }
         issued
-    }
-
-    /// Try to inject a rendezvous put. Returns false on back-pressure (the
-    /// caller keeps the `PendingPut` for retry; its request stays parked).
-    fn issue_put(&self, p: &PendingPut) -> bool {
-        // The put's context is its send request's id: `PutDone` completes it.
-        match self
-            .inner
-            .ep
-            .try_put(p.dst, p.key, 0, &p.payload, p.id, Some(p.imm))
-        {
-            Ok(()) => true,
-            Err(SendError::Backpressure) => false,
-            Err(_) => {
-                self.finish(p.id, false);
-                self.inner.failed.store(true, Ordering::Release);
-                true // fatal: don't retry
-            }
-        }
-    }
-
-    /// Unpark the request `id` names and mark it done or failed.
-    fn finish(&self, id: u64, done: bool) {
-        if let Some(req) = self.inner.parked.lock().take(id) {
-            if done {
-                req.mark_done();
-            } else {
-                req.mark_error();
-            }
-        }
     }
 }
 

@@ -7,7 +7,8 @@
 //!   sender's request.
 //! * `RTR` — ready-to-receive, answers an RTS; carries the sender's id back,
 //!   the receiver's registered region key, and the id of the receiver's
-//!   request (which the sender echoes as the put's immediate value).
+//!   request (which the sender echoes as the put's immediate value), in the
+//!   body [`lci_fabric::encode_rtr`] writes.
 //!
 //! There is deliberately **no** tag matching or ordering in this layer — the
 //! header's tag field is transported verbatim for the upper layer to use.
@@ -92,26 +93,9 @@ pub fn decode_rts(payload: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(payload.get(..8)?.try_into().ok()?))
 }
 
-/// RTR payload: sender id, memory-region key, receiver id.
-pub fn encode_rtr(send_id: u64, mr_key: u64, recv_id: u64) -> [u8; 24] {
-    let mut out = [0u8; 24];
-    out[..8].copy_from_slice(&send_id.to_le_bytes());
-    out[8..16].copy_from_slice(&mr_key.to_le_bytes());
-    out[16..].copy_from_slice(&recv_id.to_le_bytes());
-    out
-}
-
-/// Decode an RTR payload as `(send_id, mr_key, recv_id)`; `None` on
-/// short input. Total, panic-free on arbitrary bytes.
-pub fn decode_rtr(payload: &[u8]) -> Option<(u64, u64, u64)> {
-    if payload.len() < 24 {
-        return None;
-    }
-    let a = u64::from_le_bytes(payload[..8].try_into().ok()?);
-    let b = u64::from_le_bytes(payload[8..16].try_into().ok()?);
-    let c = u64::from_le_bytes(payload[16..24].try_into().ok()?);
-    Some((a, b, c))
-}
+/// RTR payload: sender id, memory-region key, receiver id — the fabric's
+/// one rendezvous codec, which mini-mpi's RTR carries too.
+pub use lci_fabric::{decode_rtr, encode_rtr};
 
 #[cfg(test)]
 mod tests {

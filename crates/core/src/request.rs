@@ -13,20 +13,17 @@
 //!   receive, its [`RecvData`] behind an inline lock so that
 //!   [`RecvRequest::take_data`] hands it out once — and no other thread ever
 //!   sees it: no heap, no shared flag.
-//! * **Rendezvous** — an `Arc<ReqInner>` shared with the device's progress:
-//!   parked under its rendezvous id, marked done or failed by progress, failed
-//!   by [`Device::rejoin`](crate::Device::rejoin). Only this form has a
-//!   status flag to re-read.
+//! * **Rendezvous** — an `Arc` of the fabric's shared rendezvous request
+//!   ([`lci_fabric::Req`]): parked under its rendezvous id, marked done or
+//!   failed by progress, failed by [`Device::rejoin`](crate::Device::rejoin).
+//!   Only this form has a status flag to re-read.
 
 use bytes::Bytes;
-use lci_fabric::MemRegion;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-const PENDING: u8 = 0;
-const DONE: u8 = 1;
-const ERROR: u8 = 2;
+/// A rendezvous request of this runtime: the shared flag and what it holds.
+pub(crate) type RdvReq = lci_fabric::Req<Bytes>;
 
 /// Disjoint-interval accounting for fragment assembly.
 ///
@@ -43,10 +40,6 @@ pub(crate) struct FilledRanges {
 }
 
 impl FilledRanges {
-    pub(crate) fn new() -> Self {
-        FilledRanges::default()
-    }
-
     /// Record `[start, end)` as filled. Returns `false` (and records
     /// nothing) when the interval is empty or overlaps an existing one.
     pub(crate) fn insert(&mut self, start: usize, end: usize) -> bool {
@@ -79,25 +72,6 @@ impl FilledRanges {
     pub(crate) fn covered(&self) -> usize {
         self.total
     }
-}
-
-/// What a rendezvous request holds.
-pub(crate) enum ReqState {
-    /// Nothing held (consumed).
-    Empty,
-    /// Rendezvous send: the payload kept alive until the RDMA put completes.
-    SendPayload(Bytes),
-    /// Rendezvous receive: the registered landing region.
-    RecvMr(MemRegion),
-    /// Emulated-put receive: fragments assemble here.
-    RecvAssembly {
-        /// The landing buffer.
-        buf: Vec<u8>,
-        /// Byte ranges received so far.
-        filled: FilledRanges,
-    },
-    /// Completed receive: data ready for the user.
-    RecvReady(RecvData),
 }
 
 /// A received payload, claimed with [`RecvRequest::take_data`]. Derefs to
@@ -147,46 +121,13 @@ impl std::fmt::Debug for RecvData {
     }
 }
 
-/// The state of a rendezvous request, shared between its handle and the
-/// device's progress: parked under its id, marked done or failed there, or
-/// failed by [`Device::rejoin`](crate::Device::rejoin).
-pub(crate) struct ReqInner {
-    status: AtomicU8,
-    pub(crate) state: Mutex<ReqState>,
-}
-
-impl ReqInner {
-    pub(crate) fn new(state: ReqState) -> Arc<Self> {
-        Arc::new(ReqInner {
-            status: AtomicU8::new(PENDING),
-            state: Mutex::new(state),
-        })
-    }
-
-    pub(crate) fn mark_done(&self) {
-        self.status.store(DONE, Ordering::Release);
-    }
-
-    pub(crate) fn mark_error(&self) {
-        self.status.store(ERROR, Ordering::Release);
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.status.load(Ordering::Acquire) == DONE
-    }
-
-    pub(crate) fn is_error(&self) -> bool {
-        self.status.load(Ordering::Acquire) == ERROR
-    }
-}
-
 /// Where a request's completion lives.
 enum Form<D> {
     /// Born complete: an eager message, done at initiation. The handle owns
     /// it alone — `D` is what is left to hand out — and progress never sees it.
     Eager(D),
     /// A rendezvous, shared with progress until its last completion.
-    Rendezvous(Arc<ReqInner>),
+    Rendezvous(Arc<RdvReq>),
 }
 
 /// The handle behind both request types: peer, tag and size inline, and the
@@ -232,7 +173,7 @@ impl SendRequest {
     }
 
     /// A rendezvous send, complete when progress marks `req` done.
-    pub(crate) fn rendezvous(dst: u16, tag: u32, size: usize, req: Arc<ReqInner>) -> Self {
+    pub(crate) fn rendezvous(dst: u16, tag: u32, size: usize, req: Arc<RdvReq>) -> Self {
         SendRequest {
             handle: Handle {
                 peer: dst,
@@ -310,7 +251,7 @@ impl RecvRequest {
     }
 
     /// A rendezvous receive, complete when its put lands in `req`.
-    pub(crate) fn rendezvous(src: u16, tag: u32, size: usize, req: Arc<ReqInner>) -> Self {
+    pub(crate) fn rendezvous(src: u16, tag: u32, size: usize, req: Arc<RdvReq>) -> Self {
         RecvRequest {
             handle: Handle {
                 peer: src,
@@ -354,18 +295,9 @@ impl RecvRequest {
     /// Claim the payload. Returns `None` if the request is not yet done or
     /// the data was already taken.
     pub fn take_data(&self) -> Option<RecvData> {
-        let req = match &self.handle.form {
-            Form::Eager(data) => return data.lock().take(),
-            Form::Rendezvous(req) if req.is_done() => req,
-            Form::Rendezvous(_) => return None,
-        };
-        let mut st = req.state.lock();
-        match std::mem::replace(&mut *st, ReqState::Empty) {
-            ReqState::RecvReady(v) => Some(v),
-            other => {
-                *st = other;
-                None
-            }
+        match &self.handle.form {
+            Form::Eager(data) => data.lock().take(),
+            Form::Rendezvous(req) => req.take_landed().map(|buf| RecvData::new(buf, 0)),
         }
     }
 }
@@ -384,10 +316,11 @@ impl std::fmt::Debug for RecvRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lci_fabric::Held;
 
     #[test]
     fn status_transitions() {
-        let r = ReqInner::new(ReqState::Empty);
+        let r = RdvReq::new(Held::Empty, ());
         assert!(!r.is_done());
         assert!(!r.is_error());
         r.mark_done();
@@ -396,9 +329,7 @@ mod tests {
 
     #[test]
     fn take_data_only_when_done() {
-        // As an eager message arrives: two bytes of header, then the payload.
-        let data = RecvData::new(vec![9, 9, 1, 2, 3], 2);
-        let inner = ReqInner::new(ReqState::RecvReady(data));
+        let inner = RdvReq::new(Held::Landed(vec![1, 2, 3]), ());
         let req = RecvRequest::rendezvous(1, 2, 3, Arc::clone(&inner));
         assert!(req.take_data().is_none(), "pending request yields no data");
         inner.mark_done();
@@ -430,7 +361,7 @@ mod tests {
 
     #[test]
     fn filled_ranges_coalesce_and_reject_overlap() {
-        let mut f = FilledRanges::new();
+        let mut f = FilledRanges::default();
         assert!(f.insert(0, 10));
         assert!(f.insert(20, 30));
         assert_eq!(f.covered(), 20);
@@ -449,7 +380,7 @@ mod tests {
 
     #[test]
     fn filled_ranges_merge_left_and_right() {
-        let mut f = FilledRanges::new();
+        let mut f = FilledRanges::default();
         assert!(f.insert(10, 20));
         assert!(f.insert(20, 25)); // merge left
         assert!(f.insert(5, 10)); // merge right
@@ -462,7 +393,7 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let inner = ReqInner::new(ReqState::Empty);
+        let inner = RdvReq::new(Held::Empty, ());
         let s = SendRequest::rendezvous(7, 42, 11, Arc::clone(&inner));
         assert!(!s.is_done());
         inner.mark_error();

@@ -441,3 +441,73 @@ fn send_enq_backoff_exhausts_on_wedged_fabric() {
     assert_eq!(a.stats().retries_exhausted, 1);
     assert!(!a.is_failed(), "exhaustion reports, it does not poison");
 }
+
+/// A rendezvous put that back-pressure deferred is work the sender still
+/// owes the wire: until it leaves, the device is not quiescent, or a host
+/// that stopped driving progress there would strand its peer's receive.
+#[test]
+fn a_deferred_rendezvous_put_keeps_its_sender_from_quiescing() {
+    use lci_fabric::{Fabric, ReliableConfig, WireModel};
+    // One injection slot, an ack owed for every frame, and no jitter, so
+    // each step delivers the frame injected first.
+    let reliable = ReliableConfig {
+        ack_every: 1,
+        ..ReliableConfig::default()
+    };
+    let wire = WireModel {
+        jitter_ns: 0,
+        ..WireModel::opa()
+    };
+    let f = Fabric::new_manual(
+        FabricConfig::deterministic(2, 0xD1E)
+            .with_wire(wire)
+            .with_injection_depth(1)
+            .with_reliable(reliable),
+    );
+    let a = Device::new(f.endpoint(0), LciConfig::for_hosts(2));
+    let b = Device::new(f.endpoint(1), LciConfig::for_hosts(2));
+    let s = a.send_enq(Bytes::from(vec![9u8; 32 << 10]), 1, 2).expect("RTS");
+    f.drain();
+    b.progress();
+    let r = b.recv_deq().expect("host 1 answers the RTS");
+    // Host 0's eager message, longer than the RTR and so due after it,
+    // holds host 0's one slot when the RTR arrives.
+    a.send_enq(Bytes::from(vec![1u8; 1024]), 1, 3).expect("eager");
+    assert!(f.step(), "the RTR reaches host 0");
+    a.progress();
+    assert_eq!(a.endpoint().stats().puts, 0, "the put waits for the slot");
+    assert!(f.step(), "the eager message reaches host 1");
+    b.progress();
+    b.progress(); // host 1 acks it
+    a.progress(); // host 0's ack for the RTR takes the slot back
+    assert!(f.step(), "host 1's ack reaches host 0");
+    a.progress(); // every frame acked, no ack owed, the put still waiting
+    assert_eq!(a.endpoint().stats().puts, 0, "the put still waits");
+    // Host 0 drives until it calls itself quiescent, then stops.
+    let tick = || {
+        if !f.step() {
+            f.advance_virtual(f.config().reliable.ack_delay_ns);
+        }
+    };
+    for _ in 0..10_000 {
+        if a.quiescent() {
+            break;
+        }
+        tick();
+        b.progress();
+        a.progress();
+    }
+    assert!(a.quiescent(), "host 0 reached quiescence");
+    // Whatever host 0 owed has left: host 1's receive completes without it.
+    for _ in 0..10_000 {
+        if r.is_done() {
+            break;
+        }
+        tick();
+        b.progress();
+    }
+    assert!(r.is_done(), "host 0 went quiescent with its put still queued");
+    assert_eq!(r.take_data().unwrap(), vec![9u8; 32 << 10]);
+    a.progress();
+    assert!(s.is_done());
+}

@@ -198,7 +198,7 @@ pub(crate) struct EndpointShared {
     rx_credits: RxCredits,
     pub(crate) mrs: Mutex<HashMap<u64, Arc<MrInner>>>,
     pub(crate) next_mr: AtomicU64,
-    /// Where [`crate::Parked`] ids come from: never reset, starts above 1.
+    /// Where [`crate::Rendezvous`] ids come from: never reset, starts above 1.
     pub(crate) next_id: AtomicU64,
     pub(crate) failed: AtomicBool,
     /// This host's counter table: the one store for everything counted on

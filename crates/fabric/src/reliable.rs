@@ -665,6 +665,20 @@ impl ReliableSession {
             p.tx.window.is_empty() && !p.rx.ack_owed
         })
     }
+
+    /// Seal one empty frame (header 0, context 0) to every peer under the
+    /// *current* fabric epoch, ignoring errors. A recovery driver calls this
+    /// on each survivor just before [`crate::Fabric::respawn`] bumps the
+    /// epoch: the probes land after the bump, the receivers' epoch gates
+    /// classify them stale, and the `fabric.epoch.stale_dropped` evidence of
+    /// the discarded incarnation is deterministic even when the survivors
+    /// had quiesced. A probe that cannot be sent (dead peer, full window)
+    /// proves the same point by its absence.
+    pub fn probe_epoch(&self, ep: &Endpoint) {
+        for dst in (0..ep.num_hosts() as HostId).filter(|&d| d != ep.host()) {
+            let _ = self.send(ep, dst, 0, &[], 0);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -24,10 +24,6 @@ pub struct MpiStatus {
 pub(crate) struct UnexMsg {
     pub src: u16,
     pub tag: u32,
-    /// Arrival sequence, kept for diagnostics/assertions; matching order is
-    /// already guaranteed by in-order insertion.
-    #[allow(dead_code)]
-    pub seq: u64,
     pub body: UnexBody,
 }
 
@@ -59,33 +55,11 @@ pub(crate) fn decode_rts_envelope(body: &[u8]) -> Option<(usize, u64)> {
     Some((size, id))
 }
 
-/// An RTR envelope: the sender's request id, the landing region's key, the
-/// receiver's request id.
-pub(crate) fn encode_rtr_envelope(send_id: u64, mr_key: u64, recv_id: u64) -> [u8; 24] {
-    let mut body = [0u8; 24];
-    body[..8].copy_from_slice(&send_id.to_le_bytes());
-    body[8..16].copy_from_slice(&mr_key.to_le_bytes());
-    body[16..].copy_from_slice(&recv_id.to_le_bytes());
-    body
-}
-
-/// Decode an RTR envelope as `(send_id, mr_key, recv_id)`; `None` on
-/// short input. Total and panic-free on arbitrary bytes.
-pub(crate) fn decode_rtr_envelope(body: &[u8]) -> Option<(u64, u64, u64)> {
-    if body.len() < 24 {
-        return None;
-    }
-    let a = u64::from_le_bytes(body[..8].try_into().ok()?);
-    let b = u64::from_le_bytes(body[8..16].try_into().ok()?);
-    let c = u64::from_le_bytes(body[16..24].try_into().ok()?);
-    Some((a, b, c))
-}
-
 /// A receive posted before its message arrived.
 pub(crate) struct PostedRecv {
     pub src: Option<u16>,
     pub tag: Option<u32>,
-    pub req: std::sync::Arc<crate::p2p::ReqInner>,
+    pub req: std::sync::Arc<crate::p2p::Request>,
 }
 
 fn matches(want_src: Option<u16>, want_tag: Option<u32>, src: u16, tag: u32) -> bool {
@@ -158,13 +132,13 @@ impl Matching {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::p2p::{ReqInner, ReqPayload};
+    use lci_fabric::{Held, Req};
+    use parking_lot::Mutex;
 
-    fn unex(src: u16, tag: u32, seq: u64) -> UnexMsg {
+    fn unex(src: u16, tag: u32) -> UnexMsg {
         UnexMsg {
             src,
             tag,
-            seq,
             body: UnexBody::Eager(vec![0; 3]),
         }
     }
@@ -172,9 +146,9 @@ mod tests {
     #[test]
     fn wildcard_matches_first_in_order() {
         let mut m = Matching::default();
-        m.unexpected.push_back(unex(1, 10, 0));
-        m.unexpected.push_back(unex(2, 20, 0));
-        m.unexpected.push_back(unex(1, 30, 1));
+        m.unexpected.push_back(unex(1, 10));
+        m.unexpected.push_back(unex(2, 20));
+        m.unexpected.push_back(unex(1, 30));
         let got = m.take_unexpected(None, None).unwrap();
         assert_eq!((got.src, got.tag), (1, 10));
         let got = m.take_unexpected(Some(1), None).unwrap();
@@ -185,8 +159,8 @@ mod tests {
     #[test]
     fn tag_filter() {
         let mut m = Matching::default();
-        m.unexpected.push_back(unex(1, 10, 0));
-        m.unexpected.push_back(unex(1, 20, 1));
+        m.unexpected.push_back(unex(1, 10));
+        m.unexpected.push_back(unex(1, 20));
         let got = m.take_unexpected(None, Some(20)).unwrap();
         assert_eq!(got.tag, 20);
         assert_eq!(m.unexpected.len(), 1);
@@ -195,7 +169,7 @@ mod tests {
     #[test]
     fn probe_does_not_remove() {
         let mut m = Matching::default();
-        m.unexpected.push_back(unex(4, 44, 0));
+        m.unexpected.push_back(unex(4, 44));
         let st = m.probe(None, None).unwrap();
         assert_eq!(st, MpiStatus { src: 4, tag: 44, len: 3 });
         assert_eq!(m.unexpected.len(), 1);
@@ -205,7 +179,7 @@ mod tests {
     fn traversal_counting() {
         let mut m = Matching::default();
         for i in 0..10 {
-            m.unexpected.push_back(unex(i as u16, i, 0));
+            m.unexpected.push_back(unex(i as u16, i));
         }
         assert!(m.probe(Some(9), None).is_some());
         assert_eq!(m.drain_traversed(), 10, "wildcard miss scans everything");
@@ -221,12 +195,6 @@ mod tests {
         for cut in 0..16 {
             assert_eq!(decode_rts_envelope(&rts[..cut]), None);
         }
-
-        let rtr = encode_rtr_envelope(1, 2, 3);
-        assert_eq!(decode_rtr_envelope(&rtr), Some((1, 2, 3)));
-        for cut in 0..24 {
-            assert_eq!(decode_rtr_envelope(&rtr[..cut]), None);
-        }
     }
 
     #[test]
@@ -235,12 +203,12 @@ mod tests {
         m.posted.push_back(PostedRecv {
             src: Some(2),
             tag: None,
-            req: ReqInner::new(ReqPayload::Empty),
+            req: Req::new(Held::Empty, Mutex::new(None)),
         });
         m.posted.push_back(PostedRecv {
             src: None,
             tag: Some(7),
-            req: ReqInner::new(ReqPayload::Empty),
+            req: Req::new(Held::Empty, Mutex::new(None)),
         });
         assert!(m.take_posted(3, 9).is_none());
         assert!(m.take_posted(2, 1).is_some());

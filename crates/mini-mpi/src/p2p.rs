@@ -11,23 +11,27 @@
 //! Progress is *explicit*: the network only advances inside MPI calls. This
 //! is the second structural difference from LCI, whose dedicated server
 //! progresses continuously.
+//!
+//! A rendezvous (`RTS` → `RTR` → RDMA put) runs on the fabric's rendezvous
+//! core, the one LCI uses ([`Rendezvous`]: the shared request, the id table
+//! and its claim rule, the RTR, the deferred puts and the put completions).
+//! What is mini-mpi's own is around it: matching, the per-pair reorder
+//! stage, the 16-byte `RTS` envelope, the reserved put contexts and every
+//! [`Personality`] charge.
 
 use crate::error::MpiError;
-use crate::matching::{
-    decode_rtr_envelope, decode_rts_envelope, encode_rtr_envelope, Matching, MpiStatus, PostedRecv,
-    UnexBody, UnexMsg,
-};
+use crate::matching::{decode_rts_envelope, Matching, MpiStatus, PostedRecv, UnexBody, UnexMsg};
 use crate::personality::Personality;
 use crate::rma::{RmaState, WinRegistry};
 use bytes::Bytes;
 use lci_fabric::busy::spin_for_ns;
 use lci_fabric::reliable::{RelRecv, ReliableSession, REL_DATA_OFFSET};
-use lci_fabric::{Endpoint, Event, MemRegion, Parked, SendError};
+use lci_fabric::{Endpoint, Event, Held, PendingPuts, Rendezvous, Req, SendError};
 use lci_trace::Counter;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// MPI threading level of a communicator.
@@ -101,65 +105,28 @@ pub(crate) fn unpack(header: u64) -> (u64, u32, u64) {
 
 // ---- requests ------------------------------------------------------------
 
-const PENDING: u8 = 0;
-const DONE: u8 = 1;
-const ERROR: u8 = 2;
-
-pub(crate) enum ReqPayload {
-    /// Nothing held.
-    Empty,
-    /// Rendezvous send payload, kept until the put completes.
-    SendPayload(Bytes),
-    /// Rendezvous receive landing region.
-    RecvMr(MemRegion),
-    /// Completed receive data.
-    Ready(Vec<u8>),
-}
-
-/// Shared request state (send or receive).
-pub struct ReqInner {
-    status: AtomicU8,
-    pub(crate) payload: Mutex<ReqPayload>,
-    pub(crate) meta: Mutex<Option<MpiStatus>>,
-}
-
-impl ReqInner {
-    pub(crate) fn new(payload: ReqPayload) -> Arc<Self> {
-        Arc::new(ReqInner {
-            status: AtomicU8::new(PENDING),
-            payload: Mutex::new(payload),
-            meta: Mutex::new(None),
-        })
-    }
-
-    pub(crate) fn mark_done(&self) {
-        self.status.store(DONE, Ordering::Release);
-    }
-
-    pub(crate) fn mark_error(&self) {
-        self.status.store(ERROR, Ordering::Release);
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.status.load(Ordering::Acquire) == DONE
-    }
-
-    pub(crate) fn is_error(&self) -> bool {
-        self.status.load(Ordering::Acquire) == ERROR
-    }
-}
+/// A request: the fabric's shared rendezvous request, with the matched
+/// status beside it.
+pub(crate) type Request = Req<Bytes, Mutex<Option<MpiStatus>>>;
 
 /// Handle to a non-blocking send. Completion is observed via
 /// [`MpiComm::test_send`] (which, unlike an LCI flag check, polls the
 /// network — that is MPI's model).
 pub struct SendReq {
-    pub(crate) inner: Arc<ReqInner>,
+    pub(crate) inner: Arc<Request>,
 }
 
 /// Handle to a non-blocking receive; see [`MpiComm::test_recv`] and
 /// [`RecvReq::take_data`].
 pub struct RecvReq {
-    pub(crate) inner: Arc<ReqInner>,
+    pub(crate) inner: Arc<Request>,
+}
+
+/// Complete `req` as the receive of `data` from `src` with `tag`.
+fn land(req: &Request, src: u16, tag: u32, data: Vec<u8>) {
+    *req.meta.lock() = Some(MpiStatus { src, tag, len: data.len() });
+    *req.held() = Held::Landed(data);
+    req.mark_done();
 }
 
 impl RecvReq {
@@ -170,22 +137,12 @@ impl RecvReq {
 
     /// Claim the received payload (once, after completion).
     pub fn take_data(&self) -> Option<Vec<u8>> {
-        if !self.inner.is_done() {
-            return None;
-        }
-        let mut p = self.inner.payload.lock();
-        match std::mem::replace(&mut *p, ReqPayload::Empty) {
-            ReqPayload::Ready(v) => Some(v),
-            other => {
-                *p = other;
-                None
-            }
-        }
+        self.inner.take_landed()
     }
 }
 
 /// Put contexts: 0 = ignorable control send, 1 = RMA put; any other is the
-/// [`Parked`] id of a rendezvous put's send request (never 0 or 1).
+/// [`Rendezvous`] id of a rendezvous put's send request (never 0 or 1).
 pub(crate) const CTX_IGNORE: u64 = 0;
 pub(crate) const CTX_RMA_PUT: u64 = 1;
 
@@ -221,26 +178,16 @@ struct Reorder {
     held: BinaryHeap<Reverse<SeqMsg>>,
 }
 
-// ---- pending rendezvous put ----------------------------------------------
-
-/// A rendezvous put: context `id` (its send request, parked until `PutDone`).
-struct PendingPut {
-    dst: u16,
-    key: lci_fabric::MrKey,
-    payload: Bytes,
-    id: u64,
-    imm: u64,
-}
-
 // ---- communicator ----------------------------------------------------------
 
 pub(crate) struct State {
     pub matching: Matching,
     reorder: Vec<Reorder>,
-    pending_puts: Vec<PendingPut>,
+    /// The puts RTRs asked for, until the injection queue takes them.
+    pending_puts: PendingPuts<Bytes>,
     /// Every request a rendezvous id names, from its RTS (sender) or RTR
     /// (receiver) to its put's completion.
-    parked: Parked<Arc<ReqInner>>,
+    parked: Rendezvous<Bytes, Mutex<Option<MpiStatus>>>,
     pub rma: RmaState,
     pub failed: Option<String>,
     /// The endpoint's completions, taken a batch at a time
@@ -294,8 +241,8 @@ impl MpiComm {
                 state: Mutex::new(State {
                     matching: Matching::default(),
                     reorder: (0..nranks).map(|_| Reorder::default()).collect(),
-                    pending_puts: Vec::new(),
-                    parked: Parked::new(&ep),
+                    pending_puts: PendingPuts::default(),
+                    parked: Rendezvous::new(&ep, Counter::MpiMalformedDropped),
                     rma: RmaState::default(),
                     failed: None,
                     events: VecDeque::new(),
@@ -375,20 +322,11 @@ impl MpiComm {
     }
 
     /// Seal one empty reliable frame to every peer under the *current*
-    /// fabric epoch. The recovery driver calls this on each surviving
-    /// communicator of the dead incarnation immediately before
-    /// [`respawn`](lci_fabric::Fabric::respawn) bumps the epoch: the probes
-    /// land after the bump, the fresh communicators' epoch gates classify
-    /// them stale, and the `fabric.epoch.stale_dropped` evidence of the
-    /// discarded incarnation is deterministic even when the survivors had
-    /// quiesced before the crash was noticed. Bypasses `enter()` — the
-    /// communicator is typically already failed — and ignores send errors.
+    /// fabric epoch ([`ReliableSession::probe_epoch`]), just before a
+    /// respawn bumps it. Bypasses `enter()` — the communicator is typically
+    /// already failed.
     pub fn flush_epoch_probe(&self) {
-        for dst in 0..self.inner.nranks as u16 {
-            if dst != self.inner.rank {
-                let _ = self.inner.rel.send(&self.inner.ep, dst, 0, &[], CTX_IGNORE);
-            }
-        }
+        self.inner.rel.probe_epoch(&self.inner.ep);
     }
 
     /// The recorded fatal failure, if this communicator has died — e.g. the
@@ -403,11 +341,10 @@ impl MpiComm {
 
     /// True when nothing this communicator sent is still in flight at the
     /// wire level: no rendezvous put awaits injection and the reliable
-    /// layer is quiescent ([`ReliableSession::quiescent`]). Inspects state
+    /// layer is quiescent ([`PendingPuts::settled`]). Inspects state
     /// only — pair with a progress call (or use [`MpiComm::quiesce`]).
     pub fn quiescent(&self) -> bool {
-        let st = self.inner.state.lock();
-        st.pending_puts.is_empty() && self.inner.rel.quiescent()
+        self.inner.state.lock().pending_puts.settled(&self.inner.rel)
     }
 
     /// Drive progress until [`MpiComm::quiescent`] holds or the
@@ -571,37 +508,10 @@ impl MpiComm {
                             }
                         }
                         KIND_RTR => {
-                            let Some((send_id, key, recv_id)) =
-                                decode_rtr_envelope(&data[REL_DATA_OFFSET..])
-                            else {
-                                inner.ep.counters().incr(Counter::MpiMalformedDropped);
-                                continue;
-                            };
-                            drop(data);
-                            // The send request stays parked until its put
-                            // completes; an RTR that names nothing, or one
-                            // already answered, finds no payload to send.
-                            let payload = st.parked.get(send_id).and_then(|req| {
-                                let mut p = req.payload.lock();
-                                match std::mem::replace(&mut *p, ReqPayload::Empty) {
-                                    ReqPayload::SendPayload(b) => Some(b),
-                                    other => {
-                                        *p = other;
-                                        None
-                                    }
-                                }
-                            });
-                            let Some(payload) = payload else {
-                                inner.ep.counters().incr(Counter::MpiMalformedDropped);
-                                continue;
-                            };
-                            st.pending_puts.push(PendingPut {
-                                dst: src,
-                                key: lci_fabric::MrKey(key),
-                                payload,
-                                id: send_id,
-                                imm: recv_id,
-                            });
+                            let body = &data[REL_DATA_OFFSET..];
+                            if let Some(put) = st.parked.on_rtr(&inner.ep, src, body) {
+                                st.pending_puts.push(put);
+                            }
                         }
                         KIND_RMA_POST => st.rma.on_post(tag as u64),
                         KIND_RMA_COMPLETE => st.rma.on_complete(tag as u64, src),
@@ -617,76 +527,31 @@ impl MpiComm {
                         inner.outstanding_rma_puts.fetch_sub(1, Ordering::AcqRel);
                     }
                     CTX_IGNORE => {}
-                    id => {
-                        if let Some(req) = self.claim(st, id, epoch) {
-                            req.mark_done();
-                        }
-                    }
+                    id => st.parked.on_put_done(&inner.ep, id, epoch),
                 },
                 Event::PutArrived { imm, epoch, .. } => {
-                    let Some(req) = self.claim(st, imm, epoch) else {
-                        continue;
-                    };
-                    if epoch != inner.ep.fabric_epoch() {
-                        // Straggler queued before a respawn but consumed
-                        // before the world rejoined: fail the request of
-                        // the dead incarnation without completing it.
-                        inner.ep.counters().incr(Counter::FabricEpochStaleDropped);
-                        req.mark_error();
-                        continue;
-                    }
-                    let mut p = req.payload.lock();
-                    if let ReqPayload::RecvMr(mr) = std::mem::replace(&mut *p, ReqPayload::Empty) {
-                        inner.ep.deregister_mr(mr.key());
-                        *p = ReqPayload::Ready(mr.take());
-                    }
-                    drop(p);
-                    req.mark_done();
+                    st.parked.on_put_arrived(&inner.ep, imm, epoch);
                 }
-                Event::Error { kind, .. } => {
+                Event::Error { kind, ctx } => {
                     st.failed = Some(format!("fabric error: {kind:?}"));
+                    // A rendezvous put's send request fails; the reserved
+                    // contexts name nothing.
+                    st.parked.on_put_error(ctx);
                 }
             }
         }
 
-        // Retry pending rendezvous puts.
-        let mut i = 0;
-        while i < st.pending_puts.len() {
-            let p = &st.pending_puts[i];
-            match inner
-                .ep
-                .try_put(p.dst, p.key, 0, &p.payload, p.id, Some(p.imm))
-            {
-                Ok(()) => {
-                    st.pending_puts.swap_remove(i);
-                }
-                Err(SendError::Backpressure) => i += 1,
-                Err(e) => {
-                    let p = st.pending_puts.swap_remove(i);
-                    if let Some(req) = st.parked.take(p.id) {
-                        req.mark_error();
-                    }
-                    st.failed = Some(format!("rendezvous put failed: {e}"));
-                }
-            }
+        // Inject the puts RTRs asked for, and those back-pressure deferred.
+        if let Err(e) = st.pending_puts.retry(&inner.ep, &mut st.parked) {
+            st.failed = Some(format!("rendezvous put failed: {e}"));
         }
-
-        // Charge matching-list traversal done since the last drain.
-        let traversed = st.matching.drain_traversed();
-        spin_for_ns(traversed * inner.cfg.personality.match_cost_ns);
+        self.charge_matching(st);
     }
 
-    /// Unpark the request a completion of `epoch` names. An id that names
-    /// nothing is dropped and counted: as stale when `epoch` is not the
-    /// fabric's, as malformed otherwise.
-    fn claim(&self, st: &mut State, id: u64, epoch: u32) -> Option<Arc<ReqInner>> {
-        let (req, ep) = (st.parked.take(id), &self.inner.ep);
-        if req.is_none() && epoch == ep.fabric_epoch() {
-            ep.counters().incr(Counter::MpiMalformedDropped);
-        } else if req.is_none() {
-            ep.counters().incr(Counter::FabricEpochStaleDropped);
-        }
-        req
+    /// Charge the matching-list traversal done since the last charge.
+    fn charge_matching(&self, st: &mut State) {
+        let traversed = st.matching.drain_traversed();
+        spin_for_ns(traversed * self.inner.cfg.personality.match_cost_ns);
     }
 
     /// An in-order two-sided arrival: match a posted receive or queue it.
@@ -694,18 +559,11 @@ impl MpiComm {
         match m.kind {
             KIND_EAGER => {
                 if let Some(posted) = st.matching.take_posted(src, m.tag) {
-                    *posted.req.meta.lock() = Some(MpiStatus {
-                        src,
-                        tag: m.tag,
-                        len: m.data.len(),
-                    });
-                    *posted.req.payload.lock() = ReqPayload::Ready(m.data);
-                    posted.req.mark_done();
+                    land(&posted.req, src, m.tag, m.data);
                 } else {
                     st.matching.unexpected.push_back(UnexMsg {
                         src,
                         tag: m.tag,
-                        seq: m.seq,
                         body: UnexBody::Eager(m.data),
                     });
                 }
@@ -721,7 +579,6 @@ impl MpiComm {
                     st.matching.unexpected.push_back(UnexMsg {
                         src,
                         tag: m.tag,
-                        seq: m.seq,
                         body: UnexBody::Rts { size, send_id },
                     });
                 }
@@ -738,13 +595,10 @@ impl MpiComm {
         tag: u32,
         size: usize,
         send_id: u64,
-        req: Arc<ReqInner>,
+        req: Arc<Request>,
     ) {
-        let mr = self.inner.ep.register_mr(size);
-        let key = mr.key();
         *req.meta.lock() = Some(MpiStatus { src, tag, len: size });
-        *req.payload.lock() = ReqPayload::RecvMr(mr);
-        let body = encode_rtr_envelope(send_id, key.0, st.parked.park(req));
+        let (_, body) = st.parked.answer(&self.inner.ep, &req, send_id, size);
         let header = pack(KIND_RTR, tag, 0);
         // Control sends must not be dropped; retry until accepted.
         let _ = self.wire_send(st, src, header, &body, CTX_IGNORE);
@@ -765,14 +619,14 @@ impl MpiComm {
         if data.len() <= self.inner.cfg.eager_limit {
             let header = pack(KIND_EAGER, tag, seq);
             self.wire_send(&mut st, dst, header, &data, CTX_IGNORE)?;
-            let req = ReqInner::new(ReqPayload::Empty);
+            let req = Req::new(Held::Empty, Mutex::default());
             req.mark_done();
             Ok(SendReq { inner: req })
         } else {
             let mut body = [0u8; 16];
             body[..8].copy_from_slice(&(data.len() as u64).to_le_bytes());
-            let req = ReqInner::new(ReqPayload::SendPayload(data));
-            body[8..16].copy_from_slice(&st.parked.park(Arc::clone(&req)).to_le_bytes());
+            let req = Req::new(Held::Payload(data), Mutex::default());
+            body[8..16].copy_from_slice(&st.parked.park(&req).to_le_bytes());
             let header = pack(KIND_RTS, tag, seq);
             // A refused RTS fails the communicator, its table with it.
             self.wire_send(&mut st, dst, header, &body, CTX_IGNORE)?;
@@ -784,41 +638,22 @@ impl MpiComm {
     pub fn irecv(&self, src: Option<u16>, tag: Option<u32>) -> Result<RecvReq, MpiError> {
         let mut st = self.enter()?;
         self.progress_locked(&mut st);
-        if let Some(unex) = st.matching.take_unexpected(src, tag) {
-            let req = ReqInner::new(ReqPayload::Empty);
-            match unex.body {
-                UnexBody::Eager(data) => {
-                    *req.meta.lock() = Some(MpiStatus {
-                        src: unex.src,
-                        tag: unex.tag,
-                        len: data.len(),
-                    });
-                    *req.payload.lock() = ReqPayload::Ready(data);
-                    req.mark_done();
-                }
+        let req = Req::new(Held::Empty, Mutex::default());
+        match st.matching.take_unexpected(src, tag) {
+            Some(UnexMsg { src, tag, body }) => match body {
+                UnexBody::Eager(data) => land(&req, src, tag, data),
                 UnexBody::Rts { size, send_id } => {
-                    self.start_rendezvous_recv(
-                        &mut st,
-                        unex.src,
-                        unex.tag,
-                        size,
-                        send_id,
-                        Arc::clone(&req),
-                    );
+                    let req = Arc::clone(&req);
+                    self.start_rendezvous_recv(&mut st, src, tag, size, send_id, req);
                 }
-            }
-            let traversed = st.matching.drain_traversed();
-            spin_for_ns(traversed * self.inner.cfg.personality.match_cost_ns);
-            return Ok(RecvReq { inner: req });
+            },
+            None => st.matching.posted.push_back(PostedRecv {
+                src,
+                tag,
+                req: Arc::clone(&req),
+            }),
         }
-        let traversed = st.matching.drain_traversed();
-        spin_for_ns(traversed * self.inner.cfg.personality.match_cost_ns);
-        let req = ReqInner::new(ReqPayload::Empty);
-        st.matching.posted.push_back(PostedRecv {
-            src,
-            tag,
-            req: Arc::clone(&req),
-        });
+        self.charge_matching(&mut st);
         Ok(RecvReq { inner: req })
     }
 
@@ -828,29 +663,27 @@ impl MpiComm {
         spin_for_ns(self.inner.cfg.personality.probe_extra_ns);
         self.progress_locked(&mut st);
         let status = st.matching.probe(src, tag);
-        let traversed = st.matching.drain_traversed();
-        spin_for_ns(traversed * self.inner.cfg.personality.match_cost_ns);
+        self.charge_matching(&mut st);
         Ok(status)
     }
 
     /// Test a send for completion (`MPI_Test`): polls the network.
     pub fn test_send(&self, req: &SendReq) -> Result<bool, MpiError> {
-        let mut st = self.enter()?;
-        self.progress_locked(&mut st);
-        if req.inner.is_error() {
-            return Err(MpiError::Fatal("request failed".into()));
-        }
-        Ok(req.inner.is_done())
+        self.test(&req.inner)
     }
 
     /// Test a receive for completion (`MPI_Test`): polls the network.
     pub fn test_recv(&self, req: &RecvReq) -> Result<bool, MpiError> {
+        self.test(&req.inner)
+    }
+
+    fn test(&self, req: &Request) -> Result<bool, MpiError> {
         let mut st = self.enter()?;
         self.progress_locked(&mut st);
-        if req.inner.is_error() {
+        if req.is_error() {
             return Err(MpiError::Fatal("request failed".into()));
         }
-        Ok(req.inner.is_done())
+        Ok(req.is_done())
     }
 
     /// Drive progress without any other effect (the dedicated polling thread
@@ -899,6 +732,7 @@ impl std::fmt::Debug for MpiComm {
 mod tests {
     use super::*;
     use crate::MpiWorld;
+    use lci_fabric::encode_rtr as encode_rtr_envelope;
     use lci_fabric::FabricConfig;
 
     #[test]
@@ -945,7 +779,7 @@ mod tests {
 
     /// Has the RTR for `s` been answered with a put (its payload taken)?
     fn answered(s: &SendReq) -> bool {
-        matches!(*s.inner.payload.lock(), ReqPayload::Empty)
+        matches!(*s.inner.held(), Held::Empty)
     }
 
     #[test]

@@ -24,11 +24,50 @@
 # (seeded mid-run crash-stop of one host per engine per comm layer,
 # recovered via coordinated checkpoint/restart).
 #
+# Perf leg (tier 2, never part of tier 1): the pair protocol of
+# scripts/bench_pairs.sh, the working tree against the commit that last
+# touched the newest checked-in `results/BENCH_pr<N>.json`, written to
+# `results/PAIRS_pr<N+1>.json` and read back with `jq`. A workload fails when
+# its `time_s` median ratio (change / parent) is above 1.10 and the change
+# was slower in at least 8 of its 10 pairs. Both thresholds are ROADMAP item
+# 5(b)'s, not calibrated: whether the leg passes known-good changes against
+# their parents, whether it catches a known 12 % regression, and its
+# false-alarm rate against itself (item 5(c)) are not measured. About 2 x 14 x
+# `run_seconds` per workload (≈ 30 min for all six); run it on an otherwise
+# idle machine.
+#
 # Usage:
 #   ./run_tests.sh               # tier 1 + chaos profile
 #   ./run_tests.sh --tier1       # tier 1 only (fast gate)
+#   ./run_tests.sh --perf [workload...]   # perf leg only (default: every workload)
 set -e
 cd "$(dirname "$0")"
+
+if [[ "${1:-}" == "--perf" ]]; then
+    shift
+    command -v jq >/dev/null || { echo "PERF: needs jq" >&2; exit 1; }
+    n="" base=""
+    for f in $(ls results/BENCH_pr*.json | sort -V -r); do
+        base="$(git log -1 --format=%h -- "$f")"
+        [ -n "$base" ] && n="$(sed 's/.*BENCH_pr\([0-9]*\)\.json/\1/' <<<"$f")" && break
+    done
+    [ -n "$base" ] || { echo "PERF: no checked-in results/BENCH_pr<N>.json to pair against" >&2; exit 1; }
+    n=$((n + 1))
+    scripts/bench_pairs.sh -n "$n" "$base" "$@"
+    pairs="results/PAIRS_pr$n.json"
+    verdicts="$(jq -r '.workloads | to_entries[]
+        | (.value.time_s.ratio) as $ratio
+        | ([.value.runs[] | select(.time_s[1] > .time_s[0])] | length) as $slower
+        | "\(if $ratio > 1.10 and $slower >= 8 then "SLOWER" else "ok" end) \(.key): time_s ratio \($ratio), change slower in \($slower)/\(.value.runs | length) pairs"' "$pairs")"
+    echo "=== perf: working tree against $base ($pairs) ==="
+    echo "$verdicts"
+    if grep -q '^SLOWER' <<<"$verdicts"; then
+        echo "PERF REGRESSION: a workload's median time_s is over 1.10x its parent's, slower in at least 8 of 10 pairs" >&2
+        exit 1
+    fi
+    echo "PERF OK"
+    exit 0
+fi
 
 # A suite under tests/ that crates/integration does not list as a [[test]]
 # is never compiled, and `cargo test --test <suite>` names nothing.
@@ -56,7 +95,7 @@ done
 # none, so outside tests and comments none may appear. The LCI runtime keeps
 # the slot array of faa_queue.rs (4); every other file of the runtimes has
 # none — a rendezvous names its requests by ids parked in a table
-# (`lci_fabric::Parked`), not by pointers. The ceilings are today's counts,
+# (`lci_fabric::Rendezvous`), not by pointers. The ceilings are today's counts,
 # so the unchecked core can shrink (ROADMAP item 9(b)) but not grow unnoticed.
 for f in crates/fabric/src/*.rs crates/core/src/*.rs crates/mini-mpi/src/*.rs; do
     case "$f" in
