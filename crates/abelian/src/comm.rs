@@ -33,6 +33,7 @@
 use crate::membook::MemBook;
 use lci_trace::Registry;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Sizing information for a recurring exchange pattern.
 ///
@@ -106,6 +107,16 @@ pub trait CommLayer: Send + Sync {
         None
     }
 
+    /// Ask `peer`'s transport to acknowledge. [`recv_round`] calls this for
+    /// the peers it still waits on once a round has heard nothing for
+    /// [`PING_AFTER`]: this host may owe such a peer nothing — every frame
+    /// it sent there acknowledged — and then no retransmission timer runs
+    /// toward it. A ping is one that does: a peer that has crashed or left
+    /// the run never answers, the transport's retry budget declares it
+    /// unreachable, and [`CommLayer::failure`] reports it. Layers that
+    /// cannot fail inherit this no-op.
+    fn ping(&self, _peer: u16) {}
+
     /// Drive progress until everything this layer has sent is acknowledged
     /// by its destination, or the layer fails. Hosts call this once, after
     /// their final round, before retiring: on a lossy wire a host that
@@ -124,20 +135,55 @@ pub trait CommLayer: Send + Sync {
 /// This is the only place a round waits, so it is also where aborts are
 /// bounded: a failed layer can never deliver the missing messages, so an
 /// empty poll checks [`CommLayer::failure`] and returns its message as `Err`
-/// rather than spin forever on an unfinishable round.
+/// rather than spin forever on an unfinishable round. A layer fails only
+/// once its transport has given up on a peer, and a transport gives up only
+/// on a frame it still waits to have acknowledged; so when the round has
+/// heard nothing for [`PING_AFTER`], every peer still owing it traffic is
+/// pinged ([`CommLayer::ping`]), and again after each further quiet
+/// [`PING_AFTER`]. That bounds the wait on a peer that crashed after
+/// acknowledging everything this host sent it, or that left the run with
+/// an error of its own, when no survivor has a frame toward it.
 pub fn recv_round(
     layer: &dyn CommLayer,
     channel: usize,
     mut on_msg: impl FnMut(u16, Vec<u8>) -> bool,
 ) -> Result<(), String> {
     let p = layer.num_hosts();
+    // The peers still owed traffic, on the stack for up to 64 hosts.
+    let (mut inline, mut heap) = ([true; 64], Vec::new());
+    let owed = if p <= inline.len() {
+        &mut inline[..p]
+    } else {
+        heap.resize(p, true);
+        &mut heap[..]
+    };
+    owed[layer.rank() as usize] = false;
     let mut done = 0usize;
+    // Empty polls since the last arrival, and when they were first seen
+    // (the clock is read once every `POLLS_PER_LOOK` of them).
+    let (mut empty, mut quiet_since) = (0u32, None);
     while done + 1 < p {
         match layer.try_recv(channel) {
-            Some((src, data)) => done += on_msg(src, data) as usize,
+            Some((src, data)) => {
+                if on_msg(src, data) {
+                    owed[src as usize] = false;
+                    done += 1;
+                }
+                (empty, quiet_since) = (0, None);
+            }
             None => {
                 if let Some(f) = layer.failure() {
                     return Err(f);
+                }
+                empty = empty.wrapping_add(1);
+                if empty % POLLS_PER_LOOK == 0 {
+                    let now = Instant::now();
+                    if now.duration_since(*quiet_since.get_or_insert(now)) >= PING_AFTER {
+                        for peer in (0..p).filter(|&h| owed[h]) {
+                            layer.ping(peer as u16);
+                        }
+                        quiet_since = Some(now);
+                    }
                 }
                 std::thread::yield_now();
             }
@@ -145,6 +191,16 @@ pub fn recv_round(
     }
     Ok(())
 }
+
+/// How long a round hears nothing before [`recv_round`] pings the peers it
+/// still waits on. Far above the span of a retry budget (≈ 70 ms with the
+/// default `ReliableConfig`), which every host with traffic toward a peer
+/// already relies on that peer to answer within, so no peer a data frame
+/// would not declare dead is declared dead by a ping.
+pub const PING_AFTER: Duration = Duration::from_secs(1);
+
+/// Empty polls of [`recv_round`] between two readings of the clock.
+const POLLS_PER_LOOK: u32 = 1024;
 
 /// Drive a full round synchronously: send `outgoing[p]` to every peer
 /// (skipping self) and collect one message from every peer. Convenience for

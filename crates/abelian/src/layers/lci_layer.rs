@@ -164,6 +164,10 @@ impl CommLayer for LciLayer {
         })
     }
 
+    fn ping(&self, peer: u16) {
+        self.dev.ping(peer);
+    }
+
     fn quiesce(&self) {
         // Rendezvous sends complete on `PutDone`, so no pending send plus a
         // quiescent reliable layer means every peer holds everything we sent

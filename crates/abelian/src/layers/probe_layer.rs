@@ -180,6 +180,10 @@ impl CommLayer for MpiProbeLayer {
         self.failed.get().cloned().or_else(|| self.comm.failure())
     }
 
+    fn ping(&self, peer: u16) {
+        self.comm.ping(peer);
+    }
+
     fn quiesce(&self) {
         // Rendezvous `isend`s only finish once the payload put lands, so no
         // pending send also covers an RTR that arrives after our last round:

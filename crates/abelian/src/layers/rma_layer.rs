@@ -218,6 +218,10 @@ impl CommLayer for MpiRmaLayer {
         self.failed.get().cloned().or_else(|| self.comm.failure())
     }
 
+    fn ping(&self, peer: u16) {
+        self.comm.ping(peer);
+    }
+
     fn quiesce(&self) {
         // Window puts ride the fabric's reliable RDMA path; only the
         // POST/COMPLETE control frames need flushing, and those live in the

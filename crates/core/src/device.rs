@@ -318,6 +318,15 @@ impl Device {
         self.inner.rel.probe_epoch(&self.inner.ep);
     }
 
+    /// Ask `peer` to acknowledge ([`ReliableSession::ping`]), for a caller
+    /// that waits on a peer it owes nothing: a peer that has crashed or left
+    /// never answers, the retry budget declares it unreachable, and the
+    /// next [`Device::progress`] fails this device. A ping the window
+    /// cannot take is skipped, since the frames filling it do the same.
+    pub fn ping(&self, peer: u16) {
+        let _ = self.inner.rel.ping(&self.inner.ep, peer);
+    }
+
     /// Reset this device for a new fabric incarnation, after the fabric's
     /// [`respawn`](lci_fabric::Fabric::respawn) of a crashed host (every
     /// host rejoins, survivors included — the reliable layer's sequence

@@ -45,6 +45,12 @@
 //!   jitter; exhausting [`ReliableConfig::retry_budget`] declares the
 //!   destination dead and surfaces [`SendError::PeerDead`], which runtimes
 //!   convert into a clean bounded-time abort instead of a wedged barrier;
+//! * a host that owes a peer nothing and waits on it sends a **ping**
+//!   ([`ReliableSession::ping`], `flags` = 3): an empty frame, sequenced,
+//!   windowed and retransmitted like data, whose ack is due at once and
+//!   which delivers nothing. A peer that has gone silent — crashed, or gone
+//!   from the run — leaves it unanswered, and the retry budget declares it
+//!   dead as it would for data;
 //! * the *initial* timeout of each frame adapts to the observed ack
 //!   round-trip (RFC 6298-shaped EWMA, Karn's rule: only never-retransmitted
 //!   frames are sampled), clamped to
@@ -80,10 +86,10 @@ pub const REL_OVERHEAD: usize = 17;
 /// [`RelRecv::Data`].
 pub const REL_DATA_OFFSET: usize = frame::FRAME_OVERHEAD + REL_OVERHEAD;
 
-/// Message header used by standalone ack frames. Never collides with
-/// application headers in practice (both runtimes pack an op kind in the
-/// top bits and none uses the all-ones pattern); the `flags` byte is the
-/// authoritative discriminator regardless.
+/// Message header of the session's own frames, standalone acks and pings.
+/// Never collides with application headers in practice (both runtimes pack
+/// an op kind in the top bits and none uses the all-ones pattern); the
+/// `flags` byte is the authoritative discriminator regardless.
 pub const ACK_HEADER: u64 = u64::MAX;
 
 const FLAG_DATA: u8 = 0;
@@ -91,6 +97,16 @@ const FLAG_ACK: u8 = 1;
 /// A data frame whose sender has no buffer left to build another in: the
 /// ack it is owed is due now.
 const FLAG_DATA_ACK_NOW: u8 = 2;
+/// A ping: sequenced like data, delivers nothing, its ack is due now.
+const FLAG_PING: u8 = 3;
+
+/// What [`ReliableSession::transmit`] sends: data, whose first
+/// transmission posts `ctx` in its `SendDone`, or a ping.
+#[derive(Clone, Copy)]
+enum Sent {
+    Data { ctx: u64 },
+    Ping,
+}
 
 /// What [`ReliableSession::on_recv`] decided about a delivered payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +121,8 @@ pub enum RelRecv {
     /// Failed frame or reliable-header validation (corrupt/truncated ghost,
     /// or a structurally damaged frame). Drop the payload.
     Malformed,
-    /// A standalone ack frame — pure control traffic, nothing to consume.
+    /// A standalone ack frame or a fresh ping — pure control traffic,
+    /// nothing to consume (a ping's ack is owed).
     Ack,
     /// A straggler from a dead incarnation: the frame was sealed under an
     /// earlier fabric epoch than the current one. Dropped without touching
@@ -398,9 +415,37 @@ impl ReliableSession {
         ep: &Endpoint,
         dst: HostId,
         header: u64,
-        mut frame: Box<[u8]>,
+        frame: Box<[u8]>,
         len: usize,
         ctx: u64,
+    ) -> Result<(), SendError> {
+        self.transmit(ep, dst, header, frame, len, Sent::Data { ctx })
+    }
+
+    /// Ask `dst` to acknowledge: send it a ping, an empty frame that is
+    /// windowed and retransmitted like data and delivers nothing. A waiting
+    /// host pings the peers it waits on when they have been quiet for long:
+    /// one that has crashed or left the run never answers, and the retry
+    /// budget declares it dead ([`dead_peer`](Self::dead_peer)) as it
+    /// would for data. The errors are [`send`](Self::send)'s; a full window
+    /// already holds frames that will do the same.
+    pub fn ping(&self, ep: &Endpoint, dst: HostId) -> Result<(), SendError> {
+        let Some(frame) = self.bufs.take(REL_DATA_OFFSET) else {
+            return Err(SendError::Backpressure);
+        };
+        self.transmit(ep, dst, ACK_HEADER, frame, REL_DATA_OFFSET, Sent::Ping)
+    }
+
+    /// Seal, send and window a frame: the one path of
+    /// [`send_frame`](Self::send_frame) and [`ping`](Self::ping).
+    fn transmit(
+        &self,
+        ep: &Endpoint,
+        dst: HostId,
+        header: u64,
+        mut frame: Box<[u8]>,
+        len: usize,
+        sent: Sent,
     ) -> Result<(), SendError> {
         let mut p = self.peers[dst as usize].lock();
         let seq = p.tx.next_seq;
@@ -410,10 +455,10 @@ impl ReliableSession {
             ep.counters().incr(Counter::FabricReliableWindowStalls);
             Some(SendError::Backpressure)
         } else {
-            let flags = if self.bufs.exhausted() {
-                FLAG_DATA_ACK_NOW
-            } else {
-                FLAG_DATA
+            let (flags, ctx) = match sent {
+                Sent::Ping => (FLAG_PING, 0),
+                Sent::Data { ctx } if self.bufs.exhausted() => (FLAG_DATA_ACK_NOW, ctx),
+                Sent::Data { ctx } => (FLAG_DATA, ctx),
             };
             // The one buffer this frame ever lives in: the body is already
             // there, the headers are written in front of it, and the window
@@ -466,7 +511,7 @@ impl ReliableSession {
         let sack = u32::from_le_bytes(rel[8..12].try_into().expect("4 bytes"));
         let epoch = u32::from_le_bytes(rel[12..16].try_into().expect("4 bytes"));
         let flags = rel[16];
-        if flags > FLAG_DATA_ACK_NOW {
+        if flags > FLAG_PING {
             return RelRecv::Malformed;
         }
         // Epoch gate BEFORE any ack or sequence processing: after a rejoin
@@ -524,17 +569,17 @@ impl ReliableSession {
         // admitted means our ack was lost (or arrived after the peer's
         // timer fired), so the debt is re-armed and a fresh ack goes out
         // even with no reverse data traffic.
-        if flags == FLAG_DATA_ACK_NOW {
+        if flags == FLAG_DATA_ACK_NOW || flags == FLAG_PING {
             p.rx.ack_deadline = now;
         } else if !p.rx.ack_owed {
             p.rx.ack_deadline = now + self.cfg.ack_delay_ns;
         }
         p.rx.ack_owed = true;
         p.rx.owed_count += 1;
-        if fresh {
-            RelRecv::Data
-        } else {
-            RelRecv::Duplicate
+        match (fresh, flags) {
+            (false, _) => RelRecv::Duplicate,
+            (true, FLAG_PING) => RelRecv::Ack,
+            (true, _) => RelRecv::Data,
         }
     }
 
@@ -870,6 +915,43 @@ mod tests {
     }
 
     #[test]
+    fn a_ping_delivers_nothing_and_is_acked_at_once() {
+        let f = Fabric::new_manual(FabricConfig::deterministic(2, 3));
+        let eps = f.endpoints();
+        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        sessions[0].ping(&eps[0], 1).unwrap();
+        sessions[0].send(&eps[0], 1, 5, b"after", 0).unwrap();
+        assert_eq!(sessions[0].unacked(1), 2, "a ping is windowed like data");
+        let got = drain_and_classify(&f, &eps, &sessions);
+        assert_eq!(got[1], vec![b"after".to_vec()], "the ping delivers nothing");
+        // Its ack is due now: no clock advance, fewer than `ack_every` frames.
+        sessions[1].pump(&eps[1]);
+        drain_and_classify(&f, &eps, &sessions);
+        assert_eq!(sessions[0].unacked(1), 0);
+        assert!(sessions[0].quiescent() && sessions[1].quiescent());
+    }
+
+    #[test]
+    fn an_unanswered_ping_declares_its_peer_dead() {
+        let plan = FaultPlan::none().with_phase(0, u64::MAX / 2, Fault::Blackhole { peer: 1 });
+        let f = Fabric::new_manual(FabricConfig::deterministic(2, 7).with_fault_plan(plan));
+        let eps = f.endpoints();
+        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        sessions[0].ping(&eps[0], 1).unwrap();
+        let mut iters = 0;
+        while sessions[0].dead_peer().is_none() {
+            iters += 1;
+            assert!(iters < 1_000, "peer death must be bounded-time");
+            f.advance_virtual(f.config().reliable.rto_cap_ns);
+            sessions[0].pump(&eps[0]);
+            f.drain();
+            while eps[0].poll().is_some() {}
+        }
+        assert_eq!(sessions[0].dead_peer(), Some(1));
+        assert_eq!(sessions[0].ping(&eps[0], 1), Err(SendError::PeerDead(1)));
+    }
+
+    #[test]
     fn malformed_and_short_rel_bodies_are_rejected() {
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 8));
         let eps = f.endpoints();
@@ -881,7 +963,7 @@ mod tests {
         assert_eq!(s.on_recv(&eps[1], 0, 1, &tiny), RelRecv::Malformed);
         // Valid frame, undefined flags value.
         let mut rel = [0u8; REL_OVERHEAD];
-        rel[16] = FLAG_DATA_ACK_NOW + 1;
+        rel[16] = FLAG_PING + 1;
         let bad_flags = frame::seal(1, 0, &rel);
         assert_eq!(s.on_recv(&eps[1], 0, 1, &bad_flags), RelRecv::Malformed);
     }

@@ -329,6 +329,16 @@ impl MpiComm {
         self.inner.rel.probe_epoch(&self.inner.ep);
     }
 
+    /// Ask `peer` to acknowledge ([`ReliableSession::ping`]), for a caller
+    /// that waits on a peer it owes nothing: a peer that has crashed or left
+    /// never answers, the retry budget declares it unreachable, and the
+    /// next progress call fails this communicator. A ping the window cannot
+    /// take is skipped, since the frames filling it do the same. Like the
+    /// epoch probe it charges no call overhead: it is not an MPI call.
+    pub fn ping(&self, peer: u16) {
+        let _ = self.inner.rel.ping(&self.inner.ep, peer);
+    }
+
     /// The recorded fatal failure, if this communicator has died — e.g. the
     /// reliable sublayer exhausted its retransmission budget and declared a
     /// peer unreachable. Once set it never clears, and every subsequent MPI

@@ -22,9 +22,10 @@
 //!   crash.
 
 use abelian::apps::{reference, Bfs};
+use abelian::comm::{recv_round, PING_AFTER};
 use abelian::{
-    build_layers, run_app_checked, run_app_recoverable, run_app_with_ckpt, CheckpointStore,
-    CkptPlan, EngineConfig, LayerKind, RecoveryConfig, RecoveryWorld, RunResult,
+    build_layers, run_app_checked, run_app_recoverable, run_app_with_ckpt, ChannelSpec,
+    CheckpointStore, CkptPlan, EngineConfig, LayerKind, RecoveryConfig, RecoveryWorld, RunResult,
 };
 use gemini::{run_gemini_recoverable, run_gemini_with_ckpt, GeminiConfig};
 use lci_fabric::{FabricConfig, Fault, FaultPlan};
@@ -349,6 +350,83 @@ fn crashed_host_with_unflushed_ack_debt_cannot_wedge_survivors() {
         d.get(Counter::FabricReliablePeerDead) > 0,
         "survivors must detect peer death via budget exhaustion"
     );
+}
+
+/// The survivor that owes the dead host nothing. Host 1 takes host 0's
+/// message of a round, acknowledges it, and leaves the run without sending
+/// its own; host 0 then has no frame toward it that a retry budget could
+/// give up on. Its `recv_round` must still abort bounded, on every layer:
+/// after `PING_AFTER` of silence it pings host 1, and the unanswered ping
+/// declares host 1 unreachable. (This is the shape of the recovery
+/// suite's wedge: the crash fires after the victim acknowledged every
+/// survivor's round and before it sent its own.)
+#[test]
+fn survivor_waiting_on_a_peer_it_owes_nothing_aborts_bounded_on_every_layer() {
+    for kind in LayerKind::all() {
+        let seed = fabric_seed(0x51E7 ^ kind as u64);
+        let (layers, world) = build_layers(
+            kind,
+            fabric_cfg(2, seed, FaultPlan::none()),
+            mpi_cfg(),
+            lci::LciConfig::for_hosts(2),
+        );
+        // Registration is collective and RMA's `begin` waits for the peer's
+        // post, so each host opens the round on its own thread.
+        let open = |rank: u16| {
+            let layer = Arc::clone(&layers[rank as usize]);
+            move || {
+                layer.register_channel(0, ChannelSpec::uniform(2, rank, 64));
+                layer.begin(0);
+                layer
+            }
+        };
+        let (open0, open1) = (open(0), open(1));
+        let leaver = std::thread::spawn(move || {
+            let l1 = open1();
+            let got = loop {
+                if let Some(m) = l1.try_recv(0) {
+                    break Some(m);
+                }
+                if l1.failure().is_some() {
+                    break None;
+                }
+                std::thread::yield_now();
+            };
+            l1.quiesce();
+            got
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let l0 = open0();
+            l0.send(0, 1, vec![7; 8]);
+            l0.finish_sends(0);
+            let t0 = Instant::now();
+            let r = recv_round(&*l0, 0, |_, _| true);
+            let _ = tx.send((r, t0.elapsed()));
+        });
+        let got = leaver.join().expect("host 1");
+        assert_eq!(
+            got,
+            Some((0, vec![7; 8])),
+            "layer {}: host 1 takes host 0's message",
+            kind.name()
+        );
+        let (r, waited) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("layer {}: host 0 waits on host 1 forever", kind.name()));
+        let err = r.expect_err("the round cannot complete");
+        assert!(
+            err.contains("unreachable") || err.contains("failed"),
+            "layer {} abort must name the failure, got: {err}",
+            kind.name()
+        );
+        assert!(
+            waited >= PING_AFTER && waited.as_secs() < 30,
+            "layer {}: pinged after PING_AFTER and aborted bounded, took {waited:?}",
+            kind.name()
+        );
+        drop(world);
+    }
 }
 
 // ---- determinism: same seed, same crash point, same recovery -------------
