@@ -13,8 +13,8 @@ use super::{retire, settle, Rounds, Sends, Stash};
 use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
 use bytes::Bytes;
-use lci::{Backoff, Device, RecvRequest, SendRequest};
-use lci_trace::{Counter, Registry};
+use lci::{Device, RecvRequest, SendRequest};
+use lci_trace::{Counter, EventKind, Registry};
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 
@@ -114,10 +114,7 @@ impl CommLayer for LciLayer {
         let len = data.len();
         self.book.alloc(len);
         let bytes = Bytes::from(data);
-        // Pace the retry loop: spin while pressure is transient, ramp toward
-        // bounded sleeps when the fabric is stressed (brownouts, RNR storms)
-        // so the retry loop doesn't compound the congestion it is riding out.
-        let mut backoff = Backoff::unbounded(500, 20_000);
+        let mut attempt = 0;
         loop {
             match self.dev.send_enq(bytes.clone(), dst, tag) {
                 // Eager: payload copied into the pool; buffer free.
@@ -125,10 +122,14 @@ impl CommLayer for LciLayer {
                 Ok(req) => return self.inner.lock().sends.push((req, len)),
                 Err(e) if e.is_retryable() => {
                     // The defining LCI behaviour: initiation failed benignly;
-                    // make progress and retry.
+                    // make progress, yield, and retry.
                     self.counters().incr(Counter::EngineCommSendRetries);
+                    self.dev
+                        .endpoint()
+                        .record(EventKind::EnqRetry, dst as u32, attempt);
+                    attempt += 1;
                     self.pump(&mut self.inner.lock());
-                    backoff.snooze_in(self.counters());
+                    std::thread::yield_now();
                 }
                 Err(e) => {
                     // Fatal (device closed, peer declared dead): the round

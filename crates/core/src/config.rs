@@ -33,15 +33,6 @@ pub struct LciConfig {
     pub pool_shards: usize,
     /// Rendezvous data-transfer mechanism.
     pub put_mode: PutMode,
-    /// Maximum number of backoff waits [`crate::Device::send_enq_backoff`]
-    /// absorbs before giving up with `EnqError::RetriesExhausted`. The
-    /// default is generous: LCI's flow control makes initiation failure
-    /// transient by design, so exhaustion signals a genuinely wedged fabric.
-    pub retry_budget: u32,
-    /// Initial wait between retries (doubles per attempt).
-    pub backoff_base_ns: u64,
-    /// Upper bound on a single backoff wait.
-    pub backoff_cap_ns: u64,
 }
 
 impl Default for LciConfig {
@@ -52,9 +43,6 @@ impl Default for LciConfig {
             packet_payload: 8 << 10,
             pool_shards: 8,
             put_mode: PutMode::Rdma,
-            retry_budget: 1 << 16,
-            backoff_base_ns: 1_000,
-            backoff_cap_ns: 100_000,
         }
     }
 }
@@ -86,19 +74,6 @@ impl LciConfig {
         self
     }
 
-    /// Builder-style override of the retry budget.
-    pub fn with_retry_budget(mut self, n: u32) -> Self {
-        self.retry_budget = n;
-        self
-    }
-
-    /// Builder-style override of the backoff base and cap.
-    pub fn with_backoff(mut self, base_ns: u64, cap_ns: u64) -> Self {
-        self.backoff_base_ns = base_ns;
-        self.backoff_cap_ns = cap_ns;
-        self
-    }
-
     /// Validate internal consistency (eager limit fits in a packet).
     pub fn validate(&self) -> Result<(), String> {
         if self.eager_limit > self.packet_payload {
@@ -112,12 +87,6 @@ impl LciConfig {
         }
         if self.packet_count == 0 || self.pool_shards == 0 {
             return Err("packet_count and pool_shards must be positive".into());
-        }
-        if self.retry_budget == 0 {
-            return Err("retry_budget must be positive".into());
-        }
-        if self.backoff_base_ns == 0 || self.backoff_cap_ns < self.backoff_base_ns {
-            return Err("backoff_base_ns must be positive and <= backoff_cap_ns".into());
         }
         Ok(())
     }
@@ -153,18 +122,5 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
-        let c = LciConfig::default().with_retry_budget(0);
-        assert!(c.validate().is_err());
-        let c = LciConfig::default().with_backoff(1_000, 10);
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn retry_builders_apply() {
-        let c = LciConfig::default().with_retry_budget(9).with_backoff(10, 20);
-        assert!(c.validate().is_ok());
-        assert_eq!(c.retry_budget, 9);
-        assert_eq!(c.backoff_base_ns, 10);
-        assert_eq!(c.backoff_cap_ns, 20);
     }
 }

@@ -97,10 +97,6 @@ pub enum EnqError {
     /// failed as a whole: a collective runtime cannot complete a round with
     /// a missing participant.
     PeerDead,
-    /// [`Device::send_enq_backoff`] spent its whole retry budget without the
-    /// transient condition clearing. Not retryable as-is: the caller should
-    /// escalate (shed load, widen the budget, or treat the fabric as wedged).
-    RetriesExhausted,
 }
 
 impl EnqError {
@@ -118,7 +114,6 @@ impl std::fmt::Display for EnqError {
             EnqError::TooLarge => write!(f, "tag or size exceeds protocol limits"),
             EnqError::Closed => write!(f, "device failed"),
             EnqError::PeerDead => write!(f, "peer unreachable (retransmission budget exhausted)"),
-            EnqError::RetriesExhausted => write!(f, "retry budget exhausted"),
         }
     }
 }
@@ -158,10 +153,6 @@ pub struct DeviceStats {
     pub received: u64,
     /// `send_enq` attempts rejected for lack of resources.
     pub enq_rejected: u64,
-    /// Retryable failures absorbed inside [`Device::send_enq_backoff`].
-    pub retries: u64,
-    /// Times [`Device::send_enq_backoff`] gave up after spending its budget.
-    pub retries_exhausted: u64,
 }
 
 impl From<&Registry> for DeviceStats {
@@ -171,8 +162,6 @@ impl From<&Registry> for DeviceStats {
             rdv_opened: r.get(Counter::LciRdvOpened),
             received: r.get(Counter::LciReceived),
             enq_rejected: r.get(Counter::LciEnqRejected),
-            retries: r.get(Counter::LciRetries),
-            retries_exhausted: r.get(Counter::LciRetriesExhausted),
         }
     }
 }
@@ -468,39 +457,6 @@ impl Device {
             })?;
             self.counters().incr(Counter::LciRdvOpened);
             Ok(SendRequest::rendezvous(dst, tag, len, req))
-        }
-    }
-
-    /// [`Device::send_enq`] wrapped in capped exponential backoff with the
-    /// configured retry budget ([`LciConfig::retry_budget`],
-    /// [`LciConfig::backoff_base_ns`], [`LciConfig::backoff_cap_ns`]).
-    ///
-    /// Retryable failures (`NoPacket`, `Backpressure`) are absorbed: the
-    /// device makes progress itself between attempts (so callers without a
-    /// [`CommServer`](crate::CommServer) still drain completions that free
-    /// packets and injection slots), waits, and retries. The spin-retry of
-    /// the paper's `SEND-ENQ` loop thereby becomes measurable
-    /// ([`DeviceStats::retries`]) and bounded: once the budget is spent the
-    /// call fails with [`EnqError::RetriesExhausted`] instead of hanging —
-    /// the deliberate contrast to mini-mpi, which turns sustained exhaustion
-    /// into a fatal error with no retry at all.
-    pub fn send_enq_backoff(&self, data: Bytes, dst: u16, tag: u32) -> Result<SendRequest, EnqError> {
-        let mut backoff = crate::backoff::Backoff::from_config(&self.inner.cfg);
-        loop {
-            match self.send_enq(data.clone(), dst, tag) {
-                Ok(req) => return Ok(req),
-                Err(e) if e.is_retryable() => {
-                    self.counters().incr(Counter::LciRetries);
-                    let attempt = backoff.attempt() as u64;
-                    self.inner.ep.record(EventKind::EnqRetry, dst as u32, attempt);
-                    self.progress();
-                    if !backoff.snooze_in(self.counters()) {
-                        self.counters().incr(Counter::LciRetriesExhausted);
-                        return Err(EnqError::RetriesExhausted);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
         }
     }
 

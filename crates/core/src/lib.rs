@@ -56,7 +56,6 @@
 
 #![warn(missing_docs)]
 
-mod backoff;
 mod config;
 mod device;
 mod faa_queue;
@@ -66,7 +65,6 @@ mod request;
 mod server;
 mod world;
 
-pub use backoff::Backoff;
 pub use config::{LciConfig, PutMode};
 pub use device::{Device, DeviceStats, EnqError};
 pub use faa_queue::MpmcQueue;

@@ -6,7 +6,6 @@
 //! thread"). Compute threads never poll the network; they only read request
 //! status flags.
 
-use crate::backoff::Backoff;
 use crate::device::Device;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,16 +25,12 @@ impl CommServer {
         let handle = std::thread::Builder::new()
             .name(format!("lci-server-{}", device.rank()))
             .spawn(move || {
-                // Spin while traffic is hot, then ramp toward 50 µs sleeps
-                // once genuinely idle — the server stays sub-microsecond
-                // responsive under load without pinning a core forever.
-                let mut idle = Backoff::unbounded(100, 50_000);
-                let table = device.endpoint().counters();
+                // This thread is the progress: nothing it waits for comes
+                // unless it polls, so an empty poll yields the core to the
+                // threads sharing it instead of sleeping.
                 while !flag.load(Ordering::Acquire) {
-                    if device.progress() > 0 {
-                        idle.reset();
-                    } else {
-                        idle.snooze_in(table);
+                    if device.progress() == 0 {
+                        std::thread::yield_now();
                     }
                 }
             })

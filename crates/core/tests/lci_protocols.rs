@@ -375,73 +375,6 @@ fn emulated_put_mixed_with_eager_traffic() {
     assert_eq!(bigs[1].1, big2);
 }
 
-#[test]
-fn send_enq_backoff_retries_through_pool_pressure() {
-    // A pool of 2 packets and no communication server: the pool only refills
-    // when progress() runs, and send_enq_backoff runs progress between its
-    // attempts — so retries are guaranteed and must be counted.
-    let w = LciWorld::without_servers(
-        FabricConfig::test(2),
-        LciConfig::default().with_packet_count(2).with_backoff(500, 5_000),
-    );
-    let a = w.device(0);
-    let b = w.device(1);
-    const N: usize = 32;
-    let recv = std::thread::spawn(move || {
-        let mut got = 0;
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while got < N {
-            b.progress();
-            if let Some(r) = b.recv_deq() {
-                assert!(r.is_done());
-                got += 1;
-            }
-            assert!(Instant::now() < deadline, "receiver starved at {got}/{N}");
-        }
-    });
-    for i in 0..N {
-        a.send_enq_backoff(Bytes::from(vec![i as u8; 16]), 1, i as u32)
-            .expect("backoff must absorb transient pool pressure");
-    }
-    recv.join().unwrap();
-    assert!(
-        a.stats().retries >= 1,
-        "a 2-packet pool with {N} sends must have forced at least one retry: {:?}",
-        a.stats()
-    );
-    assert_eq!(a.stats().retries_exhausted, 0);
-}
-
-#[test]
-fn send_enq_backoff_exhausts_on_wedged_fabric() {
-    // Injection depth 1 and zero receive buffers: the first message occupies
-    // the only injection slot and RNR-loops forever (never delivered, never
-    // completed), so every later initiation fails until the budget runs out.
-    let mut fcfg = FabricConfig::test(2)
-        .with_injection_depth(1)
-        .with_rx_buffers(0)
-        .with_rnr_retry_limit(u32::MAX);
-    fcfg.rnr_delay_ns = 1_000_000;
-    fcfg.time_scale = 1.0;
-    let w = LciWorld::without_servers(
-        fcfg,
-        LciConfig::default()
-            .with_retry_budget(16)
-            .with_backoff(100, 1_000),
-    );
-    let a = w.device(0);
-    a.send_enq_backoff(Bytes::from_static(b"wedge"), 1, 0)
-        .expect("first send occupies the only injection slot");
-    let err = a
-        .send_enq_backoff(Bytes::from_static(b"starved"), 1, 1)
-        .expect_err("no slot can ever free up");
-    assert_eq!(err, EnqError::RetriesExhausted);
-    assert!(!err.is_retryable(), "exhaustion is a terminal verdict");
-    assert!(a.stats().retries >= 16, "every budgeted attempt must count");
-    assert_eq!(a.stats().retries_exhausted, 1);
-    assert!(!a.is_failed(), "exhaustion reports, it does not poison");
-}
-
 /// A rendezvous put that back-pressure deferred is work the sender still
 /// owes the wire: until it leaves, the device is not quiescent, or a host
 /// that stopped driving progress there would strand its peer's receive.

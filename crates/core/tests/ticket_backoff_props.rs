@@ -1,13 +1,8 @@
-//! Property tests for the two arithmetic-heavy core primitives:
-//!
-//! * `MpmcQueue` ticket arithmetic — the free-running FAA tickets must keep
-//!   FIFO order and exact lengths across `usize` wraparound, for any start
-//!   ticket and any push/pop interleaving.
-//! * `Backoff` cap/budget invariants — the delay never exceeds the cap, the
-//!   ramp is monotone up to the cap, and the budget is exhausted in exactly
-//!   the configured number of waits.
+//! Property tests for `MpmcQueue`'s ticket arithmetic: the free-running FAA
+//! tickets must keep FIFO order and exact lengths across `usize` wraparound,
+//! for any start ticket and any push/pop interleaving.
 
-use lci::{Backoff, MpmcQueue};
+use lci::MpmcQueue;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -69,60 +64,5 @@ proptest! {
         }
         let got = consumer.join().expect("consumer");
         prop_assert_eq!(got, (0..n as u64).collect::<Vec<_>>());
-    }
-
-    /// The next wait never exceeds the cap, and the ramp is monotone
-    /// non-decreasing until it saturates there.
-    #[test]
-    fn backoff_delay_never_exceeds_cap(
-        base in 1u64..2_000,
-        cap in 1u64..9_000,
-        budget in 1u32..48,
-    ) {
-        // base/cap below the 10µs spin threshold keep every snooze a short
-        // spin, so the whole case stays microseconds-scale.
-        let mut b = Backoff::new(base, cap, budget);
-        let effective_cap = cap.max(base); // constructor clamps cap >= base
-        let mut prev = 0u64;
-        loop {
-            let wait = b.next_wait_ns();
-            prop_assert!(wait <= effective_cap, "wait {} exceeds cap {}", wait, effective_cap);
-            prop_assert!(wait >= prev, "ramp decreased: {} after {}", wait, prev);
-            prev = wait;
-            if !b.snooze() {
-                break;
-            }
-        }
-        // Saturated: once exhausted the published next wait is still capped.
-        prop_assert!(b.next_wait_ns() <= effective_cap);
-    }
-
-    /// `snooze` returns `true` exactly `budget` times, `exhausted` flips at
-    /// precisely that point, and `reset` restores the full budget.
-    #[test]
-    fn backoff_budget_exhausts_exactly(
-        base in 1u64..500,
-        budget in 0u32..32,
-    ) {
-        let mut b = Backoff::new(base, base * 2, budget);
-        let mut granted = 0u32;
-        while b.snooze() {
-            granted += 1;
-            prop_assert!(granted <= budget, "more waits than budget");
-        }
-        prop_assert_eq!(granted, budget);
-        prop_assert!(b.exhausted());
-        prop_assert_eq!(b.attempt(), budget);
-        // Once exhausted, further snoozes keep failing without charging.
-        prop_assert!(!b.snooze());
-        prop_assert_eq!(b.attempt(), budget);
-        // Reset restores the whole budget.
-        b.reset();
-        prop_assert!(!b.exhausted() || budget == 0);
-        let mut again = 0u32;
-        while b.snooze() {
-            again += 1;
-        }
-        prop_assert_eq!(again, budget);
     }
 }

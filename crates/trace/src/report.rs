@@ -268,7 +268,7 @@ mod tests {
                 PhaseNs { name: "phase.compute_ns".into(), ns: 1_000_000 },
                 PhaseNs { name: "phase.reduce_ns".into(), ns: 250_000 },
             ],
-            counters: vec![("fabric.sends".into(), 4096), ("lci.retries".into(), 7)],
+            counters: vec![("fabric.sends".into(), 4096), ("lci.enq_rejected".into(), 7)],
         }
     }
 

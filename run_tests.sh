@@ -140,6 +140,17 @@ for f in crates/abelian/src/engine.rs crates/gemini/src/engine.rs; do
     fi
 done
 
+# A host waits one way: it drives progress, then yields (DESIGN.md, "How a
+# host waits"). A sleep would hold up the very progress the waiter is owed,
+# so no product source sleeps outside tests. Modelled CPU costs
+# (`busy::spin_for_ns`) and the queue's contention spins are not waits.
+for f in $(find crates/*/src -name '*.rs'); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } /thread::sleep/ { hit = 1 } END { exit !hit }' "$f"; then
+        echo "SLEEP: $f calls thread::sleep outside #[cfg(test)]; drive progress and yield instead" >&2
+        exit 1
+    fi
+done
+
 # The product owns its queues: completions and injections are drained in
 # batches from `Mutex`-guarded vectors the fabric defines (DESIGN.md,
 # "Completion and injection queues"), and the one padding wrapper is
