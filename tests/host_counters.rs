@@ -17,7 +17,16 @@ use lci_fabric::{Fabric, FabricConfig, Fault, FaultPlan, ReliableConfig, StatsSn
 use lci_graph::{gen, partition, Policy};
 use lci_trace::counters::ALL_COUNTERS;
 use lci_trace::{Counter, Registry};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Held by every test of this binary that runs an engine. An engine writes
+/// `phase.*` and `engine.*` rows to its hosts' tables, which the global table
+/// includes, so two engines at once would move each other's global rows.
+static ENGINE: Mutex<()> = Mutex::new(());
+
+fn engine_lock() -> MutexGuard<'static, ()> {
+    ENGINE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Light each counter alone on an isolated table and check that `fields`
 /// (a view, flattened) reads every field from exactly one counter and no
@@ -232,10 +241,12 @@ fn retransmissions_are_counted_on_the_sending_host_only() {
 /// An engine's rounds and phase spans count on the table of the host that
 /// ran them: after a 2-host Abelian Bfs over LCI each host's table has its
 /// own compute and communication time and its own round count, and the
-/// global `phase.*` rows moved by exactly the sum over the two tables (no
-/// other test of this binary runs an engine or opens a span).
+/// global `phase.*` rows moved by exactly the sum over the two tables (every
+/// test of this binary that runs an engine holds [`ENGINE`], and no other
+/// test opens a span).
 #[test]
 fn phase_rows_are_counted_on_the_host_that_ran_them() {
+    let _engine = engine_lock();
     let phases = [
         Counter::PhaseComputeNs,
         Counter::PhaseReduceNs,
@@ -344,9 +355,11 @@ fn a_window_overflow_counts_on_the_receiving_hosts_table() {
 /// PageRank over LCI with a four-packet pool runs out of packets, so
 /// `LciLayer::send` drives progress, yields and tries again, the values still
 /// match the sequential reference, and the global row moved by exactly the
-/// sum over hosts (no other test of this binary runs out of packets).
+/// sum over hosts (every test of this binary that runs an engine, and so may
+/// retry a send, holds [`ENGINE`]).
 #[test]
 fn refused_sends_count_on_the_sending_hosts_table() {
+    let _engine = engine_lock();
     let c = Counter::EngineCommSendRetries;
     let g = gen::rmat(12, 16, 3);
     let parts = partition(&g, 2, Policy::EdgeCutBlocked);
