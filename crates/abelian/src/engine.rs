@@ -41,18 +41,9 @@ use std::time::Duration;
 /// themselves through [`App::max_rounds`]).
 const ROUND_CAP: usize = 100_000;
 
-/// Engine tuning knobs.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Compute threads per host (1 = compute on the host thread).
-    pub compute_threads: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig { compute_threads: 1 }
-    }
-}
+/// Engine options. There are none: a host computes on its host thread.
+#[derive(Debug, Clone, Default)]
+pub struct EngineConfig {}
 
 /// Per-host outcome of a run.
 pub struct HostResult<L: Label> {
@@ -121,14 +112,14 @@ pub fn run_app_with_ckpt<A: App>(
     parts: &Partitioning,
     app: Arc<A>,
     layers: &[Arc<dyn CommLayer>],
-    cfg: &EngineConfig,
+    _cfg: &EngineConfig,
     ckpt: Option<&CkptPlan>,
 ) -> Result<RunResult<A::Acc>, String> {
     // Vertex cuts give mirrors out-edges and so need the broadcast; the
     // blocked edge-cut does not — Abelian's partition-aware communication
     // minimization.
     let sync = ProxySync { broadcast: parts.policy != Policy::EdgeCutBlocked };
-    run_rounds(parts, &*app, layers, &sync, cfg.compute_threads, ckpt)
+    run_rounds(parts, &*app, layers, &sync, ckpt)
 }
 
 /// An engine's per-round data exchange — the one thing that differs between
@@ -196,14 +187,9 @@ pub fn take_vote(data: &[u8]) -> Option<(u64, &[u8])> {
 
 /// One host's vertex state, shared between the round skeleton (which owns
 /// its lifecycle) and the [`Exchange`] strategy (which reads and folds
-/// labels through the methods below).
-///
-/// Who writes it: the host thread, always; compute threads only while the
-/// fire phase's `thread::scope` is open, and only when the run was given more
-/// than one. [`host_main`] tells the label vectors which of the two it is
-/// (`shared`), so a single-threaded host pays for no atomic read-modify-write
-/// anywhere in a round; every read-modify-write goes through [`LabelVec`] or
-/// [`BitSet`].
+/// labels through the methods below). Only the host thread writes it, so no
+/// read-modify-write in a round is atomic; every one goes through
+/// [`LabelVec`] or [`BitSet`].
 pub struct HostState<'a, A: App> {
     /// This host's partition.
     pub part: &'a DistGraph,
@@ -224,17 +210,16 @@ pub struct HostState<'a, A: App> {
 impl<'a, A: App> HostState<'a, A> {
     /// Masters hold the canonical initial value; mirrors start at the reduce
     /// identity (an add-app mirror that started at `init` would double-count
-    /// it into the master at the first reduce). `shared`: whether compute
-    /// threads will fire next to each other (see [`LabelVec::new`]).
-    pub fn new(part: &'a DistGraph, app: &'a A, track_fired: bool, shared: bool) -> Self {
+    /// it into the master at the first reduce).
+    pub fn new(part: &'a DistGraph, app: &'a A, track_fired: bool) -> Self {
         let nl = part.num_local();
         let nm = part.num_masters as usize;
         let identity = app.identity();
-        let labels = LabelVec::new(nl, identity, shared);
+        let labels = LabelVec::new(nl, identity);
         for l in 0..nm {
             labels.set(l, app.init(part.l2g[l]));
         }
-        let changed = BitSet::new(nl, shared);
+        let changed = BitSet::new(nl);
         (0..nm).filter(|&l| app.active_initially(part.l2g[l])).for_each(|l| changed.insert(l));
         let nf = if track_fired { nm } else { 0 };
         HostState {
@@ -242,10 +227,10 @@ impl<'a, A: App> HostState<'a, A> {
             app,
             labels,
             changed,
-            consumed: app.output_consumed().then(|| LabelVec::new(nm, identity, shared)),
+            consumed: app.output_consumed().then(|| LabelVec::new(nm, identity)),
             track_fired,
-            fired: BitSet::new(nf, shared),
-            emits: LabelVec::new(nf, identity, shared),
+            fired: BitSet::new(nf),
+            emits: LabelVec::new(nf, identity),
         }
     }
 
@@ -301,11 +286,8 @@ impl<'a, A: App> HostState<'a, A> {
 
     /// Fold contribution `v` into local vertex `lid`, marking it changed if
     /// its value moved. This is PageRank's hot loop, once per edge: the fold
-    /// is a compare-and-swap only on a host whose compute threads share the
-    /// labels (a load and a store otherwise — the choice is [`LabelVec`]'s,
-    /// made once per run), and the mark is one bit of a word that stays in
-    /// L1. It runs on the host thread, or on compute threads the host thread
-    /// joins before its next boundary pass.
+    /// is a load and a store, and the mark is one bit of a word that stays in
+    /// L1.
     pub fn deliver(&self, lid: usize, v: A::Acc) {
         if self.labels.reduce_with(lid, v, |a, b| self.app.reduce(a, b)) {
             self.changed.insert(lid);
@@ -322,8 +304,7 @@ impl<'a, A: App> HostState<'a, A> {
     /// take every changed master into `fire_list` (cleared first) and return
     /// this host's vote — how many local vertices, masters and mirrors, are
     /// changed and [viable](Self::viable). Mirrors keep their marks for
-    /// [`Self::take_changed_mirrors`]. Host thread only, between rounds:
-    /// nothing delivers concurrently.
+    /// [`Self::take_changed_mirrors`].
     fn boundary_pass(&self, fire_list: &mut Vec<u32>) -> u64 {
         fire_list.clear();
         let nm = self.part.num_masters as usize;
@@ -341,7 +322,7 @@ impl<'a, A: App> HostState<'a, A> {
     /// `mirror_send[t]`, in ascending position (the walk is in ascending lid),
     /// each value the mirror's (reset to the identity when the app consumes).
     /// It goes out whether or not it is [viable](Self::viable) — see the
-    /// contract on [`App::emit`]. Host thread only.
+    /// contract on [`App::emit`].
     pub fn take_changed_mirrors(&self) -> Vec<Vec<(u32, A::Acc)>> {
         let nm = self.part.num_masters as usize;
         let mut taken = vec![Vec::new(); self.part.num_hosts];
@@ -363,7 +344,7 @@ impl<'a, A: App> HostState<'a, A> {
     /// through [`DistGraph::master_slots`] (a chain round fires one master
     /// against a plan of a thousand), or the plans, testing each entry (a
     /// dense PageRank round fires more masters than the plans hold) — and
-    /// both give the same lists. Host thread only.
+    /// both give the same lists.
     fn take_fired(&self) -> Vec<Vec<(u32, A::Acc)>> {
         let (part, nm) = (self.part, self.part.num_masters as usize);
         let mut taken = vec![Vec::new(); part.num_hosts];
@@ -459,7 +440,6 @@ pub fn run_rounds<A: App, X: Exchange>(
     app: &A,
     layers: &[Arc<dyn CommLayer>],
     exchange: &X,
-    compute_threads: usize,
     ckpt: Option<&CkptPlan>,
 ) -> Result<RunResult<A::Acc>, String> {
     assert_eq!(layers.len(), parts.parts.len(), "one layer per host");
@@ -469,9 +449,7 @@ pub fn run_rounds<A: App, X: Exchange>(
             .enumerate()
             .map(|(h, layer)| {
                 let layer = &**layer;
-                scope.spawn(move || {
-                    host_main(parts, h, app, layer, exchange, compute_threads, ckpt)
-                })
+                scope.spawn(move || host_main(parts, h, app, layer, exchange, ckpt))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("host thread")).collect()
@@ -508,15 +486,12 @@ fn host_main<A: App, X: Exchange>(
     app: &A,
     layer: &dyn CommLayer,
     exchange: &X,
-    compute_threads: usize,
     ckpt: Option<&CkptPlan>,
 ) -> Result<HostResult<A::Acc>, String> {
     let (p, part) = (parts.parts.len(), &parts.parts[h]);
     let me = part.host;
     let broadcasts = exchange.broadcasts();
-    // The one decision on who writes vertex state: compute threads exist
-    // exactly when there is more than one of them to fan the fire list over.
-    let st = HostState::new(part, app, broadcasts, compute_threads > 1);
+    let st = HostState::new(part, app, broadcasts);
     let mut round = match ckpt {
         Some(CkptPlan { store, resume_from: Some(r0), .. }) => st.restore(store, *r0)?,
         _ => 0,
@@ -554,17 +529,7 @@ fn host_main<A: App, X: Exchange>(
 
         // ---- fire phase (computation) -----------------------------------
         let fire_span = Span::enter_at(table, fire_ns, Counter::PhaseComputeNs);
-        if compute_threads > 1 && fire_list.len() > 64 {
-            assert!(st.labels.is_shared(), "compute threads need shared vertex state");
-            let chunk = fire_list.len().div_ceil(compute_threads);
-            std::thread::scope(|scope| {
-                for ch in fire_list.chunks(chunk) {
-                    scope.spawn(|| ch.iter().for_each(|&u| st.fire(u)));
-                }
-            });
-        } else {
-            fire_list.iter().for_each(|&u| st.fire(u));
-        }
+        fire_list.iter().for_each(|&u| st.fire(u));
         let comm_ns = fire_span.end();
 
         // ---- communication: the strategy's exchange, votes aboard --------
@@ -885,21 +850,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-        /// The changed set against the plain model, single-writer and shared,
-        /// over random interleavings of everything that touches a mark:
-        /// `deliver` (values from far below PageRank's tolerance to far above
-        /// it, so changed and viable come apart), `take_changed_mirrors`,
-        /// boundary passes, and a `snapshot` → `restore` into a fresh state.
+        /// The changed set against the plain model, over random interleavings
+        /// of everything that touches a mark: `deliver` (values from far below
+        /// PageRank's tolerance to far above it, so changed and viable come
+        /// apart), `take_changed_mirrors`, boundary passes, and a `snapshot` →
+        /// `restore` into a fresh state.
         #[test]
         fn dirty_summary_agrees_with_a_linear_scan(
             which in 0usize..5,
-            shared in any::<bool>(),
             steps in prop::collection::vec((0u8..8, any::<u16>(), 0u8..4), 1..400),
         ) {
             let (parts, h) = shape(which);
             let (part, app) = (&parts.parts[h], PageRank::default());
             let nl = part.num_local();
-            let mut st = HostState::new(part, &app, false, shared);
+            let mut st = HostState::new(part, &app, false);
             let mut plain = Plain::of(&st);
             let store = CheckpointStore::new(parts.parts.len());
             let mut fire = Vec::new();
@@ -921,7 +885,7 @@ mod tests {
                     }
                     _ => {
                         store.save(h as u16, &st.snapshot(i));
-                        st = HostState::new(part, &app, false, shared);
+                        st = HostState::new(part, &app, false);
                         prop_assert_eq!(st.restore(&store, i as u64), Ok(i));
                     }
                 }
@@ -1034,7 +998,7 @@ mod tests {
             let parts = partition(&gen::rmat(9, 4, 0xD127), hosts, Policy::VertexCutCartesian);
             let (part, app) = (&parts.parts[h as usize % hosts], PageRank::default());
             let (nl, nm) = (part.num_local(), part.num_masters as usize);
-            let st = HostState::new(part, &app, true, false);
+            let st = HostState::new(part, &app, true);
             for (lid, size) in delivered {
                 st.deliver(lid as usize % nl, [1e-7f32, 1e-5, 1e-3, 0.5][size as usize]);
             }
@@ -1090,7 +1054,7 @@ mod tests {
                 let (parts, app, sync, layer) = (&parts, &app, &sync, &*layers[h]);
                 s.spawn(move || {
                     with_ring(|r| r.drain());
-                    let done = host_main(parts, h, app, layer, sync, 1, None).expect("run");
+                    let done = host_main(parts, h, app, layer, sync, None).expect("run");
                     (done.metrics, with_ring(|r| r.drain()).expect("ring"))
                 })
             };

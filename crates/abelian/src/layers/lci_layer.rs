@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn stash_keeps_no_queue_for_a_finished_round() {
-        let world = lci::LciWorld::without_servers(
+        let world = lci::LciWorld::new(
             lci_fabric::FabricConfig::test(2),
             lci::LciConfig::for_hosts(2),
         );

@@ -221,7 +221,7 @@ impl LayerWorld {
         lci_cfg: lci::LciConfig,
     ) -> LayerWorld {
         match kind {
-            LayerKind::Lci => LayerWorld::Lci(lci::LciWorld::without_servers(fabric_cfg, lci_cfg)),
+            LayerKind::Lci => LayerWorld::Lci(lci::LciWorld::new(fabric_cfg, lci_cfg)),
             LayerKind::MpiProbe | LayerKind::MpiRma => {
                 LayerWorld::Mpi(mini_mpi::MpiWorld::new(fabric_cfg, mpi_cfg))
             }

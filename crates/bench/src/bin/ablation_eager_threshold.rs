@@ -46,6 +46,6 @@ fn pingpong(fabric: &str, size: usize, threshold: usize, iters: usize) -> Durati
         packet_payload: threshold.max(64),
         ..Default::default()
     };
-    let world = LciWorld::without_servers(fabric_by_name(fabric, 2), cfg);
+    let world = LciWorld::new(fabric_by_name(fabric, 2), cfg);
     lci_pingpong(&world, Bytes::from(vec![1u8; size]), iters, (iters / 10).max(2))
 }

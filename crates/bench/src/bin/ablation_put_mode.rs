@@ -46,6 +46,6 @@ fn fmt(d: Duration) -> String {
 fn pingpong(fabric: &str, size: usize, mode: PutMode, iters: usize) -> Duration {
     let mut fcfg = fabric_by_name(fabric, 2);
     fcfg.max_payload = 1 << 17;
-    let world = LciWorld::without_servers(fcfg, LciConfig::default().with_put_mode(mode));
+    let world = LciWorld::new(fcfg, LciConfig::default().with_put_mode(mode));
     lci_pingpong(&world, Bytes::from(vec![3u8; size]), iters, (iters / 10).max(2))
 }

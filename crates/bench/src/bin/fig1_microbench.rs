@@ -185,7 +185,7 @@ fn mpi_rate(fabric: &str, size: usize, reps: usize, window: usize, probe: bool) 
 }
 
 fn lci_world(fabric: &str) -> LciWorld {
-    LciWorld::without_servers(fabric_by_name(fabric, 2), LciConfig::default())
+    LciWorld::new(fabric_by_name(fabric, 2), LciConfig::default())
 }
 
 fn lci_rate(fabric: &str, size: usize, reps: usize, window: usize) -> f64 {

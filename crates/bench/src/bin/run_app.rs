@@ -4,7 +4,7 @@
 //! run_app [--app bfs|cc|sssp|pagerank|widest] [--engine abelian|gemini]
 //!         [--layer lci|mpi-probe|mpi-rma] [--graph rmat13|kron14|webby12|PATH]
 //!         [--hosts N] [--fabric stampede2|stampede1|test] [--source V]
-//!         [--threads N] [--verify]
+//!         [--verify]
 //! ```
 //!
 //! `--graph` accepts either a generator spec (`rmat<scale>` etc.) or a path
@@ -69,7 +69,6 @@ fn main() {
     let hosts: usize = get("hosts", "4").parse().expect("bad --hosts");
     let fabric = get("fabric", "stampede2");
     let source: Vid = get("source", "0").parse().expect("bad --source");
-    let threads: usize = get("threads", "1").parse().expect("bad --threads");
     let verify = args.contains_key("verify");
 
     let g = load_graph(&graph);
@@ -111,18 +110,10 @@ fn main() {
         parts: &lci_graph::Partitioning,
         app: A,
         layers: &[Arc<dyn abelian::CommLayer>],
-        threads: usize,
     ) -> (abelian::RunResult<A::Acc>, std::time::Duration) {
         let t0 = Instant::now();
         let r = match engine {
-            "abelian" => run_app(
-                parts,
-                Arc::new(app),
-                layers,
-                &EngineConfig {
-                    compute_threads: threads,
-                },
-            ),
+            "abelian" => run_app(parts, Arc::new(app), layers, &EngineConfig::default()),
             _ => run_gemini(parts, Arc::new(app), layers, &GeminiConfig::default()),
         };
         (r, t0.elapsed())
@@ -163,23 +154,23 @@ fn main() {
 
     match app.as_str() {
         "bfs" => {
-            let (r, dt) = drive(&engine, &parts, Bfs { source }, &layers, threads);
+            let (r, dt) = drive(&engine, &parts, Bfs { source }, &layers);
             report!(r, dt, verify.then(|| (r.values == reference::bfs(&g, source), EXACT)));
         }
         "cc" => {
-            let (r, dt) = drive(&engine, &parts, Cc, &layers, threads);
+            let (r, dt) = drive(&engine, &parts, Cc, &layers);
             report!(r, dt, verify.then(|| (r.values == reference::cc(&g), EXACT)));
         }
         "sssp" => {
-            let (r, dt) = drive(&engine, &parts, Sssp { source }, &layers, threads);
+            let (r, dt) = drive(&engine, &parts, Sssp { source }, &layers);
             report!(r, dt, verify.then(|| (r.values == reference::sssp(&g, source), EXACT)));
         }
         "widest" => {
-            let (r, dt) = drive(&engine, &parts, WidestPath { source }, &layers, threads);
+            let (r, dt) = drive(&engine, &parts, WidestPath { source }, &layers);
             report!(r, dt, verify.then(|| (r.values == reference::widest_path(&g, source), EXACT)));
         }
         "pagerank" => {
-            let (r, dt) = drive(&engine, &parts, PageRank::default(), &layers, threads);
+            let (r, dt) = drive(&engine, &parts, PageRank::default(), &layers);
             // Float drift: verify within tolerance instead of equality.
             let close = || {
                 let expect = reference::pagerank(&g, 0.85, 1e-4, 100);

@@ -206,8 +206,9 @@ struct DeviceInner {
 /// One host's LCI runtime instance. Cheap to clone; all clones share state.
 ///
 /// Any thread may call [`send_enq`](Device::send_enq) and
-/// [`recv_deq`](Device::recv_deq); [`progress`](Device::progress) is
-/// normally driven by a dedicated [`CommServer`](crate::CommServer) thread.
+/// [`recv_deq`](Device::recv_deq); nothing arrives or completes unless
+/// some thread calls [`progress`](Device::progress), which the host's own
+/// thread does whenever it waits.
 #[derive(Clone)]
 pub struct Device {
     inner: Arc<DeviceInner>,

@@ -15,8 +15,10 @@
 //!   (returns an error) when packets or injection slots run out; the caller
 //!   retries. MPI implementations crash or hang in the same situation.
 //! * **Completion by flag, not by call.** Once initiated, an operation
-//!   completes by the communication server flipping an atomic status flag;
+//!   completes when [`Device::progress`] flips an atomic status flag;
 //!   testing a request costs one load, not an `MPI_Test` network poll.
+//!   Progress is an explicit call: a host that waits on its device drives
+//!   it, then yields.
 //! * **Receiving without a size.** `RECV-DEQ` pops whatever arrived —
 //!   source, tag, and size come with the packet, eliminating the
 //!   probe/allocate/receive dance of `MPI_Iprobe`.
@@ -36,14 +38,18 @@
 //! let req = loop {
 //!     match a.send_enq(Bytes::from_static(b"hello"), 1, 7) {
 //!         Ok(r) => break r,
-//!         Err(e) if e.is_retryable() => std::thread::yield_now(),
+//!         Err(e) if e.is_retryable() => {
+//!             a.progress();
+//!             std::thread::yield_now();
+//!         }
 //!         Err(e) => panic!("{e}"),
 //!     }
 //! };
 //! assert!(req.is_done());
 //!
-//! // Rank 1 dequeues whatever arrived first.
+//! // Rank 1 drives its device and dequeues whatever arrived first.
 //! let recv = loop {
+//!     b.progress();
 //!     if let Some(r) = b.recv_deq() {
 //!         break r;
 //!     }
@@ -62,7 +68,6 @@ mod faa_queue;
 mod pool;
 pub mod protocol;
 mod request;
-mod server;
 mod world;
 
 pub use config::{LciConfig, PutMode};
@@ -71,5 +76,4 @@ pub use faa_queue::MpmcQueue;
 pub use pool::{Packet, PacketPool, PACKET_HEADROOM};
 pub use protocol::{MAX_SIZE, MAX_TAG};
 pub use request::{RecvData, RecvRequest, SendRequest};
-pub use server::CommServer;
 pub use world::LciWorld;

@@ -1,38 +1,25 @@
-//! Convenience bootstrap: a fabric plus one device (and optionally one
-//! communication server) per simulated host.
+//! Convenience bootstrap: a fabric plus one device per simulated host.
 
 use crate::config::LciConfig;
 use crate::device::Device;
-use crate::server::CommServer;
 use lci_fabric::{Fabric, FabricConfig};
 
-/// A fully wired simulated cluster running LCI on every host.
+/// A fully wired simulated cluster running LCI on every host. Nothing moves
+/// until a host calls [`Device::progress`]: whoever waits on a device drives
+/// it.
 pub struct LciWorld {
     fabric: Fabric,
     devices: Vec<Device>,
-    servers: Vec<CommServer>,
 }
 
 impl LciWorld {
-    /// Build a world with a communication server per host.
+    /// Build the fabric and one device per host.
     pub fn new(fabric_cfg: FabricConfig, lci_cfg: LciConfig) -> LciWorld {
-        let mut w = LciWorld::without_servers(fabric_cfg, lci_cfg);
-        w.servers = w.devices.iter().map(|d| CommServer::spawn(d.clone())).collect();
-        w
-    }
-
-    /// Build a world where the caller drives [`Device::progress`] manually
-    /// (used by latency microbenchmarks that measure the progress path).
-    pub fn without_servers(fabric_cfg: FabricConfig, lci_cfg: LciConfig) -> LciWorld {
         let fabric = Fabric::new(fabric_cfg);
         let devices = (0..fabric.num_hosts())
             .map(|h| Device::new(fabric.endpoint(h), lci_cfg.clone()))
             .collect();
-        LciWorld {
-            fabric,
-            devices,
-            servers: Vec::new(),
-        }
+        LciWorld { fabric, devices }
     }
 
     /// The device for rank `host`.
@@ -54,11 +41,6 @@ impl LciWorld {
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
     }
-
-    /// Stop the communication servers (also happens on drop).
-    pub fn shutdown(&mut self) {
-        self.servers.clear();
-    }
 }
 
 #[cfg(test)]
@@ -75,8 +57,10 @@ mod tests {
 
     #[test]
     fn manual_world_has_no_servers() {
-        let mut w = LciWorld::without_servers(FabricConfig::test(2), LciConfig::default());
+        // Every world is manual: no thread drives progress, and dropping it
+        // needs no shutdown.
+        let w = LciWorld::new(FabricConfig::test(2), LciConfig::default());
         assert_eq!(w.num_hosts(), 2);
-        w.shutdown(); // no-op
+        drop(w);
     }
 }

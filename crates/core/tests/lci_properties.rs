@@ -81,6 +81,7 @@ proptest! {
                         true
                     }
                 });
+                b.progress();
                 std::thread::yield_now();
             }
         });
@@ -92,11 +93,18 @@ proptest! {
                     Ok(_) => break,
                     Err(e) if e.is_retryable() => {
                         prop_assert!(Instant::now() < deadline);
+                        a.progress();
                         std::thread::yield_now();
                     }
                     Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
                 }
             }
+        }
+        // Host 0 keeps driving until host 1 has everything it sent: a
+        // rendezvous put leaves only when host 0 reads the RTR.
+        while !recv.is_finished() {
+            a.progress();
+            std::thread::yield_now();
         }
         recv.join().unwrap();
     }

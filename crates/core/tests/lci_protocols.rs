@@ -1,41 +1,54 @@
 //! Protocol-level integration tests for the LCI runtime.
+//!
+//! Nothing moves unless someone calls [`Device::progress`]: every waiting
+//! loop below drives the devices its thread plays, then yields.
 
 use bytes::Bytes;
 use lci::{Device, EnqError, LciConfig, LciWorld, RecvRequest, SendRequest};
 use lci_fabric::FabricConfig;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn send_blocking(dev: &Device, data: Bytes, dst: u16, tag: u32) -> SendRequest {
+/// One wait step: drive every device in `devs`, then yield.
+fn drive(devs: &[&Device]) {
+    for d in devs {
+        d.progress();
+    }
+    std::thread::yield_now();
+}
+
+fn send_blocking(dev: &Device, data: Bytes, dst: u16, tag: u32, devs: &[&Device]) -> SendRequest {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         match dev.send_enq(data.clone(), dst, tag) {
             Ok(r) => return r,
             Err(e) if e.is_retryable() => {
                 assert!(Instant::now() < deadline, "send_enq starved");
-                std::thread::yield_now();
+                drive(devs);
             }
             Err(e) => panic!("send_enq failed: {e}"),
         }
     }
 }
 
-fn recv_blocking(dev: &Device) -> RecvRequest {
+fn recv_blocking(dev: &Device, devs: &[&Device]) -> RecvRequest {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         if let Some(r) = dev.recv_deq() {
             return r;
         }
         assert!(Instant::now() < deadline, "recv_deq starved");
-        std::hint::spin_loop();
+        drive(devs);
     }
 }
 
-fn wait_done(req: &RecvRequest) {
+fn wait_done(req: &RecvRequest, devs: &[&Device]) {
     let deadline = Instant::now() + Duration::from_secs(20);
     while !req.is_done() {
         assert!(!req.is_error(), "request errored");
         assert!(Instant::now() < deadline, "request never completed");
-        std::hint::spin_loop();
+        drive(devs);
     }
 }
 
@@ -44,9 +57,9 @@ fn eager_roundtrip() {
     let w = LciWorld::new(FabricConfig::test(2), LciConfig::default());
     let a = w.device(0);
     let b = w.device(1);
-    let req = send_blocking(&a, Bytes::from_static(b"tiny"), 1, 3);
+    let req = send_blocking(&a, Bytes::from_static(b"tiny"), 1, 3, &[&a, &b]);
     assert!(req.is_done(), "eager sends complete at initiation");
-    let r = recv_blocking(&b);
+    let r = recv_blocking(&b, &[&a, &b]);
     assert!(r.is_done());
     assert_eq!(r.src(), 0);
     assert_eq!(r.tag(), 3);
@@ -59,8 +72,8 @@ fn zero_length_message() {
     let w = LciWorld::new(FabricConfig::test(2), LciConfig::default());
     let a = w.device(0);
     let b = w.device(1);
-    send_blocking(&a, Bytes::new(), 1, 9);
-    let r = recv_blocking(&b);
+    send_blocking(&a, Bytes::new(), 1, 9, &[&a, &b]);
+    let r = recv_blocking(&b, &[&a, &b]);
     assert!(r.is_done());
     assert!(r.is_empty());
     assert_eq!(r.take_data().unwrap(), Vec::<u8>::new());
@@ -73,18 +86,18 @@ fn rendezvous_roundtrip() {
     let b = w.device(1);
     // Well above the 8 KiB eager limit.
     let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-    let req = send_blocking(&a, Bytes::from(payload.clone()), 1, 11);
-    let r = recv_blocking(&b);
+    let req = send_blocking(&a, Bytes::from(payload.clone()), 1, 11, &[&a, &b]);
+    let r = recv_blocking(&b, &[&a, &b]);
     assert_eq!(r.src(), 0);
     assert_eq!(r.tag(), 11);
     assert_eq!(r.len(), payload.len());
-    wait_done(&r);
+    wait_done(&r, &[&a, &b]);
     assert_eq!(r.take_data().unwrap(), payload);
     // Sender request completes once the put finishes.
     let deadline = Instant::now() + Duration::from_secs(20);
     while !req.is_done() {
         assert!(Instant::now() < deadline, "send never completed");
-        std::hint::spin_loop();
+        drive(&[&a, &b]);
     }
     assert_eq!(a.stats().rdv_opened, 1);
     // Landing region must be deregistered after completion.
@@ -100,12 +113,12 @@ fn mixed_sizes_interleaved() {
     let mut sends = Vec::new();
     for (i, &s) in sizes.iter().enumerate() {
         let data: Vec<u8> = std::iter::repeat_n((i + 1) as u8, s).collect();
-        sends.push(send_blocking(&a, Bytes::from(data), 1, i as u32));
+        sends.push(send_blocking(&a, Bytes::from(data), 1, i as u32, &[&a, &b]));
     }
     let mut seen = vec![false; sizes.len()];
     for _ in 0..sizes.len() {
-        let r = recv_blocking(&b);
-        wait_done(&r);
+        let r = recv_blocking(&b, &[&a, &b]);
+        wait_done(&r, &[&a, &b]);
         let tag = r.tag() as usize;
         assert!(!seen[tag], "duplicate message for tag {tag}");
         seen[tag] = true;
@@ -118,7 +131,7 @@ fn mixed_sizes_interleaved() {
         let deadline = Instant::now() + Duration::from_secs(20);
         while !s.is_done() {
             assert!(Instant::now() < deadline);
-            std::hint::spin_loop();
+            drive(&[&a, &b]);
         }
     }
 }
@@ -130,7 +143,8 @@ fn pool_exhaustion_is_retryable_not_fatal() {
     let a = w.device(0);
     let b = w.device(1);
     // Fire many more messages than there are packets; every NoPacket is
-    // retried. Nothing crashes and everything arrives.
+    // retried. Nothing crashes and everything arrives. Each host is a thread
+    // that drives its own device.
     const N: usize = 500;
     let receiver = std::thread::spawn(move || {
         let mut got = 0;
@@ -139,12 +153,18 @@ fn pool_exhaustion_is_retryable_not_fatal() {
             if let Some(r) = b.recv_deq() {
                 assert!(r.is_done());
                 got += 1;
+            } else {
+                drive(&[&b]);
             }
             assert!(Instant::now() < deadline, "receiver starved at {got}/{N}");
         }
     });
     for i in 0..N {
-        send_blocking(&a, Bytes::from(vec![i as u8; 64]), 1, (i % 1000) as u32);
+        send_blocking(&a, Bytes::from(vec![i as u8; 64]), 1, (i % 1000) as u32, &[&a]);
+    }
+    // Host 0 keeps driving until host 1 has everything it sent.
+    while !receiver.is_finished() {
+        drive(&[&a]);
     }
     receiver.join().unwrap();
     assert!(
@@ -163,10 +183,13 @@ fn all_to_all_many_threads() {
         FabricConfig::test(HOSTS),
         LciConfig::for_hosts(HOSTS),
     );
+    // Receivers that have everything; each keeps driving its device until
+    // all have, since a peer may still need its acks.
+    let finished = Arc::new(AtomicUsize::new(0));
     let mut handles = Vec::new();
     for h in 0..HOSTS {
         let dev = w.device(h);
-        // Sender threads.
+        // Sender threads, each driving its own host's device when refused.
         for t in 0..THREADS {
             let dev = dev.clone();
             handles.push(std::thread::spawn(move || {
@@ -183,7 +206,7 @@ fn all_to_all_many_threads() {
                                 Ok(_) => break,
                                 Err(e) if e.is_retryable() => {
                                     assert!(Instant::now() < deadline);
-                                    std::thread::yield_now();
+                                    drive(&[&dev]);
                                 }
                                 Err(e) => panic!("{e}"),
                             }
@@ -194,6 +217,7 @@ fn all_to_all_many_threads() {
         }
         // Receiver thread: expects (HOSTS-1) * THREADS * PER_THREAD messages.
         let dev = w.device(h);
+        let finished = Arc::clone(&finished);
         handles.push(std::thread::spawn(move || {
             let expect = (HOSTS - 1) * THREADS * PER_THREAD;
             let mut got = 0;
@@ -205,11 +229,18 @@ fn all_to_all_many_threads() {
                     assert_eq!(data[1] as usize, h, "delivered to wrong host");
                     assert_eq!(data[0], r.src() as u8);
                     got += 1;
+                } else {
+                    drive(&[&dev]);
                 }
                 assert!(
                     Instant::now() < deadline,
                     "host {h} starved at {got}/{expect}"
                 );
+            }
+            finished.fetch_add(1, Ordering::AcqRel);
+            while finished.load(Ordering::Acquire) < HOSTS {
+                assert!(Instant::now() < deadline, "host {h} waited for its peers");
+                drive(&[&dev]);
             }
         }));
     }
@@ -227,13 +258,14 @@ fn first_packet_policy_no_ordering_across_sources() {
     let c = w.device(2);
     let a = w.device(0);
     let b = w.device(1);
+    let all = [&a, &b, &c];
     for i in 0..50u32 {
-        send_blocking(&a, Bytes::from(vec![0]), 2, i);
-        send_blocking(&b, Bytes::from(vec![1]), 2, i);
+        send_blocking(&a, Bytes::from(vec![0]), 2, i, &all);
+        send_blocking(&b, Bytes::from(vec![1]), 2, i, &all);
     }
     let mut last_tag = [None::<u32>, None::<u32>];
     for _ in 0..100 {
-        let r = recv_blocking(&c);
+        let r = recv_blocking(&c, &all);
         let src = r.src() as usize;
         if let Some(prev) = last_tag[src] {
             assert!(r.tag() > prev, "per-source arrival order violated");
@@ -254,11 +286,11 @@ fn too_large_tag_rejected() {
 
 #[test]
 fn manual_progress_world() {
-    // Without servers, nothing moves until progress is called.
-    let w = LciWorld::without_servers(FabricConfig::test(2), LciConfig::default());
+    // Nothing moves until progress is called.
+    let w = LciWorld::new(FabricConfig::test(2), LciConfig::default());
     let a = w.device(0);
     let b = w.device(1);
-    send_blocking(&a, Bytes::from_static(b"manual"), 1, 0);
+    send_blocking(&a, Bytes::from_static(b"manual"), 1, 0, &[&a]);
     std::thread::sleep(Duration::from_millis(10));
     assert!(b.recv_deq().is_none(), "no progress yet, nothing delivered");
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -275,11 +307,11 @@ fn manual_progress_world() {
 
 #[test]
 fn rendezvous_under_manual_progress() {
-    let w = LciWorld::without_servers(FabricConfig::test(2), LciConfig::default());
+    let w = LciWorld::new(FabricConfig::test(2), LciConfig::default());
     let a = w.device(0);
     let b = w.device(1);
     let payload = vec![0x5Au8; 64 * 1024];
-    let req = send_blocking(&a, Bytes::from(payload.clone()), 1, 1);
+    let req = send_blocking(&a, Bytes::from(payload.clone()), 1, 1, &[&a, &b]);
     let deadline = Instant::now() + Duration::from_secs(10);
     let r = loop {
         a.progress();
@@ -306,15 +338,15 @@ fn emulated_put_mode_rendezvous() {
     let a = w.device(0);
     let b = w.device(1);
     let payload: Vec<u8> = (0..150_000u32).map(|i| (i % 241) as u8).collect();
-    let req = send_blocking(&a, Bytes::from(payload.clone()), 1, 4);
-    let r = recv_blocking(&b);
+    let req = send_blocking(&a, Bytes::from(payload.clone()), 1, 4, &[&a, &b]);
+    let r = recv_blocking(&b, &[&a, &b]);
     assert_eq!(r.len(), payload.len());
-    wait_done(&r);
+    wait_done(&r, &[&a, &b]);
     assert_eq!(r.take_data().unwrap(), payload);
     let deadline = Instant::now() + Duration::from_secs(20);
     while !req.is_done() {
         assert!(Instant::now() < deadline);
-        std::thread::yield_now();
+        drive(&[&a, &b]);
     }
     assert_eq!(
         b.endpoint().registered_mrs(),
@@ -340,11 +372,11 @@ fn emulated_put_mixed_with_eager_traffic() {
     // Interleave small eager messages with two big emulated rendezvous.
     let big1 = vec![1u8; 60_000];
     let big2 = vec![2u8; 40_000];
-    send_blocking(&a, Bytes::from(big1.clone()), 1, 100);
+    send_blocking(&a, Bytes::from(big1.clone()), 1, 100, &[&a, &b]);
     for i in 0..20 {
-        send_blocking(&a, Bytes::from(vec![9u8; 32]), 1, i);
+        send_blocking(&a, Bytes::from(vec![9u8; 32]), 1, i, &[&a, &b]);
     }
-    send_blocking(&a, Bytes::from(big2.clone()), 1, 101);
+    send_blocking(&a, Bytes::from(big2.clone()), 1, 101, &[&a, &b]);
 
     let mut small = 0;
     let mut bigs = Vec::new();
@@ -368,7 +400,7 @@ fn emulated_put_mixed_with_eager_traffic() {
                 true
             }
         });
-        std::thread::yield_now();
+        drive(&[&a, &b]);
     }
     bigs.sort_by_key(|(t, _)| *t);
     assert_eq!(bigs[0].1, big1);

@@ -33,8 +33,9 @@ pub struct GeminiConfig {
     /// bytes. Gemini's runtime streams many per-thread message batches per
     /// round rather than one aggregate — the very behaviour that makes its
     /// MPI path pay per-message probe/matching/`THREAD_MULTIPLE` costs
-    /// (paper §IV-B1). `usize::MAX` disables chunking (required when
-    /// running over the MPI-RMA layer, which has one slot per peer).
+    /// (paper §IV-B1). `usize::MAX` disables chunking. Every layer takes
+    /// chunks, the MPI-RMA layer too: it stages a round's chunks to a peer
+    /// as sub-frames of its one slot.
     pub chunk_bytes: usize,
 }
 
@@ -89,7 +90,7 @@ pub fn run_gemini_with_ckpt<A: App>(
         Policy::EdgeCutBlocked,
         "Gemini supports only the blocked edge-cut (paper §II)"
     );
-    run_rounds(parts, &*app, layers, cfg, 1, ckpt)
+    run_rounds(parts, &*app, layers, cfg, ckpt)
 }
 
 /// Run a Gemini app with crash recovery (see
@@ -439,7 +440,7 @@ mod tests {
             let cfg = GeminiConfig { dense_threshold: 0.25, chunk_bytes };
             let parts = partition(&g, hosts, Policy::EdgeCutBlocked);
             for (part, case) in parts.parts.iter().flat_map(|p| (0..4).map(move |c| (p, c))) {
-                let host = HostState::new(part, &app, false, false);
+                let host = HostState::new(part, &app, false);
                 let mut changed = HashMap::new();
                 for plan in &part.mirror_send {
                     let on = (cfg.dense_threshold * plan.len() as f64).ceil() as usize;

@@ -2,7 +2,8 @@
 //!
 //! Spins up a simulated 2-host cluster, sends one eager and one rendezvous
 //! message through `SEND-ENQ`/`RECV-DEQ`, and shows the completion-by-flag
-//! model and the retryable-failure flow control.
+//! model and the retryable-failure flow control. One thread plays both
+//! hosts, so every wait drives both devices' progress before it yields.
 //!
 //! Run with: `cargo run --release -p lci-bench --example quickstart`
 
@@ -15,6 +16,12 @@ fn main() {
     let world = LciWorld::new(FabricConfig::stampede2(2), LciConfig::default());
     let alice = world.device(0);
     let bob = world.device(1);
+    // Nothing moves on the wire unless someone calls `progress`.
+    let drive = || {
+        alice.progress();
+        bob.progress();
+        std::thread::yield_now();
+    };
 
     // --- eager message (≤ eager limit): completes at initiation ----------
     let req = loop {
@@ -22,7 +29,7 @@ fn main() {
             Ok(r) => break r,
             // The defining LCI behaviour: initiation can fail benignly when
             // packets or injection slots are exhausted — just retry.
-            Err(e) if e.is_retryable() => std::thread::yield_now(),
+            Err(e) if e.is_retryable() => drive(),
             Err(e) => panic!("fatal: {e}"),
         }
     };
@@ -32,7 +39,7 @@ fn main() {
         if let Some(r) = bob.recv_deq() {
             break r;
         }
-        std::thread::yield_now();
+        drive();
     };
     println!(
         "bob got {} bytes from rank {} with tag {}: {:?}",
@@ -47,7 +54,7 @@ fn main() {
     let req = loop {
         match alice.send_enq(Bytes::from(big.clone()), 1, 8) {
             Ok(r) => break r,
-            Err(e) if e.is_retryable() => std::thread::yield_now(),
+            Err(e) if e.is_retryable() => drive(),
             Err(e) => panic!("fatal: {e}"),
         }
     };
@@ -56,11 +63,11 @@ fn main() {
         if let Some(r) = bob.recv_deq() {
             break r;
         }
-        std::thread::yield_now();
+        drive();
     };
     // Completion is observed by re-reading a flag — no completion *call*.
     while !(msg.is_done() && req.is_done()) {
-        std::thread::yield_now();
+        drive();
     }
     let data = msg.take_data().unwrap();
     assert_eq!(data, big);

@@ -87,6 +87,16 @@ for f in crates/fabric/src/*.rs; do
         exit 1
     fi
 done
+# Nor have the runtimes one: a host's compute, communication and progress
+# all run on its host thread, and a host that waits drives its own progress
+# (DESIGN.md, "How a host waits"). A progress thread holds a core even while
+# it has nothing to do.
+for f in crates/core/src/*.rs crates/mini-mpi/src/*.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } /thread::(spawn|Builder)/ { hit = 1 } END { exit !hit }' "$f"; then
+        echo "PROGRESS THREAD: $f spawns a thread outside #[cfg(test)]; a host drives its own progress" >&2
+        exit 1
+    fi
+done
 
 # The fabric has one `unsafe`: the feature-detected call from `Crc32::update`
 # (frame.rs) into the carry-less-multiply CRC, which itself is safe code on
@@ -118,11 +128,11 @@ if hits="$(grep -rnE 'into_raw|from_raw' crates/*/src)"; then
     exit 1
 fi
 
-# Every read-modify-write on vertex state goes through `LabelVec`, the one
-# place that knows whether more than one thread writes it (DESIGN.md, "Who
-# writes vertex state"). An atomic RMW spelled out in an engine would put a
-# locked instruction back on the per-edge path of every single-threaded host.
-for f in crates/abelian/src/engine.rs crates/gemini/src/engine.rs; do
+# Every read-modify-write on vertex state goes through `LabelVec` or `BitSet`
+# as a load and a store: the host thread is its one writer (DESIGN.md, "Who
+# writes vertex state"). An atomic RMW spelled out in an engine or in
+# label.rs would put a locked instruction back on the per-edge path.
+for f in crates/abelian/src/engine.rs crates/gemini/src/engine.rs crates/abelian/src/label.rs; do
     if awk '/^#\[cfg\(test\)\]/ { exit } /compare_exchange|fetch_[a-z]|\]\.swap\(/ { hit = 1 } END { exit !hit }' "$f"; then
         echo "ENGINE RMW: $f has an atomic read-modify-write outside #[cfg(test)]; use LabelVec" >&2
         exit 1

@@ -61,17 +61,6 @@ fn mpi_cfg() -> mini_mpi::MpiConfig {
     mini_mpi::MpiConfig::default().with_personality(mini_mpi::Personality::zero())
 }
 
-/// Gemini over MPI-RMA needs chunking disabled (one slot per peer).
-fn gemini_cfg(kind: LayerKind) -> GeminiConfig {
-    GeminiConfig {
-        chunk_bytes: match kind {
-            LayerKind::MpiRma => usize::MAX,
-            _ => GeminiConfig::default().chunk_bytes,
-        },
-        ..GeminiConfig::default()
-    }
-}
-
 /// A long path keeps BFS busy for many rounds of light traffic, so a
 /// packet-count crash trigger lands well past the early checkpoints and
 /// well before the fixpoint — the interesting middle of the run.
@@ -210,7 +199,7 @@ fn gemini_bfs_crash_recovery_bit_identical_on_every_layer() {
             &parts,
             Arc::new(Bfs { source: src }),
             &mut rw,
-            &gemini_cfg(kind),
+            &GeminiConfig::default(),
             &rec,
             &store,
         )
@@ -228,7 +217,7 @@ fn gemini_bfs_crash_recovery_bit_identical_on_every_layer() {
             &parts,
             Arc::new(Bfs { source: src }),
             &mut rw,
-            &gemini_cfg(kind),
+            &GeminiConfig::default(),
             &rec,
             &store,
         )

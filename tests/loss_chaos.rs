@@ -67,17 +67,6 @@ fn layers_with_plan(
     )
 }
 
-/// Gemini over MPI-RMA needs chunking disabled (one slot per peer).
-fn gemini_cfg(kind: LayerKind) -> GeminiConfig {
-    GeminiConfig {
-        chunk_bytes: match kind {
-            LayerKind::MpiRma => usize::MAX,
-            _ => GeminiConfig::default().chunk_bytes,
-        },
-        ..GeminiConfig::default()
-    }
-}
-
 // ---- whole-run loss: bit-identical answers -----------------------------
 
 #[test]
@@ -116,7 +105,7 @@ fn gemini_cc_bit_identical_under_whole_run_loss() {
     let before = lci_trace::global().snapshot();
     for kind in LayerKind::all() {
         let (layers, _world) = layers_with_plan(kind, 3, fabric_seed(0xD00D ^ kind as u64), lossy_plan());
-        let r = run_gemini_checked(&parts, Arc::new(Cc), &layers, &gemini_cfg(kind))
+        let r = run_gemini_checked(&parts, Arc::new(Cc), &layers, &GeminiConfig::default())
             .unwrap_or_else(|e| {
                 panic!("layer {} must recover from 5% loss: {e}", kind.name())
             });
@@ -158,7 +147,8 @@ fn gemini_blackhole_aborts_bounded_on_every_layer() {
     let parts = partition(&g, 3, Policy::EdgeCutBlocked);
     for kind in LayerKind::all() {
         let (layers, _world) = layers_with_plan(kind, 3, fabric_seed(0xACED ^ kind as u64), blackhole_plan(1));
-        let err = match run_gemini_checked(&parts, Arc::new(Cc), &layers, &gemini_cfg(kind)) {
+        let cfg = GeminiConfig::default();
+        let err = match run_gemini_checked(&parts, Arc::new(Cc), &layers, &cfg) {
             Ok(_) => panic!("layer {} must abort when host 1 is blackholed", kind.name()),
             Err(e) => e,
         };

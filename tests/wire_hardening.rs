@@ -316,13 +316,6 @@ fn gemini_chunk_streams_survive_adversarial_wire_faults() {
     parts.validate(&g);
     let expect = reference::cc(&g);
     for kind in LayerKind::all() {
-        // Small chunks stress the chunk de-framing; the RMA layer's one slot
-        // per peer requires chunking off (see `GeminiConfig::chunk_bytes`).
-        let chunk_bytes = if matches!(kind, LayerKind::MpiRma) {
-            usize::MAX
-        } else {
-            1 << 10
-        };
         let before = lci_trace::global().snapshot();
         let (layers, _world) = build_layers(
             kind,
@@ -332,8 +325,9 @@ fn gemini_chunk_streams_survive_adversarial_wire_faults() {
             mini_mpi::MpiConfig::default().with_personality(mini_mpi::Personality::zero()),
             lci::LciConfig::for_hosts(3),
         );
+        // Small chunks stress the chunk de-framing, on every layer.
         let cfg = GeminiConfig {
-            chunk_bytes,
+            chunk_bytes: 1 << 10,
             ..GeminiConfig::default()
         };
         let got = run_gemini(&parts, Arc::new(Cc), &layers, &cfg).values;
