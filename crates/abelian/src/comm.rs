@@ -19,7 +19,8 @@
 //! The engine guarantees: `register_channel` is called collectively (same
 //! order on every host) before first use; each round on a channel is
 //! `begin → send (one or more per peer) → finish_sends → try_recv until
-//! every peer is complete`; rounds on a channel never overlap on one host.
+//! every peer is complete → sends_complete until it holds`; rounds on a
+//! channel never overlap on one host.
 //!
 //! What a layer must tolerate in return: nothing synchronises hosts between
 //! rounds except the rounds themselves, so with three or more hosts a fast
@@ -98,6 +99,17 @@ pub trait CommLayer: Send + Sync {
     /// per call.
     fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)>;
 
+    /// Whether the transport is done with every send this host has issued,
+    /// driving progress first if one is pending. [`recv_round`] asks once
+    /// every peer's traffic is in and does not return before it holds, so a
+    /// host leaves a round only once its own sends of that round are
+    /// complete: a rendezvous send once its peer has pulled the payload.
+    /// Layers whose sends are complete when `finish_sends` returns inherit
+    /// `true`.
+    fn sends_complete(&self) -> bool {
+        true
+    }
+
     /// A fatal, unrecoverable failure recorded by the layer — e.g. the
     /// transport's retransmission budget was exhausted and a peer declared
     /// unreachable. Once this returns `Some`, the current round can never
@@ -131,6 +143,11 @@ pub trait CommLayer: Send + Sync {
 /// Complete the receive half of a round on `channel`: poll until `p-1`
 /// peers are done, handing `on_msg` each arrival as `(src, data)`; it
 /// returns whether that message completed its peer's traffic for the round.
+/// Then wait until this host's own sends are complete
+/// ([`CommLayer::sends_complete`]), so that a host never opens the next round
+/// while a send of this one is still on its book. An eager send is complete
+/// when it is issued; a rendezvous send is pulled by its peer the next time
+/// that peer drives progress, which every waiting host does.
 ///
 /// This is the only place a round waits, so it is also where aborts are
 /// bounded: a failed layer can never deliver the missing messages, so an
@@ -140,15 +157,16 @@ pub trait CommLayer: Send + Sync {
 /// on a frame it still waits to have acknowledged; so when the round has
 /// heard nothing for [`PING_AFTER`], every peer still owing it traffic is
 /// pinged ([`CommLayer::ping`]), and again after each further quiet
-/// [`PING_AFTER`]. That bounds the wait on a peer that crashed after
-/// acknowledging everything this host sent it, or that left the run with
-/// an error of its own, when no survivor has a frame toward it.
+/// [`PING_AFTER`] (every peer, once the wait is on this host's own sends).
+/// That bounds the wait on a peer that crashed after acknowledging
+/// everything this host sent it, or that left the run with an error of its
+/// own, when no survivor has a frame toward it.
 pub fn recv_round(
     layer: &dyn CommLayer,
     channel: usize,
     mut on_msg: impl FnMut(u16, Vec<u8>) -> bool,
 ) -> Result<(), String> {
-    let p = layer.num_hosts();
+    let (p, me) = (layer.num_hosts(), layer.rank() as usize);
     // The peers still owed traffic, on the stack for up to 64 hosts.
     let (mut inline, mut heap) = ([true; 64], Vec::new());
     let owed = if p <= inline.len() {
@@ -157,13 +175,15 @@ pub fn recv_round(
         heap.resize(p, true);
         &mut heap[..]
     };
-    owed[layer.rank() as usize] = false;
+    owed[me] = false;
     let mut done = 0usize;
     // Empty polls since the last arrival, and when they were first seen
     // (the clock is read once every `POLLS_PER_LOOK` of them).
     let (mut empty, mut quiet_since) = (0u32, None);
-    while done + 1 < p {
-        match layer.try_recv(channel) {
+    // The send ledger is looked at only once every peer is in.
+    while done + 1 < p || !layer.sends_complete() {
+        let arrival = if done + 1 < p { layer.try_recv(channel) } else { None };
+        match arrival {
             Some((src, data)) => {
                 if on_msg(src, data) {
                     owed[src as usize] = false;
@@ -179,7 +199,8 @@ pub fn recv_round(
                 if empty % POLLS_PER_LOOK == 0 {
                     let now = Instant::now();
                     if now.duration_since(*quiet_since.get_or_insert(now)) >= PING_AFTER {
-                        for peer in (0..p).filter(|&h| owed[h]) {
+                        let all_in = done + 1 == p;
+                        for peer in (0..p).filter(|&h| owed[h] || (all_in && h != me)) {
                             layer.ping(peer as u16);
                         }
                         quiet_since = Some(now);
@@ -238,10 +259,14 @@ pub fn exchange_all(
 
 /// Channel ids used by the engine.
 pub mod channels {
-    /// Mirror→master reduction payloads, each opened by the sender's
-    /// termination vote (`engine::put_vote`): the first phase of every
-    /// round, and its only one on an edge-cut.
+    /// Mirror→master reduction payloads: the first phase of a round whose
+    /// partitioning gives some mirror a local in-edge (and of every Gemini
+    /// round), and then each payload opens with the sender's termination
+    /// vote (`engine::put_vote`). The only phase on an edge-cut.
     pub const REDUCE: usize = 0;
-    /// Master→mirror broadcast payloads.
+    /// Master→mirror broadcast payloads: run when the partitioning gives
+    /// some mirror a local out-edge. The only phase on an incoming-edge cut
+    /// (a Cartesian cut with one grid row), and then each payload opens with
+    /// the vote.
     pub const BROADCAST: usize = 1;
 }

@@ -14,10 +14,11 @@
 //! differs between engines is only the exchange:
 //!
 //! * Abelian ([`ProxySync`], this module): **reduce** changed mirror values
-//!   to their masters as compact `(plan-index, value)` pairs, then — exactly
-//!   when the partitioning gives mirrors out-edges, i.e. vertex-cuts —
-//!   **broadcast** firing masters' emissions to mirrors, which push along
-//!   *their* local out-edges.
+//!   to their masters as compact `(plan-index, value)` pairs — exactly when
+//!   the partitioning gives some mirror a local in-edge — then **broadcast**
+//!   firing masters' emissions to mirrors, which push along *their* local
+//!   out-edges — exactly when it gives some mirror one of those. An
+//!   outgoing-edge cut only reduces, an incoming-edge cut only broadcasts.
 //! * Gemini (`gemini::engine`): dense/sparse chunked push over the blocked
 //!   edge-cut, no broadcast.
 //!
@@ -31,7 +32,7 @@ use crate::checkpoint::{CheckpointStore, CkptPlan, Snapshot};
 use crate::comm::{channels, recv_round, ChannelSpec, CommLayer};
 use crate::label::{BitSet, Label, LabelVec};
 use crate::metrics::{HostMetrics, RoundMetrics};
-use lci_graph::{DistGraph, Partitioning, Policy, Vid};
+use lci_graph::{DistGraph, Partitioning, Vid};
 use lci_trace::ring::now_ns;
 use lci_trace::{record_at, Counter, EventKind, Registry, Span};
 use std::sync::Arc;
@@ -115,11 +116,7 @@ pub fn run_app_with_ckpt<A: App>(
     _cfg: &EngineConfig,
     ckpt: Option<&CkptPlan>,
 ) -> Result<RunResult<A::Acc>, String> {
-    // Vertex cuts give mirrors out-edges and so need the broadcast; the
-    // blocked edge-cut does not — Abelian's partition-aware communication
-    // minimization.
-    let sync = ProxySync { broadcast: parts.policy != Policy::EdgeCutBlocked };
-    run_rounds(parts, &*app, layers, &sync, ckpt)
+    run_rounds(parts, &*app, layers, &ProxySync::of(parts), ckpt)
 }
 
 /// An engine's per-round data exchange — the one thing that differs between
@@ -127,11 +124,11 @@ pub fn run_app_with_ckpt<A: App>(
 /// format and a synchronization algorithm; the skeleton owns everything
 /// else. Dispatch is static: `deliver` is the hot loop.
 pub trait Exchange: Sync {
-    /// Whether the strategy ships firing masters' emissions to mirrors. When
-    /// true the skeleton registers [`channels::BROADCAST`] next to
-    /// [`channels::REDUCE`] and records each round which masters fired and
-    /// what they emitted.
-    fn broadcasts(&self) -> bool;
+    /// The channels a round exchanges on, in the order it runs them; every
+    /// message on the first also carries the vote. The skeleton registers
+    /// these and no others, and when they include [`channels::BROADCAST`] it
+    /// records each round which masters fired and what they emitted.
+    fn channels(&self) -> &'static [usize];
 
     /// Worst-case bytes `origin` sends `target` in one round on `channel`
     /// for labels of type `L` (the RMA layer pre-allocates from this; real
@@ -147,7 +144,7 @@ pub trait Exchange: Sync {
     /// Perform one round's data exchange for `host` over `layer`: ship what
     /// changed, and fold every peer's traffic in through
     /// [`HostState::deliver`] inside [`recv_round`]. Every message of the
-    /// first phase ([`channels::REDUCE`]) also carries `vote`
+    /// first phase (the first of [`Self::channels`]) also carries `vote`
     /// ([`put_vote`] / [`take_vote`]), this host's active count at the
     /// boundary the round started from; the sum over all hosts comes back in
     /// [`Exchanged::active`]. `Err` is the layer failure that aborted it.
@@ -490,19 +487,14 @@ fn host_main<A: App, X: Exchange>(
 ) -> Result<HostResult<A::Acc>, String> {
     let (p, part) = (parts.parts.len(), &parts.parts[h]);
     let me = part.host;
-    let broadcasts = exchange.broadcasts();
-    let st = HostState::new(part, app, broadcasts);
+    let data_channels = exchange.channels();
+    let st = HostState::new(part, app, data_channels.contains(&channels::BROADCAST));
     let mut round = match ckpt {
         Some(CkptPlan { store, resume_from: Some(r0), .. }) => st.restore(store, *r0)?,
         _ => 0,
     };
 
     // Channels: collective, uniform order.
-    let data_channels: &[usize] = if broadcasts {
-        &[channels::REDUCE, channels::BROADCAST]
-    } else {
-        &[channels::REDUCE]
-    };
     for &c in data_channels {
         let max = |o, t| exchange.max_message::<A::Acc>(parts, c, o, t);
         layer.register_channel(c, channel_spec(p, h, max));
@@ -591,13 +583,25 @@ fn host_main<A: App, X: Exchange>(
     })
 }
 
-/// Abelian's exchange: reduce over the mirror plans, then the
-/// policy-derived broadcast. Both directions ship one frame per peer.
+/// Abelian's exchange: reduce over the mirror plans, then broadcast over the
+/// master plans, each phase only if the partitioning can fill it. Both
+/// directions ship one frame per peer, and the vote rides the first phase
+/// that runs.
 struct ProxySync {
+    reduce: bool,
     broadcast: bool,
 }
 
 impl ProxySync {
+    /// The phases `parts` can fill ([`Partitioning::mirror_in_edges`],
+    /// [`Partitioning::mirror_out_edges`]). A partitioning that fills
+    /// neither (one host, or no edge crosses a host boundary) still reduces,
+    /// to carry the vote.
+    fn of(parts: &Partitioning) -> ProxySync {
+        let broadcast = parts.mirror_out_edges;
+        ProxySync { reduce: parts.mirror_in_edges || !broadcast, broadcast }
+    }
+
     /// Send every peer `t` one frame of the `(plan position, value)` pairs
     /// `entries[t]`, opened by `vote` if there is one; returns
     /// `(entries, bytes)` sent.
@@ -655,8 +659,13 @@ impl ProxySync {
 }
 
 impl Exchange for ProxySync {
-    fn broadcasts(&self) -> bool {
-        self.broadcast
+    fn channels(&self) -> &'static [usize] {
+        use channels::{BROADCAST, REDUCE};
+        match (self.reduce, self.broadcast) {
+            (true, true) => &[REDUCE, BROADCAST],
+            (false, true) => &[BROADCAST],
+            _ => &[REDUCE],
+        }
     }
 
     fn max_message<L: Label>(
@@ -685,26 +694,35 @@ impl Exchange for ProxySync {
     ) -> Result<Exchanged, String> {
         let (mirrors, masters) = (&host.part.mirror_send, &host.part.master_recv);
         let table = layer.counters();
+        let (mut sent_entries, mut sent_bytes, mut active) = (0, 0, vote);
+        let mut reduce_end = None;
 
         // ---- reduce phase: votes and changed mirrors → masters -----------
-        let reduce_span = Span::enter_in(table, Counter::PhaseReduceNs);
-        let changed = host.take_changed_mirrors();
-        let (mut sent_entries, mut sent_bytes) =
-            Self::send_frames(layer, channels::REDUCE, Some(vote), &changed);
-        let active = vote
-            + Self::recv_frames(layer, channels::REDUCE, masters, true, |l, v| {
+        if self.reduce {
+            let reduce_span = Span::enter_in(table, Counter::PhaseReduceNs);
+            let changed = host.take_changed_mirrors();
+            (sent_entries, sent_bytes) =
+                Self::send_frames(layer, channels::REDUCE, Some(vote), &changed);
+            active += Self::recv_frames(layer, channels::REDUCE, masters, true, |l, v| {
                 host.deliver(l, v)
             })?;
-        let reduce_end = reduce_span.end();
+            reduce_end = Some(reduce_span.end());
+        }
 
-        // ---- broadcast phase: firing masters' emissions → mirrors --------
+        // ---- broadcast phase: firing masters' emissions → mirrors, and the
+        // ---- votes when there was no reduce ------------------------------
         if self.broadcast {
-            let bcast_span = Span::enter_at(table, reduce_end, Counter::PhaseBroadcastNs);
+            let bcast_span = match reduce_end {
+                Some(t) => Span::enter_at(table, t, Counter::PhaseBroadcastNs),
+                None => Span::enter_in(table, Counter::PhaseBroadcastNs),
+            };
             let emitted = host.take_fired();
-            let (e, b) = Self::send_frames(layer, channels::BROADCAST, None, &emitted);
+            let voted = !self.reduce;
+            let (e, b) =
+                Self::send_frames(layer, channels::BROADCAST, voted.then_some(vote), &emitted);
             sent_entries += e;
             sent_bytes += b;
-            Self::recv_frames(layer, channels::BROADCAST, mirrors, false, |l, e: A::Acc| {
+            active += Self::recv_frames(layer, channels::BROADCAST, mirrors, voted, |l, e: A::Acc| {
                 // Canonical sync of the mirror cache (min-apps only:
                 // emissions equal canonical values there).
                 if !host.app.consuming() {
@@ -758,7 +776,7 @@ mod tests {
     use crate::apps::PageRank;
     use crate::comm::ChannelSpec;
     use crate::membook::MemBook;
-    use lci_graph::{gen, partition};
+    use lci_graph::{gen, partition, Policy};
     use proptest::prelude::*;
     use std::sync::Mutex;
 
@@ -903,17 +921,18 @@ mod tests {
     }
 
     /// A layer that keeps what it is handed and answers every round with one
-    /// entry-less frame from each peer.
+    /// entry-less frame from each peer, opened by a vote on channel `voted`.
     struct Recorder {
         rank: u16,
         hosts: usize,
+        voted: usize,
         sent: Mutex<Vec<(usize, u16, Vec<u8>)>>,
         due: Mutex<Vec<u16>>,
     }
 
     impl Recorder {
-        fn new(rank: u16, hosts: usize) -> Self {
-            Recorder { rank, hosts, sent: Mutex::default(), due: Mutex::default() }
+        fn new(rank: u16, hosts: usize, voted: usize) -> Self {
+            Recorder { rank, hosts, voted, sent: Mutex::default(), due: Mutex::default() }
         }
     }
 
@@ -940,7 +959,7 @@ mod tests {
         }
         fn finish_sends(&self, _channel: usize) {}
         fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)> {
-            let voted = if channel == channels::REDUCE { VOTE_BYTES } else { 0 };
+            let voted = if channel == self.voted { VOTE_BYTES } else { 0 };
             self.due.lock().unwrap().pop().map(|src| (src, vec![0; voted + 4]))
         }
     }
@@ -986,6 +1005,8 @@ mod tests {
         /// make the broadcast walk the fire set; all of them (on these
         /// partitions most hosts have fewer plan entries than masters) make it
         /// walk the plans. Either way the fire set is empty afterwards.
+        /// Without the reduce, the vote opens the broadcast frames instead and
+        /// every mirror keeps its mark.
         #[test]
         fn frames_are_the_plan_walks_bytes(
             hosts in 2usize..5,
@@ -994,6 +1015,7 @@ mod tests {
             delivered in prop::collection::vec((any::<u16>(), 0u8..4), 0..300),
             fired in prop::collection::vec(any::<u16>(), 0..100),
             all_fired in any::<bool>(),
+            reduce in any::<bool>(),
         ) {
             let parts = partition(&gen::rmat(9, 4, 0xD127), hosts, Policy::VertexCutCartesian);
             let (part, app) = (&parts.parts[h as usize % hosts], PageRank::default());
@@ -1011,18 +1033,23 @@ mod tests {
                 st.fired.insert(u);
             }
             let mut plain = Plain::of(&st);
-            let (me, reduce, bcast) = (part.host, channels::REDUCE, channels::BROADCAST);
-            let changed = |l| plain.take_changed(l);
-            let mut want = plan_walk_frames(reduce, me, &part.mirror_send, Some(vote), changed);
+            let me = part.host;
+            let sync = ProxySync { reduce, broadcast: true };
+            let first = sync.channels()[0];
+            let mut want = Vec::new();
+            if reduce {
+                let changed = |l| plain.take_changed(l);
+                want = plan_walk_frames(first, me, &part.mirror_send, Some(vote), changed);
+            }
             let emitted = |l: usize| st.fired.contains(l).then(|| st.emits.get::<f32>(l));
-            want.extend(plan_walk_frames(bcast, me, &part.master_recv, None, emitted));
+            let (bcast, bvote) = (channels::BROADCAST, (!reduce).then_some(vote));
+            want.extend(plan_walk_frames(bcast, me, &part.master_recv, bvote, emitted));
             let (entries, bytes) = want.iter().fold((0, 0), |(e, b), (c, _, frame)| {
-                let voted = if *c == reduce { VOTE_BYTES } else { 0 };
+                let voted = if *c == first { VOTE_BYTES } else { 0 };
                 (e + (frame.len() - voted - 4) as u64 / 8, b + frame.len() as u64)
             });
 
-            let layer = Recorder::new(me, hosts);
-            let sync = ProxySync { broadcast: true };
+            let layer = Recorder::new(me, hosts, first);
             let done = sync.exchange(&st, &layer, vote).expect("no failure");
             prop_assert_eq!(layer.sent.into_inner().unwrap(), want);
             let sent = (done.sent_entries, done.sent_bytes, done.active);
@@ -1048,7 +1075,7 @@ mod tests {
             lci::LciConfig::for_hosts(2),
         );
         let (layers, _world) = build_layers(LayerKind::Lci, fabric, mpi, lci);
-        let (app, sync) = (Bfs { source: 0 }, ProxySync { broadcast: true });
+        let (app, sync) = (Bfs { source: 0 }, ProxySync { reduce: true, broadcast: true });
         let hosts: Vec<_> = std::thread::scope(|s| {
             let run = |h: usize| {
                 let (parts, app, sync, layer) = (&parts, &app, &sync, &*layers[h]);

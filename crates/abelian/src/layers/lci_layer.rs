@@ -153,6 +153,14 @@ impl CommLayer for LciLayer {
         inner.stash.pop(&self.book, self.counters(), tag)
     }
 
+    fn sends_complete(&self) -> bool {
+        let mut inner = self.inner.lock();
+        if !inner.sends.is_empty() {
+            self.pump(&mut inner);
+        }
+        inner.sends.is_empty()
+    }
+
     fn failure(&self) -> Option<String> {
         if let Some(msg) = self.failed.get() {
             return Some(msg.clone());

@@ -176,6 +176,14 @@ impl CommLayer for MpiProbeLayer {
         inner.stash.pop(&self.book, self.counters(), tag)
     }
 
+    fn sends_complete(&self) -> bool {
+        let mut inner = self.inner.lock();
+        if !inner.sends.is_empty() {
+            self.pump(&mut inner);
+        }
+        inner.sends.is_empty()
+    }
+
     fn failure(&self) -> Option<String> {
         self.failed.get().cloned().or_else(|| self.comm.failure())
     }

@@ -4,10 +4,13 @@
 //! the LCI paper describes it (§II–III): vertex programs execute in bulk-
 //! synchronous rounds over a partitioned graph with master/mirror proxies;
 //! each round's communication phase follows the gather-communicate-scatter
-//! pattern, synchronizing proxies with *reduce* (mirrors → master) and,
-//! when the partitioning requires it, *broadcast* (master → mirrors). The
-//! runtime is partition-aware: it picks the needed patterns from the policy
-//! and ships only updated labels with compact positional metadata.
+//! pattern, synchronizing proxies with *reduce* (mirrors → master) and
+//! *broadcast* (master → mirrors), each only when the partitioning can fill
+//! it. The runtime is partition-aware: it picks the needed patterns from the
+//! partitioning's structure (does some mirror have a local in-edge, does
+//! some mirror have a local out-edge), runs one phase a round where one
+//! suffices, and ships only updated labels with compact positional
+//! metadata.
 //!
 //! Communication is pluggable behind [`comm::CommLayer`], with the paper's
 //! three implementations in [`layers`]: LCI, MPI-Probe, and MPI-RMA.

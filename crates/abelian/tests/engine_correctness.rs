@@ -2,10 +2,12 @@
 //! partitioning policy must reproduce the sequential reference results.
 
 use abelian::apps::{reference, App, Bfs, Cc, PageRank, Sssp, WidestPath};
+use abelian::comm::{channels, ChannelSpec, CommLayer};
 use abelian::{build_layers, run_app, EngineConfig, LayerKind};
 use lci_fabric::FabricConfig;
-use lci_graph::{gen, partition, CsrGraph, Policy};
-use std::sync::Arc;
+use lci_graph::{gen, partition, CsrGraph, Partitioning, Policy};
+use lci_trace::{Counter, Registry};
+use std::sync::{Arc, Mutex};
 
 fn run<A: App>(
     g: &CsrGraph,
@@ -403,4 +405,152 @@ fn probe_follows_a_fixpoint_and_never_a_round_cap() {
     let capped = PageRank { max_iters: 3, ..PageRank::default() };
     let (rounds, messages) = rounds_and_messages(capped);
     assert_eq!((rounds, messages), (3, 6), "a capped run exchanges once per round");
+}
+
+// ---- the phases a round runs are the ones its partition can fill ----------
+
+/// A host's layer with a tally: which channels the engine registered, and how
+/// many messages it sent on each.
+struct Tally {
+    inner: Arc<dyn CommLayer>,
+    registered: Mutex<Vec<usize>>,
+    sent: Mutex<[u64; 2]>,
+}
+
+impl CommLayer for Tally {
+    fn rank(&self) -> u16 {
+        self.inner.rank()
+    }
+    fn num_hosts(&self) -> usize {
+        self.inner.num_hosts()
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn membook(&self) -> Arc<abelian::MemBook> {
+        self.inner.membook()
+    }
+    fn counters(&self) -> &Registry {
+        self.inner.counters()
+    }
+    fn register_channel(&self, channel: usize, spec: ChannelSpec) {
+        self.registered.lock().unwrap().push(channel);
+        self.inner.register_channel(channel, spec)
+    }
+    fn begin(&self, channel: usize) {
+        self.inner.begin(channel)
+    }
+    fn send(&self, channel: usize, dst: u16, data: Vec<u8>) {
+        self.sent.lock().unwrap()[channel] += 1;
+        self.inner.send(channel, dst, data)
+    }
+    fn finish_sends(&self, channel: usize) {
+        self.inner.finish_sends(channel)
+    }
+    fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)> {
+        self.inner.try_recv(channel)
+    }
+    fn sends_complete(&self) -> bool {
+        self.inner.sends_complete()
+    }
+    fn failure(&self) -> Option<String> {
+        self.inner.failure()
+    }
+    fn ping(&self, peer: u16) {
+        self.inner.ping(peer)
+    }
+    fn quiesce(&self) {
+        self.inner.quiesce()
+    }
+}
+
+/// `app`'s values on `parts` over `kind`, asserting on the way that the run
+/// was broadcast-only: every host registered and sent on `BROADCAST` alone,
+/// and its table holds broadcast time and no reduce time.
+fn broadcast_only<A: App>(parts: &Partitioning, kind: LayerKind, app: A) -> Vec<A::Acc> {
+    let hosts = parts.parts.len();
+    let (layers, _world) = build_layers(
+        kind,
+        FabricConfig::test(hosts),
+        mini_mpi::MpiConfig::default().with_personality(mini_mpi::Personality::zero()),
+        lci::LciConfig::for_hosts(hosts),
+    );
+    let tally = |inner| Tally { inner, registered: Mutex::default(), sent: Mutex::default() };
+    let tallies: Vec<Arc<Tally>> = layers.into_iter().map(|l| Arc::new(tally(l))).collect();
+    let dyn_layers: Vec<Arc<dyn CommLayer>> =
+        tallies.iter().map(|t| Arc::clone(t) as Arc<dyn CommLayer>).collect();
+    let r = run_app(parts, Arc::new(app), &dyn_layers, &EngineConfig::default());
+    for (h, t) in tallies.iter().enumerate() {
+        let how = format!("{}, host {h} of {hosts}", kind.name());
+        assert_eq!(*t.registered.lock().unwrap(), [channels::BROADCAST], "{how}");
+        let sent = *t.sent.lock().unwrap();
+        assert_eq!(sent[channels::REDUCE], 0, "{how}: REDUCE messages");
+        // One frame a peer a round, and one more for the probe.
+        let rounds = r.hosts[h].metrics.num_rounds() as u64;
+        assert_eq!(sent[channels::BROADCAST], (hosts as u64 - 1) * (rounds + 1), "{how}");
+        let table = t.counters();
+        assert_eq!(table.get(Counter::PhaseReduceNs), 0, "{how}");
+        assert!(table.get(Counter::PhaseBroadcastNs) > 0, "{how}");
+    }
+    r.values
+}
+
+/// A Cartesian cut with one grid row (two and three hosts) is an
+/// incoming-edge cut: every edge lives with its destination's owner, so no
+/// mirror has a local in-edge and a reduce would carry nothing but the vote.
+/// The round runs the broadcast alone with the vote aboard, and all six apps
+/// still match their references on every layer.
+#[test]
+fn an_incoming_edge_cut_broadcasts_alone_and_matches_the_references() {
+    use abelian::apps::MultiSourceReach;
+    let g = gen::randomize_weights(&gen::rmat(8, 6, 31), 10, 7);
+    let sources = vec![0, 17, 99];
+    for hosts in [2, 3] {
+        let parts = partition(&g, hosts, Policy::VertexCutCartesian);
+        assert!(!parts.mirror_in_edges && parts.mirror_out_edges, "{hosts} hosts");
+        for kind in LayerKind::all() {
+            let how = format!("{} on {hosts} hosts", kind.name());
+            let run = |app| broadcast_only(&parts, kind, app);
+            assert_eq!(run(Bfs { source: 0 }), reference::bfs(&g, 0), "bfs, {how}");
+            let sssp = broadcast_only(&parts, kind, Sssp { source: 0 });
+            assert_eq!(sssp, reference::sssp(&g, 0), "sssp, {how}");
+            assert_eq!(broadcast_only(&parts, kind, Cc), reference::cc(&g), "cc, {how}");
+            let widest = broadcast_only(&parts, kind, WidestPath { source: 0 });
+            assert_eq!(widest, reference::widest_path(&g, 0), "widest, {how}");
+            let reach = MultiSourceReach { sources: sources.clone() };
+            let reach = broadcast_only(&parts, kind, reach);
+            assert_eq!(reach, reference::multi_source_reach(&g, &sources), "reach, {how}");
+            let ranks = broadcast_only(&parts, kind, PageRank::default());
+            let pr = PageRank::default();
+            let expect = reference::pagerank(&g, pr.alpha, pr.tolerance, pr.max_iters);
+            assert_ranks_close(&ranks, &expect, &how);
+        }
+    }
+}
+
+/// The Fig. 5 footprint is a function of the inputs, not of the timing: a
+/// host leaves a round only once its own sends of that round are complete,
+/// so a rendezvous send of one round is never on a host's book beside the
+/// next round's. Five PageRank runs over LCI on two hosts, whose broadcast
+/// frames take the rendezvous path, report the same peak.
+#[test]
+fn pagerank_footprint_is_the_same_every_run() {
+    let parts = partition(&gen::rmat(13, 16, 5), 2, Policy::VertexCutCartesian);
+    let peak = || {
+        let (layers, world) = build_layers(
+            LayerKind::Lci,
+            FabricConfig::test(2),
+            mini_mpi::MpiConfig::default(),
+            lci::LciConfig::for_hosts(2),
+        );
+        let r = run_app(&parts, Arc::new(PageRank::default()), &layers, &EngineConfig::default());
+        let abelian::LayerWorld::Lci(world) = world else { unreachable!("built for LCI") };
+        let rdv: u64 = world.devices().into_iter().map(|d| d.stats().rdv_opened).sum();
+        assert!(rdv > 0, "the frames must take the rendezvous path");
+        r.mem_peak_max()
+    };
+    let first = peak();
+    for run in 1..5 {
+        assert_eq!(peak(), first, "run {run} of 5");
+    }
 }

@@ -114,8 +114,8 @@ pub fn run_gemini_recoverable<A: App>(
 /// per-message costs) — and a peer is complete once its announced chunk
 /// count has arrived.
 impl Exchange for GeminiConfig {
-    fn broadcasts(&self) -> bool {
-        false
+    fn channels(&self) -> &'static [usize] {
+        &[channels::REDUCE]
     }
 
     fn max_message<L: Label>(

@@ -17,6 +17,16 @@
 //! **no per-vertex ids** when all entries are sent — and only compact
 //! positional indices when sending updated entries — which is exactly the
 //! metadata minimization Abelian performs.
+//!
+//! Which of the two patterns can carry data at all is a fact of the
+//! partitioning, recorded once by [`partition`]: a mirror's value moves only
+//! along a local edge ending at it, so the reduce is empty unless some host
+//! has such an edge ([`Partitioning::mirror_in_edges`]); an emission
+//! broadcast to a mirror goes on only along the mirror's local out-edges, so
+//! the broadcast is empty unless some mirror has one
+//! ([`Partitioning::mirror_out_edges`]). An outgoing-edge cut (the blocked
+//! edge-cut) never needs the broadcast; an incoming-edge cut (a Cartesian
+//! cut with one grid row) never needs the reduce.
 
 use crate::{CsrGraph, Vid};
 
@@ -138,6 +148,13 @@ pub struct Partitioning {
     pub parts: Vec<DistGraph>,
     /// Global vertex → owner host.
     pub owner: Vec<u16>,
+    /// Whether some host has a local edge ending at a mirror: only such an
+    /// edge moves a mirror's value, so without one a reduce carries nothing.
+    pub mirror_in_edges: bool,
+    /// Whether some mirror has a local out-edge: only such an edge takes a
+    /// broadcast emission anywhere, so without one a broadcast carries
+    /// nothing.
+    pub mirror_out_edges: bool,
 }
 
 /// Split `0..n` into `p` contiguous ranges with roughly equal `load` sums.
@@ -256,6 +273,7 @@ pub fn partition(g: &CsrGraph, num_hosts: usize, policy: Policy) -> Partitioning
     }
 
     let mut parts: Vec<DistGraph> = Vec::with_capacity(num_hosts);
+    let (mut mirror_in_edges, mut mirror_out_edges) = (false, false);
     for h in 0..num_hosts {
         let mut masters: Vec<Vid> = Vec::new();
         let mut mirrors: Vec<Vid> = Vec::new();
@@ -276,7 +294,13 @@ pub fn partition(g: &CsrGraph, num_hosts: usize, policy: Policy) -> Partitioning
         }
         let local_edges: Vec<(Vid, Vid, u32)> = host_edges[h]
             .iter()
-            .map(|&(u, v, w)| (g2l[u as usize], g2l[v as usize], w))
+            .map(|&(u, v, w)| {
+                let (lu, lv) = (g2l[u as usize], g2l[v as usize]);
+                // Locals from `num_masters` up are mirrors.
+                mirror_out_edges |= lu >= num_masters;
+                mirror_in_edges |= lv >= num_masters;
+                (lu, lv, w)
+            })
             .collect();
         let local = if g.is_weighted() {
             CsrGraph::from_edges_weighted(l2g.len(), &local_edges)
@@ -330,6 +354,8 @@ pub fn partition(g: &CsrGraph, num_hosts: usize, policy: Policy) -> Partitioning
         policy,
         parts,
         owner,
+        mirror_in_edges,
+        mirror_out_edges,
     }
 }
 
@@ -338,6 +364,13 @@ impl Partitioning {
     /// Used by tests and available for callers validating custom inputs.
     pub fn validate(&self, g: &CsrGraph) {
         let p = self.parts.len();
+        // The two edge facts, re-derived by scanning every local CSR: does
+        // some local edge have a mirror at the `end` picked?
+        let mirror_at = |end: fn((Vid, Vid, u32)) -> Vid| {
+            self.parts.iter().any(|d| d.local.edges().any(|e| !d.is_master(end(e))))
+        };
+        assert_eq!(self.mirror_in_edges, mirror_at(|(_, v, _)| v), "mirror_in_edges");
+        assert_eq!(self.mirror_out_edges, mirror_at(|(u, _, _)| u), "mirror_out_edges");
         // Edge conservation.
         let total: usize = self.parts.iter().map(|d| d.local.num_edges()).sum();
         assert_eq!(total, g.num_edges(), "edges lost or duplicated");

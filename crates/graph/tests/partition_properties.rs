@@ -1,7 +1,7 @@
 //! Property-based tests of partitioning invariants across random graphs,
 //! host counts, and policies.
 
-use lci_graph::{gen, partition, CsrGraph, Policy};
+use lci_graph::{gen, partition, CsrGraph, DistGraph, Partitioning, Policy, Vid};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
@@ -60,6 +60,33 @@ proptest! {
         }
     }
 
+    /// The two edge facts `partition` records are what a scan of every
+    /// host's local CSR finds, a mirror told apart by the owner map: for
+    /// every policy, one to eight hosts, weighted or not. An outgoing-edge
+    /// cut (the blocked edge-cut) never gives a mirror an out-edge; an
+    /// incoming-edge cut (a Cartesian cut with one grid row: 2, 3, 5 or 7
+    /// hosts) never gives one an in-edge.
+    #[test]
+    fn mirror_edge_flags_match_a_scan_of_the_local_graphs(g in arb_graph()) {
+        let weighted = gen::randomize_weights(&g, 9, 3);
+        for g in [&g, &weighted] {
+            for policy in Policy::all() {
+                for hosts in 1..=8 {
+                    let p = partition(g, hosts, policy);
+                    let how = format!("{} on {hosts} hosts", policy.name());
+                    let recorded = (p.mirror_in_edges, p.mirror_out_edges);
+                    prop_assert_eq!(mirror_edges(&p), recorded, "{}", how);
+                    if policy == Policy::EdgeCutBlocked {
+                        prop_assert!(!p.mirror_out_edges, "{}", how);
+                    }
+                    if policy == Policy::VertexCutCartesian && [2, 3, 5, 7].contains(&hosts) {
+                        prop_assert!(!p.mirror_in_edges, "{}", how);
+                    }
+                }
+            }
+        }
+    }
+
     /// Degree annotations match the global graph.
     #[test]
     fn global_degrees_annotated_correctly(g in arb_graph(), hosts in 1usize..6) {
@@ -87,4 +114,46 @@ proptest! {
         b.sort_unstable();
         prop_assert_eq!(a, b);
     }
+}
+
+/// `(some local edge ends at a mirror, some local edge starts at one)`,
+/// scanning every host's local CSR and asking the owner map.
+fn mirror_edges(p: &Partitioning) -> (bool, bool) {
+    let mirror = |d: &DistGraph, l: Vid| p.owner[d.l2g[l as usize] as usize] != d.host;
+    let (mut into, mut out_of) = (false, false);
+    for d in &p.parts {
+        for (u, v, _) in d.local.edges() {
+            out_of |= mirror(d, u);
+            into |= mirror(d, v);
+        }
+    }
+    (into, out_of)
+}
+
+/// The scan is not vacuous: a hash cut and a 2 × 2 Cartesian cut of a
+/// skewed graph set both flags, and one host sets neither.
+#[test]
+fn vertex_cuts_with_two_grid_rows_set_both_flags() {
+    let g = gen::rmat(8, 8, 5);
+    for policy in [Policy::VertexCutHash, Policy::VertexCutCartesian] {
+        let p = partition(&g, 4, policy);
+        assert_eq!((p.mirror_in_edges, p.mirror_out_edges), (true, true), "{}", policy.name());
+    }
+    let p = partition(&g, 1, Policy::VertexCutHash);
+    assert_eq!((p.mirror_in_edges, p.mirror_out_edges), (false, false));
+}
+
+/// `validate` re-derives both flags: a partitioning that claims the wrong
+/// one fails it.
+#[test]
+fn validate_checks_both_mirror_edge_flags() {
+    let g = gen::rmat(7, 8, 9);
+    let flip = |which: fn(&mut Partitioning) -> &mut bool| {
+        let mut p = partition(&g, 4, Policy::VertexCutHash);
+        p.validate(&g);
+        *which(&mut p) ^= true;
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.validate(&g))).is_err()
+    };
+    assert!(flip(|p| &mut p.mirror_in_edges), "a wrong mirror_in_edges passed");
+    assert!(flip(|p| &mut p.mirror_out_edges), "a wrong mirror_out_edges passed");
 }

@@ -78,7 +78,8 @@ fn descending_path(n: usize) -> lci_graph::CsrGraph {
 const HOSTS: usize = 4;
 const CRASH_HOST: u16 = 1;
 /// Packets involving the crash host before it dies. A round is one exchange
-/// on an edge cut and two on a vertex cut (there is no control exchange), so
+/// on an edge cut and two on the 2 × 2 Cartesian cut of four hosts (there is
+/// no control exchange), so
 /// the window this must fall in is set by the lightest and the heaviest run
 /// below: Gemini over LCI or MPI-Probe finishes within 250–300 such packets
 /// (the crash must still fire), and Abelian over MPI-RMA needs 100–150 of
@@ -260,12 +261,15 @@ fn gemini_bfs_crash_recovery_bit_identical_on_every_layer() {
 #[test]
 fn crash_without_recovery_aborts_bounded_on_every_layer() {
     let g = gen::rmat(6, 4, 0xC4A5);
+    // One grid row: a round is one exchange, the broadcast. Host 1 is party
+    // to 22–23 packets of a crash-free run over LCI or MPI-Probe and 43 over
+    // MPI-RMA, so the crash lands mid-run on every layer.
     let parts = partition(&g, 3, Policy::VertexCutCartesian);
     for kind in LayerKind::all() {
         let seed = fabric_seed(0x0BAD ^ kind as u64);
         let (layers, _world) = build_layers(
             kind,
-            fabric_cfg(3, seed, crash_plan(1, 30)),
+            fabric_cfg(3, seed, crash_plan(1, 15)),
             mpi_cfg(),
             lci::LciConfig::for_hosts(3),
         );
@@ -427,13 +431,15 @@ fn survivor_waiting_on_a_peer_it_owes_nothing_aborts_bounded_on_every_layer() {
 #[test]
 fn recovery_checkpoint_schedule_replays_from_seed() {
     let g = descending_path(32);
+    // One grid row, one exchange a round: host 1 is party to 134 packets of
+    // the crash-free run, so 100 lands near round 24 of 32.
     let parts = partition(&g, 3, Policy::VertexCutCartesian);
     let seed = fabric_seed(0x5EED);
     let rec = RecoveryConfig { ckpt_every: 3, max_attempts: 4 };
     let run = || {
         let mut rw = RecoveryWorld::new(
             LayerKind::Lci,
-            fabric_cfg(3, seed, crash_plan(1, 200)),
+            fabric_cfg(3, seed, crash_plan(1, 100)),
             mpi_cfg(),
             lci::LciConfig::for_hosts(3),
         );
