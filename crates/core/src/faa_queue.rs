@@ -9,18 +9,32 @@
 //! consumers use a sequence-checked compare-exchange so that `try_pop` on an
 //! empty queue is non-destructive.
 //!
+//! The ring is built a segment at a time: its slots live in segments of
+//! `SEGMENT` (256) slots, and the producer that first claims a ticket in a
+//! segment builds it, stamped as if the whole ring had been built up front.
+//! A consumer that finds its slot's segment unbuilt reads the slot as empty,
+//! which it is: no producer has reached it yet. A queue sized for a fabric's
+//! worst case (65 536 receive credits on a test fabric) so costs the
+//! segments its traffic reaches, not 3.7 MB at construction.
+//!
 //! # Capacity invariant
 //!
 //! `push` never fails; it waits for its claimed slot to free. The caller must
 //! therefore bound the number of in-flight items by the queue's capacity.
-//! LCI guarantees this structurally: every enqueued packet holds either a
-//! pool packet or a fabric receive credit, and the queue is sized to the sum
-//! of both budgets.
+//! LCI guarantees this structurally: every first-packet `lci::Device` queues
+//! holds the fabric receive credit it arrived in (an RTS whose answer is
+//! deferred waits on a side list, not here), so at most `rx_buffers` items
+//! are ever in flight, and the device sizes the ring to at least that.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// Slots per segment of the ring (a power of two): a segment of
+/// `lci::Device`'s 56-byte first-packet slots is 14 KB.
+const SEGMENT: usize = 256;
 
 /// A value aligned, and so padded, to 128 bytes: two of them never share a
 /// cache line, nor the adjacent line x86-64 prefetches with it.
@@ -45,6 +59,9 @@ struct Slot<T> {
     val: UnsafeCell<MaybeUninit<T>>,
 }
 
+/// A run of consecutive slots of the ring.
+type Segment<T> = Box<[Slot<T>]>;
+
 /// Bounded MPMC queue; see module docs.
 ///
 /// ```
@@ -57,32 +74,59 @@ struct Slot<T> {
 /// assert_eq!(q.try_pop(), None);
 /// ```
 pub struct MpmcQueue<T> {
-    slots: Box<[Slot<T>]>,
+    /// The ring, `capacity / SEGMENT` segments (one, shorter, when the
+    /// capacity is smaller), each built on first use.
+    segments: Box<[OnceLock<Segment<T>>]>,
     mask: usize,
+    /// The ticket the counters started at: slot `s` is first writable by the
+    /// ticket of the first lap that lands on it.
+    start: usize,
     tail: CachePadded<AtomicUsize>,
     head: CachePadded<AtomicUsize>,
 }
 
+// SAFETY: the queue moves each `T` from the pushing thread to the popping
+// one, hence `T: Send`; no `&T` is ever shared. A slot's value is written
+// only by the producer and read only by the consumer its sequence stamp
+// admits (see `push`/`try_pop`). The other fields are atomics, `OnceLock`s
+// (a segment is published once, by the one initialiser that runs) and
+// values fixed at construction.
 unsafe impl<T: Send> Send for MpmcQueue<T> {}
 unsafe impl<T: Send> Sync for MpmcQueue<T> {}
 
 impl<T> MpmcQueue<T> {
     /// Create a queue with capacity `cap` rounded up to a power of two.
     pub fn new(cap: usize) -> Self {
-        let cap = cap.next_power_of_two().max(2);
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
+        Self::with_initial_ticket(cap, 0)
+    }
+
+    /// The slot of `ticket`, its segment built if this is the first ticket
+    /// to reach it.
+    fn slot(&self, ticket: usize) -> &Slot<T> {
+        let i = ticket & self.mask;
+        let segment = self.segments[i / SEGMENT].get_or_init(|| self.build(i / SEGMENT));
+        &segment[i % SEGMENT]
+    }
+
+    /// The slot of `ticket` if its segment is built.
+    fn built_slot(&self, ticket: usize) -> Option<&Slot<T>> {
+        let i = ticket & self.mask;
+        Some(&self.segments[i / SEGMENT].get()?[i % SEGMENT])
+    }
+
+    /// Segment `n`, stamped as construction would have stamped it: slot `s`
+    /// is writable by the first-lap ticket `start + ((s - start) & mask)`.
+    fn build(&self, n: usize) -> Segment<T> {
+        let first = n * SEGMENT;
+        (first..first + self.capacity().min(SEGMENT))
+            .map(|s| Slot {
+                seq: AtomicUsize::new(
+                    self.start
+                        .wrapping_add(s.wrapping_sub(self.start) & self.mask),
+                ),
                 val: UnsafeCell::new(MaybeUninit::uninit()),
             })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        MpmcQueue {
-            slots,
-            mask: cap - 1,
-            tail: CachePadded(AtomicUsize::new(0)),
-            head: CachePadded(AtomicUsize::new(0)),
-        }
+            .collect()
     }
 
     /// Capacity of the ring.
@@ -114,7 +158,7 @@ impl<T> MpmcQueue<T> {
     /// (bounded by the capacity invariant above).
     pub fn push(&self, value: T) {
         let ticket = self.tail.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[ticket & self.mask];
+        let slot = self.slot(ticket);
         // Wait until the slot is writable for this ticket.
         while slot.seq.load(Ordering::Acquire) != ticket {
             std::hint::spin_loop();
@@ -132,7 +176,8 @@ impl<T> MpmcQueue<T> {
     pub fn try_pop(&self) -> Option<T> {
         let mut head = self.head.load(Ordering::Relaxed);
         loop {
-            let slot = &self.slots[head & self.mask];
+            // An unbuilt segment holds nothing: no producer has reached it.
+            let slot = self.built_slot(head)?;
             let seq = slot.seq.load(Ordering::Acquire);
             // Signed wrapping distance from our ticket to the stamp — exact
             // even when the counters straddle usize::MAX.
@@ -172,18 +217,24 @@ impl<T> MpmcQueue<T> {
     /// exercise wraparound; not part of the supported API.
     #[doc(hidden)]
     pub fn with_initial_ticket(cap: usize, start: usize) -> Self {
-        let q = Self::new(cap);
-        // Stamp by *ticket*, not slot index: ticket `start + k` lives in slot
-        // `(start + k) & mask` and is writable when that slot's seq equals it.
-        for k in 0..q.capacity() {
-            let ticket = start.wrapping_add(k);
-            q.slots[ticket & q.mask]
-                .seq
-                .store(ticket, Ordering::Relaxed);
+        let cap = cap.next_power_of_two().max(2);
+        MpmcQueue {
+            segments: (0..cap.div_ceil(SEGMENT))
+                .map(|_| OnceLock::new())
+                .collect(),
+            mask: cap - 1,
+            start,
+            tail: CachePadded(AtomicUsize::new(start)),
+            head: CachePadded(AtomicUsize::new(start)),
         }
-        q.tail.store(start, Ordering::Relaxed);
-        q.head.store(start, Ordering::Relaxed);
-        q
+    }
+
+    /// How many of the ring's segments have been built. Public so tests
+    /// outside the crate can check what a queue has allocated; not part of
+    /// the supported API.
+    #[doc(hidden)]
+    pub fn segments_built(&self) -> usize {
+        self.segments.iter().filter(|s| s.get().is_some()).count()
     }
 }
 
@@ -367,6 +418,141 @@ mod tests {
         assert_eq!(got.len(), PRODUCERS * PER_PRODUCER);
         let set: HashSet<u64> = got.iter().copied().collect();
         assert_eq!(set.len(), PRODUCERS * PER_PRODUCER, "duplicates detected");
+    }
+
+    #[test]
+    fn fifo_across_segment_boundaries() {
+        let q = MpmcQueue::new(4 * SEGMENT);
+        // Fill past two boundaries, drain half, then run three laps.
+        for i in 0..3 * SEGMENT as u64 {
+            q.push(i);
+        }
+        for i in 0..3 * SEGMENT as u64 / 2 {
+            assert_eq!(q.try_pop(), Some(i));
+        }
+        let mut next_out = 3 * SEGMENT as u64 / 2;
+        for i in 3 * SEGMENT as u64..15 * SEGMENT as u64 {
+            q.push(i);
+            assert_eq!(q.try_pop(), Some(next_out), "order broke at ticket {i}");
+            next_out += 1;
+        }
+        while let Some(v) = q.try_pop() {
+            assert_eq!(v, next_out);
+            next_out += 1;
+        }
+        assert_eq!(next_out, 15 * SEGMENT as u64);
+    }
+
+    #[test]
+    fn wraparound_across_a_segment_boundary() {
+        // The first ticket sits 300 below usize::MAX, in the third of four
+        // segments: the first lap crosses into the fourth, then the counters
+        // wrap as the ring crosses back into the first.
+        let cap = 4 * SEGMENT;
+        let start = usize::MAX - 300;
+        let q = MpmcQueue::with_initial_ticket(cap, start);
+        assert_eq!((start & (cap - 1)) / SEGMENT, 2);
+        for i in 0..cap as u64 {
+            q.push(i);
+        }
+        assert_eq!(q.len(), cap);
+        assert_eq!(q.segments_built(), 4);
+        for i in 0..cap as u64 {
+            assert_eq!(q.try_pop(), Some(i));
+        }
+        // Keep a partial ring in flight across several more laps.
+        for i in 0..5 * cap as u64 {
+            q.push(i);
+            if i >= 100 {
+                assert_eq!(q.try_pop(), Some(i - 100));
+            }
+        }
+        assert_eq!(q.len(), 100);
+    }
+
+    #[test]
+    fn segments_are_built_when_tickets_reach_them() {
+        let q = MpmcQueue::<u64>::new(16 * SEGMENT);
+        assert_eq!(q.segments_built(), 0, "a fresh queue builds nothing");
+        assert!(q.try_pop().is_none());
+        assert_eq!(
+            q.segments_built(),
+            0,
+            "a pop on an empty ring builds nothing"
+        );
+        q.push(7);
+        assert_eq!(q.segments_built(), 1);
+        assert_eq!(q.try_pop(), Some(7));
+        for i in 1..SEGMENT as u64 {
+            q.push(i);
+            q.try_pop();
+        }
+        assert_eq!(q.segments_built(), 1, "one lap of one segment");
+        q.push(0);
+        assert_eq!(
+            q.segments_built(),
+            2,
+            "the first ticket of the next segment builds it"
+        );
+        // A small ring is one segment of its own size.
+        let small = MpmcQueue::<u8>::new(4);
+        small.push(1);
+        assert_eq!((small.capacity(), small.segments_built()), (4, 1));
+    }
+
+    #[test]
+    fn mpmc_stress_across_segments() {
+        const PRODUCERS: usize = 2;
+        const PER_PRODUCER: u64 = 20_000;
+        let q = Arc::new(MpmcQueue::new(16 * SEGMENT));
+        assert!(q.capacity() >= 4096);
+        let popped = Arc::new(AtomicUsize::new(0));
+        let total = PRODUCERS * PER_PRODUCER as usize;
+        let mut handles = Vec::new();
+        for p in 0..PRODUCERS as u64 {
+            let q = Arc::clone(&q);
+            handles.push(std::thread::spawn(move || {
+                for i in 0..PER_PRODUCER {
+                    while q.len() >= q.capacity() - PRODUCERS {
+                        std::thread::yield_now();
+                    }
+                    q.push(p * PER_PRODUCER + i);
+                }
+                Vec::new()
+            }));
+        }
+        for _ in 0..2 {
+            let (q, popped) = (Arc::clone(&q), Arc::clone(&popped));
+            handles.push(std::thread::spawn(move || {
+                let mut got = Vec::new();
+                while popped.load(Ordering::Relaxed) < total {
+                    match q.try_pop() {
+                        Some(v) => {
+                            got.push(v);
+                            popped.fetch_add(1, Ordering::Relaxed);
+                        }
+                        None => std::thread::yield_now(),
+                    }
+                }
+                got
+            }));
+        }
+        let mut got: Vec<u64> = Vec::new();
+        for h in handles {
+            let part = h.join().unwrap();
+            // Each consumer sees each producer's items in push order.
+            for p in 0..PRODUCERS as u64 {
+                let mine = part.iter().filter(|&&v| v / PER_PRODUCER == p);
+                assert!(mine.clone().zip(mine.skip(1)).all(|(a, b)| a < b));
+            }
+            got.extend(part);
+        }
+        got.sort_unstable();
+        assert!(
+            got.iter().copied().eq(0..total as u64),
+            "lost or duplicated"
+        );
+        assert_eq!(q.segments_built(), 16);
     }
 
     #[test]

@@ -39,6 +39,37 @@ proptest! {
         prop_assert_eq!(q.try_pop(), None);
     }
 
+    /// The same model on rings of several segments (the ring is built 256
+    /// slots at a time): bursts of pushes and pops walk the tickets across
+    /// segment boundaries and across `usize::MAX`, from any first segment.
+    #[test]
+    fn ticket_arithmetic_survives_wraparound_across_segments(
+        cap_pow in 9u32..13,
+        offset in 0usize..4096,
+        bursts in prop::collection::vec((any::<bool>(), 1usize..700), 1..24),
+    ) {
+        let cap = 1usize << cap_pow;
+        let q = MpmcQueue::with_initial_ticket(cap, usize::MAX - offset);
+        let mut model: VecDeque<u64> = VecDeque::new();
+        let mut next = 0u64;
+        for (push, n) in bursts {
+            for _ in 0..n {
+                if push && model.len() < cap {
+                    q.push(next);
+                    model.push_back(next);
+                    next += 1;
+                } else {
+                    prop_assert_eq!(q.try_pop(), model.pop_front());
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        while let Some(m) = model.pop_front() {
+            prop_assert_eq!(q.try_pop(), Some(m));
+        }
+        prop_assert_eq!(q.try_pop(), None);
+    }
+
     /// Concurrent producer/consumer racing across the wrap boundary loses
     /// nothing and preserves FIFO (single producer, single consumer).
     #[test]

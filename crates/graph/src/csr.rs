@@ -69,6 +69,27 @@ impl CsrGraph {
         }
     }
 
+    /// Assemble a graph from CSR arrays already built: `offsets` has
+    /// `n + 1` ascending entries ending at `edges.len()`, and `weights`, if
+    /// any, is as long as `edges`.
+    pub(crate) fn from_parts(offsets: Vec<u64>, edges: Vec<Vid>, weights: Option<Vec<u32>>) -> CsrGraph {
+        debug_assert_eq!(offsets.last().copied(), Some(edges.len() as u64));
+        debug_assert!(weights.as_ref().is_none_or(|w| w.len() == edges.len()));
+        CsrGraph {
+            offsets,
+            edges,
+            weights,
+        }
+    }
+
+    /// The weights of `u`'s out-edges, in [`Self::neighbors`] order, if the
+    /// graph is weighted.
+    pub(crate) fn weights_of(&self, u: Vid) -> Option<&[u32]> {
+        let lo = self.offsets[u as usize] as usize;
+        let hi = self.offsets[u as usize + 1] as usize;
+        self.weights.as_deref().map(|w| &w[lo..hi])
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.offsets.len() - 1

@@ -14,7 +14,7 @@
 
 use crate::{CsrGraph, Vid};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// R-MAT generator: `2^scale` vertices, `edge_factor * 2^scale` edges.
 ///
@@ -47,16 +47,21 @@ pub fn rmat_with(
     let m = edge_factor * n;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(m);
-    let (ab, abc) = (a + b, a + b + c);
+    // The uniform draw `r = (x >> 11) as f64 * 2^-53` of `rng.gen::<f64>()`
+    // reaches a threshold `t` exactly when the integer `x >> 11` reaches
+    // `ceil(t * 2^53)` (scaling by 2^53 is exact): the same stream and the
+    // same quadrants, compared without a conversion.
+    let reach = |t: f64| (t * (1u64 << 53) as f64).ceil() as u64;
+    let (ta, tab, tabc) = (reach(a), reach(a + b), reach(a + b + c));
     for _ in 0..m {
         let (mut u, mut v) = (0usize, 0usize);
         for _ in 0..scale {
-            let r: f64 = rng.gen();
+            let r = rng.next_u64() >> 11;
             // The quadrant is the number of thresholds `r` has reached, its
             // two bits the next bit of `u` and of `v`. Counting instead of
             // branching: `r` is uniform, so a branch on it is a coin flip to
             // the predictor, once per bit per edge.
-            let q = (r >= a) as usize + (r >= ab) as usize + (r >= abc) as usize;
+            let q = (r >= ta) as usize + (r >= tab) as usize + (r >= tabc) as usize;
             u = (u << 1) | (q >> 1);
             v = (v << 1) | (q & 1);
         }
@@ -139,8 +144,9 @@ pub fn randomize_weights(g: &CsrGraph, max_w: u32, seed: u64) -> CsrGraph {
 mod tests {
     use super::*;
 
-    /// `rmat_with` as a ladder of branches on `r`, one quadrant per arm:
-    /// the definition the branch-free count must reproduce edge for edge.
+    /// `rmat_with` as a ladder of branches on a float `r`, one quadrant per
+    /// arm: the definition the branch-free integer count must reproduce
+    /// edge for edge.
     fn rmat_ladder(scale: u32, edge_factor: usize, a: f64, b: f64, c: f64, seed: u64) -> CsrGraph {
         let n = 1usize << scale;
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -183,6 +189,21 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The integer thresholds pick the quadrants the float ladder picks,
+    /// also at a larger scale, from seeds far from the small ones above,
+    /// with thresholds at both ends of [0, 1] and ones that are no multiple
+    /// of 2^-53.
+    #[test]
+    fn integer_thresholds_equal_the_float_ladder() {
+        for seed in [99, 0xDEAD_BEEF] {
+            assert_eq!(rmat(14, 2, seed), rmat_ladder(14, 2, 0.55, 0.25, 0.1, seed), "rmat {seed}");
+            assert_eq!(kron(14, 2, seed), rmat_ladder(14, 2, 0.45, 0.25, 0.25, seed), "kron {seed}");
+        }
+        for (a, b, c) in [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.1, 0.2, 0.3)] {
+            assert_eq!(rmat_with(6, 4, a, b, c, 5), rmat_ladder(6, 4, a, b, c, 5), "({a}, {b}, {c})");
         }
     }
 

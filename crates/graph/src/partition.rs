@@ -204,6 +204,17 @@ fn grid_rows(p: usize) -> usize {
     best
 }
 
+/// One host's numbering and local CSR arrays while [`partition`] places
+/// the edges.
+struct Local {
+    l2g: Vec<Vid>,
+    g2l: Vec<Vid>,
+    num_masters: u32,
+    offsets: Vec<u64>,
+    edges: Vec<Vid>,
+    weights: Option<Vec<u32>>,
+}
+
 /// Partition `g` over `num_hosts` hosts with the given policy.
 ///
 /// ```
@@ -236,14 +247,23 @@ pub fn partition(g: &CsrGraph, num_hosts: usize, policy: Policy) -> Partitioning
     // ---- 2. edge assignment --------------------------------------------
     let pr = grid_rows(num_hosts);
     let pc = num_hosts / pr;
+    // The Cartesian host of (u, v) is `grid_row[u] + grid_col[v]`: the first
+    // host of owner(u)'s row group plus owner(v)'s column group, looked up
+    // per edge rather than divided out.
+    let (grid_row, grid_col): (Vec<u16>, Vec<u16>) = match policy {
+        Policy::VertexCutCartesian => owner
+            .iter()
+            .map(|&o| {
+                let o = o as usize;
+                (((o * pr) / num_hosts * pc) as u16, ((o * pc) / num_hosts) as u16)
+            })
+            .unzip(),
+        _ => (Vec::new(), Vec::new()),
+    };
     let edge_host = |u: Vid, v: Vid| -> u16 {
         match policy {
             Policy::EdgeCutBlocked => owner[u as usize],
-            Policy::VertexCutCartesian => {
-                let i = (owner[u as usize] as usize * pr) / num_hosts;
-                let j = (owner[v as usize] as usize * pc) / num_hosts;
-                (i * pc + j) as u16
-            }
+            Policy::VertexCutCartesian => grid_row[u as usize] + grid_col[v as usize],
             Policy::VertexCutHash => {
                 let h = (u as u64)
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -254,81 +274,116 @@ pub fn partition(g: &CsrGraph, num_hosts: usize, policy: Policy) -> Partitioning
         }
     };
 
-    let mut host_edges: Vec<Vec<(Vid, Vid, u32)>> = vec![Vec::new(); num_hosts];
-    for (u, v, w) in g.edges() {
-        host_edges[edge_host(u, v) as usize].push((u, v, w));
-    }
-
-    // ---- 3. per-host proxy sets and local graphs ------------------------
-    // proxy_hosts[v] lists the hosts holding a proxy of v (owner first).
+    // ---- 3. first pass: proxies and local out-degrees -------------------
+    // has_proxy[h][v]: host h holds a proxy of v (the owner always does);
+    // degree[h][u]: how many of u's out-edges host h holds.
     let mut has_proxy: Vec<Vec<bool>> = vec![vec![false; n]; num_hosts];
     for v in 0..n {
         has_proxy[owner[v] as usize][v] = true; // owner always has a master
     }
-    for (h, edges) in host_edges.iter().enumerate() {
-        for &(u, v, _) in edges {
+    let mut degree: Vec<Vec<u32>> = vec![vec![0; n]; num_hosts];
+    for u in 0..n as Vid {
+        for &v in g.neighbors(u) {
+            let h = edge_host(u, v) as usize;
             has_proxy[h][u as usize] = true;
             has_proxy[h][v as usize] = true;
+            degree[h][u as usize] += 1;
         }
     }
 
-    let mut parts: Vec<DistGraph> = Vec::with_capacity(num_hosts);
-    let (mut mirror_in_edges, mut mirror_out_edges) = (false, false);
-    for h in 0..num_hosts {
-        let mut masters: Vec<Vid> = Vec::new();
-        let mut mirrors: Vec<Vid> = Vec::new();
-        for v in 0..n {
-            if has_proxy[h][v] {
-                if owner[v] as usize == h {
-                    masters.push(v as Vid);
-                } else {
-                    mirrors.push(v as Vid);
+    // ---- 4. numbering: l2g, g2l and every local CSR's arrays -------------
+    let mut locals: Vec<Local> = (0..num_hosts)
+        .map(|h| {
+            let mut masters: Vec<Vid> = Vec::new();
+            let mut mirrors: Vec<Vid> = Vec::new();
+            for v in 0..n {
+                if has_proxy[h][v] {
+                    if owner[v] as usize == h {
+                        masters.push(v as Vid);
+                    } else {
+                        mirrors.push(v as Vid);
+                    }
                 }
             }
+            let num_masters = masters.len() as u32;
+            let l2g: Vec<Vid> = masters.into_iter().chain(mirrors).collect();
+            let mut g2l = vec![Vid::MAX; n];
+            let mut offsets = Vec::with_capacity(l2g.len() + 1);
+            offsets.push(0u64);
+            for (l, &gid) in l2g.iter().enumerate() {
+                g2l[gid as usize] = l as Vid;
+                offsets.push(offsets[l] + degree[h][gid as usize] as u64);
+            }
+            let m = offsets[l2g.len()] as usize;
+            Local {
+                l2g,
+                g2l,
+                num_masters,
+                offsets,
+                edges: vec![0; m],
+                // A host without edges has an unweighted local graph, as
+                // `CsrGraph::from_edges_weighted` of no edges is.
+                weights: (g.is_weighted() && m > 0).then(|| vec![0; m]),
+            }
+        })
+        .collect();
+
+    // ---- 5. second pass: every edge straight into its host's CSR ---------
+    // A global row's edges on host h are one local row there, written in
+    // `g`'s order from where that row starts (`next[h]`).
+    let (mut mirror_in_edges, mut mirror_out_edges) = (false, false);
+    let mut next = vec![0usize; num_hosts];
+    for u in 0..n as Vid {
+        let row = g.neighbors(u);
+        if row.is_empty() {
+            continue;
         }
-        let num_masters = masters.len() as u32;
-        let l2g: Vec<Vid> = masters.into_iter().chain(mirrors).collect();
-        let mut g2l = vec![Vid::MAX; n];
-        for (l, &gid) in l2g.iter().enumerate() {
-            g2l[gid as usize] = l as Vid;
+        for (at, d) in next.iter_mut().zip(&locals) {
+            let lu = d.g2l[u as usize];
+            if lu != Vid::MAX {
+                *at = d.offsets[lu as usize] as usize;
+            }
         }
-        let local_edges: Vec<(Vid, Vid, u32)> = host_edges[h]
-            .iter()
-            .map(|&(u, v, w)| {
-                let (lu, lv) = (g2l[u as usize], g2l[v as usize]);
-                // Locals from `num_masters` up are mirrors.
-                mirror_out_edges |= lu >= num_masters;
-                mirror_in_edges |= lv >= num_masters;
-                (lu, lv, w)
-            })
-            .collect();
-        let local = if g.is_weighted() {
-            CsrGraph::from_edges_weighted(l2g.len(), &local_edges)
-        } else {
-            let plain: Vec<(Vid, Vid)> =
-                local_edges.iter().map(|&(u, v, _)| (u, v)).collect();
-            CsrGraph::from_edges(l2g.len(), &plain)
-        };
-        let out_degree_global: Vec<u32> =
-            l2g.iter().map(|&gid| g.out_degree(gid) as u32).collect();
-        parts.push(DistGraph {
+        let ws = g.weights_of(u);
+        let o = owner[u as usize] as usize;
+        for (i, &v) in row.iter().enumerate() {
+            let h = edge_host(u, v) as usize;
+            let d = &mut locals[h];
+            let lv = d.g2l[v as usize];
+            // Locals from `num_masters` up are mirrors; u is a master only
+            // on its owner.
+            mirror_out_edges |= h != o;
+            mirror_in_edges |= lv >= d.num_masters;
+            let at = next[h];
+            d.edges[at] = lv;
+            if let (Some(dw), Some(ws)) = (&mut d.weights, ws) {
+                dw[at] = ws[i];
+            }
+            next[h] = at + 1;
+        }
+    }
+
+    let mut parts: Vec<DistGraph> = locals
+        .into_iter()
+        .enumerate()
+        .map(|(h, d)| DistGraph {
             host: h as u16,
             num_hosts,
             global_n: n,
-            local,
-            l2g,
-            num_masters,
+            local: CsrGraph::from_parts(d.offsets, d.edges, d.weights),
+            out_degree_global: d.l2g.iter().map(|&gid| g.out_degree(gid) as u32).collect(),
+            l2g: d.l2g,
+            num_masters: d.num_masters,
             mirror_send: vec![Vec::new(); num_hosts],
             master_recv: vec![Vec::new(); num_hosts],
-            out_degree_global,
             mirror_slot: Vec::new(),
             master_slots: Vec::new(),
-            master_slot_start: vec![0; num_masters as usize + 1],
-            g2l,
-        });
-    }
+            master_slot_start: vec![0; d.num_masters as usize + 1],
+            g2l: d.g2l,
+        })
+        .collect();
 
-    // ---- 4. exchange plans (matched ordering by global id) --------------
+    // ---- 6. exchange plans (matched ordering by global id) --------------
     // Every vertex is visited once, as a master of its owner, in ascending
     // global id — ascending master lid — so each master's slots are
     // appended as one run and closed by its `master_slot_start`.
@@ -444,6 +499,204 @@ impl Partitioning {
 mod tests {
     use super::*;
     use crate::gen;
+
+    /// The partitioner this one replaced, kept as the reference: it gathers
+    /// each host's edges into a list, maps them to local ids in a second
+    /// list and builds the local CSR from that.
+    fn partition_reference(g: &CsrGraph, num_hosts: usize, policy: Policy) -> Partitioning {
+        assert!(num_hosts >= 1 && num_hosts <= u16::MAX as usize);
+        let n = g.num_vertices();
+
+        // ---- 1. vertex ownership -------------------------------------------
+        let owner: Vec<u16> = match policy {
+            Policy::EdgeCutBlocked => {
+                let degrees: Vec<u64> = (0..n as Vid).map(|u| g.out_degree(u) as u64 + 1).collect();
+                let bounds = balanced_ranges(&degrees, num_hosts);
+                (0..n).map(|v| owner_from_bounds(&bounds, v)).collect()
+            }
+            Policy::VertexCutCartesian | Policy::VertexCutHash => {
+                // Blocked by vertex count.
+                let loads = vec![1u64; n];
+                let bounds = balanced_ranges(&loads, num_hosts);
+                (0..n).map(|v| owner_from_bounds(&bounds, v)).collect()
+            }
+        };
+
+        // ---- 2. edge assignment --------------------------------------------
+        let pr = grid_rows(num_hosts);
+        let pc = num_hosts / pr;
+        let edge_host = |u: Vid, v: Vid| -> u16 {
+            match policy {
+                Policy::EdgeCutBlocked => owner[u as usize],
+                Policy::VertexCutCartesian => {
+                    let i = (owner[u as usize] as usize * pr) / num_hosts;
+                    let j = (owner[v as usize] as usize * pc) / num_hosts;
+                    (i * pc + j) as u16
+                }
+                Policy::VertexCutHash => {
+                    let h = (u as u64)
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(v as u64)
+                        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    ((h >> 32) % num_hosts as u64) as u16
+                }
+            }
+        };
+
+        let mut host_edges: Vec<Vec<(Vid, Vid, u32)>> = vec![Vec::new(); num_hosts];
+        for (u, v, w) in g.edges() {
+            host_edges[edge_host(u, v) as usize].push((u, v, w));
+        }
+
+        // ---- 3. per-host proxy sets and local graphs ------------------------
+        // proxy_hosts[v] lists the hosts holding a proxy of v (owner first).
+        let mut has_proxy: Vec<Vec<bool>> = vec![vec![false; n]; num_hosts];
+        for v in 0..n {
+            has_proxy[owner[v] as usize][v] = true; // owner always has a master
+        }
+        for (h, edges) in host_edges.iter().enumerate() {
+            for &(u, v, _) in edges {
+                has_proxy[h][u as usize] = true;
+                has_proxy[h][v as usize] = true;
+            }
+        }
+
+        let mut parts: Vec<DistGraph> = Vec::with_capacity(num_hosts);
+        let (mut mirror_in_edges, mut mirror_out_edges) = (false, false);
+        for h in 0..num_hosts {
+            let mut masters: Vec<Vid> = Vec::new();
+            let mut mirrors: Vec<Vid> = Vec::new();
+            for v in 0..n {
+                if has_proxy[h][v] {
+                    if owner[v] as usize == h {
+                        masters.push(v as Vid);
+                    } else {
+                        mirrors.push(v as Vid);
+                    }
+                }
+            }
+            let num_masters = masters.len() as u32;
+            let l2g: Vec<Vid> = masters.into_iter().chain(mirrors).collect();
+            let mut g2l = vec![Vid::MAX; n];
+            for (l, &gid) in l2g.iter().enumerate() {
+                g2l[gid as usize] = l as Vid;
+            }
+            let local_edges: Vec<(Vid, Vid, u32)> = host_edges[h]
+                .iter()
+                .map(|&(u, v, w)| {
+                    let (lu, lv) = (g2l[u as usize], g2l[v as usize]);
+                    // Locals from `num_masters` up are mirrors.
+                    mirror_out_edges |= lu >= num_masters;
+                    mirror_in_edges |= lv >= num_masters;
+                    (lu, lv, w)
+                })
+                .collect();
+            let local = if g.is_weighted() {
+                CsrGraph::from_edges_weighted(l2g.len(), &local_edges)
+            } else {
+                let plain: Vec<(Vid, Vid)> =
+                    local_edges.iter().map(|&(u, v, _)| (u, v)).collect();
+                CsrGraph::from_edges(l2g.len(), &plain)
+            };
+            let out_degree_global: Vec<u32> =
+                l2g.iter().map(|&gid| g.out_degree(gid) as u32).collect();
+            parts.push(DistGraph {
+                host: h as u16,
+                num_hosts,
+                global_n: n,
+                local,
+                l2g,
+                num_masters,
+                mirror_send: vec![Vec::new(); num_hosts],
+                master_recv: vec![Vec::new(); num_hosts],
+                out_degree_global,
+                mirror_slot: Vec::new(),
+                master_slots: Vec::new(),
+                master_slot_start: vec![0; num_masters as usize + 1],
+                g2l,
+            });
+        }
+
+        // ---- 4. exchange plans (matched ordering by global id) --------------
+        // Every vertex is visited once, as a master of its owner, in ascending
+        // global id — ascending master lid — so each master's slots are
+        // appended as one run and closed by its `master_slot_start`.
+        for v in 0..n {
+            let o = owner[v] as usize;
+            let lid_o = parts[o].g2l[v];
+            for h in 0..num_hosts {
+                if h != o && has_proxy[h][v] {
+                    let lid_h = parts[h].g2l[v];
+                    let pos = parts[h].mirror_send[o].len() as u32;
+                    parts[h].mirror_slot.push((o as u16, pos));
+                    parts[h].mirror_send[o].push(lid_h);
+                    let pos = parts[o].master_recv[h].len() as u32;
+                    parts[o].master_slots.push((h as u16, pos));
+                    parts[o].master_recv[h].push(lid_o);
+                }
+            }
+            let d = &mut parts[o];
+            d.master_slot_start[lid_o as usize + 1] = d.master_slots.len() as u32;
+        }
+
+        Partitioning {
+            policy,
+            parts,
+            owner,
+            mirror_in_edges,
+            mirror_out_edges,
+        }
+    }
+
+    /// Every field of every host's share, and of the whole, is the
+    /// reference's.
+    fn assert_same(got: &Partitioning, want: &Partitioning, how: &str) {
+        assert_eq!(got.policy, want.policy, "{how}");
+        assert_eq!(got.owner, want.owner, "{how}: owner");
+        assert_eq!(got.mirror_in_edges, want.mirror_in_edges, "{how}: mirror_in_edges");
+        assert_eq!(got.mirror_out_edges, want.mirror_out_edges, "{how}: mirror_out_edges");
+        assert_eq!(got.parts.len(), want.parts.len(), "{how}: hosts");
+        for (a, b) in got.parts.iter().zip(&want.parts) {
+            let how = format!("{how}, host {}", b.host);
+            assert_eq!((a.host, a.num_hosts, a.global_n), (b.host, b.num_hosts, b.global_n), "{how}");
+            assert_eq!(a.local, b.local, "{how}: local");
+            assert_eq!(a.l2g, b.l2g, "{how}: l2g");
+            assert_eq!(a.g2l, b.g2l, "{how}: g2l");
+            assert_eq!(a.num_masters, b.num_masters, "{how}: num_masters");
+            assert_eq!(a.mirror_send, b.mirror_send, "{how}: mirror_send");
+            assert_eq!(a.master_recv, b.master_recv, "{how}: master_recv");
+            assert_eq!(a.out_degree_global, b.out_degree_global, "{how}: out_degree_global");
+            assert_eq!(a.mirror_slot, b.mirror_slot, "{how}: mirror_slot");
+            assert_eq!(a.master_slots, b.master_slots, "{how}: master_slots");
+            assert_eq!(a.master_slot_start, b.master_slot_start, "{how}: master_slot_start");
+        }
+    }
+
+    #[test]
+    fn two_pass_partition_equals_the_reference() {
+        let mut graphs = Vec::new();
+        for seed in [1, 7] {
+            graphs.push((format!("rmat(9, 8, {seed})"), gen::rmat(9, 8, seed)));
+            graphs.push((format!("kron(8, 6, {seed})"), gen::kron(8, 6, seed)));
+        }
+        // A two-vertex path leaves most hosts without an edge.
+        for n in [2, 300] {
+            graphs.push((format!("path({n})"), gen::path(n)));
+        }
+        for (name, g) in graphs {
+            let weighted = gen::randomize_weights(&g, 9, 4);
+            for (g, kind) in [(&g, "unweighted"), (&weighted, "weighted")] {
+                for policy in Policy::all() {
+                    for hosts in 1..=8 {
+                        let got = partition(g, hosts, policy);
+                        got.validate(g);
+                        let how = format!("{kind} {name}, {} on {hosts} hosts", policy.name());
+                        assert_same(&got, &partition_reference(g, hosts, policy), &how);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn balanced_ranges_cover() {

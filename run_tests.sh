@@ -28,8 +28,9 @@
 # scripts/bench_pairs.sh, the working tree against the commit that last
 # touched the newest checked-in `results/BENCH_pr<N>.json`, written to
 # `results/PAIRS_pr<N+1>.json` and read back with `jq`. A workload fails when
-# its `time_s` median ratio (change / parent) is above 1.10 and the change
-# was slower in at least 8 of its 10 pairs. Both thresholds are ROADMAP item
+# the median ratio (change / parent) of either end-to-end metric, `time_s` or
+# `setup_s`, is above 1.10 and the change was slower in at least 8 of its 10
+# pairs on that metric. Both thresholds are ROADMAP item
 # 5(b)'s, not calibrated: whether the leg passes known-good changes against
 # their parents, whether it catches a known 12 % regression, and its
 # false-alarm rate against itself (item 5(c)) are not measured. About 2 x 14 x
@@ -55,14 +56,15 @@ if [[ "${1:-}" == "--perf" ]]; then
     n=$((n + 1))
     scripts/bench_pairs.sh -n "$n" "$base" "$@"
     pairs="results/PAIRS_pr$n.json"
-    verdicts="$(jq -r '.workloads | to_entries[]
-        | (.value.time_s.ratio) as $ratio
-        | ([.value.runs[] | select(.time_s[1] > .time_s[0])] | length) as $slower
-        | "\(if $ratio > 1.10 and $slower >= 8 then "SLOWER" else "ok" end) \(.key): time_s ratio \($ratio), change slower in \($slower)/\(.value.runs | length) pairs"' "$pairs")"
+    verdicts="$(jq -r '.workloads | to_entries[] | .key as $w | .value as $v
+        | ("time_s", "setup_s") as $m
+        | ($v[$m].ratio) as $ratio
+        | ([$v.runs[] | select(.[$m][1] > .[$m][0])] | length) as $slower
+        | "\(if $ratio > 1.10 and $slower >= 8 then "SLOWER" else "ok" end) \($w): \($m) ratio \($ratio), change slower in \($slower)/\($v.runs | length) pairs"' "$pairs")"
     echo "=== perf: working tree against $base ($pairs) ==="
     echo "$verdicts"
     if grep -q '^SLOWER' <<<"$verdicts"; then
-        echo "PERF REGRESSION: a workload's median time_s is over 1.10x its parent's, slower in at least 8 of 10 pairs" >&2
+        echo "PERF REGRESSION: a workload's median time_s or setup_s is over 1.10x its parent's, slower in at least 8 of 10 pairs" >&2
         exit 1
     fi
     echo "PERF OK"

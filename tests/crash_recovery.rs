@@ -28,7 +28,7 @@ use abelian::{
     CheckpointStore, CkptPlan, EngineConfig, LayerKind, RecoveryConfig, RecoveryWorld, RunResult,
 };
 use gemini::{run_gemini_recoverable, run_gemini_with_ckpt, GeminiConfig};
-use lci_fabric::{FabricConfig, Fault, FaultPlan};
+use lci_fabric::{Fabric, FabricConfig, Fault, FaultPlan};
 use lci_graph::{gen, partition, Policy};
 use lci_trace::Counter;
 use std::sync::Arc;
@@ -51,6 +51,23 @@ fn fabric_seed(salt: u64) -> u64 {
 
 fn crash_plan(host: u16, after_packets: u64) -> FaultPlan {
     FaultPlan::none().with_phase(0, WHOLE_RUN, Fault::Crash { host, after_packets })
+}
+
+/// Deliveries `host` took part in during a finished crash-free run, as its
+/// own endpoint counted them: the messages it sent and received and the
+/// puts it issued. A crash trigger counts these and the puts landing on the
+/// host too, so this is exact on the eager layers and a lower bound over
+/// MPI-RMA.
+fn party_packets(fabric: &Fabric, host: u16) -> u64 {
+    let st = fabric.endpoint(host as usize).stats();
+    st.sends + st.recvs + st.puts
+}
+
+/// A crash trigger `num / den` of the way through the crash-free twin's
+/// traffic at `host`: relative to the run it interrupts, so it moves with
+/// the round traffic instead of drifting out of its window.
+fn crash_point(twin: &Fabric, host: u16, (num, den): (u64, u64)) -> u64 {
+    party_packets(twin, host) * num / den
 }
 
 fn fabric_cfg(hosts: usize, seed: u64, plan: FaultPlan) -> FabricConfig {
@@ -77,15 +94,13 @@ fn descending_path(n: usize) -> lci_graph::CsrGraph {
 }
 const HOSTS: usize = 4;
 const CRASH_HOST: u16 = 1;
-/// Packets involving the crash host before it dies. A round is one exchange
-/// on an edge cut and two on the 2 × 2 Cartesian cut of four hosts (there is
-/// no control exchange), so
-/// the window this must fall in is set by the lightest and the heaviest run
-/// below: Gemini over LCI or MPI-Probe finishes within 250–300 such packets
-/// (the crash must still fire), and Abelian over MPI-RMA needs 100–150 of
-/// them before every host holds its first checkpoint (recovery must have one
-/// to roll back to). Measured with the default seed; 200 sits in the middle.
-const CRASH_AFTER: u64 = 200;
+/// Where the crash lands: halfway through the crash host's traffic in the
+/// crash-free twin of the same seed and layer (see `crash_point`). The
+/// window is set by the two ends of the run: the crash must still fire
+/// before the last round, and every host must hold its first checkpoint
+/// (round 4 of ~48, a twelfth of the traffic or less on every layer and
+/// engine) before it.
+const CRASH_AT: (u64, u64) = (1, 2);
 
 // ---- tentpole: crash + recovery completes bit-identical ------------------
 
@@ -118,10 +133,11 @@ fn abelian_bfs_crash_recovery_bit_identical_on_every_layer() {
         )
         .unwrap_or_else(|e| panic!("layer {} crash-free run failed: {e}", kind.name()));
         assert_eq!(clean.values, expect, "layer {} crash-free baseline", kind.name());
+        let after = crash_point(rw.fabric(), CRASH_HOST, CRASH_AT);
 
         let mut rw = RecoveryWorld::new(
             kind,
-            fabric_cfg(HOSTS, seed, crash_plan(CRASH_HOST, CRASH_AFTER)),
+            fabric_cfg(HOSTS, seed, crash_plan(CRASH_HOST, after)),
             mpi_cfg(),
             lci::LciConfig::for_hosts(HOSTS),
         );
@@ -206,10 +222,11 @@ fn gemini_bfs_crash_recovery_bit_identical_on_every_layer() {
         )
         .unwrap_or_else(|e| panic!("layer {} crash-free run failed: {e}", kind.name()));
         assert_eq!(clean.values, expect, "layer {} crash-free baseline", kind.name());
+        let after = crash_point(rw.fabric(), CRASH_HOST, CRASH_AT);
 
         let mut rw = RecoveryWorld::new(
             kind,
-            fabric_cfg(HOSTS, seed, crash_plan(CRASH_HOST, CRASH_AFTER)),
+            fabric_cfg(HOSTS, seed, crash_plan(CRASH_HOST, after)),
             mpi_cfg(),
             lci::LciConfig::for_hosts(HOSTS),
         );
@@ -262,24 +279,25 @@ fn gemini_bfs_crash_recovery_bit_identical_on_every_layer() {
 fn crash_without_recovery_aborts_bounded_on_every_layer() {
     let g = gen::rmat(6, 4, 0xC4A5);
     // One grid row: a round is one exchange, the broadcast. Host 1 is party
-    // to 22–23 packets of a crash-free run over LCI or MPI-Probe and 43 over
-    // MPI-RMA, so the crash lands mid-run on every layer.
+    // to a few dozen packets of a crash-free run, so a crash halfway through
+    // them lands mid-run on every layer.
     let parts = partition(&g, 3, Policy::VertexCutCartesian);
+    let app = || Arc::new(Bfs { source: 0 });
     for kind in LayerKind::all() {
         let seed = fabric_seed(0x0BAD ^ kind as u64);
+        let (layers, twin) =
+            build_layers(kind, fabric_cfg(3, seed, FaultPlan::none()), mpi_cfg(), lci::LciConfig::for_hosts(3));
+        run_app_checked(&parts, app(), &layers, &EngineConfig::default())
+            .unwrap_or_else(|e| panic!("layer {} crash-free run failed: {e}", kind.name()));
+        let after = crash_point(twin.fabric(), 1, (1, 2));
         let (layers, _world) = build_layers(
             kind,
-            fabric_cfg(3, seed, crash_plan(1, 15)),
+            fabric_cfg(3, seed, crash_plan(1, after)),
             mpi_cfg(),
             lci::LciConfig::for_hosts(3),
         );
         let t0 = Instant::now();
-        let err = match run_app_checked(
-            &parts,
-            Arc::new(Bfs { source: 0 }),
-            &layers,
-            &EngineConfig::default(),
-        ) {
+        let err = match run_app_checked(&parts, app(), &layers, &EngineConfig::default()) {
             Ok(_) => panic!(
                 "layer {} must abort when host 1 crashes without recovery \
                  (replay: FABRIC_SEED={seed})",
@@ -431,15 +449,15 @@ fn survivor_waiting_on_a_peer_it_owes_nothing_aborts_bounded_on_every_layer() {
 #[test]
 fn recovery_checkpoint_schedule_replays_from_seed() {
     let g = descending_path(32);
-    // One grid row, one exchange a round: host 1 is party to 134 packets of
-    // the crash-free run, so 100 lands near round 24 of 32.
+    // One grid row, one exchange a round: three quarters of host 1's packets
+    // in the crash-free run land the crash near round 24 of 32.
     let parts = partition(&g, 3, Policy::VertexCutCartesian);
     let seed = fabric_seed(0x5EED);
     let rec = RecoveryConfig { ckpt_every: 3, max_attempts: 4 };
-    let run = || {
+    let run = |plan: FaultPlan| {
         let mut rw = RecoveryWorld::new(
             LayerKind::Lci,
-            fabric_cfg(3, seed, crash_plan(1, 100)),
+            fabric_cfg(3, seed, plan),
             mpi_cfg(),
             lci::LciConfig::for_hosts(3),
         );
@@ -453,14 +471,17 @@ fn recovery_checkpoint_schedule_replays_from_seed() {
             &store,
         )
         .unwrap_or_else(|e| panic!("recovery must succeed (replay: FABRIC_SEED={seed}): {e}"));
-        assert!(
-            rw.fabric().endpoint(1).stats().fault_crashed > 0,
-            "the crash must fire for the replay comparison to mean anything"
-        );
-        (r.values, store.latest_common())
+        (r.values, store.latest_common(), rw)
     };
-    let (v1, c1) = run();
-    let (v2, c2) = run();
+    let (_, _, twin) = run(FaultPlan::none());
+    let plan = crash_plan(1, crash_point(twin.fabric(), 1, (3, 4)));
+    let fired = |rw: &RecoveryWorld| rw.fabric().endpoint(1).stats().fault_crashed > 0;
+    let (v1, c1, rw1) = run(plan.clone());
+    let (v2, c2, rw2) = run(plan);
+    assert!(
+        fired(&rw1) && fired(&rw2),
+        "the crash must fire for the replay comparison to mean anything"
+    );
     assert_eq!(v1, v2, "same seed must yield bit-identical recovered values");
     assert_eq!(c1, c2, "same seed must yield the same final common checkpoint");
 }

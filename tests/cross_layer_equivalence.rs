@@ -222,13 +222,15 @@ proptest! {
 /// the aborted rounds. BFS on a *descending* path pins the frontier to one
 /// hop per round (the engines' ascending in-round sweep cannot shortcut it),
 /// so the packet-count trigger reliably fires mid-run, after checkpoints
-/// exist: a round is one exchange here (edge cut, no control exchange), the
-/// crash host is party to 150–175 packets of a whole LCI or MPI-Probe run
-/// and to twice that over MPI-RMA, and every host holds a checkpoint by
-/// packet 75 on all three — so 100 lands near round 25 of 40 on the first two
-/// and near round 10 on the third. Equality is against the same crash-free
-/// reference as everywhere else in this suite: recovery may cost time, never
-/// answers.
+/// exist. The trigger is three fifths of the deliveries the crash host takes
+/// part in during a crash-free twin of the same seed and layer (as its own
+/// endpoint counts them; puts landing on it are left out, so over MPI-RMA
+/// the share is smaller): a round is one exchange here (edge cut, no control
+/// exchange), the first checkpoint is behind a tenth of the run's packets on
+/// every layer, and the crash lands near round 25 of 40 on LCI and
+/// MPI-Probe and no later over MPI-RMA. Equality is against the same
+/// crash-free reference as everywhere else in this suite: recovery may cost
+/// time, never answers.
 #[test]
 fn bfs_equivalent_with_crash_recovery_under_combined_faults() {
     use abelian::{run_app_recoverable, CheckpointStore, RecoveryConfig, RecoveryWorld};
@@ -243,45 +245,45 @@ fn bfs_equivalent_with_crash_recovery_under_combined_faults() {
     let parts = partition(&g, hosts, Policy::EdgeCutBlocked);
     parts.validate(&g);
     let expect = reference::bfs(&g, source);
+    let run = |kind: LayerKind, seed: u64, plan: FaultPlan| {
+        let store = CheckpointStore::new(hosts);
+        let mut rw = RecoveryWorld::new(
+            kind,
+            FabricConfig::test(hosts).with_seed(seed).with_fault_plan(plan),
+            mini_mpi::MpiConfig::default().with_personality(mini_mpi::Personality::zero()),
+            lci::LciConfig::for_hosts(hosts),
+        );
+        let r = run_app_recoverable(
+            &parts,
+            Arc::new(Bfs { source }),
+            &mut rw,
+            &EngineConfig::default(),
+            &RecoveryConfig {
+                ckpt_every: 4,
+                max_attempts: 4,
+            },
+            &store,
+        );
+        (r, rw)
+    };
     // Selector bit 1 adds Drop, bit 2 adds Corrupt; the crash is always on.
     for selector in 0u64..4 {
-        let mut plan = FaultPlan::none().with_phase(
-            0,
-            WHOLE_RUN,
-            Fault::Crash {
-                host: 1,
-                after_packets: 100,
-            },
-        );
-        if selector & 1 != 0 {
-            plan = plan.with_phase(0, WHOLE_RUN, Fault::Drop { prob_ppm: 20_000 });
-        }
-        if selector & 2 != 0 {
-            plan = plan.with_phase(0, WHOLE_RUN, Fault::Corrupt { flips: 3 });
-        }
+        let seed = 0xC4A5 + selector;
         for kind in LayerKind::all() {
-            let store = CheckpointStore::new(hosts);
-            let mut rw = RecoveryWorld::new(
-                kind,
-                FabricConfig::test(hosts)
-                    .with_seed(0xC4A5 + selector)
-                    .with_fault_plan(plan.clone()),
-                mini_mpi::MpiConfig::default()
-                    .with_personality(mini_mpi::Personality::zero()),
-                lci::LciConfig::for_hosts(hosts),
-            );
-            let r = run_app_recoverable(
-                &parts,
-                Arc::new(Bfs { source }),
-                &mut rw,
-                &EngineConfig::default(),
-                &RecoveryConfig {
-                    ckpt_every: 4,
-                    max_attempts: 4,
-                },
-                &store,
-            )
-            .unwrap_or_else(|e| panic!("layer {} selector {selector}: {e}", kind.name()));
+            let (twin, rw) = run(kind, seed, FaultPlan::none());
+            twin.unwrap_or_else(|e| panic!("layer {} crash-free twin: {e}", kind.name()));
+            let st = rw.fabric().endpoint(1).stats();
+            let after_packets = (st.sends + st.recvs + st.puts) * 3 / 5;
+            let mut plan =
+                FaultPlan::none().with_phase(0, WHOLE_RUN, Fault::Crash { host: 1, after_packets });
+            if selector & 1 != 0 {
+                plan = plan.with_phase(0, WHOLE_RUN, Fault::Drop { prob_ppm: 20_000 });
+            }
+            if selector & 2 != 0 {
+                plan = plan.with_phase(0, WHOLE_RUN, Fault::Corrupt { flips: 3 });
+            }
+            let (r, rw) = run(kind, seed, plan.clone());
+            let r = r.unwrap_or_else(|e| panic!("layer {} selector {selector}: {e}", kind.name()));
             assert_eq!(
                 r.values,
                 expect,

@@ -12,10 +12,12 @@
 //! `send_enq` to `take_data` (and `recv_deq` + `take_data` nothing at all),
 //! a rendezvous `send_enq` allocates the one request it shares with progress,
 //! and the receive side, the ack paths and the in-order `SeqGate` allocate
-//! nothing of their own.
+//! nothing of their own. The device's first-packet ring costs one allocation
+//! per segment during its first lap, as the tickets reach each segment, and
+//! nothing after it.
 
 use bytes::Bytes;
-use lci::{Device, LciConfig};
+use lci::{Device, LciConfig, MpmcQueue};
 use lci_fabric::frame::SeqGate;
 use lci_fabric::{
     Endpoint, Event, Fabric, FabricConfig, HostId, PacketBuf, RelRecv, ReliableSession,
@@ -145,7 +147,11 @@ struct Trip {
 
 impl Devices {
     fn new(seed: u64, cfg: LciConfig) -> Self {
-        let fabric = Fabric::new_manual(FabricConfig::deterministic(2, seed));
+        Self::on(FabricConfig::deterministic(2, seed), cfg)
+    }
+
+    fn on(fabric: FabricConfig, cfg: LciConfig) -> Self {
+        let fabric = Fabric::new_manual(fabric);
         let a = Device::new(fabric.endpoint(0), cfg.clone());
         let b = Device::new(fabric.endpoint(1), cfg);
         Devices { fabric, a, b }
@@ -249,6 +255,71 @@ fn an_eager_receive_allocates_nothing() {
     assert_eq!(
         trip.received_all, 0,
         "recv_deq and take_data of an eager message"
+    );
+}
+
+#[test]
+fn the_first_packet_ring_builds_one_segment_per_first_lap_crossing() {
+    let q = MpmcQueue::new(4096);
+    let cap = q.capacity();
+    let (mut first_lap, mut after) = (0, 0);
+    for i in 0..3 * cap {
+        let (pushed, _, ()) = allocations(|| q.push(i));
+        let (popped, _, got) = allocations(|| q.try_pop());
+        assert_eq!((got, popped), (Some(i), 0), "a pop allocates nothing");
+        assert!(pushed <= 1, "ticket {i}: at most one segment a push");
+        if i < cap {
+            first_lap += pushed;
+        } else {
+            after += pushed;
+        }
+    }
+    assert!(
+        q.segments_built() > 1,
+        "a 4096-slot ring is several segments"
+    );
+    assert_eq!(
+        first_lap,
+        q.segments_built() as u64,
+        "one allocation per segment"
+    );
+    assert_eq!(after, 0, "nothing after the first lap");
+}
+
+#[test]
+fn an_eager_message_allocates_a_ring_segment_only_in_the_first_lap() {
+    // 1024 receive credits: the device's first-packet ring has 1024 slots,
+    // more than one segment. A 64-byte message makes no payload-sized
+    // allocation of its own, so what `trip_big` counts is a segment of
+    // first-packet slots (kilobytes), built by the progress call that
+    // queues the first message to reach it.
+    let fabric = FabricConfig::deterministic(2, 6).with_rx_buffers(1024);
+    let d = Devices::on(fabric, LciConfig::for_hosts(2));
+    let payload = Bytes::from(vec![0x96u8; 64]);
+    let lap = 1024;
+    let built: Vec<u64> = (0..2 * lap)
+        .map(|i| d.eager(&payload, i as u32).trip_big)
+        .collect();
+    // The first trip also grows the session's buffers; from the second on,
+    // a trip builds a segment exactly when its ticket opens one, and the
+    // segments split the lap evenly.
+    let (first, second) = built.split_at(lap);
+    assert!(first[0] >= 1, "the first message builds the first segment");
+    assert!(first[1..].iter().all(|&n| n <= 1), "one segment at a time");
+    let opened: Vec<usize> = (1..lap).filter(|&i| first[i] == 1).collect();
+    let stride = lap / (opened.len() + 1);
+    assert!(
+        !opened.is_empty(),
+        "segments past the first are built mid-lap"
+    );
+    assert_eq!(
+        opened,
+        (1..=opened.len()).map(|k| k * stride).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        second.iter().sum::<u64>(),
+        0,
+        "the second lap builds nothing"
     );
 }
 
