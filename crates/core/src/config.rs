@@ -29,7 +29,9 @@ pub struct LciConfig {
     pub packet_count: usize,
     /// Payload capacity of each pooled packet.
     pub packet_payload: usize,
-    /// Locality shards in the packet pool (≈ number of threads per host).
+    /// Must be positive and is otherwise unused: a host's packet pool is one
+    /// free list, its host being the one thread that leases from it. Kept
+    /// only because [`crate::PacketPool::new`] callers pass it.
     pub pool_shards: usize,
     /// Rendezvous data-transfer mechanism.
     pub put_mode: PutMode,

@@ -332,7 +332,7 @@ impl Device {
     /// peer that has forgotten it, and an id of the dead incarnation that
     /// comes back later names nothing. The reliable session's reset ends
     /// every lease at once — the packets of unacknowledged frames go back to
-    /// the pool, which is full again when this returns.
+    /// the pool, so nothing is leased when this returns.
     ///
     /// The failed flag is cleared last: a device that observed `PeerDead`
     /// or its own endpoint failure becomes usable again.

@@ -39,7 +39,7 @@ const SEGMENT: usize = 256;
 /// A value aligned, and so padded, to 128 bytes: two of them never share a
 /// cache line, nor the adjacent line x86-64 prefetches with it.
 #[repr(align(128))]
-pub(crate) struct CachePadded<T>(pub(crate) T);
+struct CachePadded<T>(T);
 
 impl<T> Deref for CachePadded<T> {
     type Target = T;
@@ -343,7 +343,7 @@ mod tests {
                 assert_eq!(v, expect, "order broke at the ticket wrap");
                 expect += 1;
             } else {
-                std::hint::spin_loop();
+                std::thread::yield_now();
             }
         }
         producer.join().unwrap();
@@ -574,6 +574,8 @@ mod tests {
             if let Some(v) = q.try_pop() {
                 assert_eq!(v, expect);
                 expect += 1;
+            } else {
+                std::thread::yield_now();
             }
         }
         producer.join().unwrap();

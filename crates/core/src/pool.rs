@@ -1,4 +1,4 @@
-//! A locality-aware concurrent packet pool.
+//! The packet pool.
 //!
 //! LCI's flow control hinges on a fixed-size pool of fixed-capacity packets
 //! (Section III-D of the paper): `SEND-ENQ` fails — retryably — when no
@@ -6,11 +6,12 @@
 //! times the number of hosts and guarantees the receiver's fixed set of
 //! buffers cannot be overrun.
 //!
-//! Locality awareness follows the design the paper adopts from its reference
-//! [16]: packets freed by a thread go back to that thread's shard, so a
-//! packet's buffer tends to stay in the cache of the core that last touched
-//! it. Allocation first tries the local shard and then steals round-robin
-//! from the others.
+//! A host is one thread, which leases and frees every packet of its pool, so
+//! the pool is one free list behind one lock: the per-thread shards the paper
+//! adopts from its reference [16] pay off only when many threads share a
+//! pool. A packet is built, zeroed, by the first lease that finds the free
+//! list empty while fewer than `capacity` packets exist, so a pool costs the
+//! packets its traffic holds at once, not `capacity` of them at construction.
 //!
 //! A packet is the frame the wire carries, not only its body: the payload
 //! sits behind [`PACKET_HEADROOM`] bytes that the reliable session stamps its
@@ -19,7 +20,6 @@
 //! when the frame is acked (the pool is the device session's
 //! [`FrameBufs`]).
 
-use crate::faa_queue::CachePadded;
 use lci_fabric::reliable::REL_DATA_OFFSET;
 use lci_fabric::FrameBufs;
 use parking_lot::Mutex;
@@ -33,7 +33,7 @@ pub const PACKET_HEADROOM: usize = REL_DATA_OFFSET;
 /// [`PACKET_HEADROOM`] bytes of headroom, then the payload.
 pub type Packet = Box<[u8]>;
 
-/// Concurrent pool of fixed-size packet buffers.
+/// A pool of at most `capacity` fixed-size packet buffers.
 ///
 /// ```
 /// use lci::PacketPool;
@@ -46,51 +46,34 @@ pub type Packet = Box<[u8]>;
 /// # pool.free(b);
 /// ```
 pub struct PacketPool {
-    shards: Vec<CachePadded<Mutex<Vec<Packet>>>>,
+    /// Packets built and not leased.
+    free: Mutex<Vec<Packet>>,
     capacity: usize,
     payload: usize,
+    /// Packets leased; changed only under the `free` lock, so the free list
+    /// plus this never exceeds `capacity`.
     outstanding: AtomicUsize,
 }
 
-thread_local! {
-    static SHARD_HINT: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-}
-
-static NEXT_HINT: AtomicUsize = AtomicUsize::new(0);
-
-fn shard_hint(n: usize) -> usize {
-    SHARD_HINT.with(|h| {
-        let mut v = h.get();
-        if v == usize::MAX {
-            v = NEXT_HINT.fetch_add(1, Ordering::Relaxed);
-            h.set(v);
-        }
-        v % n
-    })
-}
-
 impl PacketPool {
-    /// Create a pool of `count` packets of `payload` bytes each, spread over
-    /// `shards` locality shards (typically the number of threads that will
-    /// use the pool).
+    /// Create a pool of at most `count` packets of `payload` bytes each. No
+    /// packet is built until a lease needs it.
+    ///
+    /// `shards` must be positive and is otherwise unused: a pool is one free
+    /// list, since one thread (its host) leases from it. The argument stays
+    /// only so that callers passing [`crate::LciConfig::pool_shards`] keep
+    /// compiling.
     pub fn new(count: usize, payload: usize, shards: usize) -> Self {
         assert!(count > 0 && payload > 0 && shards > 0);
-        let mut pools: Vec<Vec<Packet>> = (0..shards).map(|_| Vec::new()).collect();
-        for i in 0..count {
-            pools[i % shards].push(vec![0u8; PACKET_HEADROOM + payload].into_boxed_slice());
-        }
         PacketPool {
-            shards: pools
-                .into_iter()
-                .map(|v| CachePadded(Mutex::new(v)))
-                .collect(),
+            free: Mutex::new(Vec::new()),
             capacity: count,
             payload,
             outstanding: AtomicUsize::new(0),
         }
     }
 
-    /// Total number of packets in the pool.
+    /// Most packets the pool holds, leased or free.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -105,35 +88,24 @@ impl PacketPool {
         self.outstanding.load(Ordering::Relaxed)
     }
 
-    /// Lease a packet, preferring the calling thread's shard. Returns `None`
-    /// when the pool is exhausted — the caller should retry later, exactly
-    /// like the paper's `packetAlloc` failing in `SEND-ENQ`.
+    /// Lease a packet: a freed one, or a new zeroed one while fewer than
+    /// `capacity` exist. Returns `None` when all `capacity` are leased — the
+    /// caller should retry later, exactly like the paper's `packetAlloc`
+    /// failing in `SEND-ENQ`.
     pub fn alloc(&self) -> Option<Packet> {
-        let n = self.shards.len();
-        let home = shard_hint(n);
-        for i in 0..n {
-            let idx = (home + i) % n;
-            // try_lock: never spin on a contended shard when we can steal.
-            if let Some(mut shard) = self.shards[idx].try_lock() {
-                if let Some(p) = shard.pop() {
-                    self.outstanding.fetch_add(1, Ordering::Relaxed);
-                    return Some(p);
-                }
-            }
+        let mut list = self.free.lock();
+        let leased = self.outstanding.load(Ordering::Relaxed);
+        if leased == self.capacity {
+            return None;
         }
-        // Second pass with blocking locks to distinguish "contended" from
-        // "empty" before reporting exhaustion.
-        for i in 0..n {
-            let idx = (home + i) % n;
-            if let Some(p) = self.shards[idx].lock().pop() {
-                self.outstanding.fetch_add(1, Ordering::Relaxed);
-                return Some(p);
-            }
-        }
-        None
+        let packet = list
+            .pop()
+            .unwrap_or_else(|| vec![0u8; PACKET_HEADROOM + self.payload].into_boxed_slice());
+        self.outstanding.store(leased + 1, Ordering::Relaxed);
+        Some(packet)
     }
 
-    /// Return a packet to the calling thread's shard.
+    /// Return a leased packet to the free list.
     ///
     /// # Panics
     /// Panics if the packet's capacity does not match the pool's payload
@@ -144,8 +116,8 @@ impl PacketPool {
             PACKET_HEADROOM + self.payload,
             "packet returned to wrong pool"
         );
-        let home = shard_hint(self.shards.len());
-        self.shards[home].lock().push(packet);
+        let mut list = self.free.lock();
+        list.push(packet);
         self.outstanding.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -236,7 +208,7 @@ mod tests {
             })
         };
         // Give the retrier time to observe exhaustion, then free from this
-        // thread (a different shard hint than the retrier's).
+        // thread.
         std::thread::sleep(std::time::Duration::from_millis(5));
         pool.free(a);
         let attempts = retrier.join().unwrap();
@@ -275,6 +247,10 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        assert!(
+            pool.free.lock().len() + pool.outstanding() <= pool.capacity(),
+            "a pool never builds more than its capacity"
+        );
         assert_eq!(pool.outstanding(), 0);
         // All 64 packets must be allocatable again.
         let mut all = Vec::new();

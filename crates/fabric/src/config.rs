@@ -5,8 +5,8 @@ use crate::HostId;
 /// Timing model for the simulated wire.
 ///
 /// Delays are expressed in nanoseconds of *simulated* time; the fabric maps
-/// simulated time onto wall-clock time 1:1 (optionally scaled via
-/// [`FabricConfig::time_scale`]), so a 2 µs wire really takes about 2 µs.
+/// simulated time onto wall-clock time 1:1, so a 2 µs wire really takes
+/// about 2 µs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireModel {
     /// Fixed per-message latency (propagation + switch + NIC pipeline).
@@ -65,9 +65,7 @@ impl WireModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Add `extra_ns + uniform[0, jitter_ns)` to every delivery scheduled
-    /// while the phase is active. Applied *unscaled* (ignores
-    /// [`FabricConfig::time_scale`]) so spikes bite even on instant test
-    /// wires.
+    /// while the phase is active, on any wire model, instant ones included.
     LatencySpike {
         /// Fixed extra latency per delivery.
         extra_ns: u64,
@@ -462,14 +460,6 @@ impl ReliableConfig {
         self
     }
 
-    /// Builder-style override of the retransmission-timeout band
-    /// (base, cap).
-    pub fn with_rto(mut self, base_ns: u64, cap_ns: u64) -> Self {
-        self.rto_base_ns = base_ns;
-        self.rto_cap_ns = cap_ns;
-        self
-    }
-
     /// Builder-style override of the retry budget.
     pub fn with_retry_budget(mut self, budget: u32) -> Self {
         self.retry_budget = budget;
@@ -504,9 +494,6 @@ pub struct FabricConfig {
     pub rnr_retry_limit: u32,
     /// Delay before a receiver-not-ready message is retried.
     pub rnr_delay_ns: u64,
-    /// Multiplier applied to all simulated delays (1.0 = real time; 0.0
-    /// turns every wire into `WireModel::instant`).
-    pub time_scale: f64,
     /// Seed for delivery jitter and fault-plan randomness.
     pub seed: u64,
     /// Timed chaos phases executed by the wire ([`FaultPlan::none`]
@@ -528,7 +515,6 @@ impl FabricConfig {
             max_payload: 1 << 16,
             rnr_retry_limit: u32::MAX,
             rnr_delay_ns: 1_000,
-            time_scale: 0.0,
             seed: 0xC0FFEE,
             fault_plan: FaultPlan::none(),
             reliable: ReliableConfig::default(),
@@ -545,7 +531,6 @@ impl FabricConfig {
             max_payload: 1 << 16,
             rnr_retry_limit: u32::MAX,
             rnr_delay_ns: 4_000,
-            time_scale: 1.0,
             seed: 0x57A2,
             fault_plan: FaultPlan::none(),
             reliable: ReliableConfig::default(),
@@ -562,7 +547,6 @@ impl FabricConfig {
             max_payload: 1 << 16,
             rnr_retry_limit: u32::MAX,
             rnr_delay_ns: 5_000,
-            time_scale: 1.0,
             seed: 0x57A1,
             fault_plan: FaultPlan::none(),
             reliable: ReliableConfig::default(),
@@ -587,7 +571,6 @@ impl FabricConfig {
             max_payload: 1 << 16,
             rnr_retry_limit: u32::MAX,
             rnr_delay_ns: 2_000,
-            time_scale: 1.0,
             seed,
             fault_plan: FaultPlan::none(),
             reliable: ReliableConfig::default(),
@@ -615,12 +598,6 @@ impl FabricConfig {
     /// Builder-style override of the RNR retry limit.
     pub fn with_rnr_retry_limit(mut self, n: u32) -> Self {
         self.rnr_retry_limit = n;
-        self
-    }
-
-    /// Builder-style override of the time scale.
-    pub fn with_time_scale(mut self, s: f64) -> Self {
-        self.time_scale = s;
         self
     }
 
@@ -664,13 +641,11 @@ mod tests {
             .with_injection_depth(7)
             .with_rx_buffers(9)
             .with_rnr_retry_limit(3)
-            .with_time_scale(2.0)
             .with_seed(99)
             .with_wire(WireModel::opa());
         assert_eq!(c.injection_depth, 7);
         assert_eq!(c.rx_buffers, 9);
         assert_eq!(c.rnr_retry_limit, 3);
-        assert_eq!(c.time_scale, 2.0);
         assert_eq!(c.seed, 99);
         assert_eq!(c.wire, WireModel::opa());
     }
@@ -785,12 +760,9 @@ mod tests {
     fn reliable_config_builders() {
         let r = ReliableConfig::default()
             .with_window(4)
-            .with_rto(10_000, 80_000)
             .with_retry_budget(5)
             .with_gate_window(64);
         assert_eq!(r.window, 4);
-        assert_eq!(r.rto_base_ns, 10_000);
-        assert_eq!(r.rto_cap_ns, 80_000);
         assert_eq!(r.retry_budget, 5);
         assert_eq!(r.gate_window, 64);
     }

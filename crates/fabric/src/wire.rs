@@ -16,8 +16,8 @@
 //!   through those calls, so a delivery that waits for the next poll is the
 //!   same NIC with the scheduler hop removed; the wire model's latencies stay
 //!   lower bounds on delivery time.
-//! * **The instant wire**, a wall-clock fabric with no fault plan whose scaled
-//!   wire costs are all zero (`time_scale` 0, or [`crate::WireModel::instant`]):
+//! * **The instant wire**, a wall-clock fabric with no fault plan whose wire
+//!   costs are all zero ([`crate::WireModel::instant`]):
 //!   every operation is due when it is injected, so while the wire holds
 //!   nothing else [`FabricShared::inject`] delivers it in the injecting thread,
 //!   and the core is driven only for a send whose receiver had no credit.
@@ -244,9 +244,9 @@ pub(crate) struct FabricShared {
     pub(crate) virtual_now: AtomicU64,
     /// Is this fabric caller-stepped (virtual clock)?
     pub(crate) manual: bool,
-    /// The instant wire: wall-clock, no fault plan, and every scaled wire
-    /// cost zero, so each operation is due the moment it is injected and
-    /// [`FabricShared::inject`] delivers it there and then.
+    /// The instant wire: wall-clock, no fault plan, and every wire cost zero
+    /// ([`WireModel::instant`]), so each operation is due the moment it is
+    /// injected and [`FabricShared::inject`] delivers it there and then.
     instant: bool,
     /// Incarnation epoch, bumped by every [`Fabric::respawn`]. Frames and
     /// puts are stamped with the epoch current at injection; anything that
@@ -380,9 +380,8 @@ impl Fabric {
     /// Build a wall-clock fabric with `config.num_hosts` endpoints. No
     /// thread is started: the hosts' own [`Endpoint::poll`] calls and
     /// back-pressured injections run the wire (see the module docs). With no
-    /// fault plan and no scaled wire cost (`time_scale` 0, or
-    /// [`WireModel::instant`]) an injection delivers its own operation
-    /// whenever the receiver has room.
+    /// fault plan and an all-zero wire ([`WireModel::instant`]) an injection
+    /// delivers its own operation whenever the receiver has room.
     ///
     /// # Panics
     /// Panics if the configuration's fault plan fails
@@ -431,9 +430,8 @@ impl Fabric {
             Clock::Wall { start: epoch, now: 0 }
         };
         let core = WireCore::new(config.num_hosts, config.seed, clock);
-        let instant = !manual
-            && config.fault_plan.is_empty()
-            && (config.time_scale == 0.0 || config.wire == WireModel::instant());
+        let instant =
+            !manual && config.fault_plan.is_empty() && config.wire == WireModel::instant();
         let shared = Arc::new(FabricShared {
             config,
             endpoints,
@@ -743,10 +741,6 @@ impl WireCore {
         self.now_ns()
     }
 
-    fn scaled(&self, sh: &FabricShared, ns: f64) -> u64 {
-        (ns * sh.config.time_scale) as u64
-    }
-
     /// Publish the currently effective brownout depth so endpoint admission
     /// sees phase transitions without the wire touching every injector.
     fn sync_brownout(&self, sh: &FabricShared) {
@@ -769,7 +763,7 @@ impl WireCore {
         let wire = &sh.config.wire;
         let now = self.now_ns();
         let start = now.max(self.link_free[src]);
-        let tx_cost = self.scaled(sh, len as f64 * wire.ns_per_byte);
+        let tx_cost = (len as f64 * wire.ns_per_byte) as u64;
         self.link_free[src] = start + tx_cost;
         let jitter = if wire.jitter_ns > 0 {
             self.rng.gen_range(0..wire.jitter_ns)
@@ -777,8 +771,7 @@ impl WireCore {
             0
         };
         let extra = if is_put { wire.put_extra_ns } else { 0 };
-        // Latency-spike fault: applied unscaled so spikes bite even on
-        // instant (time_scale 0) test wires.
+        // Latency-spike fault: bites on instant test wires too.
         let spike = match sh.config.fault_plan.spike_at(now) {
             Some((extra_ns, jitter_ns)) => {
                 sh.fault(&sh.endpoints[src], Counter::FabricFaultDelayed, 0);
@@ -791,10 +784,7 @@ impl WireCore {
             }
             None => 0,
         };
-        let at = start
-            + tx_cost
-            + self.scaled(sh, (wire.base_latency_ns + jitter + extra) as f64)
-            + spike;
+        let at = start + tx_cost + wire.base_latency_ns + jitter + extra + spike;
         self.push(at, op);
     }
 
@@ -1098,7 +1088,7 @@ impl WireCore {
                 });
                 s.inflight.fetch_sub(1, Ordering::AcqRel);
             } else {
-                let delay = self.scaled(sh, sh.config.rnr_delay_ns as f64).max(1_000);
+                let delay = sh.config.rnr_delay_ns.max(1_000);
                 let retry = SendOp {
                     retries: op.retries + 1,
                     ..op
@@ -1147,16 +1137,8 @@ mod tests {
     fn the_instant_wire_is_wall_clock_without_a_plan_or_a_scaled_cost() {
         let instant = |cfg: FabricConfig, manual: bool| Fabric::build(cfg, manual).shared.instant;
         let test = || FabricConfig::test(2);
-        assert!(instant(test(), false));
-        assert!(
-            instant(test().with_wire(WireModel::opa()), false),
-            "time_scale 0"
-        );
-        assert!(instant(test().with_time_scale(1.0), false), "all-zero wire");
-        assert!(!instant(
-            test().with_time_scale(1.0).with_wire(WireModel::opa()),
-            false
-        ));
+        assert!(instant(test(), false), "all-zero wire");
+        assert!(!instant(test().with_wire(WireModel::opa()), false));
         assert!(!instant(test(), true), "manual");
         let plan = FaultPlan::none().with_phase(0, 1, Fault::Duplicate);
         assert!(!instant(test().with_fault_plan(plan), false), "fault plan");
@@ -1198,7 +1180,7 @@ mod tests {
 
     #[test]
     fn latency_is_respected() {
-        let mut cfg = FabricConfig::test(2).with_time_scale(1.0);
+        let mut cfg = FabricConfig::test(2);
         cfg.wire = WireModel {
             base_latency_ns: 500_000, // 0.5 ms
             ns_per_byte: 0.0,

@@ -122,7 +122,6 @@ fn injection_backpressure_kicks_in() {
         jitter_ns: 0,
         put_extra_ns: 0,
     };
-    cfg.time_scale = 1.0;
     let f = Fabric::new(cfg);
     let a = f.endpoint(0);
     let mut accepted = 0;
@@ -149,7 +148,6 @@ fn rx_exhaustion_fails_sender_when_retry_limit_small() {
         .with_rnr_retry_limit(2)
         .with_injection_depth(64);
     cfg.rnr_delay_ns = 10_000;
-    cfg.time_scale = 1.0;
     let f = Fabric::new(cfg);
     let a = f.endpoint(0);
     let b = f.endpoint(1);
@@ -197,7 +195,6 @@ fn rx_exhaustion_fails_sender_when_retry_limit_small() {
 fn rx_exhaustion_recovers_when_receiver_frees_buffers() {
     let mut cfg = FabricConfig::test(2).with_rx_buffers(1);
     cfg.rnr_delay_ns = 5_000;
-    cfg.time_scale = 1.0;
     let f = Fabric::new(cfg);
     let a = f.endpoint(0);
     let b = f.endpoint(1);
@@ -245,7 +242,6 @@ fn bandwidth_serializes_large_messages() {
         jitter_ns: 0,
         put_extra_ns: 0,
     };
-    cfg.time_scale = 1.0;
     let f = Fabric::new(cfg);
     let a = f.endpoint(0);
     let b = f.endpoint(1);
@@ -352,7 +348,6 @@ fn peers_of_failed_host_hit_rnr_once_buffers_fill() {
         .with_rnr_retry_limit(1)
         .with_injection_depth(64);
     cfg.rnr_delay_ns = 1_000;
-    cfg.time_scale = 1.0;
     let f = Fabric::new(cfg);
     let a = f.endpoint(0);
     let b = f.endpoint(1);

@@ -57,7 +57,6 @@ proptest! {
     fn per_pair_fifo_without_jitter(count in 1usize..60) {
         let mut cfg = FabricConfig::test(2);
         cfg.wire = WireModel { base_latency_ns: 1_000, ns_per_byte: 0.1, jitter_ns: 0, put_extra_ns: 0 };
-        cfg.time_scale = 1.0;
         let f = Fabric::new(cfg);
         let a = f.endpoint(0);
         let b = f.endpoint(1);

@@ -53,7 +53,7 @@ fn construction_starts_no_thread() {
 
 /// A wall-clock wire on which every message takes `latency_ns` (1:1 time).
 fn latency_wire(latency_ns: u64) -> FabricConfig {
-    let mut cfg = FabricConfig::test(2).with_time_scale(1.0);
+    let mut cfg = FabricConfig::test(2);
     cfg.wire = WireModel {
         base_latency_ns: latency_ns,
         ns_per_byte: 0.0,
@@ -118,9 +118,7 @@ fn a_sender_that_never_polls_is_admitted_again() {
 #[test]
 fn back_pressure_is_still_reported_when_driving_frees_nothing() {
     let _serial = serial();
-    let mut cfg = FabricConfig::test(2)
-        .with_injection_depth(2)
-        .with_time_scale(1.0);
+    let mut cfg = FabricConfig::test(2).with_injection_depth(2);
     cfg.wire = WireModel {
         base_latency_ns: 50_000_000, // nothing is due for 50 ms
         ns_per_byte: 0.0,

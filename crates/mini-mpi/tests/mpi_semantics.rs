@@ -182,7 +182,6 @@ fn resource_exhaustion_is_fatal_like_real_mpi() {
         .with_rnr_retry_limit(1)
         .with_injection_depth(1024);
     fcfg.rnr_delay_ns = 1_000;
-    fcfg.time_scale = 1.0;
     let w = MpiWorld::new(
         fcfg,
         MpiConfig::default().with_personality(Personality::zero()),

@@ -100,6 +100,16 @@ for f in crates/core/src/*.rs crates/mini-mpi/src/*.rs; do
     fi
 done
 
+# Nor do they keep state per thread: a host is one thread, so whatever it
+# owns (its packet pool, its queues) is one structure, not shards picked by a
+# thread-local hint (DESIGN.md, "Key decisions").
+for f in crates/core/src/*.rs crates/mini-mpi/src/*.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } /thread_local!/ { hit = 1 } END { exit !hit }' "$f"; then
+        echo "PER-THREAD STATE: $f declares thread_local! outside #[cfg(test)]; a host is one thread" >&2
+        exit 1
+    fi
+done
+
 # The fabric has one `unsafe`: the feature-detected call from `Crc32::update`
 # (frame.rs) into the carry-less-multiply CRC, which itself is safe code on
 # register values (DESIGN.md, "Eager wire path"). A second block, a pointer

@@ -14,10 +14,12 @@
 //! and the receive side, the ack paths and the in-order `SeqGate` allocate
 //! nothing of their own. The device's first-packet ring costs one allocation
 //! per segment during its first lap, as the tickets reach each segment, and
-//! nothing after it.
+//! nothing after it. Its packet pool likewise builds nothing with the device:
+//! each of the first `packet_count` leases builds one packet, and no later
+//! lease builds any.
 
 use bytes::Bytes;
-use lci::{Device, LciConfig, MpmcQueue};
+use lci::{Device, LciConfig, MpmcQueue, PacketPool};
 use lci_fabric::frame::SeqGate;
 use lci_fabric::{
     Endpoint, Event, Fabric, FabricConfig, HostId, PacketBuf, RelRecv, ReliableSession,
@@ -284,6 +286,44 @@ fn the_first_packet_ring_builds_one_segment_per_first_lap_crossing() {
         "one allocation per segment"
     );
     assert_eq!(after, 0, "nothing after the first lap");
+}
+
+#[test]
+fn building_a_device_builds_no_packet() {
+    let fabric = Fabric::new_manual(FabricConfig::deterministic(2, 7));
+    let cfg = LciConfig::for_hosts(2);
+    assert!(cfg.packet_payload >= PAYLOAD, "a packet is payload-sized");
+    let (_, big, device) = allocations(|| Device::new(fabric.endpoint(0), cfg));
+    assert_eq!(device.packets_leased(), 0);
+    assert_eq!(
+        big, 0,
+        "a packet is built by its first lease, not by the device"
+    );
+}
+
+#[test]
+fn the_first_packet_count_leases_build_one_packet_each_and_later_leases_none() {
+    let cfg = LciConfig::for_hosts(2);
+    let pool = PacketPool::new(cfg.packet_count, cfg.packet_payload, cfg.pool_shards);
+    let mut held = Vec::with_capacity(pool.capacity());
+    for i in 0..pool.capacity() {
+        let (all, big, packet) = allocations(|| pool.alloc());
+        held.push(packet.expect("under capacity"));
+        assert_eq!((all, big), (1, 1), "lease {i} builds its packet");
+    }
+    let (all, _, packet) = allocations(|| pool.alloc());
+    assert!(packet.is_none(), "exhausted at capacity");
+    assert_eq!(all, 0, "an exhausted lease builds nothing");
+    for round in 0..3 {
+        for packet in held.drain(..) {
+            pool.free(packet);
+        }
+        for i in 0..pool.capacity() {
+            let (_, big, packet) = allocations(|| pool.alloc());
+            held.push(packet.expect("a freed packet"));
+            assert_eq!(big, 0, "round {round}, lease {i} reuses a packet");
+        }
+    }
 }
 
 #[test]
