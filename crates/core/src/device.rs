@@ -67,9 +67,9 @@
 //! device ([`EnqError::PeerDead`]) instead of wedging its callers.
 
 use crate::config::{LciConfig, PutMode};
-use crate::faa_queue::MpmcQueue;
 use crate::pool::{Packet, PacketPool};
 use crate::protocol::{self, PacketType};
+use crate::queue::MpmcQueue;
 use crate::request::{FilledRanges, RdvReq, RecvData, RecvRequest, SendRequest};
 use bytes::Bytes;
 use lci_fabric::reliable::{RelRecv, ReliableSession, REL_DATA_OFFSET};
@@ -77,7 +77,7 @@ use lci_fabric::{Endpoint, Event, Held, PacketBuf, PendingPuts, Put, Rendezvous,
 use lci_trace::{Counter, EventKind, Registry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Why an operation could not be *initiated*. `NoPacket` and `Backpressure`
@@ -183,14 +183,10 @@ struct DeviceInner {
     ep: Endpoint,
     /// Shared with `rel`, which builds and keeps its frames in these packets.
     pool: Arc<PacketPool>,
+    /// First-packets in arrival order. An `RTS` whose `RTR` answer is
+    /// deferred for lack of resources goes back at the head, so it still
+    /// surfaces before anything that arrived after it.
     rxq: MpmcQueue<RxItem>,
-    /// RTS packets whose RTR answer was deferred for lack of resources.
-    /// Drained ahead of `rxq` so the first-packet order is preserved
-    /// (requeueing into the MPMC ring would move them behind later arrivals).
-    deferred_rts: Mutex<VecDeque<RxItem>>,
-    /// Length of `deferred_rts`, so that `recv_deq` takes the lock only
-    /// when there is something behind it.
-    deferred_len: AtomicUsize,
     /// The reliable sublayer: framing, sequencing, dedup, ack/retransmit,
     /// and peer-failure detection, shared by every send and receive path.
     rel: ReliableSession,
@@ -236,8 +232,6 @@ impl Device {
         Device {
             inner: Arc::new(DeviceInner {
                 rxq: MpmcQueue::new(rx_capacity),
-                deferred_rts: Mutex::new(VecDeque::new()),
-                deferred_len: AtomicUsize::new(0),
                 rel: ReliableSession::with_bufs(&ep, Arc::clone(&pool) as _),
                 pool,
                 progress: Mutex::new(Progress::default()),
@@ -355,11 +349,6 @@ impl Device {
             }
         }
         while inner.rxq.try_pop().is_some() {}
-        {
-            let mut deferred = inner.deferred_rts.lock();
-            deferred.clear();
-            inner.deferred_len.store(0, Ordering::Release);
-        }
         prog.pending_puts.clear();
         prog.pending_frags.clear();
         prog.filled.clear();
@@ -464,18 +453,12 @@ impl Device {
     /// **`RECV-DEQ`** — dequeue the next arrived message, if any.
     ///
     /// Returns `None` when no first-packet is queued *or* when answering an
-    /// `RTS` is temporarily impossible for lack of resources (the packet is
-    /// requeued). Eager receives come back complete; rendezvous receives
-    /// complete once the peer's put lands.
+    /// `RTS` is temporarily impossible for lack of resources (the packet goes
+    /// back at the head of the queue). Eager receives come back complete;
+    /// rendezvous receives complete once the peer's put lands.
     pub fn recv_deq(&self) -> Option<RecvRequest> {
         let inner = &self.inner;
-        // First-packet policy: an RTS whose RTR was deferred for lack of
-        // resources must surface before anything that arrived after it, so
-        // the side list drains ahead of the ring.
-        let item = match self.pop_deferred() {
-            Some(item) => item,
-            None => inner.rxq.try_pop()?,
-        };
+        let item = inner.rxq.try_pop()?;
         match item.ty {
             PacketType::Egr => {
                 // The frame and reliable prefixes were verified in progress;
@@ -532,23 +515,11 @@ impl Device {
         }
     }
 
-    /// Put an RTS that cannot be answered yet at the head of the side list.
+    /// Put an `RTS` that cannot be answered yet back at the head of the
+    /// queue (first-packet policy: it surfaces before anything that arrived
+    /// after it).
     fn defer(&self, item: RxItem) {
-        let inner = &self.inner;
-        let mut deferred = inner.deferred_rts.lock();
-        deferred.push_front(item);
-        inner.deferred_len.store(deferred.len(), Ordering::Release);
-    }
-
-    fn pop_deferred(&self) -> Option<RxItem> {
-        let inner = &self.inner;
-        if inner.deferred_len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut deferred = inner.deferred_rts.lock();
-        let item = deferred.pop_front();
-        inner.deferred_len.store(deferred.len(), Ordering::Release);
-        item
+        self.inner.rxq.push_front(item);
     }
 
     /// **`NETWORK-PROGRESS`** — drive the protocol: drain completions,

@@ -64,16 +64,16 @@
 
 mod config;
 mod device;
-mod faa_queue;
 mod pool;
 pub mod protocol;
+mod queue;
 mod request;
 mod world;
 
 pub use config::{LciConfig, PutMode};
 pub use device::{Device, DeviceStats, EnqError};
-pub use faa_queue::MpmcQueue;
 pub use pool::{Packet, PacketPool, PACKET_HEADROOM};
 pub use protocol::{MAX_SIZE, MAX_TAG};
+pub use queue::MpmcQueue;
 pub use request::{RecvData, RecvRequest, SendRequest};
 pub use world::LciWorld;

@@ -9,10 +9,10 @@ use std::time::{Duration, Instant};
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// The FAA queue behaves exactly like a VecDeque for any single-threaded
-    /// push/pop interleaving within capacity.
+    /// The first-packet queue behaves exactly like a VecDeque for any
+    /// single-threaded push/pop interleaving within its bound.
     #[test]
-    fn faa_queue_matches_model(ops in prop::collection::vec((any::<bool>(), any::<u32>()), 1..300)) {
+    fn queue_matches_model(ops in prop::collection::vec((any::<bool>(), any::<u32>()), 1..300)) {
         let q = MpmcQueue::new(64);
         let mut model = std::collections::VecDeque::new();
         for (push, v) in ops {

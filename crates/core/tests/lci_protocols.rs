@@ -476,3 +476,69 @@ fn a_deferred_rendezvous_put_keeps_its_sender_from_quiescing() {
     a.progress();
     assert!(s.is_done());
 }
+
+/// An `RTS` that `recv_deq` cannot answer for want of a packet keeps its
+/// place: a message that arrived after it waits behind it, nothing surfaces
+/// while no packet is free, and once one frees the `RTS` comes out first.
+#[test]
+fn a_deferred_rts_surfaces_before_what_arrived_after_it() {
+    use lci_fabric::Fabric;
+    let f = Fabric::new_manual(FabricConfig::deterministic(2, 0xDEF));
+    let a = Device::new(f.endpoint(0), LciConfig::for_hosts(2));
+    let b = Device::new(f.endpoint(1), LciConfig::for_hosts(2).with_packet_count(1));
+    // Host 1's one packet stays out until host 0 acknowledges the frame in it.
+    b.send_enq(Bytes::from_static(b"hold"), 0, 9)
+        .expect("host 1's one packet");
+    let big = vec![0xA7u8; 32 << 10];
+    let s = a.send_enq(Bytes::from(big.clone()), 1, 1).expect("RTS");
+    f.drain();
+    b.progress();
+    assert!(
+        b.recv_deq().is_none(),
+        "no packet for the RTR: the RTS waits"
+    );
+    a.send_enq(Bytes::from_static(b"after"), 1, 2)
+        .expect("eager");
+    f.drain();
+    b.progress();
+    assert!(
+        b.recv_deq().is_none(),
+        "still no packet: the eager message waits behind the RTS"
+    );
+    assert_eq!(b.packets_leased(), 1);
+    let tick = || {
+        if !f.step() {
+            f.advance_virtual(f.config().reliable.ack_delay_ns);
+        }
+    };
+    // Host 0 acknowledges host 1's frame, which frees host 1's packet.
+    for _ in 0..1_000 {
+        if b.packets_leased() == 0 {
+            break;
+        }
+        a.progress();
+        tick();
+        b.progress();
+    }
+    assert_eq!(b.packets_leased(), 0, "host 0's ack frees the packet");
+    let r = b.recv_deq().expect("a packet is free");
+    assert_eq!(
+        (r.tag(), r.is_done()),
+        (1, false),
+        "the RTS comes out first"
+    );
+    let e = b.recv_deq().expect("then the eager message");
+    assert_eq!(e.tag(), 2);
+    assert_eq!(e.take_data().unwrap(), b"after");
+    assert!(b.recv_deq().is_none());
+    for _ in 0..10_000 {
+        if r.is_done() && s.is_done() {
+            break;
+        }
+        tick();
+        a.progress();
+        b.progress();
+    }
+    assert!(r.is_done() && s.is_done(), "the rendezvous completes");
+    assert_eq!(r.take_data().unwrap(), big);
+}

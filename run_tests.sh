@@ -110,19 +110,17 @@ for f in crates/core/src/*.rs crates/mini-mpi/src/*.rs; do
     fi
 done
 
-# The fabric has one `unsafe`: the feature-detected call from `Crc32::update`
-# (frame.rs) into the carry-less-multiply CRC, which itself is safe code on
-# register values (DESIGN.md, "Eager wire path"). A second block, a pointer
-# load or a transmute would be unchecked memory access where today there is
-# none, so outside tests and comments none may appear. The LCI runtime keeps
-# the slot array of faa_queue.rs (4); every other file of the runtimes has
-# none — a rendezvous names its requests by ids parked in a table
-# (`lci_fabric::Rendezvous`), not by pointers. The ceilings are today's counts,
-# so the unchecked core can shrink (ROADMAP item 9(b)) but not grow unnoticed.
+# The runtimes have one `unsafe`: the feature-detected call from
+# `Crc32::update` (frame.rs) into the carry-less-multiply CRC, which itself is
+# safe code on register values (DESIGN.md, "Eager wire path"). A second block,
+# a pointer load or a transmute would be unchecked memory access where today
+# there is none, so outside tests and comments none may appear. Every other
+# file of the fabric, LCI and mini-mpi has none: the first-packet queue is a
+# locked deque, and a rendezvous names its requests by ids parked in a table
+# (`lci_fabric::Rendezvous`), not by pointers.
 for f in crates/fabric/src/*.rs crates/core/src/*.rs crates/mini-mpi/src/*.rs; do
     case "$f" in
         crates/fabric/src/frame.rs) allowed=1 ;;
-        crates/core/src/faa_queue.rs) allowed=4 ;;
         *) allowed=0 ;;
     esac
     if ! awk -v allowed="$allowed" '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
@@ -165,7 +163,7 @@ done
 # A host waits one way: it drives progress, then yields (DESIGN.md, "How a
 # host waits"). A sleep would hold up the very progress the waiter is owed,
 # so no product source sleeps outside tests. Modelled CPU costs
-# (`busy::spin_for_ns`) and the queue's contention spins are not waits.
+# (`busy::spin_for_ns`) are not waits.
 for f in $(find crates/*/src -name '*.rs'); do
     if awk '/^#\[cfg\(test\)\]/ { exit } /thread::sleep/ { hit = 1 } END { exit !hit }' "$f"; then
         echo "SLEEP: $f calls thread::sleep outside #[cfg(test)]; drive progress and yield instead" >&2
@@ -175,9 +173,9 @@ done
 
 # The product owns its queues: completions and injections are drained in
 # batches from `Mutex`-guarded vectors the fabric defines (DESIGN.md,
-# "Completion and injection queues"), and the one padding wrapper is
-# `lci`'s own. The `crossbeam` stand-in (a mutex per push and per pop) stays
-# only because the benchmark's lockfile still lists it.
+# "Completion and injection queues"), and LCI's first-packet queue is its
+# own locked deque. The `crossbeam` stand-in (a mutex per push and per pop)
+# stays only because the benchmark's lockfile still lists it.
 if hits="$(grep -rnE 'crossbeam::|SegQueue' crates/*/src)"; then
     echo "STAND-INS: product source names a crossbeam stand-in:" >&2
     echo "$hits" >&2

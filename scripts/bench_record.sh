@@ -9,6 +9,11 @@
 # length (`run_seconds`). About 15 minutes; run it on an otherwise idle
 # machine. The file with the highest <N> is what tier 1 of run_tests.sh pins
 # the seed-pure rows to, so checking the next one in *is* the re-pin.
+#
+# A `*_ns_per_*` row of the traced suite is a cost, but a ladder rung is the
+# difference of two measured spans and can come out at or below zero; such a
+# row is no cost at all. Each one is named in a warning line and listed
+# under `nonpositive_rungs` in the file.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 n="${1:?usage: scripts/bench_record.sh <PR number>}"
@@ -41,9 +46,12 @@ out="results/BENCH_pr$n.json"
             "$(printf %s "$times" | median)" "$(printf %s "$setups" | median)" "$failed"
         sep=$',\n'
     done
-    printf '\n  },\n  "traced": '
-    bash benchmark/run.sh --workload stream_small --seed 1 --seconds "$seconds" --trace 1 | tail -n 1
-    echo "}"
+    traced="$(bash benchmark/run.sh --workload stream_small --seed 1 --seconds "$seconds" --trace 1 | tail -n 1)"
+    rungs="$(grep -oE '"[a-z0-9_.]*_ns_per_[a-z0-9_.]*": \{"value": [^,}]+' <<<"$traced" |
+        sed -E 's/^"([^"]*)": \{"value": (.*)$/\1 \2/' | awk '$2 <= 0' || true)"
+    awk 'NF { printf "warning: %s = %s is no cost (<= 0 ns)\n", $1, $2 }' <<<"$rungs" >&2
+    printf '\n  },\n  "traced": %s,\n  "nonpositive_rungs": [%s]\n}\n' "$traced" \
+        "$(awk 'NF { printf "%s\"%s\"", n++ ? ", " : "", $1 }' <<<"$rungs")"
 } >"$out.tmp"
 mv "$out.tmp" "$out"
 echo "wrote $out" >&2

@@ -70,6 +70,16 @@ fn crash_point(twin: &Fabric, host: u16, (num, den): (u64, u64)) -> u64 {
     party_packets(twin, host) * num / den
 }
 
+/// What a "the crash must fire" failure prints: the twin's party packets at
+/// `host`, the trigger placed in them, and the crash run's own count, which
+/// stays below the trigger when the crash never fired.
+fn crash_numbers(twin_packets: u64, trigger: u64, run: &Fabric, host: u16) -> String {
+    format!(
+        "twin party_packets {twin_packets}, trigger {trigger}, this run's party_packets {}",
+        party_packets(run, host)
+    )
+}
+
 fn fabric_cfg(hosts: usize, seed: u64, plan: FaultPlan) -> FabricConfig {
     FabricConfig::test(hosts).with_seed(seed).with_fault_plan(plan)
 }
@@ -133,6 +143,7 @@ fn abelian_bfs_crash_recovery_bit_identical_on_every_layer() {
         )
         .unwrap_or_else(|e| panic!("layer {} crash-free run failed: {e}", kind.name()));
         assert_eq!(clean.values, expect, "layer {} crash-free baseline", kind.name());
+        let twin_packets = party_packets(rw.fabric(), CRASH_HOST);
         let after = crash_point(rw.fabric(), CRASH_HOST, CRASH_AT);
 
         let mut rw = RecoveryWorld::new(
@@ -169,8 +180,9 @@ fn abelian_bfs_crash_recovery_bit_identical_on_every_layer() {
         let st = rw.fabric().endpoint(CRASH_HOST as usize).stats();
         assert!(
             st.fault_crashed > 0,
-            "layer {}: the crash must actually fire (replay: FABRIC_SEED={seed})",
-            kind.name()
+            "layer {}: the crash must actually fire (replay: FABRIC_SEED={seed}; {})",
+            kind.name(),
+            crash_numbers(twin_packets, after, rw.fabric(), CRASH_HOST)
         );
         assert!(
             store.latest_common().is_some(),
@@ -222,6 +234,7 @@ fn gemini_bfs_crash_recovery_bit_identical_on_every_layer() {
         )
         .unwrap_or_else(|e| panic!("layer {} crash-free run failed: {e}", kind.name()));
         assert_eq!(clean.values, expect, "layer {} crash-free baseline", kind.name());
+        let twin_packets = party_packets(rw.fabric(), CRASH_HOST);
         let after = crash_point(rw.fabric(), CRASH_HOST, CRASH_AT);
 
         let mut rw = RecoveryWorld::new(
@@ -255,8 +268,9 @@ fn gemini_bfs_crash_recovery_bit_identical_on_every_layer() {
         let st = rw.fabric().endpoint(CRASH_HOST as usize).stats();
         assert!(
             st.fault_crashed > 0,
-            "layer {}: the crash must actually fire (replay: FABRIC_SEED={seed})",
-            kind.name()
+            "layer {}: the crash must actually fire (replay: FABRIC_SEED={seed}; {})",
+            kind.name(),
+            crash_numbers(twin_packets, after, rw.fabric(), CRASH_HOST)
         );
         assert!(
             store.latest_common().is_some(),
@@ -290,7 +304,7 @@ fn crash_without_recovery_aborts_bounded_on_every_layer() {
         run_app_checked(&parts, app(), &layers, &EngineConfig::default())
             .unwrap_or_else(|e| panic!("layer {} crash-free run failed: {e}", kind.name()));
         let after = crash_point(twin.fabric(), 1, (1, 2));
-        let (layers, _world) = build_layers(
+        let (layers, world) = build_layers(
             kind,
             fabric_cfg(3, seed, crash_plan(1, after)),
             mpi_cfg(),
@@ -300,8 +314,9 @@ fn crash_without_recovery_aborts_bounded_on_every_layer() {
         let err = match run_app_checked(&parts, app(), &layers, &EngineConfig::default()) {
             Ok(_) => panic!(
                 "layer {} must abort when host 1 crashes without recovery \
-                 (replay: FABRIC_SEED={seed})",
-                kind.name()
+                 (replay: FABRIC_SEED={seed}; {})",
+                kind.name(),
+                crash_numbers(party_packets(twin.fabric(), 1), after, world.fabric(), 1)
             ),
             Err(e) => e,
         };
@@ -474,13 +489,18 @@ fn recovery_checkpoint_schedule_replays_from_seed() {
         (r.values, store.latest_common(), rw)
     };
     let (_, _, twin) = run(FaultPlan::none());
-    let plan = crash_plan(1, crash_point(twin.fabric(), 1, (3, 4)));
+    let after = crash_point(twin.fabric(), 1, (3, 4));
+    let plan = crash_plan(1, after);
     let fired = |rw: &RecoveryWorld| rw.fabric().endpoint(1).stats().fault_crashed > 0;
     let (v1, c1, rw1) = run(plan.clone());
     let (v2, c2, rw2) = run(plan);
+    let twin_packets = party_packets(twin.fabric(), 1);
     assert!(
         fired(&rw1) && fired(&rw2),
-        "the crash must fire for the replay comparison to mean anything"
+        "the crash must fire for the replay comparison to mean anything \
+         (first run: {}; second run: {})",
+        crash_numbers(twin_packets, after, rw1.fabric(), 1),
+        crash_numbers(twin_packets, after, rw2.fabric(), 1)
     );
     assert_eq!(v1, v2, "same seed must yield bit-identical recovered values");
     assert_eq!(c1, c2, "same seed must yield the same final common checkpoint");

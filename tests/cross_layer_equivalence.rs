@@ -272,8 +272,12 @@ fn bfs_equivalent_with_crash_recovery_under_combined_faults() {
         for kind in LayerKind::all() {
             let (twin, rw) = run(kind, seed, FaultPlan::none());
             twin.unwrap_or_else(|e| panic!("layer {} crash-free twin: {e}", kind.name()));
-            let st = rw.fabric().endpoint(1).stats();
-            let after_packets = (st.sends + st.recvs + st.puts) * 3 / 5;
+            let party_packets = |rw: &RecoveryWorld| {
+                let st = rw.fabric().endpoint(1).stats();
+                st.sends + st.recvs + st.puts
+            };
+            let twin_packets = party_packets(&rw);
+            let after_packets = twin_packets * 3 / 5;
             let mut plan =
                 FaultPlan::none().with_phase(0, WHOLE_RUN, Fault::Crash { host: 1, after_packets });
             if selector & 1 != 0 {
@@ -292,8 +296,10 @@ fn bfs_equivalent_with_crash_recovery_under_combined_faults() {
             );
             assert!(
                 rw.fabric().endpoint(1).stats().fault_crashed > 0,
-                "layer {} selector {selector}: crash never fired",
-                kind.name()
+                "layer {} selector {selector}: crash never fired (twin party_packets \
+                 {twin_packets}, trigger {after_packets}, this run's party_packets {})",
+                kind.name(),
+                party_packets(&rw)
             );
         }
     }

@@ -12,11 +12,10 @@
 //! `send_enq` to `take_data` (and `recv_deq` + `take_data` nothing at all),
 //! a rendezvous `send_enq` allocates the one request it shares with progress,
 //! and the receive side, the ack paths and the in-order `SeqGate` allocate
-//! nothing of their own. The device's first-packet ring costs one allocation
-//! per segment during its first lap, as the tickets reach each segment, and
-//! nothing after it. Its packet pool likewise builds nothing with the device:
-//! each of the first `packet_count` leases builds one packet, and no later
-//! lease builds any.
+//! nothing of their own. The device's first-packet queue grows to the most
+//! it has held and allocates nothing after that, and a pop never allocates.
+//! Its packet pool builds nothing with the device: each of the first
+//! `packet_count` leases builds one packet, and no later lease builds any.
 
 use bytes::Bytes;
 use lci::{Device, LciConfig, MpmcQueue, PacketPool};
@@ -261,31 +260,26 @@ fn an_eager_receive_allocates_nothing() {
 }
 
 #[test]
-fn the_first_packet_ring_builds_one_segment_per_first_lap_crossing() {
+fn the_first_packet_queue_allocates_nothing_once_it_has_held_its_peak() {
+    const PEAK: usize = 1000;
     let q = MpmcQueue::new(4096);
-    let cap = q.capacity();
-    let (mut first_lap, mut after) = (0, 0);
-    for i in 0..3 * cap {
-        let (pushed, _, ()) = allocations(|| q.push(i));
+    let (popped, _, got) = allocations(|| q.try_pop());
+    assert_eq!((got, popped), (None, 0), "a pop of an empty queue");
+    for i in 0..PEAK {
+        q.push(i);
+    }
+    for i in 0..PEAK {
         let (popped, _, got) = allocations(|| q.try_pop());
         assert_eq!((got, popped), (Some(i), 0), "a pop allocates nothing");
-        assert!(pushed <= 1, "ticket {i}: at most one segment a push");
-        if i < cap {
-            first_lap += pushed;
-        } else {
-            after += pushed;
+    }
+    for n in [1, PEAK / 3, PEAK, 7, PEAK] {
+        let (pushed, _, ()) = allocations(|| (0..n).for_each(|i| q.push(i)));
+        assert_eq!(pushed, 0, "{n} pushes after a peak of {PEAK}");
+        for i in 0..n {
+            let (popped, _, got) = allocations(|| q.try_pop());
+            assert_eq!((got, popped), (Some(i), 0), "a pop allocates nothing");
         }
     }
-    assert!(
-        q.segments_built() > 1,
-        "a 4096-slot ring is several segments"
-    );
-    assert_eq!(
-        first_lap,
-        q.segments_built() as u64,
-        "one allocation per segment"
-    );
-    assert_eq!(after, 0, "nothing after the first lap");
 }
 
 #[test]
@@ -327,39 +321,22 @@ fn the_first_packet_count_leases_build_one_packet_each_and_later_leases_none() {
 }
 
 #[test]
-fn an_eager_message_allocates_a_ring_segment_only_in_the_first_lap() {
-    // 1024 receive credits: the device's first-packet ring has 1024 slots,
-    // more than one segment. A 64-byte message makes no payload-sized
-    // allocation of its own, so what `trip_big` counts is a segment of
-    // first-packet slots (kilobytes), built by the progress call that
-    // queues the first message to reach it.
+fn a_stream_of_eager_messages_allocates_nothing_payload_sized_after_the_first() {
+    // 1024 receive credits, so the device's first-packet queue may hold
+    // 1024 items. A 64-byte message makes no payload-sized allocation of its
+    // own: the first trip builds the one packet the stream leases (and grows
+    // the session's buffers), and every later trip reuses what it built.
     let fabric = FabricConfig::deterministic(2, 6).with_rx_buffers(1024);
     let d = Devices::on(fabric, LciConfig::for_hosts(2));
     let payload = Bytes::from(vec![0x96u8; 64]);
-    let lap = 1024;
-    let built: Vec<u64> = (0..2 * lap)
+    let built: Vec<u64> = (0..2048)
         .map(|i| d.eager(&payload, i as u32).trip_big)
         .collect();
-    // The first trip also grows the session's buffers; from the second on,
-    // a trip builds a segment exactly when its ticket opens one, and the
-    // segments split the lap evenly.
-    let (first, second) = built.split_at(lap);
-    assert!(first[0] >= 1, "the first message builds the first segment");
-    assert!(first[1..].iter().all(|&n| n <= 1), "one segment at a time");
-    let opened: Vec<usize> = (1..lap).filter(|&i| first[i] == 1).collect();
-    let stride = lap / (opened.len() + 1);
-    assert!(
-        !opened.is_empty(),
-        "segments past the first are built mid-lap"
-    );
+    assert!(built[0] >= 1, "the first message builds its packet");
     assert_eq!(
-        opened,
-        (1..=opened.len()).map(|k| k * stride).collect::<Vec<_>>()
-    );
-    assert_eq!(
-        second.iter().sum::<u64>(),
+        built[1..].iter().sum::<u64>(),
         0,
-        "the second lap builds nothing"
+        "later messages build nothing"
     );
 }
 
