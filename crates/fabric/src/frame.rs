@@ -24,12 +24,16 @@
 //! *every* single-bit flip is detected — a property the hardening proptests
 //! assert exhaustively on small frames.
 //!
-//! Two routines compute it and [`Crc32::update`] alone picks one: `sliced`
+//! Three routines compute it and [`Crc32::update`] alone picks one: `sliced`
 //! (table lookups, 16 bytes a round) runs anywhere; `clmul::fold` (carry-less
-//! multiplication, 64 bytes a step) takes inputs of 64 bytes or more on an
-//! x86-64 CPU that reports `pclmulqdq`. Both leave the same register after
-//! the same bytes — the unit tests hold each to a bit-at-a-time oracle — so
-//! which one ran never shows on the wire or in a checkpoint.
+//! multiplication of 128-bit lanes, 64 bytes a step) takes inputs of 64 bytes
+//! or more on an x86-64 CPU that reports `pclmulqdq`; `clmul::wide::fold`
+//! (the same fold in four 512-bit registers, 256 bytes a step) takes inputs
+//! of 256 bytes or more where the CPU also reports `avx512f` and
+//! `vpclmulqdq`. Each fold leaves its tail to the tables. All three leave the
+//! same register after the same bytes — the unit tests hold each to a
+//! bit-at-a-time oracle — so which one ran never shows on the wire or in a
+//! checkpoint.
 
 use std::collections::BTreeSet;
 
@@ -97,13 +101,26 @@ impl Crc32 {
     /// Fold `bytes` into the checksum: by carry-less multiplication where the
     /// CPU has it and 64 bytes or more are on hand (what the four lanes of
     /// `clmul::fold` hold before its first step; it is already the faster
-    /// routine there), otherwise, and for the tail it leaves, by table.
+    /// routine there), four registers wide from 256 bytes on a CPU that also
+    /// multiplies 512-bit registers, otherwise, and for the tail either fold
+    /// leaves, by table.
     pub fn update(&mut self, bytes: &[u8]) {
         #[cfg(target_arch = "x86_64")]
         if bytes.len() >= clmul::MIN_LEN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+            let wide = bytes.len() >= clmul::wide::MIN_LEN
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("vpclmulqdq");
             // SAFETY: all `clmul::fold` requires is a CPU that executes
-            // `pclmulqdq`, which the detection macro has just confirmed.
-            let (crc, tail) = unsafe { clmul::fold(self.0, bytes) };
+            // `pclmulqdq`, which the detection macro has just confirmed;
+            // `clmul::wide::fold` is taken only where it also confirmed
+            // `avx512f` and `vpclmulqdq`.
+            let (crc, tail) = unsafe {
+                if wide {
+                    clmul::wide::fold(self.0, bytes)
+                } else {
+                    clmul::fold(self.0, bytes)
+                }
+            };
             self.0 = sliced(crc, tail);
             return;
         }
@@ -150,6 +167,24 @@ mod clmul {
     /// Least input [`fold`] takes: its four 16-byte lanes.
     pub(super) const MIN_LEN: usize = 64;
 
+    // x^n mod P (and, for Barrett, x^64 / P and P), bit-reflected like the
+    // register and shifted up one: the product of two reflected operands
+    // comes out one bit low. A pair is (x^(d-32), x^(d+32)), the factors
+    // that move a lane's high and low half `d` bits up.
+    const BY_512: (i64, i64) = (0x1_C6E4_1596, 0x1_5444_2BD4); // n = 480, 544
+    const BY_128: (i64, i64) = (0x0_CCAA_009E, 0x1_7519_97D0); // n = 96, 160
+
+    /// Bytes `b[at..at + 8]` as the lane word they load as.
+    fn word(b: &[u8], at: usize) -> i64 {
+        i64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
+    }
+
+    /// Sixteen bytes as one lane, built from their values: no pointer load.
+    #[target_feature(enable = "sse2")]
+    fn lane(b: &[u8]) -> __m128i {
+        _mm_set_epi64x(word(b, 8), word(b, 0))
+    }
+
     /// `a` moved `d` bits up the message, plus `b`; `k` is x^(d+32) for `a`'s
     /// low half (the earlier bytes) and x^(d-32) for its high half.
     #[target_feature(enable = "pclmulqdq")]
@@ -164,20 +199,22 @@ mod clmul {
     /// built with `from_le_bytes`, never loaded through a pointer.
     #[target_feature(enable = "pclmulqdq")]
     pub(super) fn fold(crc: u32, bytes: &[u8]) -> (u32, &[u8]) {
-        let lane = |b: &[u8]| {
-            let v = u128::from_le_bytes(b.try_into().expect("16 bytes"));
-            _mm_set_epi64x((v >> 64) as i64, v as i64)
-        };
-        // x^n mod P (and, for Barrett, x^64 / P and P), bit-reflected like the
-        // register and shifted up one: the product of two reflected operands
-        // comes out one bit low.
-        let by_512 = _mm_set_epi64x(0x1_C6E4_1596, 0x1_5444_2BD4); // n = 480, 544
-        let by_128 = _mm_set_epi64x(0x0_CCAA_009E, 0x1_7519_97D0); // n = 96, 160
-        let by_64 = _mm_set_epi64x(0, 0x1_63CD_6124);
-        let mu_p = _mm_set_epi64x(0x1_F701_1641, 0x1_DB71_0641);
         let mut x = [0, 16, 32, 48].map(|at| lane(&bytes[at..at + 16]));
         x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(crc as i32));
-        let mut steps = bytes[MIN_LEN..].chunks_exact(MIN_LEN);
+        fold_lanes(x, &bytes[MIN_LEN..])
+    }
+
+    /// The tail both folds share: four lanes holding the message so far, then
+    /// `rest`. Its 64-byte blocks step the lanes, its leftover 16-byte blocks
+    /// fold into one lane, and Barrett reduction takes that lane to the
+    /// register. Returns it and the bytes short of a block.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_lanes(mut x: [__m128i; 4], rest: &[u8]) -> (u32, &[u8]) {
+        let by_512 = _mm_set_epi64x(BY_512.0, BY_512.1);
+        let by_128 = _mm_set_epi64x(BY_128.0, BY_128.1);
+        let by_64 = _mm_set_epi64x(0, 0x1_63CD_6124);
+        let mu_p = _mm_set_epi64x(0x1_F701_1641, 0x1_DB71_0641);
+        let mut steps = rest.chunks_exact(MIN_LEN);
         for s in &mut steps {
             for (x, b) in x.iter_mut().zip(s.chunks_exact(16)) {
                 *x = shift_onto(*x, by_512, lane(b));
@@ -185,7 +222,7 @@ mod clmul {
         }
         let mut blocks = steps.remainder().chunks_exact(16);
         let mut acc = x[0];
-        for b in x[1..].iter().copied().chain((&mut blocks).map(lane)) {
+        for b in x[1..].iter().copied().chain((&mut blocks).map(|b| lane(b))) {
             acc = shift_onto(acc, by_128, b);
         }
         // 128 bits -> 96 -> 64, then Barrett: the 32 left are the register.
@@ -198,6 +235,73 @@ mod clmul {
         let t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), mu_p, 0x00);
         let crc = _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(acc, t), 4)) as u32;
         (crc, blocks.remainder())
+    }
+
+    /// The same fold four registers wide: sixteen 16-byte lanes in four
+    /// 512-bit accumulators, stepped 256 bytes at a time by `vpclmulqdq`,
+    /// which multiplies all four lanes of a register at once.
+    pub(super) mod wide {
+        use super::*;
+
+        /// Least input [`fold`] takes: its four accumulators. From here on it
+        /// is already the faster fold (EXPERIMENTS.md, "CRC-32 four
+        /// registers wide").
+        pub(in super::super) const MIN_LEN: usize = 256;
+
+        /// Factors that move every lane of an accumulator 2048 bits up.
+        const BY_2048: (i64, i64) = (0x1_322D_1430, 0x1_1542_778A); // n = 2016, 2080
+
+        /// A (high, low) factor pair in every lane.
+        #[target_feature(enable = "avx512f")]
+        fn factors((hi, lo): (i64, i64)) -> __m512i {
+            _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo)
+        }
+
+        /// Sixty-four bytes as four lanes, built like [`lane`]'s.
+        #[target_feature(enable = "avx512f")]
+        fn lanes(b: &[u8]) -> __m512i {
+            let w = |i: usize| word(b, 8 * i);
+            _mm512_set_epi64(w(7), w(6), w(5), w(4), w(3), w(2), w(1), w(0))
+        }
+
+        /// [`shift_onto`] on four lanes at once; the three-way XOR is one
+        /// instruction.
+        #[target_feature(enable = "avx512f,vpclmulqdq")]
+        fn shift_onto(a: __m512i, k: __m512i, b: __m512i) -> __m512i {
+            let lo = _mm512_clmulepi64_epi128(a, k, 0x00);
+            let hi = _mm512_clmulepi64_epi128(a, k, 0x11);
+            _mm512_ternarylogic_epi64(lo, hi, b, 0x96)
+        }
+
+        /// Fold every whole 16-byte block of `bytes`, [`MIN_LEN`] or more,
+        /// into `crc`, like [`super::fold`]: 256-byte steps, then the four
+        /// accumulators onto the last one, whose four lanes go on through
+        /// the shared tail. All safe code, like the 128-bit fold.
+        #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq")]
+        pub(in super::super) fn fold(crc: u32, bytes: &[u8]) -> (u32, &[u8]) {
+            let mut x = [0, 64, 128, 192].map(|at| lanes(&bytes[at..at + 64]));
+            x[0] = _mm512_xor_si512(x[0], _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, crc as i64));
+            let by_2048 = factors(BY_2048);
+            let mut steps = bytes[MIN_LEN..].chunks_exact(MIN_LEN);
+            for s in &mut steps {
+                for (x, b) in x.iter_mut().zip(s.chunks_exact(64)) {
+                    *x = shift_onto(*x, by_2048, lanes(b));
+                }
+            }
+            let by_512 = factors(BY_512);
+            let acc = shift_onto(
+                shift_onto(shift_onto(x[0], by_512, x[1]), by_512, x[2]),
+                by_512,
+                x[3],
+            );
+            let x = [
+                _mm512_extracti32x4_epi32::<0>(acc),
+                _mm512_extracti32x4_epi32::<1>(acc),
+                _mm512_extracti32x4_epi32::<2>(acc),
+                _mm512_extracti32x4_epi32::<3>(acc),
+            ];
+            fold_lanes(x, steps.remainder())
+        }
     }
 }
 
@@ -455,34 +559,84 @@ mod tests {
     }
 
     /// `update` reaches only one routine for a given length on a given CPU;
-    /// this calls both directly, so a machine without the instruction still
-    /// tests the tables and one with it still tests their main loop on long
-    /// inputs. Registers are compared, from several starting registers.
+    /// this calls all three directly, so a machine without the instructions
+    /// still tests the tables, and one with them tests each fold at every
+    /// length it takes — several 256-byte steps, leftover 64- and 16-byte
+    /// blocks, a table tail — not only at the lengths `update` sends it.
+    /// Registers are compared, from several starting registers, with the
+    /// oracle's after the same bytes (for a fold, after its whole blocks).
+    /// A routine this CPU cannot run is named in the test's output.
     #[test]
     fn portable_and_folded_routines_leave_the_register_the_oracle_does() {
-        let backing = noise(65_536 + 33 + 16);
-        let lens = (64..=400)
-            .step_by(16)
-            .chain([77, 127, 4096, 4129, 65_536 + 33]);
-        for (len, off) in lens.flat_map(|len| (0..16).map(move |off| (len, off))) {
-            let s = &backing[off..off + len];
-            for start in [!0, 0, 0xDEAD_BEEF, (len as u32).wrapping_mul(0x9E37_79B1)] {
-                assert_eq!(
-                    sliced(start, s),
-                    bitwise(start, s),
-                    "sliced: offset {off}, length {len}"
-                );
-                #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("pclmulqdq") {
-                    let (blocks, tail) = s.split_at(len & !15);
-                    // SAFETY: the instruction was detected on the line above.
+        #[cfg(target_arch = "x86_64")]
+        let (narrow, wide) = {
+            let narrow = std::arch::is_x86_feature_detected!("pclmulqdq");
+            let wide = narrow
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("vpclmulqdq");
+            (narrow, wide)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let (narrow, wide) = (false, false);
+        if !narrow {
+            println!("NOT TESTED: clmul::fold (this CPU lacks x86-64 `pclmulqdq`)");
+        }
+        if !wide {
+            println!("NOT TESTED: clmul::wide::fold (this CPU lacks `avx512f` or `vpclmulqdq`)");
+        }
+        // `want(n)`: the oracle's register after the first `n` bytes of `s`.
+        let check = |off: usize, start: u32, s: &[u8], want: &dyn Fn(usize) -> u32| {
+            let len = s.len();
+            let at = (off, len, start);
+            assert_eq!(
+                sliced(start, s),
+                want(len),
+                "sliced: (offset, length, register) {at:?}"
+            );
+            #[cfg(target_arch = "x86_64")]
+            {
+                let blocks = len & !15;
+                if narrow && len >= clmul::MIN_LEN {
+                    // SAFETY: `pclmulqdq` was detected above.
                     let got = unsafe { clmul::fold(start, s) };
                     assert_eq!(
                         got,
-                        (bitwise(start, blocks), tail),
-                        "folded: offset {off}, length {len}"
+                        (want(blocks), &s[blocks..]),
+                        "clmul::fold: (offset, length, register) {at:?}"
                     );
                 }
+                if wide && len >= clmul::wide::MIN_LEN {
+                    // SAFETY: all three instructions were detected above.
+                    let got = unsafe { clmul::wide::fold(start, s) };
+                    assert_eq!(
+                        got,
+                        (want(blocks), &s[blocks..]),
+                        "wide::fold: (offset, length, register) {at:?}"
+                    );
+                }
+            }
+        };
+        let starts = [!0, 0xDEAD_BEEF, 0, 0x9E37_79B1];
+        let backing = noise(65_536 + 33 + 16);
+        // Every length 0..=1100 at every start offset within a block, with
+        // the oracle's registers grown a byte at a time.
+        for off in 0..16 {
+            let s = &backing[off..off + 1100];
+            for &start in &starts[..2] {
+                let mut reg = vec![start];
+                for &b in s {
+                    reg.push(bitwise(reg[reg.len() - 1], &[b]));
+                }
+                for len in 0..=s.len() {
+                    check(off, start, &s[..len], &|n| reg[n]);
+                }
+            }
+        }
+        // Then the lengths the wire and the checkpoints really carry.
+        for (off, len) in [(0, 4096), (3, 4129), (5, 65_536 + 33)] {
+            let s = &backing[off..off + len];
+            for start in starts {
+                check(off, start, s, &|n| bitwise(start, &s[..n]));
             }
         }
     }

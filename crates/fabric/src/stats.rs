@@ -18,6 +18,10 @@ pub struct StatsSnapshot {
     pub puts: u64,
     /// Payload bytes across puts.
     pub put_bytes: u64,
+    /// RDMA puts that landed in a region of *this* endpoint (the target's
+    /// side of `puts`: a put that is stale, meets a crash or misses its
+    /// region does not land).
+    pub puts_landed: u64,
     /// Eager messages delivered to this endpoint.
     pub recvs: u64,
     /// Receiver-not-ready retries suffered by messages *sent by* this endpoint.
@@ -58,6 +62,7 @@ impl From<&Registry> for StatsSnapshot {
             send_bytes: r.get(Counter::FabricSendBytes),
             puts: r.get(Counter::FabricPuts),
             put_bytes: r.get(Counter::FabricPutBytes),
+            puts_landed: r.get(Counter::FabricPutsLanded),
             recvs: r.get(Counter::FabricRecvs),
             rnr_retries: r.get(Counter::FabricRnrRetries),
             backpressure: r.get(Counter::FabricBackpressure),

@@ -136,7 +136,8 @@ impl SendOp {
 
 impl PutOp {
     /// The write reaches its target: unless it is stale or a side is dead,
-    /// it lands in the region and the sender gets `PutDone` (the target also
+    /// it lands in the region, counts on the target's table
+    /// (`fabric.puts_landed`) and the sender gets `PutDone` (the target also
     /// `PutArrived` if it carries an immediate), or `BadMr` when the region
     /// is missing or too small. The injection slot comes back either way.
     /// Like [`SendOp::land`], shared by the wire and the instant wire.
@@ -187,6 +188,7 @@ impl PutOp {
             None => false,
         };
         if ok {
+            d.counters.incr(Counter::FabricPutsLanded);
             s.post(Event::PutDone { ctx, epoch });
             if let Some(imm) = imm {
                 d.post(Event::PutArrived {

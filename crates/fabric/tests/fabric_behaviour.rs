@@ -315,14 +315,20 @@ fn stats_count_traffic() {
     a.try_send(1, 0, &[0u8; 100], 1).unwrap();
     let mr = b.register_mr(256);
     a.try_put(1, mr.key(), 0, &[0u8; 200], 2, None).unwrap();
+    // A put into no region is issued but never lands.
+    a.try_put(1, lci_fabric::MrKey(12345), 0, &[0u8; 10], 3, None).unwrap();
     poll_until(|| b.stats().recvs == 1, "recv counted");
+    poll_until(|| b.stats().puts_landed == 1, "put landed");
     let s = a.stats();
     assert_eq!(s.sends, 1);
     assert_eq!(s.send_bytes, 100);
-    assert_eq!(s.puts, 1);
-    assert_eq!(s.put_bytes, 200);
-    assert_eq!(s.messages(), 2);
-    assert_eq!(s.bytes(), 300);
+    assert_eq!(s.puts, 2);
+    assert_eq!(s.put_bytes, 210);
+    assert_eq!(s.messages(), 3);
+    assert_eq!(s.bytes(), 310);
+    // A put counts where it lands, on the target's table only.
+    assert_eq!(s.puts_landed, 0);
+    assert_eq!(b.stats().puts, 0);
 }
 
 #[test]

@@ -89,6 +89,7 @@ counters! {
     (FabricSendBytes, "fabric.send_bytes", Bytes),
     (FabricPuts, "fabric.puts", Count),
     (FabricPutBytes, "fabric.put_bytes", Bytes),
+    (FabricPutsLanded, "fabric.puts_landed", Count),
     (FabricRecvs, "fabric.recvs", Count),
     (FabricRnrRetries, "fabric.rnr_retries", Count),
     (FabricBackpressure, "fabric.backpressure", Count),

@@ -64,12 +64,13 @@ fn assert_one_counter_per_field<const N: usize>(
 // Both destructurings name every field without `..`: a field added to either
 // view without a counter behind it stops this file compiling.
 
-fn stats_fields(r: &Registry) -> [u64; 18] {
+fn stats_fields(r: &Registry) -> [u64; 19] {
     let StatsSnapshot {
         sends,
         send_bytes,
         puts,
         put_bytes,
+        puts_landed,
         recvs,
         rnr_retries,
         backpressure,
@@ -90,6 +91,7 @@ fn stats_fields(r: &Registry) -> [u64; 18] {
         send_bytes,
         puts,
         put_bytes,
+        puts_landed,
         recvs,
         rnr_retries,
         backpressure,
@@ -290,6 +292,47 @@ fn phase_rows_are_counted_on_the_host_that_ran_them() {
     for c in phases {
         assert_eq!(moved.get(c), sum_over_hosts(fabric, c), "{}", c.name());
     }
+}
+
+/// A put counts on two tables: the issuing host's (`puts`) and, where it
+/// lands, the target's (`puts_landed`). A loss-free two-host Abelian run over
+/// MPI-RMA puts every round's updates into the peer's window, so each host's
+/// landed puts are exactly its peer's puts, and both global rows moved by
+/// the same sum over hosts (every test of this binary that may put runs an
+/// engine and holds [`ENGINE`]).
+#[test]
+fn puts_count_on_the_issuing_and_the_landing_hosts_tables() {
+    let _engine = engine_lock();
+    let before = lci_trace::global().snapshot();
+    let g = gen::rmat(9, 8, 26);
+    let parts = partition(&g, 2, Policy::VertexCutCartesian);
+    let (layers, world) = build_layers(
+        LayerKind::MpiRma,
+        FabricConfig::test(2),
+        mini_mpi::MpiConfig::default(),
+        LciConfig::for_hosts(2),
+    );
+    let r = run_app(
+        &parts,
+        Arc::new(Bfs { source: 0 }),
+        &layers,
+        &EngineConfig::default(),
+    );
+    assert_eq!(r.values, reference::bfs(&g, 0));
+    let fabric = world.fabric();
+    let stats = [0, 1].map(|h| fabric.endpoint(h).stats());
+    for (h, s) in stats.iter().enumerate() {
+        assert!(s.puts > 0, "host {h} put nothing");
+        assert_eq!(
+            s.puts_landed,
+            stats[1 - h].puts,
+            "host {h}: landed vs its peer's puts"
+        );
+    }
+    let moved = lci_trace::global().snapshot().delta(&before);
+    let puts = sum_over_hosts(fabric, Counter::FabricPuts);
+    assert_eq!(moved.get(Counter::FabricPuts), puts);
+    assert_eq!(moved.get(Counter::FabricPutsLanded), puts);
 }
 
 /// A frame that fails de-framing counts on the table of the host that
