@@ -2,11 +2,12 @@
 //!
 //! Each BSP communication phase is an irregular all-to-all on a *channel*:
 //! every host sends one or more (possibly empty) messages to every peer and
-//! receives every peer's, processing arrivals in any order (the
-//! gather-communicate-scatter pattern of §III-A). Each message comes back
-//! from its own `try_recv`; the receiver decides when a peer's traffic for
-//! the round is complete (`recv_round`'s `on_msg`). The trait is shaped so
-//! that all three of the paper's layers implement it naturally:
+//! receives every peer's, processing each where it lies (the
+//! gather-communicate-scatter pattern of §III-A; handler completion in the
+//! LCI follow-up, arXiv 2505.01864): `drain` hands a handler every arrived
+//! message, and the receiver decides when a peer's traffic for the round is
+//! complete (`recv_round`'s `on_msg`). The trait is shaped so that all
+//! three of the paper's layers implement it naturally:
 //!
 //! * **LCI** ([`crate::layers::LciLayer`]) — `SEND-ENQ`/`RECV-DEQ` with the
 //!   first-packet policy; rounds are distinguished by tags.
@@ -18,21 +19,21 @@
 //!
 //! The engine guarantees: `register_channel` is called collectively (same
 //! order on every host) before first use; each round on a channel is
-//! `begin → send (one or more per peer) → finish_sends → try_recv until
-//! every peer is complete → sends_complete until it holds`; rounds on a
-//! channel never overlap on one host.
+//! `begin → send (one or more per peer) → finish_sends → drain until every
+//! peer is complete → sends_complete until it holds`; rounds on a channel
+//! never overlap on one host.
 //!
 //! What a layer must tolerate in return: nothing synchronises hosts between
 //! rounds except the rounds themselves, so with three or more hosts a fast
 //! peer's round *r + 1* traffic on a channel can arrive while this host is
 //! still receiving round *r* of the **same** channel (it is waiting on a
-//! slower third host). A layer hands `try_recv` the open round's messages
-//! only — the tagged layers stash the early ones by `(channel, round)`, the
-//! RMA layer's `start` does not return until the target has `post`ed that
-//! round, i.e. has read the previous one out of its window.
+//! slower third host). A layer's `drain` hands out the open round's
+//! messages only — the tagged layers stash the early ones by `(channel,
+//! round)`, the RMA layer's `start` does not return until the target has
+//! `post`ed that round, i.e. has read the previous one out of its window.
 
 use crate::membook::MemBook;
-use lci_trace::Registry;
+use lci_trace::{Counter, Registry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -87,17 +88,20 @@ pub trait CommLayer: Send + Sync {
     fn begin(&self, channel: usize);
 
     /// Send one of this round's messages for `dst`. A round may send one or
-    /// more per peer (empty payloads are real messages); each comes back
-    /// from its own `try_recv`, and the receiver decides when a peer is
-    /// complete (`recv_round`'s `on_msg`).
+    /// more per peer (empty payloads are real messages); each reaches the
+    /// receiver's handler on its own, and the receiver decides when a peer
+    /// is complete (`recv_round`'s `on_msg`).
     fn send(&self, channel: usize, dst: u16, data: Vec<u8>);
 
     /// Signal that all of this round's sends have been issued.
     fn finish_sends(&self, channel: usize);
 
-    /// Poll for the next arrived message of the current round, one message
-    /// per call.
-    fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)>;
+    /// Drive the transport once, then hand `on_msg` every arrived message of
+    /// `channel`'s open round as `(src, payload)`, in arrival order, borrowed
+    /// where the layer holds it; returns how many. A later round's messages
+    /// wait for that round. `on_msg` must not call back into the layer, which
+    /// may hold its lock while it runs.
+    fn drain(&self, channel: usize, on_msg: &mut dyn FnMut(u16, &[u8])) -> usize;
 
     /// Whether the transport is done with every send this host has issued,
     /// driving progress first if one is pending. [`recv_round`] asks once
@@ -140,18 +144,19 @@ pub trait CommLayer: Send + Sync {
     fn quiesce(&self) {}
 }
 
-/// Complete the receive half of a round on `channel`: poll until `p-1`
+/// Complete the receive half of a round on `channel`: drain until `p-1`
 /// peers are done, handing `on_msg` each arrival as `(src, data)`; it
 /// returns whether that message completed its peer's traffic for the round.
-/// Then wait until this host's own sends are complete
-/// ([`CommLayer::sends_complete`]), so that a host never opens the next round
-/// while a send of this one is still on its book. An eager send is complete
-/// when it is issued; a rendezvous send is pulled by its peer the next time
-/// that peer drives progress, which every waiting host does.
+/// An empty drain counts `engine.comm_recv_stalls`. Then wait until this
+/// host's own sends are complete ([`CommLayer::sends_complete`]), so that a
+/// host never opens the next round while a send of this one is still on its
+/// book. An eager send is complete when it is issued; a rendezvous send is
+/// pulled by its peer the next time that peer drives progress, which every
+/// waiting host does.
 ///
 /// This is the only place a round waits, so it is also where aborts are
 /// bounded: a failed layer can never deliver the missing messages, so an
-/// empty poll checks [`CommLayer::failure`] and returns its message as `Err`
+/// empty drain checks [`CommLayer::failure`] and returns its message as `Err`
 /// rather than spin forever on an unfinishable round. A layer fails only
 /// once its transport has given up on a peer, and a transport gives up only
 /// on a frame it still waits to have acknowledged; so when the round has
@@ -164,7 +169,7 @@ pub trait CommLayer: Send + Sync {
 pub fn recv_round(
     layer: &dyn CommLayer,
     channel: usize,
-    mut on_msg: impl FnMut(u16, Vec<u8>) -> bool,
+    mut on_msg: impl FnMut(u16, &[u8]) -> bool,
 ) -> Result<(), String> {
     let (p, me) = (layer.num_hosts(), layer.rank() as usize);
     // The peers still owed traffic, on the stack for up to 64 hosts.
@@ -182,33 +187,34 @@ pub fn recv_round(
     let (mut empty, mut quiet_since) = (0u32, None);
     // The send ledger is looked at only once every peer is in.
     while done + 1 < p || !layer.sends_complete() {
-        let arrival = if done + 1 < p { layer.try_recv(channel) } else { None };
-        match arrival {
-            Some((src, data)) => {
+        if done + 1 < p {
+            let got = layer.drain(channel, &mut |src, data| {
                 if on_msg(src, data) {
                     owed[src as usize] = false;
                     done += 1;
                 }
+            });
+            if got > 0 {
                 (empty, quiet_since) = (0, None);
+                continue;
             }
-            None => {
-                if let Some(f) = layer.failure() {
-                    return Err(f);
+            layer.counters().incr(Counter::EngineCommRecvStalls);
+        }
+        if let Some(f) = layer.failure() {
+            return Err(f);
+        }
+        empty = empty.wrapping_add(1);
+        if empty % POLLS_PER_LOOK == 0 {
+            let now = Instant::now();
+            if now.duration_since(*quiet_since.get_or_insert(now)) >= PING_AFTER {
+                let all_in = done + 1 == p;
+                for peer in (0..p).filter(|&h| owed[h] || (all_in && h != me)) {
+                    layer.ping(peer as u16);
                 }
-                empty = empty.wrapping_add(1);
-                if empty % POLLS_PER_LOOK == 0 {
-                    let now = Instant::now();
-                    if now.duration_since(*quiet_since.get_or_insert(now)) >= PING_AFTER {
-                        let all_in = done + 1 == p;
-                        for peer in (0..p).filter(|&h| owed[h] || (all_in && h != me)) {
-                            layer.ping(peer as u16);
-                        }
-                        quiet_since = Some(now);
-                    }
-                }
-                std::thread::yield_now();
+                quiet_since = Some(now);
             }
         }
+        std::thread::yield_now();
     }
     Ok(())
 }
@@ -244,7 +250,7 @@ pub fn exchange_all(
     layer.finish_sends(channel);
     let mut got = Vec::with_capacity(p.saturating_sub(1));
     let received = recv_round(layer, channel, |src, data| {
-        got.push((src, data));
+        got.push((src, data.to_vec()));
         true
     });
     if let Err(f) = received {

@@ -648,7 +648,7 @@ impl ProxySync {
         let (mut votes, table) = (0, layer.counters());
         recv_round(layer, channel, |src, data| {
             let plan = &plans[src as usize];
-            votes += decode_frame::<L>(table, &data, voted, |pos, v| match plan.get(pos as usize) {
+            votes += decode_frame::<L>(table, data, voted, |pos, v| match plan.get(pos as usize) {
                 Some(&lid) => apply(lid as usize, v),
                 None => table.incr(Counter::EngineMalformedDropped),
             });
@@ -958,9 +958,14 @@ mod tests {
             self.sent.lock().unwrap().push((channel, dst, data));
         }
         fn finish_sends(&self, _channel: usize) {}
-        fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)> {
-            let voted = if channel == self.voted { VOTE_BYTES } else { 0 };
-            self.due.lock().unwrap().pop().map(|src| (src, vec![0; voted + 4]))
+        fn drain(&self, channel: usize, on_msg: &mut dyn FnMut(u16, &[u8])) -> usize {
+            let frame = [0; VOTE_BYTES + 4];
+            let frame = &frame[if channel == self.voted { 0 } else { VOTE_BYTES }..];
+            let due = std::mem::take(&mut *self.due.lock().unwrap());
+            for &src in due.iter().rev() {
+                on_msg(src, frame);
+            }
+            due.len()
         }
     }
 

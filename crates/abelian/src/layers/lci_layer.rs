@@ -13,7 +13,7 @@ use super::{retire, settle, Rounds, Sends, Stash};
 use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
 use bytes::Bytes;
-use lci::{Device, RecvRequest, SendRequest};
+use lci::{Device, RecvData, RecvRequest, SendRequest};
 use lci_trace::{Counter, EventKind, Registry};
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
@@ -21,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 #[derive(Default)]
 struct Inner {
     rounds: Rounds,
-    stash: Stash,
+    stash: Stash<RecvData>,
     /// Rendezvous receives still in flight.
     recvs: Vec<RecvRequest>,
     /// Rendezvous sends still holding their payload.
@@ -35,7 +35,7 @@ pub struct LciLayer {
     inner: Mutex<Inner>,
     /// First fatal error observed; once set the layer stops initiating work
     /// and surfaces the message through [`CommLayer::failure`]. A read is
-    /// one load, which the empty polls of `recv_round` make often.
+    /// one load, which the empty drains of `recv_round` make often.
     failed: OnceLock<String>,
 }
 
@@ -48,11 +48,6 @@ impl LciLayer {
             inner: Mutex::default(),
             failed: OnceLock::new(),
         }
-    }
-
-    /// The wrapped device (diagnostics).
-    pub fn device(&self) -> &Device {
-        &self.dev
     }
 
     fn pump(&self, inner: &mut Inner) {
@@ -72,9 +67,8 @@ impl LciLayer {
         retire(&mut inner.sends, &self.book, SendRequest::is_done);
     }
 
-    fn route(&self, stash: &mut Stash, r: &RecvRequest) {
-        // The stash hands `Vec`s across the `CommLayer` boundary.
-        let data = r.take_data().expect("done request yields data").into_vec();
+    fn route(&self, stash: &mut Stash<RecvData>, r: &RecvRequest) {
+        let data = r.take_data().expect("done request yields data");
         stash.push(&self.book, r.tag(), r.src(), data);
     }
 }
@@ -146,11 +140,11 @@ impl CommLayer for LciLayer {
 
     fn finish_sends(&self, _channel: usize) {}
 
-    fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)> {
+    fn drain(&self, channel: usize, on_msg: &mut dyn FnMut(u16, &[u8])) -> usize {
         let mut inner = self.inner.lock();
         self.pump(&mut inner);
         let tag = inner.rounds.open_tag(channel);
-        inner.stash.pop(&self.book, self.counters(), tag)
+        inner.stash.drain(&self.book, tag, on_msg)
     }
 
     fn sends_complete(&self) -> bool {

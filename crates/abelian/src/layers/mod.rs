@@ -8,7 +8,8 @@
 //!   bits 20..24, the round mod 2^20 below. It never sets bit 24 (`AGG_BIT`),
 //!   so it fits LCI's 25-bit tags and mini-mpi's 28-bit ones.
 //! * `Rounds`: the round each channel has open.
-//! * `Stash`: arrivals by tag, oldest first, handed out for the open tag only.
+//! * `Stash`: arrivals by tag, oldest first, a tag's whole queue handed out
+//!   at once, for the open tag only.
 //! * `Sends`: the pending-send ledger, each send with the bytes it holds.
 //! * `put_subframe`/`subframes`: the `[len u32][body]` sub-frames of the two
 //!   coalescing layers (MPI-Probe's aggregates, MPI-RMA's slots).
@@ -16,8 +17,9 @@
 //!   two layers that pump.
 //!
 //! The ledger rule: a byte is on the layer's `MemBook` from when the layer
-//! holds it until it leaves: a stashed arrival until `try_recv` hands it out,
-//! a staged sub-frame and a send until the transport is done with it.
+//! holds it until it leaves: an arrival until `drain` has handed it out (a
+//! stashed message, or the sub-frames of a landed RMA slot), a staged
+//! sub-frame and a send until the transport is done with it.
 
 mod lci_layer;
 mod probe_layer;
@@ -30,8 +32,9 @@ pub use rma_layer::MpiRmaLayer;
 use crate::comm::CommLayer;
 use crate::membook::MemBook;
 use lci_trace::{Counter, Registry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::Display;
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 /// Channels a round tag can name.
@@ -61,39 +64,33 @@ impl Rounds {
     }
 }
 
-/// Arrivals not yet handed out, as `(source, payload)` by tag in arrival
-/// order. A queue is dropped with its last message, so it holds live
-/// rounds only.
-#[derive(Default)]
-struct Stash(HashMap<u32, VecDeque<(u16, Vec<u8>)>>);
+/// Arrivals not yet handed out, as `(source, buffer)` by tag in arrival
+/// order. `drain` takes a tag's whole queue, so only rounds not yet opened
+/// keep one.
+struct Stash<B>(HashMap<u32, Vec<(u16, B)>>);
 
-impl Stash {
-    /// Hold `data` from `src` under `tag`; it is on `book` until popped.
-    fn push(&mut self, book: &MemBook, tag: u32, src: u16, data: Vec<u8>) {
+impl<B> Default for Stash<B> {
+    fn default() -> Self {
+        Stash(HashMap::new())
+    }
+}
+
+impl<B: Deref<Target = [u8]>> Stash<B> {
+    /// Hold `data` from `src` under `tag`; it is on `book` until handed out.
+    fn push(&mut self, book: &MemBook, tag: u32, src: u16, data: B) {
         book.alloc(data.len());
-        self.0.entry(tag).or_default().push_back((src, data));
+        self.0.entry(tag).or_default().push((src, data));
     }
 
-    /// Whether a message waits under `tag`.
-    fn holds(&self, tag: u32) -> bool {
-        self.0.contains_key(&tag)
-    }
-
-    /// Hand out the oldest message under `tag`, or count an empty poll on
-    /// the host's table `counters`.
-    fn pop(&mut self, book: &MemBook, counters: &Registry, tag: u32) -> Option<(u16, Vec<u8>)> {
-        let Some(q) = self.0.get_mut(&tag) else {
-            counters.incr(Counter::EngineCommRecvStalls);
-            return None;
-        };
-        let msg = q
-            .pop_front()
-            .expect("a queue is dropped with its last message");
-        if q.is_empty() {
-            self.0.remove(&tag);
+    /// Hand `on_msg` every message under `tag`, oldest first, each leaving
+    /// `book` once `on_msg` returns, and forget the tag; returns how many.
+    fn drain(&mut self, book: &MemBook, tag: u32, on_msg: &mut dyn FnMut(u16, &[u8])) -> usize {
+        let queue = self.0.remove(&tag).unwrap_or_default();
+        for (src, data) in &queue {
+            on_msg(*src, data);
+            book.free(data.len());
         }
-        book.free(msg.1.len());
-        Some(msg)
+        queue.len()
     }
 
     #[cfg(test)]
@@ -254,7 +251,7 @@ impl LayerWorld {
 
 #[cfg(test)]
 mod tests {
-    use super::{put_subframe, subframes, tag_for, AGG_BIT, CHANNELS};
+    use super::{put_subframe, subframes, tag_for, Stash, AGG_BIT, CHANNELS};
     use crate::comm::{channels, exchange_all, CommLayer};
     use crate::membook::MemBook;
     use lci_trace::{Counter, Registry};
@@ -310,6 +307,30 @@ mod tests {
             }
             prop_assert_eq!(&blob[..again.len()], &again[..]);
         }
+    }
+
+    /// `drain` hands out a tag's messages oldest first, each still on the
+    /// book while `on_msg` holds it, and takes the tag's whole queue; other
+    /// tags keep theirs, and the book is back to 0 once every tag is drained.
+    #[test]
+    fn stash_drain_hands_out_a_tags_whole_queue_in_arrival_order() {
+        let (book, mut stash) = (MemBook::new(), Stash::<Vec<u8>>::default());
+        let arrivals = [(1, 2, vec![1u8]), (2, 0, vec![9; 5]), (1, 0, vec![2, 2]), (1, 2, vec![])];
+        for (tag, src, body) in arrivals {
+            stash.push(&book, tag, src, body);
+        }
+        assert_eq!(book.current(), 8);
+        let mut got = Vec::new();
+        let n = stash.drain(&book, 1, &mut |src, data| {
+            got.push((src, data.to_vec(), book.current()))
+        });
+        assert_eq!(n, 3);
+        assert_eq!(got, [(2, vec![1], 8), (0, vec![2, 2], 7), (2, vec![], 5)]);
+        assert_eq!((stash.len(), book.current()), (1, 5));
+        assert_eq!(stash.drain(&book, 1, &mut |_, _| panic!("tag 1 is drained")), 0);
+        let n = stash.drain(&book, 2, &mut |src, data| assert_eq!((src, data), (0, &[9; 5][..])));
+        assert_eq!(n, 1);
+        assert_eq!((stash.len(), book.current()), (0, 0));
     }
 
     #[test]

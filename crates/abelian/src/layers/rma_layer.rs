@@ -7,9 +7,10 @@
 //! `post`/`start` at `begin`, `put` per peer, `complete` after the sends,
 //! and per-origin `wait_any` on the receive side so incoming slots are
 //! scattered in arrival order. A slot is `[total u64]` followed by the
-//! round's sub-frames for that target.
+//! round's sub-frames for that target; `drain` reads a landed slot out of the
+//! window once and hands its sub-frames on from that copy, in order.
 
-use super::{put_subframe, subframes, Stash};
+use super::{put_subframe, subframes};
 use crate::comm::{ChannelSpec, CommLayer};
 use crate::membook::MemBook;
 use lci_trace::{Counter, Registry};
@@ -33,9 +34,6 @@ struct Chan {
     /// and written with a single put at `finish_sends` (so engines may send
     /// several messages per peer per round, e.g. Gemini's chunk streams).
     staged: Vec<Vec<u8>>,
-    /// Incoming sub-messages de-framed from arrived slots, under the
-    /// channel's id.
-    inbox: Stash,
 }
 
 /// MPI-RMA-backed [`CommLayer`].
@@ -60,11 +58,6 @@ impl MpiRmaLayer {
         }
     }
 
-    /// The wrapped communicator (diagnostics).
-    pub fn comm(&self) -> &MpiComm {
-        &self.comm
-    }
-
     fn check<T>(&self, what: &str, r: Result<T, MpiError>) -> Option<T> {
         super::latch(&self.failed, what, r)
     }
@@ -73,8 +66,10 @@ impl MpiRmaLayer {
         self.failed.get().is_some()
     }
 
-    /// De-frame the slot `src` filled in my window into the inbox.
-    fn land(&self, c: &mut Chan, channel: usize, src: u16) {
+    /// Hand `on_msg` each sub-frame of the slot `src` filled in my window,
+    /// in order; the bodies handed out stay on the book until the last one
+    /// is. Returns how many.
+    fn land(&self, c: &Chan, src: u16, on_msg: &mut dyn FnMut(u16, &[u8])) -> usize {
         let off = c.my_offsets[src as usize];
         let mut lenb = [0u8; 8];
         c.win.read_local(off, &mut lenb);
@@ -83,14 +78,20 @@ impl MpiRmaLayer {
         // so a lying length prefix should be impossible; keep the
         // slot-capacity bound anyway rather than read past it.
         if total > c.max_recv[src as usize] {
-            return self.counters().incr(Counter::EngineMalformedDropped);
+            self.counters().incr(Counter::EngineMalformedDropped);
+            return 0;
         }
         let mut blob = vec![0u8; total];
         c.win.read_local(off + 8, &mut blob);
-        let (book, inbox) = (&self.book, &mut c.inbox);
+        let (mut n, mut held) = (0, 0);
         subframes(&blob, self.counters(), |b| {
-            inbox.push(book, channel as u32, src, b.to_vec())
+            self.book.alloc(b.len());
+            held += b.len();
+            on_msg(src, b);
+            n += 1;
         });
+        self.book.free(held);
+        n
     }
 }
 
@@ -145,7 +146,6 @@ impl CommLayer for MpiRmaLayer {
                 max_recv: spec.max_recv,
                 peers,
                 staged: vec![Vec::new(); p],
-                inbox: Stash::default(),
             },
         );
     }
@@ -200,18 +200,17 @@ impl CommLayer for MpiRmaLayer {
         self.check("RMA complete", c.win.complete());
     }
 
-    fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)> {
+    fn drain(&self, channel: usize, on_msg: &mut dyn FnMut(u16, &[u8])) -> usize {
         if self.is_failed() {
-            return None;
+            return 0;
         }
-        let mut chans = self.chans.lock();
-        let c = chans.get_mut(&channel).expect("register before recv");
-        if !c.inbox.holds(channel as u32) {
-            if let Some(src) = self.check("RMA wait", c.win.try_wait_any())? {
-                self.land(c, channel, src);
-            }
+        let chans = self.chans.lock();
+        let c = chans.get(&channel).expect("register before recv");
+        let mut n = 0;
+        while let Some(Some(src)) = self.check("RMA wait", c.win.try_wait_any()) {
+            n += self.land(c, src, on_msg);
         }
-        c.inbox.pop(&self.book, self.counters(), channel as u32)
+        n
     }
 
     fn failure(&self) -> Option<String> {

@@ -447,8 +447,8 @@ impl CommLayer for Tally {
     fn finish_sends(&self, channel: usize) {
         self.inner.finish_sends(channel)
     }
-    fn try_recv(&self, channel: usize) -> Option<(u16, Vec<u8>)> {
-        self.inner.try_recv(channel)
+    fn drain(&self, channel: usize, on_msg: &mut dyn FnMut(u16, &[u8])) -> usize {
+        self.inner.drain(channel, on_msg)
     }
     fn sends_complete(&self) -> bool {
         self.inner.sends_complete()

@@ -1,7 +1,7 @@
 //! Direct contract tests of the three `CommLayer` implementations, without
 //! an engine in the loop: every layer must satisfy the same round protocol
-//! (`begin → send, one or more per peer → finish_sends → one try_recv per
-//! message`, the receiver deciding when each peer is complete).
+//! (`begin → send, one or more per peer → finish_sends → drain until every
+//! peer is complete`, the receiver deciding when each peer is complete).
 
 use abelian::comm::{exchange_all, recv_round, ChannelSpec};
 use abelian::{build_layers, LayerKind};
@@ -147,7 +147,7 @@ fn membook_returns_to_zero_when_idle() {
         for l in &layers {
             // Drain any straggling completions.
             for _ in 0..1000 {
-                let _ = l.try_recv(CH);
+                l.drain(CH, &mut |_, _| {});
             }
             assert_eq!(
                 l.membook().current(),
@@ -242,9 +242,110 @@ fn staggered_exchange(l: &dyn abelian::CommLayer, outgoing: Vec<Vec<u8>>) -> Vec
     l.finish_sends(CH);
     let mut got = Vec::new();
     recv_round(l, CH, |src, data| {
-        got.push((src, data));
+        got.push((src, data.to_vec()));
         true
     })
     .unwrap_or_else(|f| panic!("layer '{}' failed mid-exchange: {f}", l.name()));
     got
+}
+
+/// One `drain` hands out the whole open round and nothing of the next.
+/// Three hosts send each peer several messages a round: small ones the probe
+/// layer coalesces, and one past its aggregation threshold that it sends on
+/// its own. Hosts 0 and 1 run ahead: host 2 holds back until they have sent
+/// it round 2 as well (on RMA, whose `start` waits for host 2's `post`, until
+/// they have finished round 1), then drains once. That drain must hand it
+/// every message of round 1 and none of round 2. Round 2 then completes as
+/// usual, and once every host has quiesced each book is back where
+/// registration left it (0, or the RMA layer's windows).
+#[test]
+fn one_drain_hands_out_the_open_round_and_none_of_the_next() {
+    const HOSTS: usize = 3;
+    const SIZES: [usize; 4] = [4, 17, 300, 1500];
+    // Distinct per (src, dst, round, message).
+    let payload = |src: usize, dst: usize, round: usize, i: usize| {
+        let mut data = vec![(src * 31 + dst * 7 + round * 3 + i) as u8; SIZES[i]];
+        data[..4].copy_from_slice(&[src as u8, dst as u8, round as u8, i as u8]);
+        data
+    };
+    let round_for = |dst: usize, round: usize| -> Vec<Vec<u8>> {
+        let mut all: Vec<Vec<u8>> = (0..HOSTS)
+            .filter(|&src| src != dst)
+            .flat_map(|src| (0..SIZES.len()).map(move |i| payload(src, dst, round, i)))
+            .collect();
+        all.sort();
+        all
+    };
+    for kind in LayerKind::all() {
+        // Host 2 stops driving progress while it holds back: a retry budget
+        // no such pause can exhaust (as in the test above).
+        let (layers, _world) = build_layers(
+            kind,
+            FabricConfig::test(HOSTS)
+                .with_reliable(ReliableConfig::default().with_retry_budget(256)),
+            MpiConfig::default().with_personality(Personality::zero()),
+            lci::LciConfig::for_hosts(HOSTS),
+        );
+        register_all(&layers, 16 << 10);
+        let registered: Vec<u64> = layers.iter().map(|l| l.membook().current()).collect();
+        let ahead = std::sync::Barrier::new(HOSTS);
+        let early = kind != LayerKind::MpiRma;
+        std::thread::scope(|s| {
+            for l in &layers {
+                let (ahead, payload, round_for) = (&ahead, &payload, &round_for);
+                s.spawn(move || {
+                    let me = l.rank() as usize;
+                    let send_round = |round: usize| {
+                        l.begin(CH);
+                        for dst in (0..HOSTS).filter(|&d| d != me) {
+                            for i in 0..SIZES.len() {
+                                l.send(CH, dst as u16, payload(me, dst, round, i));
+                            }
+                        }
+                        l.finish_sends(CH);
+                    };
+                    let recv_counted = || {
+                        let (mut got, mut per_peer) = (Vec::new(), [0; HOSTS]);
+                        recv_round(&**l, CH, |src, data| {
+                            got.push(data.to_vec());
+                            per_peer[src as usize] += 1;
+                            per_peer[src as usize] == SIZES.len()
+                        })
+                        .unwrap_or_else(|f| panic!("layer '{}' failed: {f}", l.name()));
+                        got.sort();
+                        got
+                    };
+                    send_round(1);
+                    if me == 2 {
+                        ahead.wait();
+                        let mut got = Vec::new();
+                        let n = l.drain(CH, &mut |_, data| got.push(data.to_vec()));
+                        got.sort();
+                        assert_eq!(n, got.len(), "{}", kind.name());
+                        assert!(
+                            got == round_for(2, 1),
+                            "layer {}: one drain handed host 2 {:?} (src, dst, round, i)",
+                            kind.name(),
+                            got.iter().map(|d| &d[..4]).collect::<Vec<_>>()
+                        );
+                        send_round(2);
+                    } else {
+                        assert_eq!(recv_counted(), round_for(me, 1), "{}", kind.name());
+                        if early {
+                            send_round(2);
+                        }
+                        ahead.wait();
+                        if !early {
+                            send_round(2);
+                        }
+                    }
+                    assert_eq!(recv_counted(), round_for(me, 2), "{}", kind.name());
+                    l.quiesce();
+                });
+            }
+        });
+        for (l, at) in layers.iter().zip(registered) {
+            assert_eq!(l.membook().current(), at, "layer {} rank {}", kind.name(), l.rank());
+        }
+    }
 }

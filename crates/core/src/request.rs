@@ -79,8 +79,7 @@ impl FilledRanges {
 ///
 /// An eager message is handed out in the buffer the fabric delivered it in —
 /// the bytes sit behind the transport headers, which are skipped, not
-/// stripped — so receiving copies nothing; [`RecvData::into_vec`] is for a
-/// caller that needs an owned `Vec` of exactly the payload.
+/// stripped — so receiving copies nothing.
 pub struct RecvData {
     buf: Vec<u8>,
     /// Where the payload starts in `buf`.
@@ -92,13 +91,6 @@ impl RecvData {
     pub(crate) fn new(buf: Vec<u8>, start: usize) -> Self {
         assert!(start <= buf.len(), "payload starts inside its buffer");
         RecvData { buf, start }
-    }
-
-    /// The payload as an owned vector (moves it to the front of the buffer
-    /// when it arrived behind headers).
-    pub fn into_vec(mut self) -> Vec<u8> {
-        self.buf.drain(..self.start);
-        self.buf
     }
 }
 
@@ -335,7 +327,6 @@ mod tests {
         inner.mark_done();
         let data = req.take_data().expect("done request yields its data");
         assert_eq!(data, [1, 2, 3]);
-        assert_eq!(data.into_vec(), vec![1, 2, 3]);
         assert!(req.take_data().is_none(), "data can only be taken once");
     }
 

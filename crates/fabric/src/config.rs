@@ -407,21 +407,18 @@ impl FaultPlan {
 /// ([`crate::reliable::ReliableSession`]).
 ///
 /// All times are simulated nanoseconds (virtual-clock ticks in manual
-/// mode). The defaults bound peer-failure detection at roughly
-/// `retry_budget` doublings of `rto_base_ns` capped at `rto_cap_ns` —
-/// about 70 ms of simulated time.
+/// mode). The initial timeout and its jitter are constants of the session,
+/// [`crate::reliable::RTO_BASE_NS`] and [`crate::reliable::RTO_JITTER_NS`].
+/// The defaults bound peer-failure detection at roughly `retry_budget`
+/// doublings of the initial timeout capped at `rto_cap_ns` — about 70 ms of
+/// simulated time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliableConfig {
     /// Maximum unacked frames per destination; a full window surfaces
     /// `SendError::Backpressure` to the caller (bounded buffering).
     pub window: usize,
-    /// Initial retransmission timeout.
-    pub rto_base_ns: u64,
     /// Exponential-backoff ceiling for the retransmission timeout.
     pub rto_cap_ns: u64,
-    /// Seeded uniform jitter added to each timeout, `[0, rto_jitter_ns)`,
-    /// so retransmissions from many peers do not synchronize.
-    pub rto_jitter_ns: u64,
     /// Retransmissions of one frame before the destination is declared
     /// dead (`PeerDead`).
     pub retry_budget: u32,
@@ -442,9 +439,7 @@ impl Default for ReliableConfig {
     fn default() -> Self {
         ReliableConfig {
             window: 32,
-            rto_base_ns: 400_000,
             rto_cap_ns: 8_000_000,
-            rto_jitter_ns: 50_000,
             retry_budget: 12,
             ack_delay_ns: 100_000,
             ack_every: 8,
@@ -741,14 +736,15 @@ mod tests {
 
     #[test]
     fn reliable_config_defaults_bound_peer_death() {
+        use crate::reliable::{RTO_BASE_NS, RTO_JITTER_NS};
         let r = ReliableConfig::default();
         // Worst-case simulated time to declare a peer dead: the sum of the
         // doubling RTOs capped at rto_cap_ns, plus jitter. Keep it under
         // 100 ms so blackhole aborts are snappy even on 1:1 time scales.
         let mut total = 0u64;
-        let mut rto = r.rto_base_ns;
+        let mut rto = RTO_BASE_NS;
         for _ in 0..r.retry_budget {
-            total += rto + r.rto_jitter_ns;
+            total += rto + RTO_JITTER_NS;
             rto = (rto * 2).min(r.rto_cap_ns);
         }
         assert!(total < 100_000_000, "death bound {total} ns too lax");

@@ -54,7 +54,7 @@
 //! * the *initial* timeout of each frame adapts to the observed ack
 //!   round-trip (RFC 6298-shaped EWMA, Karn's rule: only never-retransmitted
 //!   frames are sampled), clamped to
-//!   `[rto_base_ns, rto_cap_ns]`; the current estimate is exported as the
+//!   `[RTO_BASE_NS, rto_cap_ns]`; the current estimate is exported as the
 //!   `fabric.reliable.rto_us` gauge.
 //!
 //! RDMA puts bypass this module entirely: they are hardware-reliable in the
@@ -85,6 +85,15 @@ pub const REL_OVERHEAD: usize = 17;
 /// `payload[REL_DATA_OFFSET..]` after [`ReliableSession::on_recv`] returns
 /// [`RelRecv::Data`].
 pub const REL_DATA_OFFSET: usize = frame::FRAME_OVERHEAD + REL_OVERHEAD;
+
+/// Initial retransmission timeout of a frame before any round-trip sample,
+/// and the floor of the adaptive one; also how long a frame the injection
+/// queue refused waits before it is tried again.
+pub const RTO_BASE_NS: u64 = 400_000;
+
+/// Seeded uniform jitter added to each timeout, `[0, RTO_JITTER_NS)`, so
+/// retransmissions from many peers do not synchronize.
+pub const RTO_JITTER_NS: u64 = 50_000;
 
 /// Message header of the session's own frames, standalone acks and pings.
 /// Never collides with application headers in practice (both runtimes pack
@@ -214,9 +223,9 @@ impl RttEstimator {
     /// configured band, or the configured base before any sample exists.
     fn initial_rto(&self, cfg: &ReliableConfig) -> u64 {
         if self.has_rtt {
-            (self.srtt_ns + 4 * self.rttvar_ns).clamp(cfg.rto_base_ns, cfg.rto_cap_ns)
+            (self.srtt_ns + 4 * self.rttvar_ns).clamp(RTO_BASE_NS, cfg.rto_cap_ns)
         } else {
-            cfg.rto_base_ns
+            RTO_BASE_NS
         }
     }
 }
@@ -358,10 +367,7 @@ impl ReliableSession {
     }
 
     fn jitter_ns(&self, rng: &mut u64) -> u64 {
-        if self.cfg.rto_jitter_ns == 0 {
-            return 0;
-        }
-        splitmix64(rng) % self.cfg.rto_jitter_ns
+        splitmix64(rng) % RTO_JITTER_NS
     }
 
     /// Reliably send `body` to `dst`: copy it into a buffer taken from the
@@ -634,7 +640,7 @@ impl ReliableSession {
                             // Injection queue full: not the peer's fault, so
                             // the retry budget is untouched. Try again on
                             // the next pump.
-                            p.tx.window[i].rto_at = now + self.cfg.rto_base_ns;
+                            p.tx.window[i].rto_at = now + RTO_BASE_NS;
                             break;
                         }
                         Err(_) => {
@@ -1037,10 +1043,10 @@ mod tests {
     #[test]
     fn adaptive_rto_tracks_observed_round_trip() {
         let mut cfg = FabricConfig::deterministic(2, 23);
-        // Widen the clamp band so adaptation is visible below the default
-        // 400 µs floor (the deterministic wire's RTT is ~2 µs).
-        cfg.reliable.rto_base_ns = 1_000;
-        cfg.reliable.rto_jitter_ns = 0;
+        // Stretch the observed round trip past the 400 µs floor so the
+        // adaptation is visible (the deterministic wire's RTT is ~2 µs; the
+        // ack delay dominates).
+        cfg.reliable.ack_delay_ns = 1_000_000;
         let f = Fabric::new_manual(cfg);
         let eps = f.endpoints();
         let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
@@ -1059,8 +1065,8 @@ mod tests {
         // and reflect the (ack-delay dominated) observed round-trip.
         let last = *rtos.last().unwrap();
         assert!(
-            last > f.config().reliable.rto_base_ns,
-            "adaptive RTO should exceed the 1 µs floor once RTT ~100 µs is observed, got {rtos:?}"
+            last > RTO_BASE_NS,
+            "adaptive RTO should exceed the 400 µs floor once RTT ~1 ms is observed, got {rtos:?}"
         );
         assert!(
             last <= f.config().reliable.rto_cap_ns,

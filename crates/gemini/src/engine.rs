@@ -177,15 +177,16 @@ impl Exchange for GeminiConfig {
         let mut chunks_got = vec![0u16; p];
         let mut active = vote;
         let deliver = |lid: usize, v: A::Acc| host.deliver(lid, v);
+        let table = layer.counters();
         recv_round(layer, channels::REDUCE, |src, data| {
             let plan = &host.part.master_recv[src as usize];
             // A chunk that fails validation is dropped whole without
             // touching the per-peer progress tracking (the framed
             // transports below guarantee the genuine chunk still arrives,
             // so the barrier cannot wedge).
-            let Some((total, peer_vote)) = decode_chunk::<A::Acc>(&data, plan, identity, &deliver)
+            let Some((total, peer_vote)) = decode_chunk::<A::Acc>(data, plan, identity, &deliver)
             else {
-                layer.counters().incr(Counter::EngineMalformedDropped);
+                table.incr(Counter::EngineMalformedDropped);
                 return false;
             };
             chunks_got[src as usize] += 1;
@@ -384,9 +385,13 @@ mod tests {
             self.sent.lock().unwrap().push((dst, data));
         }
         fn finish_sends(&self, _channel: usize) {}
-        fn try_recv(&self, _channel: usize) -> Option<(u16, Vec<u8>)> {
-            let empty = || encode_sparse_chunks::<u32>(0, &[], usize::MAX).remove(0);
-            self.due.lock().unwrap().pop().map(|src| (src, empty()))
+        fn drain(&self, _channel: usize, on_msg: &mut dyn FnMut(u16, &[u8])) -> usize {
+            let empty = encode_sparse_chunks::<u32>(0, &[], usize::MAX).remove(0);
+            let due = std::mem::take(&mut *self.due.lock().unwrap());
+            for &src in due.iter().rev() {
+                on_msg(src, &empty);
+            }
+            due.len()
         }
     }
 

@@ -27,7 +27,8 @@
 # Perf leg (tier 2, never part of tier 1): the pair protocol of
 # scripts/bench_pairs.sh, the working tree against the commit that last
 # touched the newest checked-in `results/BENCH_pr<N>.json`, written to
-# `results/PAIRS_pr<N+1>.json` and read back with `jq`. A workload fails when
+# `results/PAIRS_pr<PR>.json` (PR is the number of the change under test,
+# given on the command line) and read back with `jq`. A workload fails when
 # the median ratio (change / parent) of either end-to-end metric, `time_s` or
 # `setup_s`, is above 1.10 and the change was slower in at least 8 of its 10
 # pairs on that metric. Both thresholds are ROADMAP item
@@ -40,20 +41,21 @@
 # Usage:
 #   ./run_tests.sh               # tier 1 + chaos profile
 #   ./run_tests.sh --tier1       # tier 1 only (fast gate)
-#   ./run_tests.sh --perf [workload...]   # perf leg only (default: every workload)
+#   ./run_tests.sh --perf PR [workload...]   # perf leg only (default: every workload)
 set -e
 cd "$(dirname "$0")"
 
 if [[ "${1:-}" == "--perf" ]]; then
-    shift
+    n="${2:-}"
+    [[ "$n" =~ ^[0-9]+$ ]] || { echo "usage: ./run_tests.sh --perf PR [workload...]" >&2; exit 2; }
+    shift 2
     command -v jq >/dev/null || { echo "PERF: needs jq" >&2; exit 1; }
-    n="" base=""
+    base=""
     for f in $(ls results/BENCH_pr*.json | sort -V -r); do
         base="$(git log -1 --format=%h -- "$f")"
-        [ -n "$base" ] && n="$(sed 's/.*BENCH_pr\([0-9]*\)\.json/\1/' <<<"$f")" && break
+        [ -n "$base" ] && break
     done
     [ -n "$base" ] || { echo "PERF: no checked-in results/BENCH_pr<N>.json to pair against" >&2; exit 1; }
-    n=$((n + 1))
     scripts/bench_pairs.sh -n "$n" "$base" "$@"
     pairs="results/PAIRS_pr$n.json"
     verdicts="$(jq -r '.workloads | to_entries[] | .key as $w | .value as $v
@@ -80,35 +82,38 @@ for f in tests/*.rs; do
     fi
 done
 
+# guard NAME PATTERN MESSAGE FILE...: stop tier 1 at the first FILE with a
+# line matching the awk regex PATTERN above its first `#[cfg(test)]`.
+guard() {
+    local name="$1" pattern="$2" message="$3" f
+    shift 3
+    for f in "$@"; do
+        if re="$pattern" awk '/^#\[cfg\(test\)\]/ { exit } $0 ~ ENVIRON["re"] { hit = 1 } END { exit !hit }' "$f"; then
+            echo "$name: $f $message" >&2
+            exit 1
+        fi
+    done
+}
+
 # The fabric has no thread of its own: a wall-clock wire is run by whoever
 # polls (DESIGN.md, "Who drives the wire"). A "helper" thread would put the
 # scheduler hop back on every message, so none may be spawned outside tests.
-for f in crates/fabric/src/*.rs; do
-    if awk '/^#\[cfg\(test\)\]/ { exit } /thread::(spawn|Builder)/ { hit = 1 } END { exit !hit }' "$f"; then
-        echo "WIRE THREAD: $f spawns a thread outside #[cfg(test)]; the fabric is poll-driven" >&2
-        exit 1
-    fi
-done
+guard "WIRE THREAD" 'thread::(spawn|Builder)' \
+    "spawns a thread outside #[cfg(test)]; the fabric is poll-driven" crates/fabric/src/*.rs
 # Nor have the runtimes one: a host's compute, communication and progress
 # all run on its host thread, and a host that waits drives its own progress
 # (DESIGN.md, "How a host waits"). A progress thread holds a core even while
 # it has nothing to do.
-for f in crates/core/src/*.rs crates/mini-mpi/src/*.rs; do
-    if awk '/^#\[cfg\(test\)\]/ { exit } /thread::(spawn|Builder)/ { hit = 1 } END { exit !hit }' "$f"; then
-        echo "PROGRESS THREAD: $f spawns a thread outside #[cfg(test)]; a host drives its own progress" >&2
-        exit 1
-    fi
-done
+guard "PROGRESS THREAD" 'thread::(spawn|Builder)' \
+    "spawns a thread outside #[cfg(test)]; a host drives its own progress" \
+    crates/core/src/*.rs crates/mini-mpi/src/*.rs
 
 # Nor do they keep state per thread: a host is one thread, so whatever it
 # owns (its packet pool, its queues) is one structure, not shards picked by a
 # thread-local hint (DESIGN.md, "Key decisions").
-for f in crates/core/src/*.rs crates/mini-mpi/src/*.rs; do
-    if awk '/^#\[cfg\(test\)\]/ { exit } /thread_local!/ { hit = 1 } END { exit !hit }' "$f"; then
-        echo "PER-THREAD STATE: $f declares thread_local! outside #[cfg(test)]; a host is one thread" >&2
-        exit 1
-    fi
-done
+guard "PER-THREAD STATE" 'thread_local!' \
+    "declares thread_local! outside #[cfg(test)]; a host is one thread" \
+    crates/core/src/*.rs crates/mini-mpi/src/*.rs
 
 # The runtimes have one `unsafe`: the feature-detected call in
 # `Crc32::update` (frame.rs), which picks one of two carry-less-multiply folds
@@ -145,34 +150,25 @@ fi
 # as a load and a store: the host thread is its one writer (DESIGN.md, "Who
 # writes vertex state"). An atomic RMW spelled out in an engine or in
 # label.rs would put a locked instruction back on the per-edge path.
-for f in crates/abelian/src/engine.rs crates/gemini/src/engine.rs crates/abelian/src/label.rs; do
-    if awk '/^#\[cfg\(test\)\]/ { exit } /compare_exchange|fetch_[a-z]|\]\.swap\(/ { hit = 1 } END { exit !hit }' "$f"; then
-        echo "ENGINE RMW: $f has an atomic read-modify-write outside #[cfg(test)]; use LabelVec" >&2
-        exit 1
-    fi
-done
+guard "ENGINE RMW" 'compare_exchange|fetch_[a-z]|\]\.swap\(' \
+    "has an atomic read-modify-write outside #[cfg(test)]; use LabelVec" \
+    crates/abelian/src/engine.rs crates/gemini/src/engine.rs crates/abelian/src/label.rs
 
 # A round reads the clock once per phase boundary: its spans hand each
 # reading on (`Span::end` -> `Span::enter_at`), and the round's compute, wall
 # and begin/end events are those readings (DESIGN.md, "Round skeleton
 # timing"). A clock of the engine's own would put the reads back.
-for f in crates/abelian/src/engine.rs crates/gemini/src/engine.rs; do
-    if awk '/^#\[cfg\(test\)\]/ { exit } /Instant::now|\.elapsed\(\)/ { hit = 1 } END { exit !hit }' "$f"; then
-        echo "ROUND CLOCK: $f reads a clock of its own outside #[cfg(test)]; time the round from its span readings" >&2
-        exit 1
-    fi
-done
+guard "ROUND CLOCK" 'Instant::now|\.elapsed\(\)' \
+    "reads a clock of its own outside #[cfg(test)]; time the round from its span readings" \
+    crates/abelian/src/engine.rs crates/gemini/src/engine.rs
 
 # A host waits one way: it drives progress, then yields (DESIGN.md, "How a
 # host waits"). A sleep would hold up the very progress the waiter is owed,
 # so no product source sleeps outside tests. Modelled CPU costs
 # (`busy::spin_for_ns`) are not waits.
-for f in $(find crates/*/src -name '*.rs'); do
-    if awk '/^#\[cfg\(test\)\]/ { exit } /thread::sleep/ { hit = 1 } END { exit !hit }' "$f"; then
-        echo "SLEEP: $f calls thread::sleep outside #[cfg(test)]; drive progress and yield instead" >&2
-        exit 1
-    fi
-done
+guard "SLEEP" 'thread::sleep' \
+    "calls thread::sleep outside #[cfg(test)]; drive progress and yield instead" \
+    $(find crates/*/src -name '*.rs')
 
 # The product owns its queues: completions and injections are drained in
 # batches from `Mutex`-guarded vectors the fabric defines (DESIGN.md,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The pair protocol: is the working tree faster or slower than a base commit?
 #
-#   scripts/bench_pairs.sh [-n N] [-s SECONDS] <base-rev> [workload...]
+#   scripts/bench_pairs.sh -n N [-s SECONDS] <base-rev> [workload...]
 #
 # <base-rev> is exported (`git archive`, so no worktree is registered) into
 # .bench_build/base, and the benchmark's `lcibench` is built --offline for both
@@ -12,9 +12,10 @@
 # parent first); the first workload named also runs held-out seeds 11-14 the
 # same way. SECONDS defaults to BENCHMARK.json's `run_seconds`.
 #
-# Writes results/PAIRS_pr<N>.json (N defaults to one more than the newest
-# results/BENCH_pr<N>.json) and prints the markdown tables EXPERIMENTS.md
-# pastes. Per workload and per end-to-end metric (`time_s`, `setup_s`): each
+# Writes results/PAIRS_pr<N>.json, N being the number of the PR the working
+# tree is (required: a number passed over or refused leaves no file to infer
+# it from, as with scripts/bench_record.sh <N>), and prints the markdown
+# tables EXPERIMENTS.md pastes. Per workload and per end-to-end metric (`time_s`, `setup_s`): each
 # side's median and quartiles (linear interpolation between order
 # statistics), the ratio of medians (change / parent), the pairs in which the
 # change was lower, and the gap between the medians over the parent's
@@ -33,17 +34,15 @@ while getopts "n:s:" opt; do
     esac
 done
 shift $((OPTIND - 1))
-base="${1:?usage: scripts/bench_pairs.sh [-n N] [-s SECONDS] <base-rev> [workload...]}"
+usage="usage: scripts/bench_pairs.sh -n N [-s SECONDS] <base-rev> [workload...]"
+[[ "$n" =~ ^[0-9]+$ ]] || { echo "$usage" >&2; exit 2; }
+base="${1:?$usage}"
 shift
 workloads=("$@")
 if [ ${#workloads[@]} -eq 0 ]; then
     read -r -d '' -a workloads < <(sed -n '/"workloads"/,/"end_to_end"/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json) || true
 fi
 [ -n "$seconds" ] || seconds="$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)"
-if [ -z "$n" ]; then
-    newest="$(ls results/BENCH_pr*.json | sed 's/.*BENCH_pr\([0-9]*\)\.json/\1/' | sort -n | tail -n 1)"
-    n=$((newest + 1))
-fi
 sha="$(git rev-parse --short "$base^{commit}")"
 
 echo "exporting $base ($sha) into .bench_build/base" >&2

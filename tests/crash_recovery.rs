@@ -409,15 +409,11 @@ fn survivor_waiting_on_a_peer_it_owes_nothing_aborts_bounded_on_every_layer() {
         let (open0, open1) = (open(0), open(1));
         let leaver = std::thread::spawn(move || {
             let l1 = open1();
-            let got = loop {
-                if let Some(m) = l1.try_recv(0) {
-                    break Some(m);
-                }
-                if l1.failure().is_some() {
-                    break None;
-                }
+            let mut got = None;
+            while got.is_none() && l1.failure().is_none() {
+                l1.drain(0, &mut |src, data| got = Some((src, data.to_vec())));
                 std::thread::yield_now();
-            };
+            }
             l1.quiesce();
             got
         });

@@ -16,6 +16,9 @@
 //! it has held and allocates nothing after that, and a pop never allocates.
 //! Its packet pool builds nothing with the device: each of the first
 //! `packet_count` leases builds one packet, and no later lease builds any.
+//! Above the wire, an MPI-RMA round's receive side reads each landed slot out
+//! of its window once and hands the sub-frames on from that copy: one
+//! payload-sized allocation a slot, however many sub-frames it carries.
 
 use bytes::Bytes;
 use lci::{Device, LciConfig, MpmcQueue, PacketPool};
@@ -495,4 +498,51 @@ fn seq_gate_equals_the_admitted_set_model_step_by_step() {
         }
     }
     assert!(model.watermark() > 10_000, "the run made progress");
+}
+
+/// Two hosts run MPI-RMA rounds of three `PAYLOAD`-byte messages each way.
+/// After warm-up, a round's receive side (`recv_round`, its drains and the
+/// progress they drive) makes one payload-sized allocation, the slot blob it
+/// reads out of the window; a copy per sub-frame would make it four.
+#[test]
+fn an_rma_round_receive_allocates_the_slot_blob_and_nothing_per_subframe() {
+    use abelian::comm::{recv_round, ChannelSpec, CommLayer};
+    let cfg = mini_mpi::MpiConfig::default().with_personality(mini_mpi::Personality::zero());
+    let world = mini_mpi::MpiWorld::new(FabricConfig::test(2), cfg);
+    let layers = [0, 1].map(|h| abelian::layers::MpiRmaLayer::new(world.comm(h)));
+    let body = vec![0x5Au8; PAYLOAD];
+    let big = std::thread::scope(|s| {
+        let hosts: Vec<_> = layers
+            .iter()
+            .map(|l| {
+                let body = &body;
+                s.spawn(move || {
+                    let spec = ChannelSpec::uniform(2, l.rank(), 4 * (4 + PAYLOAD));
+                    l.register_channel(0, spec);
+                    let mut big = 0;
+                    for _ in 0..4 {
+                        l.begin(0);
+                        for _ in 0..3 {
+                            l.send(0, 1 - l.rank(), body.clone());
+                        }
+                        l.finish_sends(0);
+                        let mut n = 0;
+                        let (_, b, r) = allocations(|| {
+                            recv_round(l, 0, |_, data| {
+                                assert!(data == &body[..], "a {} B message", data.len());
+                                n += 1;
+                                n == 3
+                            })
+                        });
+                        r.expect("the round completes");
+                        big = b;
+                    }
+                    l.quiesce();
+                    big
+                })
+            })
+            .collect();
+        hosts.into_iter().map(|h| h.join().expect("host")).collect::<Vec<_>>()
+    });
+    assert_eq!(big, [1, 1], "payload-sized allocations of a round's receive side, per host");
 }
