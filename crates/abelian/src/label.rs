@@ -1,15 +1,16 @@
 //! Vertex label values: bit-packable, and stored where a `&` reference can
 //! update them.
 //!
-//! Labels live in `AtomicU64` slots for interior mutability, not for
-//! concurrency: a host's vertex state has one writer, its host thread, so a
-//! read-modify-write ([`LabelVec::reduce_with`], [`LabelVec::swap`],
-//! [`BitSet::insert`]) is a relaxed load, the operation and a relaxed store,
-//! with no locked instruction. Labels serialize to fixed widths for the wire.
-//! [`BitSet`] holds the marks that say which labels moved.
+//! Labels live in `Cell<u64>` slots: a host's vertex state is built, used
+//! and dropped on its host thread, its one writer, so a read-modify-write
+//! ([`LabelVec::reduce_with`], [`LabelVec::swap`], [`BitSet::insert`]) is a
+//! plain load, the operation and a plain store, and the compiler keeps the
+//! slots on that thread (a `Cell` is not `Sync`). Labels serialize to fixed
+//! widths for the wire. [`BitSet`] holds the marks that say which labels
+//! moved.
 
+use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A value that can live in a vertex label slot and travel on the wire.
 pub trait Label: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
@@ -65,17 +66,16 @@ impl Label for f32 {
     }
 }
 
-/// A vector of label slots with one writer at a time (writers that hand over
-/// through a join or a lock are one at a time).
+/// A vector of label slots, owned by one thread.
 pub struct LabelVec {
-    slots: Vec<AtomicU64>,
+    slots: Vec<Cell<u64>>,
 }
 
 impl LabelVec {
     /// `n` slots initialized to `init`.
     pub fn new<L: Label>(n: usize, init: L) -> LabelVec {
         LabelVec {
-            slots: (0..n).map(|_| AtomicU64::new(init.to_bits())).collect(),
+            slots: vec![Cell::new(init.to_bits()); n],
         }
     }
 
@@ -91,23 +91,18 @@ impl LabelVec {
 
     /// Read slot `i`.
     pub fn get<L: Label>(&self, i: usize) -> L {
-        L::from_bits(self.slots[i].load(Ordering::Relaxed))
+        L::from_bits(self.slots[i].get())
     }
 
     /// Overwrite slot `i`.
     pub fn set<L: Label>(&self, i: usize, v: L) {
-        self.slots[i].store(v.to_bits(), Ordering::Relaxed);
+        self.slots[i].set(v.to_bits());
     }
 
     /// Replace slot `i` with `v`, returning the previous value. Used by
     /// consuming operators (PageRank takes its residual exactly once).
     pub fn swap<L: Label>(&self, i: usize, v: L) -> L {
-        // One writer: nothing can land between the load and the store, and
-        // there is no other thread for an ordering to pair with.
-        let slot = &self.slots[i];
-        let old = slot.load(Ordering::Relaxed);
-        slot.store(v.to_bits(), Ordering::Relaxed);
-        L::from_bits(old)
+        L::from_bits(self.slots[i].replace(v.to_bits()))
     }
 
     /// Serialize every slot's raw bits, 8 little-endian bytes per slot.
@@ -116,7 +111,7 @@ impl LabelVec {
     pub fn save_bits(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.slots.len() * 8);
         for s in &self.slots {
-            out.extend_from_slice(&s.load(Ordering::Relaxed).to_le_bytes());
+            out.extend_from_slice(&s.get().to_le_bytes());
         }
         out
     }
@@ -129,23 +124,19 @@ impl LabelVec {
             return false;
         }
         for (s, chunk) in self.slots.iter().zip(bytes.chunks_exact(8)) {
-            s.store(
-                u64::from_le_bytes(chunk.try_into().expect("chunks_exact")),
-                Ordering::Relaxed,
-            );
+            s.set(u64::from_le_bytes(chunk.try_into().expect("chunks_exact")));
         }
         true
     }
 
     /// Apply `reduce(cur, v)`; returns `true` if the stored value changed.
     pub fn reduce_with<L: Label>(&self, i: usize, v: L, reduce: impl FnOnce(L, L) -> L) -> bool {
-        // One writer (see `swap`): a load and, when the value moves, a store.
         let slot = &self.slots[i];
-        let cur = slot.load(Ordering::Relaxed);
+        let cur = slot.get();
         let new = reduce(L::from_bits(cur), v).to_bits();
         let changed = new != cur;
         if changed {
-            slot.store(new, Ordering::Relaxed);
+            slot.set(new);
         }
         changed
     }
@@ -156,7 +147,7 @@ impl LabelVec {
 /// word and a step per member, and the marks of a hundred thousand labels fit
 /// L1 beside the per-edge loop that sets them.
 pub struct BitSet {
-    words: Vec<AtomicU64>,
+    words: Vec<Cell<u64>>,
     len: usize,
 }
 
@@ -166,11 +157,10 @@ fn below(i: usize) -> u64 {
 }
 
 impl BitSet {
-    /// The empty set over `0..len`, with one writer at a time as for
-    /// [`LabelVec`].
+    /// The empty set over `0..len`, owned by one thread as a [`LabelVec`]
+    /// is.
     pub fn new(len: usize) -> BitSet {
-        let words = (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-        BitSet { words, len }
+        BitSet { words: vec![Cell::new(0); len.div_ceil(64)], len }
     }
 
     /// Put `i` in: a load and a store. Inlined into the engines' per-edge
@@ -178,18 +168,18 @@ impl BitSet {
     #[inline]
     pub fn insert(&self, i: usize) {
         let word = &self.words[i / 64];
-        word.store(word.load(Ordering::Relaxed) | 1 << (i % 64), Ordering::Relaxed);
+        word.set(word.get() | 1 << (i % 64));
     }
 
     /// Is `i` in? Inlined for the same reason as [`Self::insert`].
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        self.words[i / 64].load(Ordering::Relaxed) & 1 << (i % 64) != 0
+        self.words[i / 64].get() & 1 << (i % 64) != 0
     }
 
     /// How many are in: a population count per word.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.load(Ordering::Relaxed).count_ones() as usize).sum()
+        self.words.iter().map(|w| w.get().count_ones() as usize).sum()
     }
 
     /// Hand `f` every member inside `range`, ascending; with `take` they
@@ -197,11 +187,11 @@ impl BitSet {
     pub fn walk(&self, range: Range<usize>, take: bool, mut f: impl FnMut(usize)) {
         for w in range.start / 64..range.end.div_ceil(64) {
             let (word, base) = (&self.words[w], w * 64);
-            let all = word.load(Ordering::Relaxed);
+            let all = word.get();
             let mut bits =
                 all & below(range.end - base) & !below(range.start.saturating_sub(base));
             if take && bits != 0 {
-                word.store(all & !bits, Ordering::Relaxed);
+                word.set(all & !bits);
             }
             while bits != 0 {
                 f(base + bits.trailing_zeros() as usize);
@@ -226,7 +216,7 @@ impl BitSet {
         }
         for (word, chunk) in self.words.iter().zip(bytes.chunks(64)) {
             let bits = chunk.iter().rev().fold(0, |acc, &b| acc << 1 | (b != 0) as u64);
-            word.store(bits, Ordering::Relaxed);
+            word.set(bits);
         }
         true
     }

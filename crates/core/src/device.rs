@@ -65,6 +65,11 @@
 //! [`lci_fabric::Fault::Blackhole`]) are retransmitted until delivered or
 //! until the destination's retry budget declares it dead, which fails the
 //! device ([`EnqError::PeerDead`]) instead of wedging its callers.
+//!
+//! A host is one thread, so what the protocol moves — the reliable session,
+//! the rendezvous table, pending puts and fragment streams — is one plain
+//! struct behind one lock, which a send takes once: a rendezvous `SEND-ENQ`
+//! parks its id, sends the `RTS` and unparks the id on refusal in one hold.
 
 use crate::config::{LciConfig, PutMode};
 use crate::pool::{Packet, PacketPool};
@@ -166,9 +171,14 @@ impl From<&Registry> for DeviceStats {
     }
 }
 
-/// What only the one thread inside [`Device::progress`] touches.
-#[derive(Default)]
-struct Progress {
+/// The device's protocol state, behind its one lock: what a send, a receive
+/// and a progress call move.
+struct State {
+    /// The reliable sublayer: framing, sequencing, dedup, ack/retransmit,
+    /// and peer-failure detection, shared by every send and receive path.
+    rel: ReliableSession,
+    /// Every request a rendezvous id names.
+    parked: Rendezvous<Bytes>,
     /// The puts RTRs asked for, until the injection queue takes them.
     pending_puts: PendingPuts<Bytes>,
     pending_frags: VecDeque<PendingFrags>,
@@ -179,22 +189,20 @@ struct Progress {
     events: VecDeque<Event>,
 }
 
+/// A device's shared half: its protocol [`State`] behind one lock, which
+/// `progress` only tries. The pool and the first-packet queue keep locks of
+/// their own, taken inside it and never around it — the lock order is
+/// state → pool and state → rxq — and neither calls back into the device.
 struct DeviceInner {
     ep: Endpoint,
-    /// Shared with `rel`, which builds and keeps its frames in these packets.
+    /// Shared with `state.rel`, which builds and keeps its frames in these
+    /// packets.
     pool: Arc<PacketPool>,
     /// First-packets in arrival order. An `RTS` whose `RTR` answer is
     /// deferred for lack of resources goes back at the head, so it still
     /// surfaces before anything that arrived after it.
     rxq: MpmcQueue<RxItem>,
-    /// The reliable sublayer: framing, sequencing, dedup, ack/retransmit,
-    /// and peer-failure detection, shared by every send and receive path.
-    rel: ReliableSession,
-    /// Held by the caller that is making progress.
-    progress: Mutex<Progress>,
-    /// Every request a rendezvous id names. A lock of its own: `send_enq`
-    /// and `recv_deq` park requests outside `progress`.
-    parked: Mutex<Rendezvous<Bytes>>,
+    state: Mutex<State>,
     failed: AtomicBool,
     cfg: LciConfig,
 }
@@ -232,10 +240,15 @@ impl Device {
         Device {
             inner: Arc::new(DeviceInner {
                 rxq: MpmcQueue::new(rx_capacity),
-                rel: ReliableSession::with_bufs(&ep, Arc::clone(&pool) as _),
+                state: Mutex::new(State {
+                    rel: ReliableSession::with_bufs(&ep, Arc::clone(&pool) as _),
+                    parked: Rendezvous::new(&ep, Counter::LciMalformedDropped),
+                    pending_puts: PendingPuts::default(),
+                    pending_frags: VecDeque::new(),
+                    filled: HashMap::new(),
+                    events: VecDeque::new(),
+                }),
                 pool,
-                progress: Mutex::new(Progress::default()),
-                parked: Mutex::new(Rendezvous::new(&ep, Counter::LciMalformedDropped)),
                 failed: AtomicBool::new(false),
                 cfg,
                 ep,
@@ -264,8 +277,8 @@ impl Device {
     /// condition a host must reach before it may stop driving
     /// [`Device::progress`].
     pub fn quiescent(&self) -> bool {
-        let prog = self.inner.progress.lock();
-        prog.pending_frags.is_empty() && prog.pending_puts.settled(&self.inner.rel)
+        let st = self.inner.state.lock();
+        st.pending_frags.is_empty() && st.pending_puts.settled(&st.rel)
     }
 
     /// Packets currently out of the pool (diagnostics): being filled, or
@@ -299,7 +312,7 @@ impl Device {
     /// fabric epoch ([`ReliableSession::probe_epoch`]), just before a
     /// respawn bumps it.
     pub fn flush_epoch_probe(&self) {
-        self.inner.rel.probe_epoch(&self.inner.ep);
+        self.inner.state.lock().rel.probe_epoch(&self.inner.ep);
     }
 
     /// Ask `peer` to acknowledge ([`ReliableSession::ping`]), for a caller
@@ -308,7 +321,7 @@ impl Device {
     /// next [`Device::progress`] fails this device. A ping the window
     /// cannot take is skipped, since the frames filling it do the same.
     pub fn ping(&self, peer: u16) {
-        let _ = self.inner.rel.ping(&self.inner.ep, peer);
+        let _ = self.inner.state.lock().rel.ping(&self.inner.ep, peer);
     }
 
     /// Reset this device for a new fabric incarnation, after the fabric's
@@ -332,10 +345,10 @@ impl Device {
     /// or its own endpoint failure becomes usable again.
     pub fn rejoin(&self) {
         let inner = &self.inner;
-        let mut prog = inner.progress.lock();
-        let prog = &mut *prog;
-        while inner.ep.drain_into(&mut prog.events) > 0 {
-            for ev in prog.events.drain(..) {
+        let mut st = inner.state.lock();
+        let st = &mut *st;
+        while inner.ep.drain_into(&mut st.events) > 0 {
+            for ev in st.events.drain(..) {
                 // A put's completions name parked requests, failed below.
                 if let Event::Recv { src, header, data } = ev {
                     // Classify stragglers instead of silently dropping them:
@@ -344,16 +357,16 @@ impl Device {
                     // here exactly as they would in the progress loop. Any
                     // session state a (theoretical) fresh-epoch frame leaves
                     // behind is wiped by the rel.rejoin() below.
-                    let _ = inner.rel.on_recv(&inner.ep, src, header, &data);
+                    let _ = st.rel.on_recv(&inner.ep, src, header, &data);
                 }
             }
         }
         while inner.rxq.try_pop().is_some() {}
-        prog.pending_puts.clear();
-        prog.pending_frags.clear();
-        prog.filled.clear();
-        inner.parked.lock().fail_all();
-        inner.rel.rejoin();
+        st.pending_puts.clear();
+        st.pending_frags.clear();
+        st.filled.clear();
+        st.parked.fail_all();
+        st.rel.rejoin();
         inner.failed.store(false, Ordering::Release);
     }
 
@@ -367,6 +380,7 @@ impl Device {
     /// packet goes out unsignaled (context 0) and posts no `SendDone`.
     fn send_packet(
         &self,
+        rel: &mut ReliableSession,
         dst: u16,
         header: u64,
         packet: Packet,
@@ -377,9 +391,7 @@ impl Device {
             inner.pool.free(packet);
             return Err(EnqError::Closed);
         }
-        inner
-            .rel
-            .send_frame(&inner.ep, dst, header, packet, BODY + len, 0)
+        rel.send_frame(&inner.ep, dst, header, packet, BODY + len, 0)
             .map_err(|e| match e {
                 SendError::Backpressure => EnqError::Backpressure,
                 SendError::TooLarge => EnqError::TooLarge,
@@ -423,7 +435,8 @@ impl Device {
             let len = data.len();
             packet[BODY..BODY + len].copy_from_slice(&data);
             let header = protocol::pack(PacketType::Egr, tag, len as u64);
-            self.send_packet(dst, header, packet, len).inspect_err(|e| {
+            let mut st = inner.state.lock();
+            self.send_packet(&mut st.rel, dst, header, packet, len).inspect_err(|e| {
                 if e.is_retryable() {
                     self.counters().incr(Counter::LciEnqRejected);
                 }
@@ -435,12 +448,13 @@ impl Device {
         } else {
             let len = data.len();
             let req = RdvReq::new(Held::Payload(data), ());
-            let id = inner.parked.lock().park(&req);
-            packet[BODY..BODY + 8].copy_from_slice(&protocol::encode_rts(id));
             let header = protocol::pack(PacketType::Rts, tag, len as u64);
-            self.send_packet(dst, header, packet, 8).inspect_err(|e| {
+            let mut st = inner.state.lock();
+            let id = st.parked.park(&req);
+            packet[BODY..BODY + 8].copy_from_slice(&protocol::encode_rts(id));
+            self.send_packet(&mut st.rel, dst, header, packet, 8).inspect_err(|e| {
                 // The RTS never left: nothing can name the id.
-                inner.parked.lock().unpark(&inner.ep, id);
+                st.parked.unpark(&inner.ep, id);
                 if e.is_retryable() {
                     self.counters().incr(Counter::LciEnqRejected);
                 }
@@ -489,20 +503,21 @@ impl Device {
                 // plain assembly buffer for the emulated (psm2-style) path.
                 let size = item.size as usize;
                 let req = RdvReq::new(Held::Empty, ());
+                let mut st = inner.state.lock();
                 let (recv_id, rtr) = match inner.cfg.put_mode {
-                    PutMode::Rdma => inner.parked.lock().answer(&inner.ep, &req, send_id, size),
+                    PutMode::Rdma => st.parked.answer(&inner.ep, &req, send_id, size),
                     PutMode::Emulated => {
                         *req.held() = Held::Landed(vec![0u8; size]);
-                        let id = inner.parked.lock().park(&req);
+                        let id = st.parked.park(&req);
                         (id, protocol::encode_rtr(send_id, 0, id))
                     }
                 };
                 packet[BODY..BODY + 24].copy_from_slice(&rtr);
                 let header = protocol::pack(PacketType::Rtr, item.tag, item.size);
-                if self.send_packet(item.src, header, packet, 24).is_err() {
+                if self.send_packet(&mut st.rel, item.src, header, packet, 24).is_err() {
                     // Unwind: the RTR never left. Unpark the request (its
                     // region deregistered) and defer the RTS.
-                    inner.parked.lock().unpark(&inner.ep, recv_id);
+                    st.parked.unpark(&inner.ep, recv_id);
                     self.defer(item);
                     return None;
                 }
@@ -527,23 +542,24 @@ impl Device {
     /// any deferred by back-pressure) once the completions are drained.
     /// Returns the number of events processed.
     ///
-    /// Safe to call from any thread, but only one caller makes progress at a
-    /// time (the paper dedicates a single communication-server thread; the
+    /// Safe to call from any thread, but it only tries the device's lock: a
+    /// call that finds another caller inside the device returns 0 at once
+    /// (the paper dedicates a single communication-server thread; the
     /// interaction between server and compute threads is limited to the
     /// request status flags).
     pub fn progress(&self) -> usize {
         let inner = &self.inner;
-        let Some(mut prog) = inner.progress.try_lock() else {
+        let Some(mut st) = inner.state.try_lock() else {
             return 0;
         };
-        let prog = &mut *prog;
+        let st = &mut *st;
         self.counters().incr(Counter::LciProgressPolls);
         let mut handled = 0;
 
         // Fire reliable-layer timers: retransmissions of unacked frames and
         // standalone acks for owed receive state.
-        handled += inner.rel.pump(&inner.ep);
-        if inner.rel.dead_peer().is_some() {
+        handled += st.rel.pump(&inner.ep);
+        if st.rel.dead_peer().is_some() {
             // A destination exhausted its retransmission budget: the
             // collective cannot complete, so the whole device fails.
             inner.failed.store(true, Ordering::Release);
@@ -556,40 +572,40 @@ impl Device {
         }
 
         // Advance emulated-put fragment streams.
-        handled += self.issue_frags(prog);
+        handled += self.issue_frags(st);
 
         // Completions come a batch at a time, in queue order; the loop ends
         // when a drain (which drives a wall-clock wire first) finds none.
         loop {
-            let Some(ev) = prog.events.pop_front() else {
-                if inner.ep.drain_into(&mut prog.events) == 0 {
+            let Some(ev) = st.events.pop_front() else {
+                if inner.ep.drain_into(&mut st.events) == 0 {
                     break;
                 }
                 continue;
             };
             handled += 1;
             match ev {
-                Event::Recv { src, header, data } => self.on_recv(prog, src, header, data),
+                Event::Recv { src, header, data } => self.on_recv(st, src, header, data),
                 // Never posted: every packet send — first transmission,
                 // retransmission, standalone ack — is unsignaled; its packet
                 // is the reliable session's until the ack.
                 Event::SendDone { .. } => {}
                 Event::PutDone { ctx, epoch } => {
-                    inner.parked.lock().on_put_done(&inner.ep, ctx, epoch);
+                    st.parked.on_put_done(&inner.ep, ctx, epoch);
                 }
                 Event::PutArrived { imm, epoch, .. } => {
-                    inner.parked.lock().on_put_arrived(&inner.ep, imm, epoch);
+                    st.parked.on_put_arrived(&inner.ep, imm, epoch);
                 }
                 Event::Error { ctx, .. } => {
                     inner.failed.store(true, Ordering::Release);
                     // Only a put carries a context: its send request fails.
-                    inner.parked.lock().on_put_error(ctx);
+                    st.parked.on_put_error(ctx);
                 }
             }
         }
         // Inject the puts RTRs asked for, and those back-pressure deferred.
-        if !prog.pending_puts.is_empty() {
-            match prog.pending_puts.retry(&inner.ep, &mut inner.parked.lock()) {
+        if !st.pending_puts.is_empty() {
+            match st.pending_puts.retry(&inner.ep, &mut st.parked) {
                 Ok(issued) => handled += issued,
                 Err(_) => inner.failed.store(true, Ordering::Release),
             }
@@ -601,14 +617,14 @@ impl Device {
         handled
     }
 
-    fn on_recv(&self, prog: &mut Progress, src: u16, header: u64, data: PacketBuf) {
+    fn on_recv(&self, st: &mut State, src: u16, header: u64, data: PacketBuf) {
         let inner = &self.inner;
         // Run the reliable layer before any protocol decoding: a
         // corrupt/truncated ghost fails the checksum, a duplicate (ghost or
         // retransmission) re-uses an admitted sequence number, and ack
         // frames are pure control traffic — none of them reaches the
         // id-carrying control packets below.
-        match inner.rel.on_recv(&inner.ep, src, header, &data) {
+        match st.rel.on_recv(&inner.ep, src, header, &data) {
             RelRecv::Data => {}
             RelRecv::Duplicate => {
                 self.counters().incr(Counter::LciDuplicateDropped);
@@ -639,15 +655,15 @@ impl Device {
                 });
             }
             PacketType::Rtr => {
-                let Some(put) = inner.parked.lock().on_rtr(&inner.ep, src, &data[BODY..]) else {
+                let Some(put) = st.parked.on_rtr(&inner.ep, src, &data[BODY..]) else {
                     return;
                 };
                 drop(data); // release the rx credit before the (long) put
                 match inner.cfg.put_mode {
-                    PutMode::Rdma => prog.pending_puts.push(put),
+                    PutMode::Rdma => st.pending_puts.push(put),
                     PutMode::Emulated => {
-                        prog.pending_frags.push_back(PendingFrags { put, tag, next_offset: 0 });
-                        self.issue_frags(prog);
+                        st.pending_frags.push_back(PendingFrags { put, tag, next_offset: 0 });
+                        self.issue_frags(st);
                     }
                 }
             }
@@ -659,7 +675,7 @@ impl Device {
                 };
                 let body = &body_full[16..];
                 // The receive request stays parked until its last fragment.
-                let Some(req) = inner.parked.lock().get(recv_id).cloned() else {
+                let Some(req) = st.parked.get(recv_id).cloned() else {
                     self.counters().incr(Counter::LciMalformedDropped);
                     return;
                 };
@@ -674,7 +690,7 @@ impl Device {
                     // panicking, and a re-delivered range can no longer
                     // double-count toward completion.
                     Some(end) if end <= buf.len() => {
-                        let filled = prog.filled.entry(recv_id).or_default();
+                        let filled = st.filled.entry(recv_id).or_default();
                         if !filled.insert(off, end) {
                             self.counters().incr(Counter::LciDuplicateDropped);
                             return;
@@ -690,17 +706,17 @@ impl Device {
                     }
                 }
                 drop(held);
-                prog.filled.remove(&recv_id);
-                inner.parked.lock().finish(recv_id, true);
+                st.filled.remove(&recv_id);
+                st.parked.finish(recv_id, true);
             }
         }
     }
 
     /// Push fragments of pending emulated-put streams into the NIC until
     /// resources run out. Returns the number of fragments injected.
-    fn issue_frags(&self, prog: &mut Progress) -> usize {
+    fn issue_frags(&self, st: &mut State) -> usize {
         let inner = &self.inner;
-        let q = &mut prog.pending_frags;
+        let q = &mut st.pending_frags;
         let chunk = inner.cfg.packet_payload - 16;
         let mut issued = 0;
         while let Some(f) = q.front_mut() {
@@ -718,14 +734,14 @@ impl Device {
                 ));
                 body[16..].copy_from_slice(&f.put.payload[f.next_offset..end]);
                 let header = protocol::pack(PacketType::Frag, f.tag, total as u64);
-                match self.send_packet(f.put.dst, header, packet, 16 + len) {
+                match self.send_packet(&mut st.rel, f.put.dst, header, packet, 16 + len) {
                     Ok(()) => {
                         f.next_offset = end;
                         issued += 1;
                     }
                     Err(e) if e.is_retryable() => return issued,
                     Err(_) => {
-                        inner.parked.lock().finish(f.put.id, false);
+                        st.parked.finish(f.put.id, false);
                         inner.failed.store(true, Ordering::Release);
                         q.pop_front();
                         return issued;
@@ -734,7 +750,7 @@ impl Device {
             }
             // Whole payload copied into the fabric: the send is complete
             // from the user's perspective.
-            inner.parked.lock().finish(f.put.id, true);
+            st.parked.finish(f.put.id, true);
             q.pop_front();
         }
         issued

@@ -8,10 +8,12 @@
 
 use bytes::Bytes;
 use lci::{Device, EnqError, LciConfig};
+use lci_fabric::reliable::RTO_CAP_NS;
 use lci_fabric::{
     Event, Fabric, FabricConfig, Fault, FaultPlan, RelRecv, ReliableSession, REL_DATA_OFFSET,
 };
 use lci_trace::Counter;
+use std::cell::RefCell;
 
 /// Step the wire (adding virtual time when it is idle, so that ack and
 /// retransmission timers can fire) and run both devices' progress, until
@@ -130,7 +132,7 @@ fn peer_death_returns_the_window_and_fails_the_device() {
     while !a.is_failed() {
         guard += 1;
         assert!(guard < 10_000, "peer death must be bounded");
-        f.advance_virtual(f.config().reliable.rto_cap_ns);
+        f.advance_virtual(RTO_CAP_NS);
         a.progress();
         f.drain();
     }
@@ -156,7 +158,8 @@ fn a_parked_frame_is_retransmitted_byte_for_byte_after_the_pool_has_cycled() {
     let f = Fabric::new_manual(FabricConfig::deterministic(2, 0x1EA61));
     let a = Device::new(f.endpoint(0), LciConfig::default().with_packet_count(4));
     let eb = f.endpoint(1);
-    let rb = ReliableSession::new(&eb);
+    // Shared by the two closures below, each of which drives it.
+    let rb = RefCell::new(ReliableSession::new(&eb));
     // Deliver what is in flight to host 1 and classify (and so acknowledge)
     // the payloads `admit` picks. Returns all of them, raw, in arrival order.
     let deliver = |admit: &dyn Fn(&[u8]) -> bool| {
@@ -165,7 +168,7 @@ fn a_parked_frame_is_retransmitted_byte_for_byte_after_the_pool_has_cycled() {
         while let Some(ev) = eb.poll() {
             if let Event::Recv { src, header, data } = ev {
                 if admit(&data) {
-                    rb.on_recv(&eb, src, header, &data);
+                    rb.borrow_mut().on_recv(&eb, src, header, &data);
                 }
                 seen.push((header, data.to_vec()));
             }
@@ -178,7 +181,7 @@ fn a_parked_frame_is_retransmitted_byte_for_byte_after_the_pool_has_cycled() {
             Err(e) if e.is_retryable() => {
                 // Out of packets: let host 1's acks come back.
                 f.advance_virtual(f.config().reliable.ack_delay_ns + 1);
-                rb.pump(&eb);
+                rb.borrow_mut().pump(&eb);
                 f.drain();
                 a.progress();
             }
@@ -215,7 +218,7 @@ fn a_parked_frame_is_retransmitted_byte_for_byte_after_the_pool_has_cycled() {
     while again == 0 {
         guard += 1;
         assert!(guard < 1_000, "the retransmission timer never fired");
-        f.advance_virtual(f.config().reliable.rto_cap_ns);
+        f.advance_virtual(RTO_CAP_NS);
         a.progress();
         for frame in deliver(&|bytes| !is_first(bytes)) {
             assert_eq!(
@@ -227,9 +230,9 @@ fn a_parked_frame_is_retransmitted_byte_for_byte_after_the_pool_has_cycled() {
         }
     }
     // Acknowledge it at last: the lease ends and the pool is whole.
-    assert_eq!(rb.on_recv(&eb, 0, first.0, &first.1), RelRecv::Data);
+    assert_eq!(rb.borrow_mut().on_recv(&eb, 0, first.0, &first.1), RelRecv::Data);
     f.advance_virtual(f.config().reliable.ack_delay_ns + 1);
-    rb.pump(&eb);
+    rb.borrow_mut().pump(&eb);
     f.drain();
     a.progress();
     assert!(a.quiescent());

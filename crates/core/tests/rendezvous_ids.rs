@@ -96,7 +96,7 @@ impl Bare {
         Bare { ep, rel }
     }
 
-    fn send(&self, ty: PacketType, tag: u32, size: usize, body: &[u8]) {
+    fn send(&mut self, ty: PacketType, tag: u32, size: usize, body: &[u8]) {
         let header = protocol::pack(ty, tag, size as u64);
         self.rel
             .send(&self.ep, 0, header, body, 0)
@@ -104,7 +104,7 @@ impl Bare {
     }
 
     /// Admit everything delivered so far; the data frames' headers and bodies.
-    fn recv(&self) -> Vec<(u64, Vec<u8>)> {
+    fn recv(&mut self) -> Vec<(u64, Vec<u8>)> {
         let mut got = Vec::new();
         while let Some(ev) = self.ep.poll() {
             if let Event::Recv { src, header, data } = ev {
@@ -121,7 +121,7 @@ impl Bare {
 fn an_rtr_or_fragment_naming_no_parked_request_is_dropped_and_counted() {
     let f = Fabric::new_manual(FabricConfig::deterministic(2, 0x1D6));
     let a = Device::new(f.endpoint(0), LciConfig::for_hosts(2));
-    let bare = Bare::new(f.endpoint(1));
+    let mut bare = Bare::new(f.endpoint(1));
     let malformed = || a.endpoint().counters().get(Counter::LciMalformedDropped);
     let deliver = || {
         f.drain();

@@ -407,18 +407,17 @@ impl FaultPlan {
 /// ([`crate::reliable::ReliableSession`]).
 ///
 /// All times are simulated nanoseconds (virtual-clock ticks in manual
-/// mode). The initial timeout and its jitter are constants of the session,
-/// [`crate::reliable::RTO_BASE_NS`] and [`crate::reliable::RTO_JITTER_NS`].
+/// mode). The initial timeout, its jitter and its backoff ceiling are
+/// constants of the session, [`crate::reliable::RTO_BASE_NS`],
+/// [`crate::reliable::RTO_JITTER_NS`] and [`crate::reliable::RTO_CAP_NS`].
 /// The defaults bound peer-failure detection at roughly `retry_budget`
-/// doublings of the initial timeout capped at `rto_cap_ns` — about 70 ms of
+/// doublings of the initial timeout capped at `RTO_CAP_NS` — about 70 ms of
 /// simulated time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliableConfig {
     /// Maximum unacked frames per destination; a full window surfaces
     /// `SendError::Backpressure` to the caller (bounded buffering).
     pub window: usize,
-    /// Exponential-backoff ceiling for the retransmission timeout.
-    pub rto_cap_ns: u64,
     /// Retransmissions of one frame before the destination is declared
     /// dead (`PeerDead`).
     pub retry_budget: u32,
@@ -439,7 +438,6 @@ impl Default for ReliableConfig {
     fn default() -> Self {
         ReliableConfig {
             window: 32,
-            rto_cap_ns: 8_000_000,
             retry_budget: 12,
             ack_delay_ns: 100_000,
             ack_every: 8,
@@ -736,16 +734,16 @@ mod tests {
 
     #[test]
     fn reliable_config_defaults_bound_peer_death() {
-        use crate::reliable::{RTO_BASE_NS, RTO_JITTER_NS};
+        use crate::reliable::{RTO_BASE_NS, RTO_CAP_NS, RTO_JITTER_NS};
         let r = ReliableConfig::default();
         // Worst-case simulated time to declare a peer dead: the sum of the
-        // doubling RTOs capped at rto_cap_ns, plus jitter. Keep it under
+        // doubling RTOs capped at RTO_CAP_NS, plus jitter. Keep it under
         // 100 ms so blackhole aborts are snappy even on 1:1 time scales.
         let mut total = 0u64;
         let mut rto = RTO_BASE_NS;
         for _ in 0..r.retry_budget {
             total += rto + RTO_JITTER_NS;
-            rto = (rto * 2).min(r.rto_cap_ns);
+            rto = (rto * 2).min(RTO_CAP_NS);
         }
         assert!(total < 100_000_000, "death bound {total} ns too lax");
         assert!(r.window >= 1 && r.ack_every >= 1);

@@ -54,8 +54,15 @@
 //! * the *initial* timeout of each frame adapts to the observed ack
 //!   round-trip (RFC 6298-shaped EWMA, Karn's rule: only never-retransmitted
 //!   frames are sampled), clamped to
-//!   `[RTO_BASE_NS, rto_cap_ns]`; the current estimate is exported as the
+//!   `[RTO_BASE_NS, RTO_CAP_NS]`; the current estimate is exported as the
 //!   `fabric.reliable.rto_us` gauge.
+//!
+//! The session is plain state with one owner: a host is one thread, so
+//! every method that moves a window, a gate, a timer or a jitter stream
+//! takes `&mut self`, and there is no lock or atomic inside. A runtime whose
+//! device is shared between threads keeps the session behind its own
+//! protocol lock (`lci::Device`, mini-mpi's communicator state). The same
+//! shape lets a test drive a session step by step against a model.
 //!
 //! RDMA puts bypass this module entirely: they are hardware-reliable in the
 //! fabric model, exactly as the paper's transports assume.
@@ -71,9 +78,7 @@ use crate::error::SendError;
 use crate::frame;
 use crate::HostId;
 use lci_trace::Counter;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Bytes of reliable-layer header inside every framed body:
@@ -94,6 +99,9 @@ pub const RTO_BASE_NS: u64 = 400_000;
 /// Seeded uniform jitter added to each timeout, `[0, RTO_JITTER_NS)`, so
 /// retransmissions from many peers do not synchronize.
 pub const RTO_JITTER_NS: u64 = 50_000;
+
+/// Ceiling of the exponential backoff, and of the adaptive initial timeout.
+pub const RTO_CAP_NS: u64 = 8_000_000;
 
 /// Message header of the session's own frames, standalone acks and pings.
 /// Never collides with application headers in practice (both runtimes pack
@@ -219,11 +227,11 @@ impl RttEstimator {
         }
     }
 
-    /// Initial timeout for a fresh frame: `srtt + 4·rttvar` clamped to the
-    /// configured band, or the configured base before any sample exists.
-    fn initial_rto(&self, cfg: &ReliableConfig) -> u64 {
+    /// Initial timeout for a fresh frame: `srtt + 4·rttvar` clamped to
+    /// `[RTO_BASE_NS, RTO_CAP_NS]`, or the base before any sample exists.
+    fn initial_rto(&self) -> u64 {
         if self.has_rtt {
-            (self.srtt_ns + 4 * self.rttvar_ns).clamp(RTO_BASE_NS, cfg.rto_cap_ns)
+            (self.srtt_ns + 4 * self.rttvar_ns).clamp(RTO_BASE_NS, RTO_CAP_NS)
         } else {
             RTO_BASE_NS
         }
@@ -255,8 +263,8 @@ struct PeerState {
     rx: PeerRx,
     /// splitmix64 state for timer jitter toward this peer: every peer starts
     /// from the host's seed (fabric seed + host, independent of the `rand`
-    /// crate so replay needs no RNG coupling) and is drawn from under the
-    /// peer lock its timers are armed under.
+    /// crate so replay needs no RNG coupling) and is drawn from as its
+    /// timers are armed.
     rng: u64,
 }
 
@@ -265,18 +273,15 @@ struct PeerState {
 /// The session does not poll the endpoint itself: the owning runtime feeds
 /// every received payload through [`ReliableSession::on_recv`] and calls
 /// [`ReliableSession::pump`] from its progress loop to fire retransmission
-/// and standalone-ack timers.
+/// and standalone-ack timers. Its one owner calls every mutating method
+/// through `&mut self`.
 pub struct ReliableSession {
     cfg: ReliableConfig,
-    peers: Vec<Mutex<PeerState>>,
+    peers: Vec<PeerState>,
     bufs: Arc<dyn FrameBufs>,
-    /// First peer declared dead ([`NO_HOST`] while there is none), surfaced
-    /// to the runtime's failure path.
-    dead: AtomicU32,
+    /// First peer declared dead, surfaced to the runtime's failure path.
+    dead: Option<HostId>,
 }
-
-/// `dead` while every peer is alive: one past the largest [`HostId`].
-const NO_HOST: u32 = HostId::MAX as u32 + 1;
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -284,6 +289,17 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+fn jitter_ns(rng: &mut u64) -> u64 {
+    splitmix64(rng) % RTO_JITTER_NS
+}
+
+/// End the lease of every frame still in `window`.
+fn release_window(bufs: &dyn FrameBufs, window: &mut VecDeque<Unacked>) {
+    for u in window.drain(..) {
+        bufs.give(u.frame);
+    }
 }
 
 impl ReliableSession {
@@ -305,12 +321,10 @@ impl ReliableSession {
         splitmix64(&mut seed);
         assert!(cfg.gate_window >= 1, "gate_window must be >= 1");
         ReliableSession {
-            peers: (0..ep.num_hosts())
-                .map(|_| Mutex::new(Self::fresh_peer(&cfg, seed)))
-                .collect(),
+            peers: (0..ep.num_hosts()).map(|_| Self::fresh_peer(&cfg, seed)).collect(),
             cfg,
             bufs,
-            dead: AtomicU32::new(NO_HOST),
+            dead: None,
         }
     }
 
@@ -350,24 +364,12 @@ impl ReliableSession {
     /// dropped as [`RelRecv::Stale`] wherever they land. Called on *every*
     /// host during recovery, survivors included: both sides of every
     /// reliable link must restart their sequence spaces together.
-    pub fn rejoin(&self) {
-        for peer in &self.peers {
-            let mut p = peer.lock();
-            self.release_window(&mut p.tx.window);
+    pub fn rejoin(&mut self) {
+        for p in &mut self.peers {
+            release_window(&*self.bufs, &mut p.tx.window);
             *p = Self::fresh_peer(&self.cfg, p.rng);
         }
-        self.dead.store(NO_HOST, Ordering::Release);
-    }
-
-    /// End the lease of every frame still in `window`.
-    fn release_window(&self, window: &mut VecDeque<Unacked>) {
-        for u in window.drain(..) {
-            self.bufs.give(u.frame);
-        }
-    }
-
-    fn jitter_ns(&self, rng: &mut u64) -> u64 {
-        splitmix64(rng) % RTO_JITTER_NS
+        self.dead = None;
     }
 
     /// Reliably send `body` to `dst`: copy it into a buffer taken from the
@@ -386,7 +388,7 @@ impl ReliableSession {
     /// admission errors pass through. On any error the sequence number is
     /// *not* consumed.
     pub fn send(
-        &self,
+        &mut self,
         ep: &Endpoint,
         dst: HostId,
         header: u64,
@@ -417,7 +419,7 @@ impl ReliableSession {
     /// # Panics
     /// Panics if `len < REL_DATA_OFFSET` or `len > frame.len()`.
     pub fn send_frame(
-        &self,
+        &mut self,
         ep: &Endpoint,
         dst: HostId,
         header: u64,
@@ -435,7 +437,7 @@ impl ReliableSession {
     /// budget declares it dead ([`dead_peer`](Self::dead_peer)) as it
     /// would for data. The errors are [`send`](Self::send)'s; a full window
     /// already holds frames that will do the same.
-    pub fn ping(&self, ep: &Endpoint, dst: HostId) -> Result<(), SendError> {
+    pub fn ping(&mut self, ep: &Endpoint, dst: HostId) -> Result<(), SendError> {
         let Some(frame) = self.bufs.take(REL_DATA_OFFSET) else {
             return Err(SendError::Backpressure);
         };
@@ -445,7 +447,7 @@ impl ReliableSession {
     /// Seal, send and window a frame: the one path of
     /// [`send_frame`](Self::send_frame) and [`ping`](Self::ping).
     fn transmit(
-        &self,
+        &mut self,
         ep: &Endpoint,
         dst: HostId,
         header: u64,
@@ -453,7 +455,7 @@ impl ReliableSession {
         len: usize,
         sent: Sent,
     ) -> Result<(), SendError> {
-        let mut p = self.peers[dst as usize].lock();
+        let p = &mut self.peers[dst as usize];
         let seq = p.tx.next_seq;
         let refused = if p.tx.dead {
             Some(SendError::PeerDead(dst))
@@ -480,8 +482,8 @@ impl ReliableSession {
         }
         p.tx.next_seq += 1;
         let now = ep.now_ns();
-        let rto = p.tx.rtt.initial_rto(&self.cfg);
-        let jitter = self.jitter_ns(&mut p.rng);
+        let rto = p.tx.rtt.initial_rto();
+        let jitter = jitter_ns(&mut p.rng);
         p.tx.window.push_back(Unacked {
             seq,
             header,
@@ -506,7 +508,7 @@ impl ReliableSession {
     /// at `payload[REL_DATA_OFFSET..]` — the slice convention (rather than
     /// returning an owned body) lets `PacketBuf` holders keep their
     /// receive-credit semantics.
-    pub fn on_recv(&self, ep: &Endpoint, src: HostId, header: u64, payload: &[u8]) -> RelRecv {
+    pub fn on_recv(&mut self, ep: &Endpoint, src: HostId, header: u64, payload: &[u8]) -> RelRecv {
         let Ok((seq, rel)) = frame::open(header, payload) else {
             return RelRecv::Malformed;
         };
@@ -529,7 +531,8 @@ impl ReliableSession {
             return RelRecv::Stale;
         }
         let now = ep.now_ns();
-        let mut p = self.peers[src as usize].lock();
+        let bufs = &*self.bufs;
+        let p = &mut self.peers[src as usize];
         // Harvest ack state first — every frame carries it. Frames acked on
         // their first transmission yield unambiguous RTT samples (Karn's
         // rule) feeding the adaptive timeout.
@@ -543,7 +546,7 @@ impl ReliableSession {
                 rtt.observe(now.saturating_sub(u.sent_at));
                 sampled = true;
             }
-            self.bufs.give(std::mem::take(&mut u.frame));
+            bufs.give(std::mem::take(&mut u.frame));
         };
         while window.front().is_some_and(|u| u.seq < ack) {
             harvest(&mut window.pop_front().expect("front checked"));
@@ -562,10 +565,7 @@ impl ReliableSession {
             ep.counters().add(Counter::FabricReliableAcked, acked);
         }
         if sampled {
-            ep.counters().set(
-                Counter::FabricReliableRtoUs,
-                p.tx.rtt.initial_rto(&self.cfg) / 1_000,
-            );
+            ep.counters().set(Counter::FabricReliableRtoUs, p.tx.rtt.initial_rto() / 1_000);
         }
         if flags == FLAG_ACK {
             return RelRecv::Ack;
@@ -594,12 +594,11 @@ impl ReliableSession {
     /// overdue or over-count ack debt, every peer's timers judged against
     /// one clock reading taken on entry. Returns the number of wire
     /// operations injected. Call from every progress loop.
-    pub fn pump(&self, ep: &Endpoint) -> usize {
+    pub fn pump(&mut self, ep: &Endpoint) -> usize {
         let mut injected = 0;
         let now = ep.now_ns();
-        for (dst, peer) in self.peers.iter().enumerate() {
+        for (dst, p) in self.peers.iter_mut().enumerate() {
             let dst = dst as HostId;
-            let mut p = peer.lock();
             // Retransmissions, oldest first.
             if !p.tx.dead {
                 let mut i = 0;
@@ -613,15 +612,10 @@ impl ReliableSession {
                         // up the whole window — nothing will ever be acked —
                         // and surface the failure.
                         p.tx.dead = true;
-                        self.release_window(&mut p.tx.window);
+                        release_window(&*self.bufs, &mut p.tx.window);
                         ep.counters().incr(Counter::FabricReliablePeerDead);
                         // Only the first death is kept.
-                        let _ = self.dead.compare_exchange(
-                            NO_HOST,
-                            dst as u32,
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        );
+                        self.dead.get_or_insert(dst);
                         break;
                     }
                     let u = &p.tx.window[i];
@@ -629,10 +623,10 @@ impl ReliableSession {
                         Ok(()) => {
                             injected += 1;
                             ep.counters().incr(Counter::FabricReliableRetransmits);
-                            let jitter = self.jitter_ns(&mut p.rng);
+                            let jitter = jitter_ns(&mut p.rng);
                             let u = &mut p.tx.window[i];
                             u.retries += 1;
-                            u.rto_ns = (u.rto_ns * 2).min(self.cfg.rto_cap_ns);
+                            u.rto_ns = (u.rto_ns * 2).min(RTO_CAP_NS);
                             u.rto_at = now + u.rto_ns + jitter;
                             i += 1;
                         }
@@ -677,20 +671,19 @@ impl ReliableSession {
     /// Runtimes poll this from their progress loop and convert it into
     /// their own fatal-abort path.
     pub fn dead_peer(&self) -> Option<HostId> {
-        HostId::try_from(self.dead.load(Ordering::Acquire)).ok()
+        self.dead
     }
 
     /// Unacked frames currently windowed toward `peer` (diagnostics).
     pub fn unacked(&self, peer: HostId) -> usize {
-        self.peers[peer as usize].lock().tx.window.len()
+        self.peers[peer as usize].tx.window.len()
     }
 
     /// The adaptive initial-timeout estimate toward `peer`, in nanoseconds
     /// (diagnostics). Equals the configured base until the first RTT sample
     /// arrives.
     pub fn current_rto_ns(&self, peer: HostId) -> u64 {
-        let p = self.peers[peer as usize].lock();
-        p.tx.rtt.initial_rto(&self.cfg)
+        self.peers[peer as usize].tx.rtt.initial_rto()
     }
 
     /// True while any peer is owed an acknowledgement not yet on the wire.
@@ -699,7 +692,7 @@ impl ReliableSession {
     /// retransmitting into silence until its budget falsely declares this
     /// host dead.
     pub fn acks_owed(&self) -> bool {
-        self.peers.iter().any(|p| p.lock().rx.ack_owed)
+        self.peers.iter().any(|p| p.rx.ack_owed)
     }
 
     /// True when no frame toward any peer is still unacknowledged and no
@@ -711,10 +704,7 @@ impl ReliableSession {
     /// leaves one retransmitting into silence until its budget falsely
     /// declares this host dead.
     pub fn quiescent(&self) -> bool {
-        self.peers.iter().all(|p| {
-            let p = p.lock();
-            p.tx.window.is_empty() && !p.rx.ack_owed
-        })
+        self.peers.iter().all(|p| p.tx.window.is_empty() && !p.rx.ack_owed)
     }
 
     /// Seal one empty frame (header 0, context 0) to every peer under the
@@ -725,7 +715,7 @@ impl ReliableSession {
     /// the discarded incarnation is deterministic even when the survivors
     /// had quiesced. A probe that cannot be sent (dead peer, full window)
     /// proves the same point by its absence.
-    pub fn probe_epoch(&self, ep: &Endpoint) {
+    pub fn probe_epoch(&mut self, ep: &Endpoint) {
         for dst in (0..ep.num_hosts() as HostId).filter(|&d| d != ep.host()) {
             let _ = self.send(ep, dst, 0, &[], 0);
         }
@@ -744,7 +734,7 @@ mod tests {
     fn drain_and_classify(
         f: &Fabric,
         eps: &[Endpoint],
-        sessions: &[ReliableSession],
+        sessions: &mut [ReliableSession],
     ) -> Vec<Vec<Vec<u8>>> {
         f.drain();
         let mut out = vec![Vec::new(); eps.len()];
@@ -764,18 +754,18 @@ mod tests {
     fn data_roundtrip_and_standalone_ack_drain_the_window() {
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 1));
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         sessions[0]
             .send(&eps[0], 1, 77, b"hello", 0)
             .expect("send admitted");
         assert_eq!(sessions[0].unacked(1), 1);
-        let got = drain_and_classify(&f, &eps, &sessions);
+        let got = drain_and_classify(&f, &eps, &mut sessions);
         assert_eq!(got[1], vec![b"hello".to_vec()]);
         // No reverse data traffic: the ack debt settles via a standalone
         // ack once the delay expires.
         f.advance_virtual(f.config().reliable.ack_delay_ns + 1);
         assert!(sessions[1].pump(&eps[1]) >= 1, "standalone ack fires");
-        let got = drain_and_classify(&f, &eps, &sessions);
+        let got = drain_and_classify(&f, &eps, &mut sessions);
         assert!(got[0].is_empty(), "acks carry no data");
         assert_eq!(sessions[0].unacked(1), 0, "cumulative ack emptied it");
     }
@@ -784,13 +774,13 @@ mod tests {
     fn piggybacked_ack_on_reverse_traffic_drains_the_window() {
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 2));
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         sessions[0].send(&eps[0], 1, 1, b"ping", 0).unwrap();
-        drain_and_classify(&f, &eps, &sessions);
+        drain_and_classify(&f, &eps, &mut sessions);
         // The reply frames the responder's gate state: no standalone ack
         // needed.
         sessions[1].send(&eps[1], 0, 2, b"pong", 0).unwrap();
-        let got = drain_and_classify(&f, &eps, &sessions);
+        let got = drain_and_classify(&f, &eps, &mut sessions);
         assert_eq!(got[0], vec![b"pong".to_vec()]);
         assert_eq!(sessions[0].unacked(1), 0, "piggybacked ack arrived");
     }
@@ -799,17 +789,17 @@ mod tests {
     fn count_triggered_ack_fires_with_a_frozen_clock() {
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 3));
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         let every = f.config().reliable.ack_every;
         for i in 0..every as u64 {
             sessions[0]
                 .send(&eps[0], 1, 10 + i, b"burst", 0)
                 .unwrap();
         }
-        drain_and_classify(&f, &eps, &sessions);
+        drain_and_classify(&f, &eps, &mut sessions);
         // Do NOT advance the clock: the count rule alone must trigger.
         assert!(sessions[1].pump(&eps[1]) >= 1, "count-triggered ack");
-        drain_and_classify(&f, &eps, &sessions);
+        drain_and_classify(&f, &eps, &mut sessions);
         assert_eq!(sessions[0].unacked(1), 0);
     }
 
@@ -825,18 +815,18 @@ mod tests {
         );
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 4).with_fault_plan(plan));
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         let c0 = lci_trace::global().snapshot();
         sessions[0].send(&eps[0], 1, 9, b"lossy", 7).unwrap();
-        let got = drain_and_classify(&f, &eps, &sessions);
+        let got = drain_and_classify(&f, &eps, &mut sessions);
         assert!(got[1].is_empty(), "original was eaten");
         assert_eq!(eps[0].stats().fault_dropped, 1);
         // Let the RTO fire (clock is idle, so advance it), then pump.
         let mut delivered = Vec::new();
         for _ in 0..64 {
-            f.advance_virtual(f.config().reliable.rto_cap_ns);
+            f.advance_virtual(RTO_CAP_NS);
             sessions[0].pump(&eps[0]);
-            delivered = drain_and_classify(&f, &eps, &sessions).swap_remove(1);
+            delivered = drain_and_classify(&f, &eps, &mut sessions).swap_remove(1);
             if !delivered.is_empty() {
                 break;
             }
@@ -850,11 +840,11 @@ mod tests {
     fn retransmission_of_an_admitted_frame_is_a_duplicate_and_rearms_ack() {
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 5));
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         sessions[0].send(&eps[0], 1, 3, b"once", 0).unwrap();
-        drain_and_classify(&f, &eps, &sessions);
+        drain_and_classify(&f, &eps, &mut sessions);
         // Pretend the ack was lost: force the sender's RTO and retransmit.
-        f.advance_virtual(f.config().reliable.rto_cap_ns * 2);
+        f.advance_virtual(RTO_CAP_NS * 2);
         assert!(sessions[0].pump(&eps[0]) >= 1, "RTO retransmission");
         f.drain();
         let mut verdicts = Vec::new();
@@ -867,7 +857,7 @@ mod tests {
         // The duplicate re-armed the debt: the re-ack drains the window.
         f.advance_virtual(f.config().reliable.ack_delay_ns + 1);
         sessions[1].pump(&eps[1]);
-        drain_and_classify(&f, &eps, &sessions);
+        drain_and_classify(&f, &eps, &mut sessions);
         assert_eq!(sessions[0].unacked(1), 0);
     }
 
@@ -877,7 +867,7 @@ mod tests {
         cfg.reliable.window = 2;
         let f = Fabric::new_manual(cfg);
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         let c0 = lci_trace::global().snapshot();
         sessions[0].send(&eps[0], 1, 1, b"a", 0).unwrap();
         sessions[0].send(&eps[0], 1, 2, b"b", 0).unwrap();
@@ -895,7 +885,7 @@ mod tests {
             FaultPlan::none().with_phase(0, u64::MAX / 2, Fault::Blackhole { peer: 1 });
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 7).with_fault_plan(plan));
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         let c0 = lci_trace::global().snapshot();
         sessions[0].send(&eps[0], 1, 1, b"doomed", 0).unwrap();
         // Budget 12, RTO capped at 8 ms: death within ~100 ms of virtual
@@ -904,7 +894,7 @@ mod tests {
         while sessions[0].dead_peer().is_none() {
             iters += 1;
             assert!(iters < 1_000, "peer death must be bounded-time");
-            f.advance_virtual(f.config().reliable.rto_cap_ns);
+            f.advance_virtual(RTO_CAP_NS);
             sessions[0].pump(&eps[0]);
             f.drain();
             while eps[0].poll().is_some() {}
@@ -921,18 +911,47 @@ mod tests {
     }
 
     #[test]
+    fn only_the_first_peer_declared_dead_is_kept() {
+        let plan = FaultPlan::none()
+            .with_phase(0, u64::MAX / 2, Fault::Blackhole { peer: 1 })
+            .with_phase(0, u64::MAX / 2, Fault::Blackhole { peer: 2 });
+        let f = Fabric::new_manual(FabricConfig::deterministic(3, 9).with_fault_plan(plan));
+        let eps = f.endpoints();
+        let mut s = ReliableSession::new(&eps[0]);
+        // Drive host 0's timers until `dst`'s budget runs out.
+        let kill = |s: &mut ReliableSession, dst: HostId| {
+            s.send(&eps[0], dst, 1, b"doomed", 0).unwrap();
+            let mut iters = 0;
+            while s.unacked(dst) > 0 {
+                iters += 1;
+                assert!(iters < 1_000, "peer death must be bounded-time");
+                f.advance_virtual(RTO_CAP_NS);
+                s.pump(&eps[0]);
+                f.drain();
+                while eps[0].poll().is_some() {}
+            }
+            assert_eq!(s.send(&eps[0], dst, 2, b"late", 0), Err(SendError::PeerDead(dst)));
+        };
+        kill(&mut s, 1);
+        assert_eq!(s.dead_peer(), Some(1));
+        kill(&mut s, 2);
+        assert_eq!(s.dead_peer(), Some(1), "the second death does not replace the first");
+        assert_eq!(eps[0].counters().get(Counter::FabricReliablePeerDead), 2);
+    }
+
+    #[test]
     fn a_ping_delivers_nothing_and_is_acked_at_once() {
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 3));
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         sessions[0].ping(&eps[0], 1).unwrap();
         sessions[0].send(&eps[0], 1, 5, b"after", 0).unwrap();
         assert_eq!(sessions[0].unacked(1), 2, "a ping is windowed like data");
-        let got = drain_and_classify(&f, &eps, &sessions);
+        let got = drain_and_classify(&f, &eps, &mut sessions);
         assert_eq!(got[1], vec![b"after".to_vec()], "the ping delivers nothing");
         // Its ack is due now: no clock advance, fewer than `ack_every` frames.
         sessions[1].pump(&eps[1]);
-        drain_and_classify(&f, &eps, &sessions);
+        drain_and_classify(&f, &eps, &mut sessions);
         assert_eq!(sessions[0].unacked(1), 0);
         assert!(sessions[0].quiescent() && sessions[1].quiescent());
     }
@@ -942,13 +961,13 @@ mod tests {
         let plan = FaultPlan::none().with_phase(0, u64::MAX / 2, Fault::Blackhole { peer: 1 });
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 7).with_fault_plan(plan));
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         sessions[0].ping(&eps[0], 1).unwrap();
         let mut iters = 0;
         while sessions[0].dead_peer().is_none() {
             iters += 1;
             assert!(iters < 1_000, "peer death must be bounded-time");
-            f.advance_virtual(f.config().reliable.rto_cap_ns);
+            f.advance_virtual(RTO_CAP_NS);
             sessions[0].pump(&eps[0]);
             f.drain();
             while eps[0].poll().is_some() {}
@@ -961,7 +980,7 @@ mod tests {
     fn malformed_and_short_rel_bodies_are_rejected() {
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 8));
         let eps = f.endpoints();
-        let s = ReliableSession::new(&eps[1]);
+        let mut s = ReliableSession::new(&eps[1]);
         // Not even a valid frame.
         assert_eq!(s.on_recv(&eps[1], 0, 1, b"garbage"), RelRecv::Malformed);
         // Valid frame, body shorter than the reliable header.
@@ -978,13 +997,13 @@ mod tests {
     fn stale_epoch_frames_are_dropped_before_ack_or_gate_state() {
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 21));
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         let c0 = lci_trace::global().snapshot();
         // Seal a frame under epoch 0, then respawn (epoch 1) before it is
         // stepped across the wire: the delivered frame is a straggler.
         sessions[0].send(&eps[0], 1, 5, b"old world", 0).unwrap();
         f.respawn(1);
-        sessions.iter().for_each(|s| s.rejoin());
+        sessions.iter_mut().for_each(ReliableSession::rejoin);
         f.drain();
         let mut verdicts = Vec::new();
         while let Some(ev) = eps[1].poll() {
@@ -1016,13 +1035,13 @@ mod tests {
             FaultPlan::none().with_phase(0, u64::MAX / 2, Fault::Blackhole { peer: 1 });
         let f = Fabric::new_manual(FabricConfig::deterministic(2, 22).with_fault_plan(plan));
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         sessions[0].send(&eps[0], 1, 1, b"doomed", 0).unwrap();
         let mut iters = 0;
         while sessions[0].dead_peer().is_none() {
             iters += 1;
             assert!(iters < 1_000);
-            f.advance_virtual(f.config().reliable.rto_cap_ns);
+            f.advance_virtual(RTO_CAP_NS);
             sessions[0].pump(&eps[0]);
             f.drain();
             while eps[0].poll().is_some() {}
@@ -1049,15 +1068,15 @@ mod tests {
         cfg.reliable.ack_delay_ns = 1_000_000;
         let f = Fabric::new_manual(cfg);
         let eps = f.endpoints();
-        let sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
+        let mut sessions: Vec<_> = eps.iter().map(ReliableSession::new).collect();
         let mut rtos = Vec::new();
         for i in 0..8u64 {
             sessions[0].send(&eps[0], 1, 10 + i, b"sample", 0).unwrap();
-            drain_and_classify(&f, &eps, &sessions);
+            drain_and_classify(&f, &eps, &mut sessions);
             // Standalone ack from host 1 carries the cumulative ack back.
             f.advance_virtual(f.config().reliable.ack_delay_ns + 1);
             sessions[1].pump(&eps[1]);
-            drain_and_classify(&f, &eps, &sessions);
+            drain_and_classify(&f, &eps, &mut sessions);
             assert_eq!(sessions[0].unacked(1), 0, "round {i} acked");
             rtos.push(sessions[0].current_rto_ns(1));
         }
@@ -1069,7 +1088,7 @@ mod tests {
             "adaptive RTO should exceed the 400 µs floor once RTT ~1 ms is observed, got {rtos:?}"
         );
         assert!(
-            last <= f.config().reliable.rto_cap_ns,
+            last <= RTO_CAP_NS,
             "adaptive RTO must respect the cap"
         );
         assert!(

@@ -181,6 +181,11 @@ struct Reorder {
 // ---- communicator ----------------------------------------------------------
 
 pub(crate) struct State {
+    /// The reliable sublayer: framing, sequencing, dedup, ack/retransmit,
+    /// and peer-failure detection for every two-sided wire message.
+    rel: ReliableSession,
+    /// The next two-sided message sequence number toward each rank.
+    send_seq: Vec<u64>,
     pub matching: Matching,
     reorder: Vec<Reorder>,
     /// The puts RTRs asked for, until the injection queue takes them.
@@ -203,12 +208,6 @@ struct CommInner {
     rank: u16,
     nranks: usize,
     state: Mutex<State>,
-    /// The reliable sublayer: framing, sequencing, dedup, ack/retransmit,
-    /// and peer-failure detection for every two-sided wire message. Lives
-    /// outside the state mutex (it has its own interior locking), but every
-    /// send and receive path holds the state lock anyway.
-    rel: ReliableSession,
-    send_seq: Vec<AtomicU64>,
     registry: Arc<WinRegistry>,
     outstanding_rma_puts: AtomicU64,
     win_counter: AtomicU64,
@@ -239,6 +238,8 @@ impl MpiComm {
         MpiComm {
             inner: Arc::new(CommInner {
                 state: Mutex::new(State {
+                    rel: ReliableSession::new(&ep).with_window(eager_credits),
+                    send_seq: vec![0; nranks],
                     matching: Matching::default(),
                     reorder: (0..nranks).map(|_| Reorder::default()).collect(),
                     pending_puts: PendingPuts::default(),
@@ -247,8 +248,6 @@ impl MpiComm {
                     failed: None,
                     events: VecDeque::new(),
                 }),
-                rel: ReliableSession::new(&ep).with_window(eager_credits),
-                send_seq: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
                 registry,
                 outstanding_rma_puts: AtomicU64::new(0),
                 win_counter: AtomicU64::new(0),
@@ -323,10 +322,10 @@ impl MpiComm {
 
     /// Seal one empty reliable frame to every peer under the *current*
     /// fabric epoch ([`ReliableSession::probe_epoch`]), just before a
-    /// respawn bumps it. Bypasses `enter()` — the communicator is typically
-    /// already failed.
+    /// respawn bumps it. Takes the state lock without `enter()`: the
+    /// communicator is typically already failed.
     pub fn flush_epoch_probe(&self) {
-        self.inner.rel.probe_epoch(&self.inner.ep);
+        self.inner.state.lock().rel.probe_epoch(&self.inner.ep);
     }
 
     /// Ask `peer` to acknowledge ([`ReliableSession::ping`]), for a caller
@@ -336,7 +335,7 @@ impl MpiComm {
     /// take is skipped, since the frames filling it do the same. Like the
     /// epoch probe it charges no call overhead: it is not an MPI call.
     pub fn ping(&self, peer: u16) {
-        let _ = self.inner.rel.ping(&self.inner.ep, peer);
+        let _ = self.inner.state.lock().rel.ping(&self.inner.ep, peer);
     }
 
     /// The recorded fatal failure, if this communicator has died — e.g. the
@@ -354,7 +353,8 @@ impl MpiComm {
     /// layer is quiescent ([`PendingPuts::settled`]). Inspects state
     /// only — pair with a progress call (or use [`MpiComm::quiesce`]).
     pub fn quiescent(&self) -> bool {
-        self.inner.state.lock().pending_puts.settled(&self.inner.rel)
+        let st = self.inner.state.lock();
+        st.pending_puts.settled(&st.rel)
     }
 
     /// Drive progress until [`MpiComm::quiescent`] holds or the
@@ -403,7 +403,7 @@ impl MpiComm {
         // (full send window or full injection queue) never leaves a gap at
         // the receiver's dedup gate.
         loop {
-            match self.inner.rel.send(&self.inner.ep, dst, header, data, ctx) {
+            match st.rel.send(&self.inner.ep, dst, header, data, ctx) {
                 Ok(()) => return Ok(()),
                 Err(SendError::Backpressure) => {
                     // Drain our own completions while waiting, or we can
@@ -431,9 +431,9 @@ impl MpiComm {
         // Fire reliable-layer timers (retransmissions, standalone acks) and
         // surface a dead peer as a fatal communicator failure even when no
         // send is in flight to report it — barrier loops poll `enter()`.
-        inner.rel.pump(&inner.ep);
+        st.rel.pump(&inner.ep);
         if st.failed.is_none() {
-            if let Some(h) = inner.rel.dead_peer() {
+            if let Some(h) = st.rel.dead_peer() {
                 st.failed = Some(format!(
                     "peer {h} unreachable (retransmission budget exhausted)"
                 ));
@@ -460,7 +460,7 @@ impl MpiComm {
                     // corrupt/truncate faults fail the checksum; duplicates
                     // (ghosts or retransmissions) re-use an admitted
                     // sequence number; ack frames carry no payload.
-                    match inner.rel.on_recv(&inner.ep, src, header, &data) {
+                    match st.rel.on_recv(&inner.ep, src, header, &data) {
                         RelRecv::Data => {}
                         RelRecv::Duplicate => {
                             inner.ep.counters().incr(Counter::MpiDuplicateDropped);
@@ -625,7 +625,8 @@ impl MpiComm {
             return Err(MpiError::Invalid(format!("bad rank {dst}")));
         }
         let mut st = self.enter()?;
-        let seq = self.inner.send_seq[dst as usize].fetch_add(1, Ordering::Relaxed);
+        let seq = st.send_seq[dst as usize];
+        st.send_seq[dst as usize] += 1;
         if data.len() <= self.inner.cfg.eager_limit {
             let header = pack(KIND_EAGER, tag, seq);
             self.wire_send(&mut st, dst, header, &data, CTX_IGNORE)?;

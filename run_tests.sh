@@ -34,9 +34,12 @@
 # pairs on that metric. Both thresholds are ROADMAP item
 # 5(b)'s, not calibrated: whether the leg passes known-good changes against
 # their parents, whether it catches a known 12 % regression, and its
-# false-alarm rate against itself (item 5(c)) are not measured. About 2 x 14 x
-# `run_seconds` per workload (≈ 30 min for all six); run it on an otherwise
-# idle machine.
+# false-alarm rate against itself (item 5(c)) are not measured. It makes 128
+# runs of `run_seconds` each (14 pairs of the first workload, 10 of each
+# other) after building both sides. A run costs its `run_seconds` plus ≈ 1 s
+# of start-up, set-up and warm-up, so ≈ 31 min for all six at 13 s on an idle
+# 2-vCPU host (one full run on a shared 2-vCPU host has also taken 80 min);
+# run it on an otherwise idle machine.
 #
 # Usage:
 #   ./run_tests.sh               # tier 1 + chaos profile
@@ -114,6 +117,18 @@ guard "PROGRESS THREAD" 'thread::(spawn|Builder)' \
 guard "PER-THREAD STATE" 'thread_local!' \
     "declares thread_local! outside #[cfg(test)]; a host is one thread" \
     crates/core/src/*.rs crates/mini-mpi/src/*.rs
+
+# And what a host owns is plain state: the reliable session is driven through
+# `&mut self` by its one owner, which keeps it behind the owner's own lock
+# where threads share it (DESIGN.md, "What each runtime keeps"), and vertex
+# labels are cells on their host thread (DESIGN.md, "Who writes vertex
+# state"). A lock or an atomic inside either would guard what has one user.
+guard "SESSION STATE" 'Mutex|RwLock|Atomic' \
+    "names a lock or an atomic outside #[cfg(test)]; a host's session is plain &mut state" \
+    crates/fabric/src/reliable.rs
+guard "SESSION STATE" 'Atomic' \
+    "names an atomic outside #[cfg(test)]; a host's labels are cells" \
+    crates/abelian/src/label.rs
 
 # The runtimes have one `unsafe`: the feature-detected call in
 # `Crc32::update` (frame.rs), which picks one of two carry-less-multiply folds

@@ -20,8 +20,12 @@
 # statistics), the ratio of medians (change / parent), the pairs in which the
 # change was lower, and the gap between the medians over the parent's
 # interquartile range (positive: the change is lower); and every pair as run.
-# About 2 x 14 x SECONDS per workload: ≈ 30 min for all six at 13 s. Run it on
-# an otherwise idle machine.
+# That is 128 runs for all six (14 pairs of the first workload, 10 of each
+# other) after building both sides. Each run costs SECONDS plus ≈ 1 s of
+# start-up, set-up and warm-up (the repetitions stop at a wall-clock
+# deadline), so all six at 13 s took 31 min on an idle 2-vCPU host; one full
+# run on a shared 2-vCPU host has also taken 80 min. Run it on an otherwise
+# idle machine.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 

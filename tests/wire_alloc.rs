@@ -96,7 +96,7 @@ impl Pair {
 
     /// One data frame each way, classified: grows every queue, window and
     /// event ring the measured calls touch to its steady-state capacity.
-    fn warm_up(&self, body: &[u8]) {
+    fn warm_up(&mut self, body: &[u8]) {
         for _ in 0..4 {
             for (from, to) in [(0, 1), (1, 0)] {
                 self.rel[from]
@@ -114,7 +114,7 @@ impl Pair {
 
 #[test]
 fn reliable_send_costs_one_payload_allocation_beyond_the_nic_copy() {
-    let p = Pair::new(1);
+    let mut p = Pair::new(1);
     let body = vec![0xA5u8; PAYLOAD];
     p.warm_up(&body);
     let wire_len = vec![0x5Au8; REL_DATA_OFFSET + PAYLOAD];
@@ -367,7 +367,7 @@ fn a_rendezvous_send_still_allocates_its_shared_request() {
 
 #[test]
 fn receive_and_ack_paths_allocate_nothing_of_their_own() {
-    let p = Pair::new(2);
+    let mut p = Pair::new(2);
     let body = [0x11u8; 64];
     p.warm_up(&body);
 
