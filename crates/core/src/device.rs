@@ -193,6 +193,8 @@ struct State {
 /// `progress` only tries. The pool and the first-packet queue keep locks of
 /// their own, taken inside it and never around it — the lock order is
 /// state → pool and state → rxq — and neither calls back into the device.
+/// On a caller-stepped fabric an injection under `state` also takes the
+/// wire's core (state → core), which calls nothing of the device either.
 struct DeviceInner {
     ep: Endpoint,
     /// Shared with `state.rel`, which builds and keeps its frames in these

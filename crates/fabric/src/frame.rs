@@ -35,8 +35,6 @@
 //! bit-at-a-time oracle — so which one ran never shows on the wire or in a
 //! checkpoint.
 
-use std::collections::BTreeSet;
-
 /// Bytes of frame prefix prepended to every framed payload.
 pub const FRAME_OVERHEAD: usize = 16;
 
@@ -390,19 +388,25 @@ pub fn open(header: u64, payload: &[u8]) -> Result<(u64, &[u8]), FrameError> {
 /// Exactly-once admission gate for one source's frame sequence numbers.
 ///
 /// Tracks a low-watermark `next` (everything below it was admitted) plus the
-/// sparse set of admitted numbers at or above it, so out-of-order arrival —
-/// which the fabric's `Reorder` fault produces legitimately — is admitted
-/// while any re-delivery is rejected. The pending set stays small because
-/// the watermark compacts every contiguous run, and it is hard-capped at a
-/// configurable `window` above the watermark: a frame further ahead than
-/// that (only possible under pathological loss/reorder, or an attacker
-/// forging sequence numbers) is dropped and counted
-/// (`fabric.frame.window_overflow`) instead of growing the set without
-/// bound.
+/// admitted numbers at or above it, so out-of-order arrival — which the
+/// fabric's jitter and its `Reorder` fault produce legitimately — is admitted
+/// while any re-delivery is rejected. Those numbers are bits of a ring of
+/// `window` bits (rounded up to a power of two, at least 64), number `s` at
+/// bit `s % ring`: every admitted number above the watermark lies within
+/// `window` of it, so no two share a bit. The ring is built at the first
+/// out-of-order admission (an in-order stream never needs it) and is never
+/// reallocated. The watermark compacts every contiguous run, and a frame
+/// `window` or more above it (only possible under pathological loss/reorder,
+/// or an attacker forging sequence numbers) is dropped and counted
+/// (`fabric.frame.window_overflow`).
 #[derive(Debug)]
 pub struct SeqGate {
     next: u64,
-    pending: BTreeSet<u64>,
+    /// The ring's 64-bit words, a power of two of them; empty until the
+    /// first out-of-order admission.
+    ring: Vec<u64>,
+    /// Set bits of `ring`: admitted numbers above the watermark.
+    pending: usize,
     window: u64,
 }
 
@@ -410,7 +414,8 @@ impl Default for SeqGate {
     fn default() -> Self {
         SeqGate {
             next: 0,
-            pending: BTreeSet::new(),
+            ring: Vec::new(),
+            pending: 0,
             window: DEFAULT_GATE_WINDOW,
         }
     }
@@ -423,9 +428,13 @@ impl SeqGate {
         SeqGate::default()
     }
 
-    /// Builder-style override of the above-watermark cap (must be ≥ 1).
+    /// Builder-style override of the above-watermark cap (must be ≥ 1 and at
+    /// most 2^24: the gate keeps a bit per number of its window).
     pub fn with_window(mut self, window: u64) -> Self {
-        assert!(window >= 1, "gate window must be >= 1");
+        assert!(
+            (1..=1 << 24).contains(&window),
+            "gate window must be in 1..=2^24"
+        );
         self.window = window;
         self
     }
@@ -443,8 +452,8 @@ impl SeqGate {
     /// receiving host's table, for a gate that belongs to one.
     pub fn admit_in(&mut self, seq: u64, table: &lci_trace::Registry) -> bool {
         // In order with nothing parked above the watermark — every frame of
-        // a loss-free run — needs no set at all.
-        if seq == self.next && self.pending.is_empty() {
+        // a loss-free, jitter-free run — needs no ring at all.
+        if seq == self.next && self.pending == 0 {
             self.next += 1;
             return true;
         }
@@ -455,19 +464,38 @@ impl SeqGate {
             table.incr(lci_trace::Counter::FabricFrameWindowOverflow);
             return false;
         }
-        if !self.pending.insert(seq) {
+        if self.ring.is_empty() {
+            let bits = self.window.next_power_of_two().max(64);
+            self.ring = vec![0; (bits / 64) as usize];
+        }
+        let (w, bit) = self.slot(seq);
+        if self.ring[w] & bit != 0 {
             return false;
         }
-        while self.pending.remove(&self.next) {
+        self.ring[w] |= bit;
+        self.pending += 1;
+        loop {
+            let (w, bit) = self.slot(self.next);
+            if self.ring[w] & bit == 0 {
+                return true;
+            }
+            self.ring[w] &= !bit;
+            self.pending -= 1;
             self.next += 1;
         }
-        true
+    }
+
+    /// The ring word and bit of `seq`.
+    #[inline]
+    fn slot(&self, seq: u64) -> (usize, u64) {
+        let i = seq as usize & (self.ring.len() * 64 - 1);
+        (i / 64, 1 << (i % 64))
     }
 
     /// Number of admitted sequence numbers still above the watermark
     /// (diagnostics; bounded by `window`).
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
     /// The low watermark: every sequence number below it was admitted, and
@@ -480,13 +508,20 @@ impl SeqGate {
     /// Selective-ack bitmap over the 32 numbers just above the watermark:
     /// bit `i` set ⇔ `watermark() + 1 + i` was admitted out of order.
     /// (`watermark()` itself can never be pending — it would have
-    /// compacted.)
+    /// compacted.) The ring holds at least 64 bits, so those 32 are 32
+    /// distinct bits of it, read from at most two words.
     pub fn mask_above(&self) -> u32 {
-        let mut mask = 0u32;
-        for &s in self.pending.range(self.next + 1..self.next + 33) {
-            mask |= 1 << (s - self.next - 1);
+        if self.pending == 0 {
+            return 0;
         }
-        mask
+        let (w, bit) = self.slot(self.next + 1);
+        let shift = bit.trailing_zeros();
+        let low = self.ring[w] >> shift;
+        let high = match shift {
+            0..=32 => 0,
+            _ => self.ring[(w + 1) % self.ring.len()] << (64 - shift),
+        };
+        (low | high) as u32
     }
 }
 

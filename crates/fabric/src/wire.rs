@@ -23,7 +23,8 @@
 //!   and the core is driven only for a send whose receiver had no credit.
 //! * **Manual** ([`Fabric::new_manual`]): the caller pumps
 //!   [`Fabric::step`]/[`Fabric::drain`] and time is a *virtual* clock that
-//!   jumps to each scheduled delivery. Because nothing depends on the OS
+//!   jumps to each scheduled delivery; an injection is scheduled there and
+//!   then, under the core lock. Because nothing depends on the OS
 //!   scheduler, the entire delivery order — including every fault decision —
 //!   is a pure function of `(config, seed, injection order)` and replays
 //!   bit-for-bit.
@@ -212,9 +213,10 @@ impl PutOp {
 pub(crate) struct FabricShared {
     pub(crate) config: FabricConfig,
     pub(crate) endpoints: Vec<Arc<EndpointShared>>,
-    /// Operations injected by endpoints and not yet scheduled by the wire,
-    /// in injection order. The wire takes the whole batch under one lock
-    /// ([`WireCore::drain_injected`]).
+    /// Operations injected by endpoints and not yet scheduled by a
+    /// wall-clock wire, in injection order. The wire takes the whole batch
+    /// under one lock ([`WireCore::drain_injected`]). A caller-stepped wire
+    /// schedules at injection and never uses it.
     injected: Mutex<Vec<WireOp>>,
     /// Whether `injected` holds anything: set by an injector after its push
     /// and cleared by the wire when it takes the batch, both under that lock,
@@ -267,6 +269,14 @@ impl FabricShared {
     /// Hand an operation to the wire; `t_ns` is the [`FabricShared::stamp`]
     /// its injection was logged at.
     ///
+    /// A caller-stepped wire schedules it here, under the core lock: its
+    /// clock moves only in [`Fabric::step`] and [`Fabric::advance_virtual`],
+    /// so the operation is scheduled at the `now`, behind the link and with
+    /// the RNG draws it would get from the next of those calls, and needs no
+    /// injection vector. A wall-clock wire's injectors race the thread that
+    /// drives it, so they leave the operation in the vector for the next
+    /// drive to schedule, in injection order.
+    ///
     /// On the instant wire an operation is due when it is injected, so while
     /// the wire holds nothing else it is delivered here, in the injecting
     /// thread, by the same code a drive runs ([`SendOp::land`],
@@ -277,6 +287,9 @@ impl FabricShared {
     /// while any such send is queued or scheduled, later operations queue
     /// behind it.
     pub(crate) fn inject(&self, op: WireOp, t_ns: u64) {
+        if self.manual {
+            return self.core.lock().schedule(self, op);
+        }
         let op = if self.instant && self.holds_nothing() {
             match op {
                 WireOp::Put(put) => return put.land(self),
@@ -584,27 +597,14 @@ impl Drop for Fabric {
     }
 }
 
+/// An operation's place in the wire's schedule: due at `at`, then in the
+/// order it was scheduled in (`seq`, unique). The operation itself waits in
+/// [`WireCore::ops`] at `slot`, so the heap moves these 24 bytes, not it.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Scheduled {
     at: u64,
     seq: u64,
-    op: WireOp,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+    slot: usize,
 }
 
 /// How the wire observes simulated time.
@@ -639,6 +639,10 @@ fn involves_crashed(sh: &FabricShared, src: HostId, dst: HostId) -> bool {
 /// takes it as `sh`.
 struct WireCore {
     heap: BinaryHeap<Reverse<Scheduled>>,
+    /// The scheduled operations, at the slots their heap entries name; a
+    /// slot is `None` from its delivery until `free` hands it out again.
+    ops: Vec<Option<WireOp>>,
+    free: Vec<usize>,
     link_free: Vec<u64>,
     clock: Clock,
     seq: u64,
@@ -667,6 +671,8 @@ impl WireCore {
     fn new(num_hosts: usize, seed: u64, clock: Clock) -> Self {
         WireCore {
             heap: BinaryHeap::new(),
+            ops: Vec::new(),
+            free: Vec::new(),
             link_free: vec![0; num_hosts],
             clock,
             seq: 0,
@@ -733,7 +739,6 @@ impl WireCore {
     /// Manual mode: advance the virtual clock by up to `ns`, clamped to the
     /// next scheduled delivery so event order is preserved.
     fn advance_virtual(&mut self, sh: &FabricShared, ns: u64) -> u64 {
-        self.drain_injected(sh);
         let target = match self.heap.peek() {
             Some(Reverse(head)) => (self.now_ns() + ns).min(head.at),
             None => self.now_ns() + ns,
@@ -793,7 +798,20 @@ impl WireCore {
     fn push(&mut self, at: u64, op: WireOp) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, op }));
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.ops.push(None);
+            self.ops.len() - 1
+        });
+        self.ops[slot] = Some(op);
+        self.heap.push(Reverse(Scheduled { at, seq, slot }));
+    }
+
+    /// Take the earliest scheduled operation out of the schedule, with the
+    /// time it is due.
+    fn pop(&mut self) -> Option<(u64, WireOp)> {
+        let Reverse(Scheduled { at, slot, .. }) = self.heap.pop()?;
+        self.free.push(slot);
+        Some((at, self.ops[slot].take().expect("a scheduled slot holds its op")))
     }
 
     /// Move everything already injected into the schedule, in injection
@@ -933,7 +951,6 @@ impl WireCore {
 
     /// Manual mode: execute one wire event. Returns `false` when idle.
     fn step(&mut self, sh: &FabricShared) -> bool {
-        self.drain_injected(sh);
         self.sync_brownout(sh);
         // A closed reorder window releases its held deliveries before any
         // newer traffic runs.
@@ -943,11 +960,11 @@ impl WireCore {
             self.sync_brownout(sh);
             return released;
         }
-        match self.heap.pop() {
-            Some(Reverse(s)) => {
-                self.advance_to(sh, s.at);
+        match self.pop() {
+            Some((at, op)) => {
+                self.advance_to(sh, at);
                 self.sync_brownout(sh);
-                self.arrive(sh, s.op);
+                self.arrive(sh, op);
                 true
             }
             None => {
@@ -981,8 +998,8 @@ impl WireCore {
             busy = true;
         }
         while self.heap.peek().is_some_and(|Reverse(head)| head.at <= now) {
-            let Reverse(s) = self.heap.pop().expect("peeked");
-            self.arrive(sh, s.op);
+            let (_, op) = self.pop().expect("peeked");
+            self.arrive(sh, op);
             busy = true;
         }
         if busy {
@@ -1109,20 +1126,9 @@ mod tests {
 
     #[test]
     fn scheduled_orders_by_time_then_seq() {
-        let at = |at, seq| Scheduled {
-            at,
-            seq,
-            op: WireOp::Send(SendOp {
-                src: 0,
-                dst: 0,
-                header: 0,
-                data: Vec::new(),
-                ctx: 0,
-                retries: 0,
-                ghost: false,
-            }),
-        };
-        let (a, b, c) = (at(5, 0), at(5, 1), at(3, 2));
+        // The slot never decides: `seq` is unique.
+        let at = |at, seq, slot| Scheduled { at, seq, slot };
+        let (a, b, c) = (at(5, 0, 2), at(5, 1, 0), at(3, 2, 1));
         assert!(c < a && a < b);
     }
 

@@ -130,6 +130,15 @@ guard "SESSION STATE" 'Atomic' \
     "names an atomic outside #[cfg(test)]; a host's labels are cells" \
     crates/abelian/src/label.rs
 
+# A message's way through the fabric and the LCI runtime walks no tree: the
+# frame gate's out-of-order numbers are bits of a ring and the wire's
+# schedule is a heap of small keys over a slab (DESIGN.md, "Completion and
+# injection queues", "Eager wire path"). A B-tree would allocate and free a
+# node per message again.
+guard "PER-MESSAGE TREE" 'BTree(Set|Map)' \
+    "names a BTreeSet or BTreeMap outside #[cfg(test)]; keep per-message state in rings and slabs" \
+    crates/fabric/src/*.rs crates/core/src/*.rs
+
 # The runtimes have one `unsafe`: the feature-detected call in
 # `Crc32::update` (frame.rs), which picks one of two carry-less-multiply folds
 # (128-bit lanes, or four 512-bit registers where the CPU has them); both are

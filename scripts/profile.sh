@@ -13,11 +13,14 @@
 # their records (-o keeps them, after a copy of the process's load map). At exit the samples are symbolised
 # with `addr2line -i` (inlined frames included) against the executable's PIE
 # load base; addresses in shared objects are named by the object ([vdso],
-# libc.so.6, ...). Two tables follow, over the samples whose stack holds a
+# libc.so.6, ...). Three tables follow, over the samples whose stack holds a
 # frame containing FRAME (all samples without -f): *leaf* — the innermost
-# function, where the time is spent — and *inclusive* — every function on
-# the stack, where the time is spent under. Build with debug line tables
-# (the workspace's release profile has them) for useful names.
+# function, where the time is spent —, *inclusive* — every function on the
+# stack, where the time is spent under — and *libc by caller* — the samples
+# whose leaf is in libc (one `[libc.so.6]` row of the leaf table: memcpy,
+# malloc, free, ...) charged to the innermost function of the executable
+# above them, i.e. whose copy or allocation it is. Build with debug line
+# tables (the workspace's release profile has them) for useful names.
 set -euo pipefail
 frame="" top=25 out=""
 while getopts "f:n:o:" opt; do
@@ -127,7 +130,7 @@ def frames(s):
         else:
             out.append(["[" + w.rsplit("/", 1)[-1].strip("[]") + "]"])
     return out
-leaf, incl, n = collections.Counter(), collections.Counter(), 0
+leaf, incl, libc, n = collections.Counter(), collections.Counter(), collections.Counter(), 0
 for s in samples:
     fr = frames(s)
     flat = [name for f in fr for name in f]
@@ -137,8 +140,10 @@ for s in samples:
     leaf[fr[0][0]] += 1
     for name in set(flat):
         incl[name] += 1
+    if fr[0][0].startswith("[libc"):
+        libc[next((f[0] for f, a in zip(fr, s) if where(a) == real), "??")] += 1
 print(f"{n} samples of {len(samples)}" + (f" with a frame containing '{frame}'" if frame else ""))
-for title, table in (("leaf", leaf), ("inclusive", incl)):
+for title, table in (("leaf", leaf), ("inclusive", incl), ("libc by caller", libc)):
     print(f"\n{title}:")
     for name, c in table.most_common(top):
         print(f"{100 * c / max(n, 1):6.1f} %  {c:7d}  {name[:150]}")

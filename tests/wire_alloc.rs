@@ -11,8 +11,9 @@
 //! and whose requests are born complete — costs only that NIC copy from
 //! `send_enq` to `take_data` (and `recv_deq` + `take_data` nothing at all),
 //! a rendezvous `send_enq` allocates the one request it shares with progress,
-//! and the receive side, the ack paths and the in-order `SeqGate` allocate
-//! nothing of their own. The device's first-packet queue grows to the most
+//! and the receive side, the ack paths and the `SeqGate` allocate nothing of
+//! their own (the gate builds its ring once, at its first out-of-order
+//! admission). The device's first-packet queue grows to the most
 //! it has held and allocates nothing after that, and a pop never allocates.
 //! Its packet pool builds nothing with the device: each of the first
 //! `packet_count` leases builds one packet, and no later lease builds any.
@@ -414,6 +415,33 @@ fn in_order_gate_admissions_allocate_nothing() {
     assert_eq!(n, 0, "an in-order run never touches the pending set");
 }
 
+#[test]
+fn out_of_order_gate_admissions_allocate_nothing_after_the_first() {
+    // Arrival order of a jittered wire: each block of 16 numbers arrives
+    // shuffled, so most admissions land above the watermark and wait there.
+    let mut rng = 0x0DD5_EED5u64;
+    let mut order: Vec<u64> = (2..10_002u64).collect();
+    for block in order.chunks_mut(16) {
+        for i in (1..block.len()).rev() {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            block.swap(i, (rng >> 33) as usize % (i + 1));
+        }
+    }
+    let mut gate = SeqGate::new();
+    assert!(gate.admit(1), "the first out-of-order admission");
+    assert!(gate.admit(0));
+    let (n, _, ()) = allocations(|| {
+        for &seq in &order {
+            assert!(gate.admit(seq), "seq {seq}");
+        }
+    });
+    assert_eq!(gate.watermark(), 10_002);
+    assert_eq!(gate.pending(), 0);
+    assert_eq!(n, 0, "jittered admissions after the first out-of-order one");
+}
+
 /// What `SeqGate` must do, stated over the plain set of everything admitted.
 struct GateModel {
     admitted: BTreeSet<u64>,
@@ -440,15 +468,22 @@ impl GateModel {
     }
     fn mask_above(&mut self) -> u32 {
         let w = self.watermark();
-        (0..32).fold(0, |m, i| {
-            m | (self.admitted.contains(&(w + 1 + i)) as u32) << i
-        })
+        self.admitted
+            .range(w + 1..w + 33)
+            .fold(0, |m, &s| m | 1 << (s - w - 1))
     }
 }
 
+/// The gate against [`GateModel`] at the windows its ring rounds: 1 (the
+/// smallest), 48 (not a power of two), 64 and the default 4096.
 #[test]
 fn seq_gate_equals_the_admitted_set_model_step_by_step() {
-    const WINDOW: u64 = 48;
+    for window in [1, 48, 64, 4096] {
+        gate_equals_model_at(window);
+    }
+}
+
+fn gate_equals_model_at(window: u64) {
     let mut rng = 0x5EED_0014u64;
     let mut draw = move |n: u64| {
         rng = rng
@@ -456,10 +491,10 @@ fn seq_gate_equals_the_admitted_set_model_step_by_step() {
             .wrapping_add(1442695040888963407);
         (rng >> 33) % n
     };
-    let mut gate = SeqGate::new().with_window(WINDOW);
+    let mut gate = SeqGate::new().with_window(window);
     let mut model = GateModel {
         admitted: BTreeSet::new(),
-        window: WINDOW,
+        window,
         low: 0,
     };
     let mut next = 0u64; // the sender's next fresh sequence number
@@ -480,7 +515,7 @@ fn seq_gate_equals_the_admitted_set_model_step_by_step() {
             }
             // A hole left open for a while: skip ahead, fill it later.
             6 => {
-                let skip = 1 + draw(WINDOW / 2);
+                let skip = 1 + draw((window / 2).max(1));
                 offered.push(next + skip);
                 offered.extend(next..next + skip);
                 next += skip + 1;
@@ -488,16 +523,23 @@ fn seq_gate_equals_the_admitted_set_model_step_by_step() {
             // Duplicates, old and recent.
             7 | 8 => offered.push(draw(next.max(1))),
             // Beyond (or just at) the window, and far-future forgeries.
-            _ => offered.extend([model.watermark() + WINDOW + draw(3), u64::MAX - draw(9)]),
+            _ => offered.extend([model.watermark() + window + draw(3), u64::MAX - draw(9)]),
+        }
+        // Now and then the sender goes back to its oldest unacknowledged
+        // number and resends everything from there, as a retransmission
+        // timeout does: on a narrow window that is how a rejected number
+        // gets in at all.
+        if draw(4) == 0 {
+            offered.extend(model.watermark()..next);
         }
         for &seq in &offered {
-            assert_eq!(gate.admit(seq), model.admit(seq), "verdict on {seq}");
-            assert_eq!(gate.watermark(), model.watermark(), "after {seq}");
-            assert_eq!(gate.mask_above(), model.mask_above(), "after {seq}");
-            assert_eq!(gate.pending(), model.pending(), "after {seq}");
+            assert_eq!(gate.admit(seq), model.admit(seq), "window {window}: verdict on {seq}");
+            assert_eq!(gate.watermark(), model.watermark(), "window {window}: after {seq}");
+            assert_eq!(gate.mask_above(), model.mask_above(), "window {window}: after {seq}");
+            assert_eq!(gate.pending(), model.pending(), "window {window}: after {seq}");
         }
     }
-    assert!(model.watermark() > 10_000, "the run made progress");
+    assert!(model.watermark() > 10_000, "window {window}: the run made progress");
 }
 
 /// Two hosts run MPI-RMA rounds of three `PAYLOAD`-byte messages each way.
