@@ -22,6 +22,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Per-window synchronization state, fed by control messages. Completes are
 /// tracked per origin (a queue of origin ranks) so that a target can process
@@ -199,7 +200,7 @@ impl Window {
     /// `MPI_Win_start`: open an access epoch towards the given targets;
     /// blocks until each target has posted.
     pub fn start(&self, targets: &[u16]) -> Result<(), MpiError> {
-        self.comm.wait_rma(self.id, Which::Posts, targets.len() as u64)?;
+        self.comm.wait_rma(self.id, Which::Posts, targets)?;
         *self.epoch_targets.lock() = targets.to_vec();
         Ok(())
     }
@@ -267,14 +268,13 @@ impl Window {
     /// `MPI_Win_fence`: collective barrier-style epoch boundary.
     pub fn fence(&self) -> Result<(), MpiError> {
         self.comm.wait_rma_puts_drained()?;
-        let n = self.comm.size() as u16;
-        for r in 0..n {
-            if r != self.comm.rank() {
-                self.comm
-                    .ctrl_send(r, pack(KIND_RMA_FENCE, self.id as u32, 0))?;
-            }
+        let me = self.comm.rank();
+        let peers: Vec<u16> = (0..self.comm.size() as u16).filter(|&r| r != me).collect();
+        for &r in &peers {
+            self.comm
+                .ctrl_send(r, pack(KIND_RMA_FENCE, self.id as u32, 0))?;
         }
-        self.comm.wait_rma(self.id, Which::Fences, (n - 1) as u64)
+        self.comm.wait_rma(self.id, Which::Fences, &peers)
     }
 
     /// Deregister the window's region (`MPI_Win_free`). Further remote puts
@@ -285,16 +285,35 @@ impl Window {
 }
 
 impl MpiComm {
-    fn wait_rma(&self, win: u64, which: Which, n: u64) -> Result<(), MpiError> {
+    /// Wait for one `which` notice of window `win` from each of `peers`.
+    /// A wait that hears nothing for [`PING_AFTER`] pings them: a peer that
+    /// crashed after taking everything this rank sent it is owed nothing,
+    /// so no retry budget runs toward it until a ping does, and without one
+    /// the wait would spin forever instead of failing the communicator.
+    fn wait_rma(&self, win: u64, which: Which, peers: &[u16]) -> Result<(), MpiError> {
+        let n = peers.len() as u64;
         if n == 0 {
             return Ok(());
         }
+        // Polls since the last look at the clock, and when the wait last
+        // pinged (or began).
+        let (mut polls, mut quiet_since) = (0u32, None);
         loop {
             {
                 let mut st = self.enter()?;
                 self.progress_locked(&mut st);
                 if st.rma.try_take(win, which, n) {
                     return Ok(());
+                }
+            }
+            polls = polls.wrapping_add(1);
+            if polls % POLLS_PER_LOOK == 0 {
+                let now = Instant::now();
+                if now.duration_since(*quiet_since.get_or_insert(now)) >= PING_AFTER {
+                    for &peer in peers {
+                        self.ping(peer);
+                    }
+                    quiet_since = Some(now);
                 }
             }
             std::thread::yield_now();
@@ -309,6 +328,16 @@ impl MpiComm {
         Ok(())
     }
 }
+
+/// How long a window synchronisation waits in silence before it pings the
+/// peers it waits on: far above the span of a retry budget (≈ 70 ms with
+/// the default `ReliableConfig`), so a ping declares dead no peer that a
+/// data frame would not.
+const PING_AFTER: Duration = Duration::from_secs(1);
+
+/// Empty polls of a window synchronisation between two readings of the
+/// clock.
+const POLLS_PER_LOOK: u32 = 1024;
 
 #[cfg(test)]
 mod tests {

@@ -234,49 +234,68 @@ proptest! {
 #[test]
 fn bfs_equivalent_with_crash_recovery_under_combined_faults() {
     use abelian::{run_app_recoverable, CheckpointStore, RecoveryConfig, RecoveryWorld};
+    use std::sync::mpsc;
+    use std::time::Duration;
     const WHOLE_RUN: u64 = u64::MAX / 2;
-    let n: usize = 40;
-    let edges: Vec<(lci_graph::Vid, lci_graph::Vid)> = (1..n)
-        .map(|i| (i as lci_graph::Vid, i as lci_graph::Vid - 1))
-        .collect();
-    let g = CsrGraph::from_edges(n, &edges);
-    let source = n as u32 - 1;
-    let hosts = 3;
-    let parts = partition(&g, hosts, Policy::EdgeCutBlocked);
-    parts.validate(&g);
-    let expect = reference::bfs(&g, source);
-    let run = |kind: LayerKind, seed: u64, plan: FaultPlan| {
-        let store = CheckpointStore::new(hosts);
-        let mut rw = RecoveryWorld::new(
-            kind,
-            FabricConfig::test(hosts).with_seed(seed).with_fault_plan(plan),
-            mini_mpi::MpiConfig::default().with_personality(mini_mpi::Personality::zero()),
-            lci::LciConfig::for_hosts(hosts),
-        );
-        let r = run_app_recoverable(
-            &parts,
-            Arc::new(Bfs { source }),
-            &mut rw,
-            &EngineConfig::default(),
-            &RecoveryConfig {
-                ckpt_every: 4,
-                max_attempts: 4,
-            },
-            &store,
-        );
-        (r, rw)
+    /// A run takes well under a second; one that has not returned after
+    /// this long is wedged, and the test fails naming it instead of hanging
+    /// the suite.
+    const RUN_LIMIT: Duration = Duration::from_secs(60);
+    const N: usize = 40;
+    const HOSTS: usize = 3;
+    let graph = || {
+        let edges: Vec<(lci_graph::Vid, lci_graph::Vid)> = (1..N)
+            .map(|i| (i as lci_graph::Vid, i as lci_graph::Vid - 1))
+            .collect();
+        CsrGraph::from_edges(N, &edges)
+    };
+    let source = N as u32 - 1;
+    let expect = reference::bfs(&graph(), source);
+    // One recoverable run on a thread of its own, so a wedged run cannot
+    // outlive `RUN_LIMIT`. Returns the run's answer, the deliveries the
+    // crash host took part in (as its own endpoint counts them) and whether
+    // its crash fired.
+    let run = |kind: LayerKind, seed: u64, plan: FaultPlan, what: String| {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let g = graph();
+            let parts = partition(&g, HOSTS, Policy::EdgeCutBlocked);
+            parts.validate(&g);
+            let store = CheckpointStore::new(HOSTS);
+            let mut rw = RecoveryWorld::new(
+                kind,
+                FabricConfig::test(HOSTS).with_seed(seed).with_fault_plan(plan),
+                mini_mpi::MpiConfig::default().with_personality(mini_mpi::Personality::zero()),
+                lci::LciConfig::for_hosts(HOSTS),
+            );
+            let r = run_app_recoverable(
+                &parts,
+                Arc::new(Bfs { source }),
+                &mut rw,
+                &EngineConfig::default(),
+                &RecoveryConfig {
+                    ckpt_every: 4,
+                    max_attempts: 4,
+                },
+                &store,
+            );
+            let st = rw.fabric().endpoint(1).stats();
+            let _ = tx.send((
+                r.map(|r| r.values),
+                st.sends + st.recvs + st.puts,
+                st.fault_crashed > 0,
+            ));
+        });
+        rx.recv_timeout(RUN_LIMIT)
+            .unwrap_or_else(|_| panic!("{what}: no answer after {RUN_LIMIT:?}"))
     };
     // Selector bit 1 adds Drop, bit 2 adds Corrupt; the crash is always on.
     for selector in 0u64..4 {
         let seed = 0xC4A5 + selector;
         for kind in LayerKind::all() {
-            let (twin, rw) = run(kind, seed, FaultPlan::none());
-            twin.unwrap_or_else(|e| panic!("layer {} crash-free twin: {e}", kind.name()));
-            let party_packets = |rw: &RecoveryWorld| {
-                let st = rw.fabric().endpoint(1).stats();
-                st.sends + st.recvs + st.puts
-            };
-            let twin_packets = party_packets(&rw);
+            let twin_what = format!("layer {} crash-free twin", kind.name());
+            let (twin, twin_packets, _) = run(kind, seed, FaultPlan::none(), twin_what.clone());
+            twin.unwrap_or_else(|e| panic!("{twin_what}: {e}"));
             let after_packets = twin_packets * 3 / 5;
             let mut plan =
                 FaultPlan::none().with_phase(0, WHOLE_RUN, Fault::Crash { host: 1, after_packets });
@@ -286,20 +305,14 @@ fn bfs_equivalent_with_crash_recovery_under_combined_faults() {
             if selector & 2 != 0 {
                 plan = plan.with_phase(0, WHOLE_RUN, Fault::Corrupt { flips: 3 });
             }
-            let (r, rw) = run(kind, seed, plan.clone());
-            let r = r.unwrap_or_else(|e| panic!("layer {} selector {selector}: {e}", kind.name()));
-            assert_eq!(
-                r.values,
-                expect,
-                "layer {} selector {selector} plan {plan:?}",
-                kind.name()
-            );
+            let what = format!("layer {} selector {selector}", kind.name());
+            let (r, packets, crashed) = run(kind, seed, plan.clone(), what.clone());
+            let values = r.unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(values, expect, "{what} plan {plan:?}");
             assert!(
-                rw.fabric().endpoint(1).stats().fault_crashed > 0,
-                "layer {} selector {selector}: crash never fired (twin party_packets \
-                 {twin_packets}, trigger {after_packets}, this run's party_packets {})",
-                kind.name(),
-                party_packets(&rw)
+                crashed,
+                "{what}: crash never fired (twin party_packets {twin_packets}, trigger \
+                 {after_packets}, this run's party_packets {packets})",
             );
         }
     }
